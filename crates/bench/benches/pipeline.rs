@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ent_bench::{bench_gen_config, raw_trace};
+use ent_core::metrics::Stage;
 use ent_core::{analyze_trace, PipelineConfig, PipelineMetrics, StageTimer};
 use ent_flow::{CollectSummaries, ConnTable, TableConfig};
 use ent_gen::build::{build_site, generate_trace, generate_trace_into};
@@ -169,9 +170,9 @@ fn bench_metrics_overhead(c: &mut Criterion) {
         let mut m = PipelineMetrics::default();
         let mut t = StageTimer::start();
         b.iter(|| {
-            m.frame_parse.add(t.lap(), 1, 64);
-            m.flow_ingest.add(t.lap(), 1, 64);
-            black_box(m.flow_ingest.events)
+            m.stages[Stage::FrameParse].add(t.lap(), 1, 64);
+            m.stages[Stage::FlowIngest].add(t.lap(), 1, 64);
+            black_box(m.stages[Stage::FlowIngest].events)
         })
     });
     g.finish();

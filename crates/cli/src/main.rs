@@ -21,7 +21,7 @@
 //! * `obs-check` — validate a bench export (pipeline, monitor, scaling
 //!   or packs schema).
 //! * `bench-compare` — gate a candidate bench export against a committed
-//!   baseline (exact event/byte equality, one-sided wall tolerance; for
+//!   baseline (exact event/byte equality, one-sided +25 % wall check; for
 //!   scaling documents, entry-for-entry determinism plus the speedup
 //!   floor on machines with at least 4 cores).
 #![deny(missing_docs)]
@@ -29,9 +29,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use ent_core::metrics::{
-    bench_json, compare_bench_json, monitor_bench_json, packs_bench_json, scaling_bench_json,
-    validate_bench_json, BenchContext, MonitorBenchContext, PackBenchEntry, PacksBenchContext,
-    ScalingContext, ScalingEntry,
+    bench_json, compare_bench_json, validate_bench_json, Stage, Val, MONITOR, PACKS, PIPELINE,
+    SCALING, WALL_TOLERANCE,
 };
 use ent_core::run::{run_datasets, StudyConfig};
 use ent_core::{run_pack, PackStudyConfig};
@@ -41,9 +40,9 @@ use ent_core::{
     PipelineMetrics,
 };
 use ent_gen::build::{build_site, generate_trace};
-use ent_gen::dataset::{all_datasets, dataset};
+use ent_gen::dataset::{all_datasets, dataset, DatasetSpec};
 use ent_gen::GenConfig;
-use ent_pcap::{Trace, TraceMeta};
+use ent_pcap::{RecoveringReader, Trace, TraceMeta};
 use ent_wire::Timestamp;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -69,7 +68,7 @@ fn usage() -> ExitCode {
   entreport monitor FILE.pcap [--epoch-secs 300] [--checkpoint FILE.ckpt] [--max-conns N] [--max-pending N] [--stop-after-epochs N] [--name NAME] [--keep-scanners] [--bench-json FILE.json]
   entreport anonymize IN.pcap OUT.pcap --key SEED
   entreport obs-check FILE.json
-  entreport bench-compare BASELINE.json CANDIDATE.json [--tolerance 0.25]"
+  entreport bench-compare BASELINE.json CANDIDATE.json"
     );
     ExitCode::from(2)
 }
@@ -106,6 +105,11 @@ fn parse_args(raw: &[String]) -> Args {
     a
 }
 
+/// A flag's value parsed as `T`; `None` when absent or unparsable.
+fn flag<T: std::str::FromStr>(args: &Args, name: &str) -> Option<T> {
+    args.flags.get(name).and_then(|s| s.parse().ok())
+}
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = raw.first().cloned() else {
@@ -128,31 +132,26 @@ fn main() -> ExitCode {
 
 fn gen_config(args: &Args) -> GenConfig {
     GenConfig {
-        scale: args
-            .flags
-            .get("scale")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.01),
-        seed: args
-            .flags
-            .get("seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1),
-        hosts_per_subnet: args.flags.get("hosts").and_then(|s| s.parse().ok()),
+        scale: flag(args, "scale").unwrap_or(0.01),
+        seed: flag(args, "seed").unwrap_or(1),
+        hosts_per_subnet: flag(args, "hosts"),
     }
 }
 
+/// The datasets named by `--datasets D0,D3` (all five when absent).
+fn selected_datasets(args: &Args) -> Vec<DatasetSpec> {
+    let wanted: Option<Vec<&str>> = args.flags.get("datasets").map(|s| s.split(',').map(str::trim).collect());
+    let keep = |d: &DatasetSpec| wanted.as_ref().is_none_or(|w| w.contains(&d.name));
+    all_datasets().into_iter().filter(keep).collect()
+}
+
 fn cmd_study(args: &Args) -> ExitCode {
-    let threads: usize = args
-        .flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let threads: usize = flag(args, "threads").unwrap_or(0);
     // An explicit --shards (including `--shards 0`, the serial escape
     // hatch) always wins; only when the flag is absent does the run
     // auto-shard the cores a pinned --threads leaves idle. Shard count is
     // a bench-comparability key, so gate scripts pass --shards 0.
-    let shards = match args.flags.get("shards").and_then(|s| s.parse().ok()) {
+    let shards = match flag(args, "shards") {
         Some(n) => n,
         None => ent_core::auto_shards(
             threads,
@@ -168,19 +167,7 @@ fn cmd_study(args: &Args) -> ExitCode {
         },
         threads,
     };
-    let wanted: Option<Vec<String>> = args
-        .flags
-        .get("datasets")
-        .map(|s| s.split(',').map(|x| x.trim().to_string()).collect());
-    let specs: Vec<_> = all_datasets()
-        .into_iter()
-        .filter(|d| {
-            wanted
-                .as_ref()
-                .map(|w| w.iter().any(|x| x == d.name))
-                .unwrap_or(true)
-        })
-        .collect();
+    let specs = selected_datasets(args);
     eprintln!(
         "running study: scale={} seed={} datasets={:?}",
         config.gen.scale,
@@ -234,27 +221,27 @@ fn cmd_study(args: &Args) -> ExitCode {
         } else {
             config.threads
         };
-        let ctx = BenchContext {
-            scale: config.gen.scale,
-            seed: config.gen.seed,
-            threads,
-            shards: config.pipeline.shards,
-            study_wall_ns,
-            datasets: studies
-                .iter()
-                .map(|da| {
-                    let m = da.pipeline_metrics();
-                    (
-                        da.spec.name.to_string(),
-                        da.traces.len() as u64,
-                        m.trace_wall_ns,
-                        m.packets(),
-                        m.bytes(),
-                    )
-                })
-                .collect(),
-        };
-        let doc = bench_json(&ctx, &total);
+        let run = [
+            ("scale", Val::F(config.gen.scale)),
+            ("seed", Val::U(config.gen.seed)),
+            ("threads", Val::U(threads as u64)),
+            ("shards", Val::U(config.pipeline.shards as u64)),
+            ("study_wall_us", Val::F(study_wall_ns as f64 / 1e3)),
+        ];
+        let datasets: Vec<_> = studies
+            .iter()
+            .map(|da| {
+                let m = da.pipeline_metrics();
+                vec![
+                    ("name", Val::S(da.spec.name.to_string())),
+                    ("traces", Val::U(da.traces.len() as u64)),
+                    ("wall_us", Val::F(m.trace_wall_ns as f64 / 1e3)),
+                    ("packets", Val::U(m.packets())),
+                    ("bytes", Val::U(m.bytes())),
+                ]
+            })
+            .collect();
+        let doc = or_die(bench_json(&PIPELINE, &run, Some(&total), &datasets), "bench json");
         or_die(validate_bench_json(&doc), "bench json self-check");
         or_die(std::fs::write(path, &doc), "write bench json");
         eprintln!("pipeline metrics written to {path}");
@@ -302,16 +289,8 @@ fn cmd_scaling(args: &Args) -> ExitCode {
     if !args.flags.contains_key("seed") {
         gen.seed = 2005; // the scaling gate's seed, not `study`'s default
     }
-    let threads: usize = args
-        .flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let floor: f64 = args
-        .flags
-        .get("floor")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.6);
+    let threads: usize = flag(args, "threads").unwrap_or(1);
+    let floor: f64 = flag(args, "floor").unwrap_or(1.6);
     let counts: Vec<usize> = match args.flags.get("shard-counts") {
         Some(s) => {
             let parsed: Option<Vec<usize>> =
@@ -326,19 +305,7 @@ fn cmd_scaling(args: &Args) -> ExitCode {
         }
         None => vec![0, 1, 2, 4, 8],
     };
-    let wanted: Option<Vec<String>> = args
-        .flags
-        .get("datasets")
-        .map(|s| s.split(',').map(|x| x.trim().to_string()).collect());
-    let specs: Vec<_> = all_datasets()
-        .into_iter()
-        .filter(|d| {
-            wanted
-                .as_ref()
-                .map(|w| w.iter().any(|x| x == d.name))
-                .unwrap_or(true)
-        })
-        .collect();
+    let specs = selected_datasets(args);
     eprintln!(
         "scaling curve: scale={} seed={} threads={threads} shard counts {counts:?}",
         gen.scale, gen.seed
@@ -360,32 +327,30 @@ fn cmd_scaling(args: &Args) -> ExitCode {
         }
         eprintln!(
             "  shards={shards}: ingest wall {:.1} ms, {} packets, signature {:016x}",
-            total.shard_ingest.wall_ns as f64 / 1e6,
+            total.stages[Stage::ShardIngest].wall_ns as f64 / 1e6,
             total.packets(),
             total.events_signature_hash(),
         );
-        entries.push(ScalingEntry {
-            shards,
-            ingest_wall_ns: total.shard_ingest.wall_ns,
-            frame_parse_wall_ns: total.frame_parse.wall_ns,
-            flow_ingest_wall_ns: total.flow_ingest.wall_ns,
-            packets: total.packets(),
-            traces: total.traces,
-            peak_open_conns: total.peak_open_conns,
-            signature_hash: total.events_signature_hash(),
-        });
+        entries.push(vec![
+            ("shards", Val::U(shards as u64)),
+            ("ingest_wall_us", Val::F(total.stages[Stage::ShardIngest].wall_us())),
+            ("frame_parse_wall_us", Val::F(total.stages[Stage::FrameParse].wall_us())),
+            ("flow_ingest_wall_us", Val::F(total.stages[Stage::FlowIngest].wall_us())),
+            ("packets", Val::U(total.packets())),
+            ("traces", Val::U(total.traces)),
+            ("peak_open_conns", Val::U(total.peak_open_conns)),
+            ("signature", Val::S(format!("{:016x}", total.events_signature_hash()))),
+        ]);
     }
-    let ctx = ScalingContext {
-        scale: gen.scale,
-        seed: gen.seed,
-        threads,
-        cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        floor,
-        entries,
-    };
-    let doc = scaling_bench_json(&ctx);
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let run = [
+        ("scale", Val::F(gen.scale)),
+        ("seed", Val::U(gen.seed)),
+        ("threads", Val::U(threads as u64)),
+        ("cores", Val::U(cores as u64)),
+        ("floor", Val::F(floor)),
+    ];
+    let doc = or_die(bench_json(&SCALING, &run, None, &entries), "scaling json");
     // The self-check is the determinism half of the gate: it fails if any
     // shard count produced a different signature or packet total.
     or_die(validate_bench_json(&doc), "scaling determinism self-check");
@@ -421,26 +386,10 @@ fn cmd_packs(args: &Args) -> ExitCode {
     if !args.flags.contains_key("seed") {
         gen.seed = 2005; // the pack gate's seed, matching `scaling`
     }
-    let threads: usize = args
-        .flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let shards: usize = args
-        .flags
-        .get("shards")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let precision_floor: f64 = args
-        .flags
-        .get("precision-floor")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(PACK_PRECISION_FLOOR);
-    let recall_floor: f64 = args
-        .flags
-        .get("recall-floor")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(PACK_RECALL_FLOOR);
+    let threads: usize = flag(args, "threads").unwrap_or(1);
+    let shards: usize = flag(args, "shards").unwrap_or(0);
+    let precision_floor: f64 = flag(args, "precision-floor").unwrap_or(PACK_PRECISION_FLOOR);
+    let recall_floor: f64 = flag(args, "recall-floor").unwrap_or(PACK_RECALL_FLOOR);
     let wanted: Option<Vec<String>> = args
         .flags
         .get("packs")
@@ -496,33 +445,32 @@ fn cmd_packs(args: &Args) -> ExitCode {
             report.entropy_nontemporal,
             report.entropy_temporal,
         );
-        entries.push(PackBenchEntry {
-            name: report.name.clone(),
-            traces: report.traces,
-            packets: report.packets,
-            attack_packets: report.attack_packets,
-            scan_sources: report.scan_sources,
-            flagged: report.flagged,
-            true_pos: report.score.true_pos,
-            false_pos: report.score.false_pos,
-            false_neg: report.score.false_neg,
-            precision: report.score.precision(),
-            recall: report.score.recall(),
-            f1: report.score.f1(),
-            entropy_nontemporal: report.entropy_nontemporal,
-            entropy_temporal: report.entropy_temporal,
-        });
+        entries.push(vec![
+            ("name", Val::S(report.name.clone())),
+            ("traces", Val::U(report.traces)),
+            ("packets", Val::U(report.packets)),
+            ("attack_packets", Val::U(report.attack_packets)),
+            ("scan_sources", Val::U(report.scan_sources)),
+            ("flagged", Val::U(report.flagged)),
+            ("true_pos", Val::U(report.score.true_pos)),
+            ("false_pos", Val::U(report.score.false_pos)),
+            ("false_neg", Val::U(report.score.false_neg)),
+            ("precision", Val::F(report.score.precision())),
+            ("recall", Val::F(report.score.recall())),
+            ("f1", Val::F(report.score.f1())),
+            ("entropy_nontemporal", Val::F(report.entropy_nontemporal)),
+            ("entropy_temporal", Val::F(report.entropy_temporal)),
+        ]);
     }
-    let ctx = PacksBenchContext {
-        scale: gen.scale,
-        seed: gen.seed,
-        threads,
-        shards,
-        precision_floor,
-        recall_floor,
-        packs: entries,
-    };
-    let doc = packs_bench_json(&ctx);
+    let run = [
+        ("scale", Val::F(gen.scale)),
+        ("seed", Val::U(gen.seed)),
+        ("threads", Val::U(threads as u64)),
+        ("shards", Val::U(shards as u64)),
+        ("precision_floor", Val::F(precision_floor)),
+        ("recall_floor", Val::F(recall_floor)),
+    ];
+    let doc = or_die(bench_json(&PACKS, &run, None, &entries), "packs json");
     // The self-check is the scoring gate: it fails if any pack misses a
     // floor or an adversarial pack is indistinguishable from base.
     or_die(validate_bench_json(&doc), "pack scoring self-check");
@@ -544,16 +492,8 @@ fn cmd_generate(args: &Args) -> ExitCode {
         eprintln!("unknown dataset {name} (use D0..D4)");
         return ExitCode::from(2);
     };
-    let subnet: u16 = args
-        .flags
-        .get("subnet")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(spec.monitored.start);
-    let pass: u8 = args
-        .flags
-        .get("pass")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let subnet: u16 = flag(args, "subnet").unwrap_or(spec.monitored.start);
+    let pass: u8 = flag(args, "pass").unwrap_or(1);
     let Some(out) = args.flags.get("out") else {
         return usage();
     };
@@ -583,43 +523,42 @@ fn cmd_analyze(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let meta = TraceMeta {
+    let mut meta = TraceMeta {
         dataset: args
             .flags
             .get("name")
             .map(|s| s.as_str().into())
             .unwrap_or_else(|| "pcap".into()),
-        subnet: args
-            .flags
-            .get("subnet")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0),
+        subnet: flag(args, "subnet").unwrap_or(0),
         pass: 1,
         duration: Timestamp::from_secs(3_600),
         snaplen: 1500,
         link_capacity_bps: 100_000_000,
     };
-    // Salvage everything readable from a possibly damaged capture; only an
-    // unusable global header is fatal.
-    let (mut trace, capture_stats) = match Trace::read_pcap_recovering(&data, meta) {
-        Ok(x) => x,
+    // Size the utilization bins to the capture's actual span, from a
+    // header-only pass over the record timestamps. Binning is relative to
+    // the first packet wherever its clock starts (epoch or zero), so
+    // timestamps themselves need no rewriting.
+    if let Ok(mut records) = RecoveringReader::new(&data) {
+        if let Some(first) = records.next_record().map(|r| r.ts) {
+            let mut last = first;
+            while let Some(r) = records.next_record() {
+                last = r.ts;
+            }
+            meta.duration =
+                Timestamp::from_micros(last.saturating_micros_since(first) + 1_000_000);
+        }
+    }
+    // Stream the capture through the pipeline, salvaging everything
+    // readable from a possibly damaged file; only an unusable global
+    // header is fatal.
+    let a = match ent_core::analyze_capture(&data, meta, &PipelineConfig::default()) {
+        Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {}", ent_core::AnalysisError::from(e));
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // Size the utilization bins to the capture's actual span. Binning is
-    // relative to the first packet wherever its clock starts (epoch or
-    // zero), so timestamps themselves need no rewriting.
-    if let (Some(first), Some(last)) = (
-        trace.packets.first().map(|p| p.ts),
-        trace.packets.last().map(|p| p.ts),
-    ) {
-        trace.meta.duration =
-            Timestamp::from_micros(last.saturating_micros_since(first) + 1_000_000);
-    }
-    let mut a = ent_core::analyze_trace(&trace, &PipelineConfig::default());
-    a.health.capture = capture_stats;
     println!(
         "trace: {} packets ({} IP, {} ARP, {} IPX, {} other)",
         a.packets, a.ip_packets, a.arp_packets, a.ipx_packets, a.other_l3_packets
@@ -701,22 +640,17 @@ fn cmd_bench_compare(args: &Args) -> ExitCode {
     else {
         return usage();
     };
-    let tolerance: f64 = args
-        .flags
-        .get("tolerance")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
     let waived = std::env::var("ENT_BENCH_WAIVER").is_ok_and(|v| !v.is_empty() && v != "0");
     let baseline = or_die(std::fs::read_to_string(base_path), "read baseline json");
     let candidate = or_die(std::fs::read_to_string(cand_path), "read candidate json");
-    match compare_bench_json(&baseline, &candidate, tolerance, !waived) {
+    match compare_bench_json(&baseline, &candidate, !waived) {
         Ok(report) => {
             print!("{report}");
             if waived {
                 println!("note: wall-time checks waived via ENT_BENCH_WAIVER");
             }
             println!("bench-compare: ok ({cand_path} vs {base_path}, tolerance +{:.0}%)",
-                tolerance * 100.0);
+                WALL_TOLERANCE * 100.0);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -743,11 +677,7 @@ fn cmd_monitor(args: &Args) -> ExitCode {
         return usage();
     };
     let data = or_die(std::fs::read(path), "read capture");
-    let epoch_secs: u64 = args
-        .flags
-        .get("epoch-secs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300);
+    let epoch_secs: u64 = flag(args, "epoch-secs").unwrap_or(300);
     if epoch_secs == 0 {
         eprintln!("entreport: --epoch-secs must be nonzero");
         return ExitCode::from(2);
@@ -759,16 +689,8 @@ fn cmd_monitor(args: &Args) -> ExitCode {
         checkpoints: ckpt_path.is_some(),
         pipeline: PipelineConfig {
             keep_scanners: args.switches.contains("keep-scanners"),
-            max_conns: args
-                .flags
-                .get("max-conns")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-            max_pending: args
-                .flags
-                .get("max-pending")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
+            max_conns: flag(args, "max-conns").unwrap_or(0),
+            max_pending: flag(args, "max-pending").unwrap_or(0),
             ..Default::default()
         },
     };
@@ -802,10 +724,7 @@ fn cmd_monitor(args: &Args) -> ExitCode {
     if recovered {
         monitor.note_checkpoint_recovery();
     }
-    let stop_after: Option<u64> = args
-        .flags
-        .get("stop-after-epochs")
-        .and_then(|s| s.parse().ok());
+    let stop_after: Option<u64> = flag(args, "stop-after-epochs");
     let result = drive_capture(
         &data,
         &mut monitor,
@@ -827,17 +746,16 @@ fn cmd_monitor(args: &Args) -> ExitCode {
     };
     print!("{}", summary.render());
     if let Some(out) = args.flags.get("bench-json") {
-        let ctx = MonitorBenchContext {
-            epoch_secs,
-            max_conns: cfg.pipeline.max_conns as u64,
-            max_pending: cfg.pipeline.max_pending as u64,
-            epochs: summary.totals.epochs,
-            checkpoints: summary.metrics.checkpoint.events,
-            evicted_conns: summary.health.evicted_conns,
-            pending_dropped: summary.health.pending_dropped,
-            checkpoint_recoveries: summary.health.checkpoint_recoveries,
-        };
-        let doc = monitor_bench_json(&ctx, &summary.metrics);
+        let run = [
+            ("epoch_secs", Val::U(epoch_secs)),
+            ("max_conns", Val::U(cfg.pipeline.max_conns as u64)),
+            ("max_pending", Val::U(cfg.pipeline.max_pending as u64)),
+            ("epochs", Val::U(summary.totals.epochs)),
+            ("evicted_conns", Val::U(summary.health.evicted_conns)),
+            ("pending_dropped", Val::U(summary.health.pending_dropped)),
+            ("checkpoint_recoveries", Val::U(summary.health.checkpoint_recoveries)),
+        ];
+        let doc = or_die(bench_json(&MONITOR, &run, Some(&summary.metrics), &[]), "bench json");
         or_die(validate_bench_json(&doc), "bench json self-check");
         or_die(std::fs::write(out, &doc), "write bench json");
         eprintln!("monitor metrics written to {out}");

@@ -93,7 +93,9 @@ pub fn scan_study(traces: &DatasetTraces) -> ScanStudy {
             }
         })
         .collect();
-    profiles.sort_by_key(|p| std::cmp::Reverse(p.probes));
+    // Busiest first; equal counts by address, so the top-N cut of the
+    // table does not depend on the map's iteration order.
+    profiles.sort_by_key(|p| (std::cmp::Reverse(p.probes), p.source.0));
     ScanStudy {
         removed_conn_pct: pct(removed, removed + kept),
         profiles,
@@ -212,6 +214,24 @@ mod tests {
         assert!((s.removed_conn_pct - 60.0 / 61.0 * 100.0).abs() < 1e-6);
         let table = scan_table(&[("D0", s)], 5);
         assert!(table.render().contains("internal"));
+    }
+
+    #[test]
+    fn equal_probe_counts_order_by_source_address() {
+        let sources = [(9, 12), (9, 10), (200, 7), (9, 11)].map(|(c, d)| ipv4::Addr::new(10, 100, c, d));
+        let mut t = TraceAnalysis::default();
+        for i in 0..30u8 {
+            for src in sources {
+                let dst = ipv4::Addr::new(10, 100, 3, 100 + i);
+                t.scanner_conns.push(probe(src, dst, 80, u64::from(i) * 20, false));
+            }
+        }
+        // Every construction builds a freshly keyed map; the order of
+        // equally busy sources must not follow it.
+        for _ in 0..20 {
+            let order: Vec<_> = scan_study(std::slice::from_ref(&t)).profiles.iter().map(|p| p.source).collect();
+            assert_eq!(order, [sources[1], sources[3], sources[0], sources[2]]);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! [`CheckpointError`]; the monitor degrades to a counted cold start, it
 //! never crashes on its own state file.
 
-use crate::metrics::PipelineMetrics;
+use crate::metrics::{PipelineMetrics, StageStat};
 use crate::monitor::MonitorTotals;
 use crate::records::IngestHealth;
 use ent_flow::TableCarry;
@@ -216,14 +216,14 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-fn put_stage(buf: &mut Vec<u8>, s: &crate::metrics::StageStat) {
+fn put_stage(buf: &mut Vec<u8>, s: &StageStat) {
     put_u64(buf, s.wall_ns);
     put_u64(buf, s.events);
     put_u64(buf, s.bytes);
 }
 
-fn take_stage(c: &mut Cursor<'_>) -> Result<crate::metrics::StageStat, CheckpointError> {
-    Ok(crate::metrics::StageStat {
+fn take_stage(c: &mut Cursor<'_>) -> Result<StageStat, CheckpointError> {
+    Ok(StageStat {
         wall_ns: c.u64()?,
         events: c.u64()?,
         bytes: c.u64()?,
@@ -264,11 +264,9 @@ impl Checkpoint {
         put_u64(&mut p, self.health.load_samples_out_of_range);
         put_u64(&mut p, self.health.pending_dropped);
         put_u64(&mut p, self.health.checkpoint_recoveries);
-        // Cumulative pipeline metrics: 14 stages, 11 analyzers, scalars.
-        for (_, s) in self.metrics.stages() {
-            put_stage(&mut p, s);
-        }
-        for (_, s) in self.metrics.analyzers.named() {
+        // Cumulative pipeline metrics: every stage in `Stage::ALL` order,
+        // every analyzer in `AnalyzerKind::ALL` order, then the scalars.
+        for (_, s) in self.metrics.stages.named().chain(self.metrics.analyzers.named()) {
             put_stage(&mut p, s);
         }
         put_u64(&mut p, self.metrics.peak_open_conns);
@@ -365,32 +363,9 @@ impl Checkpoint {
         ck.health.pending_dropped = c.u64()?;
         ck.health.checkpoint_recoveries = c.u64()?;
         let m = &mut ck.metrics;
-        m.generate = take_stage(&mut c)?;
-        m.gen_synth = take_stage(&mut c)?;
-        m.gen_sort = take_stage(&mut c)?;
-        m.gen_tap = take_stage(&mut c)?;
-        m.frame_parse = take_stage(&mut c)?;
-        m.flow_ingest = take_stage(&mut c)?;
-        m.tcp_deliver = take_stage(&mut c)?;
-        m.udp_deliver = take_stage(&mut c)?;
-        m.finalize = take_stage(&mut c)?;
-        m.scanner_removal = take_stage(&mut c)?;
-        m.epoch_rotate = take_stage(&mut c)?;
-        m.checkpoint = take_stage(&mut c)?;
-        m.backpressure = take_stage(&mut c)?;
-        m.shard_ingest = take_stage(&mut c)?;
-        let a = &mut m.analyzers;
-        a.http = take_stage(&mut c)?;
-        a.smtp = take_stage(&mut c)?;
-        a.imap = take_stage(&mut c)?;
-        a.tls = take_stage(&mut c)?;
-        a.cifs = take_stage(&mut c)?;
-        a.dcerpc = take_stage(&mut c)?;
-        a.nfs_tcp = take_stage(&mut c)?;
-        a.nfs_udp = take_stage(&mut c)?;
-        a.ncp = take_stage(&mut c)?;
-        a.dns = take_stage(&mut c)?;
-        a.nbns = take_stage(&mut c)?;
+        for stat in m.stages.iter_mut().chain(m.analyzers.iter_mut()) {
+            *stat = take_stage(&mut c)?;
+        }
         m.peak_open_conns = c.u64()?;
         m.trace_wall_ns = c.u64()?;
         m.traces = c.u64()?;
@@ -465,6 +440,7 @@ impl MonitorTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{AnalyzerKind, Stage};
 
     fn sample() -> Checkpoint {
         let mut ck = Checkpoint {
@@ -481,9 +457,9 @@ mod tests {
         ck.carry.stats.peak_open_conns = 512;
         ck.health.pending_dropped = 3;
         ck.health.checkpoint_recoveries = 1;
-        ck.metrics.flow_ingest.add(5_000, 42_000, 9_000_000);
-        ck.metrics.epoch_rotate.add(100, 4, 77);
-        ck.metrics.checkpoint.add(900, 4, 0);
+        ck.metrics.stages[Stage::FlowIngest].add(5_000, 42_000, 9_000_000);
+        ck.metrics.stages[Stage::EpochRotate].add(100, 4, 77);
+        ck.metrics.stages[Stage::Checkpoint].add(900, 4, 0);
         ck.totals.packets = 42_000;
         ck.totals.epochs = 4;
         ck.dynamic_ports = vec![
@@ -505,6 +481,47 @@ mod tests {
         let bytes = ck.encode();
         let back = Checkpoint::parse(&bytes).expect("roundtrip");
         assert_eq!(ck, back);
+    }
+
+    /// The version-2 byte layout, assembled by hand: the metrics block is
+    /// one (wall, events, bytes) triple per `Stage::ALL` entry, then one
+    /// per `AnalyzerKind::ALL` entry, in that order.
+    #[test]
+    fn v2_payload_lays_out_stages_then_analyzers_in_declaration_order() {
+        assert_eq!(VERSION, 2);
+        let mut p: Vec<u8> = Vec::new();
+        let u64s = |p: &mut Vec<u8>, vals: &[u64]| vals.iter().for_each(|v| p.extend_from_slice(&v.to_le_bytes()));
+        u64s(&mut p, &[1, 0]); // epoch_len_us, epoch_index
+        p.push(0); // stream_base absent...
+        u64s(&mut p, &[0, 0]); // ...its value slot; resume_offset
+        p.push(0); // reader_clock absent...
+        u64s(&mut p, &[0; 7]); // ...its value slot; 6 capture counters
+        p.extend_from_slice(&[0, 0, 0]); // truncated_tail, snaplen_clamped; carry clock absent...
+        u64s(&mut p, &[0; 12]); // ...its value slot; 3 flow stats; 8 health counters
+        let slots = (Stage::COUNT + AnalyzerKind::COUNT) as u64;
+        let stat = |slot: u64| StageStat { wall_ns: 1_000 + slot, events: 2_000 + slot, bytes: 3_000 + slot };
+        for s in (0..slots).map(stat) {
+            u64s(&mut p, &[s.wall_ns, s.events, s.bytes]);
+        }
+        u64s(&mut p, &[7, 8, 9]); // peak_open_conns, trace_wall_ns, traces
+        u64s(&mut p, &vec![0; MonitorTotals::default().scalars().len()]);
+        u64s(&mut p, &[0, 0, 0]); // no dynamic ports; max_conns, max_pending
+        p.extend_from_slice(&[0, 0]); // keep_scanners, payload_ok
+        let mut file = MAGIC.to_vec();
+        file.extend_from_slice(&VERSION.to_le_bytes());
+        u64s(&mut file, &[p.len() as u64, fnv1a(&p)]);
+        file.extend_from_slice(&p);
+
+        let ck = Checkpoint::parse(&file).expect("hand-assembled v2 payload parses");
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(ck.metrics.stages[stage], stat(i as u64), "{}", stage.name());
+        }
+        for (i, kind) in AnalyzerKind::ALL.into_iter().enumerate() {
+            assert_eq!(ck.metrics.analyzers[kind], stat((Stage::COUNT + i) as u64), "{}", kind.name());
+        }
+        assert_eq!((ck.metrics.peak_open_conns, ck.metrics.traces), (7, 9));
+        // And the encoder writes the very same bytes back.
+        assert_eq!(ck.encode(), file);
     }
 
     #[test]

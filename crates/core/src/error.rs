@@ -95,6 +95,12 @@ impl From<String> for BenchJsonError {
     }
 }
 
+impl From<&str> for BenchJsonError {
+    fn from(msg: &str) -> Self {
+        BenchJsonError(msg.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

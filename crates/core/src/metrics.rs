@@ -50,9 +50,7 @@ impl StageStat {
 
     /// Fold another stat into this one.
     pub fn absorb(&mut self, other: &StageStat) {
-        self.wall_ns += other.wall_ns;
-        self.events += other.events;
-        self.bytes += other.bytes;
+        self.add(other.wall_ns, other.events, other.bytes);
     }
 
     /// Wall time in (fractional) microseconds.
@@ -100,218 +98,193 @@ impl StageTimer {
     }
 }
 
-/// Application analyzers with individually-attributed delivery time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalyzerKind {
-    /// HTTP transaction parsing.
-    Http,
-    /// SMTP session tracking.
-    Smtp,
-    /// Cleartext IMAP4 command tracking.
-    Imap,
-    /// TLS record/handshake tracking (HTTPS, IMAP-S, POP-S).
-    Tls,
-    /// CIFS/SMB (and NetBIOS-SSN) message parsing.
-    Cifs,
-    /// DCE/RPC call parsing (mapped ports and pipes).
-    Dcerpc,
-    /// NFS over TCP.
-    NfsTcp,
-    /// NFS over UDP.
-    NfsUdp,
-    /// NCP call parsing.
-    Ncp,
-    /// DNS query/response matching.
-    Dns,
-    /// NetBIOS-NS transaction matching.
-    Nbns,
-}
+/// Declare an enum and the [`StageStat`] table it indexes from one row per
+/// variant: the variant, its document name and (for stages) the bench
+/// documents that must report it non-zero. Whatever enumerates stages or
+/// analyzers — documents, the stage table, the events signature, the
+/// checkpoint codec — loops over the generated `ALL`: a name is written once.
+macro_rules! stat_table {
+    (
+        $(#[$emeta:meta])* enum $E:ident;
+        $(#[$tmeta:meta])* struct $T:ident;
+        $( $(#[$vmeta:meta])* $V:ident = $name:literal $(in $docs:expr)? ),+ $(,)?
+    ) => {
+        $(#[$emeta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $E { $( $(#[$vmeta])* $V ),+ }
 
-/// Per-analyzer cumulative delivery time, event and byte counts.
-///
-/// One event is one payload delivery into the analyzer (a TCP segment's
-/// in-order data or one UDP datagram); bytes are the delivered payload
-/// bytes. Wall time is nested inside
-/// [`PipelineMetrics::flow_ingest`] (deliveries happen during ingest).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct AnalyzerMetrics {
-    /// HTTP.
-    pub http: StageStat,
-    /// SMTP.
-    pub smtp: StageStat,
-    /// IMAP4 (cleartext).
-    pub imap: StageStat,
-    /// TLS.
-    pub tls: StageStat,
-    /// CIFS/SMB.
-    pub cifs: StageStat,
-    /// DCE/RPC.
-    pub dcerpc: StageStat,
-    /// NFS over TCP.
-    pub nfs_tcp: StageStat,
-    /// NFS over UDP.
-    pub nfs_udp: StageStat,
-    /// NCP.
-    pub ncp: StageStat,
-    /// DNS.
-    pub dns: StageStat,
-    /// NetBIOS-NS.
-    pub nbns: StageStat,
-}
+        impl $E {
+            /// Number of variants.
+            pub const COUNT: usize = [$($name),+].len();
+            /// Every variant in declaration order — which is also document,
+            /// signature and checkpoint order.
+            pub const ALL: [$E; Self::COUNT] = [$($E::$V),+];
 
-impl AnalyzerMetrics {
-    /// Mutable stat for one analyzer kind.
-    #[inline]
-    pub fn stat_mut(&mut self, kind: AnalyzerKind) -> &mut StageStat {
-        match kind {
-            AnalyzerKind::Http => &mut self.http,
-            AnalyzerKind::Smtp => &mut self.smtp,
-            AnalyzerKind::Imap => &mut self.imap,
-            AnalyzerKind::Tls => &mut self.tls,
-            AnalyzerKind::Cifs => &mut self.cifs,
-            AnalyzerKind::Dcerpc => &mut self.dcerpc,
-            AnalyzerKind::NfsTcp => &mut self.nfs_tcp,
-            AnalyzerKind::NfsUdp => &mut self.nfs_udp,
-            AnalyzerKind::Ncp => &mut self.ncp,
-            AnalyzerKind::Dns => &mut self.dns,
-            AnalyzerKind::Nbns => &mut self.nbns,
+            /// The name used in documents, tables and the events signature.
+            pub const fn name(self) -> &'static str {
+                match self { $($E::$V => $name),+ }
+            }
+
+            /// Bit set of the bench documents that must report this entry
+            /// non-zero (0 where the table declares none).
+            pub const fn mandatory_in(self) -> u8 {
+                match self { $($E::$V => 0 $(| $docs)?),+ }
+            }
         }
-    }
 
-    /// (name, stat) pairs in a stable order.
-    pub fn named(&self) -> [(&'static str, &StageStat); 11] {
-        [
-            ("http", &self.http),
-            ("smtp", &self.smtp),
-            ("imap", &self.imap),
-            ("tls", &self.tls),
-            ("cifs", &self.cifs),
-            ("dcerpc", &self.dcerpc),
-            ("nfs_tcp", &self.nfs_tcp),
-            ("nfs_udp", &self.nfs_udp),
-            ("ncp", &self.ncp),
-            ("dns", &self.dns),
-            ("nbns", &self.nbns),
-        ]
-    }
+        $(#[$tmeta])*
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct $T([StageStat; $E::COUNT]);
 
-    /// Fold another set of analyzer stats into this one.
-    pub fn absorb(&mut self, other: &AnalyzerMetrics) {
-        self.http.absorb(&other.http);
-        self.smtp.absorb(&other.smtp);
-        self.imap.absorb(&other.imap);
-        self.tls.absorb(&other.tls);
-        self.cifs.absorb(&other.cifs);
-        self.dcerpc.absorb(&other.dcerpc);
-        self.nfs_tcp.absorb(&other.nfs_tcp);
-        self.nfs_udp.absorb(&other.nfs_udp);
-        self.ncp.absorb(&other.ncp);
-        self.dns.absorb(&other.dns);
-        self.nbns.absorb(&other.nbns);
-    }
+        impl $T {
+            /// (name, stat) pairs in `ALL` order.
+            pub fn named(&self) -> impl Iterator<Item = (&'static str, &StageStat)> {
+                $E::ALL.iter().map(|k| k.name()).zip(&self.0)
+            }
+
+            /// Every stat in `ALL` order, mutably (the checkpoint decoder).
+            pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut StageStat> {
+                self.0.iter_mut()
+            }
+
+            /// Fold another table into this one, entry by entry.
+            pub fn absorb(&mut self, other: &$T) {
+                for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
+                    mine.absorb(theirs);
+                }
+            }
+        }
+
+        impl std::ops::Index<$E> for $T {
+            type Output = StageStat;
+            #[inline]
+            fn index(&self, k: $E) -> &StageStat {
+                // ent-lint: allow(E001) — the table has one slot per variant
+                &self.0[k as usize]
+            }
+        }
+
+        impl std::ops::IndexMut<$E> for $T {
+            #[inline]
+            fn index_mut(&mut self, k: $E) -> &mut StageStat {
+                // ent-lint: allow(E001) — the table has one slot per variant
+                &mut self.0[k as usize]
+            }
+        }
+    };
 }
 
-/// The ten pipeline stages required in every `BENCH_pipeline.json`.
-/// A zero-valued mandatory stage in a study run means the instrumentation
-/// rotted; `entreport obs-check` fails on it.
-pub const MANDATORY_STAGES: [&str; 10] = [
-    "generate",
-    "gen_synth",
-    "gen_sort",
-    "gen_tap",
-    "frame_parse",
-    "flow_ingest",
-    "tcp_deliver",
-    "udp_deliver",
-    "finalize",
-    "scanner_removal",
-];
+/// [`Stage::mandatory_in`] bit: non-zero in every `ent-bench-pipeline/1`
+/// document. A zero there means the instrumentation rotted; `entreport
+/// obs-check` fails on it.
+pub const STUDY_DOC: u8 = 1;
+/// [`Stage::mandatory_in`] bit: non-zero in every `ent-bench-monitor/1`
+/// document (so the run had checkpointing on and saw both TCP and UDP
+/// traffic — what the CI smoke drives).
+pub const MONITOR_DOC: u8 = 2;
+
+stat_table! {
+    /// The pipeline stages with individually-attributed time: the ten
+    /// batch stages, then three monitor-mode stages (zero for batch runs),
+    /// then the sharding elapsed-wall stage. Each variant states what its
+    /// `events` / `bytes` count. Nested stages are documented as nested,
+    /// never double-reported as disjoint.
+    enum Stage;
+    /// One [`StageStat`] per [`Stage`], indexed by the enum.
+    struct StageStats;
+    /// Synthesis of the trace (`ent-gen`; added by [`crate::run`], where
+    /// generation happens): packets generated / wire bytes.
+    Generate = "generate" in STUDY_DOC,
+    /// Application-session emission into the trace buffer (nested inside
+    /// `generate`): logical packets emitted, *including* the beyond-window
+    /// tail the trace never materializes / logical wire bytes of the same.
+    GenSynth = "gen_synth" in STUDY_DOC,
+    /// The global timestamp sort of the emitted packet records (nested
+    /// inside `generate`): in-window records sorted / 0.
+    GenSort = "gen_sort" in STUDY_DOC,
+    /// Tap admission, snaplen clamping and trace materialization (nested
+    /// inside `generate`): packets captured / captured (post-snaplen) bytes.
+    GenTap = "gen_tap" in STUDY_DOC,
+    /// Link/network/transport dissection (`ent-wire`): frames seen
+    /// (including rejected ones) / captured bytes.
+    FrameParse = "frame_parse" in STUDY_DOC | MONITOR_DOC,
+    /// Connection demultiplexing (`ent-flow`) *including* nested analyzer
+    /// deliveries and conn finalization: packets ingested / wire bytes.
+    FlowIngest = "flow_ingest" in STUDY_DOC | MONITOR_DOC,
+    /// In-order TCP payload handed to an application analyzer (nested
+    /// inside `flow_ingest`): deliveries / delivered bytes.
+    TcpDeliver = "tcp_deliver" in STUDY_DOC | MONITOR_DOC,
+    /// Datagrams handed to an application analyzer (nested inside
+    /// `flow_ingest`): deliveries / delivered bytes.
+    UdpDeliver = "udp_deliver" in STUDY_DOC | MONITOR_DOC,
+    /// Per-connection analyzer drain at close (nested inside
+    /// `flow_ingest`): connections summarized / payload bytes of those
+    /// connections.
+    Finalize = "finalize" in STUDY_DOC | MONITOR_DOC,
+    /// The paper's §3 scanner filter: connections examined / 0 (the bytes
+    /// field is *not* reused as a removed-connections count).
+    ScannerRemoval = "scanner_removal" in STUDY_DOC | MONITOR_DOC,
+    /// Monitor mode, epoch-boundary rotation: epochs flushed (including
+    /// the final partial epoch) / connections force-closed at a boundary.
+    EpochRotate = "epoch_rotate" in MONITOR_DOC,
+    /// Monitor mode, checkpoint serialization + atomic write: checkpoints
+    /// written / 0.
+    Checkpoint = "checkpoint" in MONITOR_DOC,
+    /// Bounded-state degradation: evicted connections plus dropped
+    /// pending-map entries / 0 (zero when no budget was exceeded).
+    Backpressure = "backpressure",
+    /// *Elapsed* wall of the frame-parse + flow-ingest phase of one trace,
+    /// end to end (recorded by the serial batch path too, zero in monitor
+    /// mode). Unlike `frame_parse`/`flow_ingest`, whose walls are summed
+    /// across shard workers running concurrently, this is
+    /// dispatcher-observed elapsed time — the denominator of the
+    /// multi-shard scaling curve. Events and bytes are always 0, so the
+    /// stage is signature-neutral.
+    ShardIngest = "shard_ingest",
+}
+
+stat_table! {
+    /// Application analyzers with individually-attributed delivery time.
+    enum AnalyzerKind;
+    /// Per-analyzer cumulative delivery time, event and byte counts. One
+    /// event is one payload delivery into the analyzer (a TCP segment's
+    /// in-order data or one UDP datagram); bytes are the delivered payload
+    /// bytes; wall time is nested inside [`Stage::FlowIngest`].
+    struct AnalyzerMetrics;
+    /// HTTP transaction parsing.
+    Http = "http",
+    /// SMTP session tracking.
+    Smtp = "smtp",
+    /// Cleartext IMAP4 command tracking.
+    Imap = "imap",
+    /// TLS record/handshake tracking (HTTPS, IMAP-S, POP-S).
+    Tls = "tls",
+    /// CIFS/SMB (and NetBIOS-SSN) message parsing.
+    Cifs = "cifs",
+    /// DCE/RPC call parsing (mapped ports and pipes).
+    Dcerpc = "dcerpc",
+    /// NFS over TCP.
+    NfsTcp = "nfs_tcp",
+    /// NFS over UDP.
+    NfsUdp = "nfs_udp",
+    /// NCP call parsing.
+    Ncp = "ncp",
+    /// DNS query/response matching.
+    Dns = "dns",
+    /// NetBIOS-NS transaction matching.
+    Nbns = "nbns",
+}
 
 /// Stage-level observability for the analysis pipeline.
 ///
-/// Accumulated per trace during [`crate::pipeline::analyze_trace`] (the
-/// `generate` stage is added by [`crate::run`], which is where generation
-/// happens), carried on [`crate::records::TraceAnalysis::metrics`], and
-/// aggregated with [`PipelineMetrics::absorb`].
-///
-/// Stage semantics (events / bytes):
-///
-/// * `generate` — synthesis of the trace: packets generated / wire bytes.
-/// * `gen_synth` — application-session emission into the trace buffer
-///   (nested inside `generate`): logical packets emitted, *including* the
-///   beyond-window tail the trace never materializes / logical wire
-///   bytes of the same.
-/// * `gen_sort` — the global timestamp sort of the emitted packet
-///   records (nested inside `generate`): in-window records sorted / 0.
-/// * `gen_tap` — tap admission, snaplen clamping and trace
-///   materialization (nested inside `generate`): packets captured /
-///   captured (post-snaplen) bytes.
-/// * `frame_parse` — link/network/transport dissection: frames seen
-///   (including rejected ones) / captured bytes.
-/// * `flow_ingest` — connection demultiplexing *including* nested analyzer
-///   deliveries and conn finalization: packets ingested / wire bytes.
-/// * `tcp_deliver` — in-order TCP payload handed to an application
-///   analyzer: deliveries / delivered bytes. Nested inside `flow_ingest`.
-/// * `udp_deliver` — datagrams handed to an application analyzer:
-///   deliveries / delivered bytes. Nested inside `flow_ingest`.
-/// * `finalize` — per-connection analyzer drain at close: connections
-///   summarized / payload bytes of those connections. Nested inside
-///   `flow_ingest`.
-/// * `scanner_removal` — the paper's §3 scanner filter: connections
-///   examined / connections removed (in `bytes`, 0-cost reuse of the
-///   field as a count is *not* done — bytes is 0 here).
-///
-/// Monitor mode adds three stages (all zero for batch runs):
-///
-/// * `epoch_rotate` — epoch-boundary rotation: epochs flushed (including
-///   the final partial epoch) / connections force-closed at a boundary.
-/// * `checkpoint` — checkpoint serialization + atomic write: checkpoints
-///   written / 0.
-/// * `backpressure` — bounded-state degradation: evicted connections plus
-///   dropped pending-map entries / 0.
-///
-/// The sharded pipeline adds one more (also recorded by the serial batch
-/// path, zero in monitor mode):
-///
-/// * `shard_ingest` — *elapsed* wall of the frame-parse + flow-ingest
-///   phase of one trace, end to end. Unlike `frame_parse`/`flow_ingest`,
-///   whose walls are summed across shard workers running concurrently,
-///   this is dispatcher-observed elapsed time — the denominator of the
-///   multi-shard scaling curve. Events and bytes are always 0 so the
-///   stage is signature-neutral.
+/// Accumulated per trace during [`crate::pipeline::analyze_trace`], carried
+/// on [`crate::records::TraceAnalysis::metrics`], and aggregated with
+/// [`PipelineMetrics::absorb`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineMetrics {
-    /// Trace synthesis (`ent-gen`).
-    pub generate: StageStat,
-    /// Session emission into the trace buffer (nested in `generate`).
-    pub gen_synth: StageStat,
-    /// Timestamp sort of emitted records (nested in `generate`).
-    pub gen_sort: StageStat,
-    /// Tap admission + snaplen clamp + materialization (nested in
-    /// `generate`).
-    pub gen_tap: StageStat,
-    /// Frame dissection (`ent-wire`).
-    pub frame_parse: StageStat,
-    /// Flow demultiplexing (`ent-flow`), nested stages included.
-    pub flow_ingest: StageStat,
-    /// TCP payload deliveries into analyzers (nested in `flow_ingest`).
-    pub tcp_deliver: StageStat,
-    /// UDP datagram deliveries into analyzers (nested in `flow_ingest`).
-    pub udp_deliver: StageStat,
-    /// Per-connection analyzer drain at close (nested in `flow_ingest`).
-    pub finalize: StageStat,
-    /// Scanner-removal pass over finished connections.
-    pub scanner_removal: StageStat,
-    /// Monitor-mode epoch rotation (zero for batch runs).
-    pub epoch_rotate: StageStat,
-    /// Monitor-mode checkpoint writes (zero for batch runs).
-    pub checkpoint: StageStat,
-    /// Bounded-state degradation events: forced evictions + pending-map
-    /// drops (zero when no budget was exceeded).
-    pub backpressure: StageStat,
-    /// Elapsed (not summed-across-workers) wall of the ingest phase per
-    /// trace; events/bytes always 0 (signature-neutral).
-    pub shard_ingest: StageStat,
+    /// Per-stage wall time and event counts (see [`Stage`] for what each
+    /// stage's events and bytes mean).
+    pub stages: StageStats,
     /// Per-analyzer delivery time and event counts.
     pub analyzers: AnalyzerMetrics,
     /// High-water mark of simultaneously open connections (max, not sum,
@@ -326,45 +299,10 @@ pub struct PipelineMetrics {
 }
 
 impl PipelineMetrics {
-    /// (name, stat) pairs for every pipeline stage: the ten batch stages
-    /// in [`MANDATORY_STAGES`] order, then the three monitor-mode stages,
-    /// then the sharding elapsed-wall stage.
-    pub fn stages(&self) -> [(&'static str, &StageStat); 14] {
-        [
-            ("generate", &self.generate),
-            ("gen_synth", &self.gen_synth),
-            ("gen_sort", &self.gen_sort),
-            ("gen_tap", &self.gen_tap),
-            ("frame_parse", &self.frame_parse),
-            ("flow_ingest", &self.flow_ingest),
-            ("tcp_deliver", &self.tcp_deliver),
-            ("udp_deliver", &self.udp_deliver),
-            ("finalize", &self.finalize),
-            ("scanner_removal", &self.scanner_removal),
-            ("epoch_rotate", &self.epoch_rotate),
-            ("checkpoint", &self.checkpoint),
-            ("backpressure", &self.backpressure),
-            ("shard_ingest", &self.shard_ingest),
-        ]
-    }
-
     /// Fold another trace's (or dataset's) metrics into this one.
     /// Wall times and counts add; `peak_open_conns` takes the max.
     pub fn absorb(&mut self, other: &PipelineMetrics) {
-        self.generate.absorb(&other.generate);
-        self.gen_synth.absorb(&other.gen_synth);
-        self.gen_sort.absorb(&other.gen_sort);
-        self.gen_tap.absorb(&other.gen_tap);
-        self.frame_parse.absorb(&other.frame_parse);
-        self.flow_ingest.absorb(&other.flow_ingest);
-        self.tcp_deliver.absorb(&other.tcp_deliver);
-        self.udp_deliver.absorb(&other.udp_deliver);
-        self.finalize.absorb(&other.finalize);
-        self.scanner_removal.absorb(&other.scanner_removal);
-        self.epoch_rotate.absorb(&other.epoch_rotate);
-        self.checkpoint.absorb(&other.checkpoint);
-        self.backpressure.absorb(&other.backpressure);
-        self.shard_ingest.absorb(&other.shard_ingest);
+        self.stages.absorb(&other.stages);
         self.analyzers.absorb(&other.analyzers);
         self.peak_open_conns = self.peak_open_conns.max(other.peak_open_conns);
         self.trace_wall_ns += other.trace_wall_ns;
@@ -373,12 +311,12 @@ impl PipelineMetrics {
 
     /// Packets analyzed (the flow-ingest event count).
     pub fn packets(&self) -> u64 {
-        self.flow_ingest.events
+        self.stages[Stage::FlowIngest].events
     }
 
     /// Wire bytes analyzed.
     pub fn bytes(&self) -> u64 {
-        self.flow_ingest.bytes
+        self.stages[Stage::FlowIngest].bytes
     }
 
     /// Packets per second of worker time (generation + analysis).
@@ -407,14 +345,9 @@ impl PipelineMetrics {
     /// compared exactly between runs of the same configuration via the
     /// top-level bench keys.
     pub fn events_signature(&self) -> Vec<(String, u64, u64)> {
-        let mut sig: Vec<(String, u64, u64)> = self
-            .stages()
-            .iter()
-            .map(|(n, s)| (format!("stage:{n}"), s.events, s.bytes))
-            .collect();
-        for (n, s) in self.analyzers.named() {
-            sig.push((format!("analyzer:{n}"), s.events, s.bytes));
-        }
+        let stages = self.stages.named().map(|(n, s)| (format!("stage:{n}"), s));
+        let analyzers = self.analyzers.named().map(|(n, s)| (format!("analyzer:{n}"), s));
+        let mut sig: Vec<_> = stages.chain(analyzers).map(|(name, s)| (name, s.events, s.bytes)).collect();
         sig.push(("traces".into(), self.traces, 0));
         sig
     }
@@ -440,13 +373,10 @@ impl PipelineMetrics {
 
     /// Render the study-wide per-stage table for the CLI.
     pub fn stage_table(&self, title: &str) -> Table {
-        let mut t = Table::new(
-            title,
-            &["stage", "wall ms", "events", "Mbytes", "ev/s"],
-        );
-        for (name, s) in self.stages() {
+        let mut t = Table::new(title, &["stage", "wall ms", "events", "Mbytes", "ev/s"]);
+        for (stage, (name, s)) in Stage::ALL.iter().zip(self.stages.named()) {
             // The monitor-only stages stay out of batch-study tables.
-            if !MANDATORY_STAGES.contains(&name) && *s == StageStat::default() {
+            if stage.mandatory_in() & STUDY_DOC == 0 && *s == StageStat::default() {
                 continue;
             }
             t.row(stage_row(name, s));
@@ -457,13 +387,8 @@ impl PipelineMetrics {
             }
             t.row(stage_row(&format!("analyzer:{name}"), s));
         }
-        t.row(vec![
-            "peak open conns".into(),
-            String::new(),
-            self.peak_open_conns.to_string(),
-            String::new(),
-            String::new(),
-        ]);
+        let blank = String::new;
+        t.row(vec!["peak open conns".into(), blank(), self.peak_open_conns.to_string(), blank(), blank()]);
         t
     }
 }
@@ -478,388 +403,303 @@ fn stage_row(name: &str, s: &StageStat) -> Vec<String> {
     ]
 }
 
-/// Schema identifier emitted into and required from `BENCH_pipeline.json`.
-pub const BENCH_SCHEMA: &str = "ent-bench-pipeline/1";
+// ---------------------------------------------------------------------------
+// Bench documents. Each kind of document is one row of [`SCHEMAS`]; the
+// emitter, the validator (`entreport obs-check`) and the comparer
+// (`entreport bench-compare`) below walk that row, and `ent-lint` E009
+// reads its key names. Adding a document kind is a row plus its
+// invariants — see DESIGN §8.
+// ---------------------------------------------------------------------------
 
-/// Schema identifier for monitor-mode bench documents (`entreport monitor
-/// --bench-json`). A separate schema from [`BENCH_SCHEMA`] because a
-/// monitor run has no generation stages and its gate keys are state
-/// budgets, not study wall time.
-pub const MONITOR_SCHEMA: &str = "ent-bench-monitor/1";
+type Res<T = ()> = Result<T, BenchJsonError>;
 
-/// The stages required nonzero in every monitor-mode bench document
-/// (which implies the run had checkpointing enabled and saw both TCP and
-/// UDP traffic — what the CI smoke drives).
-pub const MONITOR_MANDATORY_STAGES: [&str; 8] = [
-    "frame_parse",
-    "flow_ingest",
-    "tcp_deliver",
-    "udp_deliver",
-    "finalize",
-    "scanner_removal",
-    "epoch_rotate",
-    "checkpoint",
-];
-
-/// The top-level counters a monitor bench document must carry. The first
-/// three are run parameters (comparability keys for
-/// [`compare_bench_json`]); the rest are outcome totals compared exactly —
-/// including the bounded-state memory gate (`peak_open_conns`,
-/// `evicted_conns`, `pending_dropped`).
-pub const MONITOR_NUMERIC_KEYS: [&str; 11] = [
-    "epoch_secs",
-    "max_conns",
-    "max_pending",
-    "epochs",
-    "checkpoints",
-    "packets",
-    "bytes",
-    "peak_open_conns",
-    "evicted_conns",
-    "pending_dropped",
-    "checkpoint_recoveries",
-];
-
-/// Study-level context for the perf-trajectory export.
-#[derive(Debug, Clone, Default)]
-pub struct BenchContext {
-    /// Generator scale of the run.
-    pub scale: f64,
-    /// Generator seed.
-    pub seed: u64,
-    /// Worker threads used (resolved, not the `0 = auto` sentinel).
-    pub threads: usize,
-    /// Intra-trace shard count of the run (0 = serial single-table path).
-    pub shards: usize,
-    /// Elapsed wall-clock nanoseconds for the whole study.
-    pub study_wall_ns: u64,
-    /// Per-dataset (name, traces, worker wall ns, packets, bytes).
-    pub datasets: Vec<(String, u64, u64, u64, u64)>,
+/// `return Err(format!(..).into())`.
+macro_rules! bail {
+    ($($arg:tt)*) => { return Err(format!($($arg)*).into()) };
 }
 
-fn push_stat(out: &mut String, name: &str, s: &StageStat) {
-    out.push_str(&format!(
-        "    \"{name}\": {{\"wall_us\": {:.3}, \"events\": {}, \"bytes\": {}}}",
-        s.wall_us(),
-        s.events,
-        s.bytes
-    ));
+/// What a key means to [`validate_bench_json`] and [`compare_bench_json`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Role {
+    /// Run parameter: two documents that disagree are not comparable.
+    Param,
+    /// Deterministic outcome: must equal the baseline exactly.
+    Exact,
+    /// Wall time: may not exceed the baseline by more than
+    /// [`WALL_TOLERANCE`]; faster never fails; `check_wall = false` waives it.
+    Wall,
+    /// Derived float: must equal the baseline within this tolerance.
+    Rate(f64),
+    /// Required, never compared (machine-dependent, or implied by others).
+    Info,
 }
 
-/// Serialize a study's metrics as the `BENCH_pipeline.json` document.
+/// How a key's value is written, and the JSON type required on read: a
+/// number in its shortest form, a float with fixed decimals, or a string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fmt {
+    Num,
+    Fixed(usize),
+    Text,
+}
+
+/// A value handed to [`bench_json`]; the key's format says how to write it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Val {
+    /// An integer count.
+    U(u64),
+    /// A float.
+    F(f64),
+    /// A string.
+    S(String),
+}
+
+/// One declared key of a bench document.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    name: &'static str,
+    role: Role,
+    fmt: Fmt,
+    /// Value assumed where the key is absent (a key newer than some
+    /// committed documents); `None` makes the key required.
+    absent: Option<f64>,
+    /// How the emitter derives the value from the run's metrics; `None`
+    /// means the caller supplies it by name.
+    derive: Option<fn(&PipelineMetrics) -> Val>,
+}
+
+impl Key {
+    const fn new(name: &'static str, role: Role, fmt: Fmt) -> Key {
+        Key { name, role, fmt, absent: None, derive: None }
+    }
+    const fn or_absent(self, value: f64) -> Key {
+        Key { absent: Some(value), ..self }
+    }
+    const fn derived(self, derive: fn(&PipelineMetrics) -> Val) -> Key {
+        Key { derive: Some(derive), ..self }
+    }
+}
+
+// The tables' vocabulary: a plain number in each role, and a wall in µs.
+const fn param(name: &'static str) -> Key { Key::new(name, Param, Num) }
+const fn exact(name: &'static str) -> Key { Key::new(name, Exact, Num) }
+const fn info(name: &'static str) -> Key { Key::new(name, Info, Num) }
+const fn info_us(name: &'static str) -> Key { Key::new(name, Info, Fixed(3)) }
+
+/// The array of per-run entries some documents carry.
+#[derive(Debug, Clone, Copy)]
+struct Entries {
+    /// The JSON member holding the array.
+    array: &'static str,
+    /// What the comparer calls two documents' differing entry identities.
+    roster: &'static str,
+    /// Per-entry keys; the first identifies the entry, uniquely.
+    keys: &'static [Key],
+}
+
+/// One kind of bench document: a row of [`SCHEMAS`].
+#[derive(Debug, Clone, Copy)]
+pub struct Schema {
+    /// The value of the document's `schema` member.
+    tag: &'static str,
+    /// Top-level keys, in emission order.
+    top: &'static [Key],
+    /// `Some(bit)`: the document carries the `stages` and `analyzers` maps,
+    /// and every stage with `bit` in [`Stage::mandatory_in`] is non-zero.
+    stages: Option<u8>,
+    entries: Option<Entries>,
+    /// Invariants beyond shape over `(document, its entries)`, checked on
+    /// every validation; also fills the human-readable summary.
+    check: Option<fn(&JsonValue, &[JsonValue], &mut BenchSummary) -> Res>,
+    /// A comparison gate beyond the key roles, over `(candidate, its
+    /// entries, check_wall)`: report lines to append, or the failure.
+    gate: Option<fn(&JsonValue, &[JsonValue], bool) -> Result<String, String>>,
+}
+
+use Fmt::{Fixed, Num, Text};
+use Role::{Exact, Info, Param, Rate, Wall};
+
+/// The members of every `stages` / `analyzers` map entry: wall time,
+/// events, bytes — in that order, which the stage checks rely on.
+const STAT_KEYS: [Key; 3] = [Key::new("wall_us", Wall, Fixed(3)), exact("events"), exact("bytes")];
+
+/// A derived f64 of a pack document (rates, entropies), compared within
+/// 1e-6: counts are integers and compared exactly, but the ratios and
+/// `log2` sums they derive into can drift in the last few ulps across libm
+/// builds, and the emitter rounds to 6–9 decimals — near-exact, not bitwise.
+const fn pack_rate(name: &'static str, decimals: usize) -> Key {
+    Key::new(name, Rate(1e-6), Fixed(decimals))
+}
+
+/// A study run (`entreport study --bench-json`, `BENCH_pipeline.json`):
+/// run parameters, totals of the summed metrics, per-dataset totals.
+pub const PIPELINE: Schema = Schema {
+    tag: "ent-bench-pipeline/1",
+    top: &[
+        param("scale"), param("seed"), param("threads"),
+        // Pre-sharding documents carry no "shards"; all such runs were serial.
+        param("shards").or_absent(0.0),
+        info_us("study_wall_us"),
+        info_us("worker_wall_us").derived(|m| Val::F(m.trace_wall_ns as f64 / 1e3)),
+        exact("traces").derived(|m| Val::U(m.traces)),
+        exact("packets").derived(|m| Val::U(m.packets())),
+        info("bytes").derived(|m| Val::U(m.bytes())),
+        Key::new("packets_per_sec", Info, Fixed(1)).derived(|m| Val::F(m.packets_per_sec())),
+        Key::new("bytes_per_sec", Info, Fixed(1)).derived(|m| Val::F(m.bytes_per_sec())),
+        exact("peak_open_conns").derived(|m| Val::U(m.peak_open_conns)),
+    ],
+    stages: Some(STUDY_DOC),
+    entries: Some(Entries {
+        array: "datasets",
+        roster: "dataset lists",
+        keys: &[Key::new("name", Param, Text), exact("traces"), info_us("wall_us"), exact("packets"), exact("bytes")],
+    }),
+    check: None,
+    gate: None,
+};
+
+/// A resident run (`entreport monitor --bench-json`). It has no generation
+/// stages, and its gate keys are the state budgets (parameters) and the
+/// bounded-state outcome counters — `peak_open_conns`, `evicted_conns`,
+/// `pending_dropped`: the steady-state memory gate — not study wall time.
+pub const MONITOR: Schema = Schema {
+    tag: "ent-bench-monitor/1",
+    top: &[
+        param("epoch_secs"), param("max_conns"), param("max_pending"),
+        exact("epochs"),
+        exact("checkpoints").derived(|m| Val::U(m.stages[Stage::Checkpoint].events)),
+        exact("packets").derived(|m| Val::U(m.packets())),
+        exact("bytes").derived(|m| Val::U(m.bytes())),
+        exact("peak_open_conns").derived(|m| Val::U(m.peak_open_conns)),
+        exact("evicted_conns"), exact("pending_dropped"), exact("checkpoint_recoveries"),
+    ],
+    stages: Some(MONITOR_DOC),
+    entries: None,
+    check: None,
+    gate: None,
+};
+
+/// The shard scaling curve (`entreport scaling`, `BENCH_scaling.json`):
+/// one study per shard count at a fixed scale/seed/threads. `cores` says
+/// where the document was produced and is not a comparability key: the
+/// speedup `floor` is only *enforced* on a candidate machine with at least
+/// 4 cores, so single-core CI keeps the determinism half without a
+/// meaningless wall gate. Walls are never compared between documents.
+pub const SCALING: Schema = Schema {
+    tag: "ent-bench-scaling/1",
+    top: &[param("scale"), param("seed"), param("threads"), info("cores"), param("floor")],
+    stages: None,
+    entries: Some(Entries {
+        array: "entries",
+        roster: "shard-count lists",
+        keys: &[
+            param("shards"),
+            // Elapsed ingest wall (the `shard_ingest` stage), then the
+            // summed-across-workers parse and ingest walls.
+            info_us("ingest_wall_us"), info_us("frame_parse_wall_us"), info_us("flow_ingest_wall_us"),
+            exact("packets"), exact("traces"),
+            // The serial peak at shards ≤ 1, else the sum of per-shard
+            // peaks: deterministic per (config, shards).
+            exact("peak_open_conns"),
+            // `PipelineMetrics::events_signature_hash`, 16 hex digits.
+            Key::new("signature", Exact, Text),
+        ],
+    }),
+    check: Some(check_scaling),
+    gate: Some(gate_scaling_floor),
+};
+
+/// Labeled scenario packs (`entreport packs`, `BENCH_packs.json`): one
+/// scored run per pack — the scanner-removal scoring gate
+/// (precision/recall floors) and the trace-complexity record (per-pack
+/// header entropy after Avin et al.). It carries no wall times.
+pub const PACKS: Schema = Schema {
+    tag: "ent-bench-packs/1",
+    top: &[
+        param("scale"), param("seed"), param("threads"), param("shards"),
+        param("precision_floor"), param("recall_floor"),
+    ],
+    stages: None,
+    entries: Some(Entries {
+        array: "packs",
+        roster: "pack rosters",
+        keys: &[
+            Key::new("name", Param, Text),
+            exact("traces"), exact("packets"), exact("attack_packets"), exact("scan_sources"),
+            // Scanner removal's confusion matrix against the labels, and its rates.
+            exact("flagged"), exact("true_pos"), exact("false_pos"), exact("false_neg"),
+            pack_rate("precision", 6), pack_rate("recall", 6), pack_rate("f1", 6),
+            pack_rate("entropy_nontemporal", 9), pack_rate("entropy_temporal", 9),
+        ],
+    }),
+    check: Some(check_packs),
+    gate: None,
+};
+
+/// Every bench document kind this build emits, validates and compares.
+const SCHEMAS: [&Schema; 4] = [&PIPELINE, &MONITOR, &SCALING, &PACKS];
+
+/// `keys` as `"name": value` members, each value derived from `metrics`
+/// or looked up by name in `values`.
+fn members(keys: &[Key], values: &[(&str, Val)], metrics: Option<&PipelineMetrics>) -> Res<Vec<String>> {
+    let member = |key: &Key| -> Res<String> {
+        let name = key.name;
+        let given = || values.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone());
+        Ok(match (key.fmt, key.derive.zip(metrics).map(|(derive, m)| derive(m)).or_else(given)) {
+            (_, None) => bail!("no value given for key {name:?}"),
+            (Num, Some(Val::U(n))) => format!("\"{name}\": {n}"),
+            (Num, Some(Val::F(x))) => format!("\"{name}\": {x}"),
+            (Fixed(d), Some(Val::F(x))) => format!("\"{name}\": {x:.d$}"),
+            (Text, Some(Val::S(s))) => format!("\"{name}\": \"{s}\""),
+            (fmt, Some(v)) => bail!("key {name:?}: {v:?} cannot be written as {fmt:?}"),
+        })
+    };
+    keys.iter().map(member).collect()
+}
+
+/// One top-level member holding `rows`, one per line, between `brackets`.
+fn block(name: &str, brackets: [char; 2], rows: &[String]) -> String {
+    let mut out = format!("\"{name}\": {}\n", brackets[0]);
+    for (i, row) in rows.iter().enumerate() {
+        out += &format!("    {row}{}\n", if i + 1 < rows.len() { "," } else { "" });
+    }
+    out + "  " + &brackets[1].to_string()
+}
+
+/// Serialize one bench document of kind `schema`.
 ///
-/// Schema (`ent-bench-pipeline/1`): a flat object with run parameters,
-/// study totals, and two maps — `stages` and `analyzers` — of
-/// `name → {wall_us, events, bytes}`, plus a `datasets` array of per-
-/// dataset totals. All ten [`MANDATORY_STAGES`] are always present.
-pub fn bench_json(ctx: &BenchContext, total: &PipelineMetrics) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{BENCH_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"scale\": {},\n", ctx.scale));
-    out.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    out.push_str(&format!("  \"threads\": {},\n", ctx.threads));
-    out.push_str(&format!("  \"shards\": {},\n", ctx.shards));
-    out.push_str(&format!(
-        "  \"study_wall_us\": {:.3},\n",
-        ctx.study_wall_ns as f64 / 1e3
-    ));
-    out.push_str(&format!(
-        "  \"worker_wall_us\": {:.3},\n",
-        total.trace_wall_ns as f64 / 1e3
-    ));
-    out.push_str(&format!("  \"traces\": {},\n", total.traces));
-    out.push_str(&format!("  \"packets\": {},\n", total.packets()));
-    out.push_str(&format!("  \"bytes\": {},\n", total.bytes()));
-    out.push_str(&format!(
-        "  \"packets_per_sec\": {:.1},\n",
-        total.packets_per_sec()
-    ));
-    out.push_str(&format!(
-        "  \"bytes_per_sec\": {:.1},\n",
-        total.bytes_per_sec()
-    ));
-    out.push_str(&format!(
-        "  \"peak_open_conns\": {},\n",
-        total.peak_open_conns
-    ));
-    out.push_str("  \"stages\": {\n");
-    let stages = total.stages();
-    for (i, (name, s)) in stages.iter().enumerate() {
-        push_stat(&mut out, name, s);
-        out.push_str(if i + 1 < stages.len() { ",\n" } else { "\n" });
+/// `values` supplies, by name, every top-level key the schema does not
+/// derive from `metrics`; `metrics` also fills the `stages`/`analyzers`
+/// maps of the schemas that carry them; `entries` holds one named-value
+/// list per element of the schema's entry array. Member order and number
+/// formatting come from the schema row, never from the caller.
+pub fn bench_json(
+    schema: &Schema,
+    values: &[(&str, Val)],
+    metrics: Option<&PipelineMetrics>,
+    entries: &[Vec<(&str, Val)>],
+) -> Res<String> {
+    let mut top = vec![format!("\"schema\": \"{}\"", schema.tag)];
+    top.extend(members(schema.top, values, metrics)?);
+    if let (Some(_), Some(m)) = (schema.stages, metrics) {
+        let stat_row = |(name, s): (&str, &StageStat)| -> Res<String> {
+            let [wall, events, bytes] = STAT_KEYS.map(|k| k.name);
+            let stat = [(wall, Val::F(s.wall_us())), (events, Val::U(s.events)), (bytes, Val::U(s.bytes))];
+            Ok(format!("\"{name}\": {{{}}}", members(&STAT_KEYS, &stat, None)?.join(", ")))
+        };
+        let stages = m.stages.named().map(stat_row).collect::<Res<Vec<_>>>()?;
+        let analyzers = m.analyzers.named().map(stat_row).collect::<Res<Vec<_>>>()?;
+        top.push(block("stages", ['{', '}'], &stages));
+        top.push(block("analyzers", ['{', '}'], &analyzers));
     }
-    out.push_str("  },\n");
-    out.push_str("  \"analyzers\": {\n");
-    let an = total.analyzers.named();
-    for (i, (name, s)) in an.iter().enumerate() {
-        push_stat(&mut out, name, s);
-        out.push_str(if i + 1 < an.len() { ",\n" } else { "\n" });
+    if let Some(e) = &schema.entries {
+        let row = |entry: &Vec<(&str, Val)>| -> Res<String> {
+            Ok(format!("{{{}}}", members(e.keys, entry, None)?.join(", ")))
+        };
+        let rows = entries.iter().map(row).collect::<Res<Vec<_>>>()?;
+        top.push(block(e.array, ['[', ']'], &rows));
     }
-    out.push_str("  },\n");
-    out.push_str("  \"datasets\": [\n");
-    for (i, (name, traces, wall_ns, packets, bytes)) in ctx.datasets.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"traces\": {traces}, \"wall_us\": {:.3}, \"packets\": {packets}, \"bytes\": {bytes}}}",
-            *wall_ns as f64 / 1e3
-        ));
-        out.push_str(if i + 1 < ctx.datasets.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Run parameters and outcome totals for a monitor-mode bench document.
-#[derive(Debug, Clone, Default)]
-pub struct MonitorBenchContext {
-    /// Epoch length in seconds of trace time.
-    pub epoch_secs: u64,
-    /// Connection-table budget (0 = unbounded).
-    pub max_conns: u64,
-    /// Per-connection pending-transaction budget (0 = unbounded).
-    pub max_pending: u64,
-    /// Epochs flushed (including the final partial epoch).
-    pub epochs: u64,
-    /// Checkpoints written.
-    pub checkpoints: u64,
-    /// Connections force-evicted by the table budget.
-    pub evicted_conns: u64,
-    /// Pending-map entries dropped by the pending budget.
-    pub pending_dropped: u64,
-    /// Bad checkpoints degraded to counted cold starts.
-    pub checkpoint_recoveries: u64,
-}
-
-/// Serialize a monitor run's metrics as an `ent-bench-monitor/1` document.
-///
-/// Same shape as [`bench_json`] — flat counters plus `stages` and
-/// `analyzers` maps — but keyed by the monitor's state budgets so
-/// [`compare_bench_json`] can gate steady-state memory (peak open conns,
-/// eviction and drop counters) alongside wall time.
-pub fn monitor_bench_json(ctx: &MonitorBenchContext, total: &PipelineMetrics) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{MONITOR_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"epoch_secs\": {},\n", ctx.epoch_secs));
-    out.push_str(&format!("  \"max_conns\": {},\n", ctx.max_conns));
-    out.push_str(&format!("  \"max_pending\": {},\n", ctx.max_pending));
-    out.push_str(&format!("  \"epochs\": {},\n", ctx.epochs));
-    out.push_str(&format!("  \"checkpoints\": {},\n", ctx.checkpoints));
-    out.push_str(&format!("  \"packets\": {},\n", total.packets()));
-    out.push_str(&format!("  \"bytes\": {},\n", total.bytes()));
-    out.push_str(&format!(
-        "  \"peak_open_conns\": {},\n",
-        total.peak_open_conns
-    ));
-    out.push_str(&format!("  \"evicted_conns\": {},\n", ctx.evicted_conns));
-    out.push_str(&format!(
-        "  \"pending_dropped\": {},\n",
-        ctx.pending_dropped
-    ));
-    out.push_str(&format!(
-        "  \"checkpoint_recoveries\": {},\n",
-        ctx.checkpoint_recoveries
-    ));
-    out.push_str("  \"stages\": {\n");
-    let stages = total.stages();
-    for (i, (name, s)) in stages.iter().enumerate() {
-        push_stat(&mut out, name, s);
-        out.push_str(if i + 1 < stages.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"analyzers\": {\n");
-    let an = total.analyzers.named();
-    for (i, (name, s)) in an.iter().enumerate() {
-        push_stat(&mut out, name, s);
-        out.push_str(if i + 1 < an.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Schema identifier for shard scaling-curve documents
-/// (`entreport scaling`). One study repeated per shard count at a fixed
-/// scale/seed/threads; the document is the multi-thread scaling gate.
-pub const SCALING_SCHEMA: &str = "ent-bench-scaling/1";
-
-/// One point on the intra-trace shard scaling curve.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalingEntry {
-    /// Shard count of this run (0 = serial single-table path).
-    pub shards: usize,
-    /// Elapsed ingest wall (the `shard_ingest` stage): frame parse + flow
-    /// ingest of every trace, end to end, dispatcher-observed.
-    pub ingest_wall_ns: u64,
-    /// Summed-across-workers `frame_parse` wall.
-    pub frame_parse_wall_ns: u64,
-    /// Summed-across-workers `flow_ingest` wall.
-    pub flow_ingest_wall_ns: u64,
-    /// Packets analyzed (must be identical across entries).
-    pub packets: u64,
-    /// Traces analyzed (must be identical across entries).
-    pub traces: u64,
-    /// Peak open connections — the serial peak at shards ≤ 1, the sum of
-    /// per-shard peaks otherwise. Deterministic per (config, shards), so
-    /// compared exactly between documents entry-for-entry.
-    pub peak_open_conns: u64,
-    /// [`PipelineMetrics::events_signature_hash`] of the run (must be
-    /// identical across entries — the determinism half of the gate).
-    pub signature_hash: u64,
-}
-
-/// Run parameters for the scaling-curve export.
-#[derive(Debug, Clone, Default)]
-pub struct ScalingContext {
-    /// Generator scale of the runs.
-    pub scale: f64,
-    /// Generator seed.
-    pub seed: u64,
-    /// Worker threads per run (the curve varies shards, not threads).
-    pub threads: usize,
-    /// CPU cores available where this document was produced. Not a
-    /// comparability key: the speedup floor is only *enforced* when the
-    /// candidate machine has at least 4 cores, so single-core CI keeps
-    /// the determinism half without a meaningless wall gate.
-    pub cores: usize,
-    /// Minimum required speedup of the 4-shard run over the 1-shard run
-    /// on elapsed ingest wall.
-    pub floor: f64,
-    /// One entry per shard count, in run order.
-    pub entries: Vec<ScalingEntry>,
-}
-
-/// Serialize a scaling study as an `ent-bench-scaling/1` document.
-pub fn scaling_bench_json(ctx: &ScalingContext) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCALING_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"scale\": {},\n", ctx.scale));
-    out.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    out.push_str(&format!("  \"threads\": {},\n", ctx.threads));
-    out.push_str(&format!("  \"cores\": {},\n", ctx.cores));
-    out.push_str(&format!("  \"floor\": {},\n", ctx.floor));
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in ctx.entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"ingest_wall_us\": {:.3}, \
-             \"frame_parse_wall_us\": {:.3}, \"flow_ingest_wall_us\": {:.3}, \
-             \"packets\": {}, \"traces\": {}, \"peak_open_conns\": {}, \
-             \"signature\": \"{:016x}\"}}",
-            e.shards,
-            e.ingest_wall_ns as f64 / 1e3,
-            e.frame_parse_wall_ns as f64 / 1e3,
-            e.flow_ingest_wall_ns as f64 / 1e3,
-            e.packets,
-            e.traces,
-            e.peak_open_conns,
-            e.signature_hash,
-        ));
-        out.push_str(if i + 1 < ctx.entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Schema identifier for labeled scenario-pack documents
-/// (`entreport packs`). One labeled generation + analysis run per pack;
-/// the document is the scanner-removal scoring gate (precision/recall
-/// floors) and the trace-complexity record (per-pack packet-header
-/// entropy after Avin et al.).
-pub const PACKS_SCHEMA: &str = "ent-bench-packs/1";
-
-/// One scored scenario pack in an `ent-bench-packs/1` document.
-#[derive(Debug, Clone, Default)]
-pub struct PackBenchEntry {
-    /// Pack name (`"base"`, `"sweep"`, ...).
-    pub name: String,
-    /// Traces generated and analyzed for this pack.
-    pub traces: u64,
-    /// Packets analyzed.
-    pub packets: u64,
-    /// Packets carrying a should-be-flagged attack label.
-    pub attack_packets: u64,
-    /// Distinct ground-truth scan source addresses.
-    pub scan_sources: u64,
-    /// Connections the scanner-removal stage flagged.
-    pub flagged: u64,
-    /// Flagged connections whose originator is a labeled scan source.
-    pub true_pos: u64,
-    /// Flagged connections whose originator is not a labeled scan source.
-    pub false_pos: u64,
-    /// Kept connections whose originator is a labeled scan source.
-    pub false_neg: u64,
-    /// `tp / (tp + fp)`; vacuously 1 when nothing was flagged.
-    pub precision: f64,
-    /// `tp / (tp + fn)`; vacuously 1 when there was nothing to find.
-    pub recall: f64,
-    /// Harmonic mean of precision and recall.
-    pub f1: f64,
-    /// Non-temporal (first-order) header-symbol entropy, bits.
-    pub entropy_nontemporal: f64,
-    /// Temporal (conditional pair) header-symbol entropy, bits.
-    pub entropy_temporal: f64,
-}
-
-/// Run parameters for the scenario-pack export.
-#[derive(Debug, Clone, Default)]
-pub struct PacksBenchContext {
-    /// Generator scale of the runs.
-    pub scale: f64,
-    /// Generator seed.
-    pub seed: u64,
-    /// Worker threads per pack run.
-    pub threads: usize,
-    /// Intra-trace shard count (0 = serial single-table path).
-    pub shards: usize,
-    /// Minimum acceptable precision for any pack that flagged anything.
-    pub precision_floor: f64,
-    /// Minimum acceptable recall for any pack with labeled scan sources.
-    pub recall_floor: f64,
-    /// One entry per pack, in run order (`"base"` must be present).
-    pub packs: Vec<PackBenchEntry>,
-}
-
-/// Serialize a scenario-pack study as an `ent-bench-packs/1` document.
-pub fn packs_bench_json(ctx: &PacksBenchContext) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{PACKS_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"scale\": {},\n", ctx.scale));
-    out.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    out.push_str(&format!("  \"threads\": {},\n", ctx.threads));
-    out.push_str(&format!("  \"shards\": {},\n", ctx.shards));
-    out.push_str(&format!(
-        "  \"precision_floor\": {},\n",
-        ctx.precision_floor
-    ));
-    out.push_str(&format!("  \"recall_floor\": {},\n", ctx.recall_floor));
-    out.push_str("  \"packs\": [\n");
-    for (i, p) in ctx.packs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"traces\": {}, \"packets\": {}, \
-             \"attack_packets\": {}, \"scan_sources\": {}, \"flagged\": {}, \
-             \"true_pos\": {}, \"false_pos\": {}, \"false_neg\": {}, \
-             \"precision\": {:.6}, \"recall\": {:.6}, \"f1\": {:.6}, \
-             \"entropy_nontemporal\": {:.9}, \"entropy_temporal\": {:.9}}}",
-            p.name,
-            p.traces,
-            p.packets,
-            p.attack_packets,
-            p.scan_sources,
-            p.flagged,
-            p.true_pos,
-            p.false_pos,
-            p.false_neg,
-            p.precision,
-            p.recall,
-            p.f1,
-            p.entropy_nontemporal,
-            p.entropy_temporal,
-        ));
-        out.push_str(if i + 1 < ctx.packs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Ok(format!("{{\n  {}\n}}\n", top.join(",\n  ")))
 }
 
 // ---------------------------------------------------------------------------
@@ -890,28 +730,18 @@ pub enum JsonValue {
 impl JsonValue {
     /// Member lookup on objects.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
-            _ => None,
-        }
+        let JsonValue::Object(members) = self else { return None };
+        members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
+        if let JsonValue::Number(n) = self { Some(*n) } else { None }
     }
 
     /// String value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
+        if let JsonValue::String(s) = self { Some(s) } else { None }
     }
 }
 
@@ -937,30 +767,25 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    fn require(&mut self, b: u8) -> Result<(), String> {
+    fn require(&mut self, b: u8) -> Res {
         self.skip_ws();
         match self.bump() {
             Some(got) if got == b => Ok(()),
-            got => Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos.saturating_sub(1),
-                got.map(|g| g as char)
-            )),
+            got => bail!("expected '{}' at byte {}, found {:?}", b as char, self.pos.saturating_sub(1), got.map(char::from)),
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
+    fn literal(&mut self, word: &str, value: JsonValue) -> Res<JsonValue> {
         for expected in word.bytes() {
             match self.bump() {
                 Some(got) if got == expected => {}
-                _ => return Err(format!("malformed literal near byte {}", self.pos)),
+                _ => bail!("malformed literal near byte {}", self.pos),
             }
         }
         Ok(value)
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Res<String> {
         // Opening quote already consumed by the caller.
         let mut s = String::new();
         loop {
@@ -974,11 +799,7 @@ impl<'a> JsonReader<'a> {
                     Some(b't') => s.push('\t'),
                     Some(b'r') => s.push('\r'),
                     other => {
-                        return Err(format!(
-                            "unsupported escape {:?} at byte {}",
-                            other.map(|o| o as char),
-                            self.pos
-                        ))
+                        bail!("unsupported escape {:?} at byte {}", other.map(|o| o as char), self.pos)
                     }
                 },
                 Some(b) => s.push(b as char),
@@ -987,673 +808,325 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    fn number(&mut self, _first: u8) -> Result<JsonValue, String> {
+    fn number(&mut self, _first: u8) -> Res<JsonValue> {
         let start = self.pos.saturating_sub(1);
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = self
-            .bytes
-            .get(start..self.pos)
-            .and_then(|b| std::str::from_utf8(b).ok())
-            .unwrap_or("");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
+        let text = self.bytes.get(start..self.pos).and_then(|b| std::str::from_utf8(b).ok()).unwrap_or("");
+        text.parse().map(JsonValue::Number).map_err(|e| format!("bad number {text:?}: {e}").into())
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// The comma-separated items up to `close` (the opener is consumed).
+    fn seq<T>(&mut self, close: u8, mut item: impl FnMut(&mut Self) -> Res<T>) -> Res<Vec<T>> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b) if b == close => return Ok(items),
+                _ => bail!("expected ',' or '{}' at byte {}", close as char, self.pos),
+            }
+        }
+    }
+
+    fn value(&mut self) -> Res<JsonValue> {
         self.skip_ws();
         match self.bump() {
             Some(b'{') => {
-                let mut members = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                loop {
-                    self.require(b'"')?;
-                    let key = self.string()?;
-                    self.require(b':')?;
-                    let val = self.value()?;
-                    members.push((key, val));
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b'}') => return Ok(JsonValue::Object(members)),
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
+                let member = |r: &mut Self| {
+                    r.require(b'"')?;
+                    let key = r.string()?;
+                    r.require(b':')?;
+                    Ok((key, r.value()?))
+                };
+                Ok(JsonValue::Object(self.seq(b'}', member)?))
             }
-            Some(b'[') => {
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b']') => return Ok(JsonValue::Array(items)),
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-            }
+            Some(b'[') => Ok(JsonValue::Array(self.seq(b']', Self::value)?)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("rue", JsonValue::Bool(true)),
             Some(b'f') => self.literal("alse", JsonValue::Bool(false)),
             Some(b'n') => self.literal("ull", JsonValue::Null),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(b),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|o| o as char),
-                self.pos
-            )),
+            other => bail!("unexpected {:?} at byte {}", other.map(|o| o as char), self.pos),
         }
     }
 }
 
 /// Parse a JSON document (the subset [`bench_json`] emits).
-pub fn json_parse(text: &str) -> Result<JsonValue, BenchJsonError> {
-    json_parse_inner(text).map_err(BenchJsonError::new)
-}
-
-// Internal plumbing keeps `String` diagnoses (cheap to compose with
-// `format!`); the public wrappers above/below convert to the taxonomy's
-// [`BenchJsonError`] exactly once, at the crate boundary.
-fn json_parse_inner(text: &str) -> Result<JsonValue, String> {
-    let mut r = JsonReader {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+pub fn json_parse(text: &str) -> Res<JsonValue> {
+    let mut r = JsonReader { bytes: text.as_bytes(), pos: 0 };
     let v = r.value()?;
     r.skip_ws();
     if r.pos != r.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", r.pos));
+        bail!("trailing garbage at byte {}", r.pos);
     }
     Ok(v)
 }
 
-/// A validated `BENCH_pipeline.json` summary, for human-readable echo.
+/// A validated bench document's summary, for human-readable echo.
 #[derive(Debug, Clone, Default)]
 pub struct BenchSummary {
     /// Total packets analyzed.
     pub packets: u64,
-    /// Total traces.
+    /// Total traces (epochs, for a monitor document).
     pub traces: u64,
-    /// Study wall microseconds.
+    /// Study wall microseconds (pipeline documents only).
     pub study_wall_us: f64,
-    /// (stage, wall_us, events) per mandatory stage.
+    /// One (label, wall_us or score, events) row per mandatory stage — or
+    /// per entry, for the documents without stage maps.
     pub stages: Vec<(String, f64, u64)>,
 }
 
-fn stat_fields(stage: &JsonValue, name: &str) -> Result<(f64, u64, u64), String> {
-    let field = |key: &str| -> Result<f64, String> {
-        stage
-            .get(key)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("stage {name:?}: missing numeric field {key:?}"))
-    };
-    let wall_us = field("wall_us")?;
-    let events = field("events")?;
-    let bytes = field("bytes")?;
-    if wall_us < 0.0 || events < 0.0 || bytes < 0.0 {
-        return Err(format!("stage {name:?}: negative value"));
-    }
-    Ok((wall_us, events as u64, bytes as u64))
+/// Numeric member; NaN when missing, so it never compares equal.
+fn num(obj: &JsonValue, key: &str) -> f64 {
+    obj.get(key).and_then(JsonValue::as_f64).unwrap_or(f64::NAN)
 }
 
-/// Schema of a bench document (the dispatch key for validation and
-/// comparison).
-fn bench_schema(doc: &JsonValue) -> Result<&str, String> {
-    let schema = doc
-        .get("schema")
-        .and_then(|v| v.as_str())
-        .ok_or("missing \"schema\"")?;
-    if schema != BENCH_SCHEMA
-        && schema != MONITOR_SCHEMA
-        && schema != SCALING_SCHEMA
-        && schema != PACKS_SCHEMA
-    {
-        return Err(format!(
-            "schema mismatch: got {schema:?}, want {BENCH_SCHEMA:?}, {MONITOR_SCHEMA:?}, \
-             {SCALING_SCHEMA:?} or {PACKS_SCHEMA:?}"
-        ));
-    }
-    Ok(schema)
+fn text<'a>(obj: &'a JsonValue, key: &str) -> &'a str {
+    obj.get(key).and_then(JsonValue::as_str).unwrap_or("")
 }
 
-/// Check every `names` stage exists in the document's `stages` map with
-/// nonzero wall time and events (the instrumentation-rot check), pushing
-/// each into `summary`.
-fn check_mandatory_stages(
-    doc: &JsonValue,
-    names: &[&str],
-    summary: &mut BenchSummary,
-) -> Result<(), String> {
-    let stages = doc.get("stages").ok_or("missing \"stages\" object")?;
-    for &name in names {
-        let stage = stages
-            .get(name)
-            .ok_or_else(|| format!("missing mandatory stage {name:?}"))?;
-        let (wall_us, events, _bytes) = stat_fields(stage, name)?;
-        if wall_us <= 0.0 {
-            return Err(format!(
-                "mandatory stage {name:?} has zero wall time — instrumentation rot?"
-            ));
-        }
-        if events == 0 {
-            return Err(format!(
-                "mandatory stage {name:?} has zero events — instrumentation rot?"
-            ));
-        }
-        summary.stages.push((name.to_string(), wall_us, events));
+/// A key's value as text, for equality checks and diagnoses alike.
+fn show(key: &Key, obj: &JsonValue) -> String {
+    match (obj.get(key.name), key.absent) {
+        (Some(JsonValue::String(s)), _) => s.clone(),
+        (Some(JsonValue::Number(n)), _) => n.to_string(),
+        (None, Some(default)) => default.to_string(),
+        _ => "missing".into(),
     }
-    let analyzers = doc.get("analyzers").ok_or("missing \"analyzers\" object")?;
-    if !matches!(analyzers, JsonValue::Object(_)) {
-        return Err("\"analyzers\" is not an object".into());
+}
+
+/// The elements of a document's entry array (none for a schema without one).
+fn entries_of<'a>(doc: &'a JsonValue, schema: &Schema) -> Res<&'a [JsonValue]> {
+    match schema.entries.map(|e| (e.array, doc.get(e.array))) {
+        None => Ok(&[]),
+        Some((_, Some(JsonValue::Array(items)))) => Ok(items),
+        Some((array, _)) => bail!("missing {array:?} array"),
+    }
+}
+
+/// An entry's identity — its first key — as `name=value`.
+fn entry_id(e: &Entries, entry: &JsonValue) -> String {
+    format!("{}={}", e.keys[0].name, show(&e.keys[0], entry))
+}
+
+/// Check `obj` carries every required key of `keys` with the declared
+/// JSON type, and no negative number.
+fn require(keys: &[Key], obj: &JsonValue, ctx: &str) -> Res {
+    for key in keys {
+        let name = key.name;
+        match (key.fmt, obj.get(name)) {
+            (_, None) if key.absent.is_some() => {}
+            (Text, Some(JsonValue::String(_))) => {}
+            (Text, _) => bail!("{ctx}missing string field {name:?}"),
+            (_, Some(JsonValue::Number(n))) if *n >= 0.0 => {}
+            (_, Some(JsonValue::Number(_))) => bail!("{ctx}negative value for {name:?}"),
+            _ => bail!("{ctx}missing numeric field {name:?}"),
+        }
     }
     Ok(())
 }
 
-/// Validate a bench document — either schema.
-///
-/// * `ent-bench-pipeline/1` (`BENCH_pipeline.json`): required run
-///   parameters, the per-stage map with all [`MANDATORY_STAGES`] present,
-///   and — the instrumentation-rot check — nonzero wall time *and* event
-///   counts for every mandatory stage.
-/// * `ent-bench-monitor/1` (`entreport monitor --bench-json`): the
-///   [`MONITOR_NUMERIC_KEYS`] counters plus nonzero
-///   [`MONITOR_MANDATORY_STAGES`].
-/// * `ent-bench-scaling/1` (`entreport scaling`): per-shard-count entries
-///   that must all agree on packets, traces and the events signature —
-///   shape validation doubles as the sharding determinism gate.
-/// * `ent-bench-packs/1` (`entreport packs`): per-pack scored entries; a
-///   `"base"` entry must be present, every pack with labeled scan sources
-///   must reach `recall_floor`, every pack that flagged anything must
-///   reach `precision_floor`, and every adversarial pack's header entropy
-///   must be distinguishable from the base mix — the validation doubles
-///   as the scanner-removal quality gate.
-pub fn validate_bench_json(text: &str) -> Result<BenchSummary, BenchJsonError> {
-    validate_bench_json_inner(text).map_err(BenchJsonError::new)
+/// The stages a document with [`Schema::stages`] `bit` must report, each
+/// with its entry in `doc`'s `stages` map (`Null` where missing).
+fn mandatory_stages(doc: &JsonValue, bit: u8) -> impl Iterator<Item = (&'static str, &JsonValue)> {
+    let stages = doc.get("stages");
+    Stage::ALL
+        .into_iter()
+        .filter(move |s| s.mandatory_in() & bit != 0)
+        .map(move |s| (s.name(), stages.and_then(|m| m.get(s.name())).unwrap_or(&JsonValue::Null)))
 }
 
-fn validate_bench_json_inner(text: &str) -> Result<BenchSummary, String> {
-    let doc = json_parse_inner(text)?;
+/// Parse a document, find its schema row, and check it: shape (every
+/// declared key, the stat maps, unique entry identities), no zero where
+/// zero means instrumentation rot, then the row's own invariants.
+fn validated(text: &str) -> Res<(JsonValue, &'static Schema, BenchSummary)> {
+    let doc = json_parse(text)?;
+    let tag = doc.get("schema").and_then(JsonValue::as_str).ok_or("missing \"schema\"")?;
+    let Some(schema) = SCHEMAS.into_iter().find(|s| s.tag == tag) else {
+        let known: Vec<&str> = SCHEMAS.iter().map(|s| s.tag).collect();
+        bail!("schema mismatch: got {tag:?}, want one of {known:?}");
+    };
+    require(schema.top, &doc, "")?;
+    let top = |key: &str| doc.get(key).and_then(JsonValue::as_f64);
     let mut summary = BenchSummary {
-        packets: doc.get("packets").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64,
-        traces: 0,
-        study_wall_us: 0.0,
+        packets: top("packets").unwrap_or(0.0) as u64,
+        // Epochs stand in for traces in a monitor document's echo.
+        traces: top("traces").or(top("epochs")).unwrap_or(0.0) as u64,
+        study_wall_us: top("study_wall_us").unwrap_or(0.0),
         stages: Vec::new(),
     };
-    if bench_schema(&doc)? == SCALING_SCHEMA {
-        return validate_scaling_inner(&doc);
+    if top("packets") == Some(0.0) {
+        bail!("run analyzed zero packets");
     }
-    if bench_schema(&doc)? == PACKS_SCHEMA {
-        return validate_packs_inner(&doc);
-    }
-    if bench_schema(&doc)? == MONITOR_SCHEMA {
-        for key in MONITOR_NUMERIC_KEYS {
-            if doc.get(key).and_then(|v| v.as_f64()).is_none() {
-                return Err(format!("missing numeric field {key:?}"));
+    if let Some(bit) = schema.stages {
+        let object = |key| matches!(doc.get(key), Some(JsonValue::Object(_)));
+        if !object("stages") || !object("analyzers") {
+            bail!("missing \"stages\" or \"analyzers\" object");
+        }
+        let [wall_key, events_key, _] = STAT_KEYS;
+        for (name, stat) in mandatory_stages(&doc, bit) {
+            if *stat == JsonValue::Null {
+                bail!("missing mandatory stage {name:?}");
             }
-        }
-        // Epochs stand in for traces in the human-readable echo.
-        summary.traces = doc.get("epochs").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-        check_mandatory_stages(&doc, &MONITOR_MANDATORY_STAGES, &mut summary)?;
-        if summary.packets == 0 {
-            return Err("monitor run analyzed zero packets".into());
-        }
-        return Ok(summary);
-    }
-    for key in ["scale", "seed", "threads", "study_wall_us", "worker_wall_us", "traces", "packets", "bytes", "packets_per_sec", "bytes_per_sec", "peak_open_conns"] {
-        if doc.get(key).and_then(|v| v.as_f64()).is_none() {
-            return Err(format!("missing numeric field {key:?}"));
-        }
-    }
-    summary.traces = doc.get("traces").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-    summary.study_wall_us = doc
-        .get("study_wall_us")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    check_mandatory_stages(&doc, &MANDATORY_STAGES, &mut summary)?;
-    match doc.get("datasets") {
-        Some(JsonValue::Array(items)) => {
-            for d in items {
-                for key in ["name", "traces", "wall_us", "packets", "bytes"] {
-                    if d.get(key).is_none() {
-                        return Err(format!("dataset entry missing {key:?}"));
-                    }
-                }
+            require(&STAT_KEYS, stat, &format!("stage {name:?}: "))?;
+            let (wall_us, events) = (num(stat, wall_key.name), num(stat, events_key.name));
+            if wall_us <= 0.0 || events <= 0.0 {
+                let what = if wall_us <= 0.0 { "wall time" } else { "events" };
+                bail!("mandatory stage {name:?} has zero {what} — instrumentation rot?");
             }
+            summary.stages.push((name.to_string(), wall_us, events as u64));
         }
-        _ => return Err("missing \"datasets\" array".into()),
     }
-    if summary.packets == 0 {
-        return Err("study analyzed zero packets".into());
+    let entries = entries_of(&doc, schema)?;
+    if let Some(e) = &schema.entries {
+        let mut seen: Vec<String> = Vec::new();
+        for (i, entry) in entries.iter().enumerate() {
+            require(e.keys, entry, &format!("{}[{i}]: ", e.array))?;
+            let id = entry_id(e, entry);
+            if seen.contains(&id) {
+                bail!("duplicate {} entry for {id}", e.array);
+            }
+            if entry.get("packets").and_then(JsonValue::as_f64) == Some(0.0) {
+                bail!("{} entry {id} analyzed zero packets", e.array);
+            }
+            seen.push(id);
+        }
     }
-    Ok(summary)
+    if let Some(check) = schema.check {
+        check(&doc, entries, &mut summary)?;
+    }
+    Ok((doc, schema, summary))
 }
 
-/// Numeric fields every scaling-curve entry must carry.
-const SCALING_ENTRY_KEYS: [&str; 7] = [
-    "shards",
-    "ingest_wall_us",
-    "frame_parse_wall_us",
-    "flow_ingest_wall_us",
-    "packets",
-    "traces",
-    "peak_open_conns",
-];
+/// Validate a bench document of any kind: every declared key present with
+/// its declared type, every mandatory stage non-zero (the instrumentation-
+/// rot check), entry identities unique, and the schema's own invariants —
+/// the sharding determinism gate for scaling documents, the scanner-removal
+/// quality gate for pack documents.
+pub fn validate_bench_json(text: &str) -> Res<BenchSummary> {
+    validated(text).map(|(_, _, summary)| summary)
+}
 
-/// Validate an `ent-bench-scaling/1` document. Beyond shape, this is the
-/// determinism half of the scaling gate: every entry — serial and every
-/// shard count — must report the same packet count, trace count and
+/// The determinism half of the scaling gate: every entry — serial and
+/// every shard count — must report the same packet count, trace count and
 /// events signature, or sharding changed the analysis results.
-fn validate_scaling_inner(doc: &JsonValue) -> Result<BenchSummary, String> {
-    for key in ["scale", "seed", "threads", "cores", "floor"] {
-        if doc.get(key).and_then(|v| v.as_f64()).is_none() {
-            return Err(format!("missing numeric field {key:?}"));
-        }
-    }
-    let entries = match doc.get("entries") {
-        Some(JsonValue::Array(items)) if !items.is_empty() => items,
-        _ => return Err("missing non-empty \"entries\" array".into()),
-    };
-    let mut summary = BenchSummary::default();
-    let mut seen_shards: Vec<u64> = Vec::new();
-    let mut reference: Option<(String, u64, u64)> = None;
+fn check_scaling(_doc: &JsonValue, entries: &[JsonValue], summary: &mut BenchSummary) -> Res {
+    let mut reference: Option<(&str, f64, f64)> = None;
     for e in entries {
-        for key in SCALING_ENTRY_KEYS {
-            if e.get(key).and_then(|v| v.as_f64()).is_none() {
-                return Err(format!("scaling entry missing numeric field {key:?}"));
-            }
-        }
-        let shards = e.get("shards").and_then(|v| v.as_f64()).unwrap_or(-1.0) as u64;
-        let wall = e
-            .get("ingest_wall_us")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
+        let (shards, wall) = (num(e, "shards"), num(e, "ingest_wall_us"));
+        let (sig, packets, traces) = (text(e, "signature"), num(e, "packets"), num(e, "traces"));
         if wall <= 0.0 {
-            return Err(format!(
-                "scaling entry shards={shards} has zero ingest wall — instrumentation rot?"
-            ));
+            bail!("scaling entry shards={shards} has zero ingest wall — instrumentation rot?");
         }
-        if seen_shards.contains(&shards) {
-            return Err(format!("duplicate scaling entry for shards={shards}"));
+        let (rsig, rpackets, rtraces) = *reference.get_or_insert((sig, packets, traces));
+        if sig != rsig {
+            bail!(
+                "determinism violation: shards={shards} signature {sig} differs from {rsig} — \
+                 sharding changed the analysis results"
+            );
         }
-        seen_shards.push(shards);
-        let sig = e
-            .get("signature")
-            .and_then(|v| v.as_str())
-            .ok_or("scaling entry missing string field \"signature\"")?;
-        let packets = e.get("packets").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-        let traces = e.get("traces").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-        if packets == 0 {
-            return Err(format!("scaling entry shards={shards} analyzed zero packets"));
+        if (packets, traces) != (rpackets, rtraces) {
+            bail!(
+                "determinism violation: shards={shards} analyzed {packets} packets / {traces} \
+                 traces, other entries {rpackets} / {rtraces}"
+            );
         }
-        match &reference {
-            None => reference = Some((sig.to_string(), packets, traces)),
-            Some((rsig, rpackets, rtraces)) => {
-                if sig != rsig {
-                    return Err(format!(
-                        "determinism violation: shards={shards} signature {sig} differs \
-                         from {rsig} — sharding changed the analysis results"
-                    ));
-                }
-                if packets != *rpackets || traces != *rtraces {
-                    return Err(format!(
-                        "determinism violation: shards={shards} analyzed {packets} packets / \
-                         {traces} traces, other entries {rpackets} / {rtraces}"
-                    ));
-                }
-            }
-        }
-        summary
-            .stages
-            .push((format!("shards={shards}"), wall, packets));
+        summary.stages.push((format!("shards={shards}"), wall, packets as u64));
     }
-    if let Some((_, packets, traces)) = reference {
-        summary.packets = packets;
-        summary.traces = traces;
-    }
-    Ok(summary)
+    let (_, packets, traces) = reference.ok_or("missing non-empty \"entries\" array")?;
+    (summary.packets, summary.traces) = (packets as u64, traces as u64);
+    Ok(())
 }
-
-/// Numeric fields every scenario-pack entry must carry.
-const PACK_ENTRY_KEYS: [&str; 13] = [
-    "traces",
-    "packets",
-    "attack_packets",
-    "scan_sources",
-    "flagged",
-    "true_pos",
-    "false_pos",
-    "false_neg",
-    "precision",
-    "recall",
-    "f1",
-    "entropy_nontemporal",
-    "entropy_temporal",
-];
 
 /// Entropies closer than this (bits, on both axes) count as
 /// indistinguishable when checking that an adversarial pack actually
 /// shifted the base mix's header-symbol complexity.
 const PACK_ENTROPY_DISTINCT_EPS: f64 = 1e-9;
 
-/// Validate an `ent-bench-packs/1` document. Beyond shape, this is the
-/// scoring gate: a `"base"` entry must exist, recall and precision floors
-/// are enforced per entry, and every non-base pack's entropy pair must
-/// differ from base — a pack whose complexity matches the base mix
-/// injected nothing measurable.
-fn validate_packs_inner(doc: &JsonValue) -> Result<BenchSummary, String> {
-    for key in ["scale", "seed", "threads", "shards", "precision_floor", "recall_floor"] {
-        if doc.get(key).and_then(|v| v.as_f64()).is_none() {
-            return Err(format!("missing numeric field {key:?}"));
-        }
-    }
-    let precision_floor = doc
-        .get("precision_floor")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(f64::NAN);
-    let recall_floor = doc
-        .get("recall_floor")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(f64::NAN);
-    let packs = match doc.get("packs") {
-        Some(JsonValue::Array(items)) if !items.is_empty() => items,
-        _ => return Err("missing non-empty \"packs\" array".into()),
-    };
-    let mut summary = BenchSummary::default();
-    let mut seen_names: Vec<String> = Vec::new();
-    let mut base_entropy: Option<(f64, f64)> = None;
-    // Two passes so "base" need not be the first entry: find it, then
-    // check every other entry's entropy against it.
+/// The scoring gate: a `"base"` entry must exist (the unperturbed mix is
+/// the anchor), every pack with labeled scan sources must reach
+/// `recall_floor`, every pack that flagged anything `precision_floor`, and
+/// every other pack's entropy pair must differ from base's — a pack whose
+/// complexity matches the base mix injected nothing measurable.
+fn check_packs(doc: &JsonValue, packs: &[JsonValue], summary: &mut BenchSummary) -> Res {
+    let entropy = |p: &JsonValue| (num(p, "entropy_nontemporal"), num(p, "entropy_temporal"));
+    // "base" need not be the first entry: find it first.
+    let base = packs.iter().find(|p| text(p, "name") == "base").map(entropy);
+    let (base_nt, base_t) = base.ok_or("no \"base\" pack entry — the unperturbed mix is the scoring anchor")?;
+    let (precision_floor, recall_floor) = (num(doc, "precision_floor"), num(doc, "recall_floor"));
     for p in packs {
-        if p.get("name").and_then(|v| v.as_str()) == Some("base") {
-            base_entropy = Some((
-                p.get("entropy_nontemporal")
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(f64::NAN),
-                p.get("entropy_temporal")
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(f64::NAN),
-            ));
-        }
-    }
-    let Some((base_nt, base_t)) = base_entropy else {
-        return Err("no \"base\" pack entry — the unperturbed mix is the scoring anchor".into());
-    };
-    for p in packs {
-        let name = p
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or("pack entry missing string field \"name\"")?
-            .to_string();
-        if seen_names.contains(&name) {
-            return Err(format!("duplicate pack entry for {name:?}"));
-        }
-        for key in PACK_ENTRY_KEYS {
-            if p.get(key).and_then(|v| v.as_f64()).is_none() {
-                return Err(format!("pack {name:?} missing numeric field {key:?}"));
-            }
-        }
-        let num = |key: &str| p.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
-        let packets = num("packets") as u64;
-        if packets == 0 {
-            return Err(format!("pack {name:?} analyzed zero packets"));
-        }
-        let scan_sources = num("scan_sources") as u64;
-        let flagged = num("flagged") as u64;
-        let recall = num("recall");
-        let precision = num("precision");
-        if scan_sources > 0 && recall < recall_floor {
-            return Err(format!(
+        let (name, packets) = (text(p, "name"), num(p, "packets") as u64);
+        let (scan_sources, flagged) = (num(p, "scan_sources"), num(p, "flagged"));
+        let (recall, precision) = (num(p, "recall"), num(p, "precision"));
+        if scan_sources > 0.0 && recall < recall_floor {
+            bail!(
                 "pack {name:?} recall {recall:.4} below floor {recall_floor} \
                  ({scan_sources} labeled scan sources went undercaught)"
-            ));
+            );
         }
-        if flagged > 0 && precision < precision_floor {
-            return Err(format!(
+        if flagged > 0.0 && precision < precision_floor {
+            bail!(
                 "pack {name:?} precision {precision:.4} below floor {precision_floor} \
                  (scanner removal is flagging benign traffic)"
-            ));
+            );
         }
-        let (nt, t) = (num("entropy_nontemporal"), num("entropy_temporal"));
-        if name != "base"
-            && (nt - base_nt).abs() <= PACK_ENTROPY_DISTINCT_EPS
-            && (t - base_t).abs() <= PACK_ENTROPY_DISTINCT_EPS
-        {
-            return Err(format!(
-                "pack {name:?} entropy ({nt:.9}, {t:.9}) is indistinguishable from base \
-                 — the pack injected nothing measurable"
-            ));
+        let (nt, t) = entropy(p);
+        let near = |a: f64, b: f64| (a - b).abs() <= PACK_ENTROPY_DISTINCT_EPS;
+        if name != "base" && near(nt, base_nt) && near(t, base_t) {
+            bail!(
+                "pack {name:?} entropy ({nt:.9}, {t:.9}) is indistinguishable from base — the \
+                 pack injected nothing measurable"
+            );
         }
         summary.packets += packets;
-        summary.traces += num("traces") as u64;
-        summary.stages.push((format!("pack={name}"), num("f1"), packets));
-        seen_names.push(name);
+        summary.traces += num(p, "traces") as u64;
+        summary.stages.push((format!("pack={name}"), num(p, "f1"), packets));
     }
-    Ok(summary)
+    Ok(())
 }
 
-/// Compare two scaling-curve documents: exact entry-for-entry determinism
-/// (signature, packets, traces, peak) against the baseline, plus the
-/// candidate-internal speedup floor — elapsed ingest wall at 1 shard over
-/// 4 shards must reach `floor`. Wall times are never compared *between*
-/// documents (different machines); the floor is only enforced when the
-/// candidate ran on at least 4 cores and `check_wall` is set.
-fn compare_scaling_inner(
-    b: &JsonValue,
-    c: &JsonValue,
-    check_wall: bool,
-) -> Result<String, String> {
-    let num = |doc: &JsonValue, key: &str| {
-        doc.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
-    };
-    for key in ["scale", "seed", "threads", "floor"] {
-        if num(b, key) != num(c, key) {
-            return Err(format!(
-                "runs are not comparable: {key:?} differs (baseline {}, candidate {})",
-                num(b, key),
-                num(c, key)
-            ));
-        }
+/// The scaling comparison's wall half, candidate-internal: elapsed ingest
+/// wall at 1 shard over 4 shards must reach the candidate's `floor` — only
+/// enforced when the candidate ran on at least 4 cores and `check_wall`.
+fn gate_scaling_floor(c: &JsonValue, entries: &[JsonValue], check_wall: bool) -> Result<String, String> {
+    let wall = |e: &JsonValue| num(e, "ingest_wall_us");
+    let at = |shards: f64| entries.iter().find(|e| num(e, "shards") == shards);
+    // NaN (no 1-shard entry to compare against) must fail the floor too.
+    let speedup = |e: &JsonValue| at(1.0).map_or(f64::NAN, wall) / wall(e);
+    let mut report = String::new();
+    for e in entries {
+        let (shards, us) = (num(e, "shards"), wall(e));
+        report += &format!("shards={shards}: ingest {us:.1} us, {:.2}x the 1-shard run\n", speedup(e));
     }
-    fn entries(doc: &JsonValue) -> Result<Vec<&JsonValue>, String> {
-        match doc.get("entries") {
-            Some(JsonValue::Array(items)) => Ok(items.iter().collect()),
-            _ => Err("missing \"entries\" array".into()),
-        }
-    }
-    let be = entries(b).map_err(|e| format!("baseline: {e}"))?;
-    let ce = entries(c).map_err(|e| format!("candidate: {e}"))?;
-    let shard_of = |e: &JsonValue| num(e, "shards");
-    if be.iter().map(|e| shard_of(e)).collect::<Vec<_>>()
-        != ce.iter().map(|e| shard_of(e)).collect::<Vec<_>>()
-    {
-        return Err("runs are not comparable: shard-count lists differ".into());
-    }
-    let mut failures: Vec<String> = Vec::new();
-    let mut report = format!(
-        "{:<10} {:>14} {:>14} {:>9} {:>9}  determinism\n",
-        "shards", "base_ingest_us", "cand_ingest_us", "base_spd", "cand_spd"
-    );
-    let speedup = |list: &[&JsonValue], e: &JsonValue| -> f64 {
-        let one = list
-            .iter()
-            .find(|x| shard_of(x) == 1.0)
-            .map_or(f64::NAN, |x| num(x, "ingest_wall_us"));
-        one / num(e, "ingest_wall_us")
-    };
-    for (bent, cent) in be.iter().zip(&ce) {
-        let shards = shard_of(bent) as u64;
-        let mut ok = true;
-        for key in ["packets", "traces", "peak_open_conns"] {
-            if num(bent, key) != num(cent, key) {
-                failures.push(format!(
-                    "shards={shards}: {key} drifted (baseline {}, candidate {})",
-                    num(bent, key),
-                    num(cent, key)
-                ));
-                ok = false;
-            }
-        }
-        let bsig = bent.get("signature").and_then(|v| v.as_str()).unwrap_or("");
-        let csig = cent.get("signature").and_then(|v| v.as_str()).unwrap_or("");
-        if bsig != csig {
-            failures.push(format!(
-                "shards={shards}: events signature drifted (baseline {bsig}, candidate {csig})"
-            ));
-            ok = false;
-        }
-        report.push_str(&format!(
-            "{shards:<10} {:>14.1} {:>14.1} {:>8.2}x {:>8.2}x  {}\n",
-            num(bent, "ingest_wall_us"),
-            num(cent, "ingest_wall_us"),
-            speedup(&be, bent),
-            speedup(&ce, cent),
-            if ok { "ok" } else { "DRIFTED" },
-        ));
-    }
-    let floor = num(c, "floor");
-    let cores = num(c, "cores");
-    let cand_4 = ce.iter().find(|e| shard_of(e) == 4.0);
-    match cand_4 {
-        Some(e4) if check_wall && cores >= 4.0 => {
-            let spd = speedup(&ce, e4);
-            // NaN (no 1-shard entry to compare against) must also fail.
+    let (floor, cores) = (num(c, "floor"), num(c, "cores"));
+    match at(4.0).map(speedup) {
+        Some(spd) if check_wall && cores >= 4.0 => {
             if spd.is_nan() || spd < floor {
-                failures.push(format!(
+                return Err(format!(
                     "scaling floor missed: 4-shard speedup {spd:.2}x < required {floor}x \
                      (ingest wall, candidate machine has {cores} cores)"
                 ));
-            } else {
-                report.push_str(&format!(
-                    "floor: 4-shard speedup {spd:.2}x >= {floor}x  ok\n"
-                ));
             }
+            report += &format!("floor: 4-shard speedup {spd:.2}x >= {floor}x  ok\n");
         }
-        Some(_) => {
-            report.push_str(&format!(
-                "floor: waived (check_wall={check_wall}, candidate cores={cores} < 4 \
-                 enforces determinism only)\n"
-            ));
-        }
-        None => {
-            report.push_str("floor: no 4-shard entry; determinism only\n");
-        }
+        Some(_) => report += &format!(
+            "floor: waived (check_wall={check_wall}, candidate cores={cores} < 4 enforces determinism only)\n"
+        ),
+        None => report += "floor: no 4-shard entry; determinism only\n",
     }
-    if failures.is_empty() {
-        Ok(report)
-    } else {
-        Err(failures.join("\n"))
-    }
+    Ok(report)
 }
 
-/// Absolute tolerance for cross-document comparison of derived f64 fields
-/// in pack documents (rates and entropies). Counts are integers and
-/// compared exactly; the ratios and `log2` sums they derive into can
-/// drift in the last few ulps across libm builds, and the emitter rounds
-/// to 6–9 decimals — so near-exact, not bitwise.
-const PACK_RATE_TOLERANCE: f64 = 1e-6;
-
-/// Compare two scenario-pack documents: same pack roster, exact
-/// per-pack integer counts (packets, truth totals, confusion matrix) and
-/// near-exact rates/entropies. Pack runs carry no wall-time gate — the
-/// document is a correctness record, so `check_wall` does not apply.
-fn compare_packs_inner(b: &JsonValue, c: &JsonValue) -> Result<String, String> {
-    let num = |doc: &JsonValue, key: &str| {
-        doc.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
-    };
-    for key in ["scale", "seed", "threads", "shards", "precision_floor", "recall_floor"] {
-        if num(b, key) != num(c, key) {
-            return Err(format!(
-                "runs are not comparable: {key:?} differs (baseline {}, candidate {})",
-                num(b, key),
-                num(c, key)
-            ));
-        }
-    }
-    fn entries(doc: &JsonValue) -> Result<Vec<&JsonValue>, String> {
-        match doc.get("packs") {
-            Some(JsonValue::Array(items)) => Ok(items.iter().collect()),
-            _ => Err("missing \"packs\" array".into()),
-        }
-    }
-    let bp = entries(b).map_err(|e| format!("baseline: {e}"))?;
-    let cp = entries(c).map_err(|e| format!("candidate: {e}"))?;
-    fn name_of(e: &JsonValue) -> &str {
-        e.get("name").and_then(|v| v.as_str()).unwrap_or("")
-    }
-    if bp.iter().map(|e| name_of(e)).collect::<Vec<_>>()
-        != cp.iter().map(|e| name_of(e)).collect::<Vec<_>>()
-    {
-        return Err("runs are not comparable: pack rosters differ".into());
-    }
-    let mut failures: Vec<String> = Vec::new();
-    let mut report = format!(
-        "{:<12} {:>9} {:>6} {:>6} {:>6} {:>8} {:>8}  determinism\n",
-        "pack", "packets", "tp", "fp", "fn", "prec", "recall"
-    );
-    for (bent, cent) in bp.iter().zip(&cp) {
-        let name = name_of(bent);
-        let mut ok = true;
-        for key in [
-            "traces",
-            "packets",
-            "attack_packets",
-            "scan_sources",
-            "flagged",
-            "true_pos",
-            "false_pos",
-            "false_neg",
-        ] {
-            if num(bent, key) != num(cent, key) {
-                failures.push(format!(
-                    "pack {name}: {key} drifted (baseline {}, candidate {})",
-                    num(bent, key),
-                    num(cent, key)
-                ));
-                ok = false;
-            }
-        }
-        for key in ["precision", "recall", "f1", "entropy_nontemporal", "entropy_temporal"] {
-            let (bv, cv) = (num(bent, key), num(cent, key));
-            // NaN (a missing field slipping past validation) must fail too.
-            let drifted = (bv - cv).abs() > PACK_RATE_TOLERANCE || (bv - cv).is_nan();
-            if drifted {
-                failures.push(format!(
-                    "pack {name}: {key} drifted (baseline {bv}, candidate {cv})"
-                ));
-                ok = false;
-            }
-        }
-        report.push_str(&format!(
-            "{name:<12} {:>9} {:>6} {:>6} {:>6} {:>8.4} {:>8.4}  {}\n",
-            num(cent, "packets"),
-            num(cent, "true_pos"),
-            num(cent, "false_pos"),
-            num(cent, "false_neg"),
-            num(cent, "precision"),
-            num(cent, "recall"),
-            if ok { "ok" } else { "DRIFTED" },
-        ));
-    }
-    if failures.is_empty() {
-        Ok(report)
-    } else {
-        Err(failures.join("\n"))
-    }
-}
+/// How far a [`Role::Wall`] value may exceed its baseline: +25%.
+pub const WALL_TOLERANCE: f64 = 0.25;
 
 /// Wall-time share (of the summed mandatory-stage wall) below which a
 /// stage's wall comparison is skipped by [`compare_bench_json`]: sub-share
@@ -1662,176 +1135,121 @@ fn compare_packs_inner(b: &JsonValue, c: &JsonValue) -> Result<String, String> {
 /// still enforced for every stage regardless of share.
 pub const WALL_SHARE_FLOOR: f64 = 0.05;
 
-/// Compare a candidate bench document against a committed baseline. Both
-/// documents must share a schema: pipeline runs compare on
-/// `scale`/`seed`/`threads` and study totals; monitor runs compare on
-/// `epoch_secs`/`max_conns`/`max_pending` and the bounded-state outcome
-/// counters (`epochs`, `checkpoints`, `peak_open_conns`, `evicted_conns`,
-/// `pending_dropped`, `checkpoint_recoveries`) — the steady-state memory
-/// gate. Scaling documents dispatch to the shard-determinism gate, pack
-/// documents to the scoring-determinism gate (exact confusion-matrix
-/// counts, near-exact rates and entropies, no wall half).
-///
-/// The gate contract has two halves:
-///
-/// * **Determinism** — the runs must share `scale`/`seed`/`threads`
-///   (otherwise the comparison is meaningless and this errors out), and
-///   every mandatory stage's `events`/`bytes` — plus study `packets`,
-///   `traces`, and `peak_open_conns` — must match the baseline *exactly*.
-///   Any drift means the pipeline's outputs changed, which a perf change
-///   must never do.
-/// * **Performance** — a one-sided wall check: a stage holding at least
-///   [`WALL_SHARE_FLOOR`] of the summed mandatory-stage wall may not
-///   exceed its baseline wall by more than `wall_tolerance` (0.25 =
-///   +25%). Getting faster never fails. Pass `check_wall = false` (the
-///   `ENT_BENCH_WAIVER=1` escape hatch in `scripts/check.sh`) to skip the
-///   wall half on noisy hardware while keeping the determinism half.
-///
-/// Returns a human-readable comparison table on success, or a newline-
-/// separated list of every unacceptable difference.
-pub fn compare_bench_json(
-    baseline: &str,
-    candidate: &str,
-    wall_tolerance: f64,
-    check_wall: bool,
-) -> Result<String, BenchJsonError> {
-    compare_bench_json_inner(baseline, candidate, wall_tolerance, check_wall)
-        .map_err(BenchJsonError::new)
+/// The one-sided wall check's verdict on one [`Role::Wall`] value; `skip`
+/// names why it is not gated here, if it is not.
+fn wall_verdict(skip: Option<&'static str>, base: f64, cand: f64) -> &'static str {
+    match skip {
+        Some(why) => why,
+        None if cand <= base * (1.0 + WALL_TOLERANCE) => "ok",
+        None => "REGRESSED",
+    }
 }
 
-fn compare_bench_json_inner(
-    baseline: &str,
-    candidate: &str,
-    wall_tolerance: f64,
-    check_wall: bool,
-) -> Result<String, String> {
-    validate_bench_json_inner(baseline).map_err(|e| format!("baseline: {e}"))?;
-    validate_bench_json_inner(candidate).map_err(|e| format!("candidate: {e}"))?;
-    let b = json_parse_inner(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let c = json_parse_inner(candidate).map_err(|e| format!("candidate: {e}"))?;
-    let b_schema = bench_schema(&b).map_err(|e| format!("baseline: {e}"))?;
-    let c_schema = bench_schema(&c).map_err(|e| format!("candidate: {e}"))?;
-    if b_schema != c_schema {
-        return Err(format!(
-            "runs are not comparable: schema differs (baseline {b_schema:?}, candidate {c_schema:?})"
-        ));
-    }
-    if b_schema == SCALING_SCHEMA {
-        return compare_scaling_inner(&b, &c, check_wall);
-    }
-    if b_schema == PACKS_SCHEMA {
-        return compare_packs_inner(&b, &c);
-    }
-    // Monitor documents compare on state budgets and degradation
-    // counters; pipeline documents on study parameters and totals.
-    let monitor = b_schema == MONITOR_SCHEMA;
-    let comparability: &[&str] = if monitor {
-        &["epoch_secs", "max_conns", "max_pending"]
-    } else {
-        &["scale", "seed", "threads", "shards"]
-    };
-    let exact: &[&str] = if monitor {
-        &[
-            "packets",
-            "bytes",
-            "epochs",
-            "checkpoints",
-            "peak_open_conns",
-            "evicted_conns",
-            "pending_dropped",
-            "checkpoint_recoveries",
-        ]
-    } else {
-        &["packets", "traces", "peak_open_conns"]
-    };
-    let mandatory: &[&str] = if monitor {
-        &MONITOR_MANDATORY_STAGES
-    } else {
-        &MANDATORY_STAGES
-    };
-    let num = |doc: &JsonValue, key: &str| match doc.get(key).and_then(|v| v.as_f64()) {
-        Some(v) => v,
-        // Pre-sharding bench documents carry no "shards" key; every such
-        // run was serial, so a missing key means the serial path (0).
-        None if key == "shards" => 0.0,
-        None => f64::NAN,
-    };
-    for &key in comparability {
-        if num(&b, key) != num(&c, key) {
-            return Err(format!(
-                "runs are not comparable: {key:?} differs (baseline {}, candidate {})",
-                num(&b, key),
-                num(&c, key)
-            ));
-        }
-    }
-    let mut failures: Vec<String> = Vec::new();
-    for &key in exact {
-        if num(&b, key) != num(&c, key) {
-            failures.push(format!(
-                "{key} drifted: baseline {}, candidate {}",
-                num(&b, key),
-                num(&c, key)
-            ));
-        }
-    }
-    let b_stages = b.get("stages").ok_or("baseline: missing \"stages\"")?;
-    let c_stages = c.get("stages").ok_or("candidate: missing \"stages\"")?;
-    let mut total_wall = 0.0f64;
-    for &name in mandatory {
-        let stage = b_stages
-            .get(name)
-            .ok_or_else(|| format!("baseline: missing stage {name:?}"))?;
-        total_wall += stat_fields(stage, name)?.0;
-    }
-    let mut report = format!(
-        "{:<16} {:>12} {:>12} {:>7}  wall check\n",
-        "stage", "base_us", "cand_us", "ratio"
-    );
-    for &name in mandatory {
-        let bst = b_stages
-            .get(name)
-            .ok_or_else(|| format!("baseline: missing stage {name:?}"))?;
-        let cst = c_stages
-            .get(name)
-            .ok_or_else(|| format!("candidate: missing stage {name:?}"))?;
-        let (bw, be, bb) = stat_fields(bst, name)?;
-        let (cw, ce, cb) = stat_fields(cst, name)?;
-        if (be, bb) != (ce, cb) {
-            failures.push(format!(
-                "stage {name}: events/bytes drifted (baseline {be}/{bb}, candidate {ce}/{cb})"
-            ));
-        }
-        let share = if total_wall > 0.0 { bw / total_wall } else { 0.0 };
-        let ratio = if bw > 0.0 { cw / bw } else { f64::NAN };
-        let verdict = if !check_wall {
-            "waived"
-        } else if share < WALL_SHARE_FLOOR {
-            "below share floor"
-        } else if ratio <= 1.0 + wall_tolerance {
-            "ok"
-        } else {
-            failures.push(format!(
-                "stage {name}: wall regressed {ratio:.2}x \
-                 (baseline {bw:.0}us, candidate {cw:.0}us, tolerance +{:.0}%)",
-                wall_tolerance * 100.0
-            ));
-            "REGRESSED"
+/// Compare one object of each document key by key, as each key's role
+/// says. A parameter mismatch ends the comparison; every other difference
+/// accumulates in `failures`.
+fn compare_keys(
+    keys: &[Key], (b, c): (&JsonValue, &JsonValue), ctx: &str,
+    skip_wall: Option<&'static str>, failures: &mut Vec<String>,
+) -> Res {
+    for key in keys {
+        let name = key.name;
+        let (bv, cv) = (show(key, b), show(key, c));
+        let (bn, cn) = (num(b, name), num(c, name));
+        let drifted = match key.role {
+            Info => false,
+            Param if bv != cv => bail!(
+                "runs are not comparable: {ctx}{name:?} differs (baseline {bv}, candidate {cv})"
+            ),
+            Param => false,
+            Exact => bv != cv,
+            // NaN (a missing field slipping past validation) must fail too.
+            Rate(tolerance) => (bn - cn).abs() > tolerance || (bn - cn).is_nan(),
+            Wall => {
+                if wall_verdict(skip_wall, bn, cn) == "REGRESSED" {
+                    let (ratio, pct) = (cn / bn, WALL_TOLERANCE * 100.0);
+                    failures.push(format!(
+                        "{ctx}{name} regressed {ratio:.2}x (baseline {bn:.0}, candidate {cn:.0}, tolerance +{pct:.0}%)"
+                    ));
+                }
+                false
+            }
         };
-        report.push_str(&format!(
-            "{name:<16} {bw:>12.1} {cw:>12.1} {ratio:>6.2}x  {verdict}\n"
-        ));
+        if drifted {
+            failures.push(format!("{ctx}{name} drifted (baseline {bv}, candidate {cv})"));
+        }
     }
-    if failures.is_empty() {
-        Ok(report)
-    } else {
-        Err(failures.join("\n"))
+    Ok(())
+}
+
+/// Compare a candidate bench document against a committed baseline of the
+/// same schema, key by key as the schema row's roles say. Two halves:
+///
+/// * **Determinism** — the runs must agree on every run parameter and on
+///   the roster of entries (otherwise the comparison is meaningless and
+///   this errors out), and every exact key — top-level, per entry, and the
+///   `events`/`bytes` of every mandatory stage — must match the baseline
+///   *exactly* (rate keys within their tolerance). Any drift means the
+///   pipeline's outputs changed, which a perf change must never do.
+/// * **Performance** — one-sided: a stage holding at least
+///   [`WALL_SHARE_FLOOR`] of the summed mandatory-stage wall may not exceed
+///   its baseline wall by more than [`WALL_TOLERANCE`]; scaling documents
+///   instead gate the candidate's own 4-shard speedup. `check_wall = false`
+///   (`ENT_BENCH_WAIVER=1` in `scripts/check.sh`) skips this half on noisy
+///   hardware while keeping the determinism half.
+///
+/// Returns a human-readable comparison table, or a newline-separated list
+/// of every unacceptable difference.
+pub fn compare_bench_json(baseline: &str, candidate: &str, check_wall: bool) -> Res<String> {
+    let side = |which: &str, text: &str| {
+        validated(text).map_err(|e| BenchJsonError::new(format!("{which}: {e}")))
+    };
+    let ((b, schema, _), (c, c_schema, _)) = (side("baseline", baseline)?, side("candidate", candidate)?);
+    if schema.tag != c_schema.tag {
+        let (bt, ct) = (schema.tag, c_schema.tag);
+        bail!("runs are not comparable: schema differs (baseline {bt:?}, candidate {ct:?})");
     }
+    let waived = (!check_wall).then_some("waived");
+    let mut failures: Vec<String> = Vec::new();
+    let mut report = String::new();
+    compare_keys(schema.top, (&b, &c), "", waived, &mut failures)?;
+    if let Some(bit) = schema.stages {
+        let wall = |stat: &JsonValue| num(stat, STAT_KEYS[0].name);
+        let total_wall: f64 = mandatory_stages(&b, bit).map(|(_, stat)| wall(stat)).sum();
+        report += &format!("{:<16} {:>12} {:>12} {:>7}  wall check\n", "stage", "base_us", "cand_us", "ratio");
+        for ((name, bst), (_, cst)) in mandatory_stages(&b, bit).zip(mandatory_stages(&c, bit)) {
+            let (bw, cw) = (wall(bst), wall(cst));
+            let skip = waived.or((bw / total_wall < WALL_SHARE_FLOOR).then_some("below share floor"));
+            compare_keys(&STAT_KEYS, (bst, cst), &format!("stage {name}: "), skip, &mut failures)?;
+            let verdict = wall_verdict(skip, bw, cw);
+            report += &format!("{name:<16} {bw:>12.1} {cw:>12.1} {:>6.2}x  {verdict}\n", cw / bw);
+        }
+    }
+    let (be, ce) = (entries_of(&b, schema)?, entries_of(&c, schema)?);
+    if let Some(e) = &schema.entries {
+        let ids = |list: &[JsonValue]| list.iter().map(|x| entry_id(e, x)).collect::<Vec<_>>();
+        if ids(be) != ids(ce) {
+            bail!("runs are not comparable: {} differ", e.roster);
+        }
+        for (bent, cent) in be.iter().zip(ce) {
+            let (id, before) = (entry_id(e, bent), failures.len());
+            compare_keys(e.keys, (bent, cent), &format!("{id}: "), waived, &mut failures)?;
+            let verdict = if failures.len() == before { "ok" } else { "DRIFTED" };
+            report += &format!("{id:<16} {verdict}\n");
+        }
+    }
+    match schema.gate.map(|gate| gate(&c, ce, check_wall)) {
+        Some(Ok(lines)) => report += &lines,
+        Some(Err(failure)) => failures.push(failure),
+        None => {}
+    }
+    if failures.is_empty() { Ok(report) } else { Err(failures.join("\n").into()) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Val::{F, S, U};
 
     fn nonzero_metrics() -> PipelineMetrics {
         let mut m = PipelineMetrics {
@@ -1840,18 +1258,22 @@ mod tests {
             traces: 1,
             ..Default::default()
         };
-        m.generate.add(1_000, 10, 100);
-        m.gen_synth.add(600, 12, 120);
-        m.gen_sort.add(100, 10, 0);
-        m.gen_tap.add(200, 10, 90);
-        m.frame_parse.add(2_000, 10, 90);
-        m.flow_ingest.add(3_000, 10, 100);
-        m.tcp_deliver.add(500, 4, 40);
-        m.udp_deliver.add(400, 3, 30);
-        m.finalize.add(600, 2, 20);
-        m.scanner_removal.add(100, 2, 0);
-        m.analyzers.http.add(200, 2, 20);
+        m.stages[Stage::Generate].add(1_000, 10, 100);
+        m.stages[Stage::GenSynth].add(600, 12, 120);
+        m.stages[Stage::GenSort].add(100, 10, 0);
+        m.stages[Stage::GenTap].add(200, 10, 90);
+        m.stages[Stage::FrameParse].add(2_000, 10, 90);
+        m.stages[Stage::FlowIngest].add(3_000, 10, 100);
+        m.stages[Stage::TcpDeliver].add(500, 4, 40);
+        m.stages[Stage::UdpDeliver].add(400, 3, 30);
+        m.stages[Stage::Finalize].add(600, 2, 20);
+        m.stages[Stage::ScannerRemoval].add(100, 2, 0);
+        m.analyzers[AnalyzerKind::Http].add(200, 2, 20);
         m
+    }
+
+    fn mandatory_in(bit: u8) -> usize {
+        Stage::ALL.iter().filter(|s| s.mandatory_in() & bit != 0).count()
     }
 
     #[test]
@@ -1859,11 +1281,11 @@ mod tests {
         let mut a = nonzero_metrics();
         let mut b = nonzero_metrics();
         b.peak_open_conns = 3;
-        b.flow_ingest.add(1_000, 5, 50);
+        b.stages[Stage::FlowIngest].add(1_000, 5, 50);
         a.absorb(&b);
         assert_eq!(a.traces, 2);
-        assert_eq!(a.flow_ingest.events, 25);
-        assert_eq!(a.flow_ingest.bytes, 250);
+        assert_eq!(a.stages[Stage::FlowIngest].events, 25);
+        assert_eq!(a.stages[Stage::FlowIngest].bytes, 250);
         assert_eq!(a.peak_open_conns, 5); // max, not sum
         assert_eq!(a.trace_wall_ns, 14_000);
     }
@@ -1872,33 +1294,69 @@ mod tests {
     fn signature_ignores_wall_time() {
         let mut a = nonzero_metrics();
         let mut b = nonzero_metrics();
-        b.flow_ingest.wall_ns += 999_999;
+        b.stages[Stage::FlowIngest].wall_ns += 999_999;
         b.trace_wall_ns += 123;
         assert_eq!(a.events_signature(), b.events_signature());
-        a.flow_ingest.events += 1;
+        a.stages[Stage::FlowIngest].events += 1;
         assert_ne!(a.events_signature(), b.events_signature());
+    }
+
+    /// A document under construction: what a caller hands [`bench_json`].
+    #[derive(Clone)]
+    struct Doc {
+        schema: &'static Schema,
+        top: Vec<(&'static str, Val)>,
+        metrics: Option<PipelineMetrics>,
+        entries: Vec<Vec<(&'static str, Val)>>,
+    }
+
+    fn set(row: &mut [(&'static str, Val)], key: &str, v: Val) {
+        row.iter_mut().find(|(k, _)| *k == key).expect("key in fixture row").1 = v;
+    }
+
+    impl Doc {
+        fn text(&self) -> String {
+            bench_json(self.schema, &self.top, self.metrics.as_ref(), &self.entries).expect("emit")
+        }
+
+        fn with(mut self, key: &str, v: Val) -> Doc {
+            set(&mut self.top, key, v);
+            self
+        }
+
+        fn with_entry(mut self, i: usize, key: &str, v: Val) -> Doc {
+            set(&mut self.entries[i], key, v);
+            self
+        }
+    }
+
+    fn pipeline(scale: f64, seed: u64, threads: u64, study_wall_ns: u64, m: &PipelineMetrics) -> Doc {
+        Doc {
+            schema: &PIPELINE,
+            top: vec![
+                ("scale", F(scale)), ("seed", U(seed)), ("threads", U(threads)), ("shards", U(0)),
+                ("study_wall_us", F(study_wall_ns as f64 / 1e3)),
+            ],
+            metrics: Some(*m),
+            entries: vec![vec![
+                ("name", S("D0".into())), ("traces", U(2)), ("wall_us", F(3_000_000.0 / 1e3)),
+                ("packets", U(20)), ("bytes", U(2_000)),
+            ]],
+        }
     }
 
     #[test]
     fn bench_json_roundtrips_and_validates() {
-        let ctx = BenchContext {
-            scale: 0.002,
-            seed: 7,
-            threads: 4,
-            shards: 0,
-            study_wall_ns: 5_000_000,
-            datasets: vec![("D0".into(), 2, 3_000_000, 20, 2_000)],
-        };
-        let text = bench_json(&ctx, &nonzero_metrics());
+        let text = pipeline(0.002, 7, 4, 5_000_000, &nonzero_metrics()).text();
         let summary = validate_bench_json(&text).expect("valid");
         assert_eq!(summary.packets, 10);
         assert_eq!(summary.traces, 1);
-        assert_eq!(summary.stages.len(), MANDATORY_STAGES.len());
+        assert_eq!(summary.stages.len(), mandatory_in(STUDY_DOC));
         // The parsed document agrees with the emitter field-for-field.
         let doc = json_parse(&text).expect("parse");
         assert_eq!(
             doc.get("schema").and_then(|v| v.as_str()),
-            Some(BENCH_SCHEMA)
+            Some(PIPELINE.tag)
         );
         assert_eq!(
             doc.get("stages")
@@ -1911,16 +1369,9 @@ mod tests {
 
     #[test]
     fn wall_and_rate_keys_agree_with_their_sources() {
-        let ctx = BenchContext {
-            scale: 0.002,
-            seed: 7,
-            threads: 4,
-            shards: 0,
-            study_wall_ns: 5_000_000,
-            datasets: vec![("D0".into(), 2, 3_000_000, 20, 2_000)],
-        };
+        let study_wall_ns = 5_000_000u64;
         let m = nonzero_metrics();
-        let doc = json_parse(&bench_json(&ctx, &m)).expect("parse");
+        let doc = json_parse(&pipeline(0.002, 7, 4, study_wall_ns, &m).text()).expect("parse");
         let num = |key: &str| {
             doc.get(key)
                 .and_then(|v| v.as_f64())
@@ -1928,7 +1379,7 @@ mod tests {
         };
         // "study_wall_us" is the study's elapsed wall; "worker_wall_us"
         // the summed per-trace worker wall — emitted in microseconds.
-        assert!((num("study_wall_us") - ctx.study_wall_ns as f64 / 1e3).abs() < 1e-6);
+        assert!((num("study_wall_us") - study_wall_ns as f64 / 1e3).abs() < 1e-6);
         assert!((num("worker_wall_us") - m.trace_wall_ns as f64 / 1e3).abs() < 1e-6);
         // "packets_per_sec" / "bytes_per_sec" are throughput over worker
         // wall time, consistent with the emitted packet and byte totals.
@@ -1939,21 +1390,15 @@ mod tests {
 
     #[test]
     fn validation_rejects_zeroed_mandatory_stage() {
-        let ctx = BenchContext {
-            scale: 0.002,
-            seed: 7,
-            threads: 1,
-            shards: 0,
-            study_wall_ns: 1_000,
-            datasets: Vec::new(),
-        };
         let mut m = nonzero_metrics();
-        m.udp_deliver = StageStat::default();
-        let text = bench_json(&ctx, &m);
+        m.stages[Stage::UdpDeliver] = StageStat::default();
+        let mut doc = pipeline(0.002, 7, 1, 1_000, &m);
+        doc.entries.clear();
+        let text = doc.text();
         let err = validate_bench_json(&text).expect_err("zero stage must fail");
         assert!(err.message().contains("udp_deliver"), "{err}");
         // Wrong schema string also fails.
-        let bad = text.replace(BENCH_SCHEMA, "something-else/9");
+        let bad = text.replace(PIPELINE.tag, "something-else/9");
         assert!(validate_bench_json(&bad)
             .expect_err("schema mismatch")
             .message()
@@ -1961,34 +1406,26 @@ mod tests {
     }
 
     fn bench_doc(m: &PipelineMetrics) -> String {
-        let ctx = BenchContext {
-            scale: 0.01,
-            seed: 2005,
-            threads: 1,
-            shards: 0,
-            study_wall_ns: 9_000_000,
-            datasets: vec![("D0".into(), 2, 3_000_000, 20, 2_000)],
-        };
-        bench_json(&ctx, m)
+        pipeline(0.01, 2005, 1, 9_000_000, m).text()
     }
 
     #[test]
     fn compare_accepts_identical_and_faster_runs() {
         let base = bench_doc(&nonzero_metrics());
-        let report = compare_bench_json(&base, &base, 0.25, true).expect("identical run passes");
+        let report = compare_bench_json(&base, &base, true).expect("identical run passes");
         assert!(report.contains("flow_ingest"), "{report}");
         // Faster is always fine (one-sided check).
         let mut fast = nonzero_metrics();
-        fast.flow_ingest.wall_ns /= 2;
-        compare_bench_json(&base, &bench_doc(&fast), 0.25, true).expect("faster run passes");
+        fast.stages[Stage::FlowIngest].wall_ns /= 2;
+        compare_bench_json(&base, &bench_doc(&fast), true).expect("faster run passes");
     }
 
     #[test]
     fn compare_rejects_event_drift_even_with_waiver() {
         let base = bench_doc(&nonzero_metrics());
         let mut drifted = nonzero_metrics();
-        drifted.tcp_deliver.events += 1;
-        let err = compare_bench_json(&base, &bench_doc(&drifted), 0.25, false)
+        drifted.stages[Stage::TcpDeliver].events += 1;
+        let err = compare_bench_json(&base, &bench_doc(&drifted), false)
             .expect_err("event drift must fail even when wall is waived");
         assert!(err.message().contains("tcp_deliver"), "{err}");
         assert!(err.message().contains("drifted"), "{err}");
@@ -1999,16 +1436,16 @@ mod tests {
         let base = bench_doc(&nonzero_metrics());
         // A big stage regressing past tolerance fails...
         let mut slow = nonzero_metrics();
-        slow.flow_ingest.wall_ns *= 2;
-        let err = compare_bench_json(&base, &bench_doc(&slow), 0.25, true)
+        slow.stages[Stage::FlowIngest].wall_ns *= 2;
+        let err = compare_bench_json(&base, &bench_doc(&slow), true)
             .expect_err("2x regression on a dominant stage must fail");
         assert!(err.message().contains("flow_ingest") && err.message().contains("regressed"), "{err}");
         // ...unless the waiver is on (determinism half still enforced).
-        compare_bench_json(&base, &bench_doc(&slow), 0.25, false).expect("waiver skips wall");
+        compare_bench_json(&base, &bench_doc(&slow), false).expect("waiver skips wall");
         // A stage below the share floor may regress wildly without failing.
         let mut noisy = nonzero_metrics();
-        noisy.scanner_removal.wall_ns *= 20;
-        let report = compare_bench_json(&base, &bench_doc(&noisy), 0.25, true)
+        noisy.stages[Stage::ScannerRemoval].wall_ns *= 20;
+        let report = compare_bench_json(&base, &bench_doc(&noisy), true)
             .expect("sub-floor stage noise is not a failure");
         assert!(report.contains("below share floor"), "{report}");
     }
@@ -2017,76 +1454,65 @@ mod tests {
     fn compare_refuses_mismatched_run_parameters() {
         let base = bench_doc(&nonzero_metrics());
         let other = base.replace("\"seed\": 2005", "\"seed\": 7");
-        let err = compare_bench_json(&base, &other, 0.25, true).expect_err("seed mismatch");
+        let err = compare_bench_json(&base, &other, true).expect_err("seed mismatch");
         assert!(err.message().contains("not comparable"), "{err}");
-    }
-
-    fn monitor_doc(m: &PipelineMetrics, ctx: &MonitorBenchContext) -> String {
-        monitor_bench_json(ctx, m)
     }
 
     fn monitor_metrics() -> PipelineMetrics {
         let mut m = nonzero_metrics();
-        m.epoch_rotate.add(300, 4, 6);
-        m.checkpoint.add(900, 3, 0);
-        m.backpressure.add(50, 2, 0);
+        m.stages[Stage::EpochRotate].add(300, 4, 6);
+        m.stages[Stage::Checkpoint].add(900, 3, 0);
+        m.stages[Stage::Backpressure].add(50, 2, 0);
         m
     }
 
-    fn monitor_ctx() -> MonitorBenchContext {
-        MonitorBenchContext {
-            epoch_secs: 300,
-            max_conns: 4_096,
-            max_pending: 8,
-            epochs: 4,
-            checkpoints: 3,
-            evicted_conns: 1,
-            pending_dropped: 1,
-            checkpoint_recoveries: 0,
+    fn monitor(m: &PipelineMetrics) -> Doc {
+        Doc {
+            schema: &MONITOR,
+            top: vec![
+                ("epoch_secs", U(300)), ("max_conns", U(4_096)), ("max_pending", U(8)), ("epochs", U(4)),
+                ("evicted_conns", U(1)), ("pending_dropped", U(1)), ("checkpoint_recoveries", U(0)),
+            ],
+            metrics: Some(*m),
+            entries: Vec::new(),
         }
     }
 
     #[test]
     fn monitor_bench_json_roundtrips_and_validates() {
-        let text = monitor_doc(&monitor_metrics(), &monitor_ctx());
+        let text = monitor(&monitor_metrics()).text();
         let summary = validate_bench_json(&text).expect("valid monitor doc");
         assert_eq!(summary.packets, 10);
         assert_eq!(summary.traces, 4); // epochs echo through the traces slot
-        assert_eq!(summary.stages.len(), MONITOR_MANDATORY_STAGES.len());
+        assert_eq!(summary.stages.len(), mandatory_in(MONITOR_DOC));
         // A monitor run without checkpoints fails the rot check.
         let mut no_ckpt = monitor_metrics();
-        no_ckpt.checkpoint = StageStat::default();
-        let err = validate_bench_json(&monitor_doc(&no_ckpt, &monitor_ctx()))
-            .expect_err("zero checkpoint stage");
+        no_ckpt.stages[Stage::Checkpoint] = StageStat::default();
+        let err = validate_bench_json(&monitor(&no_ckpt).text()).expect_err("zero checkpoint stage");
         assert!(err.message().contains("checkpoint"), "{err}");
     }
 
     #[test]
     fn monitor_compare_gates_state_budgets_and_degradation_counters() {
-        let base = monitor_doc(&monitor_metrics(), &monitor_ctx());
-        compare_bench_json(&base, &base, 0.25, true).expect("identical monitor runs pass");
+        let base = monitor(&monitor_metrics()).text();
+        compare_bench_json(&base, &base, true).expect("identical monitor runs pass");
         // A leak shows up as peak_open_conns drift — hard failure.
         let mut leaky = monitor_metrics();
         leaky.peak_open_conns += 100;
-        let err = compare_bench_json(&base, &monitor_doc(&leaky, &monitor_ctx()), 0.25, false)
+        let err = compare_bench_json(&base, &monitor(&leaky).text(), false)
             .expect_err("peak drift must fail even with wall waived");
         assert!(err.message().contains("peak_open_conns"), "{err}");
         // Unaccounted drops drift the degradation counters — hard failure.
-        let mut dropping = monitor_ctx();
-        dropping.pending_dropped += 5;
-        let err = compare_bench_json(&base, &monitor_doc(&monitor_metrics(), &dropping), 0.25, true)
-            .expect_err("pending_dropped drift");
+        let dropping = monitor(&monitor_metrics()).with("pending_dropped", U(6));
+        let err = compare_bench_json(&base, &dropping.text(), true).expect_err("pending_dropped drift");
         assert!(err.message().contains("pending_dropped"), "{err}");
         // Different budgets are not comparable at all.
-        let mut other_budget = monitor_ctx();
-        other_budget.max_conns = 64;
-        let err =
-            compare_bench_json(&base, &monitor_doc(&monitor_metrics(), &other_budget), 0.25, true)
-                .expect_err("budget mismatch");
+        let other_budget = monitor(&monitor_metrics()).with("max_conns", U(64));
+        let err = compare_bench_json(&base, &other_budget.text(), true).expect_err("budget mismatch");
         assert!(err.message().contains("not comparable"), "{err}");
         // And a monitor doc never compares against a pipeline doc.
         let pipeline = bench_doc(&nonzero_metrics());
-        let err = compare_bench_json(&pipeline, &base, 0.25, true).expect_err("schema mix");
+        let err = compare_bench_json(&pipeline, &base, true).expect_err("schema mix");
         assert!(err.message().contains("schema differs"), "{err}");
     }
 
@@ -2130,41 +1556,44 @@ mod tests {
         assert_eq!(a.events_signature(), b.events_signature());
         assert_eq!(a.events_signature_hash(), b.events_signature_hash());
         // ...while any real counter drift must move the hash.
-        b.analyzers.http.events += 1;
+        b.analyzers[AnalyzerKind::Http].events += 1;
         assert_ne!(a.events_signature_hash(), b.events_signature_hash());
     }
 
-    fn scaling_ctx() -> ScalingContext {
-        let entry = |shards: usize, wall: u64| ScalingEntry {
-            shards,
-            ingest_wall_ns: wall,
-            frame_parse_wall_ns: wall / 3,
-            flow_ingest_wall_ns: wall / 2,
-            packets: 1_000,
-            traces: 10,
-            peak_open_conns: if shards <= 1 { 40 } else { 40 + shards as u64 },
-            signature_hash: 0xABCD_EF01_2345_6789,
-        };
-        ScalingContext {
-            scale: 0.01,
-            seed: 2005,
-            threads: 1,
-            cores: 8,
-            floor: 1.6,
-            entries: vec![
-                entry(0, 900_000),
-                entry(1, 1_000_000),
-                entry(2, 600_000),
-                entry(4, 400_000),
-                entry(8, 350_000),
-            ],
+    const SIGNATURE: u64 = 0xABCD_EF01_2345_6789;
+    const SCALING_WALLS_NS: [(u64, u64); 5] =
+        [(0, 900_000), (1, 1_000_000), (2, 600_000), (4, 400_000), (8, 350_000)];
+
+    fn signature(hash: u64) -> Val {
+        S(format!("{hash:016x}"))
+    }
+
+    fn scaling() -> Doc {
+        let us = |ns: u64| F(ns as f64 / 1e3);
+        Doc {
+            schema: &SCALING,
+            top: vec![("scale", F(0.01)), ("seed", U(2005)), ("threads", U(1)), ("cores", U(8)), ("floor", F(1.6))],
+            metrics: None,
+            entries: SCALING_WALLS_NS
+                .iter()
+                .map(|&(shards, wall)| {
+                    vec![
+                        ("shards", U(shards)),
+                        ("ingest_wall_us", us(wall)),
+                        ("frame_parse_wall_us", us(wall / 3)),
+                        ("flow_ingest_wall_us", us(wall / 2)),
+                        ("packets", U(1_000)), ("traces", U(10)),
+                        ("peak_open_conns", U(if shards <= 1 { 40 } else { 40 + shards })),
+                        ("signature", signature(SIGNATURE)),
+                    ]
+                })
+                .collect(),
         }
     }
 
     #[test]
     fn scaling_json_roundtrips_and_gates_determinism() {
-        let ctx = scaling_ctx();
-        let text = scaling_bench_json(&ctx);
+        let text = scaling().text();
         let summary = validate_bench_json(&text).expect("valid scaling doc");
         assert_eq!(summary.packets, 1_000);
         assert_eq!(summary.traces, 10);
@@ -2175,107 +1604,86 @@ mod tests {
         let Some(JsonValue::Array(entries)) = doc.get("entries") else {
             panic!("entries array missing");
         };
-        for (src, out) in ctx.entries.iter().zip(entries) {
+        for (&(_, wall_ns), out) in SCALING_WALLS_NS.iter().zip(entries) {
             let us = |key: &str| out.get(key).and_then(JsonValue::as_f64).expect("wall key");
-            assert!((us("ingest_wall_us") - src.ingest_wall_ns as f64 / 1_000.0).abs() < 1e-6);
-            assert!(
-                (us("frame_parse_wall_us") - src.frame_parse_wall_ns as f64 / 1_000.0).abs() < 1e-6
-            );
-            assert!(
-                (us("flow_ingest_wall_us") - src.flow_ingest_wall_ns as f64 / 1_000.0).abs() < 1e-6
-            );
+            assert!((us("ingest_wall_us") - wall_ns as f64 / 1_000.0).abs() < 1e-6);
+            assert!((us("frame_parse_wall_us") - (wall_ns / 3) as f64 / 1_000.0).abs() < 1e-6);
+            assert!((us("flow_ingest_wall_us") - (wall_ns / 2) as f64 / 1_000.0).abs() < 1e-6);
         }
         // A signature differing between entries is a determinism failure.
-        let mut bad = scaling_ctx();
-        bad.entries[2].signature_hash ^= 1;
-        let err = validate_bench_json(&scaling_bench_json(&bad)).expect_err("sig drift");
+        let bad = scaling().with_entry(2, "signature", signature(SIGNATURE ^ 1));
+        let err = validate_bench_json(&bad.text()).expect_err("sig drift");
         assert!(err.message().contains("determinism violation"), "{err}");
         // So is a packet-count mismatch between shard counts.
-        let mut bad = scaling_ctx();
-        bad.entries[3].packets += 1;
-        let err = validate_bench_json(&scaling_bench_json(&bad)).expect_err("packet drift");
+        let bad = scaling().with_entry(3, "packets", U(1_001));
+        let err = validate_bench_json(&bad.text()).expect_err("packet drift");
         assert!(err.message().contains("determinism violation"), "{err}");
         // Duplicate shard counts are rejected.
-        let mut bad = scaling_ctx();
-        bad.entries[4].shards = 4;
-        let err = validate_bench_json(&scaling_bench_json(&bad)).expect_err("dup shards");
+        let bad = scaling().with_entry(4, "shards", U(4));
+        let err = validate_bench_json(&bad.text()).expect_err("dup shards");
         assert!(err.message().contains("duplicate"), "{err}");
     }
 
     #[test]
     fn scaling_compare_enforces_floor_on_capable_machines_only() {
-        let base = scaling_bench_json(&scaling_ctx());
-        let report = compare_bench_json(&base, &base, 0.25, true).expect("identical passes");
+        let base = scaling().text();
+        let report = compare_bench_json(&base, &base, true).expect("identical passes");
         assert!(report.contains("4-shard speedup 2.50x"), "{report}");
         // Candidate misses the floor on an 8-core machine: hard failure.
-        let mut slow = scaling_ctx();
-        slow.entries[3].ingest_wall_ns = 900_000; // 1.11x over 1-shard
-        let err = compare_bench_json(&base, &scaling_bench_json(&slow), 0.25, true)
+        let slow = scaling().with_entry(3, "ingest_wall_us", F(900.0)); // 1.11x over 1-shard
+        let err = compare_bench_json(&base, &slow.text(), true)
             .expect_err("floor miss on capable machine");
         assert!(err.message().contains("scaling floor missed"), "{err}");
         // The identical miss on a single-core machine only gates
         // determinism — walls are meaningless there.
-        let mut single = slow.clone();
-        single.cores = 1;
-        let report = compare_bench_json(&base, &scaling_bench_json(&single), 0.25, true)
+        let single = slow.clone().with("cores", U(1));
+        let report = compare_bench_json(&base, &single.text(), true)
             .expect("single-core machine waives the floor");
         assert!(report.contains("determinism only"), "{report}");
         // The explicit waiver flag does the same on any machine.
-        compare_bench_json(&base, &scaling_bench_json(&slow), 0.25, false)
-            .expect("ENT_BENCH_WAIVER skips the floor");
+        compare_bench_json(&base, &slow.text(), false).expect("ENT_BENCH_WAIVER skips the floor");
         // Cross-document signature drift fails even with the waiver.
-        let mut drift = scaling_ctx();
+        let mut drift = scaling();
         for e in &mut drift.entries {
-            e.signature_hash ^= 0xFF;
+            set(e, "signature", signature(SIGNATURE ^ 0xFF));
         }
-        let err = compare_bench_json(&base, &scaling_bench_json(&drift), 0.25, false)
-            .expect_err("signature drift");
+        let err = compare_bench_json(&base, &drift.text(), false).expect_err("signature drift");
         assert!(err.message().contains("signature drifted"), "{err}");
         // Per-entry peak drift is a hard failure too.
-        let mut peaky = scaling_ctx();
-        peaky.entries[4].peak_open_conns += 1;
-        let err = compare_bench_json(&base, &scaling_bench_json(&peaky), 0.25, false)
-            .expect_err("peak drift");
+        let peaky = scaling().with_entry(4, "peak_open_conns", U(49));
+        let err = compare_bench_json(&base, &peaky.text(), false).expect_err("peak drift");
         assert!(err.message().contains("peak_open_conns"), "{err}");
         // Different shard lists are not comparable at all.
-        let mut fewer = scaling_ctx();
+        let mut fewer = scaling();
         fewer.entries.pop();
-        let err = compare_bench_json(&base, &scaling_bench_json(&fewer), 0.25, true)
-            .expect_err("shard list mismatch");
+        let err = compare_bench_json(&base, &fewer.text(), true).expect_err("shard list mismatch");
         assert!(err.message().contains("shard-count lists"), "{err}");
     }
 
-    fn packs_ctx() -> PacksBenchContext {
+    fn packs() -> Doc {
         let entry = |name: &str, scan_sources: u64, tp: u64, fp: u64, fnn: u64, nt: f64, t: f64| {
             let (precision, recall) = (
                 if tp + fp == 0 { 1.0 } else { tp as f64 / (tp + fp) as f64 },
                 if tp + fnn == 0 { 1.0 } else { tp as f64 / (tp + fnn) as f64 },
             );
-            PackBenchEntry {
-                name: name.into(),
-                traces: 2,
-                packets: 5_000,
-                attack_packets: if scan_sources > 0 { 130 } else { 0 },
-                scan_sources,
-                flagged: tp + fp,
-                true_pos: tp,
-                false_pos: fp,
-                false_neg: fnn,
-                precision,
-                recall,
-                f1: 2.0 * precision * recall / (precision + recall),
-                entropy_nontemporal: nt,
-                entropy_temporal: t,
-            }
+            vec![
+                ("name", S(name.into())), ("traces", U(2)), ("packets", U(5_000)),
+                ("attack_packets", U(if scan_sources > 0 { 130 } else { 0 })),
+                ("scan_sources", U(scan_sources)),
+                ("flagged", U(tp + fp)), ("true_pos", U(tp)), ("false_pos", U(fp)), ("false_neg", U(fnn)),
+                ("precision", F(precision)), ("recall", F(recall)),
+                ("f1", F(2.0 * precision * recall / (precision + recall))),
+                ("entropy_nontemporal", F(nt)), ("entropy_temporal", F(t)),
+            ]
         };
-        PacksBenchContext {
-            scale: 0.01,
-            seed: 2005,
-            threads: 1,
-            shards: 0,
-            precision_floor: 0.9,
-            recall_floor: 0.9,
-            packs: vec![
+        Doc {
+            schema: &PACKS,
+            top: vec![
+                ("scale", F(0.01)), ("seed", U(2005)), ("threads", U(1)), ("shards", U(0)),
+                ("precision_floor", F(0.9)), ("recall_floor", F(0.9)),
+            ],
+            metrics: None,
+            entries: vec![
                 entry("base", 4, 8, 0, 0, 9.1, 3.2),
                 entry("sweep", 6, 12, 0, 1, 9.4, 3.5),
                 entry("synflood", 4, 8, 0, 0, 9.2, 3.1),
@@ -2285,8 +1693,7 @@ mod tests {
 
     #[test]
     fn packs_json_roundtrips_and_gates_scoring() {
-        let ctx = packs_ctx();
-        let text = packs_bench_json(&ctx);
+        let text = packs().text();
         let summary = validate_bench_json(&text).expect("valid packs doc");
         assert_eq!(summary.packets, 15_000);
         assert_eq!(summary.traces, 6);
@@ -2294,7 +1701,7 @@ mod tests {
         // Every emitted key parses back numerically (pins the key names
         // and the confusion-matrix/entropy field layout).
         let doc = json_parse(&text).expect("well-formed JSON");
-        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some(PACKS_SCHEMA));
+        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some(PACKS.tag));
         for key in ["scale", "seed", "threads", "shards", "precision_floor", "recall_floor"] {
             assert!(doc.get(key).and_then(JsonValue::as_f64).is_some(), "{key}");
         }
@@ -2324,81 +1731,67 @@ mod tests {
     #[test]
     fn packs_validation_enforces_floors_base_and_entropy_separation() {
         // Recall below the floor on a pack with labeled scan sources.
-        let mut low = packs_ctx();
-        low.packs[1].recall = 0.5;
-        let err = validate_bench_json(&packs_bench_json(&low)).expect_err("recall floor");
+        let low = packs().with_entry(1, "recall", F(0.5));
+        let err = validate_bench_json(&low.text()).expect_err("recall floor");
         assert!(err.message().contains("below floor"), "{err}");
         // Precision below the floor on a pack that flagged connections.
-        let mut fp = packs_ctx();
-        fp.packs[2].precision = 0.2;
-        let err = validate_bench_json(&packs_bench_json(&fp)).expect_err("precision floor");
+        let fp = packs().with_entry(2, "precision", F(0.2));
+        let err = validate_bench_json(&fp.text()).expect_err("precision floor");
         assert!(err.message().contains("flagging benign"), "{err}");
         // A pack whose entropy pair equals base injected nothing.
-        let mut flat = packs_ctx();
-        flat.packs[2].entropy_nontemporal = flat.packs[0].entropy_nontemporal;
-        flat.packs[2].entropy_temporal = flat.packs[0].entropy_temporal;
-        let err = validate_bench_json(&packs_bench_json(&flat)).expect_err("entropy overlap");
+        let flat = packs()
+            .with_entry(2, "entropy_nontemporal", F(9.1))
+            .with_entry(2, "entropy_temporal", F(3.2));
+        let err = validate_bench_json(&flat.text()).expect_err("entropy overlap");
         assert!(err.message().contains("indistinguishable"), "{err}");
         // No base entry, no anchor.
-        let mut unanchored = packs_ctx();
-        unanchored.packs.remove(0);
-        let err = validate_bench_json(&packs_bench_json(&unanchored)).expect_err("no base");
+        let mut unanchored = packs();
+        unanchored.entries.remove(0);
+        let err = validate_bench_json(&unanchored.text()).expect_err("no base");
         assert!(err.message().contains("\"base\""), "{err}");
         // Duplicate pack names are rejected.
-        let mut dup = packs_ctx();
-        dup.packs[2].name = "sweep".into();
-        dup.packs[2].entropy_nontemporal = 9.4;
-        dup.packs[2].entropy_temporal = 3.5;
-        let err = validate_bench_json(&packs_bench_json(&dup)).expect_err("dup names");
+        let dup = packs()
+            .with_entry(2, "name", S("sweep".into()))
+            .with_entry(2, "entropy_nontemporal", F(9.4))
+            .with_entry(2, "entropy_temporal", F(3.5));
+        let err = validate_bench_json(&dup.text()).expect_err("dup names");
         assert!(err.message().contains("duplicate"), "{err}");
         // Vacuous packs (nothing labeled, nothing flagged) pass floors.
-        let mut quiet = packs_ctx();
-        quiet.packs[2].scan_sources = 0;
-        quiet.packs[2].flagged = 0;
-        quiet.packs[2].true_pos = 0;
-        quiet.packs[2].false_pos = 0;
-        quiet.packs[2].false_neg = 0;
-        quiet.packs[2].precision = 0.0;
-        quiet.packs[2].recall = 0.0;
-        quiet.packs[2].f1 = 0.0;
-        validate_bench_json(&packs_bench_json(&quiet)).expect("vacuous pack passes");
+        let mut quiet = packs();
+        for key in ["scan_sources", "flagged", "true_pos", "false_pos", "false_neg"] {
+            set(&mut quiet.entries[2], key, U(0));
+        }
+        for key in ["precision", "recall", "f1"] {
+            set(&mut quiet.entries[2], key, F(0.0));
+        }
+        validate_bench_json(&quiet.text()).expect("vacuous pack passes");
     }
 
     #[test]
     fn packs_compare_gates_counts_exactly_and_rates_nearly() {
-        let base = packs_bench_json(&packs_ctx());
-        let report = compare_bench_json(&base, &base, 0.25, true).expect("identical passes");
+        let base = packs().text();
+        let report = compare_bench_json(&base, &base, true).expect("identical passes");
         assert!(report.contains("sweep"), "{report}");
         assert!(report.contains("ok"), "{report}");
         // A one-count confusion-matrix drift is a hard failure.
-        let mut drift = packs_ctx();
-        drift.packs[1].true_pos += 1;
-        drift.packs[1].false_neg -= 1;
-        let err = compare_bench_json(&base, &packs_bench_json(&drift), 0.25, true)
-            .expect_err("count drift");
+        let drift = packs().with_entry(1, "true_pos", U(13)).with_entry(1, "false_neg", U(0));
+        let err = compare_bench_json(&base, &drift.text(), true).expect_err("count drift");
         assert!(err.message().contains("true_pos drifted"), "{err}");
         // Entropy drift beyond the libm tolerance fails...
-        let mut edrift = packs_ctx();
-        edrift.packs[2].entropy_temporal += 1e-3;
-        let err = compare_bench_json(&base, &packs_bench_json(&edrift), 0.25, true)
-            .expect_err("entropy drift");
+        let edrift = packs().with_entry(2, "entropy_temporal", F(3.1 + 1e-3));
+        let err = compare_bench_json(&base, &edrift.text(), true).expect_err("entropy drift");
         assert!(err.message().contains("entropy_temporal drifted"), "{err}");
         // ...but a last-ulp wobble within the tolerance does not.
-        let mut wobble = packs_ctx();
-        wobble.packs[2].entropy_temporal += 1e-10;
-        compare_bench_json(&base, &packs_bench_json(&wobble), 0.25, true)
-            .expect("sub-tolerance wobble passes");
+        let wobble = packs().with_entry(2, "entropy_temporal", F(3.1 + 1e-10));
+        compare_bench_json(&base, &wobble.text(), true).expect("sub-tolerance wobble passes");
         // Different rosters are not comparable at all.
-        let mut fewer = packs_ctx();
-        fewer.packs.pop();
-        let err = compare_bench_json(&base, &packs_bench_json(&fewer), 0.25, true)
-            .expect_err("roster mismatch");
+        let mut fewer = packs();
+        fewer.entries.pop();
+        let err = compare_bench_json(&base, &fewer.text(), true).expect_err("roster mismatch");
         assert!(err.message().contains("rosters differ"), "{err}");
         // Different floors are a different gate configuration.
-        let mut floored = packs_ctx();
-        floored.recall_floor = 0.5;
-        let err = compare_bench_json(&base, &packs_bench_json(&floored), 0.25, true)
-            .expect_err("floor mismatch");
+        let floored = packs().with("recall_floor", F(0.5));
+        let err = compare_bench_json(&base, &floored.text(), true).expect_err("floor mismatch");
         assert!(err.message().contains("recall_floor"), "{err}");
     }
 
@@ -2409,10 +1802,90 @@ mod tests {
         // serial run, so it stays comparable to a shards=0 candidate.
         let legacy = base.replace("  \"shards\": 0,\n", "");
         assert!(!legacy.contains("\"shards\""));
-        compare_bench_json(&legacy, &base, 0.25, true).expect("legacy baseline comparable");
+        compare_bench_json(&legacy, &base, true).expect("legacy baseline comparable");
         // But a sharded candidate is a different configuration.
         let sharded = base.replace("\"shards\": 0", "\"shards\": 4");
-        let err = compare_bench_json(&base, &sharded, 0.25, true).expect_err("shard mismatch");
+        let err = compare_bench_json(&base, &sharded, true).expect_err("shard mismatch");
         assert!(err.message().contains("not comparable"), "{err}");
+    }
+
+    /// The four fixtures above, one per [`SCHEMAS`] row and in its order,
+    /// each with the document the parent commit's hand-written emitter
+    /// produced for it.
+    fn fixtures() -> [(Doc, &'static str); 4] {
+        [
+            (pipeline(0.01, 2005, 1, 9_000_000, &nonzero_metrics()), include_str!("../testdata/bench_pipeline.golden.json")),
+            (monitor(&monitor_metrics()), include_str!("../testdata/bench_monitor.golden.json")),
+            (scaling(), include_str!("../testdata/bench_scaling.golden.json")),
+            (packs(), include_str!("../testdata/bench_packs.golden.json")),
+        ]
+    }
+
+    #[test]
+    fn emitter_output_is_byte_identical_to_the_goldens() {
+        for ((doc, golden), schema) in fixtures().iter().zip(SCHEMAS) {
+            assert_eq!(doc.schema.tag, schema.tag, "one fixture per table row, in order");
+            assert_eq!(doc.text(), *golden, "{}", schema.tag);
+        }
+    }
+
+    /// Rewrite member `name` on the first line of `text` starting with
+    /// `line_start`: `edit` maps the member's name and value text to the
+    /// replacement member.
+    fn edit_member(text: &str, line_start: &str, name: &str, edit: impl Fn(&str, &str) -> String) -> String {
+        let line = text.lines().find(|l| l.starts_with(line_start)).expect("line to edit");
+        let start = line.find(&format!("\"{name}\": ")).expect("member on line");
+        let value_at = start + name.len() + 4;
+        let end = value_at + line[value_at..].find([',', '}']).unwrap_or(line.len() - value_at);
+        let edited = format!("{}{}{}", &line[..start], edit(name, &line[value_at..end]), &line[end..]);
+        text.replacen(line, &edited, 1)
+    }
+
+    #[test]
+    fn every_schema_row_emits_validates_and_compares() {
+        let renamed = |_: &str, value: &str| format!("\"gone\": {value}");
+        let bumped = |name: &str, value: &str| match value.parse::<f64>() {
+            Ok(n) => format!("\"{name}\": {}", n + 1.0),
+            Err(_) => format!("\"{name}\": \"x{}", &value[1..]),
+        };
+        let slowed = |name: &str, value: &str| format!("\"{name}\": {:.3}", value.parse::<f64>().expect("wall") * 1.3);
+        for (doc, _) in fixtures() {
+            let (tag, text) = (doc.schema.tag, doc.text());
+            validate_bench_json(&text).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            compare_bench_json(&text, &text, true).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            // Every place the row declares keys, with the start of the line
+            // that holds them.
+            let mut places: Vec<(&[Key], String)> = Vec::new();
+            for key in doc.schema.top {
+                places.push((std::slice::from_ref(key), format!("  \"{}\": ", key.name)));
+            }
+            if doc.schema.stages.is_some() {
+                places.push((&STAT_KEYS, "    \"flow_ingest\": ".into()));
+            }
+            if let Some(e) = &doc.schema.entries {
+                places.push((e.keys, "    {".into()));
+            }
+            for (key, line) in places.iter().flat_map(|(keys, line)| keys.iter().map(move |k| (k, line))) {
+                let name = key.name;
+                // Removing a declared key fails validation, naming it.
+                match (validate_bench_json(&edit_member(&text, line, name, renamed)), key.absent) {
+                    (Err(e), None) => assert!(e.message().contains(name), "{name}: {e}"),
+                    (Ok(_), Some(_)) => {}
+                    (other, _) => panic!("{tag}: without {name}: {other:?}"),
+                }
+                // Perturbing an exact key fails comparison, waiver or not.
+                if key.role == Exact {
+                    let drifted = edit_member(&text, line, name, bumped);
+                    compare_bench_json(&text, &drifted, false).expect_err(&format!("{tag}: {name} drift"));
+                }
+                // +30 % on a wall key fails only with walls enabled.
+                if key.role == Wall {
+                    let slow = edit_member(&text, line, name, slowed);
+                    let err = compare_bench_json(&text, &slow, true).expect_err(&format!("{tag}: {name} +30%"));
+                    assert!(err.message().contains("regressed"), "{err}");
+                    compare_bench_json(&text, &slow, false).unwrap_or_else(|e| panic!("{tag}: waived {name}: {e}"));
+                }
+            }
+        }
     }
 }

@@ -30,21 +30,16 @@
 //! uninterrupted run. A checkpoint that fails to load for any reason
 //! degrades to a counted cold start ([`IngestHealth::checkpoint_recoveries`]),
 //! never an error exit.
-//!
-//! The monitor always runs the pipeline's deterministic FxHash path; the
-//! batch escape hatch `use_std_hash` is ignored, since checkpoint resume
-//! equivalence is the whole point of the mode.
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError};
 use crate::error::AnalysisError;
-use crate::metrics::{PipelineMetrics, StageTimer};
+use crate::metrics::{PipelineMetrics, Stage, StageTimer};
 use crate::pipeline::{
-    expected_conns_hint, post_process, table_config, window_analysis, Engine, FrameRef,
-    PipelineConfig,
+    expected_conns_hint, post_process, window_analysis, Engine, FrameRef, PipelineConfig,
 };
 use crate::records::{IngestHealth, TraceAnalysis};
 use crate::report::fmt_bytes;
-use ent_flow::{ConnTable, FlowStats, FxBuildHasher};
+use ent_flow::FlowStats;
 use ent_pcap::{IngestStats, RecoveringReader, TraceMeta};
 use ent_wire::Timestamp;
 use std::fmt::Write as _;
@@ -59,10 +54,10 @@ pub struct MonitorConfig {
     /// stage stays zero), so signatures are only comparable between runs
     /// with the same setting.
     pub checkpoints: bool,
-    /// The underlying pipeline configuration (budgets, ablations). The
-    /// `use_std_hash` escape hatch is ignored in monitor mode, and so is
-    /// `shards`: the monitor's epoch/checkpoint machinery is built around
-    /// one streaming engine, so it always runs the serial table.
+    /// The underlying pipeline configuration (budgets, ablations).
+    /// `shards` is ignored in monitor mode: the monitor's epoch/checkpoint
+    /// machinery is built around one streaming engine, so it always runs
+    /// the serial table.
     pub pipeline: PipelineConfig,
 }
 
@@ -366,7 +361,7 @@ impl MonitorSummary {
 pub struct Monitor {
     cfg: MonitorConfig,
     meta: TraceMeta,
-    engine: Engine<FxBuildHasher>,
+    engine: Engine,
     stream_base_us: Option<u64>,
     epoch_index: u64,
     totals: MonitorTotals,
@@ -384,9 +379,8 @@ impl Monitor {
     pub fn new(meta: TraceMeta, cfg: MonitorConfig, packets_hint: usize) -> Monitor {
         let epoch_secs = cfg.epoch_secs.max(1);
         let expected = expected_conns_hint(packets_hint);
-        let table = ConnTable::new(table_config(&cfg.pipeline, expected));
         let out = window_analysis(&meta, epoch_secs);
-        let mut engine = Engine::new(out, table, &cfg.pipeline, meta.has_payload(), expected);
+        let mut engine = Engine::new(out, &cfg.pipeline, meta.has_payload(), expected);
         // The monitor's load bins are epoch-relative; never let the first
         // packet re-base them mid-epoch.
         engine.set_window_base(0);
@@ -543,10 +537,10 @@ impl Monitor {
         epoch.health.evicted_conns = fstats.evicted_conns - self.prev_fstats.evicted_conns;
         self.prev_fstats = fstats;
         epoch.metrics.peak_open_conns = fstats.peak_open_conns;
-        epoch.metrics.epoch_rotate.add(rt.lap(), 1, forced);
+        epoch.metrics.stages[Stage::EpochRotate].add(rt.lap(), 1, forced);
         let degraded = epoch.health.evicted_conns + epoch.health.pending_dropped;
         if degraded > 0 {
-            epoch.metrics.backpressure.add(0, degraded, 0);
+            epoch.metrics.stages[Stage::Backpressure].add(0, degraded, 0);
         }
         post_process(&mut epoch, &self.cfg.pipeline);
 
@@ -582,7 +576,7 @@ impl Monitor {
                     payload_ok: self.meta.has_payload(),
                 },
             };
-            self.metrics.checkpoint.add(ct.lap().max(1), 1, 0);
+            self.metrics.stages[Stage::Checkpoint].add(ct.lap().max(1), 1, 0);
             ck.metrics = self.metrics;
             self.boundaries.push(ck);
         }
@@ -803,7 +797,7 @@ mod tests {
         assert_eq!(cks.len(), 2);
         assert_eq!(cks[0].epoch_index, 1);
         assert_eq!(cks[1].epoch_index, 2);
-        assert_eq!(cks[1].metrics.checkpoint.events, 2);
+        assert_eq!(cks[1].metrics.stages[Stage::Checkpoint].events, 2);
         assert!(m.take_boundaries().is_empty());
         // The final flush never queues a checkpoint.
         let _ = m.finish(&IngestStats::default());

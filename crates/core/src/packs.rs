@@ -29,7 +29,7 @@
 //! partials), so reports are byte-identical across thread and shard
 //! counts — the scenario-pack differential suite pins this.
 
-use crate::metrics::{PipelineMetrics, StageTimer};
+use crate::metrics::{PipelineMetrics, Stage, StageTimer};
 use crate::pipeline::{analyze_packets, PipelineConfig};
 use crate::records::TraceAnalysis;
 use ent_gen::build::{build_site, GenConfig};
@@ -402,19 +402,11 @@ pub fn run_pack(pack: &ScenarioPack, config: &PackStudyConfig) -> PackReport {
                         &config.pipeline,
                         arena.len(),
                     );
-                    analysis
-                        .metrics
-                        .generate
-                        .add(gen_ns, arena.len() as u64, arena.wire_bytes());
-                    analysis
-                        .metrics
-                        .gen_synth
-                        .add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
-                    analysis.metrics.gen_sort.add(gen.sort_ns, gen.sorted_packets, 0);
-                    analysis
-                        .metrics
-                        .gen_tap
-                        .add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
+                    let stages = &mut analysis.metrics.stages;
+                    stages[Stage::Generate].add(gen_ns, arena.len() as u64, arena.wire_bytes());
+                    stages[Stage::GenSynth].add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
+                    stages[Stage::GenSort].add(gen.sort_ns, gen.sorted_packets, 0);
+                    stages[Stage::GenTap].add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
                     analysis.metrics.trace_wall_ns += gen_ns;
                     let score = score_scanner_removal(&analysis, &truth.scan_sources());
                     let partial = Partial {

@@ -9,7 +9,7 @@
 //! analyses.
 
 use crate::error::AnalysisError;
-use crate::metrics::{AnalyzerKind, StageTimer};
+use crate::metrics::{AnalyzerKind, Stage, StageTimer};
 use crate::records::*;
 use crate::scanners::{remove_scanners, ScannerConfig};
 use crate::small::SmallMap;
@@ -24,7 +24,6 @@ use ent_proto::smtp::SmtpAnalyzer;
 use ent_proto::ssl::TlsTracker;
 use ent_proto::{cifs, dcerpc, dns, netbios, AppProtocol, Category, DynamicPorts, Transport};
 use ent_wire::{Packet, Timestamp};
-use std::hash::BuildHasher;
 
 /// Pipeline options.
 #[derive(Debug, Clone, Default)]
@@ -48,11 +47,6 @@ pub struct PipelineConfig {
     /// analyzer-failure demotion path deterministically; never set outside
     /// the fault harness.
     pub analyzer_panic_every: u64,
-    /// Escape hatch: key the connection table with the std SipHash hasher
-    /// instead of the default fast hasher. This is the reference
-    /// instantiation the differential equivalence suite compares against;
-    /// results must be identical either way (see `ent_flow::fasthash`).
-    pub use_std_hash: bool,
     /// Intra-trace sharding: split the flow pipeline across this many
     /// per-core `ConnTable` shards, steering frames by canonical host pair
     /// (see `ent_flow::shard`) and merging the per-shard outputs in shard
@@ -222,10 +216,7 @@ impl Handler {
             app: pc.app,
             category,
         });
-        self.out
-            .metrics
-            .finalize
-            .add(timer.lap(), 1, summary.total_payload());
+        self.out.metrics.stages[Stage::Finalize].add(timer.lap(), 1, summary.total_payload());
     }
 
     /// Flush a closing connection's analyzer into the output records.
@@ -392,13 +383,10 @@ impl FlowHandler for Handler {
             }
         }));
         let ns = timer.lap();
-        self.out.metrics.tcp_deliver.add(ns, 1, data.len() as u64);
+        self.out.metrics.stages[Stage::TcpDeliver].add(ns, 1, data.len() as u64);
         if let Some(k) = kind {
-            self.out
-                .metrics
-                .analyzers
-                .stat_mut(k)
-                .add(ns, 1, data.len() as u64);
+            // ent-lint: allow(E001) — `k` is an AnalyzerKind, not an offset
+            self.out.metrics.analyzers[k].add(ns, 1, data.len() as u64);
         }
         match fed {
             Ok(()) => {
@@ -513,13 +501,10 @@ impl FlowHandler for Handler {
             }
         }));
         let ns = timer.lap();
-        self.out.metrics.udp_deliver.add(ns, 1, data.len() as u64);
+        self.out.metrics.stages[Stage::UdpDeliver].add(ns, 1, data.len() as u64);
         if let Some(k) = kind {
-            self.out
-                .metrics
-                .analyzers
-                .stat_mut(k)
-                .add(ns, 1, data.len() as u64);
+            // ent-lint: allow(E001) — `k` is an AnalyzerKind, not an offset
+            self.out.metrics.analyzers[k].add(ns, 1, data.len() as u64);
         }
         match fed {
             Ok(()) => pc.state = state,
@@ -568,7 +553,7 @@ pub(crate) fn expected_conns_hint(packets_hint: usize) -> usize {
     (packets_hint / 32).clamp(64, 16_384)
 }
 
-pub(crate) fn table_config(config: &PipelineConfig, expected_conns: usize) -> TableConfig {
+fn table_config(config: &PipelineConfig, expected_conns: usize) -> TableConfig {
     TableConfig {
         max_conns: config.max_conns,
         expected_conns,
@@ -604,16 +589,7 @@ where
     }
     let frames = packets.map(|(ts, frame, orig_len)| FrameRef { ts, frame, orig_len });
     let expected = expected_conns_hint(packets_hint);
-    // Branch on the hasher once, outside the loop: each arm monomorphizes
-    // its own `analyze_frames`, so the escape hatch costs nothing per
-    // packet.
-    if config.use_std_hash {
-        let table = ConnTable::with_std_hasher(table_config(config, expected));
-        analyze_frames(meta, frames, config, table, expected)
-    } else {
-        let table = ConnTable::new(table_config(config, expected));
-        analyze_frames(meta, frames, config, table, expected)
-    }
+    analyze_frames(meta, frames, config, expected)
 }
 
 /// The streaming analysis core shared by the batch pipeline and the
@@ -629,8 +605,8 @@ where
 /// honest at 1/64 of that cost.
 const LAP_STRIDE: u64 = 64;
 
-pub(crate) struct Engine<S: BuildHasher> {
-    table: ConnTable<S>,
+pub(crate) struct Engine {
+    table: ConnTable,
     handler: Handler,
     // Load bins are indexed relative to the window base — the trace's
     // first timestamp in batch mode, the epoch start in monitor mode.
@@ -650,17 +626,17 @@ pub(crate) struct Engine<S: BuildHasher> {
     ingest_sample_ns: u64,
 }
 
-impl<S: BuildHasher> Engine<S> {
-    /// Build an engine around an output record and a connection table.
+impl Engine {
+    /// Build an engine around an output record, with a connection table
+    /// pre-sized for `expected_conns`.
     pub(crate) fn new(
         out: TraceAnalysis,
-        table: ConnTable<S>,
         config: &PipelineConfig,
         payload_ok: bool,
         expected_conns: usize,
-    ) -> Engine<S> {
+    ) -> Engine {
         Engine {
-            table,
+            table: ConnTable::new(table_config(config, expected_conns)),
             handler: Handler {
                 out,
                 conns: Vec::with_capacity(expected_conns),
@@ -720,7 +696,7 @@ impl<S: BuildHasher> Engine<S> {
             // Undissectable frame: count it rather than silently narrowing
             // the trace — the analyses' denominators stay honest.
             handler.out.health.malformed_frames += 1;
-            handler.out.metrics.frame_parse.add(0, 1, p.frame.len() as u64);
+            handler.out.metrics.stages[Stage::FrameParse].add(0, 1, p.frame.len() as u64);
             if sampled {
                 self.parse_sample_ns += self.pt.lap();
             }
@@ -744,12 +720,12 @@ impl<S: BuildHasher> Engine<S> {
         if p.ts > self.max_ts {
             self.max_ts = p.ts;
         }
-        handler.out.metrics.frame_parse.add(0, 1, p.frame.len() as u64);
+        handler.out.metrics.stages[Stage::FrameParse].add(0, 1, p.frame.len() as u64);
         if sampled {
             self.parse_sample_ns += self.pt.lap();
         }
         self.table.ingest(pkt, p.ts, &mut self.handler);
-        self.handler.out.metrics.flow_ingest.add(0, 1, p.orig_len as u64);
+        self.handler.out.metrics.stages[Stage::FlowIngest].add(0, 1, p.orig_len as u64);
         if sampled {
             self.ingest_sample_ns += self.pt.lap();
         }
@@ -771,8 +747,8 @@ impl<S: BuildHasher> Engine<S> {
             self.fused_ns / 2
         };
         let m = &mut self.handler.out.metrics;
-        m.frame_parse.add(ps + parse_share, 0, 0);
-        m.flow_ingest.add(is + (self.fused_ns - parse_share), 0, 0);
+        m.stages[Stage::FrameParse].add(ps + parse_share, 0, 0);
+        m.stages[Stage::FlowIngest].add(is + (self.fused_ns - parse_share), 0, 0);
         self.fused_ns = 0;
         self.parse_sample_ns = 0;
         self.ingest_sample_ns = 0;
@@ -784,7 +760,7 @@ impl<S: BuildHasher> Engine<S> {
     pub(crate) fn finish_at(&mut self, end_ts: Timestamp) {
         self.flush_fused_laps();
         self.table.finish(end_ts, &mut self.handler);
-        self.handler.out.metrics.flow_ingest.add(self.pt.lap(), 0, 0);
+        self.handler.out.metrics.stages[Stage::FlowIngest].add(self.pt.lap(), 0, 0);
     }
 
     /// Rotate at an epoch boundary: force-close every open connection
@@ -795,7 +771,7 @@ impl<S: BuildHasher> Engine<S> {
     pub(crate) fn rotate(&mut self, end_ts: Timestamp, next: TraceAnalysis) -> TraceAnalysis {
         self.flush_fused_laps();
         self.table.rotate(end_ts, &mut self.handler);
-        self.handler.out.metrics.flow_ingest.add(self.pt.lap(), 0, 0);
+        self.handler.out.metrics.stages[Stage::FlowIngest].add(self.pt.lap(), 0, 0);
         self.handler.reset_epoch();
         std::mem::replace(&mut self.handler.out, next)
     }
@@ -889,7 +865,7 @@ pub(crate) fn post_process(out: &mut TraceAnalysis, config: &PipelineConfig) {
         out.scanner_conns_removed = removed.len() as u64;
         out.scanner_conns = removed;
     }
-    out.metrics.scanner_removal.add(st.lap(), conns_examined, 0);
+    out.metrics.stages[Stage::ScannerRemoval].add(st.lap(), conns_examined, 0);
     for c in &out.conns {
         if c.summary.key.proto != Proto::Tcp {
             continue;
@@ -909,21 +885,19 @@ pub(crate) fn post_process(out: &mut TraceAnalysis, config: &PipelineConfig) {
 }
 
 /// The generic per-packet loop: parse → tally → flow ingest, over any
-/// frame source and either connection-table hasher.
-fn analyze_frames<'a, S, I>(
+/// frame source.
+fn analyze_frames<'a, I>(
     meta: &TraceMeta,
     frames: I,
     config: &PipelineConfig,
-    table: ConnTable<S>,
     expected_conns: usize,
 ) -> TraceAnalysis
 where
-    S: BuildHasher,
     I: Iterator<Item = FrameRef<'a>>,
 {
     let out = window_analysis(meta, meta.duration.micros() / 1_000_000);
     let payload_ok = meta.has_payload();
-    let mut engine = Engine::new(out, table, config, payload_ok, expected_conns);
+    let mut engine = Engine::new(out, config, payload_ok, expected_conns);
     let total = StageTimer::start();
     for p in frames {
         engine.ingest_frame(p);
@@ -940,7 +914,7 @@ where
     // The ingest phase's elapsed wall (frame loop through table finish):
     // the scaling curve's per-shard-count metric. Events/bytes stay zero so
     // the entry is constant under `events_signature`.
-    out.metrics.shard_ingest.add(ingest_wall, 0, 0);
+    out.metrics.stages[Stage::ShardIngest].add(ingest_wall, 0, 0);
     out.health.clock_regressions = fstats.clock_regressions;
     out.health.evicted_conns = fstats.evicted_conns;
     out.metrics.peak_open_conns = fstats.peak_open_conns;
@@ -948,7 +922,7 @@ where
     // runs, so a capped batch analysis and a monitor read the same way.
     let degraded = fstats.evicted_conns + out.health.pending_dropped;
     if degraded > 0 {
-        out.metrics.backpressure.add(0, degraded, 0);
+        out.metrics.stages[Stage::Backpressure].add(0, degraded, 0);
     }
     post_process(&mut out, config);
     out.metrics.trace_wall_ns = total.elapsed_ns();
@@ -984,13 +958,7 @@ pub fn analyze_capture(
             orig_len: r.orig_len,
         })
     });
-    let mut analysis = if config.use_std_hash {
-        let table = ConnTable::with_std_hasher(table_config(config, expected));
-        analyze_frames(&meta, frames, config, table, expected)
-    } else {
-        let table = ConnTable::new(table_config(config, expected));
-        analyze_frames(&meta, frames, config, table, expected)
-    };
+    let mut analysis = analyze_frames(&meta, frames, config, expected);
     analysis.health.capture = reader.stats().clone();
     Ok(analysis)
 }
@@ -1319,20 +1287,23 @@ mod tests {
         let m = &a.metrics;
         // `generate` is filled in by run.rs — every stage analyze_trace
         // itself owns must be live on a normal trace.
-        assert_eq!(m.frame_parse.events, a.packets);
-        assert_eq!(m.flow_ingest.events, a.packets);
-        assert!(m.flow_ingest.wall_ns > 0);
-        assert!(m.tcp_deliver.events > 0);
-        assert!(m.udp_deliver.events > 0);
-        assert!(m.finalize.events > 0);
-        assert!(m.scanner_removal.events > 0);
+        assert_eq!(m.stages[Stage::FrameParse].events, a.packets);
+        assert_eq!(m.stages[Stage::FlowIngest].events, a.packets);
+        assert!(m.stages[Stage::FlowIngest].wall_ns > 0);
+        assert!(m.stages[Stage::TcpDeliver].events > 0);
+        assert!(m.stages[Stage::UdpDeliver].events > 0);
+        assert!(m.stages[Stage::Finalize].events > 0);
+        assert!(m.stages[Stage::ScannerRemoval].events > 0);
         assert!(m.peak_open_conns > 0);
         assert!(m.trace_wall_ns > 0);
         assert_eq!(m.traces, 1);
         // Analyzer delivery events sum to at most the per-direction
         // delivery totals (connections without an analyzer deliver too).
-        let analyzer_events: u64 = m.analyzers.named().iter().map(|(_, s)| s.events).sum();
+        let analyzer_events: u64 = m.analyzers.named().map(|(_, s)| s.events).sum();
         assert!(analyzer_events > 0);
-        assert!(analyzer_events <= m.tcp_deliver.events + m.udp_deliver.events);
+        assert!(
+            analyzer_events
+                <= m.stages[Stage::TcpDeliver].events + m.stages[Stage::UdpDeliver].events
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! never idle at a dataset boundary waiting for the previous dataset's
 //! last straggler traces.
 
-use crate::metrics::{PipelineMetrics, StageTimer};
+use crate::metrics::{PipelineMetrics, Stage, StageTimer};
 use crate::pipeline::{analyze_packets, PipelineConfig};
 use crate::records::{IngestHealth, TraceAnalysis};
 use ent_gen::build::{build_site, generate_trace_into, GenConfig};
@@ -107,24 +107,13 @@ pub fn run_datasets(specs: &[DatasetSpec], config: &StudyConfig) -> Vec<DatasetA
                         &config.pipeline,
                         arena.len(),
                     );
-                    analysis
-                        .metrics
-                        .generate
-                        .add(gen_ns, arena.len() as u64, arena.wire_bytes());
+                    let stages = &mut analysis.metrics.stages;
+                    stages[Stage::Generate].add(gen_ns, arena.len() as u64, arena.wire_bytes());
                     // The generation sub-stages (all nested inside `generate`):
                     // session emission, the global sort, and the capture tap.
-                    analysis
-                        .metrics
-                        .gen_synth
-                        .add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
-                    analysis
-                        .metrics
-                        .gen_sort
-                        .add(gen.sort_ns, gen.sorted_packets, 0);
-                    analysis
-                        .metrics
-                        .gen_tap
-                        .add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
+                    stages[Stage::GenSynth].add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
+                    stages[Stage::GenSort].add(gen.sort_ns, gen.sorted_packets, 0);
+                    stages[Stage::GenTap].add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
                     // Per-trace worker wall time covers the whole item:
                     // generation included, not just analysis.
                     analysis.metrics.trace_wall_ns += gen_ns;
@@ -374,7 +363,7 @@ mod tests {
         }
         assert_eq!(mp.events_signature(), ms.events_signature());
         assert!(mp.packets() > 0);
-        assert!(mp.generate.events > 0);
-        assert!(mp.finalize.events > 0);
+        assert!(mp.stages[Stage::Generate].events > 0);
+        assert!(mp.stages[Stage::Finalize].events > 0);
     }
 }

@@ -32,16 +32,15 @@
 //! genuinely holds that much state — and is excluded from
 //! `events_signature` for exactly that reason.
 
-use crate::metrics::StageTimer;
+use crate::metrics::{Stage, StageTimer};
 use crate::pipeline::{
-    expected_conns_hint, post_process, table_config, window_analysis, Engine, FrameRef,
+    expected_conns_hint, post_process, window_analysis, Engine, FrameRef,
     PipelineConfig,
 };
 use crate::records::TraceAnalysis;
-use ent_flow::{shard_of_packet, ConnTable, DESIGNATED_SHARD};
+use ent_flow::{shard_of_packet, DESIGNATED_SHARD};
 use ent_pcap::TraceMeta;
 use ent_wire::{Packet, Timestamp};
-use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 
@@ -117,19 +116,9 @@ where
             recycle_rxs.push(rrx);
             let ptx = part_tx.clone();
             let sh = &shared;
-            // Branch on the hasher at spawn, monomorphizing each worker —
-            // the std-hash escape hatch works identically when sharded.
-            if config.use_std_hash {
-                let table = ConnTable::with_std_hasher(table_config(config, sh.expected));
-                scope.spawn(move || {
-                    let _ = ptx.send((shard, shard_worker(sh, table, brx, rtx)));
-                });
-            } else {
-                let table = ConnTable::new(table_config(config, sh.expected));
-                scope.spawn(move || {
-                    let _ = ptx.send((shard, shard_worker(sh, table, brx, rtx)));
-                });
-            }
+            scope.spawn(move || {
+                let _ = ptx.send((shard, shard_worker(sh, brx, rtx)));
+            });
         }
         drop(part_tx);
 
@@ -199,20 +188,13 @@ where
 
 /// One shard's ingest loop: a private serial engine fed pre-parsed frames,
 /// finished at the dispatcher's global end timestamp.
-fn shard_worker<'a, S: BuildHasher>(
+fn shard_worker<'a>(
     shared: &Shared<'_>,
-    table: ConnTable<S>,
     rx: mpsc::Receiver<Batch<'a>>,
     recycle: mpsc::Sender<Vec<Item<'a>>>,
 ) -> TraceAnalysis {
     let out = window_analysis(shared.meta, shared.duration_secs);
-    let mut engine = Engine::new(
-        out,
-        table,
-        shared.config,
-        shared.payload_ok,
-        shared.expected,
-    );
+    let mut engine = Engine::new(out, shared.config, shared.payload_ok, shared.expected);
     let mut first = true;
     while let Ok(mut batch) = rx.recv() {
         if first {
@@ -279,11 +261,11 @@ fn merge_parts(
     // here once from the merged health, mirroring the serial path.
     let degraded = out.health.evicted_conns + out.health.pending_dropped;
     if degraded > 0 {
-        out.metrics.backpressure.add(0, degraded, 0);
+        out.metrics.stages[Stage::Backpressure].add(0, degraded, 0);
     }
     let ingest_wall = total.elapsed_ns();
     post_process(&mut out, shared.config);
-    out.metrics.shard_ingest.add(ingest_wall, 0, 0);
+    out.metrics.stages[Stage::ShardIngest].add(ingest_wall, 0, 0);
     out.metrics.trace_wall_ns = total.elapsed_ns();
     out.metrics.traces = 1;
     out
@@ -393,24 +375,5 @@ mod tests {
         // Splitting state across tables can only raise the summed peak:
         // each shard's high-water mark is hit at its own moment.
         assert!(sharded.metrics.peak_open_conns >= serial.metrics.peak_open_conns);
-    }
-
-    #[test]
-    fn std_hash_escape_hatch_works_sharded() {
-        let trace = generated(0, 3);
-        let fast = analyze_trace(&trace, &with_shards(2));
-        let std = analyze_trace(
-            &trace,
-            &PipelineConfig {
-                shards: 2,
-                use_std_hash: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            fast.metrics.events_signature(),
-            std.metrics.events_signature()
-        );
-        assert_eq!(conn_digest(&fast), conn_digest(&std));
     }
 }

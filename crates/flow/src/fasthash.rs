@@ -11,10 +11,10 @@
 //! 2. The per-connection handler state is keyed by the *dense* `ConnIndex`
 //!    (a slab index handed out sequentially), not by anything an attacker
 //!    picks, so collision quality there is moot.
-//! 3. The differential equivalence suite (`tests/tests/equivalence.rs`)
-//!    pins the optimized path to the std-hash reference output, and the
-//!    `PipelineConfig::use_std_hash` escape hatch keeps the SipHash build
-//!    one config flag away if a deployment needs it.
+//! 3. `tests/tests/hash_table_props.rs` pins the fx-hash `ConnTable` to a
+//!    std-SipHash one (`ConnTable::with_std_hasher`) callback for callback
+//!    under eviction pressure, and the pipeline's output is a function of
+//!    those callbacks alone.
 //!
 //! The mixing function is the classic Firefox/rustc multiply-rotate: fold
 //! each 8-byte word into the state with `rotate_left(5) ^ word`, then

@@ -155,7 +155,7 @@ impl Conn {
 /// Generic over the key map's [`BuildHasher`]: the default is the
 /// dependency-free [`FxBuildHasher`] (see [`crate::fasthash`] for the
 /// safety argument); [`ConnTable::with_std_hasher`] builds the SipHash
-/// reference table the differential equivalence suite pins against. All
+/// reference table `tests/tests/hash_table_props.rs` pins it against. All
 /// externally-visible behaviour (summaries, eviction decisions, stats) is
 /// hash-order independent, so the two instantiations are interchangeable.
 pub struct ConnTable<S: BuildHasher = FxBuildHasher> {
@@ -180,8 +180,7 @@ impl ConnTable<FxBuildHasher> {
 
 impl ConnTable<RandomState> {
     /// Create an empty table keyed by the std SipHash hasher — the
-    /// reference instantiation for differential testing and the
-    /// `PipelineConfig::use_std_hash` escape hatch.
+    /// reference instantiation for differential testing.
     pub fn with_std_hasher(config: TableConfig) -> ConnTable<RandomState> {
         ConnTable::with_hasher(config, RandomState::new())
     }

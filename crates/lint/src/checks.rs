@@ -30,6 +30,16 @@ fn const_like(name: &str) -> bool {
         && name.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
+/// Is token `j` a segment of an enum-variant path (`Stage::FlowIngest`)?
+/// Indexing by a variant goes through a typed `Index` impl over a table
+/// sized to the enum, which is total by construction — not a slice
+/// offset computed from input.
+fn variant_path_segment(file: &SourceFile, j: usize) -> bool {
+    let colon = |k: Option<usize>| k.is_some_and(|k| file.toks[k].kind == TokKind::Punct(':'));
+    file.text(j).starts_with(|c: char| c.is_ascii_uppercase())
+        && (colon(file.next_sig(j)) || colon(file.prev_sig(j)))
+}
+
 /// Does `name` look like it carries a wire length/offset?
 fn lenish(name: &str, cfg: &LintConfig) -> bool {
     let lower = name.to_ascii_lowercase();
@@ -98,7 +108,9 @@ pub fn e001(file: &SourceFile, cfg: &LintConfig) -> Vec<Finding> {
             let mut computed = false;
             for j in i + 1..close {
                 match file.toks[j].kind {
-                    TokKind::Ident if !const_like(&file.text(j)) => {
+                    TokKind::Ident
+                        if !const_like(&file.text(j)) && !variant_path_segment(file, j) =>
+                    {
                         computed = true;
                         break;
                     }
@@ -591,7 +603,7 @@ mod tests {
     fn e001_ignores_test_regions_and_literal_indexing() {
         let cfg = LintConfig::default();
         let f = wire_file(
-            "fn f(b: &[u8]) -> u8 {\n    b[0] ^ b[4..8][0] ^ b[MIN_LEN]\n}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n",
+            "fn f(b: &[u8], t: &Table) -> u8 {\n    b[0] ^ b[4..8][0] ^ b[MIN_LEN] ^ t[Stage::FlowIngest]\n}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n",
         );
         assert!(e001(&f, &cfg).is_empty());
     }

@@ -520,100 +520,41 @@ fn e009(sources: &[SourceFile], ws: &WorkspaceSymbols, cfg: &LintConfig) -> Vec<
         }
     }
 
-    // (b) bench-emitter JSON keys, over the emitter call-graph closure.
+    // (b) bench-document keys: every identifier-shaped string literal in
+    // a schema-table `const` (one whose type names a schema type).
     for (fi, file) in sources.iter().enumerate() {
         if !cfg.bench_emitter_files.contains(&file.rel) {
             continue;
         }
-        let syms = &ws.files[fi];
-        // Schema markers: `ent-bench-` may appear as a literal inside the
-        // emitter body, or behind a module-level `const BENCH_SCHEMA: &str
-        // = "ent-bench-…"` the emitter references by name.
-        let mut schema_consts: BTreeSet<String> = BTreeSet::new();
-        for j in 0..file.toks.len() {
-            if file.toks[j].kind == TokKind::Str && file.text(j).contains("ent-bench-") {
-                // Walk back to the owning `const`/`static` name, if any.
-                for k in (0..j).rev() {
-                    match file.toks[k].kind {
-                        TokKind::Punct(';') | TokKind::Punct('{') | TokKind::Punct('}') => break,
-                        TokKind::Ident if file.text(k) == "const" || file.text(k) == "static" => {
-                            if let Some(ni) = file.next_sig(k) {
-                                if file.toks[ni].kind == TokKind::Ident {
-                                    schema_consts.insert(file.text(ni).into_owned());
-                                }
-                            }
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        // Roots: fns whose bodies contain the schema string or reference a
-        // schema const.
-        let mut queue: Vec<String> = Vec::new();
-        let mut reached: BTreeSet<String> = BTreeSet::new();
-        for f in &syms.fns {
-            if file.is_test_line(f.line) {
-                continue; // tests referencing the schema are consumers
-            }
-            let Some((open, close)) = f.body else { continue };
-            let is_root = (open..close).any(|j| match file.toks[j].kind {
-                // The const may be spliced via `format!` interpolation
-                // (`"{BENCH_SCHEMA}"`), which lexes as part of the string.
-                TokKind::Str => {
-                    let t = file.text(j);
-                    t.contains("ent-bench-") || schema_consts.iter().any(|c| t.contains(c.as_str()))
-                }
-                TokKind::Ident => schema_consts.contains(file.text(j).as_ref()),
-                _ => false,
-            });
-            if is_root && reached.insert(f.name.clone()) {
-                queue.push(f.name.clone());
-            }
-        }
-        // Forward closure over the crate call graph (captures shared
-        // helpers like `push_stat`).
-        let by_name = ws.crate_fns.get(&file.crate_name);
-        while let Some(name) = queue.pop() {
-            let Some(refs) = by_name.and_then(|m| m.get(&name)) else { continue };
-            for &(rfi, rgi) in refs {
-                for callee in &ws.files[rfi].fns[rgi].calls {
-                    if reached.insert(callee.clone()) {
-                        queue.push(callee.clone());
-                    }
-                }
-            }
-        }
-        // Collect emitted keys from every reached fn body in this crate.
         let mut seen_keys: BTreeSet<String> = BTreeSet::new();
-        for (rfi, rfile) in sources.iter().enumerate() {
-            if rfile.crate_name != file.crate_name {
+        for item in &ws.files[fi].statics {
+            let mut ty_words = item.ty.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+            let is_table = ty_words.any(|w| cfg.bench_schema_types.iter().any(|t| t == w));
+            if !is_table || file.is_test_line(item.line) {
                 continue;
             }
-            for f in &ws.files[rfi].fns {
-                if !reached.contains(&f.name) || rfile.is_test_line(f.line) {
-                    continue;
-                }
-                let Some((open, close)) = f.body else { continue };
-                for j in open..close {
-                    if rfile.toks[j].kind != TokKind::Str {
-                        continue;
-                    }
-                    let text = rfile.text(j);
-                    for key in emitted_json_keys(&text) {
-                        if !seen_keys.insert(key.clone()) {
-                            continue;
-                        }
-                        if !covered.contains(key.as_str()) {
+            // The item runs from its line to the first `;` outside every bracket.
+            let mut depth = 0i32;
+            for k in (0..file.toks.len()).skip_while(|&k| file.toks[k].line < item.line) {
+                match file.toks[k].kind {
+                    TokKind::Punct('(' | '[' | '{') => depth += 1,
+                    TokKind::Punct(')' | ']' | '}') => depth -= 1,
+                    TokKind::Punct(';') if depth == 0 => break,
+                    TokKind::Str => {
+                        let text = file.text(k);
+                        let key = text.trim_matches('"');
+                        let ident_shaped = key.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                            && key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+                        if ident_shaped && seen_keys.insert(key.to_string()) && !covered.contains(key) {
                             out.push(finding(
                                 Code::E009,
-                                rfile,
-                                rfile.toks[j].line,
-                                format!("bench JSON key `{key}` is emitted but never referenced from test code: extend the obs-check/round-trip coverage"),
+                                file,
+                                file.toks[k].line,
+                                format!("bench JSON key `{key}` is declared but never referenced from test code: extend the obs-check/round-trip coverage"),
                             ));
                         }
                     }
+                    _ => {}
                 }
             }
         }
@@ -648,38 +589,6 @@ fn test_reference_words(sources: &[SourceFile]) -> BTreeSet<String> {
         }
     }
     words
-}
-
-/// Extract JSON keys from the raw text of a string literal in an emitter:
-/// occurrences of `\"key\":` (the escaped form the hand-rolled writers
-/// use). Interpolation braces (`{name}`) never match, so dynamic keys are
-/// naturally skipped.
-fn emitted_json_keys(raw: &str) -> Vec<String> {
-    let bytes = raw.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + 1 < bytes.len() {
-        if bytes[i] == b'\\' && bytes[i + 1] == b'"' {
-            let start = i + 2;
-            let mut k = start;
-            while k < bytes.len() && (bytes[k].is_ascii_alphanumeric() || bytes[k] == b'_') {
-                k += 1;
-            }
-            if k > start
-                && k + 2 < bytes.len()
-                && bytes[k] == b'\\'
-                && bytes[k + 1] == b'"'
-                && bytes[k + 2] == b':'
-            {
-                // Guaranteed ASCII range by the byte checks above.
-                out.push(raw[start..k].to_string());
-                i = k + 3;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
 }
 
 /// E001-lite sweep over the harness crates (`tests`, `bench`): bare
@@ -864,11 +773,11 @@ mod tests {
             false,
             "pub struct Checkpoint {\n    pub epoch_index: u64,\n    pub ghost_field: u64,\n}\n",
         );
-        let emitter = src(
+        let table = src(
             "crates/core/src/metrics.rs",
             "core",
             false,
-            "pub fn bench_json() -> String {\n    let mut s = String::new();\n    s.push_str(\"{\\\"schema\\\": \\\"ent-bench-pipeline/1\\\", \\\"ghost_key\\\": 1}\");\n    push_tail(&mut s);\n    s\n}\nfn push_tail(s: &mut String) {\n    s.push_str(\"\\\"covered_key\\\": 2\");\n}\n",
+            "const NOT_A_TABLE: &str = \"free_text\";\npub const PIPELINE: Schema = Schema {\n    tag: \"ent-bench-pipeline/1\",\n    top: &[Key::new(\"ghost_key\", Exact)],\n    entries: &[Key::new(\"covered_key\", Info).from_metrics(|m| fmt(\"{:016x}\", m))],\n};\n",
         );
         let tests = src(
             "tests/tests/obs.rs",
@@ -887,7 +796,7 @@ mod tests {
                 "fn check() {\n    let _ = \"schema covered_key\";\n    let _ = epoch_index;\n}\n",
             )
         };
-        let fs = run(vec![ckpt, emitter, tests]);
+        let fs = run(vec![ckpt, table, tests]);
         let e9: Vec<(String, u32)> = fs
             .iter()
             .filter(|f| f.code == Code::E009)
@@ -897,7 +806,7 @@ mod tests {
             e9,
             vec![
                 ("crates/core/src/checkpoint.rs".to_string(), 3),
-                ("crates/core/src/metrics.rs".to_string(), 3),
+                ("crates/core/src/metrics.rs".to_string(), 4),
             ],
             "{fs:#?}"
         );
@@ -914,11 +823,5 @@ mod tests {
         let fs = run(vec![f]);
         let e1: Vec<u32> = fs.iter().filter(|f| f.code == Code::E001).map(|f| f.line).collect();
         assert_eq!(e1, vec![2], "{fs:#?}");
-    }
-
-    #[test]
-    fn emitted_json_key_extraction() {
-        let raw = r#""{\"schema\": \"ent-bench-pipeline/1\", \"packets\": 0, \"{name}\": 1}""#;
-        assert_eq!(emitted_json_keys(raw), vec!["schema", "packets"]);
     }
 }

@@ -61,8 +61,11 @@ pub struct LintConfig {
     /// field of `(file, struct)` must appear in test code somewhere in the
     /// workspace.
     pub checkpoint_payload: (String, String),
-    /// Files whose `ent-bench-*` JSON emitters are key-checked by E009.
+    /// Files holding the `ent-bench-*` schema tables key-checked by E009.
     pub bench_emitter_files: Vec<String>,
+    /// Type names that mark a `const` in those files as a schema table:
+    /// every identifier-shaped string literal in it is a declared key.
+    pub bench_schema_types: Vec<String>,
 }
 
 impl Default for LintConfig {
@@ -114,6 +117,7 @@ impl Default for LintConfig {
             harness_crates: v(&["tests", "bench"]),
             checkpoint_payload: ("crates/core/src/checkpoint.rs".to_string(), "Checkpoint".to_string()),
             bench_emitter_files: v(&["crates/core/src/metrics.rs"]),
+            bench_schema_types: v(&["Schema", "Key"]),
         }
     }
 }

@@ -16,7 +16,7 @@
 //! | E006 | no nondeterminism on report-feeding paths in analysis crates: std `HashMap`/`HashSet` iteration reaching a report/signature/finalize sink without a sort or order-insensitive reduction, wall-clock/thread-id/env reads, float accumulation over unordered iteration |
 //! | E007 | shared-state discipline for sharded workers: no `static mut`, no non-`Sync` interior mutability (`RefCell`/`Cell`/`Rc`) in worker-side crates, no lock acquisition inside per-packet hot functions |
 //! | E008 | error-taxonomy totality: public fallible fns in ingest crates return typed taxonomy errors — no `Result<_, String>`, no `bool`/`Option` smuggling on fallible-verb names, no truncating `as` casts inside `Err(..)` construction |
-//! | E009 | checkpoint/bench schema hygiene: every `Checkpoint` payload field and every key the `ent-bench-*` JSON emitters write is referenced from test code |
+//! | E009 | checkpoint/bench schema hygiene: every `Checkpoint` payload field and every key the `ent-bench-*` schema table declares is referenced from test code |
 //!
 //! E006–E009 are symbol-aware: they consult the call graph
 //! ([`symbols::WorkspaceSymbols`]) rather than matching tokens alone, so a

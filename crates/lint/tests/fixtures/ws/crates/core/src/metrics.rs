@@ -1,22 +1,22 @@
-//! Seeded E009 (emitter half): a bench-JSON emitter whose keys must all
-//! be test-covered. The schema const is referenced via `format!`
-//! interpolation, and one key is emitted from a shared helper reached
-//! through the call graph — both resolution paths the lint must follow.
+//! Seeded E009 (schema-table half): a bench-document schema table whose
+//! declared keys must all be test-covered. The lint finds the table by its
+//! type and reads the key names out of its string literals; the schema tag
+//! is a literal too, but not identifier-shaped, so it is not a key.
 
-/// Fixture schema tag.
-pub const BENCH_SCHEMA: &str = "ent-bench-pipeline/1";
+/// One declared key.
+pub struct Key(pub &'static str);
 
-/// Emitter root: writes the schema tag and a covered key.
-pub fn bench_json() -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"schema\": \"{BENCH_SCHEMA}\", "));
-    out.push_str("\"packets\": 1, ");
-    push_stat(&mut out);
-    out
+/// One document kind.
+pub struct Schema {
+    /// Value of the `schema` member.
+    pub tag: &'static str,
+    /// Top-level keys.
+    pub top: &'static [Key],
 }
 
-/// Seeded E009: `ghost_key` is emitted through this helper but never
-/// referenced from any test.
-fn push_stat(out: &mut String) {
-    out.push_str("\"ghost_key\": 2}");
-}
+/// Fixture table: `packets` is covered by `check_obs.rs`; seeded E009 —
+/// `ghost_key` is declared but never referenced from any test.
+pub const PIPELINE: Schema = Schema {
+    tag: "ent-bench-pipeline/1",
+    top: &[Key("packets"), Key("ghost_key")],
+};

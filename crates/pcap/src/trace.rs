@@ -80,20 +80,6 @@ impl Trace {
         let packets = r.read_all()?;
         Ok(Trace { meta, packets })
     }
-
-    /// Read a possibly damaged capture buffer, salvaging every readable
-    /// record and reporting the damage tally alongside the trace. Only an
-    /// unrecoverable global header (bad magic, unsupported link type,
-    /// file shorter than 24 bytes) is an error.
-    pub fn read_pcap_recovering(
-        data: &[u8],
-        mut meta: TraceMeta,
-    ) -> Result<(Trace, crate::IngestStats)> {
-        let r = crate::RecoveringReader::new(data)?;
-        meta.snaplen = r.snaplen();
-        let (packets, stats) = r.read_all();
-        Ok((Trace { meta, packets }, stats))
-    }
 }
 
 #[cfg(test)]

@@ -33,19 +33,6 @@ cargo run --release -q -p ent-cli -- study \
 # (instrumentation rot): a stage someone forgot to re-wire reads zero.
 cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_pipeline.json"
 
-echo "==> bench history pin (committed baseline chain stays comparable)"
-# The committed chain documents the perf trajectory:
-# BENCH_pipeline.baseline.json (pre-arena-overhaul) ->
-# BENCH_pipeline.wave1.json (post-arena, pre-second-wave) ->
-# BENCH_pipeline.json (template slots + fused parse/ingest, the gate
-# file). Events/bytes must match exactly across all three (the waves
-# changed time, never content); the wall halves trivially pass because
-# each successor is faster.
-cargo run --release -q -p ent-cli -- bench-compare \
-    BENCH_pipeline.baseline.json BENCH_pipeline.wave1.json
-cargo run --release -q -p ent-cli -- bench-compare \
-    BENCH_pipeline.wave1.json BENCH_pipeline.json
-
 echo "==> bench regression gate (study at gate config vs committed BENCH_pipeline.json)"
 # Serial run at the committed baseline's exact parameters: events/bytes must
 # match the baseline exactly (determinism), and no dominant stage may be

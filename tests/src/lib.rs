@@ -1,5 +1,7 @@
 //! Shared helpers for the cross-crate integration tests.
 
+pub mod alloc_count;
+
 use ent_core::run::{run_dataset, run_datasets, DatasetAnalysis, StudyConfig};
 use ent_core::PipelineConfig;
 use ent_gen::dataset::{all_datasets, DatasetSpec};
@@ -158,15 +160,13 @@ pub fn pack_fingerprints(scale: f64, seed: u64) -> Vec<(String, u64, usize)> {
         .collect()
 }
 
-/// Run the trimmed D0–D4 study at `scale` with an explicit thread count,
-/// connection-table hasher selection, and intra-trace shard count
-/// (0 = serial path). The differential equivalence suite calls this with
-/// every (threads, use_std_hash, shards) combination it gates and
-/// requires identical results.
+/// Run the trimmed D0–D4 study at `scale` with an explicit thread count
+/// and intra-trace shard count (0 = serial path). The differential
+/// equivalence suite calls this with every (threads, shards) combination
+/// it gates and requires identical results.
 pub fn differential_study(
     scale: f64,
     threads: usize,
-    use_std_hash: bool,
     subnets: u16,
     shards: usize,
 ) -> Vec<DatasetAnalysis> {
@@ -180,7 +180,6 @@ pub fn differential_study(
                 hosts_per_subnet: Some(10),
             },
             pipeline: PipelineConfig {
-                use_std_hash,
                 shards,
                 ..Default::default()
             },

@@ -8,11 +8,10 @@
 //! connections are open — so a reintroduced per-conn clone/box shows up as
 //! an O(n) allocation count, not a silent perf regression.
 //!
-//! The counting allocator is the one sanctioned use of `unsafe` in the
-//! workspace (the `GlobalAlloc` trait has no safe incantation); it defers
-//! entirely to `System` and only increments an atomic.
+//! The counting allocator (`ent_integration::alloc_count`) counts per
+//! thread, so these tests may run in parallel with each other and with
+//! the harness's own bookkeeping.
 
-#![allow(unsafe_code)]
 // Test assertions may abort.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -22,38 +21,13 @@ use ent_flow::{
     FlowKey, Proto, TableConfig,
 };
 use ent_pcap::TraceMeta;
+use ent_integration::alloc_count::{self, CountingAlloc};
 use ent_wire::{build, ethernet::MacAddr, ipv4::Addr, Packet, Timestamp};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
-
-/// Serializes the counting windows: the harness runs tests on parallel
-/// threads, and `COUNTING`/`ALLOCS` are process-global, so an unrelated
-/// test allocating mid-window would produce a spurious count.
-static GATE: Mutex<()> = Mutex::new(());
 
 /// Compile-time proof that `ConnSummary` stays `Copy` (the property that
 /// makes clone-free finalize possible; see `crates/flow/src/summary.rs`).
 const fn assert_copy<T: Copy>() {}
 const _: () = assert_copy::<ConnSummary>();
-
-struct CountingAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -97,13 +71,9 @@ fn finish_alloc_count(n: u16) -> (u64, u64) {
         let pkt = Packet::parse(&frame).expect("generated frame parses");
         table.ingest(&pkt, Timestamp::from_micros(u64::from(i)), &mut sink);
     }
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
+    alloc_count::start();
     table.finish(Timestamp::from_secs(10), &mut sink);
-    COUNTING.store(false, Relaxed);
-    let allocs = ALLOCS.load(Relaxed);
-    drop(guard);
+    let allocs = alloc_count::stop();
     (allocs, sink.closed)
 }
 
@@ -131,18 +101,14 @@ fn shard_steering_makes_zero_allocations() {
         orig: Endpoint::new(Addr::new(10, 0, 3, 7), 40_000),
         resp: Endpoint::new(Addr::new(10, 0, 4, 11), 53),
     };
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
+    alloc_count::start();
     let mut acc = 0usize;
     for n in [1usize, 2, 4, 8] {
         acc += shard_of_pair(Addr::new(10, 0, 3, 7), Addr::new(10, 0, 4, 11), n);
         acc += shard_of_key(&key, n);
         acc += shard_of_packet(&pkt, n);
     }
-    COUNTING.store(false, Relaxed);
-    let allocs = ALLOCS.load(Relaxed);
-    drop(guard);
+    let allocs = alloc_count::stop();
     assert!(acc < 3 * (1 + 2 + 4 + 8), "steering out of range");
     assert_eq!(allocs, 0, "shard steering allocated on the dispatch path");
 }
@@ -190,9 +156,7 @@ fn fused_parse_ingest_makes_zero_steady_state_allocations() {
     // Steady passes: same flows, later timestamps, same epoch. This walks
     // the fused loop well past a LAP_STRIDE boundary so the sampled
     // (clocked) packets are covered too.
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
+    alloc_count::start();
     let mut quiet = true;
     for rep in 1..=4u64 {
         for (i, f) in frames.iter().enumerate() {
@@ -200,9 +164,7 @@ fn fused_parse_ingest_makes_zero_steady_state_allocations() {
             quiet &= mon.observe(ts, f, f.len() as u32).is_empty();
         }
     }
-    COUNTING.store(false, Relaxed);
-    let allocs = ALLOCS.load(Relaxed);
-    drop(guard);
+    let allocs = alloc_count::stop();
     assert!(quiet, "steady passes must stay inside one epoch");
     assert_eq!(
         allocs, 0,

@@ -10,13 +10,13 @@
 //! not a silent throughput regression. (The lint half of the same pin is
 //! ent-lint's E002 hot-alloc rule over `gen/synth.rs` + `wire/build.rs`.)
 //!
-//! The counting allocator is the sanctioned `unsafe` idiom shared with
-//! `alloc_pin.rs`: it defers to `System` and only increments an atomic.
+//! The counting allocator is `ent_integration::alloc_count`, shared with
+//! `alloc_pin.rs`.
 
-#![allow(unsafe_code)]
 // Test assertions may abort.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use ent_integration::alloc_count::{self, CountingAlloc};
 use ent_gen::synth::{
     emit_icmp_echo, emit_tcp, emit_udp, Exchange, Payload, Peer, TcpSessionSpec, UdpFlowSpec,
     UdpMessage,
@@ -25,26 +25,6 @@ use ent_pcap::{Clip, PacketArena, Tap};
 use ent_wire::{ethernet::MacAddr, ipv4::Addr, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-
-struct CountingAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -126,28 +106,24 @@ fn warm_arena_emission_makes_zero_allocations() {
     arena.clear();
 
     // Steady state: same sessions into the warm arena.
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
+    alloc_count::start();
     emit_all(&tcp, &udp, &mut arena);
-    COUNTING.store(false, Relaxed);
+    let allocs = alloc_count::stop();
     assert_eq!(arena.len(), packets, "passes must emit identical traffic");
     assert_eq!(
-        ALLOCS.load(Relaxed),
-        0,
+        allocs, 0,
         "steady-state emission allocated on the per-packet path"
     );
 
     // The in-place capture tap (sort excluded: stable sort legitimately
     // uses scratch) must stay allocation-free too.
     let mut tap = Tap::new(68).with_drop_period(29);
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
+    alloc_count::start();
     let captured = arena.apply_tap(&mut tap);
-    COUNTING.store(false, Relaxed);
+    let allocs = alloc_count::stop();
     assert!(captured > 0, "tap must keep most of the mix");
     assert_eq!(
-        ALLOCS.load(Relaxed),
-        0,
+        allocs, 0,
         "apply_tap allocated while clamping records in place"
     );
 }

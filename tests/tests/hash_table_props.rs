@@ -12,15 +12,20 @@
 //!    fed the same operations.
 //! 2. **Eviction parity** — under `max_conns` pressure the fx-hash
 //!    `ConnTable` makes the same eviction decisions, in the same order,
-//!    as the std-hash reference table, decision-for-decision.
+//!    as the std-hash reference table, decision-for-decision: both tables
+//!    issue the identical sequence of [`FlowHandler`] callbacks. The
+//!    pipeline's output is a function of that sequence alone, so this is
+//!    the whole fx≡std proof — there is no std-hash pipeline to compare.
 
 // Test helpers may abort on setup failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ent_flow::{
-    fx_map_with_capacity, CollectSummaries, ConnTable, Endpoint, FlowKey, FxHashMap, Proto,
-    TableConfig,
+    fx_map_with_capacity, ConnIndex, ConnSummary, ConnTable, Dir, Endpoint, FlowHandler, FlowKey,
+    FxHashMap, Proto, TableConfig,
 };
+use ent_gen::build::{build_site, generate_trace};
+use ent_gen::GenConfig;
 use ent_wire::{build, ethernet::MacAddr, ipv4::Addr, Packet, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -138,8 +143,66 @@ fn eviction_workload(rng: &mut StdRng, packets: usize) -> Vec<(Vec<u8>, Timestam
     out
 }
 
-fn summary_log(sink: &CollectSummaries) -> Vec<String> {
-    sink.summaries.iter().map(|s| format!("{s:?}")).collect()
+/// Every callback a table issues, in order, with the connection index
+/// and the payload length it carried.
+#[derive(Default)]
+struct Recorder {
+    events: Vec<String>,
+    tcp_data: u64,
+    tcp_gaps: u64,
+    udp_datagrams: u64,
+}
+
+impl FlowHandler for Recorder {
+    fn on_new_conn(&mut self, idx: ConnIndex, key: &FlowKey, ts: Timestamp) {
+        self.events.push(format!("new {idx:?} {key:?} @{}", ts.micros()));
+    }
+    fn on_tcp_data(&mut self, idx: ConnIndex, dir: Dir, ts: Timestamp, data: &[u8]) {
+        self.tcp_data += 1;
+        self.events.push(format!("tcp {idx:?} {dir:?} @{} len={}", ts.micros(), data.len()));
+    }
+    fn on_tcp_gap(&mut self, idx: ConnIndex, dir: Dir, wire_bytes: u64) {
+        self.tcp_gaps += 1;
+        self.events.push(format!("gap {idx:?} {dir:?} bytes={wire_bytes}"));
+    }
+    fn on_udp_datagram(&mut self, idx: ConnIndex, dir: Dir, ts: Timestamp, data: &[u8], wire_len: u32) {
+        self.udp_datagrams += 1;
+        self.events.push(format!("udp {idx:?} {dir:?} @{} len={} wire={wire_len}", ts.micros(), data.len()));
+    }
+    fn on_conn_closed(&mut self, idx: ConnIndex, summary: &ConnSummary) {
+        self.events.push(format!("closed {idx:?} {summary:?}"));
+    }
+}
+
+/// Feed one packet stream to an fx-hash and a std-hash table under the
+/// same `config` and require identical stats and callback sequences.
+/// Returns the fx table's recorder for workload sanity checks.
+fn assert_callback_parity<'a>(
+    config: TableConfig,
+    packets: impl Iterator<Item = (&'a [u8], Timestamp)>,
+    label: &str,
+) -> Recorder {
+    let mut fx = ConnTable::new(config);
+    let mut std_t = ConnTable::with_std_hasher(config);
+    let mut fx_sink = Recorder::default();
+    let mut std_sink = Recorder::default();
+    for (frame, ts) in packets {
+        let pkt = Packet::parse(frame).expect("generated frame parses");
+        fx.ingest(&pkt, ts, &mut fx_sink);
+        std_t.ingest(&pkt, ts, &mut std_sink);
+    }
+    let end = Timestamp::from_secs(100_000);
+    fx.finish(end, &mut fx_sink);
+    std_t.finish(end, &mut std_sink);
+    assert!(fx.stats().evicted_conns > 0, "workload never hit the cap ({label})");
+    assert_eq!(fx.stats(), std_t.stats(), "flow stats diverged ({label})");
+    assert_eq!(fx.packets_seen(), std_t.packets_seen());
+    let (fl, sl) = (&fx_sink.events, &std_sink.events);
+    assert_eq!(fl.len(), sl.len(), "callback count diverged ({label})");
+    for (i, (a, b)) in fl.iter().zip(sl).enumerate() {
+        assert_eq!(a, b, "callback {i} diverged ({label})");
+    }
+    fx_sink
 }
 
 #[test]
@@ -153,28 +216,35 @@ fn eviction_under_max_conns_matches_std_hash_table_decision_for_decision() {
             ..Default::default()
         };
         let workload = eviction_workload(&mut rng, 2_000);
-        let mut fx = ConnTable::new(config);
-        let mut std_t = ConnTable::with_std_hasher(config);
-        let mut fx_sink = CollectSummaries::default();
-        let mut std_sink = CollectSummaries::default();
-        for (frame, ts) in &workload {
-            let pkt = Packet::parse(frame).expect("generated frame parses");
-            fx.ingest(&pkt, *ts, &mut fx_sink);
-            std_t.ingest(&pkt, *ts, &mut std_sink);
-        }
-        let end = Timestamp::from_secs(100_000);
-        fx.finish(end, &mut fx_sink);
-        std_t.finish(end, &mut std_sink);
-        assert!(
-            fx.stats().evicted_conns > 0,
-            "workload never hit the cap (case {case})"
-        );
-        assert_eq!(fx.stats(), std_t.stats(), "flow stats diverged (case {case})");
-        assert_eq!(fx.packets_seen(), std_t.packets_seen());
-        let (fl, sl) = (summary_log(&fx_sink), summary_log(&std_sink));
-        assert_eq!(fl.len(), sl.len(), "summary count diverged (case {case})");
-        for (i, (a, b)) in fl.iter().zip(&sl).enumerate() {
-            assert_eq!(a, b, "summary {i} diverged (case {case})");
-        }
+        let packets = workload.iter().map(|(frame, ts)| (frame.as_slice(), *ts));
+        assert_callback_parity(config, packets, &format!("case {case}"));
     }
+    // The synthetic workload above is UDP only. Generated enterprise traces
+    // drive the TCP side through the same undersized, capped tables: D0
+    // delivers full in-order payloads, D1's 68-byte snaplen turns every
+    // data segment into a delivery plus a gap.
+    let gen = GenConfig {
+        scale: 0.004,
+        seed: 7,
+        hosts_per_subnet: Some(8),
+    };
+    let config = TableConfig {
+        max_conns: 24,
+        expected_conns: 8,
+        ..Default::default()
+    };
+    let (mut tcp_data, mut tcp_gaps, mut udp_datagrams) = (0, 0, 0);
+    for name in ["D0", "D1"] {
+        let spec = ent_gen::dataset::dataset(name).expect("dataset");
+        let (site, wan) = build_site(&spec, &gen);
+        let trace = generate_trace(&site, &wan, &spec, spec.monitored.start, 1, &gen);
+        let packets = trace.packets.iter().map(|p| (&*p.frame, p.ts));
+        let seen = assert_callback_parity(config, packets, &format!("generated {name} trace"));
+        tcp_data += seen.tcp_data;
+        tcp_gaps += seen.tcp_gaps;
+        udp_datagrams += seen.udp_datagrams;
+    }
+    assert!(tcp_data > 0, "traces delivered no TCP data");
+    assert!(tcp_gaps > 0, "traces produced no TCP gaps");
+    assert!(udp_datagrams > 0, "traces delivered no UDP datagrams");
 }

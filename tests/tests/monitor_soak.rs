@@ -1,8 +1,8 @@
 //! Long-soak pin for monitor mode: hours-equivalent traffic through a
 //! fixed-budget resident monitor must run at *flat* steady-state memory.
 //!
-//! A net-bytes counting allocator (alloc adds the layout size, dealloc
-//! subtracts it) watches the replay of one epoch's worth of realistic
+//! The net-bytes mode of `ent_integration::alloc_count` (alloc adds the
+//! layout size, dealloc subtracts it) watches the replay of one epoch's worth of realistic
 //! traffic over and over with shifted timestamps — 2+ hours of trace time.
 //! After a warmup that lets every retained structure (connection table,
 //! analyzer slab, dynamic-port registry) reach its working capacity, the
@@ -16,46 +16,21 @@
 //! degradation event is accounted in `IngestHealth` and the
 //! `backpressure` stage.
 
-#![allow(unsafe_code)]
 // Test assertions may abort.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ent_core::monitor::{Monitor, MonitorConfig};
+use ent_core::metrics::Stage;
 use ent_core::PipelineConfig;
 use ent_gen::build::{build_site, generate_trace};
 use ent_gen::dataset::all_datasets;
 use ent_gen::GenConfig;
 use ent_pcap::TraceMeta;
+use ent_integration::alloc_count::{self, CountingAlloc};
 use ent_wire::Timestamp;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering::Relaxed};
-
-struct NetBytesAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static NET_BYTES: AtomicI64 = AtomicI64::new(0);
-
-// Only `alloc`/`dealloc` are overridden: the default `realloc` and
-// `alloc_zeroed` route through them, so every byte is counted exactly once
-// however it was obtained.
-unsafe impl GlobalAlloc for NetBytesAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Relaxed) {
-            NET_BYTES.fetch_add(layout.size() as i64, Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if COUNTING.load(Relaxed) {
-            NET_BYTES.fetch_sub(layout.size() as i64, Relaxed);
-        }
-        System.dealloc(ptr, layout);
-    }
-}
 
 #[global_allocator]
-static ALLOCATOR: NetBytesAlloc = NetBytesAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// One pooled frame: (relative timestamp µs, frame bytes, original length).
 type PooledFrame = (u64, Vec<u8>, u32);
@@ -94,9 +69,6 @@ fn replay(monitor: &mut Monitor, pool: &[PooledFrame], k: u64, epoch_secs: u64) 
     }
 }
 
-// One test function on purpose: the whole binary must stay single-threaded
-// while the global net-bytes gate is open, or a sibling test's allocations
-// would pollute the ledger.
 #[test]
 fn hours_equivalent_soak_holds_memory_flat_and_accounts_degradation() {
     let (pool, meta, epoch_secs) = frame_pool();
@@ -115,18 +87,17 @@ fn hours_equivalent_soak_holds_memory_flat_and_accounts_degradation() {
         },
     };
     let mut levels = Vec::with_capacity(MEASURED as usize);
-    NET_BYTES.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
+    alloc_count::start();
     let mut monitor = Monitor::new(meta.clone(), cfg, pool.len());
     for k in 0..WARMUP {
         replay(&mut monitor, &pool, k, epoch_secs);
     }
-    let after_warmup = NET_BYTES.load(Relaxed);
+    let after_warmup = alloc_count::net_bytes();
     for k in WARMUP..WARMUP + MEASURED {
         replay(&mut monitor, &pool, k, epoch_secs);
-        levels.push(NET_BYTES.load(Relaxed));
+        levels.push(alloc_count::net_bytes());
     }
-    COUNTING.store(false, Relaxed);
+    alloc_count::stop();
     let (last, summary) = monitor.finish(&ent_pcap::IngestStats::default());
     assert_eq!(last.expect("final epoch").index, WARMUP + MEASURED - 1);
     assert_eq!(summary.totals.epochs, WARMUP + MEASURED);
@@ -180,7 +151,7 @@ fn hours_equivalent_soak_holds_memory_flat_and_accounts_degradation() {
     // Every degradation event is accounted: the backpressure stage carries
     // exactly the evictions plus pending drops, and health is not clean.
     assert_eq!(
-        summary.metrics.backpressure.events,
+        summary.metrics.stages[Stage::Backpressure].events,
         summary.health.evicted_conns + summary.health.pending_dropped,
         "backpressure stage out of sync with health counters"
     );

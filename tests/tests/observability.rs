@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ent_core::metrics::{
-    bench_json, json_parse, validate_bench_json, BenchContext, PipelineMetrics, MANDATORY_STAGES,
+    bench_json, json_parse, validate_bench_json, PipelineMetrics, Stage, Val, PIPELINE, STUDY_DOC,
 };
 use ent_integration::{small_dataset, test_gen_config};
 
@@ -17,31 +17,29 @@ fn study_metrics_export_is_schema_valid_and_live() {
     let mut datasets = Vec::new();
     for da in [&d0, &d4] {
         let m = da.pipeline_metrics();
-        datasets.push((
-            da.spec.name.to_string(),
-            da.traces.len() as u64,
-            m.trace_wall_ns,
-            m.packets(),
-            m.bytes(),
-        ));
+        datasets.push(vec![
+            ("name", Val::S(da.spec.name.to_string())),
+            ("traces", Val::U(da.traces.len() as u64)),
+            ("wall_us", Val::F(m.trace_wall_ns as f64 / 1e3)),
+            ("packets", Val::U(m.packets())),
+            ("bytes", Val::U(m.bytes())),
+        ]);
         total.absorb(&m);
     }
     let gen = test_gen_config();
-    let doc = bench_json(
-        &BenchContext {
-            scale: gen.scale,
-            seed: gen.seed,
-            threads: 2,
-            shards: 0,
-            study_wall_ns: total.trace_wall_ns,
-            datasets,
-        },
-        &total,
-    );
+    let run = [
+        ("scale", Val::F(gen.scale)),
+        ("seed", Val::U(gen.seed)),
+        ("threads", Val::U(2)),
+        ("shards", Val::U(0)),
+        ("study_wall_us", Val::F(total.trace_wall_ns as f64 / 1e3)),
+    ];
+    let doc = bench_json(&PIPELINE, &run, Some(&total), &datasets).expect("emit");
     let summary = validate_bench_json(&doc).expect("schema-valid export");
     assert_eq!(summary.traces, (d0.traces.len() + d4.traces.len()) as u64);
     assert_eq!(summary.packets, total.packets());
-    assert_eq!(summary.stages.len(), MANDATORY_STAGES.len());
+    let mandatory = Stage::ALL.iter().filter(|s| s.mandatory_in() & STUDY_DOC != 0);
+    assert_eq!(summary.stages.len(), mandatory.count());
     // Every mandatory stage is live on a real two-dataset run: nonzero
     // wall time AND events (the instrumentation-rot invariant).
     for (name, wall_us, events) in &summary.stages {
@@ -66,12 +64,12 @@ fn per_trace_metrics_are_consistent_with_analyses() {
     let d0 = small_dataset("D0", 6);
     for t in &d0.traces {
         // frame_parse sees every dissectable frame the analysis counted.
-        assert_eq!(t.metrics.frame_parse.events, t.packets);
-        assert_eq!(t.metrics.flow_ingest.events, t.packets);
+        assert_eq!(t.metrics.stages[Stage::FrameParse].events, t.packets);
+        assert_eq!(t.metrics.stages[Stage::FlowIngest].events, t.packets);
         assert!(t.metrics.trace_wall_ns > 0);
         assert_eq!(t.metrics.traces, 1);
         // The conn-table high-water mark can never exceed what ingest saw.
-        assert!(t.metrics.peak_open_conns <= t.metrics.flow_ingest.events);
+        assert!(t.metrics.peak_open_conns <= t.metrics.stages[Stage::FlowIngest].events);
     }
     let m = d0.pipeline_metrics();
     assert_eq!(m.traces, d0.traces.len() as u64);
