@@ -33,7 +33,7 @@ use ent_core::metrics::{
     SCALING, WALL_TOLERANCE,
 };
 use ent_core::run::{run_datasets, StudyConfig};
-use ent_core::{run_pack, PackStudyConfig};
+use ent_core::run_pack;
 use ent_core::study::build_report;
 use ent_core::{
     capture_meta, drive_capture, Checkpoint, Monitor, MonitorConfig, PipelineConfig,
@@ -405,7 +405,7 @@ fn cmd_packs(args: &Args) -> ExitCode {
                     .unwrap_or(true)
         })
         .collect();
-    let config = PackStudyConfig {
+    let config = StudyConfig {
         gen,
         pipeline: PipelineConfig {
             shards,

@@ -62,7 +62,7 @@ pub use monitor::{
     MonitorTotals,
 };
 pub use metrics::{PipelineMetrics, StageStat, StageTimer};
-pub use packs::{run_all_packs, run_pack, Complexity, PackReport, PackScore, PackStudyConfig};
+pub use packs::{run_all_packs, run_pack, Complexity, PackReport, PackScore};
 pub use pipeline::{analyze_capture, analyze_trace, PipelineConfig};
 pub use records::{IngestHealth, TraceAnalysis};
 pub use run::{auto_shards, run_dataset, run_datasets, run_study, DatasetAnalysis, StudyConfig};

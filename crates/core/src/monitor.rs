@@ -36,12 +36,12 @@ use crate::error::AnalysisError;
 use crate::metrics::{PipelineMetrics, Stage, StageTimer};
 use crate::pipeline::{
     expected_conns_hint, post_process, window_analysis, Engine, FrameRef, PipelineConfig,
+    StreamClock,
 };
 use crate::records::{IngestHealth, TraceAnalysis};
 use crate::report::fmt_bytes;
-use ent_flow::FlowStats;
 use ent_pcap::{IngestStats, RecoveringReader, TraceMeta};
-use ent_wire::Timestamp;
+use ent_wire::{Packet, Timestamp};
 use std::fmt::Write as _;
 
 /// How a resident monitor is parameterized.
@@ -57,7 +57,7 @@ pub struct MonitorConfig {
     /// The underlying pipeline configuration (budgets, ablations).
     /// `shards` is ignored in monitor mode: the monitor's epoch/checkpoint
     /// machinery is built around one streaming engine, so it always runs
-    /// the serial table.
+    /// the inline lane.
     pub pipeline: PipelineConfig,
 }
 
@@ -351,8 +351,10 @@ impl MonitorSummary {
     }
 }
 
-/// The resident monitor: wraps the streaming analysis [`Engine`] with
-/// epoch rotation, cumulative accounting, and checkpoint production.
+/// The resident monitor: the batch session's own pieces — the stream
+/// clock's per-frame step, one inline [`Engine`], the engine's
+/// window-close step — with the window closed at every epoch boundary
+/// instead of once, plus cumulative accounting and checkpoint production.
 ///
 /// Feed it timed frames via [`Monitor::observe`]; it returns the epoch
 /// reports each frame flushes (usually none). Close the stream with
@@ -362,12 +364,13 @@ pub struct Monitor {
     cfg: MonitorConfig,
     meta: TraceMeta,
     engine: Engine,
-    stream_base_us: Option<u64>,
+    /// The stream clock; its base is the first packet's timestamp, from
+    /// which every epoch boundary is measured.
+    clock: StreamClock,
     epoch_index: u64,
     totals: MonitorTotals,
     health: IngestHealth,
     metrics: PipelineMetrics,
-    prev_fstats: FlowStats,
     prior_capture: IngestStats,
     boundaries: Vec<Checkpoint>,
 }
@@ -380,10 +383,7 @@ impl Monitor {
         let epoch_secs = cfg.epoch_secs.max(1);
         let expected = expected_conns_hint(packets_hint);
         let out = window_analysis(&meta, epoch_secs);
-        let mut engine = Engine::new(out, &cfg.pipeline, meta.has_payload(), expected);
-        // The monitor's load bins are epoch-relative; never let the first
-        // packet re-base them mid-epoch.
-        engine.set_window_base(0);
+        let engine = Engine::new(out, &cfg.pipeline, meta.has_payload(), expected);
         // One stream, one "trace" — counted once, not per epoch, so the
         // cumulative signature matches however often the stream rotates.
         let metrics = PipelineMetrics {
@@ -397,12 +397,11 @@ impl Monitor {
             },
             meta,
             engine,
-            stream_base_us: None,
+            clock: StreamClock::default(),
             epoch_index: 0,
             totals: MonitorTotals::default(),
             health: IngestHealth::default(),
             metrics,
-            prev_fstats: FlowStats::default(),
             prior_capture: IngestStats::default(),
             boundaries: Vec::new(),
         }
@@ -432,18 +431,17 @@ impl Monitor {
             return Err(CheckpointError::ConfigMismatch("epoch length"));
         }
         let mut m = Monitor::new(meta, cfg, packets_hint);
-        m.stream_base_us = ck.stream_base_us;
+        m.clock.base_us = ck.stream_base_us;
         m.epoch_index = ck.epoch_index;
         m.totals = ck.totals;
         m.health = ck.health.clone();
         m.metrics = ck.metrics;
-        m.prev_fstats = ck.carry.stats;
         m.prior_capture = ck.capture.clone();
         m.engine.restore_table_carry(ck.carry);
         for &(addr, port, proto) in &ck.dynamic_ports {
             m.engine.learn_dynamic(addr, port, proto);
         }
-        if m.stream_base_us.is_some() {
+        if m.clock.base_us.is_some() {
             m.engine.set_window_base(m.epoch_start_us());
         }
         Ok(m)
@@ -454,7 +452,8 @@ impl Monitor {
     }
 
     fn epoch_start_us(&self) -> u64 {
-        self.stream_base_us
+        self.clock
+            .base_us
             .unwrap_or(0)
             .saturating_add(self.epoch_index.saturating_mul(self.epoch_len_us()))
     }
@@ -491,19 +490,18 @@ impl Monitor {
     /// usually none, one at a boundary crossing, several when the stream
     /// gaps across empty epochs.
     pub fn observe(&mut self, ts: Timestamp, frame: &[u8], orig_len: u32) -> Vec<EpochReport> {
-        if self.stream_base_us.is_none() {
-            self.stream_base_us = Some(ts.micros());
+        let parsed = Packet::parse(frame);
+        let pkt = parsed.as_ref().ok();
+        if self.clock.tick(ts, pkt.is_some()) {
+            // The load bins are epoch-relative: based at the epoch start,
+            // which for epoch 0 is this first packet.
             self.engine.set_window_base(self.epoch_start_us());
         }
         let mut reports = Vec::new();
         while ts.micros() >= self.epoch_start_us().saturating_add(self.epoch_len_us()) {
             reports.push(self.rotate(None));
         }
-        self.engine.ingest_frame(FrameRef {
-            ts,
-            frame,
-            orig_len,
-        });
+        self.engine.ingest_dissected(FrameRef { ts, frame, orig_len }, pkt);
         reports
     }
 
@@ -517,31 +515,15 @@ impl Monitor {
         let end_us = final_end.unwrap_or_else(|| start_us.saturating_add(self.epoch_len_us()));
         let mut rt = StageTimer::start();
         let next = window_analysis(&self.meta, self.cfg.epoch_secs);
-        let open_before = {
-            // Connections closed by the cut itself = records the rotation
-            // appends beyond those already closed within the window.
-            let closed_in_window = self.engine.analysis_mut().conns.len();
-            closed_in_window
-        };
+        // Connections closed by the cut itself = records the close
+        // appends beyond those already closed within the window.
+        let closed_in_window = self.engine.window_conns();
         let mut epoch = self
             .engine
-            .rotate(Timestamp::from_micros(end_us), next);
-        let forced = (epoch.conns.len() - open_before) as u64;
+            .close_window(Timestamp::from_micros(end_us), next);
+        let forced = (epoch.conns.len() - closed_in_window) as u64;
         epoch.duration_secs = end_us.saturating_sub(start_us).div_ceil(1_000_000);
-
-        // Per-epoch flow health is the delta of the table's lifetime
-        // counters against the last boundary snapshot.
-        let fstats = *self.engine.flow_stats();
-        epoch.health.clock_regressions =
-            fstats.clock_regressions - self.prev_fstats.clock_regressions;
-        epoch.health.evicted_conns = fstats.evicted_conns - self.prev_fstats.evicted_conns;
-        self.prev_fstats = fstats;
-        epoch.metrics.peak_open_conns = fstats.peak_open_conns;
         epoch.metrics.stages[Stage::EpochRotate].add(rt.lap(), 1, forced);
-        let degraded = epoch.health.evicted_conns + epoch.health.pending_dropped;
-        if degraded > 0 {
-            epoch.metrics.stages[Stage::Backpressure].add(0, degraded, 0);
-        }
         post_process(&mut epoch, &self.cfg.pipeline);
 
         self.totals.absorb(&epoch);
@@ -560,7 +542,7 @@ impl Monitor {
             let mut ck = Checkpoint {
                 epoch_len_us: self.epoch_len_us(),
                 epoch_index: self.epoch_index,
-                stream_base_us: self.stream_base_us,
+                stream_base_us: self.clock.base_us,
                 resume_offset: 0,
                 reader_clock_us: None,
                 capture: IngestStats::default(),
@@ -583,13 +565,13 @@ impl Monitor {
 
         EpochReport {
             index: self.epoch_index - 1,
-            base_us: self.stream_base_us.unwrap_or(0),
+            base_us: self.clock.base_us.unwrap_or(0),
             start_us,
             end_us,
             analysis: epoch,
             totals: self.totals,
             health: self.health.clone(),
-            peak_open_conns: fstats.peak_open_conns,
+            peak_open_conns: self.metrics.peak_open_conns,
         }
     }
 
@@ -598,16 +580,15 @@ impl Monitor {
     /// cumulative health, and return the terminal summary alongside the
     /// final epoch's report.
     pub fn finish(&mut self, capture: &IngestStats) -> (Option<EpochReport>, MonitorSummary) {
-        let last = if self.stream_base_us.is_some() {
-            let end = self
-                .engine
-                .max_ts()
-                .micros()
-                .max(self.epoch_start_us());
-            Some(self.rotate(Some(end)))
-        } else {
-            None
-        };
+        // The batch end-of-trace rule with the flushed epochs standing in
+        // for the nominal duration: the last packet seen, never before the
+        // open epoch's start.
+        let flushed_us = self.epoch_index.saturating_mul(self.epoch_len_us());
+        let last = self
+            .clock
+            .base_us
+            .is_some()
+            .then(|| self.rotate(Some(self.clock.end_after(flushed_us).micros())));
         let mut merged = self.prior_capture.clone();
         merged.absorb(capture);
         self.health.capture = merged;

@@ -29,13 +29,12 @@
 //! partials), so reports are byte-identical across thread and shard
 //! counts — the scenario-pack differential suite pins this.
 
-use crate::metrics::{PipelineMetrics, Stage, StageTimer};
-use crate::pipeline::{analyze_packets, PipelineConfig};
+use crate::metrics::PipelineMetrics;
 use crate::records::TraceAnalysis;
-use ent_gen::build::{build_site, GenConfig};
+use crate::run::{analyze_generated, run_queue, StudyConfig};
+use ent_gen::build::build_site;
 use ent_gen::packs::{self, label, ScenarioPack};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 
 /// Flow-level confusion counts of scanner removal against ground truth.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -306,18 +305,6 @@ fn header_symbol(frame: &[u8]) -> u64 {
     h
 }
 
-/// Configuration for a pack evaluation run.
-#[derive(Debug, Clone, Default)]
-pub struct PackStudyConfig {
-    /// Generator configuration (scale, seed, hosts).
-    pub gen: GenConfig,
-    /// Analysis pipeline configuration (scanner removal, shards).
-    pub pipeline: PipelineConfig,
-    /// Worker threads (0 = available parallelism; composed with
-    /// `pipeline.shards` by [`crate::run::effective_threads`]).
-    pub threads: usize,
-}
-
 /// The measured outcome of one pack run.
 #[derive(Debug, Clone)]
 pub struct PackReport {
@@ -345,20 +332,15 @@ pub struct PackReport {
 
 /// Generate, analyze and score every trace of one pack.
 ///
-/// Per-trace truth is extracted from the labeled arena records *before*
-/// analysis and scored against that same trace's removal decisions
-/// (removal is a per-trace step); partial results are merged in work
-/// order, so the report is identical for any thread/shard count.
-pub fn run_pack(pack: &ScenarioPack, config: &PackStudyConfig) -> PackReport {
+/// Per-trace truth is extracted from the labeled arena records and scored
+/// against that same trace's removal decisions (removal is a per-trace
+/// step); partial results come off the shared work queue in work order,
+/// so the report is identical for any thread/shard count.
+pub fn run_pack(pack: &ScenarioPack, config: &StudyConfig) -> PackReport {
     let (site, wan) = build_site(&pack.spec, &config.gen);
-    let mut slots = Vec::new();
-    packs::for_each_pack_slot(pack, |subnet, pass| slots.push((subnet, pass)));
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let threads =
-        crate::run::effective_threads(config.threads, config.pipeline.shards, cores, slots.len());
+    let slots: Vec<_> = pack.spec.slots().collect();
 
     struct Partial {
-        idx: usize,
         packets: u64,
         truth: PackTruth,
         complexity: Complexity,
@@ -367,64 +349,27 @@ pub fn run_pack(pack: &ScenarioPack, config: &PackStudyConfig) -> PackReport {
         metrics: PipelineMetrics,
     }
 
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let bin: Mutex<Vec<Partial>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut arena = ent_pcap::PacketArena::unbounded();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&(subnet, pass)) = slots.get(i) else {
-                        break;
-                    };
-                    let gt = StageTimer::start();
-                    let (meta, gen) = packs::generate_pack_trace_into(
-                        pack,
-                        &site,
-                        &wan,
-                        subnet,
-                        pass,
-                        &config.gen,
-                        &mut arena,
-                    );
-                    let gen_ns = gt.elapsed_ns();
-                    let mut truth = PackTruth::default();
-                    let mut complexity = Complexity::default();
-                    for (_, frame, _, lab) in arena.labeled_frames() {
-                        truth.observe(frame, lab);
-                        complexity.observe(frame);
-                    }
-                    complexity.end_trace();
-                    let mut analysis = analyze_packets(
-                        &meta,
-                        arena.captured_frames(),
-                        &config.pipeline,
-                        arena.len(),
-                    );
-                    let stages = &mut analysis.metrics.stages;
-                    stages[Stage::Generate].add(gen_ns, arena.len() as u64, arena.wire_bytes());
-                    stages[Stage::GenSynth].add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
-                    stages[Stage::GenSort].add(gen.sort_ns, gen.sorted_packets, 0);
-                    stages[Stage::GenTap].add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
-                    analysis.metrics.trace_wall_ns += gen_ns;
-                    let score = score_scanner_removal(&analysis, &truth.scan_sources());
-                    let partial = Partial {
-                        idx: i,
-                        packets: analysis.packets,
-                        truth,
-                        complexity,
-                        score,
-                        flagged: analysis.scanners_removed.iter().map(|a| a.0).collect(),
-                        metrics: analysis.metrics,
-                    };
-                    bin.lock().unwrap_or_else(|e| e.into_inner()).push(partial);
-                }
-            });
+    let partials = run_queue(&slots, config, |&(subnet, pass), arena| {
+        let analysis = analyze_generated(arena, &config.pipeline, |arena| {
+            packs::generate_pack_trace_into(pack, &site, &wan, subnet, pass, &config.gen, arena)
+        });
+        let mut truth = PackTruth::default();
+        let mut complexity = Complexity::default();
+        for (_, frame, _, lab) in arena.labeled_frames() {
+            truth.observe(frame, lab);
+            complexity.observe(frame);
+        }
+        complexity.end_trace();
+        let score = score_scanner_removal(&analysis, &truth.scan_sources());
+        Partial {
+            packets: analysis.packets,
+            truth,
+            complexity,
+            score,
+            flagged: analysis.scanners_removed.iter().map(|a| a.0).collect(),
+            metrics: analysis.metrics,
         }
     });
-    let mut partials = bin.into_inner().unwrap_or_else(|e| e.into_inner());
-    partials.sort_by_key(|p| p.idx);
 
     let mut truth = PackTruth::default();
     let mut complexity = Complexity::default();
@@ -455,7 +400,7 @@ pub fn run_pack(pack: &ScenarioPack, config: &PackStudyConfig) -> PackReport {
 }
 
 /// Run every pack in report order.
-pub fn run_all_packs(config: &PackStudyConfig) -> Vec<PackReport> {
+pub fn run_all_packs(config: &StudyConfig) -> Vec<PackReport> {
     packs::all_packs().iter().map(|p| run_pack(p, config)).collect()
 }
 
@@ -617,8 +562,8 @@ mod tests {
 
     #[test]
     fn run_pack_scores_the_sweep_and_spares_the_flood() {
-        let config = PackStudyConfig {
-            gen: GenConfig {
+        let config = StudyConfig {
+            gen: ent_gen::GenConfig {
                 scale: 0.006,
                 seed: 17,
                 hosts_per_subnet: Some(10),

@@ -13,7 +13,9 @@ use crate::metrics::{AnalyzerKind, Stage, StageTimer};
 use crate::records::*;
 use crate::scanners::{remove_scanners, ScannerConfig};
 use crate::small::SmallMap;
-use ent_flow::{ConnIndex, ConnSummary, ConnTable, Dir, FlowHandler, FlowKey, Proto, TableConfig};
+use ent_flow::{
+    ConnIndex, ConnSummary, ConnTable, Dir, FlowHandler, FlowKey, FlowStats, Proto, TableConfig,
+};
 use ent_pcap::{RecoveringReader, Trace, TraceMeta};
 use ent_proto::dns::QType;
 use ent_proto::http::HttpAnalyzer;
@@ -48,13 +50,15 @@ pub struct PipelineConfig {
     /// the fault harness.
     pub analyzer_panic_every: u64,
     /// Intra-trace sharding: split the flow pipeline across this many
-    /// per-core `ConnTable` shards, steering frames by canonical host pair
-    /// (see `ent_flow::shard`) and merging the per-shard outputs in shard
-    /// order at finalize. `0` (the default) runs the serial single-table
-    /// path unchanged; `1` exercises the sharded machinery with one worker
-    /// (event-for-event identical to serial). The batch study path honors
-    /// this; the resident monitor ignores it (its streaming rotation is
-    /// inherently serial — see `MonitorConfig`).
+    /// per-core `ConnTable` lanes, steering frames by canonical host pair
+    /// (see `ent_flow::shard`) and folding the per-lane windows in lane
+    /// order at the seal. `0` (the default) is the dispatcher with zero
+    /// workers: the same frame loop feeds one inline engine on the
+    /// caller's thread, with no channel. `1` runs one worker lane (event-
+    /// for-event identical to `0`). Every batch entry point honors this —
+    /// [`analyze_packets`], [`analyze_trace`] and [`analyze_capture`] are
+    /// one session; the resident monitor ignores it (its epoch rotation
+    /// drives a single engine — see `MonitorConfig`).
     pub shards: usize,
 }
 
@@ -534,14 +538,93 @@ impl FlowHandler for Handler {
     }
 }
 
-/// A borrowed view of one timed frame: the single currency of the generic
-/// analysis loop, produced either from an in-memory [`Trace`] or streamed
-/// straight off a pcap byte buffer by the recovering reader.
+/// A borrowed view of one timed frame: the single currency of the frame
+/// loop, produced either from an in-memory [`Trace`] or streamed straight
+/// off a pcap byte buffer by the recovering reader.
 #[derive(Clone, Copy)]
 pub(crate) struct FrameRef<'a> {
     pub(crate) ts: Timestamp,
     pub(crate) frame: &'a [u8],
     pub(crate) orig_len: u32,
+}
+
+/// The stream clock of one ingest session — the only place the window
+/// base and the end of the stream are worked out, for batch runs (any
+/// lane count) and the resident monitor alike.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StreamClock {
+    /// The very first frame's timestamp, microseconds: the base every
+    /// lane bins its load samples against (`None` before the first frame).
+    pub(crate) base_us: Option<u64>,
+    /// Latest timestamp seen: the first frame's, then dissectable frames
+    /// only — a frame the dissector rejects cannot vouch for its clock.
+    max_ts: Timestamp,
+}
+
+impl StreamClock {
+    /// Advance the clock past one frame stamped `ts`; `dissected` says
+    /// whether the dissector accepted it. Returns whether this frame
+    /// opened the stream.
+    #[inline]
+    pub(crate) fn tick(&mut self, ts: Timestamp, dissected: bool) -> bool {
+        let opened = self.base_us.is_none();
+        if opened {
+            self.base_us = Some(ts.micros());
+            self.max_ts = ts;
+        } else if dissected && ts > self.max_ts {
+            self.max_ts = ts;
+        }
+        opened
+    }
+
+    /// The stream's absolute end: `elapsed_us` past the base — a trace's
+    /// nominal duration, or the whole epochs a monitor has flushed — or
+    /// the last frame seen, whichever is later.
+    pub(crate) fn end_after(&self, elapsed_us: u64) -> Timestamp {
+        Timestamp::from_micros(self.base_us.unwrap_or(0).saturating_add(elapsed_us))
+            .max(self.max_ts)
+    }
+}
+
+/// Where the frame loop hands its dissected frames: the inline [`Engine`]
+/// (`shards == 0`), or the shard dispatcher's steering buffers.
+pub(crate) trait Lane<'a> {
+    /// The stream opened: `base_us` is the window base of every lane.
+    fn open(&mut self, base_us: u64);
+    /// Take one frame, dissected by the loop (`None`: rejected).
+    fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>);
+}
+
+impl<'a> Lane<'a> for Engine {
+    fn open(&mut self, base_us: u64) {
+        self.set_window_base(base_us);
+    }
+
+    #[inline]
+    fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>) {
+        self.ingest_dissected(p, pkt);
+    }
+}
+
+/// The one frame loop: dissect each frame once, keep the stream clock,
+/// hand the frame to its lane. Returns the trace's absolute end — the
+/// nominal duration past the first frame, or the last frame seen,
+/// whichever is later — at which every lane then closes its window.
+pub(crate) fn run_frames<'a>(
+    frames: impl Iterator<Item = FrameRef<'a>>,
+    nominal: Timestamp,
+    lane: &mut impl Lane<'a>,
+) -> Timestamp {
+    let mut clock = StreamClock::default();
+    for p in frames {
+        let parsed = Packet::parse(p.frame);
+        let pkt = parsed.as_ref().ok();
+        if clock.tick(p.ts, pkt.is_some()) {
+            lane.open(p.ts.micros());
+        }
+        lane.push(p, pkt);
+    }
+    clock.end_after(nominal.micros())
 }
 
 /// Pre-size hot structures from a packet-count hint. Connection
@@ -584,20 +667,37 @@ pub fn analyze_packets<'a, I>(
 where
     I: Iterator<Item = (Timestamp, &'a [u8], u32)>,
 {
-    if config.shards > 0 {
-        return crate::shard::analyze_packets_sharded(meta, packets, config, packets_hint);
-    }
     let frames = packets.map(|(ts, frame, orig_len)| FrameRef { ts, frame, orig_len });
-    let expected = expected_conns_hint(packets_hint);
-    analyze_frames(meta, frames, config, expected)
+    ingest(meta, frames, config, packets_hint)
 }
 
-/// The streaming analysis core shared by the batch pipeline and the
-/// resident monitor: a connection table plus per-connection analyzer
-/// state, fed one frame at a time. The batch path drives it straight
-/// through and finishes once; the monitor rotates it at epoch boundaries,
-/// swapping a fresh [`TraceAnalysis`] in while the table, analyzer slab
-/// and learned dynamic ports keep their allocations.
+/// One batch ingest session: the frame loop over `frames`, feeding either
+/// the inline engine or `config.shards` worker lanes; every lane closes
+/// its window at the loop's end-of-trace; the seal folds the windows into
+/// the trace's analysis.
+fn ingest<'a>(
+    meta: &TraceMeta,
+    frames: impl Iterator<Item = FrameRef<'a>>,
+    config: &PipelineConfig,
+    packets_hint: usize,
+) -> TraceAnalysis {
+    let total = StageTimer::start();
+    // Flows spread across the lanes, so each table expects its slice.
+    let expected = expected_conns_hint(packets_hint / config.shards.max(1));
+    let new_engine = || {
+        let out = window_analysis(meta, meta.duration.micros() / 1_000_000);
+        Engine::new(out, config, meta.has_payload(), expected)
+    };
+    let windows = if config.shards == 0 {
+        let mut engine = new_engine();
+        let end = run_frames(frames, meta.duration, &mut engine);
+        vec![engine.close_window(end, TraceAnalysis::default())]
+    } else {
+        crate::shard::run_lanes(config.shards, frames, meta.duration, &new_engine)
+    };
+    seal(windows, config, total)
+}
+
 /// Sampling stride for the fused parse+ingest pass: one packet in
 /// `LAP_STRIDE` runs with per-stage clock reads, the rest run clock-free.
 /// Two `Instant::now` calls per packet (~70 ns) used to rival the stage
@@ -605,6 +705,12 @@ where
 /// honest at 1/64 of that cost.
 const LAP_STRIDE: u64 = 64;
 
+/// The streaming analysis core of every lane: a connection table plus
+/// per-connection analyzer state, fed one dissected frame at a time, and
+/// closed one window at a time. A batch lane closes once, at end of
+/// trace; the monitor closes at every epoch boundary, swapping a fresh
+/// [`TraceAnalysis`] in while the table, analyzer slab and learned
+/// dynamic ports keep their allocations.
 pub(crate) struct Engine {
     table: ConnTable,
     handler: Handler,
@@ -612,14 +718,14 @@ pub(crate) struct Engine {
     // first timestamp in batch mode, the epoch start in monitor mode.
     // Traces with epoch-based clocks (real captures) would otherwise land
     // every sample past the end of the vec and the series would read zero.
-    first: bool,
-    base_us: u64,
     base_sec: u64,
-    max_ts: Timestamp,
+    /// The table's lifetime counters as of the last window close: each
+    /// window's flow health is the delta against this snapshot.
+    closed: FlowStats,
     pt: StageTimer,
     // Fused parse+ingest timing state: packet phase index, un-attributed
     // clock-free wall, and the clocked parse/ingest laps from sampled
-    // packets (the attribution ratio). All window-scoped except pkt_idx.
+    // packets (the attribution ratio). All window-scoped.
     pkt_idx: u64,
     fused_ns: u64,
     parse_sample_ns: u64,
@@ -646,10 +752,8 @@ impl Engine {
                 max_pending: config.max_pending,
                 tcp_data_events: 0,
             },
-            first: true,
-            base_us: 0,
             base_sec: 0,
-            max_ts: Timestamp::ZERO,
+            closed: FlowStats::default(),
             pt: StageTimer::start(),
             pkt_idx: 0,
             fused_ns: 0,
@@ -658,25 +762,10 @@ impl Engine {
         }
     }
 
-    /// Parse, tally and flow-ingest one frame.
-    pub(crate) fn ingest_frame(&mut self, p: FrameRef<'_>) {
-        match Packet::parse(p.frame) {
-            Ok(pkt) => self.ingest_dissected(p, Some(&pkt)),
-            Err(_) => self.ingest_dissected(p, None),
-        }
-    }
-
     /// Tally and flow-ingest one frame dissected by the caller (`None`
-    /// means the dissector rejected it). The serial path wraps this with
-    /// [`Engine::ingest_frame`]; the sharded dispatcher parses each frame
-    /// once on the steering thread and feeds shard workers here directly.
+    /// means the dissector rejected it): the frame loop parses each frame
+    /// once, on the steering thread when lanes are workers.
     pub(crate) fn ingest_dissected(&mut self, p: FrameRef<'_>, pkt: Option<&Packet<'_>>) {
-        if self.first {
-            self.first = false;
-            self.base_us = p.ts.micros();
-            self.base_sec = self.base_us / 1_000_000;
-            self.max_ts = p.ts;
-        }
         // Fused fast path: event/byte stats are exact on every packet, but
         // only one packet in LAP_STRIDE reads the clock (the first packet
         // of every window is a sample, so no epoch reports a zero wall).
@@ -717,9 +806,6 @@ impl Engine {
         } else {
             handler.out.health.load_samples_out_of_range += 1;
         }
-        if p.ts > self.max_ts {
-            self.max_ts = p.ts;
-        }
         handler.out.metrics.stages[Stage::FrameParse].add(0, 1, p.frame.len() as u64);
         if sampled {
             self.parse_sample_ns += self.pt.lap();
@@ -755,48 +841,44 @@ impl Engine {
         self.pkt_idx = 0;
     }
 
-    /// Close out still-open connections at `end_ts` (finish() clamps open
-    /// conns back to this point). The batch terminal step.
-    pub(crate) fn finish_at(&mut self, end_ts: Timestamp) {
-        self.flush_fused_laps();
-        self.table.finish(end_ts, &mut self.handler);
-        self.handler.out.metrics.stages[Stage::FlowIngest].add(self.pt.lap(), 0, 0);
-    }
-
-    /// Rotate at an epoch boundary: force-close every open connection
-    /// (clamped to `end_ts`), reset the per-epoch analyzer state retaining
-    /// capacity, swap `next` in as the new output window, and return the
-    /// finished window. Lifetime counters (table stats, dynamic ports,
-    /// the stream clock watermark) survive the rotation.
-    pub(crate) fn rotate(&mut self, end_ts: Timestamp, next: TraceAnalysis) -> TraceAnalysis {
+    /// The one window-close step, for the inline lane and every shard
+    /// worker at end of trace and for the monitor at each epoch boundary:
+    /// force-close every open connection (clamped to `end_ts`), reset the
+    /// per-window analyzer state retaining capacity, swap `next` in as the
+    /// new output window, and return the finished one with the table's
+    /// health for the window filled in. Lifetime state (table stats,
+    /// dynamic ports, the monotone clock watermark) survives the close.
+    pub(crate) fn close_window(&mut self, end_ts: Timestamp, next: TraceAnalysis) -> TraceAnalysis {
         self.flush_fused_laps();
         self.table.rotate(end_ts, &mut self.handler);
         self.handler.out.metrics.stages[Stage::FlowIngest].add(self.pt.lap(), 0, 0);
         self.handler.reset_epoch();
-        std::mem::replace(&mut self.handler.out, next)
+        let mut out = std::mem::replace(&mut self.handler.out, next);
+        let fstats = *self.table.stats();
+        out.health.clock_regressions = fstats.clock_regressions - self.closed.clock_regressions;
+        out.health.evicted_conns = fstats.evicted_conns - self.closed.evicted_conns;
+        self.closed = fstats;
+        out.metrics.peak_open_conns = fstats.peak_open_conns;
+        // Degradation events surface as the backpressure stage in every
+        // mode, so a capped batch analysis and a monitor read the same
+        // way; per-lane stages sum at the seal.
+        let degraded = out.health.evicted_conns + out.health.pending_dropped;
+        if degraded > 0 {
+            out.metrics.stages[Stage::Backpressure].add(0, degraded, 0);
+        }
+        out
     }
 
-    /// Re-base the load-bin window (monitor epochs start at epoch
-    /// boundaries, not at the first packet of the epoch).
+    /// Re-base the load-bin window: the stream's first frame for a batch
+    /// lane, the epoch boundary (not the epoch's first packet) for the
+    /// monitor.
     pub(crate) fn set_window_base(&mut self, base_us: u64) {
-        self.first = false;
-        self.base_us = base_us;
         self.base_sec = base_us / 1_000_000;
     }
 
-    /// First-packet window base, microseconds (0 before the first packet).
-    pub(crate) fn base_us(&self) -> u64 {
-        self.base_us
-    }
-
-    /// Latest timestamp seen on the stream.
-    pub(crate) fn max_ts(&self) -> Timestamp {
-        self.max_ts
-    }
-
-    /// Lifetime flow-table robustness counters.
-    pub(crate) fn flow_stats(&self) -> &ent_flow::FlowStats {
-        self.table.stats()
+    /// Connection records closed so far in the current window.
+    pub(crate) fn window_conns(&self) -> usize {
+        self.handler.out.conns.len()
     }
 
     /// The connection table's cross-epoch scalar state.
@@ -804,9 +886,11 @@ impl Engine {
         self.table.carry()
     }
 
-    /// Restore cross-epoch table state (checkpoint resume).
+    /// Restore cross-epoch table state (checkpoint resume); the next
+    /// window's health is the delta against the restored counters.
     pub(crate) fn restore_table_carry(&mut self, carry: ent_flow::TableCarry) {
         self.table.restore(carry);
+        self.closed = carry.stats;
     }
 
     /// Dynamically learned port→protocol mappings (checkpoint export).
@@ -817,16 +901,6 @@ impl Engine {
     /// Re-learn a dynamic port mapping (checkpoint restore).
     pub(crate) fn learn_dynamic(&mut self, addr: ent_wire::ipv4::Addr, port: u16, app: AppProtocol) {
         self.handler.dynamic.learn(addr, port, app);
-    }
-
-    /// The in-progress output window.
-    pub(crate) fn analysis_mut(&mut self) -> &mut TraceAnalysis {
-        &mut self.handler.out
-    }
-
-    /// Consume the engine, yielding the final output window.
-    pub(crate) fn into_analysis(self) -> TraceAnalysis {
-        self.handler.out
     }
 }
 
@@ -884,46 +958,49 @@ pub(crate) fn post_process(out: &mut TraceAnalysis, config: &PipelineConfig) {
     }
 }
 
-/// The generic per-packet loop: parse → tally → flow ingest, over any
-/// frame source.
-fn analyze_frames<'a, I>(
-    meta: &TraceMeta,
-    frames: I,
-    config: &PipelineConfig,
-    expected_conns: usize,
-) -> TraceAnalysis
-where
-    I: Iterator<Item = FrameRef<'a>>,
-{
-    let out = window_analysis(meta, meta.duration.micros() / 1_000_000);
-    let payload_ok = meta.has_payload();
-    let mut engine = Engine::new(out, config, payload_ok, expected_conns);
-    let total = StageTimer::start();
-    for p in frames {
-        engine.ingest_frame(p);
+/// The one seal of a batch session: fold the lanes' closed windows, **in
+/// lane order** and starting from the first, into one trace analysis,
+/// then run the global post-ingest passes exactly once (a scanner's
+/// probes spread across lanes; per-lane removal would miss it). Scalars
+/// and stage stats sum; record vectors concatenate (lane order, each
+/// lane's internal finalize order preserved); the per-second load series
+/// adds elementwise; `peak_open_conns` becomes the sum of lane peaks —
+/// within one trace the lanes hold their state simultaneously (`absorb`'s
+/// max is the cross-trace rule). One lane folds nothing.
+fn seal(windows: Vec<TraceAnalysis>, config: &PipelineConfig, total: StageTimer) -> TraceAnalysis {
+    let mut windows = windows.into_iter();
+    let mut out = windows.next().unwrap_or_default();
+    for part in windows {
+        out.packets += part.packets;
+        out.ip_packets += part.ip_packets;
+        out.arp_packets += part.arp_packets;
+        out.ipx_packets += part.ipx_packets;
+        out.other_l3_packets += part.other_l3_packets;
+        out.wire_bytes += part.wire_bytes;
+        out.conns.extend(part.conns);
+        out.http.extend(part.http);
+        out.dns.extend(part.dns);
+        out.nbns.extend(part.nbns);
+        out.cifs.extend(part.cifs);
+        out.rpc.extend(part.rpc);
+        out.nfs.extend(part.nfs);
+        out.ncp.extend(part.ncp);
+        out.tls.extend(part.tls);
+        out.smtp_message_bytes.extend(part.smtp_message_bytes);
+        out.imap_polls.extend(part.imap_polls);
+        for (bin, add) in out.bytes_per_second.iter_mut().zip(&part.bytes_per_second) {
+            *bin += add;
+        }
+        out.health.absorb(&part.health);
+        let peak_sum = out.metrics.peak_open_conns + part.metrics.peak_open_conns;
+        out.metrics.absorb(&part.metrics);
+        out.metrics.peak_open_conns = peak_sum;
     }
-    // Close out still-open connections at the trace's absolute end: the
-    // nominal duration past the first packet, or the last packet seen,
-    // whichever is later.
-    let end_abs = Timestamp::from_micros(engine.base_us().saturating_add(meta.duration.micros()))
-        .max(engine.max_ts());
-    engine.finish_at(end_abs);
-    let ingest_wall = total.elapsed_ns();
-    let fstats = *engine.flow_stats();
-    let mut out = engine.into_analysis();
-    // The ingest phase's elapsed wall (frame loop through table finish):
-    // the scaling curve's per-shard-count metric. Events/bytes stay zero so
-    // the entry is constant under `events_signature`.
-    out.metrics.stages[Stage::ShardIngest].add(ingest_wall, 0, 0);
-    out.health.clock_regressions = fstats.clock_regressions;
-    out.health.evicted_conns = fstats.evicted_conns;
-    out.metrics.peak_open_conns = fstats.peak_open_conns;
-    // Degradation events surface as the backpressure stage even in batch
-    // runs, so a capped batch analysis and a monitor read the same way.
-    let degraded = fstats.evicted_conns + out.health.pending_dropped;
-    if degraded > 0 {
-        out.metrics.stages[Stage::Backpressure].add(0, degraded, 0);
-    }
+    // The ingest phase's elapsed wall (frame loop through the last window
+    // close and the fold): the scaling curve's per-shard-count metric.
+    // Events/bytes stay zero so the entry is constant under
+    // `events_signature`.
+    out.metrics.stages[Stage::ShardIngest].add(total.elapsed_ns(), 0, 0);
     post_process(&mut out, config);
     out.metrics.trace_wall_ns = total.elapsed_ns();
     out.metrics.traces = 1;
@@ -933,13 +1010,15 @@ where
 /// Analyze a serialized (possibly damaged) capture end-to-end.
 ///
 /// The buffer is streamed through the recovering pcap reader with a
-/// reusable cursor — each salvaged record is analyzed as a borrowed
-/// [`RecordView`](ent_pcap::RecordView) straight out of the capture
-/// buffer, never materialized as an intermediate owned packet copy.
-/// Per-record damage is salvaged and tallied, not fatal; the capture-layer
-/// tally lands in [`TraceAnalysis::health`] next to the pipeline's own
-/// counters. The only error is [`AnalysisError::Ingest`]: an unusable
-/// global header leaves nothing to salvage.
+/// reusable cursor — each salvaged record enters the frame loop as a
+/// borrowed [`RecordView`](ent_pcap::RecordView) straight out of the
+/// capture buffer, never materialized as an intermediate owned packet
+/// copy — and through the same session as every other batch entry point,
+/// so [`PipelineConfig::shards`] applies here too. Per-record damage is
+/// salvaged and tallied, not fatal; the capture-layer tally lands in
+/// [`TraceAnalysis::health`] next to the pipeline's own counters. The only
+/// error is [`AnalysisError::Ingest`]: an unusable global header leaves
+/// nothing to salvage.
 pub fn analyze_capture(
     data: &[u8],
     mut meta: TraceMeta,
@@ -947,10 +1026,6 @@ pub fn analyze_capture(
 ) -> Result<TraceAnalysis, AnalysisError> {
     let mut reader = RecoveringReader::new(data)?;
     meta.snaplen = reader.snaplen();
-    // Sizing hint from the raw buffer: enterprise frames average a few
-    // hundred bytes on the wire, so bytes/600 approximates the packet
-    // count well enough for pre-sizing.
-    let expected = expected_conns_hint(data.len() / 600);
     let frames = std::iter::from_fn(|| {
         reader.next_record().map(|r| FrameRef {
             ts: r.ts,
@@ -958,7 +1033,10 @@ pub fn analyze_capture(
             orig_len: r.orig_len,
         })
     });
-    let mut analysis = analyze_frames(&meta, frames, config, expected);
+    // Sizing hint from the raw buffer: enterprise frames average a few
+    // hundred bytes on the wire, so bytes/600 approximates the packet
+    // count well enough for pre-sizing.
+    let mut analysis = ingest(&meta, frames, config, data.len() / 600);
     analysis.health.capture = reader.stats().clone();
     Ok(analysis)
 }

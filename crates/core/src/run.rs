@@ -4,27 +4,28 @@
 //!
 //! All datasets of a study share a single global work queue — workers
 //! never idle at a dataset boundary waiting for the previous dataset's
-//! last straggler traces.
+//! last straggler traces. Scenario packs ([`crate::packs`]) drain the
+//! same queue.
 
 use crate::metrics::{PipelineMetrics, Stage, StageTimer};
 use crate::pipeline::{analyze_packets, PipelineConfig};
 use crate::records::{IngestHealth, TraceAnalysis};
-use ent_gen::build::{build_site, generate_trace_into, GenConfig};
+use ent_gen::build::{build_site, generate_trace_into, GenConfig, GenTiming};
 use ent_gen::dataset::{all_datasets, DatasetSpec};
-use std::sync::Mutex;
+use ent_pcap::{PacketArena, TraceMeta};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Configuration for a study run.
-#[derive(Debug, Clone)]
-#[derive(Default)]
+/// Configuration for a study or scenario-pack run.
+#[derive(Debug, Clone, Default)]
 pub struct StudyConfig {
     /// Generator configuration (scale, seed).
     pub gen: GenConfig,
-    /// Pipeline configuration (scanner removal).
+    /// Pipeline configuration (scanner removal, shards).
     pub pipeline: PipelineConfig,
-    /// Worker threads (0 = available parallelism).
+    /// Worker threads (0 = available parallelism; composed with
+    /// `pipeline.shards` by [`effective_threads`]).
     pub threads: usize,
 }
-
 
 /// One analyzed dataset.
 #[derive(Debug)]
@@ -55,89 +56,95 @@ impl DatasetAnalysis {
     }
 }
 
-/// Generate and analyze several datasets over one global work queue.
-///
-/// Every trace of every dataset is a single work item; one thread pool
-/// drains the whole list. Packets are dropped as soon as each trace is
-/// analyzed, bounding memory. Results land in per-dataset bins and are
-/// sorted by global work index, which is monotone in (pass, subnet)
-/// within a dataset — so per-trace ordering (and content) is identical
-/// to running each dataset alone.
-pub fn run_datasets(specs: &[DatasetSpec], config: &StudyConfig) -> Vec<DatasetAnalysis> {
-    let sites: Vec<_> = specs.iter().map(|s| build_site(s, &config.gen)).collect();
-    // Global work list of (dataset index, subnet, pass).
-    let mut work = Vec::new();
-    for (di, spec) in specs.iter().enumerate() {
-        for pass in 1..=spec.passes {
-            for subnet in spec.monitored {
-                if spec.name == "D4" && pass == 2 && subnet % 2 == 0 {
-                    continue;
-                }
-                work.push((di, subnet, pass));
-            }
-        }
-    }
+/// The one trace work queue: every item of `work` is claimed off an
+/// atomic cursor by one of [`effective_threads`] workers, each reusing a
+/// single [`PacketArena`] across its items (after the first trace its
+/// buffers are warm and generation stops allocating entirely). Results
+/// come back in work-index order, so they are identical for any thread
+/// count.
+pub(crate) fn run_queue<W: Sync, T: Send>(
+    work: &[W],
+    config: &StudyConfig,
+    run: impl Fn(&W, &mut PacketArena) -> T + Sync,
+) -> Vec<T> {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     let threads = effective_threads(config.threads, config.pipeline.shards, cores, work.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let bins: Vec<Mutex<Vec<(usize, TraceAnalysis)>>> =
-        specs.iter().map(|_| Mutex::new(Vec::new())).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // One arena per worker, reused across traces: after the
-                // first trace its buffers are warm and generation stops
-                // allocating entirely.
-                let mut arena = ent_pcap::PacketArena::unbounded();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&(di, subnet, pass)) = work.get(i) else {
-                        break;
-                    };
-                    let Some((spec, (site, wan))) = specs.get(di).zip(sites.get(di)) else {
-                        break;
-                    };
-                    let gt = StageTimer::start();
-                    let (meta, gen) =
-                        generate_trace_into(site, wan, spec, subnet, pass, &config.gen, &mut arena);
-                    let gen_ns = gt.elapsed_ns();
-                    let mut analysis = analyze_packets(
-                        &meta,
-                        arena.captured_frames(),
-                        &config.pipeline,
-                        arena.len(),
-                    );
-                    let stages = &mut analysis.metrics.stages;
-                    stages[Stage::Generate].add(gen_ns, arena.len() as u64, arena.wire_bytes());
-                    // The generation sub-stages (all nested inside `generate`):
-                    // session emission, the global sort, and the capture tap.
-                    stages[Stage::GenSynth].add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
-                    stages[Stage::GenSort].add(gen.sort_ns, gen.sorted_packets, 0);
-                    stages[Stage::GenTap].add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
-                    // Per-trace worker wall time covers the whole item:
-                    // generation included, not just analysis.
-                    analysis.metrics.trace_wall_ns += gen_ns;
-                    // A worker that panicked poisons the lock; the analysis
-                    // it produced is still valid, so recover the guard.
-                    if let Some(bin) = bins.get(di) {
-                        bin.lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push((i, analysis));
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut arena = PacketArena::unbounded();
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = work.get(i) else { break };
+                        mine.push((i, run(item, &mut arena)));
                     }
-                }
-            });
-        }
+                    mine
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
+/// One work item's pipeline: `generate` the trace into the worker's
+/// arena, analyze it straight out of the arena, and fold the generator's
+/// timing into the analysis' stage table. Packets live only until the
+/// worker's next item, bounding memory.
+pub(crate) fn analyze_generated(
+    arena: &mut PacketArena,
+    pipeline: &PipelineConfig,
+    generate: impl FnOnce(&mut PacketArena) -> (TraceMeta, GenTiming),
+) -> TraceAnalysis {
+    let gt = StageTimer::start();
+    let (meta, gen) = generate(arena);
+    let gen_ns = gt.elapsed_ns();
+    let mut analysis = analyze_packets(&meta, arena.captured_frames(), pipeline, arena.len());
+    let stages = &mut analysis.metrics.stages;
+    stages[Stage::Generate].add(gen_ns, arena.len() as u64, arena.wire_bytes());
+    // The generation sub-stages (all nested inside `generate`): session
+    // emission, the global sort, and the capture tap.
+    stages[Stage::GenSynth].add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
+    stages[Stage::GenSort].add(gen.sort_ns, gen.sorted_packets, 0);
+    stages[Stage::GenTap].add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
+    // Per-trace worker wall time covers the whole item: generation
+    // included, not just analysis.
+    analysis.metrics.trace_wall_ns += gen_ns;
+    analysis
+}
+
+/// Generate and analyze several datasets over one global work queue.
+///
+/// Every trace of every dataset is a single work item. The work list is
+/// dataset-major in [`DatasetSpec::slots`] order, so the queue's
+/// work-index-ordered results split back into per-dataset runs whose
+/// per-trace ordering (and content) is identical to running each dataset
+/// alone.
+pub fn run_datasets(specs: &[DatasetSpec], config: &StudyConfig) -> Vec<DatasetAnalysis> {
+    let sites: Vec<_> = specs.iter().map(|s| build_site(s, &config.gen)).collect();
+    let work: Vec<_> = specs
+        .iter()
+        .zip(&sites)
+        .flat_map(|(spec, site)| spec.slots().map(move |slot| (spec, site, slot)))
+        .collect();
+    let mut analyses = run_queue(&work, config, |&(spec, (site, wan), (subnet, pass)), arena| {
+        analyze_generated(arena, &config.pipeline, |arena| {
+            generate_trace_into(site, wan, spec, subnet, pass, &config.gen, arena)
+        })
+    })
+    .into_iter();
     specs
         .iter()
-        .zip(bins)
-        .map(|(spec, bin)| {
-            let mut results = bin.into_inner().unwrap_or_else(|e| e.into_inner());
-            results.sort_by_key(|(i, _)| *i);
-            DatasetAnalysis {
-                spec: *spec,
-                traces: results.into_iter().map(|(_, a)| a).collect(),
-            }
+        .map(|spec| DatasetAnalysis {
+            spec: *spec,
+            traces: analyses.by_ref().take(spec.trace_count()).collect(),
         })
         .collect()
 }

@@ -33,15 +33,6 @@ impl Default for GenConfig {
     }
 }
 
-/// A generated dataset: the spec plus its traces.
-#[derive(Debug)]
-pub struct GeneratedDataset {
-    /// The dataset calibration used.
-    pub spec: DatasetSpec,
-    /// One trace per (subnet, pass).
-    pub traces: Vec<Trace>,
-}
-
 /// Build the site and WAN pool for a dataset (deterministic per seed).
 pub fn build_site(spec: &DatasetSpec, config: &GenConfig) -> (Site, WanPool) {
     let mut rng = StdRng::seed_from_u64(spec.seed ^ config.seed.rotate_left(17));
@@ -87,7 +78,7 @@ pub struct GenTiming {
 }
 
 /// Generate one trace: the packets seen at one subnet's router port
-/// during one monitoring pass.
+/// during one monitoring pass, as owned packets.
 pub fn generate_trace(
     site: &Site,
     wan: &WanPool,
@@ -96,49 +87,24 @@ pub fn generate_trace(
     pass: u8,
     config: &GenConfig,
 ) -> Trace {
-    generate_trace_timed(site, wan, spec, subnet, pass, config).0
-}
-
-/// [`generate_trace`] plus the per-sub-stage [`GenTiming`] breakdown.
-pub fn generate_trace_timed(
-    site: &Site,
-    wan: &WanPool,
-    spec: &DatasetSpec,
-    subnet: u16,
-    pass: u8,
-    config: &GenConfig,
-) -> (Trace, GenTiming) {
-    let (meta, arena, timing) = generate_trace_arena(site, wan, spec, subnet, pass, config);
-    let trace = Trace {
+    let mut arena = ent_pcap::PacketArena::unbounded();
+    let (meta, _) = generate_trace_into(site, wan, spec, subnet, pass, config, &mut arena);
+    Trace {
         meta,
         packets: arena.captured_packets(),
-    };
-    (trace, timing)
+    }
 }
 
 /// The zero-copy core of trace generation: emit, sort and tap the trace
-/// entirely inside one [`PacketArena`]. The returned arena holds the
-/// post-tap capture as `(ts, offset, len)` records over a single byte
-/// buffer; callers either iterate it borrowed
-/// ([`PacketArena::captured_frames`], what the study pipeline does) or
-/// materialize owned packets ([`PacketArena::captured_packets`]).
-pub fn generate_trace_arena(
-    site: &Site,
-    wan: &WanPool,
-    spec: &DatasetSpec,
-    subnet: u16,
-    pass: u8,
-    config: &GenConfig,
-) -> (TraceMeta, ent_pcap::PacketArena, GenTiming) {
-    let mut arena = ent_pcap::PacketArena::unbounded();
-    let (meta, timing) = generate_trace_into(site, wan, spec, subnet, pass, config, &mut arena);
-    (meta, arena, timing)
-}
-
-/// [`generate_trace_arena`] into a caller-owned arena, so a worker loop
-/// can reuse one arena's buffers across many traces: after the first
-/// trace the steady-state emission path performs no heap allocation at
-/// all. The arena is cleared (capacity kept) before generation.
+/// entirely inside a caller-owned [`PacketArena`](ent_pcap::PacketArena),
+/// returning the per-sub-stage [`GenTiming`] breakdown beside the meta.
+/// Afterwards the arena holds the post-tap capture as `(ts, offset, len)`
+/// records over a single byte buffer; callers either iterate it borrowed
+/// (`captured_frames`, what the study pipeline does) or materialize owned
+/// packets (`captured_packets`). A worker loop reuses one arena's buffers
+/// across many traces: after the first trace the steady-state emission
+/// path performs no heap allocation at all. The arena is cleared
+/// (capacity kept) before generation.
 pub fn generate_trace_into(
     site: &Site,
     wan: &WanPool,
@@ -218,30 +184,12 @@ where
     (meta, timing)
 }
 
-/// Generate a whole dataset, materializing all traces in memory.
-///
-/// For large scales prefer [`for_each_trace`], which streams.
-pub fn generate_dataset(spec: &DatasetSpec, config: &GenConfig) -> GeneratedDataset {
-    let mut traces = Vec::with_capacity(spec.trace_count());
-    for_each_trace(spec, config, |t| traces.push(t));
-    GeneratedDataset {
-        spec: *spec,
-        traces,
-    }
-}
-
 /// Generate a dataset trace-by-trace, invoking `f` on each so callers can
 /// analyze and drop traces without holding the whole dataset.
 pub fn for_each_trace<F: FnMut(Trace)>(spec: &DatasetSpec, config: &GenConfig, mut f: F) {
     let (site, wan) = build_site(spec, config);
-    for pass in 1..=spec.passes {
-        for subnet in spec.monitored {
-            // D4 monitored only part of the subnets twice ("1-2 per tap").
-            if spec.name == "D4" && pass == 2 && subnet % 2 == 0 {
-                continue;
-            }
-            f(generate_trace(&site, &wan, spec, subnet, pass, config));
-        }
+    for (subnet, pass) in spec.slots() {
+        f(generate_trace(&site, &wan, spec, subnet, pass, config));
     }
 }
 
@@ -313,14 +261,13 @@ mod tests {
     fn d1_injects_capture_drops() {
         let specs = all_datasets();
         let config = tiny_config();
-        let gd = generate_dataset(
-            &DatasetSpec {
-                monitored: (0..2).into(),
-                ..specs[1]
-            },
-            &config,
-        );
-        assert_eq!(gd.traces.len(), 4);
+        let spec = DatasetSpec {
+            monitored: (0..2).into(),
+            ..specs[1]
+        };
+        let mut traces = 0;
+        for_each_trace(&spec, &config, |_| traces += 1);
+        assert_eq!(traces, 4);
     }
 
     #[test]

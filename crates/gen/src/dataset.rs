@@ -2,7 +2,7 @@
 //! the workload-intensity knobs each paper table/figure depends on.
 //!
 //! Rates are expressed per monitored subnet-hour *at scale 1.0* (i.e. the
-//! real site's intensity); [`DatasetSpec::scale`] downsamples session
+//! real site's intensity); `GenConfig::scale` downsamples session
 //! counts so a laptop run stays tractable, preserving the mix. Flow-size
 //! distributions are *not* scaled — only counts are — so per-connection
 //! characteristics (Figures 3–8) match the paper at any scale.
@@ -118,14 +118,22 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// Number of traces this dataset comprises (subnets × passes).
-    pub fn trace_count(&self) -> usize {
-        self.monitored.len() * self.passes as usize
+    /// Every `(subnet, pass)` trace slot of the dataset in study order
+    /// (pass-major). D4 monitored only part of the subnets twice (Table 1
+    /// "1-2 per tap"): its second pass covers the odd subnets only.
+    pub fn slots(&self) -> impl Iterator<Item = (u16, u8)> {
+        let spec = *self;
+        (1..=spec.passes).flat_map(move |pass| {
+            spec.monitored
+                .into_iter()
+                .filter(move |subnet| !(spec.name == "D4" && pass == 2 && subnet % 2 == 0))
+                .map(move |subnet| (subnet, pass))
+        })
     }
 
-    /// Scale factor applied to all *counts* (not sizes); chosen per run.
-    pub fn scale(&self) -> f64 {
-        1.0
+    /// Number of traces this dataset comprises.
+    pub fn trace_count(&self) -> usize {
+        self.slots().count()
     }
 }
 
@@ -305,6 +313,8 @@ mod tests {
         assert_eq!(all[2].snaplen, 68);
         assert!(all[0].snaplen == 1500 && all[3].snaplen == 1500 && all[4].snaplen == 1500);
         assert_eq!(all[1].trace_count(), 44);
+        // D4: 18 subnets once + the 9 odd ones a second time.
+        assert_eq!(all[4].trace_count(), 27);
         // Remote-host pools grow D3-D4 as in Table 1.
         assert!(all[4].wan_pool > all[0].wan_pool);
     }

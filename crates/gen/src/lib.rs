@@ -39,7 +39,7 @@ pub mod network;
 pub mod packs;
 pub mod synth;
 
-pub use build::{generate_dataset, generate_trace, GenConfig, GeneratedDataset};
+pub use build::{generate_trace, GenConfig};
 pub use dataset::{DatasetSpec, ALL_DATASETS};
 pub use network::{Role, Site, WanPool};
 pub use packs::{ScenarioPack, PACK_NAMES};

@@ -173,16 +173,6 @@ pub fn generate_pack_trace_into(
     })
 }
 
-/// Run `f` over every `(subnet, pass)` trace slot of a pack, in the
-/// deterministic dataset order.
-pub fn for_each_pack_slot<F: FnMut(u16, u8)>(pack: &ScenarioPack, mut f: F) {
-    for pass in 1..=pack.spec.passes {
-        for subnet in pack.spec.monitored {
-            f(subnet, pass);
-        }
-    }
-}
-
 fn emit_actors(kind: PackKind, ctx: &mut TraceCtx<'_>) {
     match kind {
         PackKind::Base => {}

@@ -22,9 +22,10 @@
 //! * Timestamp regressions are clamped to the previous record's timestamp
 //!   (output stays monotone) and counted.
 //! * A timestamp leaping more than a minute forward is pinned to the
-//!   previous clock (and counted) unless the next record corroborates the
-//!   jump — a genuine capture gap passes through, while a corrupted `sec`
-//!   field or false resync lock cannot poison the monotone clamp.
+//!   previous clock (and counted) when the next record falls back behind
+//!   it — a genuine capture gap, however isolated the packet after it,
+//!   passes through, while a corrupted `sec` field or false resync lock
+//!   cannot poison the monotone clamp.
 //! * Zero-length records are dropped and counted.
 //! * A file-header snaplen above [`MAX_RECORD_BYTES`] is clamped before any
 //!   allocation and flagged.
@@ -148,8 +149,8 @@ pub struct RecoveringReader<'a> {
 /// false resync lock or a corrupted `sec` field yields an arbitrary
 /// timestamp; without this bound one such record poisons the monotone
 /// clamp and flattens every later timestamp in the file. Larger forward
-/// jumps are still accepted when the following record's clock corroborates
-/// them (a genuine capture gap), so idle periods survive.
+/// jumps are still accepted when the following record's clock does not
+/// fall back behind them (a genuine capture gap), so idle periods survive.
 const MAX_CLOCK_JUMP_US: u64 = 60 * 1_000_000;
 
 /// How far past the first structurally-plausible candidate a resync keeps
@@ -316,15 +317,18 @@ impl<'a> RecoveringReader<'a> {
     }
 
     /// Does the record after the current one (at `self.pos`, already
-    /// advanced) carry a clock near `ts_us`? Vouches for a large forward
-    /// jump being a genuine capture gap rather than a one-record outlier.
+    /// advanced) keep the clock at or past `ts_us`, give or take the
+    /// jump bound? Vouches for a large forward jump being a genuine
+    /// capture gap rather than a one-record outlier the stream falls back
+    /// from. How far *ahead* the next record lies says nothing: in a
+    /// sparse capture an intact packet sits alone inside a quiet stretch.
     fn next_clock_confirms(&self, ts_us: u64) -> bool {
         if !self.header_sane(self.pos) {
             return false;
         }
         let h = self.header_at(self.pos);
         let next = u64::from(h.sec) * 1_000_000 + u64::from(h.usec);
-        next + MAX_CLOCK_JUMP_US >= ts_us && next <= ts_us + MAX_CLOCK_JUMP_US
+        next + MAX_CLOCK_JUMP_US >= ts_us
     }
 
     /// Skip forward from a damaged record header to the next plausible one.
@@ -424,8 +428,8 @@ impl<'a> RecoveringReader<'a> {
                 {
                     // A wildly future clock is either a false resync lock
                     // or a corrupted `sec` field — unless the next record
-                    // corroborates it (a genuine capture gap). Pin the
-                    // outlier so it cannot poison the monotone clamp.
+                    // stays up there with it (a genuine capture gap). Pin
+                    // the outlier so it cannot poison the monotone clamp.
                     self.stats.clock_regressions += 1;
                     ts_us = last;
                 }
@@ -612,6 +616,26 @@ mod tests {
         assert_eq!(pkts.len(), 4);
         assert!(stats.is_clean(), "{stats}");
         assert_eq!(pkts[2].ts, Timestamp::from_micros(year_us));
+    }
+
+    #[test]
+    fn sparse_intact_capture_reads_clean() {
+        // Quiet stretches longer than the jump bound on both sides of an
+        // isolated packet (70 s), and of a pair (140/141 s): every jump is
+        // followed by a record that does not fall back, so nothing is
+        // damage and no timestamp is rewritten.
+        let secs = [0u64, 70, 140, 141, 300, 301];
+        let mut buf = Vec::new();
+        let mut w = PcapWriter::new(&mut buf, 65_535).unwrap();
+        for (i, s) in secs.iter().enumerate() {
+            w.write_packet(&TimedPacket::new(Timestamp::from_secs(*s), vec![i as u8; 60]))
+                .unwrap();
+        }
+        w.finish().unwrap();
+        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        assert!(stats.is_clean(), "{stats}");
+        let read: Vec<_> = pkts.iter().map(|p| p.ts).collect();
+        assert_eq!(read, secs.map(Timestamp::from_secs));
     }
 
     #[test]

@@ -16,6 +16,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> ent-lint (workspace static analysis, zero findings required)"
 cargo run --release -q -p ent-lint
 
+echo "==> benchmark harness smoke (benchmark/ builds against this API and passes its own checks)"
+# benchmark/ is its own workspace compiled against ent-core/ent-gen's pub
+# items, so the workspace build above never sees it: a signature slip
+# there would otherwise surface only as every benchmark operation failing.
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+
 echo "==> generator golden fingerprints (byte equivalence, release mode)"
 # Pins the arena generation path to the exact bytes the legacy Vec path
 # produced (D0-D4, scale 0.01, seeds 1 and 2005). Any semantic drift in

@@ -148,13 +148,13 @@ pub fn pack_fingerprints(scale: f64, seed: u64) -> Vec<(String, u64, usize)> {
             let mut h = FP_SEED;
             let mut traces = 0usize;
             let mut arena = ent_pcap::PacketArena::unbounded();
-            ent_gen::packs::for_each_pack_slot(pack, |subnet, pass| {
+            for (subnet, pass) in pack.spec.slots() {
                 ent_gen::packs::generate_pack_trace_into(
                     pack, &site, &wan, subnet, pass, &config, &mut arena,
                 );
                 h = mix(h, labeled_arena_fingerprint(&arena));
                 traces += 1;
-            });
+            }
             (pack.name.to_string(), h, traces)
         })
         .collect()

@@ -95,6 +95,55 @@ fn corrupted_corpus_survives_full_pipeline() {
     }
 }
 
+/// Capture analysis is the same ingest session as every other batch entry
+/// point, so it shards — and damage must not make the lanes disagree.
+/// Every non-fatal fault mode x 8 injector seeds, at 1 and 4 worker lanes
+/// against the inline lane: same events, same rendered health (capture
+/// tally and per-lane clock clamps included), same packet and byte totals.
+#[test]
+fn damaged_captures_agree_across_shard_counts() {
+    let (clean_bytes, meta) = base_capture();
+    let with_shards = |bytes: &[u8], shards: usize| {
+        let config = PipelineConfig {
+            shards,
+            ..PipelineConfig::default()
+        };
+        analyze_capture(bytes, meta.clone(), &config).expect("non-fatal damage stays analyzable")
+    };
+    // The knob is honored, not ignored: the seal concatenates lane by lane,
+    // so four lanes return this capture's connection records in another
+    // order than the inline lane does.
+    let keys = |a: &TraceAnalysis| a.conns.iter().map(|c| c.summary.key).collect::<Vec<_>>();
+    assert_ne!(
+        keys(&with_shards(&clean_bytes, 4)),
+        keys(&with_shards(&clean_bytes, 0)),
+        "analyze_capture ran a single lane at shards = 4"
+    );
+    let mut damaged = 0;
+    for fault in Fault::ALL.into_iter().filter(|f| !f.is_fatal()) {
+        for seed in 0..8u64 {
+            let mut bytes = clean_bytes.clone();
+            let mut inj = FaultInjector::new(0x5EED_0000 + seed);
+            assert!(inj.apply(&mut bytes, fault), "{fault:?} did not apply");
+            damaged += 1;
+            let serial = with_shards(&bytes, 0);
+            for shards in [1usize, 4] {
+                let sharded = with_shards(&bytes, shards);
+                let at = format!("{fault:?} seed {seed} shards {shards}");
+                assert_eq!(
+                    sharded.metrics.events_signature(),
+                    serial.metrics.events_signature(),
+                    "{at}"
+                );
+                assert_eq!(sharded.health.to_string(), serial.health.to_string(), "{at}");
+                assert_eq!(sharded.packets, serial.packets, "{at}");
+                assert_eq!(sharded.wire_bytes, serial.wire_bytes, "{at}");
+            }
+        }
+    }
+    assert_eq!(damaged, 88, "11 non-fatal modes x 8 seeds");
+}
+
 /// Compounded damage: several distinct faults at once still ingest, and
 /// the tallies reflect each of them.
 #[test]

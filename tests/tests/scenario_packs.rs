@@ -12,7 +12,7 @@
 // Test assertions may abort.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ent_core::{run_pack, PackReport, PackStudyConfig, PipelineConfig};
+use ent_core::{run_pack, PackReport, StudyConfig, PipelineConfig};
 use ent_gen::GenConfig;
 use ent_pcap::{Clip, PacketArena, Tap};
 use ent_wire::Timestamp;
@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 
-fn pack_config(seed: u64, threads: usize, shards: usize) -> PackStudyConfig {
-    PackStudyConfig {
+fn pack_config(seed: u64, threads: usize, shards: usize) -> StudyConfig {
+    StudyConfig {
         gen: GenConfig {
             scale: 0.004,
             seed,
