@@ -202,8 +202,9 @@ stat_table! {
     /// The global timestamp sort of the emitted packet records (nested
     /// inside `generate`): in-window records sorted / 0.
     GenSort = "gen_sort" in STUDY_DOC,
-    /// Tap admission, snaplen clamping and trace materialization (nested
-    /// inside `generate`): packets captured / captured (post-snaplen) bytes.
+    /// Tap admission: injected drops over frames already written at the
+    /// snaplen (nested inside `generate`): packets captured / captured
+    /// (post-snaplen) bytes.
     GenTap = "gen_tap" in STUDY_DOC,
     /// Link/network/transport dissection (`ent-wire`): frames seen
     /// (including rejected ones) / captured bytes.

@@ -61,8 +61,10 @@ impl<'a> TraceCtx<'a> {
     }
 
     /// Create a context for one trace, reusing a caller-provided arena
-    /// (its buffers keep their capacity; contents and window limit are
-    /// reset for this trace).
+    /// (its buffers keep their capacity; contents, window limit and
+    /// snaplen are reset for this trace — one arena serves full-payload
+    /// and header-only datasets in turn). The generator writes what the
+    /// tap keeps: every frame is stored cut at the dataset's snaplen.
     pub fn with_arena(
         rng: StdRng,
         site: &'a Site,
@@ -75,6 +77,7 @@ impl<'a> TraceCtx<'a> {
         let duration_us = spec.trace_secs * 1_000_000;
         out.clear();
         out.set_limit(Timestamp::from_micros(duration_us));
+        out.set_snaplen(spec.snaplen as usize);
         TraceCtx {
             rng,
             site,

@@ -64,7 +64,8 @@ pub struct GenTiming {
     pub synth_ns: u64,
     /// Wall ns spent in the global timestamp sort.
     pub sort_ns: u64,
-    /// Wall ns spent in tap admission + snaplen clamp + materialization.
+    /// Wall ns spent in tap admission (injected drops; the snaplen was
+    /// applied as the frames were written).
     pub tap_ns: u64,
     /// Logical packets emitted, including the beyond-window tail the
     /// trace never materializes.
@@ -99,9 +100,10 @@ pub fn generate_trace(
 /// entirely inside a caller-owned [`PacketArena`](ent_pcap::PacketArena),
 /// returning the per-sub-stage [`GenTiming`] breakdown beside the meta.
 /// Afterwards the arena holds the post-tap capture as `(ts, offset, len)`
-/// records over a single byte buffer; callers either iterate it borrowed
-/// (`captured_frames`, what the study pipeline does) or materialize owned
-/// packets (`captured_packets`). A worker loop reuses one arena's buffers
+/// records over a single byte buffer that stores each frame cut at
+/// `spec.snaplen` (the generator writes what the tap keeps); callers
+/// either iterate it borrowed (`captured_frames`, what the study pipeline
+/// does) or materialize owned packets (`captured_packets`). A worker loop reuses one arena's buffers
 /// across many traces: after the first trace the steady-state emission
 /// path performs no heap allocation at all. The arena is cleared
 /// (capacity kept) before generation.
@@ -164,8 +166,10 @@ where
     ctx.out.sort_records();
     timing.sorted_packets = ctx.out.len() as u64;
     lap(&mut timing.sort_ns);
-    // Through the capture tap: snaplen truncation + injected drops,
-    // applied to the records in place — no frame bytes move.
+    // Through the capture tap: injected drops, applied to the records in
+    // place. The frames were already written cut at `spec.snaplen` (the
+    // arena got it from `TraceCtx::with_arena`), so the tap's snaplen
+    // finds nothing left to clamp.
     let mut tap = Tap::new(spec.snaplen as usize);
     if spec.tap_drop_period > 0 {
         tap = tap.with_drop_period(spec.tap_drop_period);

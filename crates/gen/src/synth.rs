@@ -323,13 +323,14 @@ impl<R: Rng + ?Sized> TcpSim<'_, R> {
         ack: u32,
         payload: build::SplitPayload<'_>,
     ) {
-        let wire = (build::TCP_HDR_LEN + payload.len()) as u64;
-        if !self.out.admit(ts, self.clip, wire) {
+        let wire = build::TCP_HDR_LEN + payload.len();
+        if !self.out.admit(ts, self.clip, wire as u64) {
             return;
         }
         let tmpl = if from_client { &self.c_tmpl } else { &self.s_tmpl };
-        build::tcp_frame_split_into(tmpl, seq, ack, flags, payload, self.out.frame_buf());
-        self.out.commit(ts);
+        let snaplen = self.out.snaplen();
+        build::tcp_frame_split_into(tmpl, seq, ack, flags, payload, snaplen, self.out.frame_buf());
+        self.out.commit(ts, wire);
     }
 
     fn run(mut self) {
@@ -434,7 +435,7 @@ impl<R: Rng + ?Sized> TcpSim<'_, R> {
             }
             Close::None => {}
         }
-        // No per-session sort: the arena's global `(ts, offset)` sort
+        // No per-session sort: the arena's global stable sort on `ts`
         // reproduces the legacy stable per-session + global ordering.
     }
 
@@ -616,9 +617,11 @@ pub fn emit_udp(spec: &UdpFlowSpec, out: &mut PacketArena, clip: Clip) {
         } else {
             (&s_tmpl, t + spec.half_rtt_us)
         };
-        if out.admit(ts, clip, (build::UDP_HDR_LEN + m.payload.len()) as u64) {
-            build::udp_frame_split_into(tmpl, m.payload.split(), out.frame_buf());
-            out.commit(ts);
+        let wire = build::UDP_HDR_LEN + m.payload.len();
+        if out.admit(ts, clip, wire as u64) {
+            let snaplen = out.snaplen();
+            build::udp_frame_split_into(tmpl, m.payload.split(), snaplen, out.frame_buf());
+            out.commit(ts, wire);
         }
     }
 }
@@ -649,10 +652,12 @@ pub fn emit_icmp_echo(
     out: &mut PacketArena,
     clip: Clip,
 ) {
-    let wire = (build::ICMP_HDR_LEN + ICMP_PAYLOAD.len()) as u64;
+    // Too few per trace to give the ICMP writer a limit of its own: the
+    // whole 98-byte frame is appended and `commit` cuts it at the snaplen.
+    let wire = build::ICMP_HDR_LEN + ICMP_PAYLOAD.len();
     for i in 0..count {
         let t = start + i as u64 * 1_000_000;
-        if out.admit(t, clip, wire) {
+        if out.admit(t, clip, wire as u64) {
             build::icmp_frame_into(
                 client.mac,
                 server.mac,
@@ -664,11 +669,11 @@ pub fn emit_icmp_echo(
                 &ICMP_PAYLOAD,
                 out.frame_buf(),
             );
-            out.commit(t);
+            out.commit(t, wire);
         }
         if answered {
             let tr = t + rtt_us;
-            if out.admit(tr, clip, wire) {
+            if out.admit(tr, clip, wire as u64) {
                 build::icmp_frame_into(
                     server.mac,
                     client.mac,
@@ -680,7 +685,7 @@ pub fn emit_icmp_echo(
                     &ICMP_PAYLOAD,
                     out.frame_buf(),
                 );
-                out.commit(tr);
+                out.commit(tr, wire);
             }
         }
     }

@@ -10,6 +10,12 @@
 //! [`PacketArena::sort_records`] and materializes the surviving
 //! post-[`Tap`](crate::Tap) packets in one pass.
 //!
+//! The arena knows the capture's snaplen ([`PacketArena::set_snaplen`])
+//! and stores only what the tap will keep: writers stop at
+//! [`PacketArena::snaplen`] bytes and a record's captured length is
+//! always `min(len, snaplen)`, so a header-only trace (snaplen 68)
+//! occupies 68 bytes per packet however long its frames were on the wire.
+//!
 //! The arena also owns the monitoring-window cutoff that used to be a
 //! post-hoc `retain`: [`PacketArena::admit`] rejects packets timestamped
 //! at or past the window limit *before* their bytes are built, while
@@ -31,10 +37,11 @@ pub enum Clip {
     Silent,
 }
 
-/// One staged packet: timestamp plus the frame's span in the byte buffer.
-/// `cap` is the captured length — equal to `len` until
-/// [`PacketArena::apply_tap`] clamps it to the snaplen. `label` is the
-/// ground-truth tag active at commit time (see
+/// One staged packet: timestamp, where the frame's stored bytes start in
+/// the byte buffer, and its wire length. The stored (= captured) length
+/// is not a field: it is `min(len, snaplen)` for the arena's snaplen (see
+/// [`PacketArena::frame`]), which keeps the record at 24 bytes through
+/// the sort. `label` is the ground-truth tag active at commit time (see
 /// [`PacketArena::set_label`]); it rides with the record through
 /// [`PacketArena::sort_records`] and [`PacketArena::apply_tap`] but
 /// never enters the frame bytes.
@@ -43,7 +50,6 @@ struct Rec {
     ts: Timestamp,
     off: u64,
     len: u32,
-    cap: u32,
     label: u32,
 }
 
@@ -55,8 +61,10 @@ pub struct PacketArena {
     recs: Vec<Rec>,
     /// Monitoring-window limit: packets with `ts >= limit` are refused.
     limit: Timestamp,
+    /// Capture snaplen: no record stores more than this many frame bytes.
+    snaplen: usize,
     /// Start of the frame currently being built in `buf`.
-    watermark: u64,
+    watermark: usize,
     /// Wire bytes of all committed records.
     wire_bytes: u64,
     /// Out-of-window packets tallied by [`Clip::Counted`] admissions.
@@ -68,12 +76,14 @@ pub struct PacketArena {
 }
 
 impl PacketArena {
-    /// An arena admitting packets strictly before `limit`.
+    /// An arena admitting packets strictly before `limit`, storing full
+    /// frames (no snaplen).
     pub fn new(limit: Timestamp) -> PacketArena {
         PacketArena {
             buf: Vec::new(),
             recs: Vec::new(),
             limit,
+            snaplen: usize::MAX,
             watermark: 0,
             wire_bytes: 0,
             ghost_packets: 0,
@@ -82,7 +92,8 @@ impl PacketArena {
         }
     }
 
-    /// An arena with no window limit (admits everything).
+    /// An arena with no window limit and no snaplen (admits and stores
+    /// everything).
     pub fn unbounded() -> PacketArena {
         PacketArena::new(Timestamp::from_micros(u64::MAX))
     }
@@ -91,6 +102,24 @@ impl PacketArena {
     /// [`PacketArena::clear`] keeps the old limit).
     pub fn set_limit(&mut self, limit: Timestamp) {
         self.limit = limit;
+    }
+
+    /// Set the capture snaplen: frames committed from now on store at most
+    /// `snaplen` bytes ([`PacketArena::clear`] keeps it, like the window
+    /// limit). Records already committed were stored under the old value,
+    /// so with any present the snaplen can only go down.
+    pub fn set_snaplen(&mut self, snaplen: usize) {
+        self.snaplen = if self.recs.is_empty() {
+            snaplen
+        } else {
+            self.snaplen.min(snaplen)
+        };
+    }
+
+    /// The capture snaplen: how many bytes of a frame a writer needs to
+    /// append before [`PacketArena::commit`].
+    pub fn snaplen(&self) -> usize {
+        self.snaplen
     }
 
     /// Set the ground-truth label stamped onto every record committed
@@ -123,35 +152,46 @@ impl PacketArena {
     }
 
     /// The byte buffer, positioned for appending one frame. Callers
-    /// extend it (e.g. via `ent_wire::build::tcp_frame_into`) then call
-    /// [`PacketArena::commit`] with the packet timestamp.
+    /// extend it (e.g. via `ent_wire::build::tcp_frame_split_into` with
+    /// [`PacketArena::snaplen`] as the limit) then call
+    /// [`PacketArena::commit`] with the timestamp and wire length.
     pub fn frame_buf(&mut self) -> &mut Vec<u8> {
         &mut self.buf
     }
 
-    /// Record the frame appended since the last commit as one packet.
-    pub fn commit(&mut self, ts: Timestamp) {
+    /// Record the bytes appended since the last commit as one packet of
+    /// `wire_len` bytes on the wire. The writer must have appended at
+    /// least the first `min(wire_len, snaplen)` frame bytes; anything
+    /// beyond that is cut off here, so a writer that ignores the snaplen
+    /// costs time but never changes what is stored.
+    pub fn commit(&mut self, ts: Timestamp, wire_len: usize) {
         let off = self.watermark;
-        let end = self.buf.len() as u64;
-        let frame_bytes = end.saturating_sub(off);
-        self.watermark = end;
-        self.wire_bytes += frame_bytes;
+        let end = off + wire_len.min(self.snaplen);
+        debug_assert!(
+            self.buf.len() >= end,
+            "commit of {wire_len} wire bytes over {} appended",
+            self.buf.len().saturating_sub(off)
+        );
+        self.buf.truncate(end);
+        self.watermark = self.buf.len();
+        self.wire_bytes += wire_len as u64;
         self.recs.push(Rec {
             ts,
-            off,
-            len: frame_bytes as u32,
-            cap: frame_bytes as u32,
+            off: off as u64,
+            len: wire_len as u32,
             label: self.cur_label,
         });
     }
 
-    /// Convenience: admit + append a prebuilt frame + commit.
+    /// Convenience: admit + append a prebuilt frame (up to the snaplen) +
+    /// commit.
     pub fn push_frame(&mut self, ts: Timestamp, clip: Clip, frame: &[u8]) {
         if !self.admit(ts, clip, frame.len() as u64) {
             return;
         }
-        self.buf.extend_from_slice(frame);
-        self.commit(ts);
+        self.buf
+            .extend_from_slice(frame.get(..self.snaplen).unwrap_or(frame));
+        self.commit(ts, frame.len());
     }
 
     /// Committed (in-window) packets.
@@ -174,15 +214,21 @@ impl PacketArena {
         self.wire_bytes + self.ghost_bytes
     }
 
-    /// Order records by `(timestamp, emission offset)`. The offset
-    /// tie-break reproduces the legacy pipeline's stable sort exactly:
-    /// equal-timestamp packets stay in emission order, and keys are
-    /// unique so the result is deterministic. The *stable* algorithm is
-    /// deliberate — the record list is a concatenation of per-session
-    /// ascending runs, which merge sort detects and exploits; pattern-
-    /// defeating quicksort measures ~2x slower on this shape.
+    /// Order records by timestamp, equal timestamps staying in emission
+    /// order. The key is the timestamp alone: records are committed in
+    /// ascending `off`, so the *stable* sort's tie-break already is the
+    /// emission offset, and a `(ts, off)` key would only make every
+    /// compare two words wide. Stability is deliberate twice over — the
+    /// record list is a concatenation of per-session ascending runs, which
+    /// merge sort detects and exploits; pattern-defeating quicksort
+    /// measures ~2x slower on this shape.
     pub fn sort_records(&mut self) {
-        self.recs.sort_by_key(|r| (r.ts, r.off));
+        self.recs.sort_by_key(|r| r.ts);
+    }
+
+    /// Frame bytes held in the byte buffer: at most `snaplen` per record.
+    pub fn stored_bytes(&self) -> usize {
+        self.buf.len()
     }
 
     /// Wire bytes of the committed (in-window) records. After
@@ -192,51 +238,60 @@ impl PacketArena {
         self.wire_bytes
     }
 
-    /// Run every record through a capture tap *in place*: snaplen clamps
-    /// the captured length, injected drops remove the record. No frame
+    /// Run every record through a capture tap *in place*: injected drops
+    /// remove the record, and a tap snaplen below the arena's lowers the
+    /// arena's (the frames were written at the arena's snaplen, so a
+    /// tap at that snaplen or above has nothing left to clamp). No frame
     /// bytes move. Returns the total captured (post-snaplen) bytes.
     /// Call after [`PacketArena::sort_records`] so the tap's periodic
     /// drop counter walks the trace in time order.
     pub fn apply_tap(&mut self, tap: &mut Tap) -> u64 {
+        self.snaplen = self.snaplen.min(tap.snaplen());
+        let snaplen = self.snaplen;
         let mut captured = 0u64;
         let mut dropped_wire = 0u64;
-        self.recs.retain_mut(|r| match tap.admit(r.len as usize) {
-            Some(cap) => {
-                r.cap = cap as u32;
-                captured += cap as u64;
-                true
-            }
-            None => {
+        self.recs.retain(|r| {
+            let kept = tap.admit(r.len as usize).is_some();
+            if kept {
+                captured += (r.len as usize).min(snaplen) as u64;
+            } else {
                 dropped_wire += r.len as u64;
-                false
             }
+            kept
         });
         self.wire_bytes -= dropped_wire;
         captured
     }
 
+    /// The captured bytes of one record: `min(len, snaplen)` bytes from
+    /// its offset. This is the only place a record becomes a slice, and
+    /// it is clamped to the buffer: frames sit back to back, so a slice
+    /// cut longer than what was stored would not fail, it would run on
+    /// into the next frame's bytes.
+    fn frame(&self, r: &Rec) -> &[u8] {
+        let len = (r.len as usize).min(self.snaplen);
+        let stored = self.buf.get(r.off as usize..).unwrap_or(&[]);
+        debug_assert!(
+            stored.len() >= len,
+            "record at {} does not resolve inside the byte buffer",
+            r.off
+        );
+        stored.get(..len).unwrap_or(stored)
+    }
+
     /// Borrowed views of the captured packets in record order:
-    /// `(timestamp, captured frame bytes, original wire length)`. The
-    /// frame slice reflects any [`PacketArena::apply_tap`] snaplen clamp.
+    /// `(timestamp, captured frame bytes, original wire length)`.
     pub fn captured_frames(&self) -> impl Iterator<Item = (Timestamp, &[u8], u32)> + '_ {
-        self.recs.iter().filter_map(|r| {
-            let start = r.off as usize;
-            self.buf
-                .get(start..start.saturating_add(r.cap as usize))
-                .map(|frame| (r.ts, frame, r.len))
-        })
+        self.recs.iter().map(|r| (r.ts, self.frame(r), r.len))
     }
 
     /// Like [`PacketArena::captured_frames`] but with each record's
     /// ground-truth label appended:
     /// `(timestamp, captured frame bytes, original wire length, label)`.
     pub fn labeled_frames(&self) -> impl Iterator<Item = (Timestamp, &[u8], u32, u32)> + '_ {
-        self.recs.iter().filter_map(|r| {
-            let start = r.off as usize;
-            self.buf
-                .get(start..start.saturating_add(r.cap as usize))
-                .map(|frame| (r.ts, frame, r.len, r.label))
-        })
+        self.recs
+            .iter()
+            .map(|r| (r.ts, self.frame(r), r.len, r.label))
     }
 
     /// Histogram of record labels in ascending label order. The counts
@@ -263,34 +318,33 @@ impl PacketArena {
     }
 
     /// Materialize the packets in record order through a capture tap
-    /// (snaplen clamp + injected drops), one bounded copy per packet.
+    /// (snaplen clamp + injected drops), one bounded copy per packet. The
+    /// arena is not changed; a tap snaplen above the arena's yields what
+    /// the arena stored.
     pub fn capture(&self, tap: &mut Tap) -> Vec<TimedPacket> {
         let mut out = Vec::with_capacity(self.recs.len());
         for r in &self.recs {
             let Some(cap) = tap.admit(r.len as usize) else {
                 continue;
             };
-            let start = r.off as usize;
-            let Some(frame) = self.buf.get(start..start.saturating_add(cap)) else {
-                continue;
-            };
+            let stored = self.frame(r);
             out.push(TimedPacket {
                 ts: r.ts,
-                frame: frame.to_vec(),
+                frame: stored.get(..cap).unwrap_or(stored).to_vec(),
                 orig_len: r.len,
             });
         }
         out
     }
 
-    /// Materialize every packet in record order, full frames (no tap).
+    /// Materialize every packet in record order as stored (no tap).
     pub fn to_packets(&self) -> Vec<TimedPacket> {
         let mut tap = Tap::new(usize::MAX);
         self.capture(&mut tap)
     }
 
     /// Drop all packets and bytes, keeping allocated capacity (and the
-    /// window limit) for reuse.
+    /// window limit and snaplen) for reuse.
     pub fn clear(&mut self) {
         self.buf.clear();
         self.recs.clear();
@@ -314,9 +368,9 @@ mod tests {
     fn commit_records_spans_and_counts() {
         let mut a = PacketArena::unbounded();
         a.frame_buf().extend_from_slice(&[1, 2, 3]);
-        a.commit(ts(5));
+        a.commit(ts(5), 3);
         a.frame_buf().extend_from_slice(&[4, 5]);
-        a.commit(ts(2));
+        a.commit(ts(2), 2);
         assert_eq!(a.len(), 2);
         assert_eq!(a.logical_len(), 2);
         assert_eq!(a.logical_wire_bytes(), 5);
@@ -331,11 +385,12 @@ mod tests {
         let mut a = PacketArena::unbounded();
         for (t, b) in [(9u64, 0u8), (3, 1), (9, 2), (1, 3)] {
             a.frame_buf().push(b);
-            a.commit(ts(t));
+            a.commit(ts(t), 1);
         }
         a.sort_records();
         let order: Vec<u8> = a.to_packets().iter().map(|p| p.frame[0]).collect();
-        // Equal ts=9 packets keep emission order (0 before 2).
+        // Equal ts=9 packets keep emission order (0 before 2): the sort is
+        // stable and its key is `ts` alone, so this is the whole tie-break.
         assert_eq!(order, vec![3, 1, 0, 2]);
     }
 
@@ -344,7 +399,7 @@ mod tests {
         let mut a = PacketArena::new(ts(100));
         assert!(a.admit(ts(99), Clip::Counted, 60));
         a.frame_buf().extend_from_slice(&[0; 60]);
-        a.commit(ts(99));
+        a.commit(ts(99), 60);
         assert!(!a.admit(ts(100), Clip::Counted, 70));
         assert!(!a.admit(ts(500), Clip::Silent, 80));
         assert_eq!(a.len(), 1);
@@ -357,7 +412,7 @@ mod tests {
         let mut a = PacketArena::unbounded();
         for i in 0..10u8 {
             a.frame_buf().extend_from_slice(&[i; 100]);
-            a.commit(ts(i as u64));
+            a.commit(ts(i as u64), 100);
         }
         let mut tap = Tap::new(68).with_drop_period(5);
         let pkts = a.capture(&mut tap);
@@ -371,7 +426,7 @@ mod tests {
         let mut a = PacketArena::unbounded();
         for i in 0..10u8 {
             a.frame_buf().extend_from_slice(&[i; 100]);
-            a.commit(ts(i as u64));
+            a.commit(ts(i as u64), 100);
         }
         let mut tap = Tap::new(68).with_drop_period(5);
         let captured = a.apply_tap(&mut tap);
@@ -388,6 +443,53 @@ mod tests {
     }
 
     #[test]
+    fn snaplen_bounds_what_is_stored_and_every_view_of_it() {
+        let mut a = PacketArena::unbounded();
+        a.set_snaplen(68);
+        // Frame i is [i; len]: a view that ran into the next frame's bytes
+        // would show a second value.
+        let lens = [100usize, 40, 68, 1500, 69];
+        for (i, &len) in lens.iter().enumerate() {
+            a.push_frame(ts(i as u64), Clip::Counted, &vec![i as u8; len]);
+        }
+        // A writer that ignores the snaplen is cut off at commit.
+        a.frame_buf().extend_from_slice(&[9; 300]);
+        a.commit(ts(9), 300);
+        let stored: usize = lens.iter().map(|&l| l.min(68)).sum::<usize>() + 68;
+        assert_eq!(a.stored_bytes(), stored);
+        assert_eq!(a.wire_bytes(), lens.iter().sum::<usize>() as u64 + 300, "wire stays logical");
+        let same_byte = |f: &[u8]| f.iter().all(|&b| b == f[0]);
+        for (_, frame, orig) in a.captured_frames() {
+            assert_eq!(frame.len(), (orig as usize).min(68));
+            assert!(same_byte(frame));
+        }
+        // A tap the arena never saw, wider than what was stored, and the
+        // tap-less materialization both stop at the stored bytes.
+        for pkts in [a.capture(&mut Tap::new(1500)), a.to_packets()] {
+            assert_eq!(pkts.len(), 6);
+            for p in &pkts {
+                assert_eq!(p.frame.len(), (p.orig_len as usize).min(68));
+                assert!(same_byte(&p.frame));
+            }
+        }
+        // With records present the snaplen only goes down: raising it
+        // would cut slices past the stored bytes.
+        a.set_snaplen(1500);
+        assert_eq!(a.snaplen(), 68);
+        // A narrower tap lowers it, and the views follow.
+        let captured = a.apply_tap(&mut Tap::new(50));
+        assert_eq!(a.snaplen(), 50);
+        assert_eq!(captured, 40 + 5 * 50);
+        assert!(a.captured_frames().all(|(_, f, _)| f.len() <= 50 && same_byte(f)));
+        // clear keeps the snaplen; an empty arena may raise it again.
+        a.clear();
+        assert_eq!(a.snaplen(), 50);
+        a.set_snaplen(usize::MAX);
+        a.push_frame(ts(0), Clip::Counted, &[7; 200]);
+        assert_eq!(a.to_packets()[0].frame.len(), 200);
+    }
+
+    #[test]
     fn labels_stamp_at_commit_and_reset_on_clear() {
         let mut a = PacketArena::unbounded();
         a.push_frame(ts(1), Clip::Counted, &[1; 4]);
@@ -395,7 +497,7 @@ mod tests {
         assert_eq!(a.current_label(), 7);
         a.push_frame(ts(2), Clip::Counted, &[2; 4]);
         a.frame_buf().extend_from_slice(&[3; 4]);
-        a.commit(ts(3));
+        a.commit(ts(3), 4);
         a.set_label(0);
         a.push_frame(ts(4), Clip::Counted, &[4; 4]);
         let labels: Vec<u32> = a.labeled_frames().map(|(_, _, _, l)| l).collect();

@@ -266,7 +266,7 @@ pub fn tcp_frame_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
-    tcp_frame_split_into(t, seq, ack, flags, SplitPayload::contiguous(payload), out);
+    tcp_frame_split_into(t, seq, ack, flags, SplitPayload::contiguous(payload), usize::MAX, out);
 }
 
 /// A logical payload expressed as a literal head followed by a run of one
@@ -324,21 +324,48 @@ impl<'a> SplitPayload<'a> {
         s
     }
 
-    /// Append the logical bytes to `out` (head copy + one memset).
-    fn write_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.head);
-        out.resize(out.len() + self.fill_len, self.fill);
+    /// Append the first `limit` logical bytes to `out` (head copy + one
+    /// memset).
+    fn write_into(&self, limit: usize, out: &mut Vec<u8>) {
+        let head = self.head.get(..limit).unwrap_or(self.head);
+        out.extend_from_slice(head);
+        let fill_len = self.fill_len.min(limit - head.len());
+        out.resize(out.len() + fill_len, self.fill);
     }
 }
 
-/// Append one TCP frame with a split payload to `out`; byte-identical to
-/// [`tcp_frame_into`] over the concatenated payload.
+/// Append the first `limit` bytes of the frame `hdr ∥ payload` to `out`.
+///
+/// `limit` is the capture's snaplen: a header-only tap keeps 68 bytes of a
+/// 1500-byte frame, so the other 1432 are never written. The header image
+/// passed in is already complete — lengths, ident and checksums cover the
+/// whole logical payload — which makes the output exactly the prefix of the
+/// unlimited frame.
+fn write_frame<const N: usize>(
+    hdr: &[u8; N],
+    payload: SplitPayload<'_>,
+    limit: usize,
+    out: &mut Vec<u8>,
+) {
+    match limit.checked_sub(N) {
+        Some(rest) => {
+            out.extend_from_slice(hdr);
+            payload.write_into(rest, out);
+        }
+        None => out.extend_from_slice(hdr.get(..limit).unwrap_or(hdr)),
+    }
+}
+
+/// Append the first `limit` bytes of one TCP frame with a split payload to
+/// `out`; with `limit >= TCP_HDR_LEN + payload.len()` byte-identical to
+/// [`tcp_frame_into`] over the concatenated payload, otherwise its prefix.
 pub fn tcp_frame_split_into(
     t: &TcpTemplate,
     seq: u32,
     ack: u32,
     flags: tcp::Flags,
     payload: SplitPayload<'_>,
+    limit: usize,
     out: &mut Vec<u8>,
 ) {
     let mut hdr = t.hdr;
@@ -364,13 +391,18 @@ pub fn tcp_frame_split_into(
         + flags.0 as u32
         + payload.sum();
     crate::put_be16(&mut hdr, 50, fold_sum(sum));
-    out.extend_from_slice(&hdr);
-    payload.write_into(out);
+    write_frame(&hdr, payload, limit, out);
 }
 
-/// Append one UDP frame with a split payload to `out`; byte-identical to
-/// [`udp_frame_into`] over the concatenated payload.
-pub fn udp_frame_split_into(t: &UdpTemplate, payload: SplitPayload<'_>, out: &mut Vec<u8>) {
+/// Append the first `limit` bytes of one UDP frame with a split payload to
+/// `out`; with `limit >= UDP_HDR_LEN + payload.len()` byte-identical to
+/// [`udp_frame_into`] over the concatenated payload, otherwise its prefix.
+pub fn udp_frame_split_into(
+    t: &UdpTemplate,
+    payload: SplitPayload<'_>,
+    limit: usize,
+    out: &mut Vec<u8>,
+) {
     let mut hdr = t.hdr;
     let total = (UDP_HDR_LEN - 14 + payload.len()) as u16;
     let dg_len = (UDP_HDR_LEN - NET_HDR_LEN + payload.len()) as u16;
@@ -388,8 +420,7 @@ pub fn udp_frame_split_into(t: &UdpTemplate, payload: SplitPayload<'_>, out: &mu
     let ck = fold_sum(t.udp_static + 2 * dg_len as u32 + payload.sum());
     // Per RFC 768 a computed checksum of zero is transmitted as all-ones.
     crate::put_be16(&mut hdr, 40, if ck == 0 { 0xFFFF } else { ck });
-    out.extend_from_slice(&hdr);
-    payload.write_into(out);
+    write_frame(&hdr, payload, limit, out);
 }
 
 /// Per-session UDP frame template (see [`TcpTemplate`]).
@@ -434,7 +465,7 @@ impl UdpTemplate {
 /// Append one UDP frame built from `t` to `out`; byte-identical to
 /// [`udp_frame`] for the same payload.
 pub fn udp_frame_into(t: &UdpTemplate, payload: &[u8], out: &mut Vec<u8>) {
-    udp_frame_split_into(t, SplitPayload::contiguous(payload), out);
+    udp_frame_split_into(t, SplitPayload::contiguous(payload), usize::MAX, out);
 }
 
 /// Append one ICMP frame to `out`; byte-identical to [`icmp_frame`].
@@ -684,12 +715,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn split_payload_matches_concatenated_form() {
-        // Every head-parity × fill-parity combination, plus carry-heavy
-        // fills, must checksum and serialise exactly like the materialised
-        // concatenation.
-        let mut x = X(0x5EED_0F00_1234_ABCD);
+    /// One fixed TCP and one fixed UDP template for the payload-shape
+    /// properties below.
+    fn fixed_templates() -> (TcpTemplate, UdpTemplate) {
         let tspec = TcpFrameSpec {
             src_mac: ethernet::MacAddr::from_host_id(3),
             dst_mac: ethernet::MacAddr::from_host_id(4),
@@ -712,8 +740,16 @@ mod tests {
             dst_port: 997,
             ttl: 64,
         };
-        let tt = TcpTemplate::new(&tspec);
-        let ut = UdpTemplate::new(&uspec);
+        (TcpTemplate::new(&tspec), UdpTemplate::new(&uspec))
+    }
+
+    #[test]
+    fn split_payload_matches_concatenated_form() {
+        // Every head-parity × fill-parity combination, plus carry-heavy
+        // fills, must checksum and serialise exactly like the materialised
+        // concatenation.
+        let mut x = X(0x5EED_0F00_1234_ABCD);
+        let (tt, ut) = fixed_templates();
         let heads: [&[u8]; 5] = [b"", b"X", b"HTTP/1.1 200 OK\r\n", b"ab", b"odd"];
         let fills = [0u8, b'x', 0xFF, 0x4E];
         let fill_lens = [0usize, 1, 2, 3, 57, 536, 1400];
@@ -729,15 +765,53 @@ mod tests {
                     let mut want = Vec::new();
                     tcp_frame_into(&tt, seq, ack, tcp::Flags::ACK, &concat, &mut want);
                     let mut got = Vec::new();
-                    tcp_frame_split_into(&tt, seq, ack, tcp::Flags::ACK, split, &mut got);
+                    tcp_frame_split_into(&tt, seq, ack, tcp::Flags::ACK, split, usize::MAX, &mut got);
                     assert_eq!(got, want, "tcp split mismatch head={head:?} fill={fill} n={fill_len}");
 
                     let mut want = Vec::new();
                     udp_frame_into(&ut, &concat, &mut want);
                     let mut got = Vec::new();
-                    udp_frame_split_into(&ut, split, &mut got);
+                    udp_frame_split_into(&ut, split, usize::MAX, &mut got);
                     assert_eq!(got, want, "udp split mismatch head={head:?} fill={fill} n={fill_len}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn limited_writer_emits_exactly_the_prefix_of_the_full_frame() {
+        // For every limit from nothing to the whole frame (and one past
+        // it), the limited writer's output is the first `limit` bytes of
+        // the unlimited one: lengths, ident and both checksums describe
+        // the logical payload, not what was kept.
+        let mut x = X(0x6868_6868_0000_0001);
+        let (tt, ut) = fixed_templates();
+        for round in 0..24 {
+            // Heads shorter and longer than the 14 payload bytes a
+            // snaplen-68 TCP frame keeps; empty head and empty fill too.
+            let head = random_payload(&mut x, [0, 1, 9, 14, 15, 40][round % 6]);
+            let fill = x.next_u64() as u8;
+            let fill_len = if round % 4 == 3 { 0 } else { x.below(400) as usize };
+            let split = SplitPayload { head: &head, fill, fill_len };
+            let seq = x.next_u64() as u32;
+            let ack = x.next_u64() as u32;
+
+            let mut full = Vec::new();
+            tcp_frame_split_into(&tt, seq, ack, tcp::Flags::ACK, split, usize::MAX, &mut full);
+            assert_eq!(full.len(), TCP_HDR_LEN + split.len());
+            for limit in 0..=full.len() + 1 {
+                let mut got = vec![0xEE];
+                tcp_frame_split_into(&tt, seq, ack, tcp::Flags::ACK, split, limit, &mut got);
+                assert_eq!(&got[1..], &full[..limit.min(full.len())], "tcp limit {limit}");
+            }
+
+            let mut full = Vec::new();
+            udp_frame_split_into(&ut, split, usize::MAX, &mut full);
+            assert_eq!(full.len(), UDP_HDR_LEN + split.len());
+            for limit in 0..=full.len() + 1 {
+                let mut got = vec![0xEE];
+                udp_frame_split_into(&ut, split, limit, &mut got);
+                assert_eq!(&got[1..], &full[..limit.min(full.len())], "udp limit {limit}");
             }
         }
     }
