@@ -61,8 +61,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:
   entreport study [--scale S] [--seed N] [--threads N] [--shards N] [--datasets D0,D3] [--only 'table 9'] [--csv-dir DIR] [--keep-scanners] [--bench-json FILE.json]
-  entreport scaling [--scale S] [--seed N] [--threads N] [--shard-counts 0,1,2,4,8] [--floor 1.6] [--datasets D0,D3] [--out FILE.json]
-  entreport packs [--scale S] [--seed N] [--threads N] [--shards N] [--packs base,sweep] [--precision-floor 0.9] [--recall-floor 0.9] [--out FILE.json]
+  entreport scaling [--scale S] [--seed N] [--threads N] [--shard-counts 0,1,2,4,8] [--datasets D0,D3] [--out FILE.json]
+  entreport packs [--scale S] [--seed N] [--threads N] [--shards N] [--packs base,sweep] [--out FILE.json]
   entreport generate --dataset D0 --subnet 3 [--pass 1] [--scale S] [--seed N] --out FILE.pcap
   entreport analyze FILE.pcap [--subnet N] [--name D0]
   entreport monitor FILE.pcap [--epoch-secs 300] [--checkpoint FILE.ckpt] [--max-conns N] [--max-pending N] [--stop-after-epochs N] [--name NAME] [--keep-scanners] [--bench-json FILE.json]
@@ -278,6 +278,11 @@ fn slug(title: &str) -> String {
         .collect()
 }
 
+/// The 4-shard ingest-wall speedup over 1 shard a scaling document asks
+/// of the machine that produced it (`bench-compare` enforces it on a
+/// candidate with at least 4 cores).
+const SCALING_FLOOR: f64 = 1.6;
+
 /// Run the study once per shard count (same scale/seed/threads) and
 /// export the scaling curve as an `ent-bench-scaling/1` document. The
 /// built-in self-check is the determinism gate: every shard count must
@@ -290,7 +295,6 @@ fn cmd_scaling(args: &Args) -> ExitCode {
         gen.seed = 2005; // the scaling gate's seed, not `study`'s default
     }
     let threads: usize = flag(args, "threads").unwrap_or(1);
-    let floor: f64 = flag(args, "floor").unwrap_or(1.6);
     let counts: Vec<usize> = match args.flags.get("shard-counts") {
         Some(s) => {
             let parsed: Option<Vec<usize>> =
@@ -348,7 +352,7 @@ fn cmd_scaling(args: &Args) -> ExitCode {
         ("seed", Val::U(gen.seed)),
         ("threads", Val::U(threads as u64)),
         ("cores", Val::U(cores as u64)),
-        ("floor", Val::F(floor)),
+        ("floor", Val::F(SCALING_FLOOR)),
     ];
     let doc = or_die(bench_json(&SCALING, &run, None, &entries), "scaling json");
     // The self-check is the determinism half of the gate: it fails if any
@@ -364,13 +368,13 @@ fn cmd_scaling(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Default precision floor for the pack scoring gate: of the connections
+/// Precision floor of the pack scoring gate: of the connections
 /// scanner removal flags, at least this share must belong to a labeled
 /// scan source (attack actors built to *evade* the heuristic — floods,
 /// brute force, exfiltration — must not be misflagged as scanners).
 const PACK_PRECISION_FLOOR: f64 = 0.9;
 
-/// Default recall floor for the pack scoring gate: at least this share of
+/// Recall floor of the pack scoring gate: at least this share of
 /// a pack's labeled scan-source connections must be flagged.
 const PACK_RECALL_FLOOR: f64 = 0.9;
 
@@ -388,8 +392,6 @@ fn cmd_packs(args: &Args) -> ExitCode {
     }
     let threads: usize = flag(args, "threads").unwrap_or(1);
     let shards: usize = flag(args, "shards").unwrap_or(0);
-    let precision_floor: f64 = flag(args, "precision-floor").unwrap_or(PACK_PRECISION_FLOOR);
-    let recall_floor: f64 = flag(args, "recall-floor").unwrap_or(PACK_RECALL_FLOOR);
     let wanted: Option<Vec<String>> = args
         .flags
         .get("packs")
@@ -467,8 +469,8 @@ fn cmd_packs(args: &Args) -> ExitCode {
         ("seed", Val::U(gen.seed)),
         ("threads", Val::U(threads as u64)),
         ("shards", Val::U(shards as u64)),
-        ("precision_floor", Val::F(precision_floor)),
-        ("recall_floor", Val::F(recall_floor)),
+        ("precision_floor", Val::F(PACK_PRECISION_FLOOR)),
+        ("recall_floor", Val::F(PACK_RECALL_FLOOR)),
     ];
     let doc = or_die(bench_json(&PACKS, &run, None, &entries), "packs json");
     // The self-check is the scoring gate: it fails if any pack misses a

@@ -16,10 +16,10 @@
 //! [`CheckpointError`]; the monitor degrades to a counted cold start, it
 //! never crashes on its own state file.
 
-use crate::metrics::{PipelineMetrics, StageStat};
+use crate::metrics::{AnalyzerMetrics, PipelineMetrics, StageStat, StageStats};
 use crate::monitor::MonitorTotals;
 use crate::records::IngestHealth;
-use ent_flow::TableCarry;
+use ent_flow::{FlowStats, TableCarry};
 use ent_pcap::IngestStats;
 use ent_proto::AppProtocol;
 use ent_wire::{ipv4, Timestamp};
@@ -130,25 +130,73 @@ pub struct Checkpoint {
 }
 
 // --------------------------------------------------------------------------
-// Little-endian field writers/readers. The reader is a bounds-checked
-// cursor: parsing never indexes, so a hostile file cannot panic the
-// monitor (E001 holds for this crate).
+// The payload codec. `walk_payload!` is the format: it names every payload
+// field once, in file order, and hands each to a codec by reference. The
+// two codecs answer the same calls — `Writer` takes shared borrows and
+// appends, `Cursor` takes exclusive borrows and fills them from a
+// bounds-checked read position. Parsing never indexes, so a hostile file
+// cannot panic the monitor (E001 holds for this crate).
 // --------------------------------------------------------------------------
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Wire tag of each protocol the pipeline can learn a dynamic port for
+/// (DCE/RPC is the only one).
+const PORT_TAGS: [(u8, AppProtocol); 1] = [(1, AppProtocol::DceRpc)];
+
+/// Encoded size of one dynamic-port entry: address, port, tag.
+const PORT_ENTRY_BYTES: usize = 7;
+
+/// Appending to a `Vec` cannot fail.
+type Encoded = Result<(), core::convert::Infallible>;
+type Decoded = Result<(), CheckpointError>;
+
+/// The encoding side of the codec.
+struct Writer(Vec<u8>);
+
+impl Writer {
+    fn put(&mut self, bytes: &[u8]) -> Encoded {
+        self.0.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn u64(&mut self, v: &u64) -> Encoded {
+        self.put(&v.to_le_bytes())
+    }
+
+    fn u32(&mut self, v: &u32) -> Encoded {
+        self.put(&v.to_le_bytes())
+    }
+
+    fn u16(&mut self, v: &u16) -> Encoded {
+        self.put(&v.to_le_bytes())
+    }
+
+    fn flag(&mut self, v: &bool, _what: &'static str) -> Encoded {
+        self.put(&[u8::from(*v)])
+    }
+
+    fn opt_u64(&mut self, v: &Option<u64>, what: &'static str) -> Encoded {
+        self.flag(&v.is_some(), what)?;
+        self.u64(&v.unwrap_or(0))
+    }
+
+    fn opt_ts(&mut self, v: &Option<Timestamp>, what: &'static str) -> Encoded {
+        self.opt_u64(&v.map(Timestamp::micros), what)
+    }
+
+    /// The element count of a variable-length run; the walk visits the
+    /// elements next.
+    fn seq<T>(&mut self, v: &[T], _entry_bytes: usize, _blank: T, _what: &'static str) -> Encoded {
+        self.u64(&(v.len() as u64))
+    }
+
+    fn port_tag(&mut self, v: &AppProtocol) -> Encoded {
+        let tag = PORT_TAGS.iter().find(|(_, p)| p == v).map_or(0, |(t, _)| *t);
+        self.put(&[tag])
+    }
 }
 
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    buf.push(u8::from(v.is_some()));
-    put_u64(buf, v.unwrap_or(0));
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(u8::from(v));
-}
-
-pub(crate) struct Cursor<'a> {
+/// The decoding side of the codec: a bounds-checked read position.
+struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -164,44 +212,155 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let mut b = [0u8; N];
+        b.copy_from_slice(self.take(N)?);
+        Ok(b)
     }
 
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
+    fn u64(&mut self, v: &mut u64) -> Decoded {
+        *v = u64::from_le_bytes(self.array()?);
+        Ok(())
     }
 
-    fn u16(&mut self) -> Result<u16, CheckpointError> {
-        let s = self.take(2)?;
-        let mut b = [0u8; 2];
-        b.copy_from_slice(s);
-        Ok(u16::from_le_bytes(b))
+    fn u32(&mut self, v: &mut u32) -> Decoded {
+        *v = u32::from_le_bytes(self.array()?);
+        Ok(())
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(*self.take(1)?.first().unwrap_or(&0))
+    fn u16(&mut self, v: &mut u16) -> Decoded {
+        *v = u16::from_le_bytes(self.array()?);
+        Ok(())
     }
 
-    fn boolean(&mut self, what: &'static str) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Malformed(what)),
+    fn flag(&mut self, v: &mut bool, what: &'static str) -> Decoded {
+        *v = match self.array()? {
+            [0] => false,
+            [1] => true,
+            _ => return Err(CheckpointError::Malformed(what)),
+        };
+        Ok(())
+    }
+
+    fn opt_u64(&mut self, v: &mut Option<u64>, what: &'static str) -> Decoded {
+        let (mut present, mut value) = (false, 0);
+        self.flag(&mut present, what)?;
+        self.u64(&mut value)?;
+        *v = present.then_some(value);
+        Ok(())
+    }
+
+    fn opt_ts(&mut self, v: &mut Option<Timestamp>, what: &'static str) -> Decoded {
+        let mut us = None;
+        self.opt_u64(&mut us, what)?;
+        *v = us.map(Timestamp::from_micros);
+        Ok(())
+    }
+
+    /// Size `v` to the stored element count, every element `blank` until
+    /// the walk fills it. A corrupt count would otherwise drive a huge
+    /// allocation; the payload bound caps it naturally.
+    fn seq<T: Clone>(&mut self, v: &mut Vec<T>, entry_bytes: usize, blank: T, what: &'static str) -> Decoded {
+        let mut n = 0;
+        self.u64(&mut n)?;
+        if n > (self.bytes.len() / entry_bytes) as u64 {
+            return Err(CheckpointError::Malformed(what));
         }
+        v.clear();
+        v.resize(n as usize, blank);
+        Ok(())
     }
 
-    fn opt_u64(&mut self, what: &'static str) -> Result<Option<u64>, CheckpointError> {
-        let present = self.boolean(what)?;
-        let v = self.u64()?;
-        Ok(present.then_some(v))
+    fn port_tag(&mut self, v: &mut AppProtocol) -> Decoded {
+        let [tag] = self.array()?;
+        let known = PORT_TAGS.iter().find(|(t, _)| *t == tag);
+        *v = known.ok_or(CheckpointError::Malformed("dynamic port tag"))?.1;
+        Ok(())
     }
+}
+
+/// Destructure `$v` as a `$T` and hand the fields before the `;` to the
+/// codec as `u64`s, in the order written; fields after it are only bound,
+/// for the caller to visit. The pattern names every field of `$T`, so one
+/// added to the struct and not to the payload is a compile error rather
+/// than a silently unsaved counter.
+macro_rules! u64_fields {
+    ($c:ident, $T:path { $($f:ident),+ $(,)? $(; $($rest:tt)*)? } = $v:expr) => {
+        let $T { $($f,)+ $($($rest)*)? } = $v;
+        $( $c.u64($f)?; )+
+    };
+}
+
+/// The version-2 payload layout: every field, in file order, handed to the
+/// codec `$c`. `$ck` is `&Checkpoint` for a [`Writer`] and `&mut
+/// Checkpoint` for a [`Cursor`]; the destructuring patterns turn it into
+/// the matching borrow of each field.
+macro_rules! walk_payload {
+    ($c:ident, $ck:expr) => {
+        u64_fields!($c, Checkpoint {
+            epoch_len_us, epoch_index;
+            stream_base_us, resume_offset, reader_clock_us,
+            capture, carry, health, metrics, totals, dynamic_ports, config
+        } = $ck);
+        $c.opt_u64(stream_base_us, "stream_base flag")?;
+        $c.u64(resume_offset)?;
+        $c.opt_u64(reader_clock_us, "reader_clock flag")?;
+        {
+            u64_fields!($c, IngestStats {
+                records, malformed_records, repaired_records, zero_len_records,
+                clock_regressions, bytes_skipped;
+                truncated_tail, snaplen_clamped
+            } = capture);
+            $c.flag(truncated_tail, "truncated_tail flag")?;
+            $c.flag(snaplen_clamped, "snaplen_clamped flag")?;
+        }
+        {
+            let TableCarry { last_ts, stats } = carry;
+            $c.opt_ts(last_ts, "carry clock flag")?;
+            u64_fields!($c, FlowStats { clock_regressions, evicted_conns, peak_open_conns } = stats);
+        }
+        {
+            // The capture half is not stored: the authoritative capture
+            // stats are the ones above, and `health.capture` is
+            // reassembled on resume from prior + live reader stats.
+            u64_fields!($c, IngestHealth {
+                malformed_frames, clock_regressions, evicted_conns, analyzer_failures,
+                demoted_conns, load_samples_out_of_range, pending_dropped, checkpoint_recoveries;
+                capture: _
+            } = health);
+        }
+        {
+            // Every stage in `Stage::ALL` order, every analyzer in
+            // `AnalyzerKind::ALL` order, then the scalars.
+            let PipelineMetrics { stages, analyzers, peak_open_conns, trace_wall_ns, traces } = metrics;
+            let (StageStats { stats: stages }, AnalyzerMetrics { stats: analyzers }) = (stages, analyzers);
+            for stat in stages.into_iter().chain(analyzers) {
+                u64_fields!($c, StageStat { wall_ns, events, bytes } = stat);
+            }
+            $c.u64(peak_open_conns)?;
+            $c.u64(trace_wall_ns)?;
+            $c.u64(traces)?;
+        }
+        {
+            u64_fields!($c, MonitorTotals {
+                epochs, packets, ip_packets, arp_packets, ipx_packets, other_l3_packets,
+                bytes, conns, http, dns, nbns, cifs, rpc, nfs, ncp, tls, smtp_messages,
+                imap_sessions, scanner_conns_removed,
+                retx_ent_data, retx_ent_retx, retx_wan_data, retx_wan_retx,
+            } = totals);
+        }
+        // Sorted by the exporter.
+        let blank = (ipv4::Addr(0), 0, AppProtocol::DceRpc);
+        $c.seq(dynamic_ports, PORT_ENTRY_BYTES, blank, "dynamic port count")?;
+        for (ipv4::Addr(addr), port, proto) in dynamic_ports {
+            $c.u32(addr)?;
+            $c.u16(port)?;
+            $c.port_tag(proto)?;
+        }
+        u64_fields!($c, CheckpointConfig { max_conns, max_pending; keep_scanners, payload_ok } = config);
+        $c.flag(keep_scanners, "keep_scanners flag")?;
+        $c.flag(payload_ok, "payload_ok flag")?;
+    };
 }
 
 /// FNV-1a over the payload: not cryptographic, but a torn write or a run
@@ -216,82 +375,26 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-fn put_stage(buf: &mut Vec<u8>, s: &StageStat) {
-    put_u64(buf, s.wall_ns);
-    put_u64(buf, s.events);
-    put_u64(buf, s.bytes);
-}
-
-fn take_stage(c: &mut Cursor<'_>) -> Result<StageStat, CheckpointError> {
-    Ok(StageStat {
-        wall_ns: c.u64()?,
-        events: c.u64()?,
-        bytes: c.u64()?,
-    })
-}
+/// Bytes before the payload: magic, version, payload length, checksum.
+const HEADER_LEN: usize = 28;
 
 impl Checkpoint {
+    fn write_payload(&self, w: &mut Writer) -> Encoded {
+        walk_payload!(w, self);
+        Ok(())
+    }
+
+    fn read_payload(&mut self, c: &mut Cursor<'_>) -> Decoded {
+        walk_payload!(c, self);
+        Ok(())
+    }
+
     /// Serialize to the on-disk byte format (header + checksum + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(1024);
-        put_u64(&mut p, self.epoch_len_us);
-        put_u64(&mut p, self.epoch_index);
-        put_opt_u64(&mut p, self.stream_base_us);
-        put_u64(&mut p, self.resume_offset);
-        put_opt_u64(&mut p, self.reader_clock_us);
-        // Capture reader stats.
-        put_u64(&mut p, self.capture.records);
-        put_u64(&mut p, self.capture.malformed_records);
-        put_u64(&mut p, self.capture.repaired_records);
-        put_u64(&mut p, self.capture.zero_len_records);
-        put_u64(&mut p, self.capture.clock_regressions);
-        put_u64(&mut p, self.capture.bytes_skipped);
-        put_bool(&mut p, self.capture.truncated_tail);
-        put_bool(&mut p, self.capture.snaplen_clamped);
-        // Connection-table carry.
-        put_opt_u64(&mut p, self.carry.last_ts.map(|t| t.micros()));
-        put_u64(&mut p, self.carry.stats.clock_regressions);
-        put_u64(&mut p, self.carry.stats.evicted_conns);
-        put_u64(&mut p, self.carry.stats.peak_open_conns);
-        // Cumulative ingest health (capture half zeroed: the authoritative
-        // capture stats live above; health.capture is reassembled on
-        // resume from prior + live reader stats).
-        put_u64(&mut p, self.health.malformed_frames);
-        put_u64(&mut p, self.health.clock_regressions);
-        put_u64(&mut p, self.health.evicted_conns);
-        put_u64(&mut p, self.health.analyzer_failures);
-        put_u64(&mut p, self.health.demoted_conns);
-        put_u64(&mut p, self.health.load_samples_out_of_range);
-        put_u64(&mut p, self.health.pending_dropped);
-        put_u64(&mut p, self.health.checkpoint_recoveries);
-        // Cumulative pipeline metrics: every stage in `Stage::ALL` order,
-        // every analyzer in `AnalyzerKind::ALL` order, then the scalars.
-        for (_, s) in self.metrics.stages.named().chain(self.metrics.analyzers.named()) {
-            put_stage(&mut p, s);
-        }
-        put_u64(&mut p, self.metrics.peak_open_conns);
-        put_u64(&mut p, self.metrics.trace_wall_ns);
-        put_u64(&mut p, self.metrics.traces);
-        // Monitor totals.
-        self.totals.encode_into(&mut p);
-        // Dynamic ports (sorted by the exporter; tag 1 = DCE/RPC, the only
-        // protocol the pipeline ever learns dynamically).
-        put_u64(&mut p, self.dynamic_ports.len() as u64);
-        for &(addr, port, proto) in &self.dynamic_ports {
-            p.extend_from_slice(&addr.0.to_le_bytes());
-            p.extend_from_slice(&port.to_le_bytes());
-            p.push(match proto {
-                AppProtocol::DceRpc => 1,
-                _ => 0,
-            });
-        }
-        // Config echo.
-        put_u64(&mut p, self.config.max_conns);
-        put_u64(&mut p, self.config.max_pending);
-        put_bool(&mut p, self.config.keep_scanners);
-        put_bool(&mut p, self.config.payload_ok);
-
-        let mut out = Vec::with_capacity(28 + p.len());
+        let mut payload = Writer(Vec::with_capacity(1024));
+        let Ok(()) = self.write_payload(&mut payload);
+        let p = payload.0;
+        let mut out = Vec::with_capacity(HEADER_LEN + p.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(p.len() as u64).to_le_bytes());
@@ -304,17 +407,17 @@ impl Checkpoint {
     /// checksum before touching any payload field.
     pub fn parse(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         let mut c = Cursor { bytes, pos: 0 };
-        if c.take(8).map_err(|_| CheckpointError::Truncated)? != MAGIC {
+        if c.array()? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        let version = c.u32()?;
+        let version = u32::from_le_bytes(c.array()?);
         if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let payload_len = c.u64()? as usize;
-        let checksum = c.u64()?;
-        let payload = c.take(payload_len).map_err(|_| CheckpointError::Truncated)?;
-        if bytes.len() > 28 + payload_len {
+        let payload_len = u64::from_le_bytes(c.array()?) as usize;
+        let checksum = u64::from_le_bytes(c.array()?);
+        let payload = c.take(payload_len)?;
+        if bytes.len() > c.pos {
             // Trailing garbage is as suspicious as a short file.
             return Err(CheckpointError::Malformed("trailing bytes"));
         }
@@ -325,74 +428,11 @@ impl Checkpoint {
             bytes: payload,
             pos: 0,
         };
-        let mut ck = Checkpoint {
-            epoch_len_us: c.u64()?,
-            epoch_index: c.u64()?,
-            stream_base_us: c.opt_u64("stream_base flag")?,
-            resume_offset: c.u64()?,
-            reader_clock_us: c.opt_u64("reader_clock flag")?,
-            ..Checkpoint::default()
-        };
+        let mut ck = Checkpoint::default();
+        ck.read_payload(&mut c)?;
         if ck.epoch_len_us == 0 {
             return Err(CheckpointError::Malformed("zero epoch length"));
         }
-        ck.capture = IngestStats {
-            records: c.u64()?,
-            malformed_records: c.u64()?,
-            repaired_records: c.u64()?,
-            zero_len_records: c.u64()?,
-            clock_regressions: c.u64()?,
-            bytes_skipped: c.u64()?,
-            truncated_tail: c.boolean("truncated_tail flag")?,
-            snaplen_clamped: c.boolean("snaplen_clamped flag")?,
-        };
-        ck.carry = TableCarry {
-            last_ts: c.opt_u64("carry clock flag")?.map(Timestamp::from_micros),
-            stats: ent_flow::FlowStats {
-                clock_regressions: c.u64()?,
-                evicted_conns: c.u64()?,
-                peak_open_conns: c.u64()?,
-            },
-        };
-        ck.health.malformed_frames = c.u64()?;
-        ck.health.clock_regressions = c.u64()?;
-        ck.health.evicted_conns = c.u64()?;
-        ck.health.analyzer_failures = c.u64()?;
-        ck.health.demoted_conns = c.u64()?;
-        ck.health.load_samples_out_of_range = c.u64()?;
-        ck.health.pending_dropped = c.u64()?;
-        ck.health.checkpoint_recoveries = c.u64()?;
-        let m = &mut ck.metrics;
-        for stat in m.stages.iter_mut().chain(m.analyzers.iter_mut()) {
-            *stat = take_stage(&mut c)?;
-        }
-        m.peak_open_conns = c.u64()?;
-        m.trace_wall_ns = c.u64()?;
-        m.traces = c.u64()?;
-        ck.totals = MonitorTotals::decode_from(&mut c)?;
-        let n_ports = c.u64()?;
-        // A corrupt count would otherwise drive a huge allocation; the
-        // payload bound caps it naturally (7 bytes per entry).
-        if n_ports > (payload.len() as u64) / 7 {
-            return Err(CheckpointError::Malformed("dynamic port count"));
-        }
-        let mut ports = Vec::with_capacity(n_ports as usize);
-        for _ in 0..n_ports {
-            let addr = ipv4::Addr(c.u32()?);
-            let port = c.u16()?;
-            let proto = match c.u8()? {
-                1 => AppProtocol::DceRpc,
-                _ => return Err(CheckpointError::Malformed("dynamic port tag")),
-            };
-            ports.push((addr, port, proto));
-        }
-        ck.dynamic_ports = ports;
-        ck.config = CheckpointConfig {
-            max_conns: c.u64()?,
-            max_pending: c.u64()?,
-            keep_scanners: c.boolean("keep_scanners flag")?,
-            payload_ok: c.boolean("payload_ok flag")?,
-        };
         if c.pos != payload.len() {
             return Err(CheckpointError::Malformed("payload length"));
         }
@@ -417,23 +457,6 @@ impl Checkpoint {
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let bytes = std::fs::read(path)?;
         Checkpoint::parse(&bytes)
-    }
-}
-
-/// Monitor-totals field codec hooks, kept next to the rest of the format.
-impl MonitorTotals {
-    pub(crate) fn encode_into(&self, p: &mut Vec<u8>) {
-        for v in self.scalars() {
-            put_u64(p, v);
-        }
-    }
-
-    pub(crate) fn decode_from(c: &mut Cursor<'_>) -> Result<MonitorTotals, CheckpointError> {
-        let mut t = MonitorTotals::default();
-        for slot in t.scalars_mut() {
-            *slot = c.u64()?;
-        }
-        Ok(t)
     }
 }
 
@@ -483,6 +506,16 @@ mod tests {
         assert_eq!(ck, back);
     }
 
+    /// The bytes the hand-listed version-2 encoder (the one this walk
+    /// replaced) produced for `sample()`: a checkpoint written before the
+    /// change loads after it and the other way round.
+    #[test]
+    fn sample_encodes_to_the_committed_v2_bytes() {
+        let golden: &[u8] = include_bytes!("../testdata/checkpoint_v2_sample.bin");
+        assert_eq!(sample().encode(), golden);
+        assert_eq!(Checkpoint::parse(golden).expect("golden parses"), sample());
+    }
+
     /// The version-2 byte layout, assembled by hand: the metrics block is
     /// one (wall, events, bytes) triple per `Stage::ALL` entry, then one
     /// per `AnalyzerKind::ALL` entry, in that order.
@@ -504,7 +537,7 @@ mod tests {
             u64s(&mut p, &[s.wall_ns, s.events, s.bytes]);
         }
         u64s(&mut p, &[7, 8, 9]); // peak_open_conns, trace_wall_ns, traces
-        u64s(&mut p, &vec![0; MonitorTotals::default().scalars().len()]);
+        u64s(&mut p, &vec![0; std::mem::size_of::<MonitorTotals>() / 8]);
         u64s(&mut p, &[0, 0, 0]); // no dynamic ports; max_conns, max_pending
         p.extend_from_slice(&[0, 0]); // keep_scanners, payload_ok
         let mut file = MAGIC.to_vec();

@@ -134,22 +134,20 @@ macro_rules! stat_table {
 
         $(#[$tmeta])*
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-        pub struct $T([StageStat; $E::COUNT]);
+        pub struct $T {
+            /// One slot per variant, in `ALL` order.
+            pub(crate) stats: [StageStat; $E::COUNT],
+        }
 
         impl $T {
             /// (name, stat) pairs in `ALL` order.
             pub fn named(&self) -> impl Iterator<Item = (&'static str, &StageStat)> {
-                $E::ALL.iter().map(|k| k.name()).zip(&self.0)
-            }
-
-            /// Every stat in `ALL` order, mutably (the checkpoint decoder).
-            pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut StageStat> {
-                self.0.iter_mut()
+                $E::ALL.iter().map(|k| k.name()).zip(&self.stats)
             }
 
             /// Fold another table into this one, entry by entry.
             pub fn absorb(&mut self, other: &$T) {
-                for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
+                for (mine, theirs) in self.stats.iter_mut().zip(&other.stats) {
                     mine.absorb(theirs);
                 }
             }
@@ -160,7 +158,7 @@ macro_rules! stat_table {
             #[inline]
             fn index(&self, k: $E) -> &StageStat {
                 // ent-lint: allow(E001) — the table has one slot per variant
-                &self.0[k as usize]
+                &self.stats[k as usize]
             }
         }
 
@@ -168,7 +166,7 @@ macro_rules! stat_table {
             #[inline]
             fn index_mut(&mut self, k: $E) -> &mut StageStat {
                 // ent-lint: allow(E001) — the table has one slot per variant
-                &mut self.0[k as usize]
+                &mut self.stats[k as usize]
             }
         }
     };
@@ -556,7 +554,7 @@ pub const PIPELINE: Schema = Schema {
         keys: &[Key::new("name", Param, Text), exact("traces"), info_us("wall_us"), exact("packets"), exact("bytes")],
     }),
     check: None,
-    gate: None,
+    gate: Some(gate_hot_path_share),
 };
 
 /// A resident run (`entreport monitor --bench-json`). It has no generation
@@ -1094,6 +1092,26 @@ fn check_packs(doc: &JsonValue, packs: &[JsonValue], summary: &mut BenchSummary)
     Ok(())
 }
 
+/// The stages the second perf wave attacked (the template-slot generator
+/// and the fused parse/ingest pass), and the share of the summed stage
+/// wall they must stay under: 55.5% before that wave, ~42% after.
+const HOT_PATH: [Stage; 3] = [Stage::GenSynth, Stage::FrameParse, Stage::FlowIngest];
+const HOT_PATH_SHARE_FLOOR: f64 = 0.55;
+
+/// The study comparison's wall-share floor, candidate-internal and
+/// one-sided: [`HOT_PATH`] over the sum of every stage's wall. Wall-time
+/// based, so `check_wall = false` waives it.
+fn gate_hot_path_share(c: &JsonValue, _entries: &[JsonValue], check_wall: bool) -> Result<String, String> {
+    if !check_wall {
+        return Ok("hot-path wall share: waived\n".into());
+    }
+    let wall = |s: &Stage| c.get("stages").and_then(|m| m.get(s.name())).map_or(0.0, |stat| num(stat, STAT_KEYS[0].name));
+    let (hot, total): (f64, f64) = (HOT_PATH.iter().map(wall).sum(), Stage::ALL.iter().map(wall).sum());
+    let share = if total > 0.0 { hot / total } else { 0.0 };
+    let line = format!("hot-path wall share: {:.1}% (floor: < {:.0}%)", share * 100.0, HOT_PATH_SHARE_FLOOR * 100.0);
+    if share < HOT_PATH_SHARE_FLOOR { Ok(line + "  ok\n") } else { Err(line) }
+}
+
 /// The scaling comparison's wall half, candidate-internal: elapsed ingest
 /// wall at 1 shard over 4 shards must reach the candidate's `floor` — only
 /// enforced when the candidate ran on at least 4 cores and `check_wall`.
@@ -1259,7 +1277,7 @@ mod tests {
             traces: 1,
             ..Default::default()
         };
-        m.stages[Stage::Generate].add(1_000, 10, 100);
+        m.stages[Stage::Generate].add(3_000, 10, 100);
         m.stages[Stage::GenSynth].add(600, 12, 120);
         m.stages[Stage::GenSort].add(100, 10, 0);
         m.stages[Stage::GenTap].add(200, 10, 90);
@@ -1449,6 +1467,22 @@ mod tests {
         let report = compare_bench_json(&base, &bench_doc(&noisy), true)
             .expect("sub-floor stage noise is not a failure");
         assert!(report.contains("below share floor"), "{report}");
+    }
+
+    #[test]
+    fn compare_holds_the_hot_path_under_its_wall_share_unless_waived() {
+        let base = bench_doc(&nonzero_metrics());
+        let report = compare_bench_json(&base, &base, true).expect("53% passes");
+        assert!(report.contains("hot-path wall share: 53.3% (floor: < 55%)  ok"), "{report}");
+        // A baseline that concentrates as much does not excuse the
+        // candidate: the floor is the candidate's own.
+        let mut hot = nonzero_metrics();
+        hot.stages[Stage::Generate].wall_ns = 2_000;
+        let hot = bench_doc(&hot);
+        let err = compare_bench_json(&hot, &hot, true).expect_err("58.9% fails");
+        assert!(err.message().contains("hot-path wall share: 58.9%"), "{err}");
+        let report = compare_bench_json(&hot, &hot, false).expect("waived with the other wall checks");
+        assert!(report.contains("hot-path wall share: waived"), "{report}");
     }
 
     #[test]

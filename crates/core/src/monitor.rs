@@ -155,65 +155,6 @@ impl MonitorTotals {
         self.retx_wan_data += epoch.retx_wan.0;
         self.retx_wan_retx += epoch.retx_wan.1;
     }
-
-    /// Every counter in fixed declaration order — the checkpoint codec's
-    /// field list.
-    pub(crate) fn scalars(&self) -> [u64; 23] {
-        [
-            self.epochs,
-            self.packets,
-            self.ip_packets,
-            self.arp_packets,
-            self.ipx_packets,
-            self.other_l3_packets,
-            self.bytes,
-            self.conns,
-            self.http,
-            self.dns,
-            self.nbns,
-            self.cifs,
-            self.rpc,
-            self.nfs,
-            self.ncp,
-            self.tls,
-            self.smtp_messages,
-            self.imap_sessions,
-            self.scanner_conns_removed,
-            self.retx_ent_data,
-            self.retx_ent_retx,
-            self.retx_wan_data,
-            self.retx_wan_retx,
-        ]
-    }
-
-    /// Mutable view of every counter in the same fixed order.
-    pub(crate) fn scalars_mut(&mut self) -> [&mut u64; 23] {
-        [
-            &mut self.epochs,
-            &mut self.packets,
-            &mut self.ip_packets,
-            &mut self.arp_packets,
-            &mut self.ipx_packets,
-            &mut self.other_l3_packets,
-            &mut self.bytes,
-            &mut self.conns,
-            &mut self.http,
-            &mut self.dns,
-            &mut self.nbns,
-            &mut self.cifs,
-            &mut self.rpc,
-            &mut self.nfs,
-            &mut self.ncp,
-            &mut self.tls,
-            &mut self.smtp_messages,
-            &mut self.imap_sessions,
-            &mut self.scanner_conns_removed,
-            &mut self.retx_ent_data,
-            &mut self.retx_ent_retx,
-            &mut self.retx_wan_data,
-            &mut self.retx_wan_retx,
-        ]
-    }
 }
 
 /// One flushed epoch: the window's own analysis plus cumulative context.

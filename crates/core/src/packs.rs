@@ -34,6 +34,7 @@ use crate::records::TraceAnalysis;
 use crate::run::{analyze_generated, run_queue, StudyConfig};
 use ent_gen::build::build_site;
 use ent_gen::packs::{self, label, ScenarioPack};
+use ent_wire::{ethernet, icmp, NetLayer, Packet, Transport};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Flow-level confusion counts of scanner removal against ground truth.
@@ -142,24 +143,14 @@ impl PackTruth {
 /// The source address of a flow-originating frame: TCP SYN (no ACK) or
 /// ICMP echo request. Responses and mid-flow frames return `None`.
 fn originator_src(frame: &[u8]) -> Option<u32> {
-    if frame.len() < 34 || frame[12] != 0x08 || frame[13] != 0x00 {
-        return None;
-    }
-    let ihl = usize::from(frame[14] & 0x0f) * 4;
-    let proto = frame[23];
-    let src = u32::from_be_bytes([frame[26], frame[27], frame[28], frame[29]]);
-    match proto {
-        6 => {
-            let flags = *frame.get(14 + ihl + 13)?;
-            // SYN set, ACK clear: the connection-opening segment.
-            (flags & 0x12 == 0x02).then_some(src)
-        }
-        1 => {
-            let icmp_type = *frame.get(14 + ihl)?;
-            (icmp_type == 8).then_some(src)
-        }
-        _ => None,
-    }
+    let packet = Packet::parse(frame).ok()?;
+    let (src, _) = packet.ipv4_addrs()?;
+    let opens_flow = match packet.transport {
+        Transport::Tcp { flags, .. } => flags.syn() && !flags.ack(),
+        Transport::Icmp { mtype, .. } => mtype == icmp::MessageType::EchoRequest,
+        _ => false,
+    };
+    opens_flow.then_some(src.0)
 }
 
 /// Score one trace's scanner-removal decisions against the scan-class
@@ -269,37 +260,28 @@ fn shannon<'a, I: Iterator<Item = &'a u64> + Clone>(counts: I) -> f64 {
 }
 
 /// Map a frame to its header-field symbol. IPv4 packets fold
-/// `(src, dst, proto, sport, dport)`; anything else folds the
-/// EtherType, so link-mix shifts (IPv6-heavy, IPX) register too.
+/// `(src, dst, proto, sport, dport)`; anything else (undissectable frames
+/// included) folds the EtherType, so link-mix shifts (IPv6-heavy, IPX)
+/// register too.
 fn header_symbol(frame: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: u64| h = (h ^ v).wrapping_mul(PRIME);
-    if frame.len() < 34 || frame[12] != 0x08 || frame[13] != 0x00 {
-        let ethertype = if frame.len() >= 14 {
-            u64::from(frame[12]) << 8 | u64::from(frame[13])
-        } else {
-            0
-        };
-        mix(1);
-        mix(ethertype);
-        return h;
-    }
-    let ihl = usize::from(frame[14] & 0x0f) * 4;
-    let proto = frame[23];
-    mix(2);
-    mix(u64::from(u32::from_be_bytes([frame[26], frame[27], frame[28], frame[29]])));
-    mix(u64::from(u32::from_be_bytes([frame[30], frame[31], frame[32], frame[33]])));
-    mix(u64::from(proto));
-    if matches!(proto, 6 | 17) {
-        if let (Some(&a), Some(&b), Some(&c), Some(&d)) = (
-            frame.get(14 + ihl),
-            frame.get(14 + ihl + 1),
-            frame.get(14 + ihl + 2),
-            frame.get(14 + ihl + 3),
-        ) {
-            mix(u64::from(a) << 8 | u64::from(b));
-            mix(u64::from(c) << 8 | u64::from(d));
+    match Packet::parse(frame) {
+        Ok(Packet { net: NetLayer::Ipv4 { src, dst, protocol, .. }, transport, .. }) => {
+            mix(2);
+            mix(u64::from(src.0));
+            mix(u64::from(dst.0));
+            mix(u64::from(protocol.to_u8()));
+            if let Transport::Tcp { src_port, dst_port, .. } | Transport::Udp { src_port, dst_port, .. } = transport {
+                mix(u64::from(src_port));
+                mix(u64::from(dst_port));
+            }
+        }
+        _ => {
+            let ethertype = ethernet::Frame::parse(frame).map_or(0, |eth| eth.ethertype.to_u16());
+            mix(1);
+            mix(u64::from(ethertype));
         }
     }
     h
@@ -529,6 +511,97 @@ mod tests {
         assert_eq!(ab.temporal_entropy().to_bits(), ba.temporal_entropy().to_bits());
     }
 
+    /// `originator_src` as it was when it indexed the frame by hand.
+    fn parent_originator_src(frame: &[u8]) -> Option<u32> {
+        if frame.len() < 34 || frame[12] != 0x08 || frame[13] != 0x00 {
+            return None;
+        }
+        let ihl = usize::from(frame[14] & 0x0f) * 4;
+        let proto = frame[23];
+        let src = u32::from_be_bytes([frame[26], frame[27], frame[28], frame[29]]);
+        match proto {
+            6 => {
+                let flags = *frame.get(14 + ihl + 13)?;
+                // SYN set, ACK clear: the connection-opening segment.
+                (flags & 0x12 == 0x02).then_some(src)
+            }
+            1 => {
+                let icmp_type = *frame.get(14 + ihl)?;
+                (icmp_type == 8).then_some(src)
+            }
+            _ => None,
+        }
+    }
+
+    /// `header_symbol` as it was when it indexed the frame by hand.
+    fn parent_header_symbol(frame: &[u8]) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(PRIME);
+        if frame.len() < 34 || frame[12] != 0x08 || frame[13] != 0x00 {
+            let ethertype = if frame.len() >= 14 {
+                u64::from(frame[12]) << 8 | u64::from(frame[13])
+            } else {
+                0
+            };
+            mix(1);
+            mix(ethertype);
+            return h;
+        }
+        let ihl = usize::from(frame[14] & 0x0f) * 4;
+        let proto = frame[23];
+        mix(2);
+        mix(u64::from(u32::from_be_bytes([frame[26], frame[27], frame[28], frame[29]])));
+        mix(u64::from(u32::from_be_bytes([frame[30], frame[31], frame[32], frame[33]])));
+        mix(u64::from(proto));
+        if matches!(proto, 6 | 17) {
+            if let (Some(&a), Some(&b), Some(&c), Some(&d)) = (
+                frame.get(14 + ihl),
+                frame.get(14 + ihl + 1),
+                frame.get(14 + ihl + 2),
+                frame.get(14 + ihl + 3),
+            ) {
+                mix(u64::from(a) << 8 | u64::from(b));
+                mix(u64::from(c) << 8 | u64::from(d));
+            }
+        }
+        h
+    }
+
+    /// The dissector-backed `header_symbol` / `originator_src` against the
+    /// hand-indexed originals, on every frame of `arena`: the symbols must
+    /// split the frames into the same classes, the sources must be equal.
+    fn assert_matches_parent(arena: &ent_pcap::PacketArena) {
+        let (mut fwd, mut back) = (BTreeMap::new(), BTreeMap::new());
+        assert!(arena.len() > 1_000, "trace too small to mean anything");
+        for (_, frame, _) in arena.captured_frames() {
+            let (new, old) = (header_symbol(frame), parent_header_symbol(frame));
+            assert_eq!(*fwd.entry(new).or_insert(old), old, "one new symbol, two old");
+            assert_eq!(*back.entry(old).or_insert(new), new, "one old symbol, two new");
+            assert_eq!(originator_src(frame), parent_originator_src(frame));
+        }
+        assert!(fwd.len() > 100, "only {} distinct symbols", fwd.len());
+    }
+
+    #[test]
+    fn symbols_and_sources_match_the_hand_indexed_originals() {
+        let gen = ent_gen::GenConfig { scale: 0.01, seed: 2005, hosts_per_subnet: None };
+        let mut arena = ent_pcap::PacketArena::unbounded();
+
+        let d0 = ent_gen::dataset::all_datasets().into_iter().find(|d| d.name == "D0").unwrap();
+        let (site, wan) = build_site(&d0, &gen);
+        let (subnet, pass) = d0.slots().next().unwrap();
+        ent_gen::build::generate_trace_into(&site, &wan, &d0, subnet, pass, &gen, &mut arena);
+        assert_matches_parent(&arena);
+
+        let v6 = packs::pack("v6heavy").unwrap();
+        let (site, wan) = build_site(&v6.spec, &gen);
+        let (subnet, pass) = v6.spec.slots().next().unwrap();
+        arena.clear();
+        packs::generate_pack_trace_into(&v6, &site, &wan, subnet, pass, &gen, &mut arena);
+        assert_matches_parent(&arena);
+    }
+
     #[test]
     fn originator_src_takes_syns_and_echo_requests_only() {
         let syn = tcp_syn_frame([10, 100, 0, 250], [10, 100, 0, 5], 40_000, 80);
@@ -545,19 +618,22 @@ mod tests {
         assert_eq!(originator_src(&nonip), None);
     }
 
-    /// Minimal Ethernet+IPv4+TCP SYN frame for unit tests.
+    /// Ethernet+IPv4+TCP SYN frame for unit tests.
     fn tcp_syn_frame(src: [u8; 4], dst: [u8; 4], sport: u16, dport: u16) -> Vec<u8> {
-        let mut f = vec![0u8; 14 + 20 + 20];
-        f[12] = 0x08;
-        f[13] = 0x00;
-        f[14] = 0x45;
-        f[23] = 6;
-        f[26..30].copy_from_slice(&src);
-        f[30..34].copy_from_slice(&dst);
-        f[34..36].copy_from_slice(&sport.to_be_bytes());
-        f[36..38].copy_from_slice(&dport.to_be_bytes());
-        f[14 + 20 + 13] = 0x02;
-        f
+        let spec = ent_wire::build::TcpFrameSpec {
+            src_mac: ethernet::MacAddr::from_host_id(1),
+            dst_mac: ethernet::MacAddr::from_host_id(2),
+            src_ip: ipv4::Addr(u32::from_be_bytes(src)),
+            dst_ip: ipv4::Addr(u32::from_be_bytes(dst)),
+            src_port: sport,
+            dst_port: dport,
+            seq: 1,
+            ack: 0,
+            flags: ent_wire::tcp::Flags::SYN,
+            window: 8_192,
+            ttl: 64,
+        };
+        ent_wire::build::tcp_frame(&spec, &[])
     }
 
     #[test]

@@ -640,7 +640,6 @@ fn table_config(config: &PipelineConfig, expected_conns: usize) -> TableConfig {
     TableConfig {
         max_conns: config.max_conns,
         expected_conns,
-        ..TableConfig::default()
     }
 }
 

@@ -74,7 +74,7 @@ pub use handler::{CollectSummaries, FlowHandler};
 pub use key::{ConnIndex, Dir, Endpoint, FlowKey, Proto};
 pub use shard::{shard_of_key, shard_of_packet, shard_of_pair, DESIGNATED_SHARD};
 pub use summary::{ConnSummary, DirStats, TcpOutcome, TcpState};
-pub use table::{ConnTable, FlowStats, TableCarry, TableConfig};
+pub use table::{ConnTable, FlowStats, TableCarry, TableConfig, IDLE_TIMEOUT_US};
 
 #[cfg(test)]
 mod integration_tests {

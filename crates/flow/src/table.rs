@@ -11,18 +11,16 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
+/// Inactivity gap after which a UDP flow or an ICMP exchange is
+/// considered a new "connection" (the paper counts UDP request/response
+/// flows as connections, Bro-style), and after which an *unestablished*
+/// TCP attempt is flushed (so periodic reconnection attempts count as
+/// distinct attempts).
+pub const IDLE_TIMEOUT_US: u64 = 60_000_000;
+
 /// Configuration for flow demultiplexing.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TableConfig {
-    /// Inactivity gap after which a UDP flow is considered a new
-    /// "connection" (the paper counts UDP request/response flows as
-    /// connections, Bro-style).
-    pub udp_timeout_us: u64,
-    /// Inactivity gap for ICMP exchanges.
-    pub icmp_timeout_us: u64,
-    /// Inactivity gap after which an *unestablished* TCP attempt is flushed
-    /// (so periodic reconnection attempts count as distinct attempts).
-    pub tcp_attempt_timeout_us: u64,
     /// Upper bound on simultaneously open connections (0 = unlimited).
     /// When a new connection would exceed it, the least-recently-active
     /// open connections are closed early in a batch, each counted in
@@ -33,18 +31,6 @@ pub struct TableConfig {
     /// 0 = no hint). The key map and slot vector are pre-sized from it so
     /// hot-path inserts never rehash or reallocate mid-trace.
     pub expected_conns: usize,
-}
-
-impl Default for TableConfig {
-    fn default() -> TableConfig {
-        TableConfig {
-            udp_timeout_us: 60_000_000,
-            icmp_timeout_us: 60_000_000,
-            tcp_attempt_timeout_us: 60_000_000,
-            max_conns: 0,
-            expected_conns: 0,
-        }
-    }
 }
 
 /// Robustness counters for one table's lifetime.
@@ -356,17 +342,13 @@ impl<S: BuildHasher> ConnTable<S> {
             };
             let (idle_limit, conn_done) = {
                 let idle = ts.saturating_micros_since(conn.end);
-                let (done, established) = match &conn.tcp {
-                    Some(t) => (t.done(), !matches!(t.state(), TcpState::SynSent)),
+                // An established TCP connection never idles out; its
+                // attempts and the connectionless protocols do.
+                let (done, can_idle_out) = match &conn.tcp {
+                    Some(t) => (t.done(), matches!(t.state(), TcpState::SynSent)),
                     None => (false, true),
                 };
-                let limit = match key.proto {
-                    Proto::Udp => Some(self.config.udp_timeout_us),
-                    Proto::Icmp => Some(self.config.icmp_timeout_us),
-                    Proto::Tcp if !established => Some(self.config.tcp_attempt_timeout_us),
-                    Proto::Tcp => None,
-                };
-                (limit.map(|l| idle > l).unwrap_or(false), done)
+                (can_idle_out && idle > IDLE_TIMEOUT_US, done)
             };
             // Split the flow when it went idle past the timeout, or a
             // fresh SYN arrives on a *terminated* connection (port reuse /
@@ -599,16 +581,13 @@ mod tests {
     fn udp_timeout_splits_flows() {
         let a = Addr::new(10, 0, 0, 1);
         let b = Addr::new(10, 0, 0, 2);
-        let mut t = ConnTable::new(TableConfig {
-            udp_timeout_us: 1_000_000,
-            ..Default::default()
-        });
+        let mut t = ConnTable::new(TableConfig::default());
         let mut h = CollectSummaries::default();
         let f = udp_frame(a, b, 123, 123, 48);
         t.ingest(&Packet::parse(&f).unwrap(), Timestamp::from_secs(0), &mut h);
-        t.ingest(&Packet::parse(&f).unwrap(), Timestamp::from_secs(10), &mut h);
-        t.ingest(&Packet::parse(&f).unwrap(), Timestamp::from_secs(10), &mut h);
-        t.finish(Timestamp::from_secs(20), &mut h);
+        t.ingest(&Packet::parse(&f).unwrap(), Timestamp::from_secs(100), &mut h);
+        t.ingest(&Packet::parse(&f).unwrap(), Timestamp::from_secs(100), &mut h);
+        t.finish(Timestamp::from_secs(200), &mut h);
         assert_eq!(h.summaries.len(), 2);
         assert_eq!(h.summaries[0].orig.packets, 1);
         assert_eq!(h.summaries[1].orig.packets, 2);
@@ -930,10 +909,7 @@ mod tests {
 
     #[test]
     fn peak_open_conns_tracks_high_water_mark() {
-        let mut t = ConnTable::new(TableConfig {
-            udp_timeout_us: 1_000_000,
-            ..Default::default()
-        });
+        let mut t = ConnTable::new(TableConfig::default());
         let mut h = CollectSummaries::default();
         let server = Addr::new(10, 0, 9, 9);
         for i in 0..6u16 {

@@ -309,24 +309,14 @@ fn minor_transports(ctx: &mut TraceCtx<'_>) {
         let c = ctx.local_client();
         let s = ctx.remote_internal();
         let len = ctx.rng.random_range(8..200);
-        let frame = ent_wire::build::raw_ip_frame(
-            c.mac,
-            if proto == 2 || proto == 103 {
-                SAP_MAC
-            } else {
-                ctx.wan.router_mac()
-            },
-            c.addr,
-            if proto == 2 || proto == 103 {
-                ipv4::Addr::new(224, 0, 0, 13)
-            } else {
-                s.addr
-            },
-            proto,
-            &ZEROS[..len],
-        );
+        // IGMP and PIM go to the all-routers group, the rest to a peer.
+        let (dst_mac, dst) = if proto == 2 || proto == 103 {
+            (SAP_MAC, ipv4::Addr::new(224, 0, 0, 13))
+        } else {
+            (ctx.wan.router_mac(), s.addr)
+        };
         let t = ctx.start();
-        ctx.push_frame(t, &frame);
+        ctx.push_raw_ip(t, c.mac, dst_mac, c.addr, dst, proto, &ZEROS[..len]);
     }
 }
 

@@ -22,7 +22,8 @@ use crate::distr::{coin, LogNormal};
 use crate::network::{Host, Site, WanPool};
 use crate::synth::{self, Peer, TcpSessionSpec, UdpFlowSpec};
 use ent_pcap::{Clip, PacketArena};
-use ent_wire::{ipv4, Timestamp};
+use ent_wire::ethernet::MacAddr;
+use ent_wire::{build, ipv4, Timestamp};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -284,6 +285,26 @@ impl<'a> TraceCtx<'a> {
         synth::emit_icmp_echo(
             start, client, server, rtt_us, ident, count, answered, &mut self.out, Clip::Silent,
         );
+    }
+
+    /// Write one IPv4 frame carrying a transport the synthesizer does not
+    /// model (IGMP, PIM, ESP, GRE, ...) at `ts`, straight into the arena.
+    #[allow(clippy::too_many_arguments)]
+    pub fn push_raw_ip(
+        &mut self,
+        ts: Timestamp,
+        src_mac: MacAddr,
+        dst_mac: MacAddr,
+        src: ipv4::Addr,
+        dst: ipv4::Addr,
+        protocol: u8,
+        payload: &[u8],
+    ) {
+        let wire = build::NET_HDR_LEN + payload.len();
+        if self.out.admit(ts, Clip::Counted, wire as u64) {
+            build::raw_ip_frame_into(src_mac, dst_mac, src, dst, protocol, payload, self.out.frame_buf());
+            self.out.commit(ts, wire);
+        }
     }
 
     /// Append one prebuilt frame at `ts`.

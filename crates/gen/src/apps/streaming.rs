@@ -116,16 +116,9 @@ pub fn multicast_background(ctx: &mut TraceCtx<'_>) {
     // IGMP membership chatter accompanies the groups.
     for _ in 0..ctx.count(30.0) {
         let h = ctx.local_client();
-        let frame = ent_wire::build::raw_ip_frame(
-            h.mac,
-            VIDEO_MAC,
-            h.addr,
-            VIDEO_GROUP,
-            2, // IGMP
-            &[0x16, 0, 0, 0, 239, 192, 7, 1],
-        );
         let t = ctx.start();
-        ctx.push_frame(t, &frame);
+        let report = [0x16, 0, 0, 0, 239, 192, 7, 1];
+        ctx.push_raw_ip(t, h.mac, VIDEO_MAC, h.addr, VIDEO_GROUP, 2 /* IGMP */, &report);
     }
 }
 

@@ -5,7 +5,7 @@
 //! loss-driven retransmissions, and TCP keep-alive probes.
 
 use crate::distr::coin;
-use ent_pcap::{Clip, PacketArena, TimedPacket};
+use ent_pcap::{Clip, PacketArena};
 use ent_wire::ethernet::MacAddr;
 use ent_wire::{build, icmp, ipv4, tcp, Timestamp};
 use rand::{Rng, RngExt};
@@ -531,15 +531,6 @@ pub fn emit_tcp<R: Rng + ?Sized>(
     .run();
 }
 
-/// Synthesize one TCP session into timestamped frames (compatibility
-/// wrapper over [`emit_tcp`], time-sorted like the legacy path).
-pub fn synth_tcp<R: Rng + ?Sized>(spec: &TcpSessionSpec, rng: &mut R) -> Vec<TimedPacket> {
-    let mut arena = PacketArena::unbounded();
-    emit_tcp(spec, rng, &mut arena, Clip::Counted);
-    arena.sort_records();
-    arena.to_packets()
-}
-
 /// One UDP message in a flow script.
 #[derive(Debug, Clone)]
 pub struct UdpMessage {
@@ -626,15 +617,6 @@ pub fn emit_udp(spec: &UdpFlowSpec, out: &mut PacketArena, clip: Clip) {
     }
 }
 
-/// Synthesize a UDP flow (compatibility wrapper over [`emit_udp`],
-/// time-sorted like the legacy path).
-pub fn synth_udp(spec: &UdpFlowSpec) -> Vec<TimedPacket> {
-    let mut arena = PacketArena::unbounded();
-    emit_udp(spec, &mut arena, Clip::Counted);
-    arena.sort_records();
-    arena.to_packets()
-}
-
 /// The fixed 56-byte echo payload (classic `ping` pattern byte).
 const ICMP_PAYLOAD: [u8; 56] = [0x55; 56];
 
@@ -691,29 +673,30 @@ pub fn emit_icmp_echo(
     }
 }
 
-/// Synthesize an ICMP echo exchange (compatibility wrapper over
-/// [`emit_icmp_echo`]; emission order, unsorted, like the legacy path).
-pub fn synth_icmp_echo(
-    start: Timestamp,
-    client: Peer,
-    server: Peer,
-    rtt_us: u64,
-    ident: u16,
-    count: u16,
-    answered: bool,
-) -> Vec<TimedPacket> {
-    let mut arena = PacketArena::unbounded();
-    emit_icmp_echo(start, client, server, rtt_us, ident, count, answered, &mut arena, Clip::Counted);
-    arena.to_packets()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ent_flow::{CollectSummaries, ConnTable, TableConfig, TcpOutcome};
+    use ent_pcap::TimedPacket;
     use ent_wire::Packet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One session's frames as owned packets, in time order.
+    fn emitted(emit: impl FnOnce(&mut PacketArena)) -> Vec<TimedPacket> {
+        let mut arena = PacketArena::unbounded();
+        emit(&mut arena);
+        arena.sort_records();
+        arena.to_packets()
+    }
+
+    fn synth_tcp<R: Rng + ?Sized>(spec: &TcpSessionSpec, rng: &mut R) -> Vec<TimedPacket> {
+        emitted(|arena| emit_tcp(spec, rng, arena, Clip::Counted))
+    }
+
+    fn synth_udp(spec: &UdpFlowSpec) -> Vec<TimedPacket> {
+        emitted(|arena| emit_udp(spec, arena, Clip::Counted))
+    }
 
     fn peers() -> (Peer, Peer) {
         (
@@ -869,12 +852,17 @@ mod tests {
     #[test]
     fn icmp_echo_pairs() {
         let (c, s) = peers();
-        let pkts = synth_icmp_echo(Timestamp::ZERO, c, s, 500, 77, 3, true);
+        let echo = |ident, count, answered| {
+            emitted(|arena| {
+                emit_icmp_echo(Timestamp::ZERO, c, s, 500, ident, count, answered, arena, Clip::Counted)
+            })
+        };
+        let pkts = echo(77, 3, true);
         assert_eq!(pkts.len(), 6);
         let sums = track(&pkts);
         assert_eq!(sums.len(), 1);
         assert!(sums[0].icmp_answered);
-        let pkts = synth_icmp_echo(Timestamp::ZERO, c, s, 500, 78, 2, false);
+        let pkts = echo(78, 2, false);
         let sums = track(&pkts);
         assert!(!sums[0].icmp_answered);
     }

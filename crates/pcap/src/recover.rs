@@ -34,7 +34,9 @@
 //! unsupported link type, or a file shorter than the header is a fatal
 //! [`PcapError`] — there is no frame boundary to recover.
 
-use crate::format::{record_limit, LINKTYPE_ETHERNET, MAGIC_USEC, MAX_RECORD_BYTES};
+use crate::format::{
+    GlobalHeader, RecordHeader, GLOBAL_HEADER_LEN, MAX_RECORD_BYTES, RECORD_HEADER_LEN,
+};
 use crate::{PcapError, Result, TimedPacket};
 use ent_wire::Timestamp;
 
@@ -111,13 +113,6 @@ impl core::fmt::Display for IngestStats {
     }
 }
 
-struct RecordHeader {
-    sec: u32,
-    usec: u32,
-    caplen: u32,
-    orig_len: u32,
-}
-
 /// A salvaged record borrowed straight from the capture buffer — the
 /// zero-copy counterpart of [`TimedPacket`], produced by
 /// [`RecoveringReader::next_record`].
@@ -164,41 +159,18 @@ impl<'a> RecoveringReader<'a> {
     /// unrecoverable when damaged — without it there is no byte order and
     /// no reason to believe the file is a capture at all).
     pub fn new(data: &'a [u8]) -> Result<RecoveringReader<'a>> {
-        if data.len() < 24 {
-            return Err(PcapError::BadFormat("file shorter than pcap global header"));
-        }
-        let magic = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
-        let swapped = match magic {
-            MAGIC_USEC => false,
-            m if m == MAGIC_USEC.swap_bytes() => true,
-            0xA1B2_3C4D | 0x4D3C_B2A1 => {
-                return Err(PcapError::BadFormat("nanosecond pcap not supported"))
-            }
-            _ => return Err(PcapError::BadFormat("bad magic")),
-        };
-        let u32_at = |off: usize| {
-            let b = match data.get(off..off.saturating_add(4)) {
-                Some(&[a, b, c, d]) => [a, b, c, d],
-                _ => [0; 4],
-            };
-            if swapped {
-                u32::from_be_bytes(b)
-            } else {
-                u32::from_le_bytes(b)
-            }
-        };
-        if u32_at(20) != LINKTYPE_ETHERNET {
-            return Err(PcapError::BadFormat("only Ethernet link type supported"));
-        }
+        let hdr = data
+            .first_chunk()
+            .ok_or(PcapError::BadFormat("file shorter than pcap global header"))?;
+        let GlobalHeader { swapped, mut snaplen } = GlobalHeader::parse(hdr)?;
         let mut stats = IngestStats::default();
-        let mut snaplen = u32_at(16);
         if snaplen > MAX_RECORD_BYTES {
             stats.snaplen_clamped = true;
             snaplen = MAX_RECORD_BYTES;
         }
         Ok(RecoveringReader {
             data,
-            pos: 24,
+            pos: GLOBAL_HEADER_LEN,
             swapped,
             snaplen,
             last_ts_us: None,
@@ -224,7 +196,7 @@ impl<'a> RecoveringReader<'a> {
     ) -> Result<RecoveringReader<'a>> {
         let mut r = RecoveringReader::new(data)?;
         // ent-lint: allow(E002) — clamped min() against the buffer length
-        r.pos = (offset as usize).min(data.len()).max(24);
+        r.pos = (offset as usize).min(data.len()).max(GLOBAL_HEADER_LEN);
         r.last_ts_us = last_ts_us;
         Ok(r)
     }
@@ -255,35 +227,17 @@ impl<'a> RecoveringReader<'a> {
         &self.stats
     }
 
-    fn header_at(&self, off: usize) -> RecordHeader {
-        let u32_at = |o: usize| {
-            let b = match self.data.get(o..o.saturating_add(4)) {
-                Some(&[a, b, c, d]) => [a, b, c, d],
-                _ => [0; 4],
-            };
-            if self.swapped {
-                u32::from_be_bytes(b)
-            } else {
-                u32::from_le_bytes(b)
-            }
-        };
-        RecordHeader {
-            sec: u32_at(off),
-            usec: u32_at(off + 4),
-            caplen: u32_at(off + 8),
-            orig_len: u32_at(off + 12),
-        }
+    /// The record header at `off`, if 16 bytes remain there.
+    #[inline]
+    fn header_at(&self, off: usize) -> Option<RecordHeader> {
+        let rec = self.data.get(off..)?.first_chunk()?;
+        Some(RecordHeader::parse(rec, self.swapped))
     }
 
-    /// Field-level sanity of a record header at `off`: microseconds in
-    /// range, caplen under the clamped bound. Random bytes pass with
-    /// probability ~1.4e-8 (usec bound ~2.3e-4 times caplen bound ~6e-5).
-    fn header_sane(&self, off: usize) -> bool {
-        if off + 16 > self.data.len() {
-            return false;
-        }
-        let h = self.header_at(off);
-        h.usec < 1_000_000 && h.caplen <= record_limit(self.snaplen)
+    /// A whole, field-sane record header at `off` (see
+    /// [`RecordHeader::defect`]).
+    fn sane_header_at(&self, off: usize) -> Option<RecordHeader> {
+        self.header_at(off).filter(|h| h.defect(self.snaplen).is_none())
     }
 
     /// Could a record plausibly start at `off`? Used only while
@@ -292,16 +246,10 @@ impl<'a> RecoveringReader<'a> {
     /// fit in the remaining bytes and chain into end-of-file or another
     /// sane header. Payload bytes that happen to look like a header fail
     /// the chain check because their bogus caplen points nowhere valid.
-    fn plausible(&self, off: usize) -> bool {
-        if !self.header_sane(off) {
-            return false;
-        }
-        let h = self.header_at(off);
-        let end = off + 16 + h.caplen as usize;
-        if end > self.data.len() {
-            return false;
-        }
-        end == self.data.len() || self.header_sane(end)
+    fn plausible(&self, off: usize) -> Option<RecordHeader> {
+        let h = self.sane_header_at(off)?;
+        let end = off + RECORD_HEADER_LEN + h.caplen as usize;
+        (end == self.data.len() || self.sane_header_at(end).is_some()).then_some(h)
     }
 
     /// Is `h`'s timestamp believable given the last good clock? Payload
@@ -312,7 +260,7 @@ impl<'a> RecoveringReader<'a> {
         let Some(last) = self.last_ts_us else {
             return true;
         };
-        let ts = u64::from(h.sec) * 1_000_000 + u64::from(h.usec);
+        let ts = h.ts_us();
         ts + MAX_CLOCK_JUMP_US >= last && ts <= last + MAX_CLOCK_JUMP_US
     }
 
@@ -323,12 +271,8 @@ impl<'a> RecoveringReader<'a> {
     /// from. How far *ahead* the next record lies says nothing: in a
     /// sparse capture an intact packet sits alone inside a quiet stretch.
     fn next_clock_confirms(&self, ts_us: u64) -> bool {
-        if !self.header_sane(self.pos) {
-            return false;
-        }
-        let h = self.header_at(self.pos);
-        let next = u64::from(h.sec) * 1_000_000 + u64::from(h.usec);
-        next + MAX_CLOCK_JUMP_US >= ts_us
+        self.sane_header_at(self.pos)
+            .is_some_and(|next| next.ts_us() + MAX_CLOCK_JUMP_US >= ts_us)
     }
 
     /// Skip forward from a damaged record header to the next plausible one.
@@ -345,14 +289,14 @@ impl<'a> RecoveringReader<'a> {
         let mut fallback: Option<usize> = None;
         let mut off = self.pos.saturating_add(1);
         let mut lock: Option<usize> = None;
-        while off.saturating_add(16) <= self.data.len() {
+        while off.saturating_add(RECORD_HEADER_LEN) <= self.data.len() {
             if let Some(f) = fallback {
                 if off > f.saturating_add(RESYNC_CLOCK_SCAN) {
                     break;
                 }
             }
-            if self.plausible(off) {
-                if self.clock_consistent(&self.header_at(off)) {
+            if let Some(h) = self.plausible(off) {
+                if self.clock_consistent(&h) {
                     lock = Some(off);
                     break;
                 }
@@ -381,33 +325,32 @@ impl<'a> RecoveringReader<'a> {
             if remaining == 0 {
                 return None;
             }
-            if remaining < 16 {
+            let Some(h) = self.header_at(self.pos) else {
                 // Tail shorter than a record header: mid-record EOF.
                 self.stats.truncated_tail = true;
                 self.stats.bytes_skipped += remaining as u64;
                 self.pos = self.data.len();
                 return None;
-            }
-            let h = self.header_at(self.pos);
-            if h.usec >= 1_000_000 || h.caplen > record_limit(self.snaplen) {
+            };
+            if h.defect(self.snaplen).is_some() {
                 self.resync();
                 continue;
             }
             if h.caplen == 0 {
                 // ent-lint: allow(E002) — u64 damage counter, not offset math
                 self.stats.zero_len_records += 1;
-                self.pos = self.pos.saturating_add(16);
+                self.pos = self.pos.saturating_add(RECORD_HEADER_LEN);
                 continue;
             }
             let cap = h.caplen as usize;
-            if cap > remaining.saturating_sub(16) {
+            if cap > remaining.saturating_sub(RECORD_HEADER_LEN) {
                 // Payload runs past end-of-file: mid-record EOF.
                 self.stats.truncated_tail = true;
                 self.stats.bytes_skipped += remaining as u64;
                 self.pos = self.data.len();
                 return None;
             }
-            let payload_start = self.pos.saturating_add(16);
+            let payload_start = self.pos.saturating_add(RECORD_HEADER_LEN);
             let frame = self
                 .data
                 .get(payload_start..payload_start.saturating_add(cap))
@@ -418,7 +361,7 @@ impl<'a> RecoveringReader<'a> {
                 self.stats.repaired_records += 1;
                 orig_len = h.caplen;
             }
-            let mut ts_us = u64::from(h.sec) * 1_000_000 + u64::from(h.usec);
+            let mut ts_us = h.ts_us();
             if let Some(last) = self.last_ts_us {
                 if ts_us < last {
                     self.stats.clock_regressions += 1;
@@ -500,6 +443,78 @@ mod tests {
         assert_eq!(pkts.len(), 10);
         assert!(stats.is_clean(), "{stats}");
         assert_eq!(stats.records, 10);
+    }
+
+    /// The same capture as a big-endian host would have written it: every
+    /// header field byte-reversed, frame bytes untouched.
+    fn byte_swapped(le: &[u8]) -> Vec<u8> {
+        let mut out = le.to_vec();
+        let mut reverse = |range: std::ops::Range<usize>| out[range].reverse();
+        for r in [0..4, 4..6, 6..8, 8..12, 12..16, 16..20, 20..24] {
+            reverse(r);
+        }
+        let mut off = GLOBAL_HEADER_LEN;
+        while off < le.len() {
+            for field in 0..4 {
+                reverse(off + 4 * field..off + 4 * field + 4);
+            }
+            let caplen = u32::from_le_bytes(le[off + 8..off + 12].try_into().unwrap());
+            off += RECORD_HEADER_LEN + caplen as usize;
+        }
+        out
+    }
+
+    #[test]
+    fn both_readers_agree_in_both_byte_orders() {
+        let mut le = Vec::new();
+        let mut w = PcapWriter::new(&mut le, 1_500).unwrap();
+        for i in 0..40u64 {
+            let mut p = TimedPacket::new(
+                Timestamp::from_micros(1_100_000_000_000_000 + i * 999_983),
+                (0..60 + 7 * i as usize).map(|b| (b as u8) ^ (i as u8)).collect(),
+            );
+            p.orig_len += (i as u32 % 3) * 500;
+            w.write_packet(&p).unwrap();
+        }
+        w.finish().unwrap();
+        let be = byte_swapped(&le);
+        assert_ne!(le, be);
+
+        let strict = |file: &[u8]| {
+            let mut r = crate::PcapReader::new(file).unwrap();
+            (r.snaplen(), r.read_all().unwrap())
+        };
+        let recovering = |file: &[u8]| {
+            let r = RecoveringReader::new(file).unwrap();
+            let snaplen = r.snaplen();
+            let (pkts, stats) = r.read_all();
+            assert!(stats.is_clean(), "{stats}");
+            (snaplen, pkts)
+        };
+        let want = strict(&le);
+        assert_eq!((want.0, want.1.len()), (1_500, 40));
+        assert_eq!(strict(&be), want);
+        assert_eq!(recovering(&le), want);
+        assert_eq!(recovering(&be), want);
+
+        // What neither reader opens, in either byte order, and why.
+        for file in [&le, &be] {
+            let swapped = file[0] == 0xA1;
+            let field = |v: u32| if swapped { v.to_be_bytes() } else { v.to_le_bytes() };
+            let mut nanos = file.clone();
+            nanos[0..4].copy_from_slice(&field(0xA1B2_3C4D));
+            let mut wifi = file.clone();
+            wifi[20..24].copy_from_slice(&field(105));
+            for (bad, why) in [
+                (&nanos, "nanosecond pcap not supported"),
+                (&wifi, "only Ethernet link type supported"),
+            ] {
+                let strict = crate::PcapReader::new(&bad[..]).err().expect("strict rejects");
+                let recovering = RecoveringReader::new(bad).err().expect("recovering rejects");
+                assert!(matches!(strict, PcapError::BadFormat(w) if w == why), "{strict:?}");
+                assert!(matches!(recovering, PcapError::BadFormat(w) if w == why), "{recovering:?}");
+            }
+        }
     }
 
     #[test]
@@ -758,8 +773,8 @@ mod tests {
             let mut bytes: Vec<u8> = (0..n).map(|_| rng.random::<u8>()).collect();
             // Half the time, graft a valid global header so iteration runs.
             if rng.random_bool(0.5) && bytes.len() >= 24 {
-                bytes[0..4].copy_from_slice(&MAGIC_USEC.to_le_bytes());
-                bytes[20..24].copy_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
+                bytes[0..4].copy_from_slice(&crate::format::MAGIC_USEC.to_le_bytes());
+                bytes[20..24].copy_from_slice(&crate::LINKTYPE_ETHERNET.to_le_bytes());
             }
             if let Ok(r) = RecoveringReader::new(&bytes) {
                 let (_, stats) = r.read_all();

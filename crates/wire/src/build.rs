@@ -3,7 +3,7 @@
 //! Used by the trace generator (`ent-gen`) and by tests; the analysis side
 //! never constructs frames.
 
-use crate::{ethernet, icmp, ipv4, tcp, udp};
+use crate::{ethernet, icmp, ipv4, tcp};
 
 /// Parameters for a TCP frame.
 #[derive(Debug, Clone, Copy)]
@@ -32,28 +32,12 @@ pub struct TcpFrameSpec {
     pub ttl: u8,
 }
 
-/// Build a complete TCP/IPv4/Ethernet frame.
+/// Build a complete TCP/IPv4/Ethernet frame in a `Vec` of its own
+/// ([`tcp_frame_into`] over a one-shot [`TcpTemplate`]).
 pub fn tcp_frame(spec: &TcpFrameSpec, payload: &[u8]) -> Vec<u8> {
-    let seg = tcp::emit(
-        spec.src_ip,
-        spec.dst_ip,
-        spec.src_port,
-        spec.dst_port,
-        spec.seq,
-        spec.ack,
-        spec.flags,
-        spec.window,
-        payload,
-    );
-    let ip = ipv4::emit(
-        spec.src_ip,
-        spec.dst_ip,
-        ipv4::Protocol::Tcp,
-        spec.ttl,
-        ip_ident(spec.seq, spec.src_port),
-        &seg,
-    );
-    ethernet::emit(spec.dst_mac, spec.src_mac, ethernet::EtherType::Ipv4, &ip)
+    let mut out = Vec::with_capacity(TCP_HDR_LEN + payload.len());
+    tcp_frame_into(&TcpTemplate::new(spec), spec.seq, spec.ack, spec.flags, payload, &mut out);
+    out
 }
 
 /// Parameters for a UDP frame.
@@ -75,21 +59,16 @@ pub struct UdpFrameSpec {
     pub ttl: u8,
 }
 
-/// Build a complete UDP/IPv4/Ethernet frame.
+/// Build a complete UDP/IPv4/Ethernet frame in a `Vec` of its own
+/// ([`udp_frame_into`] over a one-shot [`UdpTemplate`]).
 pub fn udp_frame(spec: &UdpFrameSpec, payload: &[u8]) -> Vec<u8> {
-    let dg = udp::emit(spec.src_ip, spec.dst_ip, spec.src_port, spec.dst_port, payload);
-    let ip = ipv4::emit(
-        spec.src_ip,
-        spec.dst_ip,
-        ipv4::Protocol::Udp,
-        spec.ttl,
-        ip_ident(payload.len() as u32, spec.src_port),
-        &dg,
-    );
-    ethernet::emit(spec.dst_mac, spec.src_mac, ethernet::EtherType::Ipv4, &ip)
+    let mut out = Vec::with_capacity(UDP_HDR_LEN + payload.len());
+    udp_frame_into(&UdpTemplate::new(spec), payload, &mut out);
+    out
 }
 
-/// Build a complete ICMP/IPv4/Ethernet frame.
+/// Build a complete ICMP/IPv4/Ethernet frame in a `Vec` of its own
+/// ([`icmp_frame_into`]).
 #[allow(clippy::too_many_arguments)]
 pub fn icmp_frame(
     src_mac: ethernet::MacAddr,
@@ -101,13 +80,14 @@ pub fn icmp_frame(
     seq: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let msg = icmp::emit(mtype, 0, ident, seq, payload);
-    let ip = ipv4::emit(src_ip, dst_ip, ipv4::Protocol::Icmp, 64, ip_ident(seq as u32, ident), &msg);
-    ethernet::emit(dst_mac, src_mac, ethernet::EtherType::Ipv4, &ip)
+    let mut out = Vec::with_capacity(ICMP_HDR_LEN + payload.len());
+    icmp_frame_into(src_mac, dst_mac, src_ip, dst_ip, mtype, ident, seq, payload, &mut out);
+    out
 }
 
 /// Build an IPv4 frame carrying an arbitrary transport protocol (IGMP, ESP,
-/// PIM, GRE, protocol 224, ...).
+/// PIM, GRE, protocol 224, ...) in a `Vec` of its own
+/// ([`raw_ip_frame_into`]).
 pub fn raw_ip_frame(
     src_mac: ethernet::MacAddr,
     dst_mac: ethernet::MacAddr,
@@ -116,15 +96,9 @@ pub fn raw_ip_frame(
     protocol: u8,
     payload: &[u8],
 ) -> Vec<u8> {
-    let ip = ipv4::emit(
-        src_ip,
-        dst_ip,
-        ipv4::Protocol::from_u8(protocol),
-        64,
-        0,
-        payload,
-    );
-    ethernet::emit(dst_mac, src_mac, ethernet::EtherType::Ipv4, &ip)
+    let mut out = Vec::with_capacity(NET_HDR_LEN + payload.len());
+    raw_ip_frame_into(src_mac, dst_mac, src_ip, dst_ip, protocol, payload, &mut out);
+    out
 }
 
 /// Deterministic-but-varying IP ident derived from flow state, so duplicate
@@ -135,16 +109,16 @@ fn ip_ident(a: u32, b: u16) -> u16 {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy template builders.
+// Template writers.
 //
-// The legacy builders above assemble each frame from three nested `Vec`s
-// (transport, IP, Ethernet) and re-checksum every byte from scratch. The
-// template forms below precompute everything that is constant for one
-// session — the full 54-/42-byte header image and the static portion of the
-// ones-complement sums — so per-packet work reduces to: copy the header
-// image, patch the few dynamic fields, finish the checksums incrementally,
-// and append header + payload to a caller-provided buffer. Byte output is
-// identical to the legacy builders (pinned by the equivalence tests below).
+// Everything that is constant for one session — the full 54-/42-byte header
+// image and the static portion of the ones-complement sums — is computed
+// once, so per-packet work reduces to: copy the header image, patch the few
+// dynamic fields, finish the checksums incrementally, and append header +
+// payload to a caller-provided buffer. The per-layer `emit` functions
+// (`tcp::emit` inside `ipv4::emit` inside `ethernet::emit`, each
+// checksumming its own bytes from scratch) are the reference these writers
+// are pinned to by the equivalence tests below.
 // ---------------------------------------------------------------------------
 
 /// Ethernet + IPv4 header bytes preceding the transport header.
@@ -253,10 +227,8 @@ impl TcpTemplate {
     }
 }
 
-/// Append one TCP frame built from `t` to `out`.
-///
-/// Byte-identical to [`tcp_frame`] with the same dynamic fields: the header
-/// image is copied, seq/ack/flags/lengths/ident patched, and both checksums
+/// Append one TCP frame built from `t` to `out`: the header image is
+/// copied, seq/ack/flags/lengths/ident patched, and both checksums
 /// finished incrementally from the template's static sums.
 pub fn tcp_frame_into(
     t: &TcpTemplate,
@@ -462,16 +434,13 @@ impl UdpTemplate {
     }
 }
 
-/// Append one UDP frame built from `t` to `out`; byte-identical to
-/// [`udp_frame`] for the same payload.
+/// Append one UDP frame built from `t` to `out`.
 pub fn udp_frame_into(t: &UdpTemplate, payload: &[u8], out: &mut Vec<u8>) {
     udp_frame_split_into(t, SplitPayload::contiguous(payload), usize::MAX, out);
 }
 
-/// Append one ICMP frame to `out`; byte-identical to [`icmp_frame`].
-///
-/// ICMP echoes are too few per session to warrant a cached template, but
-/// this form still avoids the legacy builder's three nested allocations.
+/// Append one ICMP frame to `out`. ICMP echoes are too few per session to
+/// warrant a cached template.
 #[allow(clippy::too_many_arguments)]
 pub fn icmp_frame_into(
     src_mac: ethernet::MacAddr,
@@ -523,8 +492,7 @@ fn net_icmp_header(
     hdr
 }
 
-/// Append one raw-IPv4 frame (arbitrary transport protocol) to `out`;
-/// byte-identical to [`raw_ip_frame`].
+/// Append one raw-IPv4 frame (arbitrary transport protocol) to `out`.
 pub fn raw_ip_frame_into(
     src_mac: ethernet::MacAddr,
     dst_mac: ethernet::MacAddr,
@@ -546,7 +514,7 @@ pub fn raw_ip_frame_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Packet;
+    use crate::{udp, Packet};
 
     fn macs() -> (ethernet::MacAddr, ethernet::MacAddr) {
         (ethernet::MacAddr::from_host_id(1), ethernet::MacAddr::from_host_id(2))
@@ -586,6 +554,33 @@ mod tests {
         let p = Packet::parse(&f).unwrap();
         assert_eq!(p.transport, crate::Transport::Other(103));
         assert!(p.is_multicast());
+    }
+
+    // The reference builders: each layer's own `emit`, nested, every
+    // checksum computed from scratch over materialised bytes.
+
+    fn legacy_tcp_frame(spec: &TcpFrameSpec, payload: &[u8]) -> Vec<u8> {
+        let seg = tcp::emit(
+            spec.src_ip,
+            spec.dst_ip,
+            spec.src_port,
+            spec.dst_port,
+            spec.seq,
+            spec.ack,
+            spec.flags,
+            spec.window,
+            payload,
+        );
+        let ident = ip_ident(spec.seq, spec.src_port);
+        let ip = ipv4::emit(spec.src_ip, spec.dst_ip, ipv4::Protocol::Tcp, spec.ttl, ident, &seg);
+        ethernet::emit(spec.dst_mac, spec.src_mac, ethernet::EtherType::Ipv4, &ip)
+    }
+
+    fn legacy_udp_frame(spec: &UdpFrameSpec, payload: &[u8]) -> Vec<u8> {
+        let dg = udp::emit(spec.src_ip, spec.dst_ip, spec.src_port, spec.dst_port, payload);
+        let ident = ip_ident(payload.len() as u32, spec.src_port);
+        let ip = ipv4::emit(spec.src_ip, spec.dst_ip, ipv4::Protocol::Udp, spec.ttl, ident, &dg);
+        ethernet::emit(spec.dst_mac, spec.src_mac, ethernet::EtherType::Ipv4, &ip)
     }
 
     /// Tiny deterministic generator (xorshift64*) so the equivalence
@@ -644,14 +639,14 @@ mod tests {
                 let seq = if len % 3 == 0 { u32::MAX } else { x.next_u64() as u32 };
                 let ack = x.next_u64() as u32;
                 let flags = tcp::Flags((x.next_u64() as u8) & 0x1F);
-                let legacy = tcp_frame(&TcpFrameSpec { seq, ack, flags, ..spec }, &payload);
+                let legacy = legacy_tcp_frame(&TcpFrameSpec { seq, ack, flags, ..spec }, &payload);
                 let mut got = Vec::new();
                 tcp_frame_into(&tmpl, seq, ack, flags, &payload, &mut got);
                 assert_eq!(got, legacy, "tcp template mismatch (len {len})");
             }
             // Saturated payload: every word 0xFFFF, maximal carry folding.
             let payload = vec![0xFFu8; 97];
-            let legacy = tcp_frame(
+            let legacy = legacy_tcp_frame(
                 &TcpFrameSpec { seq: u32::MAX, ack: u32::MAX, flags: tcp::Flags::ACK, ..spec },
                 &payload,
             );
@@ -677,7 +672,7 @@ mod tests {
             let tmpl = UdpTemplate::new(&spec);
             for len in payload_lens(&mut x) {
                 let payload = random_payload(&mut x, len);
-                let legacy = udp_frame(&spec, &payload);
+                let legacy = legacy_udp_frame(&spec, &payload);
                 let mut got = Vec::new();
                 udp_frame_into(&tmpl, &payload, &mut got);
                 assert_eq!(got, legacy, "udp template mismatch (len {len})");
@@ -702,13 +697,16 @@ mod tests {
             };
             let plen = x.below(120) as usize;
             let payload = random_payload(&mut x, plen);
-            let legacy = icmp_frame(sm, dm, si, di, mtype, ident, seq, &payload);
+            let msg = icmp::emit(mtype, 0, ident, seq, &payload);
+            let ip = ipv4::emit(si, di, ipv4::Protocol::Icmp, 64, ip_ident(seq as u32, ident), &msg);
+            let legacy = ethernet::emit(dm, sm, ethernet::EtherType::Ipv4, &ip);
             let mut got = Vec::new();
             icmp_frame_into(sm, dm, si, di, mtype, ident, seq, &payload, &mut got);
             assert_eq!(got, legacy, "icmp mismatch");
 
             let proto = x.next_u64() as u8;
-            let legacy = raw_ip_frame(sm, dm, si, di, proto, &payload);
+            let ip = ipv4::emit(si, di, ipv4::Protocol::from_u8(proto), 64, 0, &payload);
+            let legacy = ethernet::emit(dm, sm, ethernet::EtherType::Ipv4, &ip);
             let mut got = Vec::new();
             raw_ip_frame_into(sm, dm, si, di, proto, &payload, &mut got);
             assert_eq!(got, legacy, "raw ip mismatch (proto {proto})");

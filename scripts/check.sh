@@ -41,10 +41,12 @@ cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_pipeline.json"
 
 echo "==> bench regression gate (study at gate config vs committed BENCH_pipeline.json)"
 # Serial run at the committed baseline's exact parameters: events/bytes must
-# match the baseline exactly (determinism), and no dominant stage may be
-# >25% slower (one-sided — faster always passes). On noisy/thermally-
-# throttled hardware, ENT_BENCH_WAIVER=1 skips the wall-time half of the
-# gate while keeping the determinism half:
+# match the baseline exactly (determinism), no dominant stage may be >25%
+# slower (one-sided — faster always passes), and gen_synth + frame_parse +
+# flow_ingest must stay under 55% of the summed stage wall. On noisy/
+# thermally-throttled hardware, ENT_BENCH_WAIVER=1 skips the wall-time half
+# of the gate while keeping the determinism half (bench-compare is the one
+# reader of the variable; empty and 0 mean "not waived"):
 #   ENT_BENCH_WAIVER=1 scripts/check.sh
 # --shards 0 is explicit: shard count is a bench-comparability key, and
 # a pinned --threads now auto-shards leftover cores when the flag is
@@ -54,30 +56,6 @@ cargo run --release -q -p ent-cli -- study \
     --only 'table 3' --bench-json "$BENCH_TMP/BENCH_gate.json" > /dev/null
 cargo run --release -q -p ent-cli -- bench-compare \
     BENCH_pipeline.json "$BENCH_TMP/BENCH_gate.json"
-
-echo "==> hot-path wall-share floor (gen_synth+frame_parse+flow_ingest < 55%)"
-# One-sided floor pinning the second perf wave: the three stages the
-# template-slot generator and the fused parse/ingest pass attacked must
-# stay under 55% of the total stage wall at the gate config (they were
-# 55.5% before the wave, ~42% after). Wall-time based, so the
-# ENT_BENCH_WAIVER escape hatch for noisy hardware applies.
-if [ -z "${ENT_BENCH_WAIVER:-}" ]; then
-    awk -F'"' '
-    /"stages": \{/ { in_stages = 1; next }
-    in_stages && /^  \}/ { in_stages = 0 }
-    in_stages && /"wall_us":/ {
-        match($0, /"wall_us": *[0-9.]+/)
-        w = substr($0, RSTART + 11, RLENGTH - 11) + 0
-        total += w
-        if ($2 == "gen_synth" || $2 == "frame_parse" || $2 == "flow_ingest") hot += w
-    } END {
-        share = (total > 0) ? hot / total : 0
-        printf "hot-path wall share: %.1f%% (floor: < 55%%)\n", share * 100
-        exit (share < 0.55) ? 0 : 1
-    }' "$BENCH_TMP/BENCH_gate.json"
-else
-    echo "hot-path wall-share floor waived via ENT_BENCH_WAIVER"
-fi
 
 echo "==> shard scaling gate (1/2/4/8-shard curve vs committed BENCH_scaling.json)"
 # Runs the full D0-D4 study at the gate config once per shard count

@@ -212,8 +212,6 @@ fn eviction_under_max_conns_matches_std_hash_table_decision_for_decision() {
         let config = TableConfig {
             max_conns: 24,
             expected_conns: 8, // deliberately undersized: forces rehashing
-            udp_timeout_us: 60_000_000,
-            ..Default::default()
         };
         let workload = eviction_workload(&mut rng, 2_000);
         let packets = workload.iter().map(|(frame, ts)| (frame.as_slice(), *ts));
@@ -231,7 +229,6 @@ fn eviction_under_max_conns_matches_std_hash_table_decision_for_decision() {
     let config = TableConfig {
         max_conns: 24,
         expected_conns: 8,
-        ..Default::default()
     };
     let (mut tcp_data, mut tcp_gaps, mut udp_datagrams) = (0, 0, 0);
     for name in ["D0", "D1"] {
