@@ -1,8 +1,9 @@
 //! §5.2.3 backup analysis: Table 15 plus the directionality findings.
 
-use super::DatasetTraces;
+use crate::records::TraceAnalysis;
 use crate::report::{fmt_bytes, Table};
 use ent_proto::AppProtocol;
+use std::borrow::Borrow;
 
 /// Table 15 plus directionality findings, aggregated across datasets as
 /// the paper does.
@@ -25,9 +26,9 @@ pub struct BackupAnalysis {
 }
 
 /// Compute the backup analysis.
-pub fn backup_analysis(traces: &DatasetTraces) -> BackupAnalysis {
+pub fn backup_analysis<T: Borrow<TraceAnalysis>>(traces: &[T]) -> BackupAnalysis {
     let mut a = BackupAnalysis::default();
-    for t in traces {
+    for t in traces.iter().map(Borrow::borrow) {
         for c in &t.conns {
             let b = c.payload_bytes();
             match c.app {

@@ -2,7 +2,8 @@
 //! statements from the measured results.
 
 use super::{name, netfile, web, windows};
-use crate::analyses::DatasetTraces;
+use crate::records::TraceAnalysis;
+use std::borrow::Borrow;
 
 /// One finding: the paper's claim, the measured value, and whether the
 /// measurement supports the claim.
@@ -19,7 +20,7 @@ pub struct Finding {
 }
 
 /// Regenerate Table 5's findings from full-payload traces.
-pub fn findings(traces: &DatasetTraces) -> Vec<Finding> {
+pub fn findings<T: Borrow<TraceAnalysis>>(traces: &[T]) -> Vec<Finding> {
     let mut out = Vec::new();
     // §5.1.1 — automated clients dominate internal HTTP.
     let auto = web::automated_clients(traces);

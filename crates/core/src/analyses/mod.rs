@@ -20,11 +20,13 @@ pub mod websessions;
 pub mod windows;
 
 use crate::records::TraceAnalysis;
+use ent_proto::{well_known, AppProtocol, Transport};
 
 /// A whole dataset's trace analyses.
 pub type DatasetTraces = [TraceAnalysis];
 
-/// Web service ports treated as HTTP for connection-level analyses.
+/// Web service ports treated as HTTP for connection-level analyses: the
+/// registry's TCP ports for [`AppProtocol::Http`].
 pub fn is_http_port(port: u16) -> bool {
-    matches!(port, 80 | 8000 | 8080)
+    well_known(port, Transport::Tcp) == Some(AppProtocol::Http)
 }

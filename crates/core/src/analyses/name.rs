@@ -2,10 +2,12 @@
 //! NetBIOS-NS request types, name types and failure rates.
 
 use super::DatasetTraces;
+use crate::records::TraceAnalysis;
 use crate::report::Table;
 use crate::stats::{pct, Ecdf};
 use ent_proto::dns::{QType, RCode};
 use ent_proto::netbios::NsOpcode;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// DNS characteristics for one dataset.
@@ -129,13 +131,13 @@ pub struct NbnsCharacteristics {
 }
 
 /// Compute NBNS characteristics.
-pub fn nbns_characteristics(traces: &DatasetTraces) -> NbnsCharacteristics {
+pub fn nbns_characteristics<T: Borrow<TraceAnalysis>>(traces: &[T]) -> NbnsCharacteristics {
     let (mut query, mut refresh, mut other) = (0u64, 0u64, 0u64);
     let (mut host_t, mut dom_t, mut typed) = (0u64, 0u64, 0u64);
     let mut per_name_fail: HashMap<String, (bool, bool)> = HashMap::new(); // (ok seen, fail seen)
     let mut per_client: HashMap<u32, u64> = HashMap::new();
     let mut total = 0u64;
-    for t in traces {
+    for t in traces.iter().map(Borrow::borrow) {
         for n in &t.nbns {
             total += 1;
             *per_client.entry(n.client.0).or_default() += 1;

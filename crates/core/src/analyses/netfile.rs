@@ -4,11 +4,13 @@
 //! heavy-hitter findings.
 
 use super::DatasetTraces;
+use crate::records::TraceAnalysis;
 use crate::report::{fmt_bytes, Figure, Table};
 use crate::stats::{pct, Ecdf};
 use ent_proto::nfs::NfsOp;
 use ent_proto::ncp::NcpOp;
 use ent_proto::AppProtocol;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Table 12: NFS/NCP connections and bytes.
@@ -76,11 +78,11 @@ pub fn table12(rows: &[(&str, NetFileSizes)]) -> Table {
 pub type OpBreakdown = Vec<(String, f64, f64)>;
 
 /// Table 13: NFS request breakdown. "Data" counts request+reply bytes.
-pub fn nfs_breakdown(traces: &DatasetTraces) -> (u64, u64, OpBreakdown) {
+pub fn nfs_breakdown<T: Borrow<TraceAnalysis>>(traces: &[T]) -> (u64, u64, OpBreakdown) {
     let mut req: HashMap<NfsOp, u64> = HashMap::new();
     let mut bytes: HashMap<NfsOp, u64> = HashMap::new();
     let (mut tr, mut tb) = (0u64, 0u64);
-    for t in traces {
+    for t in traces.iter().map(Borrow::borrow) {
         for r in &t.nfs {
             let b = (r.request_bytes + r.reply_bytes) as u64;
             *req.entry(r.op).or_default() += 1;
@@ -267,14 +269,14 @@ pub struct NetFileFindings {
 }
 
 /// Compute the §5.2.2 findings.
-pub fn netfile_findings(traces: &DatasetTraces) -> NetFileFindings {
+pub fn netfile_findings<T: Borrow<TraceAnalysis>>(traces: &[T]) -> NetFileFindings {
     let (mut ncp_ka, mut ncp_conns, mut ncp_ok_conns, mut ncp_tcp_conns) = (0u64, 0u64, 0u64, 0u64);
     let (mut nfs_udp_b, mut nfs_b) = (0u64, 0u64);
     let mut nfs_pair_bytes: HashMap<(u32, u32), u64> = HashMap::new();
     let mut ncp_pair_bytes: HashMap<(u32, u32), u64> = HashMap::new();
     let mut nfs_pair_udp: HashMap<(u32, u32), bool> = HashMap::new();
     let (mut nfs_ok, mut nfs_tot, mut ncp_rok, mut ncp_rtot) = (0u64, 0u64, 0u64, 0u64);
-    for t in traces {
+    for t in traces.iter().map(Borrow::borrow) {
         for c in &t.conns {
             match c.app {
                 Some(AppProtocol::Ncp) => {

@@ -3,10 +3,11 @@
 //! success rates and conditional-GET usage.
 
 use super::{is_http_port, DatasetTraces};
-use crate::records::is_internal;
+use crate::records::{is_internal, TraceAnalysis};
 use crate::report::{Figure, Table};
 use crate::stats::{pct, Ecdf};
 use ent_proto::http::{ClientKind, ContentClass};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 /// Table 6: automated clients' share of internal HTTP traffic.
@@ -23,11 +24,11 @@ pub struct AutomatedClients {
 }
 
 /// Compute Table 6 over internal HTTP transactions.
-pub fn automated_clients(traces: &DatasetTraces) -> AutomatedClients {
+pub fn automated_clients<T: Borrow<TraceAnalysis>>(traces: &[T]) -> AutomatedClients {
     let mut req: HashMap<ClientKind, u64> = HashMap::new();
     let mut data: HashMap<ClientKind, u64> = HashMap::new();
     let (mut total_req, mut total_data) = (0u64, 0u64);
-    for t in traces {
+    for t in traces.iter().map(Borrow::borrow) {
         for h in t.http.iter().filter(|h| h.server_internal) {
             total_req += 1;
             let bytes = h.tx.response_body_len + h.tx.request_body_len;
@@ -235,10 +236,10 @@ pub struct ContentTypes {
 }
 
 /// Compute Table 7.
-pub fn content_types(traces: &DatasetTraces) -> ContentTypes {
+pub fn content_types<T: Borrow<TraceAnalysis>>(traces: &[T]) -> ContentTypes {
     let mut req = [[0u64; 2]; 4]; // [class][ent/wan]
     let mut bytes = [[0u64; 2]; 4];
-    for t in traces {
+    for t in traces.iter().map(Borrow::borrow) {
         for h in &t.http {
             if h.tx.client.is_automated() || !(200..300).contains(&h.tx.status) {
                 continue;

@@ -3,12 +3,13 @@
 //! breakdown (Table 11).
 
 use super::DatasetTraces;
-use crate::records::is_internal;
+use crate::records::{is_internal, TraceAnalysis};
 use crate::report::{fmt_bytes, Table};
 use crate::stats::pct;
 use ent_flow::Proto;
 use ent_proto::cifs::CifsClass;
 use ent_proto::dcerpc::RpcFunction;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Table 9: per-service host-pair connection outcomes (internal only).
@@ -128,11 +129,11 @@ pub struct CifsBreakdown {
 }
 
 /// Compute Table 10.
-pub fn cifs_breakdown(traces: &DatasetTraces) -> CifsBreakdown {
+pub fn cifs_breakdown<T: Borrow<TraceAnalysis>>(traces: &[T]) -> CifsBreakdown {
     let mut req: HashMap<CifsClass, u64> = HashMap::new();
     let mut bytes: HashMap<CifsClass, u64> = HashMap::new();
     let (mut tr, mut tb) = (0u64, 0u64);
-    for t in traces {
+    for t in traces.iter().map(Borrow::borrow) {
         for c in &t.cifs {
             for (class, r, _resp, b) in &c.per_class {
                 *req.entry(*class).or_default() += r;

@@ -375,9 +375,9 @@ impl Monitor {
         m.clock.base_us = ck.stream_base_us;
         m.epoch_index = ck.epoch_index;
         m.totals = ck.totals;
-        m.health = ck.health.clone();
+        m.health = ck.health;
         m.metrics = ck.metrics;
-        m.prior_capture = ck.capture.clone();
+        m.prior_capture = ck.capture;
         m.engine.restore_table_carry(ck.carry);
         for &(addr, port, proto) in &ck.dynamic_ports {
             m.engine.learn_dynamic(addr, port, proto);
@@ -488,7 +488,7 @@ impl Monitor {
                 reader_clock_us: None,
                 capture: IngestStats::default(),
                 carry: self.engine.table_carry(),
-                health: self.health.clone(),
+                health: self.health,
                 metrics: PipelineMetrics::default(),
                 totals: self.totals,
                 dynamic_ports: self.engine.dynamic_ports().export(),
@@ -511,7 +511,7 @@ impl Monitor {
             end_us,
             analysis: epoch,
             totals: self.totals,
-            health: self.health.clone(),
+            health: self.health,
             peak_open_conns: self.metrics.peak_open_conns,
         }
     }
@@ -530,18 +530,18 @@ impl Monitor {
             .base_us
             .is_some()
             .then(|| self.rotate(Some(self.clock.end_after(flushed_us).micros())));
-        let mut merged = self.prior_capture.clone();
+        let mut merged = self.prior_capture;
         merged.absorb(capture);
         self.health.capture = merged;
         let last = last.map(|mut rep| {
-            rep.health.capture = self.health.capture.clone();
+            rep.health.capture = self.health.capture;
             rep
         });
         (
             last,
             MonitorSummary {
                 totals: self.totals,
-                health: self.health.clone(),
+                health: self.health,
                 metrics: self.metrics,
             },
         )
@@ -596,22 +596,22 @@ pub fn drive_capture(
     loop {
         let pos = reader.position();
         let clock = reader.last_clock_us();
-        let stats_before = reader.stats().clone();
+        let stats_before = *reader.stats();
         let Some(r) = reader.next_record() else { break };
         let reports = monitor.observe(r.ts, r.frame, r.orig_len);
         if reports.is_empty() {
             continue;
         }
-        let mut capture = monitor.prior_capture().clone();
+        let mut capture = *monitor.prior_capture();
         capture.absorb(&stats_before);
         let mut boundaries = monitor.take_boundaries().into_iter();
         for mut rep in reports {
-            rep.health.capture = capture.clone();
+            rep.health.capture = capture;
             on_epoch(&rep);
             if let Some(mut ck) = boundaries.next() {
                 ck.resume_offset = pos;
                 ck.reader_clock_us = clock;
-                ck.capture = capture.clone();
+                ck.capture = capture;
                 on_checkpoint(&ck);
             }
             flushed += 1;

@@ -44,10 +44,10 @@ pub struct PipelineConfig {
     /// [`IngestHealth::pending_dropped`] instead of growing the map, the
     /// monitor's defense against request floods that never see answers.
     pub max_pending: usize,
-    /// Fault-injection hook: panic inside the application analyzer on
-    /// every Nth TCP data delivery (0 = never). Exercises the
-    /// analyzer-failure demotion path deterministically; never set outside
-    /// the fault harness.
+    /// Fault-injection hook of this crate's unit tests: panic inside the
+    /// application analyzer on every Nth TCP data delivery (0 = never), to
+    /// exercise the analyzer-failure demotion path deterministically.
+    #[cfg(test)]
     pub analyzer_panic_every: u64,
     /// Intra-trace sharding: split the flow pipeline across this many
     /// per-core `ConnTable` lanes, steering frames by canonical host pair
@@ -127,8 +127,10 @@ struct Handler {
     conns: Vec<Option<PerConn>>,
     dynamic: DynamicPorts,
     payload_ok: bool,
-    panic_every: u64,
     max_pending: usize,
+    #[cfg(test)]
+    panic_every: u64,
+    #[cfg(test)]
     tcp_data_events: u64,
 }
 
@@ -142,13 +144,16 @@ fn demote(out: &mut TraceAnalysis) {
 
 impl Handler {
     /// Clear per-epoch state, retaining allocations: the slab truncates
-    /// (every entry is `None` after a rotation drains the table) and the
-    /// injected-fault counter restarts so fault cadence stays epoch-
-    /// deterministic. Learned dynamic ports deliberately survive — an
+    /// (every entry is `None` after a rotation drains the table) and, in
+    /// tests, the injected-fault counter restarts so fault cadence stays
+    /// epoch-deterministic. Learned dynamic ports deliberately survive — an
     /// Endpoint-Mapper lease outlives any one epoch.
     fn reset_epoch(&mut self) {
         self.conns.clear();
-        self.tcp_data_events = 0;
+        #[cfg(test)]
+        {
+            self.tcp_data_events = 0;
+        }
     }
 
     fn classify(&self, key: &FlowKey) -> Option<AppProtocol> {
@@ -352,8 +357,11 @@ impl FlowHandler for Handler {
         if matches!(pc.state, AppState::None | AppState::Dns(_) | AppState::Nbns(_)) {
             return;
         }
-        self.tcp_data_events += 1;
-        let inject = self.panic_every != 0 && self.tcp_data_events.is_multiple_of(self.panic_every);
+        #[cfg(test)]
+        let inject = {
+            self.tcp_data_events += 1;
+            self.panic_every != 0 && self.tcp_data_events.is_multiple_of(self.panic_every)
+        };
         let from_client = dir == Dir::Orig;
         // Feed a detached analyzer state so a panicking analyzer is
         // discarded instead of poisoning the connection entry.
@@ -361,6 +369,7 @@ impl FlowHandler for Handler {
         let kind = kind_of(&state);
         let mut timer = StageTimer::start();
         let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(test)]
             assert!(!inject, "injected analyzer fault");
             match &mut state {
                 AppState::Http(h) => {
@@ -747,8 +756,10 @@ impl Engine {
                 conns: Vec::with_capacity(expected_conns),
                 dynamic: DynamicPorts::new(),
                 payload_ok,
-                panic_every: config.analyzer_panic_every,
                 max_pending: config.max_pending,
+                #[cfg(test)]
+                panic_every: config.analyzer_panic_every,
+                #[cfg(test)]
                 tcp_data_events: 0,
             },
             base_sec: 0,
@@ -1036,7 +1047,7 @@ pub fn analyze_capture(
     // hundred bytes on the wire, so bytes/600 approximates the packet
     // count well enough for pre-sizing.
     let mut analysis = ingest(&meta, frames, config, data.len() / 600);
-    analysis.health.capture = reader.stats().clone();
+    analysis.health.capture = *reader.stats();
     Ok(analysis)
 }
 

@@ -218,7 +218,7 @@ pub struct TlsRecord {
 /// connection-level results; the failed connections are simply held at the
 /// header-only posture the paper itself uses for its snaplen-68 datasets
 /// D1/D2.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IngestHealth {
     /// Capture-layer salvage statistics (zeroed when the trace was built
     /// in memory rather than read from a serialized capture).

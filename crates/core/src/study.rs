@@ -122,11 +122,11 @@ pub fn build_report(studies: &[DatasetAnalysis]) -> StudyReport {
             m.multicast_streaming_bytes_pct, m.multicast_name_mgnt_conns_pct
         ));
     }
-    for d in studies {
+    for (d, (_, mix)) in studies.iter().zip(&mixes) {
         // The paper's packets-vs-bytes remark: interactive traffic's
         // packet share is roughly twice its byte share.
         let pkt = appmix::packet_shares(&d.traces);
-        let byte_share = appmix::appmix(&d.traces)
+        let byte_share = mix
             .shares
             .iter()
             .find(|(c, _)| *c == ent_proto::Category::Interactive)
@@ -171,6 +171,9 @@ pub fn build_report(studies: &[DatasetAnalysis]) -> StudyReport {
 
     // Web (payload datasets only).
     let psets = payload_sets(studies);
+    // Every payload trace, borrowed, for the analyses that aggregate
+    // across datasets (Tables 5 and 7).
+    let ptraces: Vec<_> = psets.iter().flat_map(|d| d.traces.iter()).collect();
     let auto: Vec<_> = psets
         .iter()
         .map(|d| (d.spec.name, web::automated_clients(&d.traces)))
@@ -204,11 +207,8 @@ pub fn build_report(studies: &[DatasetAnalysis]) -> StudyReport {
             w.request_success_pct
         ));
     }
-    {
-        // Table 7, aggregated over payload datasets.
-        let traces: Vec<_> = psets.iter().flat_map(|d| d.traces.iter()).cloned().collect();
-        rep.tables.push(web::table7(&web::content_types(&traces)));
-    }
+    // Table 7, aggregated over payload datasets.
+    rep.tables.push(web::table7(&web::content_types(&ptraces)));
 
     // Email.
     let vols: Vec<_> = studies
@@ -368,7 +368,7 @@ pub fn build_report(studies: &[DatasetAnalysis]) -> StudyReport {
 
     // Backup (aggregate across datasets, as Table 15).
     {
-        let traces: Vec<_> = studies.iter().flat_map(|d| d.traces.iter()).cloned().collect();
+        let traces: Vec<_> = studies.iter().flat_map(|d| d.traces.iter()).collect();
         let b = backup::backup_analysis(&traces);
         rep.tables.push(backup::table15(&b));
         rep.notes.push(format!(
@@ -425,10 +425,7 @@ pub fn build_report(studies: &[DatasetAnalysis]) -> StudyReport {
     }
 
     // Table 5 findings (payload datasets).
-    {
-        let traces: Vec<_> = psets.iter().flat_map(|d| d.traces.iter()).cloned().collect();
-        rep.notes.push(findings::render(&findings::findings(&traces)));
-    }
+    rep.notes.push(findings::render(&findings::findings(&ptraces)));
     rep
 }
 

@@ -42,7 +42,7 @@ use ent_wire::Timestamp;
 
 /// Tally of everything a [`RecoveringReader`] skipped, repaired, or
 /// clamped while ingesting one capture file.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Records successfully delivered.
     pub records: u64,

@@ -12,63 +12,27 @@ use crate::cursor::Cursor;
 use crate::netbios::{self, SsnType};
 use crate::StreamBuf;
 
-/// SMB1 command codes used by the generator and classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum SmbCommand {
-    Negotiate,        // 0x72
-    SessionSetupAndX, // 0x73
-    LogoffAndX,       // 0x74
-    TreeConnectAndX,  // 0x75
-    TreeDisconnect,   // 0x71
-    NtCreateAndX,     // 0xA2
-    Close,            // 0x04
-    Echo,             // 0x2B
-    ReadAndX,         // 0x2E
-    WriteAndX,        // 0x2F
-    Trans2,           // 0x32
-    Trans,            // 0x25
-    Other(u8),
-}
-
-impl SmbCommand {
-    /// Decode a command byte.
-    pub fn from_u8(v: u8) -> SmbCommand {
-        match v {
-            0x72 => SmbCommand::Negotiate,
-            0x73 => SmbCommand::SessionSetupAndX,
-            0x74 => SmbCommand::LogoffAndX,
-            0x75 => SmbCommand::TreeConnectAndX,
-            0x71 => SmbCommand::TreeDisconnect,
-            0xA2 => SmbCommand::NtCreateAndX,
-            0x04 => SmbCommand::Close,
-            0x2B => SmbCommand::Echo,
-            0x2E => SmbCommand::ReadAndX,
-            0x2F => SmbCommand::WriteAndX,
-            0x32 => SmbCommand::Trans2,
-            0x25 => SmbCommand::Trans,
-            x => SmbCommand::Other(x),
-        }
+ent_wire::code_table! {
+    /// SMB1 command codes used by the generator and classifier.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    #[allow(missing_docs)]
+    pub enum SmbCommand: u8 {
+        Negotiate = 0x72,
+        SessionSetupAndX = 0x73,
+        LogoffAndX = 0x74,
+        TreeConnectAndX = 0x75,
+        TreeDisconnect = 0x71,
+        NtCreateAndX = 0xA2,
+        Close = 0x04,
+        Echo = 0x2B,
+        ReadAndX = 0x2E,
+        WriteAndX = 0x2F,
+        Trans2 = 0x32,
+        Trans = 0x25,
     }
-
-    /// Encode to the wire value.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            SmbCommand::Negotiate => 0x72,
-            SmbCommand::SessionSetupAndX => 0x73,
-            SmbCommand::LogoffAndX => 0x74,
-            SmbCommand::TreeConnectAndX => 0x75,
-            SmbCommand::TreeDisconnect => 0x71,
-            SmbCommand::NtCreateAndX => 0xA2,
-            SmbCommand::Close => 0x04,
-            SmbCommand::Echo => 0x2B,
-            SmbCommand::ReadAndX => 0x2E,
-            SmbCommand::WriteAndX => 0x2F,
-            SmbCommand::Trans2 => 0x32,
-            SmbCommand::Trans => 0x25,
-            SmbCommand::Other(x) => x,
-        }
-    }
+    else Other(u8);
+    pub fn from_u8;
+    pub fn to_u8;
 }
 
 /// The paper's Table 10 command buckets.

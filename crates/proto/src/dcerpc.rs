@@ -96,31 +96,23 @@ impl RpcFunction {
     }
 }
 
-/// PDU types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PduType {
-    /// Request (0).
-    Request,
-    /// Response (2).
-    Response,
-    /// Bind (11).
-    Bind,
-    /// Bind acknowledgment (12).
-    BindAck,
-    /// Other.
-    Other(u8),
-}
-
-impl PduType {
-    fn from_u8(v: u8) -> PduType {
-        match v {
-            0 => PduType::Request,
-            2 => PduType::Response,
-            11 => PduType::Bind,
-            12 => PduType::BindAck,
-            x => PduType::Other(x),
-        }
+ent_wire::code_table! {
+    /// PDU types.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum PduType: u8 {
+        /// Request.
+        Request = 0,
+        /// Response.
+        Response = 2,
+        /// Bind.
+        Bind = 11,
+        /// Bind acknowledgment.
+        BindAck = 12,
     }
+    /// Other.
+    else Other(u8);
+    pub(crate) fn from_u8;
+    pub(crate) fn to_u8;
 }
 
 /// One parsed DCE/RPC PDU.
@@ -212,12 +204,12 @@ pub fn parse_pdu(buf: &[u8]) -> Option<(Pdu, usize)> {
     Some((pdu, frag_len as usize))
 }
 
-fn emit_header(ptype: u8, body_len: usize) -> Vec<u8> {
+fn emit_header(ptype: PduType, body_len: usize) -> Vec<u8> {
     let frag = HEADER_LEN + body_len;
     let mut buf = Vec::with_capacity(frag);
     buf.push(5);
     buf.push(0);
-    buf.push(ptype);
+    buf.push(ptype.to_u8());
     buf.push(0x03); // first+last fragment
     buf.extend_from_slice(&[0x10, 0, 0, 0]); // little-endian drep
     buf.extend_from_slice(&(frag as u16).to_le_bytes());
@@ -235,7 +227,7 @@ pub fn encode_bind(iface: Uuid) -> Vec<u8> {
     body.extend_from_slice(&[1, 0, 0, 0]); // one context
     body.extend_from_slice(&iface.0);
     body.extend_from_slice(&2u32.to_le_bytes()); // iface version
-    let mut pdu = emit_header(11, body.len());
+    let mut pdu = emit_header(PduType::Bind, body.len());
     pdu.extend_from_slice(&body);
     pdu
 }
@@ -243,7 +235,7 @@ pub fn encode_bind(iface: Uuid) -> Vec<u8> {
 /// Encode a BindAck PDU.
 pub fn encode_bind_ack() -> Vec<u8> {
     let body = vec![0u8; 24];
-    let mut pdu = emit_header(12, body.len());
+    let mut pdu = emit_header(PduType::BindAck, body.len());
     pdu.extend_from_slice(&body);
     pdu
 }
@@ -255,7 +247,7 @@ pub fn encode_request(opnum: u16, stub_len: usize) -> Vec<u8> {
     body.extend_from_slice(&0u16.to_le_bytes());
     body.extend_from_slice(&opnum.to_le_bytes());
     body.extend(std::iter::repeat_n(0x5A, stub_len));
-    let mut pdu = emit_header(0, body.len());
+    let mut pdu = emit_header(PduType::Request, body.len());
     pdu.extend_from_slice(&body);
     pdu
 }
@@ -266,7 +258,7 @@ pub fn encode_response(stub_len: usize) -> Vec<u8> {
     body.extend_from_slice(&(stub_len as u32).to_le_bytes());
     body.extend_from_slice(&[0u8; 4]);
     body.extend(std::iter::repeat_n(0xA5, stub_len));
-    let mut pdu = emit_header(2, body.len());
+    let mut pdu = emit_header(PduType::Response, body.len());
     pdu.extend_from_slice(&body);
     pdu
 }
@@ -281,7 +273,7 @@ pub fn encode_epm_response(iface: Uuid, addr: ipv4::Addr, port: u16) -> Vec<u8> 
     body.extend_from_slice(&iface.0);
     body.extend_from_slice(&port.to_be_bytes());
     body.extend_from_slice(&addr.octets());
-    let mut pdu = emit_header(2, body.len());
+    let mut pdu = emit_header(PduType::Response, body.len());
     pdu.extend_from_slice(&body);
     pdu
 }

@@ -5,59 +5,31 @@
 
 use crate::cursor::Cursor;
 
-/// Query/record types the analysis distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QType {
-    /// IPv4 address (1).
-    A,
-    /// Name server (2).
-    Ns,
-    /// Canonical name (5).
-    Cname,
-    /// Pointer/reverse (12).
-    Ptr,
-    /// Mail exchanger (15).
-    Mx,
-    /// Text (16).
-    Txt,
-    /// IPv6 address (28) — surprisingly prevalent in the traces.
-    Aaaa,
-    /// Service locator (33).
-    Srv,
+ent_wire::code_table! {
+    /// Query/record types the analysis distinguishes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum QType: u16 {
+        /// IPv4 address.
+        A = 1,
+        /// Name server.
+        Ns = 2,
+        /// Canonical name.
+        Cname = 5,
+        /// Pointer/reverse.
+        Ptr = 12,
+        /// Mail exchanger.
+        Mx = 15,
+        /// Text.
+        Txt = 16,
+        /// IPv6 address — surprisingly prevalent in the traces.
+        Aaaa = 28,
+        /// Service locator.
+        Srv = 33,
+    }
     /// Anything else.
-    Other(u16),
-}
-
-impl QType {
-    /// Decode the 16-bit qtype.
-    pub fn from_u16(v: u16) -> QType {
-        match v {
-            1 => QType::A,
-            2 => QType::Ns,
-            5 => QType::Cname,
-            12 => QType::Ptr,
-            15 => QType::Mx,
-            16 => QType::Txt,
-            28 => QType::Aaaa,
-            33 => QType::Srv,
-            x => QType::Other(x),
-        }
-    }
-
-    /// Encode to the wire value.
-    pub fn to_u16(self) -> u16 {
-        match self {
-            QType::A => 1,
-            QType::Ns => 2,
-            QType::Cname => 5,
-            QType::Ptr => 12,
-            QType::Mx => 15,
-            QType::Txt => 16,
-            QType::Aaaa => 28,
-            QType::Srv => 33,
-            QType::Other(x) => x,
-        }
-    }
+    else Other(u16);
+    pub fn from_u16;
+    pub fn to_u16;
 }
 
 /// Response codes the analysis distinguishes.

@@ -246,3 +246,110 @@ mod stream_buf_tests {
         assert_eq!(b.len(), 1 << 20);
     }
 }
+
+/// Every `code_table!` of this crate and the registry's protocol table
+/// convert exactly as the hand-written `match` blocks they replaced: each
+/// digest was recorded by running the same body against a `git archive` of
+/// the last commit that had those blocks.
+#[cfg(test)]
+mod table_digest_tests {
+    use crate::{cifs, dcerpc, dns, ncp, netbios, nfs, ssl};
+    use crate::{well_known, AppProtocol, Transport};
+
+    /// FNV-1a over one line per code, in code order.
+    fn fnv(lines: impl Iterator<Item = String>) -> u64 {
+        lines.fold(0xcbf2_9ce4_8422_2325, |h, line| {
+            line.bytes()
+                .chain([b'\n'])
+                .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    /// Assert the recorded digest of `(Debug of decode(v), encode(decode(v)),
+    /// label)` over the given codes, checking `decode(encode(x)) == x` on
+    /// the way.
+    macro_rules! assert_digest {
+        ($recorded:literal, $codes:expr, $decode:path, $encode:path $(, $label:path)?) => {
+            let got = fnv($codes.map(|v| {
+                let x = $decode(v);
+                assert_eq!($decode($encode(x)), x);
+                format!("{x:?} {}", $encode(x)) $(+ " " + $label(x))?
+            }));
+            assert_eq!(got, $recorded, "{}: got {got:#018x}", stringify!($decode));
+        };
+    }
+
+    #[test]
+    fn every_code_converts_as_the_hand_written_matches_did() {
+        use {cifs::SmbCommand, dcerpc::PduType, dns::QType, ncp::NcpOp, nfs::NfsOp};
+        use {netbios::NameType, netbios::SsnType, ssl::RecordType};
+        assert_digest!(
+            0xdc67_94b0_fdfb_63e3,
+            0..=u16::MAX,
+            QType::from_u16,
+            QType::to_u16
+        );
+        assert_digest!(
+            0xa8b5_539e_6eef_c8fd,
+            0..=u8::MAX,
+            NameType::from_u8,
+            NameType::to_u8
+        );
+        assert_digest!(
+            0x40b3_26d7_cdaf_956a,
+            0..=u8::MAX,
+            SsnType::from_u8,
+            SsnType::to_u8
+        );
+        assert_digest!(
+            0x2e88_bc87_dca9_9dd6,
+            0..=u8::MAX,
+            SmbCommand::from_u8,
+            SmbCommand::to_u8
+        );
+        assert_digest!(
+            0x6f9f_aae8_6242_113a,
+            0..=u8::MAX,
+            RecordType::from_u8,
+            RecordType::to_u8
+        );
+        assert_digest!(
+            0xfcde_4d4b_635a_8575,
+            0..=u8::MAX,
+            PduType::from_u8,
+            PduType::to_u8
+        );
+        assert_digest!(
+            0x6af6_fce6_9d1c_ce48,
+            (0..=1024).chain([u32::MAX]),
+            NfsOp::from_proc,
+            NfsOp::to_proc,
+            NfsOp::label
+        );
+        assert_digest!(
+            0xd577_be31_9430_0c8f,
+            0..=u8::MAX,
+            NcpOp::from_function,
+            NcpOp::to_function,
+            NcpOp::label
+        );
+    }
+
+    #[test]
+    fn registry_identifies_names_and_buckets_as_the_hand_written_lists_did() {
+        let ports = fnv([Transport::Tcp, Transport::Udp]
+            .into_iter()
+            .flat_map(|t| (0..=u16::MAX).map(move |port| format!("{:?}", well_known(port, t)))));
+        assert_eq!(
+            ports, 0x2cc3_714a_1f92_8136,
+            "well_known: got {ports:#018x}"
+        );
+        let rows = fnv(AppProtocol::ALL
+            .iter()
+            .map(|p| format!("{p:?} {} {:?}", p.name(), p.category())));
+        assert_eq!(
+            rows, 0xc52f_aeed_2820_71f7,
+            "name/category: got {rows:#018x}"
+        );
+    }
+}

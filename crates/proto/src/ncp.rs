@@ -16,70 +16,31 @@ pub const SIGNATURE: u32 = 0x446D_6454;
 const REQUEST_TYPE: u16 = 0x2222;
 const REPLY_TYPE: u16 = 0x3333;
 
-/// The paper's Table 14 request buckets with representative NCP function
-/// codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum NcpOp {
-    /// ReadFile (72).
-    Read,
-    /// WriteFile (73).
-    Write,
-    /// Obtain file / directory info (87).
-    FileDirInfo,
-    /// Open/create (76) and close (66).
-    FileOpenClose,
-    /// GetFileCurrentSize (71).
-    FileSize,
-    /// File search (63).
-    FileSearch,
-    /// NDS directory services (104).
-    DirectoryService,
+ent_wire::code_table! {
+    /// The paper's Table 14 request buckets with representative NCP function
+    /// codes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum NcpOp: u8 {
+        /// ReadFile.
+        Read = 72 => "Read",
+        /// WriteFile.
+        Write = 73 => "Write",
+        /// Obtain file / directory info.
+        FileDirInfo = 87 => "FileDirInfo",
+        /// Open/create, and close.
+        FileOpenClose = 76 | 66 => "File Open/Close",
+        /// GetFileCurrentSize.
+        FileSize = 71 => "File Size",
+        /// File search.
+        FileSearch = 63 => "File Search",
+        /// NDS directory services.
+        DirectoryService = 104 => "Directory Service",
+    }
     /// Everything else.
-    Other,
-}
-
-impl NcpOp {
-    /// Classify a function code.
-    pub fn from_function(f: u8) -> NcpOp {
-        match f {
-            72 => NcpOp::Read,
-            73 => NcpOp::Write,
-            87 => NcpOp::FileDirInfo,
-            76 | 66 => NcpOp::FileOpenClose,
-            71 => NcpOp::FileSize,
-            63 => NcpOp::FileSearch,
-            104 => NcpOp::DirectoryService,
-            _ => NcpOp::Other,
-        }
-    }
-
-    /// A representative function code (encoding side).
-    pub fn to_function(self) -> u8 {
-        match self {
-            NcpOp::Read => 72,
-            NcpOp::Write => 73,
-            NcpOp::FileDirInfo => 87,
-            NcpOp::FileOpenClose => 76,
-            NcpOp::FileSize => 71,
-            NcpOp::FileSearch => 63,
-            NcpOp::DirectoryService => 104,
-            NcpOp::Other => 1,
-        }
-    }
-
-    /// Table 14 row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            NcpOp::Read => "Read",
-            NcpOp::Write => "Write",
-            NcpOp::FileDirInfo => "FileDirInfo",
-            NcpOp::FileOpenClose => "File Open/Close",
-            NcpOp::FileSize => "File Size",
-            NcpOp::FileSearch => "File Search",
-            NcpOp::DirectoryService => "Directory Service",
-            NcpOp::Other => "Other",
-        }
-    }
+    else Other = 1 => "Other";
+    pub fn from_function;
+    pub fn to_function;
+    pub fn label;
 }
 
 /// One completed NCP request/reply exchange.

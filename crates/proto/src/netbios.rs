@@ -51,53 +51,31 @@ impl NsOpcode {
     }
 }
 
-/// The NetBIOS name-type suffix (16th byte of the decoded name), which the
-/// paper buckets into workstation/server vs domain/browser queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NameType {
-    /// Workstation service (0x00).
-    Workstation,
-    /// File server service (0x20).
-    Server,
-    /// Domain master browser (0x1B).
-    DomainMaster,
-    /// Domain controllers (0x1C).
-    DomainControllers,
-    /// Local master browser (0x1D).
-    MasterBrowser,
-    /// Browser service elections (0x1E).
-    BrowserElection,
+ent_wire::code_table! {
+    /// The NetBIOS name-type suffix (16th byte of the decoded name), which the
+    /// paper buckets into workstation/server vs domain/browser queries.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum NameType: u8 {
+        /// Workstation service.
+        Workstation = 0x00,
+        /// File server service.
+        Server = 0x20,
+        /// Domain master browser.
+        DomainMaster = 0x1B,
+        /// Domain controllers.
+        DomainControllers = 0x1C,
+        /// Local master browser.
+        MasterBrowser = 0x1D,
+        /// Browser service elections.
+        BrowserElection = 0x1E,
+    }
     /// Anything else.
-    Other(u8),
+    else Other(u8);
+    pub fn from_u8;
+    pub fn to_u8;
 }
 
 impl NameType {
-    /// Decode the suffix byte.
-    pub fn from_u8(v: u8) -> NameType {
-        match v {
-            0x00 => NameType::Workstation,
-            0x20 => NameType::Server,
-            0x1B => NameType::DomainMaster,
-            0x1C => NameType::DomainControllers,
-            0x1D => NameType::MasterBrowser,
-            0x1E => NameType::BrowserElection,
-            x => NameType::Other(x),
-        }
-    }
-
-    /// Encode back to the suffix byte.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            NameType::Workstation => 0x00,
-            NameType::Server => 0x20,
-            NameType::DomainMaster => 0x1B,
-            NameType::DomainControllers => 0x1C,
-            NameType::MasterBrowser => 0x1D,
-            NameType::BrowserElection => 0x1E,
-            NameType::Other(x) => x,
-        }
-    }
-
     /// The paper's "workstations and servers" bucket (63–71% of queries).
     pub fn is_host(self) -> bool {
         matches!(self, NameType::Workstation | NameType::Server)
@@ -261,47 +239,25 @@ pub fn encode_ns_response(
 // NetBIOS Session Service (139/tcp)
 // ---------------------------------------------------------------------------
 
-/// NetBIOS session packet types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SsnType {
-    /// Session message (0x00) — carries SMB.
-    Message,
-    /// Session request (0x81).
-    Request,
-    /// Positive response (0x82).
-    PositiveResponse,
-    /// Negative response (0x83).
-    NegativeResponse,
-    /// Keep-alive (0x85).
-    KeepAlive,
+ent_wire::code_table! {
+    /// NetBIOS session packet types.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum SsnType: u8 {
+        /// Session message — carries SMB.
+        Message = 0x00,
+        /// Session request.
+        Request = 0x81,
+        /// Positive response.
+        PositiveResponse = 0x82,
+        /// Negative response.
+        NegativeResponse = 0x83,
+        /// Keep-alive.
+        KeepAlive = 0x85,
+    }
     /// Anything else.
-    Other(u8),
-}
-
-impl SsnType {
-    /// Decode the type octet.
-    pub fn from_u8(v: u8) -> SsnType {
-        match v {
-            0x00 => SsnType::Message,
-            0x81 => SsnType::Request,
-            0x82 => SsnType::PositiveResponse,
-            0x83 => SsnType::NegativeResponse,
-            0x85 => SsnType::KeepAlive,
-            x => SsnType::Other(x),
-        }
-    }
-
-    /// Encode back.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            SsnType::Message => 0x00,
-            SsnType::Request => 0x81,
-            SsnType::PositiveResponse => 0x82,
-            SsnType::NegativeResponse => 0x83,
-            SsnType::KeepAlive => 0x85,
-            SsnType::Other(x) => x,
-        }
-    }
+    else Other(u8);
+    pub fn from_u8;
+    pub fn to_u8;
 }
 
 /// One NetBIOS session-service frame header.

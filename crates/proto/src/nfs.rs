@@ -5,59 +5,26 @@ use crate::StreamBuf;
 use ent_wire::Timestamp;
 use std::collections::HashMap;
 
-/// The paper's Table 13 request buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum NfsOp {
-    /// READ (proc 6).
-    Read,
-    /// WRITE (proc 7).
-    Write,
-    /// GETATTR (proc 1).
-    GetAttr,
-    /// LOOKUP (proc 3).
-    LookUp,
-    /// ACCESS (proc 4).
-    Access,
+ent_wire::code_table! {
+    /// The paper's Table 13 request buckets.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum NfsOp: u32 {
+        /// READ.
+        Read = 6 => "Read",
+        /// WRITE.
+        Write = 7 => "Write",
+        /// GETATTR.
+        GetAttr = 1 => "GetAttr",
+        /// LOOKUP.
+        LookUp = 3 => "LookUp",
+        /// ACCESS.
+        Access = 4 => "Access",
+    }
     /// Everything else.
-    Other,
-}
-
-impl NfsOp {
-    /// Classify an NFSv3 procedure number.
-    pub fn from_proc(proc: u32) -> NfsOp {
-        match proc {
-            6 => NfsOp::Read,
-            7 => NfsOp::Write,
-            1 => NfsOp::GetAttr,
-            3 => NfsOp::LookUp,
-            4 => NfsOp::Access,
-            _ => NfsOp::Other,
-        }
-    }
-
-    /// A representative procedure number for this bucket (encoding side).
-    pub fn to_proc(self) -> u32 {
-        match self {
-            NfsOp::Read => 6,
-            NfsOp::Write => 7,
-            NfsOp::GetAttr => 1,
-            NfsOp::LookUp => 3,
-            NfsOp::Access => 4,
-            NfsOp::Other => 0,
-        }
-    }
-
-    /// Table 13 row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            NfsOp::Read => "Read",
-            NfsOp::Write => "Write",
-            NfsOp::GetAttr => "GetAttr",
-            NfsOp::LookUp => "LookUp",
-            NfsOp::Access => "Access",
-            NfsOp::Other => "Other",
-        }
-    }
+    else Other = 0 => "Other";
+    pub fn from_proc;
+    pub fn to_proc;
+    pub fn label;
 }
 
 /// One completed NFS request/reply exchange.

@@ -17,69 +17,99 @@ pub const ANALYZER_MODULES: &[&str] = &[
     "cifs", "dcerpc", "dns", "http", "imap", "ncp", "netbios", "nfs", "smtp", "ssl", "sunrpc",
 ];
 
-/// Application protocols distinguished in the study (Table 4 plus the
-/// protocols it groups). Representative port assignments for
-/// site-specific services are documented on each variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)] // variant names are the documentation
-pub enum AppProtocol {
-    // backup
-    DantzRetrospect,
-    VeritasBackupCtrl,
-    VeritasBackupData,
-    ConnectedBackup,
-    // bulk
-    Ftp,
-    FtpData,
-    Hpss,
-    // email
-    Smtp,
-    Imap4,
-    ImapS,
-    Pop3,
-    PopS,
-    Ldap,
-    // interactive
-    Ssh,
-    Telnet,
-    Rlogin,
-    X11,
-    // name
-    Dns,
-    NetbiosNs,
-    SrvLoc,
-    // net-file
-    Nfs,
-    Ncp,
-    Portmapper,
-    // net-mgnt
-    Dhcp,
-    Ident,
-    Ntp,
-    Snmp,
-    NavPing,
-    Sap,
-    NetInfoLocal,
-    Syslog,
-    // streaming
-    Rtsp,
-    IpVideo,
-    RealStream,
-    // web
-    Http,
-    Https,
-    // windows
-    NetbiosSsn,
-    Cifs,
-    DceRpc,
-    NetbiosDgm,
-    // misc
-    Steltor,
-    MetaSys,
-    Lpd,
-    Ipp,
-    OracleSql,
-    MsSql,
+/// Table 4, one row per protocol: `Variant = "name", Category, ports,` in
+/// the enum's declaration order (it derives `Ord`), where `ports` is the
+/// `(port, transport)` pattern [`well_known`] matches. The enum, `ALL`,
+/// `name()`, `category()` and `well_known()` all expand from these rows.
+macro_rules! app_protocols {
+    ($($variant:ident = $name:literal, $category:ident, $ports:pat,)+) => {
+        /// Application protocols distinguished in the study (Table 4 plus the
+        /// protocols it groups). Site-specific services use the
+        /// representative ports documented in DESIGN.md.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[allow(missing_docs)] // variant names are the documentation
+        pub enum AppProtocol {
+            $($variant,)+
+        }
+
+        impl AppProtocol {
+            /// Every protocol, in declaration order.
+            pub const ALL: &'static [AppProtocol] = &[$(AppProtocol::$variant,)+];
+
+            /// The category this protocol belongs to (paper Table 4).
+            pub fn category(self) -> Category {
+                match self {
+                    $(AppProtocol::$variant => Category::$category,)+
+                }
+            }
+
+            /// Short lowercase name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(AppProtocol::$variant => $name,)+
+                }
+            }
+        }
+
+        /// Well-known port table (the trace generator spells the same ports
+        /// independently, so identification is exercised end-to-end).
+        pub fn well_known(port: u16, transport: Transport) -> Option<AppProtocol> {
+            use Transport::{Tcp, Udp};
+            Some(match (port, transport) {
+                $($ports => AppProtocol::$variant,)+
+                _ => return None,
+            })
+        }
+    };
+}
+
+app_protocols! {
+    DantzRetrospect = "dantz", Backup, (497, Tcp),
+    VeritasBackupCtrl = "veritas-backup-ctrl", Backup, (13720, Tcp),
+    VeritasBackupData = "veritas-backup-data", Backup, (13724, Tcp),
+    ConnectedBackup = "connected-backup", Backup, (16384, Tcp),
+    Ftp = "ftp", Bulk, (21, Tcp),
+    FtpData = "ftp-data", Bulk, (20, Tcp),
+    Hpss = "hpss", Bulk, (1217, Tcp),
+    Smtp = "smtp", Email, (25, Tcp),
+    Imap4 = "imap4", Email, (143, Tcp),
+    ImapS = "imap/s", Email, (993, Tcp),
+    Pop3 = "pop3", Email, (110, Tcp),
+    PopS = "pop/s", Email, (995, Tcp),
+    Ldap = "ldap", Email, (389, Tcp | Udp),
+    Ssh = "ssh", Interactive, (22, Tcp),
+    Telnet = "telnet", Interactive, (23, Tcp),
+    Rlogin = "rlogin", Interactive, (513, Tcp),
+    X11 = "x11", Interactive, (6000..=6063, Tcp),
+    Dns = "dns", Name, (53, Tcp | Udp),
+    NetbiosNs = "netbios-ns", Name, (137, Udp),
+    SrvLoc = "srvloc", Name, (427, Tcp | Udp),
+    Nfs = "nfs", NetFile, (2049, Tcp | Udp),
+    Ncp = "ncp", NetFile, (524, Tcp),
+    Portmapper = "portmapper", Misc, (111, Tcp | Udp),
+    Dhcp = "dhcp", NetMgnt, (67 | 68, Udp),
+    Ident = "ident", NetMgnt, (113, Tcp),
+    Ntp = "ntp", NetMgnt, (123, Udp),
+    Snmp = "snmp", NetMgnt, (161 | 162, Udp),
+    NavPing = "nav-ping", NetMgnt, (38293, Udp),
+    Sap = "sap", NetMgnt, (9875, Udp),
+    NetInfoLocal = "netinfo-local", NetMgnt, (1033, Tcp),
+    Syslog = "syslog", NetMgnt, (514, Udp),
+    Rtsp = "rtsp", Streaming, (554, Tcp),
+    IpVideo = "ipvideo", Streaming, (5004 | 5005, Udp),
+    RealStream = "realstream", Streaming, (7070, Tcp) | (6970, Udp),
+    Http = "http", Web, (80 | 8080 | 8000, Tcp),
+    Https = "https", Web, (443, Tcp),
+    NetbiosSsn = "netbios-ssn", Windows, (139, Tcp),
+    Cifs = "cifs", Windows, (445, Tcp),
+    DceRpc = "dce-rpc", Windows, (135, Tcp | Udp),
+    NetbiosDgm = "netbios-dgm", Windows, (138, Udp),
+    Steltor = "steltor", Misc, (5730, Tcp),
+    MetaSys = "metasys", Misc, (11001, Tcp | Udp),
+    Lpd = "lpd", Misc, (515, Tcp),
+    Ipp = "ipp", Misc, (631, Tcp),
+    OracleSql = "oracle-sql", Misc, (1521, Tcp),
+    MsSql = "ms-sql", Misc, (1433, Tcp),
 }
 
 /// The paper's application categories (Table 4, plus the other-tcp /
@@ -150,138 +180,6 @@ impl Category {
             Category::OtherUdp => "other-udp",
         }
     }
-}
-
-impl AppProtocol {
-    /// The category this protocol belongs to (paper Table 4).
-    pub fn category(self) -> Category {
-        use AppProtocol::*;
-        match self {
-            DantzRetrospect | VeritasBackupCtrl | VeritasBackupData | ConnectedBackup => {
-                Category::Backup
-            }
-            Ftp | FtpData | Hpss => Category::Bulk,
-            Smtp | Imap4 | ImapS | Pop3 | PopS | Ldap => Category::Email,
-            Ssh | Telnet | Rlogin | X11 => Category::Interactive,
-            Dns | NetbiosNs | SrvLoc => Category::Name,
-            Nfs | Ncp => Category::NetFile,
-            Dhcp | Ident | Ntp | Snmp | NavPing | Sap | NetInfoLocal | Syslog => Category::NetMgnt,
-            Rtsp | IpVideo | RealStream => Category::Streaming,
-            Http | Https => Category::Web,
-            NetbiosSsn | Cifs | DceRpc | NetbiosDgm => Category::Windows,
-            Steltor | MetaSys | Lpd | Ipp | OracleSql | MsSql | Portmapper => Category::Misc,
-        }
-    }
-
-    /// Short lowercase name.
-    pub fn name(self) -> &'static str {
-        use AppProtocol::*;
-        match self {
-            DantzRetrospect => "dantz",
-            VeritasBackupCtrl => "veritas-backup-ctrl",
-            VeritasBackupData => "veritas-backup-data",
-            ConnectedBackup => "connected-backup",
-            Ftp => "ftp",
-            FtpData => "ftp-data",
-            Hpss => "hpss",
-            Smtp => "smtp",
-            Imap4 => "imap4",
-            ImapS => "imap/s",
-            Pop3 => "pop3",
-            PopS => "pop/s",
-            Ldap => "ldap",
-            Ssh => "ssh",
-            Telnet => "telnet",
-            Rlogin => "rlogin",
-            X11 => "x11",
-            Dns => "dns",
-            NetbiosNs => "netbios-ns",
-            SrvLoc => "srvloc",
-            Nfs => "nfs",
-            Ncp => "ncp",
-            Portmapper => "portmapper",
-            Dhcp => "dhcp",
-            Ident => "ident",
-            Ntp => "ntp",
-            Snmp => "snmp",
-            NavPing => "nav-ping",
-            Sap => "sap",
-            NetInfoLocal => "netinfo-local",
-            Syslog => "syslog",
-            Rtsp => "rtsp",
-            IpVideo => "ipvideo",
-            RealStream => "realstream",
-            Http => "http",
-            Https => "https",
-            NetbiosSsn => "netbios-ssn",
-            Cifs => "cifs",
-            DceRpc => "dce-rpc",
-            NetbiosDgm => "netbios-dgm",
-            Steltor => "steltor",
-            MetaSys => "metasys",
-            Lpd => "lpd",
-            Ipp => "ipp",
-            OracleSql => "oracle-sql",
-            MsSql => "ms-sql",
-        }
-    }
-}
-
-/// Well-known port table. Site-specific services use representative ports
-/// documented in DESIGN.md (the trace generator uses the same table, so
-/// identification is exercised end-to-end).
-pub fn well_known(port: u16, transport: Transport) -> Option<AppProtocol> {
-    use AppProtocol::*;
-    use Transport::*;
-    Some(match (port, transport) {
-        (497, Tcp) => DantzRetrospect,
-        (13720, Tcp) => VeritasBackupCtrl,
-        (13724, Tcp) => VeritasBackupData,
-        (16384, Tcp) => ConnectedBackup,
-        (20, Tcp) => FtpData,
-        (21, Tcp) => Ftp,
-        (1217, Tcp) => Hpss,
-        (25, Tcp) => Smtp,
-        (143, Tcp) => Imap4,
-        (993, Tcp) => ImapS,
-        (110, Tcp) => Pop3,
-        (995, Tcp) => PopS,
-        (389, Tcp) | (389, Udp) => Ldap,
-        (22, Tcp) => Ssh,
-        (23, Tcp) => Telnet,
-        (513, Tcp) => Rlogin,
-        (6000..=6063, Tcp) => X11,
-        (53, Tcp) | (53, Udp) => Dns,
-        (137, Udp) => NetbiosNs,
-        (427, Tcp) | (427, Udp) => SrvLoc,
-        (2049, Tcp) | (2049, Udp) => Nfs,
-        (524, Tcp) => Ncp,
-        (111, Tcp) | (111, Udp) => Portmapper,
-        (67, Udp) | (68, Udp) => Dhcp,
-        (113, Tcp) => Ident,
-        (123, Udp) => Ntp,
-        (161, Udp) | (162, Udp) => Snmp,
-        (38293, Udp) => NavPing,
-        (9875, Udp) => Sap,
-        (1033, Tcp) => NetInfoLocal,
-        (514, Udp) => Syslog,
-        (554, Tcp) => Rtsp,
-        (5004, Udp) | (5005, Udp) => IpVideo,
-        (7070, Tcp) | (6970, Udp) => RealStream,
-        (80, Tcp) | (8080, Tcp) | (8000, Tcp) => Http,
-        (443, Tcp) => Https,
-        (139, Tcp) => NetbiosSsn,
-        (445, Tcp) => Cifs,
-        (135, Tcp) | (135, Udp) => DceRpc,
-        (138, Udp) => NetbiosDgm,
-        (5730, Tcp) => Steltor,
-        (11001, Tcp) | (11001, Udp) => MetaSys,
-        (515, Tcp) => Lpd,
-        (631, Tcp) => Ipp,
-        (1521, Tcp) => OracleSql,
-        (1433, Tcp) => MsSql,
-        _ => return None,
-    })
 }
 
 /// Dynamically learned port mappings — DCE/RPC endpoints handed out by the
@@ -424,16 +322,8 @@ mod tests {
 
     #[test]
     fn every_protocol_has_name_and_category() {
-        use AppProtocol::*;
-        let all = [
-            DantzRetrospect, VeritasBackupCtrl, VeritasBackupData, ConnectedBackup, Ftp, FtpData,
-            Hpss, Smtp, Imap4, ImapS, Pop3, PopS, Ldap, Ssh, Telnet, Rlogin, X11, Dns, NetbiosNs,
-            SrvLoc, Nfs, Ncp, Portmapper, Dhcp, Ident, Ntp, Snmp, NavPing, Sap, NetInfoLocal,
-            Syslog, Rtsp, IpVideo, RealStream, Http, Https, NetbiosSsn, Cifs, DceRpc, NetbiosDgm,
-            Steltor, MetaSys, Lpd, Ipp, OracleSql, MsSql,
-        ];
         let mut names = std::collections::HashSet::new();
-        for p in all {
+        for &p in AppProtocol::ALL {
             assert!(names.insert(p.name()), "duplicate name {}", p.name());
             let _ = p.category();
         }

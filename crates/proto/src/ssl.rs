@@ -7,32 +7,23 @@
 
 use crate::cursor::Cursor;
 
-/// TLS record content types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RecordType {
-    /// ChangeCipherSpec (20).
-    ChangeCipherSpec,
-    /// Alert (21).
-    Alert,
-    /// Handshake (22).
-    Handshake,
-    /// ApplicationData (23).
-    ApplicationData,
-    /// Unknown.
-    Other(u8),
-}
-
-impl RecordType {
-    /// Decode the content-type octet.
-    pub fn from_u8(v: u8) -> RecordType {
-        match v {
-            20 => RecordType::ChangeCipherSpec,
-            21 => RecordType::Alert,
-            22 => RecordType::Handshake,
-            23 => RecordType::ApplicationData,
-            x => RecordType::Other(x),
-        }
+ent_wire::code_table! {
+    /// TLS record content types.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum RecordType: u8 {
+        /// ChangeCipherSpec.
+        ChangeCipherSpec = 20,
+        /// Alert.
+        Alert = 21,
+        /// Handshake.
+        Handshake = 22,
+        /// ApplicationData.
+        ApplicationData = 23,
     }
+    /// Unknown.
+    else Other(u8);
+    pub fn from_u8;
+    pub fn to_u8;
 }
 
 /// A parsed TLS record header.
@@ -130,14 +121,7 @@ impl TlsTracker {
 
 /// Encode a TLS record with filler payload.
 pub fn encode_record(rtype: RecordType, payload: &[u8]) -> Vec<u8> {
-    let t = match rtype {
-        RecordType::ChangeCipherSpec => 20,
-        RecordType::Alert => 21,
-        RecordType::Handshake => 22,
-        RecordType::ApplicationData => 23,
-        RecordType::Other(x) => x,
-    };
-    let mut out = vec![t, 3, 1];
+    let mut out = vec![rtype.to_u8(), 3, 1];
     out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
     out.extend_from_slice(payload);
     out
@@ -147,15 +131,8 @@ pub fn encode_record(rtype: RecordType, payload: &[u8]) -> Vec<u8> {
 /// appending the payload reproduces [`encode_record`] exactly, so filler
 /// bodies can stay symbolic (head + fill run) until frame emission.
 pub fn record_head(rtype: RecordType, payload_len: usize) -> Vec<u8> {
-    let t = match rtype {
-        RecordType::ChangeCipherSpec => 20,
-        RecordType::Alert => 21,
-        RecordType::Handshake => 22,
-        RecordType::ApplicationData => 23,
-        RecordType::Other(x) => x,
-    };
     let mut out = Vec::with_capacity(5);
-    out.push(t);
+    out.push(rtype.to_u8());
     out.push(3);
     out.push(1);
     out.extend_from_slice(&(payload_len as u16).to_be_bytes());

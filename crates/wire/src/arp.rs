@@ -8,35 +8,19 @@ use crate::{be16, ethernet::MacAddr, ipv4, put_be16, Error, Result};
 /// ARP packet length for Ethernet/IPv4 (fixed 28 bytes).
 pub const PACKET_LEN: usize = 28;
 
-/// ARP operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Operation {
-    /// who-has (1).
-    Request,
-    /// is-at (2).
-    Reply,
+crate::code_table! {
+    /// ARP operation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Operation: u16 {
+        /// who-has.
+        Request = 1,
+        /// is-at.
+        Reply = 2,
+    }
     /// Any other opcode.
-    Other(u16),
-}
-
-impl Operation {
-    /// Decode an opcode.
-    pub fn from_u16(v: u16) -> Operation {
-        match v {
-            1 => Operation::Request,
-            2 => Operation::Reply,
-            x => Operation::Other(x),
-        }
-    }
-
-    /// Encode to the wire value.
-    pub fn to_u16(self) -> u16 {
-        match self {
-            Operation::Request => 1,
-            Operation::Reply => 2,
-            Operation::Other(x) => x,
-        }
-    }
+    else Other(u16);
+    pub fn from_u16;
+    pub fn to_u16;
 }
 
 /// A parsed Ethernet/IPv4 ARP packet.

@@ -9,43 +9,23 @@ use crate::{be16, checksum, put_be16, Error, Result};
 /// Minimum ICMP header length.
 pub const HEADER_LEN: usize = 8;
 
-/// ICMP message types of interest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageType {
-    /// Echo reply (0).
-    EchoReply,
-    /// Destination unreachable (3).
-    DestUnreachable,
-    /// Echo request (8).
-    EchoRequest,
-    /// Time exceeded (11).
-    TimeExceeded,
+crate::code_table! {
+    /// ICMP message types of interest.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum MessageType: u8 {
+        /// Echo reply.
+        EchoReply = 0,
+        /// Destination unreachable.
+        DestUnreachable = 3,
+        /// Echo request.
+        EchoRequest = 8,
+        /// Time exceeded.
+        TimeExceeded = 11,
+    }
     /// Everything else.
-    Other(u8),
-}
-
-impl MessageType {
-    /// Decode a type code.
-    pub fn from_u8(v: u8) -> MessageType {
-        match v {
-            0 => MessageType::EchoReply,
-            3 => MessageType::DestUnreachable,
-            8 => MessageType::EchoRequest,
-            11 => MessageType::TimeExceeded,
-            x => MessageType::Other(x),
-        }
-    }
-
-    /// Encode to the wire value.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            MessageType::EchoReply => 0,
-            MessageType::DestUnreachable => 3,
-            MessageType::EchoRequest => 8,
-            MessageType::TimeExceeded => 11,
-            MessageType::Other(x) => x,
-        }
-    }
+    else Other(u8);
+    pub fn from_u8;
+    pub fn to_u8;
 }
 
 /// A parsed ICMP message.

@@ -48,55 +48,29 @@ impl fmt::Display for Addr {
     }
 }
 
-/// IP protocol numbers seen in the traces (paper Table 3 and §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Protocol {
-    /// ICMP (1).
-    Icmp,
-    /// IGMP (2).
-    Igmp,
-    /// TCP (6).
-    Tcp,
-    /// UDP (17).
-    Udp,
-    /// GRE (47).
-    Gre,
-    /// IPSEC ESP (50).
-    Esp,
-    /// PIM (103).
-    Pim,
+crate::code_table! {
+    /// IP protocol numbers seen in the traces (paper Table 3 and §3).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Protocol: u8 {
+        /// ICMP.
+        Icmp = 1,
+        /// IGMP.
+        Igmp = 2,
+        /// TCP.
+        Tcp = 6,
+        /// UDP.
+        Udp = 17,
+        /// GRE.
+        Gre = 47,
+        /// IPSEC ESP.
+        Esp = 50,
+        /// PIM.
+        Pim = 103,
+    }
     /// Anything else, including the unidentified protocol 224 the paper notes.
-    Other(u8),
-}
-
-impl Protocol {
-    /// Decode a protocol number.
-    pub fn from_u8(v: u8) -> Protocol {
-        match v {
-            1 => Protocol::Icmp,
-            2 => Protocol::Igmp,
-            6 => Protocol::Tcp,
-            17 => Protocol::Udp,
-            47 => Protocol::Gre,
-            50 => Protocol::Esp,
-            103 => Protocol::Pim,
-            x => Protocol::Other(x),
-        }
-    }
-
-    /// Encode back to the wire value.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            Protocol::Icmp => 1,
-            Protocol::Igmp => 2,
-            Protocol::Tcp => 6,
-            Protocol::Udp => 17,
-            Protocol::Gre => 47,
-            Protocol::Esp => 50,
-            Protocol::Pim => 103,
-            Protocol::Other(x) => x,
-        }
-    }
+    else Other(u8);
+    pub fn from_u8;
+    pub fn to_u8;
 }
 
 /// A parsed IPv4 header with its (possibly truncated) payload.

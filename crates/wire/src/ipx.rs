@@ -9,51 +9,27 @@ use crate::{be16, put_be16, Error, Result};
 /// IPX header length.
 pub const HEADER_LEN: usize = 30;
 
-/// IPX packet types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PacketType {
-    /// Unknown/any (0).
-    Unknown,
-    /// RIP (1).
-    Rip,
-    /// Echo (2).
-    Echo,
-    /// SPX (5).
-    Spx,
-    /// NCP (17).
-    Ncp,
-    /// NetBIOS broadcast (20).
-    NetBios,
+crate::code_table! {
+    /// IPX packet types.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum PacketType: u8 {
+        /// Unknown/any.
+        Unknown = 0,
+        /// RIP.
+        Rip = 1,
+        /// Echo.
+        Echo = 2,
+        /// SPX.
+        Spx = 5,
+        /// NCP.
+        Ncp = 17,
+        /// NetBIOS broadcast.
+        NetBios = 20,
+    }
     /// Other.
-    Other(u8),
-}
-
-impl PacketType {
-    /// Decode the packet-type octet.
-    pub fn from_u8(v: u8) -> PacketType {
-        match v {
-            0 => PacketType::Unknown,
-            1 => PacketType::Rip,
-            2 => PacketType::Echo,
-            5 => PacketType::Spx,
-            17 => PacketType::Ncp,
-            20 => PacketType::NetBios,
-            x => PacketType::Other(x),
-        }
-    }
-
-    /// Encode back to the wire value.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            PacketType::Unknown => 0,
-            PacketType::Rip => 1,
-            PacketType::Echo => 2,
-            PacketType::Spx => 5,
-            PacketType::Ncp => 17,
-            PacketType::NetBios => 20,
-            PacketType::Other(x) => x,
-        }
-    }
+    else Other(u8);
+    pub fn from_u8;
+    pub fn to_u8;
 }
 
 /// An IPX network.node.socket address.

@@ -52,6 +52,7 @@ pub mod ipv4;
 pub mod ipv6;
 pub mod ipx;
 pub mod packet;
+mod table;
 pub mod tcp;
 pub mod time;
 pub mod udp;
