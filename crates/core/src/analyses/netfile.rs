@@ -12,6 +12,7 @@ use ent_proto::ncp::NcpOp;
 use ent_proto::AppProtocol;
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Table 12: NFS/NCP connections and bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -77,76 +78,50 @@ pub fn table12(rows: &[(&str, NetFileSizes)]) -> Table {
 /// A request-type breakdown: (label, request %, data %).
 pub type OpBreakdown = Vec<(String, f64, f64)>;
 
-/// Table 13: NFS request breakdown. "Data" counts request+reply bytes.
-pub fn nfs_breakdown<T: Borrow<TraceAnalysis>>(traces: &[T]) -> (u64, u64, OpBreakdown) {
-    let mut req: HashMap<NfsOp, u64> = HashMap::new();
-    let mut bytes: HashMap<NfsOp, u64> = HashMap::new();
+/// Break `(op, request+reply bytes)` calls down by request type, one row
+/// per entry of `all` in its order: total requests, total bytes, rows.
+fn op_breakdown<Op: Copy + Eq + Hash>(
+    all: &[Op],
+    label: fn(Op) -> &'static str,
+    calls: impl Iterator<Item = (Op, u64)>,
+) -> (u64, u64, OpBreakdown) {
+    let mut per_op: HashMap<Op, (u64, u64)> = HashMap::new();
     let (mut tr, mut tb) = (0u64, 0u64);
-    for t in traces.iter().map(Borrow::borrow) {
-        for r in &t.nfs {
-            let b = (r.request_bytes + r.reply_bytes) as u64;
-            *req.entry(r.op).or_default() += 1;
-            *bytes.entry(r.op).or_default() += b;
-            tr += 1;
-            tb += b;
-        }
+    for (op, b) in calls {
+        let (req, bytes) = per_op.entry(op).or_default();
+        *req += 1;
+        *bytes += b;
+        tr += 1;
+        tb += b;
     }
-    let order = [
-        NfsOp::Read,
-        NfsOp::Write,
-        NfsOp::GetAttr,
-        NfsOp::LookUp,
-        NfsOp::Access,
-        NfsOp::Other,
-    ];
-    let rows = order
+    let rows = all
         .iter()
-        .map(|o| {
-            (
-                o.label().to_string(),
-                pct(req.get(o).copied().unwrap_or(0), tr),
-                pct(bytes.get(o).copied().unwrap_or(0), tb),
-            )
+        .map(|&o| {
+            let (req, bytes) = per_op.get(&o).copied().unwrap_or_default();
+            (label(o).to_string(), pct(req, tr), pct(bytes, tb))
         })
         .collect();
     (tr, tb, rows)
 }
 
+/// Table 13: NFS request breakdown. "Data" counts request+reply bytes.
+pub fn nfs_breakdown<T: Borrow<TraceAnalysis>>(traces: &[T]) -> (u64, u64, OpBreakdown) {
+    let calls = traces.iter().flat_map(|t| &t.borrow().nfs);
+    op_breakdown(
+        NfsOp::ALL,
+        NfsOp::label,
+        calls.map(|r| (r.op, (r.request_bytes + r.reply_bytes) as u64)),
+    )
+}
+
 /// Table 14: NCP request breakdown.
 pub fn ncp_breakdown(traces: &DatasetTraces) -> (u64, u64, OpBreakdown) {
-    let mut req: HashMap<NcpOp, u64> = HashMap::new();
-    let mut bytes: HashMap<NcpOp, u64> = HashMap::new();
-    let (mut tr, mut tb) = (0u64, 0u64);
-    for t in traces {
-        for r in &t.ncp {
-            let b = (r.request_bytes + r.reply_bytes) as u64;
-            *req.entry(r.op).or_default() += 1;
-            *bytes.entry(r.op).or_default() += b;
-            tr += 1;
-            tb += b;
-        }
-    }
-    let order = [
-        NcpOp::Read,
-        NcpOp::Write,
-        NcpOp::FileDirInfo,
-        NcpOp::FileOpenClose,
-        NcpOp::FileSize,
-        NcpOp::FileSearch,
-        NcpOp::DirectoryService,
-        NcpOp::Other,
-    ];
-    let rows = order
-        .iter()
-        .map(|o| {
-            (
-                o.label().to_string(),
-                pct(req.get(o).copied().unwrap_or(0), tr),
-                pct(bytes.get(o).copied().unwrap_or(0), tb),
-            )
-        })
-        .collect();
-    (tr, tb, rows)
+    let calls = traces.iter().flat_map(|t| &t.ncp);
+    op_breakdown(
+        NcpOp::ALL,
+        NcpOp::label,
+        calls.map(|r| (r.op, (r.request_bytes + r.reply_bytes) as u64)),
+    )
 }
 
 /// Render Tables 13/14 (same layout).

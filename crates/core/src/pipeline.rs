@@ -424,10 +424,19 @@ impl FlowHandler for Handler {
         let Some(pc) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
+        let from_client = dir == Dir::Orig;
+        // No wildcard: a new stream analyzer cannot be left parsing across
+        // the hole.
         match &mut pc.state {
-            AppState::Http(h) => h.gap(dir == Dir::Orig),
-            AppState::Cifs(c) => c.gap(dir == Dir::Orig),
-            _ => {}
+            AppState::Http(h) => h.gap(from_client),
+            AppState::Smtp(s) => s.gap(from_client),
+            AppState::Imap(i) => i.gap(from_client),
+            AppState::Tls(t) => t.gap(from_client),
+            AppState::Cifs(c) => c.gap(from_client),
+            AppState::Dcerpc(d) => d.gap(from_client),
+            AppState::NfsTcp(n) | AppState::NfsUdp(n) => n.gap(from_client),
+            AppState::Ncp(n) => n.gap(from_client),
+            AppState::Dns(_) | AppState::Nbns(_) | AppState::None => {}
         }
     }
 

@@ -10,7 +10,7 @@
 
 use crate::cursor::Cursor;
 use crate::netbios::{self, SsnType};
-use crate::StreamBuf;
+use crate::StreamPair;
 
 ent_wire::code_table! {
     /// SMB1 command codes used by the generator and classifier.
@@ -196,65 +196,40 @@ pub enum CifsEvent {
 }
 
 /// Streaming analyzer for one CIFS connection (either port).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CifsAnalyzer {
-    client: StreamBuf,
-    server: StreamBuf,
+    streams: StreamPair,
     /// Completed events in order.
     out: Vec<CifsEvent>,
-}
-
-impl Default for CifsAnalyzer {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl CifsAnalyzer {
     /// New analyzer for one connection.
     pub fn new() -> CifsAnalyzer {
-        CifsAnalyzer {
-            client: StreamBuf::new(),
-            server: StreamBuf::new(),
-            out: Vec::new(),
-        }
+        CifsAnalyzer::default()
     }
 
     /// Feed stream data from the client (originator) or server.
     pub fn feed(&mut self, from_client: bool, data: &[u8]) {
-        let buf = if from_client {
-            &mut self.client
-        } else {
-            &mut self.server
-        };
-        buf.push(data);
-        loop {
-            let Some((frame, used)) = netbios::parse_ssn_frame(buf.bytes()) else {
-                return;
-            };
-            let payload = buf.bytes().get(4..used).unwrap_or(&[]).to_vec();
-            buf.consume(used);
-            match frame.stype {
+        self.streams.dir(from_client).feed(data, |u| {
+            let (stype, payload) = u.framed(|buf| {
+                let (frame, used) = netbios::parse_ssn_frame(buf)?;
+                Some(((frame.stype, buf.get(4..used)?), used))
+            })?;
+            match stype {
                 SsnType::Request => self.out.push(CifsEvent::SsnRequest),
                 SsnType::PositiveResponse => self.out.push(CifsEvent::SsnPositive),
                 SsnType::NegativeResponse => self.out.push(CifsEvent::SsnNegative),
-                SsnType::Message => {
-                    if let Some(msg) = parse_smb(&payload) {
-                        self.out.push(CifsEvent::Smb(msg));
-                    }
-                }
+                SsnType::Message => self.out.extend(parse_smb(payload).map(CifsEvent::Smb)),
                 _ => {}
             }
-        }
+            Some(())
+        });
     }
 
     /// Announce a capture gap.
     pub fn gap(&mut self, from_client: bool) {
-        if from_client {
-            self.client.gap();
-        } else {
-            self.server.gap();
-        }
+        self.streams.gap(from_client);
     }
 
     /// Take accumulated events.

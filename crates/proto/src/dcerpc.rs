@@ -7,7 +7,7 @@
 //! dynamic ports — feeding [`crate::registry::DynamicPorts`]).
 
 use crate::cursor::Cursor;
-use crate::StreamBuf;
+use crate::StreamPair;
 use ent_wire::ipv4;
 
 /// A 16-byte interface UUID.
@@ -294,110 +294,82 @@ pub struct RpcCall {
 /// Streaming analyzer for one DCE/RPC channel (a TCP connection or a CIFS
 /// named pipe): pairs requests with responses and tracks the bound
 /// interface.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DcerpcAnalyzer {
-    client: StreamBuf,
-    server: StreamBuf,
-    iface: Option<Uuid>,
-    pending: std::collections::VecDeque<(u16, u64)>,
-    /// Completed calls.
-    out: Vec<RpcCall>,
+    streams: StreamPair,
+    calls: Calls,
     /// Endpoint-mapper mappings observed (for dynamic port learning).
     pub mappings: Vec<(Uuid, ipv4::Addr, u16)>,
 }
 
-impl Default for DcerpcAnalyzer {
-    fn default() -> Self {
-        Self::new()
+/// The request/response pairing, apart from the readers and `mappings`.
+#[derive(Debug, Default)]
+struct Calls {
+    iface: Option<Uuid>,
+    pending: std::collections::VecDeque<(u16, u64)>,
+    /// Completed calls.
+    out: Vec<RpcCall>,
+}
+
+impl Calls {
+    /// Complete the oldest pending request, if any.
+    fn answer(&mut self, response_bytes: u64) -> Option<()> {
+        let (opnum, request_bytes) = self.pending.pop_front()?;
+        self.out.push(RpcCall {
+            function: RpcFunction::classify(self.iface.unwrap_or(Uuid([0; 16])), opnum),
+            opnum,
+            request_bytes,
+            response_bytes,
+        });
+        Some(())
     }
 }
 
 impl DcerpcAnalyzer {
     /// New analyzer.
     pub fn new() -> DcerpcAnalyzer {
-        DcerpcAnalyzer {
-            client: StreamBuf::new(),
-            server: StreamBuf::new(),
-            iface: None,
-            pending: std::collections::VecDeque::new(),
-            out: Vec::new(),
-            mappings: Vec::new(),
-        }
+        DcerpcAnalyzer::default()
     }
 
     /// The interface bound on this channel, once seen.
     pub fn iface(&self) -> Option<Uuid> {
-        self.iface
+        self.calls.iface
     }
 
     /// Feed channel bytes (client = request direction).
     pub fn feed(&mut self, from_client: bool, data: &[u8]) {
-        let buf = if from_client {
-            &mut self.client
-        } else {
-            &mut self.server
-        };
-        buf.push(data);
-        loop {
-            let bytes = if from_client {
-                self.client.bytes()
-            } else {
-                self.server.bytes()
-            };
-            let Some((pdu, used)) = parse_pdu(bytes) else {
-                return;
-            };
-            if from_client {
-                self.client.consume(used);
-            } else {
-                self.server.consume(used);
+        self.streams.dir(from_client).feed(data, |u| {
+            let pdu = u.framed(parse_pdu)?;
+            match pdu.ptype {
+                PduType::Bind => self.calls.iface = pdu.bind_iface,
+                PduType::Request => {
+                    if let Some(op) = pdu.opnum {
+                        self.calls.pending.push_back((op, pdu.stub_len as u64));
+                    }
+                }
+                PduType::Response => {
+                    self.mappings.extend(pdu.epm_mapping);
+                    self.calls.answer(pdu.stub_len as u64);
+                }
+                _ => {}
             }
-            self.handle(pdu);
-        }
+            Some(())
+        });
     }
 
-    fn handle(&mut self, pdu: Pdu) {
-        match pdu.ptype {
-            PduType::Bind => self.iface = pdu.bind_iface,
-            PduType::Request => {
-                if let Some(op) = pdu.opnum {
-                    self.pending.push_back((op, pdu.stub_len as u64));
-                }
-            }
-            PduType::Response => {
-                if let Some(m) = pdu.epm_mapping {
-                    self.mappings.push(m);
-                }
-                if let Some((opnum, req_bytes)) = self.pending.pop_front() {
-                    let iface = self.iface.unwrap_or(Uuid([0; 16]));
-                    self.out.push(RpcCall {
-                        function: RpcFunction::classify(iface, opnum),
-                        opnum,
-                        request_bytes: req_bytes,
-                        response_bytes: pdu.stub_len as u64,
-                    });
-                }
-            }
-            _ => {}
-        }
+    /// Announce a capture gap in the given direction.
+    pub fn gap(&mut self, from_client: bool) {
+        self.streams.gap(from_client);
     }
 
     /// Flush unanswered requests as calls with zero response bytes.
     pub fn finish(&mut self) {
-        let iface = self.iface.unwrap_or(Uuid([0; 16]));
-        while let Some((opnum, req_bytes)) = self.pending.pop_front() {
-            self.out.push(RpcCall {
-                function: RpcFunction::classify(iface, opnum),
-                opnum,
-                request_bytes: req_bytes,
-                response_bytes: 0,
-            });
-        }
+        while self.calls.answer(0).is_some() {}
     }
 
     /// Take completed calls.
     pub fn take_calls(&mut self) -> Vec<RpcCall> {
-        std::mem::take(&mut self.out)
+        std::mem::take(&mut self.calls.out)
     }
 }
 

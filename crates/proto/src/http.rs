@@ -7,7 +7,7 @@
 //! applications like iFolder) which dominate internal HTTP traffic
 //! (Table 6).
 
-use crate::StreamBuf;
+use crate::{StreamPair, Unread};
 use std::collections::VecDeque;
 
 /// Classification of the client software issuing a request, from the
@@ -153,13 +153,6 @@ impl HttpTransaction {
 }
 
 #[derive(Debug)]
-enum BodyState {
-    Headers,
-    Fixed(u64),
-    UntilClose(u64),
-}
-
-#[derive(Debug)]
 struct PendingRequest {
     method: String,
     uri: String,
@@ -173,8 +166,14 @@ struct PendingRequest {
 struct PendingResponse {
     status: u16,
     content: ContentClass,
+    /// The declared body length while the body is being passed over
+    /// ([`UNTIL_CLOSE`] with none declared), the observed one after.
     body_len: u64,
 }
+
+/// Body length of a response that declares none (or is chunked, which we
+/// treat the same): it runs to connection close.
+const UNTIL_CLOSE: u64 = u64::MAX;
 
 /// Incremental HTTP/1.x connection analyzer.
 ///
@@ -182,26 +181,21 @@ struct PendingResponse {
 /// responder bytes with [`HttpAnalyzer::feed_response_data`]; call
 /// [`HttpAnalyzer::finish`] at connection close to flush a trailing
 /// read-until-close response. Completed transactions accumulate in order.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HttpAnalyzer {
-    req_buf: StreamBuf,
-    resp_buf: StreamBuf,
-    req_state: BodyState,
-    resp_state: BodyState,
+    streams: StreamPair,
+    exchange: Exchange,
+}
+
+/// What the two directions share, apart from their readers, so that each
+/// direction's step is a method that borrows this while its reader is fed.
+#[derive(Debug, Default)]
+struct Exchange {
     pending: VecDeque<PendingRequest>,
+    /// The response whose body is being passed over.
     current_resp: Option<PendingResponse>,
     /// Completed transactions (drain with [`HttpAnalyzer::take_transactions`]).
     out: Vec<HttpTransaction>,
-}
-
-impl Default for HttpAnalyzer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-fn find_headers_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
 fn header_value<'a>(headers: &'a str, name: &str) -> Option<&'a str> {
@@ -218,171 +212,106 @@ fn header_value<'a>(headers: &'a str, name: &str) -> Option<&'a str> {
 impl HttpAnalyzer {
     /// New analyzer for one connection.
     pub fn new() -> HttpAnalyzer {
-        HttpAnalyzer {
-            req_buf: StreamBuf::new(),
-            resp_buf: StreamBuf::new(),
-            req_state: BodyState::Headers,
-            resp_state: BodyState::Headers,
-            pending: VecDeque::new(),
-            current_resp: None,
-            out: Vec::new(),
-        }
+        HttpAnalyzer::default()
     }
 
     /// Feed originator→responder stream bytes.
     pub fn feed_request_data(&mut self, data: &[u8]) {
-        self.req_buf.push(data);
-        self.drain_requests();
+        self.streams.dir(true).feed(data, |u| self.exchange.request(u));
     }
 
     /// Feed responder→originator stream bytes.
     pub fn feed_response_data(&mut self, data: &[u8]) {
-        self.resp_buf.push(data);
-        self.drain_responses();
+        self.streams.dir(false).feed(data, |u| self.exchange.response(u));
     }
 
     /// Announce a capture gap in the given direction (poisons parsing).
     pub fn gap(&mut self, request_dir: bool) {
-        if request_dir {
-            self.req_buf.gap();
+        self.streams.gap(request_dir);
+    }
+
+    /// Flush at connection close: completes a read-until-close response,
+    /// and emits a fixed-length response cut short by the capture window
+    /// with the bytes observed so far.
+    pub fn finish(&mut self) {
+        if let Some(mut resp) = self.exchange.current_resp.take() {
+            resp.body_len = resp.body_len.saturating_sub(self.streams.dir(false).owed());
+            self.exchange.complete(resp);
+        }
+    }
+
+    /// Take the completed transactions accumulated so far.
+    pub fn take_transactions(&mut self) -> Vec<HttpTransaction> {
+        std::mem::take(&mut self.exchange.out)
+    }
+}
+
+impl Exchange {
+    /// One request: its head, then its body passed over.
+    fn request(&mut self, u: &mut Unread<'_>) -> Option<()> {
+        let head = String::from_utf8_lossy(u.until(b"\r\n\r\n")?);
+        let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+        let method = parts.next().unwrap_or("");
+        let uri = parts.next().unwrap_or("");
+        if method.is_empty() || !method.chars().all(|c| c.is_ascii_uppercase()) {
+            // Not HTTP after all; stop parsing this stream.
+            u.poison();
+            return None;
+        }
+        let body_len: u64 = header_value(&head, "Content-Length")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        self.pending.push_back(PendingRequest {
+            method: method.to_string(),
+            uri: uri.to_string(),
+            host: header_value(&head, "Host").map(|s| s.to_string()),
+            client: header_value(&head, "User-Agent")
+                .map(ClientKind::from_user_agent)
+                .unwrap_or(ClientKind::Browser),
+            conditional: header_value(&head, "If-Modified-Since").is_some()
+                || header_value(&head, "If-None-Match").is_some(),
+            body_len,
+        });
+        u.skip(body_len);
+        Some(())
+    }
+
+    /// One response: its head, then its body passed over. A step runs only
+    /// once the reader owes no body byte, so a response still current here
+    /// has had its whole declared body go by.
+    fn response(&mut self, u: &mut Unread<'_>) -> Option<()> {
+        if let Some(resp) = self.current_resp.take() {
+            self.complete(resp);
+        }
+        let head = String::from_utf8_lossy(u.until(b"\r\n\r\n")?);
+        let status: u16 = head
+            .lines()
+            .next()
+            .and_then(|l| l.split_whitespace().nth(1))
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        let bodyless = status == 304 || status == 204 || (100..200).contains(&status);
+        let resp = PendingResponse {
+            status,
+            content: match header_value(&head, "Content-Type") {
+                Some(v) if !bodyless => ContentClass::from_header(v),
+                _ => ContentClass::None,
+            },
+            body_len: if bodyless {
+                0
+            } else {
+                header_value(&head, "Content-Length")
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or(UNTIL_CLOSE)
+            },
+        };
+        if resp.body_len == 0 {
+            self.complete(resp);
         } else {
-            self.resp_buf.gap();
+            u.skip(resp.body_len);
+            self.current_resp = Some(resp);
         }
-    }
-
-    fn drain_requests(&mut self) {
-        loop {
-            match self.req_state {
-                BodyState::Headers => {
-                    let Some(end) = find_headers_end(self.req_buf.bytes()) else {
-                        return;
-                    };
-                    let head =
-                        String::from_utf8_lossy(self.req_buf.bytes().get(..end).unwrap_or(&[]))
-                            .into_owned();
-                    self.req_buf.consume(end);
-                    let mut lines = head.lines();
-                    let request_line = lines.next().unwrap_or("");
-                    let mut parts = request_line.split_whitespace();
-                    let method = parts.next().unwrap_or("").to_string();
-                    let uri = parts.next().unwrap_or("").to_string();
-                    if method.is_empty() || !method.chars().all(|c| c.is_ascii_uppercase()) {
-                        // Not HTTP after all; stop parsing this stream.
-                        self.req_buf.gap();
-                        return;
-                    }
-                    let conditional = header_value(&head, "If-Modified-Since").is_some()
-                        || header_value(&head, "If-None-Match").is_some();
-                    let client = header_value(&head, "User-Agent")
-                        .map(ClientKind::from_user_agent)
-                        .unwrap_or(ClientKind::Browser);
-                    let host = header_value(&head, "Host").map(|s| s.to_string());
-                    let body_len: u64 = header_value(&head, "Content-Length")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0);
-                    self.pending.push_back(PendingRequest {
-                        method,
-                        uri,
-                        host,
-                        client,
-                        conditional,
-                        body_len,
-                    });
-                    self.req_state = BodyState::Fixed(body_len);
-                }
-                BodyState::Fixed(remaining) => {
-                    let have = self.req_buf.len() as u64;
-                    let eat = remaining.min(have);
-                    self.req_buf.consume(eat as usize);
-                    if eat < remaining {
-                        self.req_state = BodyState::Fixed(remaining - eat);
-                        return;
-                    }
-                    self.req_state = BodyState::Headers;
-                }
-                // Requests never legitimately read until close; if state
-                // drifts here anyway, reset rather than abort the pipeline.
-                BodyState::UntilClose(_) => {
-                    self.req_state = BodyState::Headers;
-                    return;
-                }
-            }
-        }
-    }
-
-    fn drain_responses(&mut self) {
-        loop {
-            match self.resp_state {
-                BodyState::Headers => {
-                    let Some(end) = find_headers_end(self.resp_buf.bytes()) else {
-                        return;
-                    };
-                    let head =
-                        String::from_utf8_lossy(self.resp_buf.bytes().get(..end).unwrap_or(&[]))
-                            .into_owned();
-                    self.resp_buf.consume(end);
-                    let status: u16 = head
-                        .lines()
-                        .next()
-                        .and_then(|l| l.split_whitespace().nth(1))
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0);
-                    let content = header_value(&head, "Content-Type")
-                        .map(ContentClass::from_header)
-                        .unwrap_or(ContentClass::None);
-                    let bodyless = status == 304 || status == 204 || (100..200).contains(&status);
-                    let resp = PendingResponse {
-                        status,
-                        content: if bodyless { ContentClass::None } else { content },
-                        body_len: 0,
-                    };
-                    if bodyless {
-                        self.complete(resp);
-                        self.resp_state = BodyState::Headers;
-                        continue;
-                    }
-                    match header_value(&head, "Content-Length").and_then(|v| v.parse::<u64>().ok())
-                    {
-                        Some(0) => {
-                            self.complete(resp);
-                            self.resp_state = BodyState::Headers;
-                        }
-                        Some(n) => {
-                            self.current_resp = Some(resp);
-                            self.resp_state = BodyState::Fixed(n);
-                        }
-                        None => {
-                            // No length (or chunked, which we treat the
-                            // same): body runs to connection close.
-                            self.current_resp = Some(resp);
-                            self.resp_state = BodyState::UntilClose(0);
-                        }
-                    }
-                }
-                BodyState::Fixed(remaining) => {
-                    let have = self.resp_buf.len() as u64;
-                    let eat = remaining.min(have);
-                    self.resp_buf.consume(eat as usize);
-                    if let Some(r) = self.current_resp.as_mut() {
-                        r.body_len += eat;
-                    }
-                    if eat < remaining {
-                        self.resp_state = BodyState::Fixed(remaining - eat);
-                        return;
-                    }
-                    if let Some(r) = self.current_resp.take() {
-                        self.complete(r);
-                    }
-                    self.resp_state = BodyState::Headers;
-                }
-                BodyState::UntilClose(count) => {
-                    let have = self.resp_buf.len() as u64;
-                    self.resp_buf.consume(have as usize);
-                    self.resp_state = BodyState::UntilClose(count + have);
-                    return;
-                }
-            }
-        }
+        Some(())
     }
 
     fn complete(&mut self, resp: PendingResponse) {
@@ -403,32 +332,6 @@ impl HttpAnalyzer {
             content: resp.content,
             response_body_len: resp.body_len,
         });
-    }
-
-    /// Flush at connection close: completes a read-until-close response,
-    /// and emits a fixed-length response cut short by the capture window
-    /// with the bytes observed so far.
-    pub fn finish(&mut self) {
-        match self.resp_state {
-            BodyState::UntilClose(count) => {
-                if let Some(mut r) = self.current_resp.take() {
-                    r.body_len += count;
-                    self.complete(r);
-                }
-            }
-            BodyState::Fixed(_) => {
-                if let Some(r) = self.current_resp.take() {
-                    self.complete(r);
-                }
-            }
-            BodyState::Headers => {}
-        }
-        self.resp_state = BodyState::Headers;
-    }
-
-    /// Take the completed transactions accumulated so far.
-    pub fn take_transactions(&mut self) -> Vec<HttpTransaction> {
-        std::mem::take(&mut self.out)
     }
 }
 

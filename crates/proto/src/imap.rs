@@ -6,7 +6,7 @@
 //! and the poll-style session structure (periodic NOOP/CHECK) that gives
 //! internal IMAP connections their long durations (Figure 5b).
 
-use crate::StreamBuf;
+use crate::StreamPair;
 
 /// IMAP commands of interest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,26 +56,20 @@ pub struct ImapSession {
 /// Incremental IMAP client-stream analyzer.
 #[derive(Debug, Default)]
 pub struct ImapAnalyzer {
-    buf: StreamBuf,
+    streams: StreamPair,
     session: ImapSession,
 }
 
 impl ImapAnalyzer {
     /// New analyzer.
     pub fn new() -> ImapAnalyzer {
-        ImapAnalyzer {
-            buf: StreamBuf::new(),
-            session: ImapSession::default(),
-        }
+        ImapAnalyzer::default()
     }
 
     /// Feed client→server bytes.
     pub fn feed_client(&mut self, data: &[u8]) {
-        self.buf.push(data);
-        while let Some(pos) = self.buf.bytes().windows(2).position(|w| w == b"\r\n") {
-            let line = String::from_utf8_lossy(self.buf.bytes().get(..pos).unwrap_or(&[]))
-                .into_owned();
-            self.buf.consume(pos.saturating_add(2));
+        self.streams.dir(true).feed(data, |u| {
+            let line = String::from_utf8_lossy(u.until(b"\r\n")?);
             // "a001 SELECT INBOX" — tag, then verb.
             if let Some(verb) = line.split_whitespace().nth(1) {
                 let cmd = Command::parse(verb);
@@ -86,7 +80,13 @@ impl ImapAnalyzer {
                 }
                 self.session.commands.push(cmd);
             }
-        }
+            Some(())
+        });
+    }
+
+    /// Announce a capture gap (only the client direction is ever read).
+    pub fn gap(&mut self, from_client: bool) {
+        self.streams.gap(from_client);
     }
 
     /// The session summary so far.

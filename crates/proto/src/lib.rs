@@ -50,6 +50,10 @@ pub mod sunrpc;
 
 pub use registry::{identify, well_known, AppProtocol, Category, DynamicPorts};
 
+use ent_wire::Timestamp;
+use std::collections::HashMap;
+use std::hash::Hash;
+
 /// Transport of a flow, for identification purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transport {
@@ -144,70 +148,263 @@ pub(crate) mod cursor {
     }
 }
 
-/// A per-direction reassembly buffer for stream analyzers: accumulates
-/// chunks until a full message can be consumed, and poisons itself after a
-/// gap so analyzers do not mis-parse across capture loss.
-#[derive(Debug)]
-pub struct StreamBuf {
-    data: Vec<u8>,
-    /// Set once a gap makes further byte-exact parsing unreliable.
-    pub broken: bool,
-    /// Hard cap to bound memory on pathological streams.
-    cap: usize,
-}
+/// Most unread bytes one direction carries from one segment to the next.
+const CARRY_CAP: usize = 1 << 20;
 
-impl Default for StreamBuf {
-    fn default() -> Self {
-        StreamBuf::new()
-    }
+/// One direction of a reassembled TCP stream: the stream contract every
+/// analyzer of this crate reads under, stated once.
+///
+/// [`StreamBuf::feed`] takes the next in-order segment and a *step*: the
+/// analyzer's framing rule and message handler, written over the
+/// [`Unread`] bytes. The step is run again and again: `Some(())` says it
+/// read a message, `None` that the next one is not all here yet.
+///
+/// * **In place.** With nothing carried the unread bytes *are* the segment,
+///   and only the tail no step claimed is copied for the next call; with
+///   bytes carried, the segment is appended to them first. A body an
+///   analyzer does not look at is passed over with [`Unread::skip`], across
+///   segments, and never stored.
+/// * **Never twice.** A delimiter search that fails remembers how far it
+///   got ([`Unread::until`]), so a byte is compared against a needle once
+///   however the stream is cut into segments.
+/// * **Poison means stop.** A capture gap ([`StreamBuf::gap`]), bytes that
+///   are not the protocol ([`Unread::poison`]), or more than 1 MiB carried
+///   without a complete message end the reading of this direction: what is
+///   carried is freed and no step runs again.
+#[derive(Debug, Default)]
+pub struct StreamBuf {
+    /// Unread bytes no step has claimed yet.
+    carry: Vec<u8>,
+    /// How many start positions at the front of `carry` a failed
+    /// [`Unread::until`] has already ruled out.
+    searched: usize,
+    /// Bytes of a skipped body that have not arrived yet.
+    owed: u64,
+    poisoned: bool,
 }
 
 impl StreamBuf {
-    /// A buffer with the default 1 MiB cap.
+    /// A reader at the start of its direction.
     pub fn new() -> StreamBuf {
-        StreamBuf {
-            data: Vec::new(),
-            broken: false,
-            cap: 1 << 20,
-        }
+        StreamBuf::default()
     }
 
-    /// Append stream bytes (ignored once broken; truncated at the cap —
-    /// overflow marks the stream broken rather than growing unboundedly).
-    pub fn push(&mut self, chunk: &[u8]) {
-        if self.broken {
-            return;
-        }
-        if self.data.len() + chunk.len() > self.cap {
-            self.broken = true;
-            return;
-        }
-        self.data.extend_from_slice(chunk);
-    }
-
-    /// Record a gap: parsing state is no longer trustworthy.
+    /// Record a capture gap: byte-exact parsing cannot resume behind it.
     pub fn gap(&mut self) {
-        self.broken = true;
+        self.carry = Vec::new();
+        self.poisoned = true;
     }
 
-    /// Current buffered bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.data
+    /// Bytes of a skipped body that have not gone by (and, once poisoned,
+    /// never will).
+    pub fn owed(&self) -> u64 {
+        self.owed
     }
 
-    /// Consume `n` bytes from the front.
-    pub fn consume(&mut self, n: usize) {
-        self.data.drain(..n);
+    /// Read the next in-order segment: pay off an owed skip, then run
+    /// `step` over the unread bytes until it returns `None` (or stops
+    /// making progress), and carry what it left.
+    pub fn feed(&mut self, segment: &[u8], mut step: impl FnMut(&mut Unread<'_>) -> Option<()>) {
+        if self.poisoned {
+            return;
+        }
+        // Nothing is carried while a skip is owed: it took all there was.
+        let carried = !self.carry.is_empty();
+        if carried {
+            if self.carry.len().saturating_add(segment.len()) > CARRY_CAP {
+                return self.gap();
+            }
+            self.carry.extend_from_slice(segment);
+        }
+        let mut unread = Unread {
+            bytes: if carried { &self.carry } else { segment },
+            searched: self.searched,
+            owed: 0,
+            poisoned: false,
+        };
+        unread.skip(self.owed);
+        while unread.owed == 0 && !unread.poisoned {
+            let before = unread.bytes.len();
+            if step(&mut unread).is_none() || unread.bytes.len() == before {
+                break;
+            }
+        }
+        let left = unread.bytes.len();
+        if unread.poisoned || left > CARRY_CAP {
+            return self.gap();
+        }
+        (self.searched, self.owed) = (unread.searched, unread.owed);
+        if carried {
+            self.carry.drain(..self.carry.len().saturating_sub(left));
+        } else {
+            let tail = segment.len().saturating_sub(left);
+            self.carry.extend_from_slice(segment.get(tail..).unwrap_or(&[]));
+        }
+    }
+}
+
+/// The unread bytes of one direction, as a step sees them. Every read
+/// takes from the front; a slice it returns borrows the stream bytes, not
+/// this view, so a step can keep a head while it skips the body.
+#[derive(Debug)]
+pub struct Unread<'a> {
+    bytes: &'a [u8],
+    searched: usize,
+    owed: u64,
+    poisoned: bool,
+}
+
+impl<'a> Unread<'a> {
+    /// Take `n` bytes off the front; the search watermark moves with it.
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.bytes.split_at(n.min(self.bytes.len()));
+        self.bytes = rest;
+        self.searched = self.searched.saturating_sub(n);
+        head
     }
 
-    /// Buffered length.
-    pub fn len(&self) -> usize {
-        self.data.len()
+    /// The bytes before the first `needle`, taking both. A failed search
+    /// leaves a watermark, so the next call — on this segment's carried
+    /// tail plus the next segment — starts where this one stopped. A step
+    /// searches for one needle at a time.
+    pub fn until<const N: usize>(&mut self, needle: &[u8; N]) -> Option<&'a [u8]> {
+        let from = self.searched;
+        match self.bytes.get(from..)?.windows(N).position(|w| w == needle) {
+            Some(at) => {
+                let at = from.saturating_add(at);
+                Some(self.take(at.saturating_add(N)).get(..at).unwrap_or(&[]))
+            }
+            None => {
+                self.searched = from.max(self.bytes.len().saturating_add(1).saturating_sub(N));
+                None
+            }
+        }
     }
 
-    /// True if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+    /// Take what a failed [`Unread::until`] ruled out — bytes that cannot
+    /// begin its needle — and return how many that was: how an analyzer
+    /// counts a delimited body it does not keep.
+    pub fn take_searched(&mut self) -> usize {
+        self.take(self.searched).len()
+    }
+
+    /// One length-framed message: `parse` sees the unread bytes and returns
+    /// the message with its framed length once all of it is there.
+    pub fn framed<T>(&mut self, parse: impl FnOnce(&'a [u8]) -> Option<(T, usize)>) -> Option<T> {
+        let (message, used) = parse(self.bytes)?;
+        self.take(used);
+        Some(message)
+    }
+
+    /// Pass over the next `n` bytes unseen, those of later segments
+    /// included; no step runs until they have all gone by.
+    pub fn skip(&mut self, n: u64) {
+        let here = usize::try_from(n).map_or(self.bytes.len(), |n| n.min(self.bytes.len()));
+        self.take(here);
+        self.owed = self.owed.saturating_add(n.saturating_sub(here as u64));
+    }
+
+    /// These bytes are not the protocol: stop reading this direction.
+    pub fn poison(&mut self) {
+        self.poisoned = true;
+    }
+}
+
+/// The two directions of one connection.
+#[derive(Debug, Default)]
+pub struct StreamPair {
+    client: StreamBuf,
+    server: StreamBuf,
+}
+
+impl StreamPair {
+    /// The reader of the client→server (`from_client`) or the
+    /// server→client direction.
+    pub fn dir(&mut self, from_client: bool) -> &mut StreamBuf {
+        if from_client {
+            &mut self.client
+        } else {
+            &mut self.server
+        }
+    }
+
+    /// Record a capture gap in one direction.
+    pub fn gap(&mut self, from_client: bool) {
+        self.dir(from_client).gap();
+    }
+}
+
+/// One completed file-protocol request/reply exchange (NFS, NCP).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Call<Op> {
+    /// Operation bucket.
+    pub op: Op,
+    /// Request message bytes (headers and arguments, without the stream
+    /// framing).
+    pub request_bytes: u64,
+    /// Reply message bytes (0 if the reply was never seen).
+    pub reply_bytes: u64,
+    /// The reply reported success (false if it was never seen).
+    pub ok: bool,
+    /// Reply latency in microseconds (0 if unmatched).
+    pub latency_us: u64,
+}
+
+/// Pairs the requests of a file protocol with their replies by transaction
+/// id and collects the completed [`Call`]s.
+#[derive(Debug)]
+pub(crate) struct CallMatcher<Id, Op> {
+    pending: HashMap<Id, (Op, u64, Timestamp)>,
+    out: Vec<Call<Op>>,
+}
+
+impl<Id, Op> Default for CallMatcher<Id, Op> {
+    fn default() -> Self {
+        CallMatcher {
+            pending: HashMap::new(),
+            out: Vec::new(),
+        }
+    }
+}
+
+impl<Id: Copy + Ord + Hash, Op> CallMatcher<Id, Op> {
+    pub(crate) fn request(&mut self, id: Id, op: Op, bytes: u64, ts: Timestamp) {
+        self.pending.insert(id, (op, bytes, ts));
+    }
+
+    pub(crate) fn reply(&mut self, id: Id, bytes: u64, ok: bool, ts: Timestamp) {
+        if let Some((op, request_bytes, t0)) = self.pending.remove(&id) {
+            self.out.push(Call {
+                op,
+                request_bytes,
+                reply_bytes: bytes,
+                ok,
+                latency_us: ts.saturating_micros_since(t0),
+            });
+        }
+    }
+
+    /// Flush unanswered requests as failed calls in ascending-id order:
+    /// `HashMap` drain order is per-process random, and these calls feed
+    /// the report path.
+    pub(crate) fn finish(&mut self) {
+        let mut ids: Vec<Id> = self.pending.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            if let Some((op, request_bytes, _)) = self.pending.remove(&id) {
+                self.out.push(Call {
+                    op,
+                    request_bytes,
+                    reply_bytes: 0,
+                    ok: false,
+                    latency_us: 0,
+                });
+            }
+        }
+    }
+
+    pub(crate) fn take_calls(&mut self) -> Vec<Call<Op>> {
+        std::mem::take(&mut self.out)
     }
 }
 
@@ -215,35 +412,182 @@ impl StreamBuf {
 mod stream_buf_tests {
     use super::*;
 
+    /// Reads `\n`-terminated lines, and after a line `skip N` passes over
+    /// the next N bytes.
+    fn lines(buf: &mut StreamBuf, segment: &[u8], out: &mut Vec<String>) {
+        buf.feed(segment, |u| {
+            let line = String::from_utf8_lossy(u.until(b"\n")?).into_owned();
+            if let Some(n) = line.strip_prefix("skip ") {
+                u.skip(n.parse().unwrap());
+            }
+            out.push(line);
+            Some(())
+        });
+    }
+
     #[test]
     fn push_consume() {
-        let mut b = StreamBuf::new();
-        b.push(b"hello ");
-        b.push(b"world");
-        assert_eq!(b.bytes(), b"hello world");
-        b.consume(6);
-        assert_eq!(b.bytes(), b"world");
-        assert_eq!(b.len(), 5);
+        // In place (fed whole) and carried (cut every way) read the same.
+        let stream = b"hello\nskip 7\n1234567world\nskip 0\n\nskip 3\nabcend\ntail";
+        let mut whole = Vec::new();
+        lines(&mut StreamBuf::new(), stream, &mut whole);
+        assert_eq!(whole, ["hello", "skip 7", "world", "skip 0", "", "skip 3", "end"]);
+        for cut in 1..stream.len() {
+            let (mut buf, mut got) = (StreamBuf::new(), Vec::new());
+            for segment in stream.chunks(cut) {
+                lines(&mut buf, segment, &mut got);
+            }
+            assert_eq!(got, whole, "cut at {cut}");
+            assert_eq!(buf.carry, b"tail");
+        }
+    }
+
+    #[test]
+    fn in_place_copies_only_the_unclaimed_tail() {
+        let (mut buf, mut got) = (StreamBuf::new(), Vec::new());
+        lines(&mut buf, b"one\ntwo\n", &mut got);
+        assert!(buf.carry.is_empty() && buf.carry.capacity() == 0);
+        lines(&mut buf, b"three\nfo", &mut got);
+        assert_eq!(buf.carry, b"fo");
+        lines(&mut buf, b"ur\nskip 100\n0123456789", &mut got);
+        assert!(buf.carry.is_empty());
+        assert_eq!(buf.owed(), 90);
+        // Skipped bytes are never stored, and no step runs while any are owed.
+        lines(&mut buf, &[b'\n'; 89], &mut got);
+        assert_eq!((buf.owed(), buf.carry.len()), (1, 0));
+        lines(&mut buf, b"\nfive\n", &mut got);
+        assert_eq!(got, ["one", "two", "three", "four", "skip 100", "five"]);
+    }
+
+    #[test]
+    fn failed_search_watermark_only_advances() {
+        let mut buf = StreamBuf::new();
+        let mut search = |segment: &[u8]| {
+            let mut found = None;
+            buf.feed(segment, |u| {
+                found = Some(u.until(b"\r\n\r\n")?.to_vec());
+                Some(())
+            });
+            (found, buf.searched)
+        };
+        // 6 bytes rule out start positions 0..3, a 7th one more; the
+        // needle straddling three segments is still found, and a hit
+        // resets the mark for the bytes behind it.
+        assert_eq!(search(b"abcdef"), (None, 3));
+        assert_eq!(search(b"\r"), (None, 4));
+        assert_eq!(search(b"\n\r"), (None, 6));
+        assert_eq!(search(b"\nxy"), (Some(b"abcdef".to_vec()), 0));
+        assert_eq!(buf.carry, b"xy");
+    }
+
+    #[test]
+    fn take_searched_keeps_what_could_begin_the_needle() {
+        let (mut buf, mut dropped) = (StreamBuf::new(), Vec::new());
+        let mut body = |segment: &[u8]| {
+            buf.feed(segment, |u| {
+                let rest = u.until(b"\r\n.\r\n").map(<[u8]>::len);
+                dropped.push(rest.unwrap_or_else(|| u.take_searched()));
+                rest.map(|_| ())
+            });
+            buf.carry.len()
+        };
+        assert_eq!(body(b"ab"), 2);
+        assert_eq!(body(b"cdefgh\r\n"), 4);
+        assert_eq!(body(b".\r"), 4);
+        assert_eq!(body(b"\nnext"), 4);
+        assert_eq!(dropped, [0, 6, 2, 0, 0]);
     }
 
     #[test]
     fn gap_poisons() {
-        let mut b = StreamBuf::new();
-        b.push(b"x");
-        b.gap();
-        b.push(b"y");
-        assert!(b.broken);
-        assert_eq!(b.bytes(), b"x");
+        let poisoned_by = |poison: fn(&mut StreamBuf)| {
+            let (mut buf, mut got) = (StreamBuf::new(), Vec::new());
+            lines(&mut buf, b"x\nhalf", &mut got);
+            poison(&mut buf);
+            assert!(buf.poisoned && buf.carry.capacity() == 0);
+            lines(&mut buf, b" line\ny\n", &mut got);
+            lines(&mut buf, b"z\n", &mut got);
+            assert_eq!(got, ["x"]);
+            assert!(buf.carry.is_empty());
+        };
+        poisoned_by(StreamBuf::gap);
+        // A step that says the bytes are not the protocol stops the reader
+        // just the same, complete messages behind them included.
+        poisoned_by(|buf| {
+            buf.feed(b"\n", |u| {
+                u.until(b"\n")?;
+                u.poison();
+                None
+            })
+        });
+    }
+
+    #[test]
+    fn gap_freezes_what_is_owed() {
+        let (mut buf, mut got) = (StreamBuf::new(), Vec::new());
+        lines(&mut buf, b"skip 10\n123", &mut got);
+        buf.gap();
+        lines(&mut buf, b"4567890next\n", &mut got);
+        assert_eq!((buf.owed(), got.len()), (7, 1));
     }
 
     #[test]
     fn cap_bounds_memory() {
-        let mut b = StreamBuf::new();
-        b.push(&vec![0u8; 1 << 20]);
-        assert!(!b.broken);
-        b.push(b"x");
-        assert!(b.broken);
-        assert_eq!(b.len(), 1 << 20);
+        let never = |u: &mut Unread<'_>| u.until(b"\n").map(|_| ());
+        // Exactly 1 MiB carried is fine, in place or appended...
+        let mut buf = StreamBuf::new();
+        buf.feed(&vec![0u8; CARRY_CAP], never);
+        assert!(!buf.poisoned);
+        assert_eq!(buf.carry.len(), CARRY_CAP);
+        // ...one byte more poisons and gives the memory back.
+        buf.feed(b"x", never);
+        assert!(buf.poisoned && buf.carry.capacity() == 0);
+        let mut buf = StreamBuf::new();
+        buf.feed(&vec![0u8; CARRY_CAP + 1], never);
+        assert!(buf.poisoned && buf.carry.capacity() == 0);
+        // A message claimed in place does not count against the cap.
+        let mut big = vec![0u8; 2 * CARRY_CAP];
+        big.push(b'\n');
+        let mut buf = StreamBuf::new();
+        buf.feed(&big, never);
+        assert!(!buf.poisoned && buf.carry.is_empty());
+    }
+
+    #[test]
+    fn a_step_that_reads_nothing_ends_the_feed() {
+        let mut calls = 0;
+        StreamBuf::new().feed(b"abc", |_| {
+            calls += 1;
+            Some(())
+        });
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn call_matcher_pairs_by_id_and_flushes_in_id_order() {
+        let mut m: CallMatcher<u8, char> = CallMatcher::default();
+        for (id, op) in [(9, 'c'), (3, 'a'), (5, 'b')] {
+            m.request(id, op, 10 + u64::from(id), Timestamp::from_micros(100));
+        }
+        m.reply(5, 50, true, Timestamp::from_micros(350));
+        m.reply(7, 70, true, Timestamp::from_micros(400));
+        m.finish();
+        let call = |op, request_bytes, reply_bytes, ok, latency_us| Call {
+            op,
+            request_bytes,
+            reply_bytes,
+            ok,
+            latency_us,
+        };
+        assert_eq!(
+            m.take_calls(),
+            [
+                call('b', 15, 50, true, 250),
+                call('a', 13, 0, false, 0),
+                call('c', 19, 0, false, 0),
+            ]
+        );
+        assert!(m.take_calls().is_empty());
     }
 }
 
@@ -332,6 +676,30 @@ mod table_digest_tests {
             NcpOp::from_function,
             NcpOp::to_function,
             NcpOp::label
+        );
+    }
+
+    /// `ALL` is Table 13/14's row order, as `core::analyses::netfile` used
+    /// to list it by hand.
+    #[test]
+    fn bucket_tables_list_their_rows_in_the_papers_order() {
+        use {ncp::NcpOp, nfs::NfsOp};
+        assert_eq!(
+            NfsOp::ALL,
+            [NfsOp::Read, NfsOp::Write, NfsOp::GetAttr, NfsOp::LookUp, NfsOp::Access, NfsOp::Other]
+        );
+        assert_eq!(
+            NcpOp::ALL,
+            [
+                NcpOp::Read,
+                NcpOp::Write,
+                NcpOp::FileDirInfo,
+                NcpOp::FileOpenClose,
+                NcpOp::FileSize,
+                NcpOp::FileSearch,
+                NcpOp::DirectoryService,
+                NcpOp::Other
+            ]
         );
     }
 

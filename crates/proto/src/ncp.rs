@@ -8,7 +8,7 @@
 //! (detected at the flow layer, not here).
 
 use crate::cursor::Cursor;
-use crate::StreamBuf;
+use crate::{Call, CallMatcher, StreamPair};
 use ent_wire::Timestamp;
 
 /// NCP-over-IP frame signature ("DmdT").
@@ -43,20 +43,9 @@ ent_wire::code_table! {
     pub fn label;
 }
 
-/// One completed NCP request/reply exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NcpCall {
-    /// Operation bucket.
-    pub op: NcpOp,
-    /// Request payload bytes (NCP packet, excluding frame header).
-    pub request_bytes: u64,
-    /// Reply payload bytes (0 if unseen).
-    pub reply_bytes: u64,
-    /// Completion code 0 (success).
-    pub ok: bool,
-    /// Reply latency in microseconds.
-    pub latency_us: u64,
-}
+/// One completed NCP request/reply exchange: sizes are the NCP packet
+/// without the frame header, `ok` is completion code 0.
+pub type NcpCall = Call<NcpOp>;
 
 /// Parse one NCP-over-IP frame from the buffer front; returns
 /// (packet bytes, consumed) when complete.
@@ -150,11 +139,25 @@ fn frame(pkt: &[u8]) -> Vec<u8> {
 /// Streaming analyzer for one NCP connection.
 #[derive(Debug, Default)]
 pub struct NcpAnalyzer {
-    client: StreamBuf,
-    server: StreamBuf,
-    pending: std::collections::HashMap<u8, (NcpOp, u64, Timestamp)>,
-    /// Completed calls.
-    out: Vec<NcpCall>,
+    streams: StreamPair,
+    calls: CallMatcher<u8, NcpOp>,
+}
+
+/// Match one NCP packet against the pending requests; `None` is a packet
+/// too short to say.
+fn handle(calls: &mut CallMatcher<u8, NcpOp>, from_client: bool, ts: Timestamp, pkt: &[u8]) -> Option<()> {
+    let mut c = Cursor::new(pkt);
+    let ptype = c.be16()?;
+    let seq = c.u8()?;
+    c.skip(3)?;
+    // The function of a request, the completion code of a reply.
+    let code = c.u8()?;
+    if from_client && ptype == REQUEST_TYPE {
+        calls.request(seq, NcpOp::from_function(code), pkt.len() as u64, ts);
+    } else if !from_client && ptype == REPLY_TYPE {
+        calls.reply(seq, pkt.len() as u64, code == 0, ts);
+    }
+    Some(())
 }
 
 impl NcpAnalyzer {
@@ -165,77 +168,26 @@ impl NcpAnalyzer {
 
     /// Feed stream bytes from the client or server side.
     pub fn feed(&mut self, from_client: bool, ts: Timestamp, data: &[u8]) {
-        let buf = if from_client {
-            &mut self.client
-        } else {
-            &mut self.server
-        };
-        buf.push(data);
-        loop {
-            let bytes = if from_client {
-                self.client.bytes()
-            } else {
-                self.server.bytes()
-            };
-            let Some((pkt, used)) = next_frame(bytes) else {
-                return;
-            };
-            let pkt = pkt.to_vec();
-            if from_client {
-                self.client.consume(used);
-            } else {
-                self.server.consume(used);
-            }
-            self.handle(from_client, ts, &pkt);
-        }
+        self.streams.dir(from_client).feed(data, |u| {
+            handle(&mut self.calls, from_client, ts, u.framed(next_frame)?);
+            Some(())
+        });
     }
 
-    fn handle(&mut self, from_client: bool, ts: Timestamp, pkt: &[u8]) {
-        let mut c = Cursor::new(pkt);
-        let Some(ptype) = c.be16() else { return };
-        let Some(seq) = c.u8() else { return };
-        if from_client && ptype == REQUEST_TYPE {
-            let Some(_) = c.skip(3) else { return };
-            let Some(func) = c.u8() else { return };
-            self.pending
-                .insert(seq, (NcpOp::from_function(func), pkt.len() as u64, ts));
-        } else if !from_client && ptype == REPLY_TYPE {
-            let Some(_) = c.skip(3) else { return };
-            let Some(completion) = c.u8() else { return };
-            if let Some((op, req_bytes, t0)) = self.pending.remove(&seq) {
-                self.out.push(NcpCall {
-                    op,
-                    request_bytes: req_bytes,
-                    reply_bytes: pkt.len() as u64,
-                    ok: completion == 0,
-                    latency_us: ts.saturating_micros_since(t0),
-                });
-            }
-        }
+    /// Announce a capture gap in the given direction.
+    pub fn gap(&mut self, from_client: bool) {
+        self.streams.gap(from_client);
     }
 
-    /// Flush unanswered requests in ascending-sequence order: `HashMap`
-    /// drain order is per-process random, and these calls feed the report
-    /// path.
+    /// Flush unanswered requests as failed calls, in ascending-sequence
+    /// order.
     pub fn finish(&mut self) {
-        let mut seqs: Vec<u8> = self.pending.keys().copied().collect();
-        seqs.sort_unstable();
-        for seq in seqs {
-            if let Some((op, req_bytes, _)) = self.pending.remove(&seq) {
-                self.out.push(NcpCall {
-                    op,
-                    request_bytes: req_bytes,
-                    reply_bytes: 0,
-                    ok: false,
-                    latency_us: 0,
-                });
-            }
-        }
+        self.calls.finish();
     }
 
     /// Take completed calls.
     pub fn take_calls(&mut self) -> Vec<NcpCall> {
-        std::mem::take(&mut self.out)
+        self.calls.take_calls()
     }
 }
 

@@ -1,9 +1,8 @@
 //! NFSv3 request classification (paper Table 13, Figures 7–8).
 
 use crate::sunrpc::{self, Message, PROG_NFS};
-use crate::StreamBuf;
+use crate::{Call, CallMatcher, StreamPair};
 use ent_wire::Timestamp;
-use std::collections::HashMap;
 
 ent_wire::code_table! {
     /// The paper's Table 13 request buckets.
@@ -27,126 +26,66 @@ ent_wire::code_table! {
     pub fn label;
 }
 
-/// One completed NFS request/reply exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NfsCall {
-    /// Operation bucket.
-    pub op: NfsOp,
-    /// Request message bytes (RPC header + args).
-    pub request_bytes: u64,
-    /// Reply message bytes (0 if the reply was never seen).
-    pub reply_bytes: u64,
-    /// The request succeeded (accepted, NFS status 0). Lookups for
-    /// non-existent files — the paper's dominant NFS failure — carry
-    /// NFS3ERR_NOENT here.
-    pub ok: bool,
-    /// Reply latency in microseconds (0 if unmatched).
-    pub latency_us: u64,
-}
+/// One completed NFS request/reply exchange. `ok` means accepted with NFS
+/// status 0: lookups for non-existent files — the paper's dominant NFS
+/// failure — carry NFS3ERR_NOENT there.
+pub type NfsCall = Call<NfsOp>;
 
 /// Pairs NFS calls with replies, over UDP datagrams and/or record-marked
 /// TCP streams of one host-pair.
 #[derive(Debug, Default)]
 pub struct NfsAnalyzer {
-    pending: HashMap<u32, (NfsOp, u64, Timestamp)>,
-    client: StreamBuf,
-    server: StreamBuf,
-    /// Completed calls.
-    out: Vec<NfsCall>,
+    streams: StreamPair,
+    calls: CallMatcher<u32, NfsOp>,
+}
+
+/// Match one RPC message (a datagram or a de-marked TCP record) against the
+/// pending calls.
+fn handle(calls: &mut CallMatcher<u32, NfsOp>, from_client: bool, ts: Timestamp, msg: &[u8]) {
+    let wire_len = msg.len() as u64;
+    match sunrpc::parse_message(msg) {
+        Some(Message::Call(c)) if from_client && c.prog == PROG_NFS => {
+            calls.request(c.xid, NfsOp::from_proc(c.proc), wire_len, ts);
+        }
+        Some(Message::Reply(r)) if !from_client => {
+            calls.reply(r.xid, wire_len, r.accepted && r.status_word == 0, ts);
+        }
+        _ => {}
+    }
 }
 
 impl NfsAnalyzer {
     /// New analyzer.
     pub fn new() -> NfsAnalyzer {
-        NfsAnalyzer {
-            pending: HashMap::new(),
-            client: StreamBuf::new(),
-            server: StreamBuf::new(),
-            out: Vec::new(),
-        }
+        NfsAnalyzer::default()
     }
 
     /// Feed one UDP datagram payload.
     pub fn feed_udp(&mut self, from_client: bool, ts: Timestamp, payload: &[u8]) {
-        let wire_len = payload.len() as u64;
-        if let Some(msg) = sunrpc::parse_message(payload) {
-            self.handle(from_client, ts, msg, wire_len);
-        }
+        handle(&mut self.calls, from_client, ts, payload);
     }
 
     /// Feed TCP stream bytes (record-marked).
     pub fn feed_tcp(&mut self, from_client: bool, ts: Timestamp, data: &[u8]) {
-        let buf = if from_client {
-            &mut self.client
-        } else {
-            &mut self.server
-        };
-        buf.push(data);
-        loop {
-            let bytes = if from_client {
-                self.client.bytes()
-            } else {
-                self.server.bytes()
-            };
-            let Some((msg_bytes, used)) = sunrpc::next_record(bytes) else {
-                return;
-            };
-            let wire_len = msg_bytes.len() as u64;
-            let msg = sunrpc::parse_message(msg_bytes);
-            if from_client {
-                self.client.consume(used);
-            } else {
-                self.server.consume(used);
-            }
-            if let Some(m) = msg {
-                self.handle(from_client, ts, m, wire_len);
-            }
-        }
+        self.streams.dir(from_client).feed(data, |u| {
+            handle(&mut self.calls, from_client, ts, u.framed(sunrpc::next_record)?);
+            Some(())
+        });
     }
 
-    fn handle(&mut self, from_client: bool, ts: Timestamp, msg: Message, wire_len: u64) {
-        match msg {
-            Message::Call(c) if from_client
-                && c.prog == PROG_NFS => {
-                    self.pending
-                        .insert(c.xid, (NfsOp::from_proc(c.proc), wire_len, ts));
-                }
-            Message::Reply(r) if !from_client => {
-                if let Some((op, req_bytes, t0)) = self.pending.remove(&r.xid) {
-                    self.out.push(NfsCall {
-                        op,
-                        request_bytes: req_bytes,
-                        reply_bytes: wire_len,
-                        ok: r.accepted && r.status_word == 0,
-                        latency_us: ts.saturating_micros_since(t0),
-                    });
-                }
-            }
-            _ => {}
-        }
+    /// Announce a capture gap in the given direction of the TCP stream.
+    pub fn gap(&mut self, from_client: bool) {
+        self.streams.gap(from_client);
     }
 
-    /// Flush unanswered requests in ascending-xid order: `HashMap` drain
-    /// order is per-process random, and these calls feed the report path.
+    /// Flush unanswered requests as failed calls, in ascending-xid order.
     pub fn finish(&mut self) {
-        let mut xids: Vec<u32> = self.pending.keys().copied().collect();
-        xids.sort_unstable();
-        for xid in xids {
-            if let Some((op, req_bytes, _)) = self.pending.remove(&xid) {
-                self.out.push(NfsCall {
-                    op,
-                    request_bytes: req_bytes,
-                    reply_bytes: 0,
-                    ok: false,
-                    latency_us: 0,
-                });
-            }
-        }
+        self.calls.finish();
     }
 
     /// Take completed calls.
     pub fn take_calls(&mut self) -> Vec<NfsCall> {
-        std::mem::take(&mut self.out)
+        self.calls.take_calls()
     }
 }
 

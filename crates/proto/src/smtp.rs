@@ -7,7 +7,7 @@
 //! time scales with RTT, which is what produces the paper's order-of-
 //! magnitude internal/WAN duration split.
 
-use crate::StreamBuf;
+use crate::StreamPair;
 
 /// SMTP commands tracked by the analyzer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,67 +64,34 @@ pub struct SmtpSession {
     pub greeted: bool,
 }
 
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Default)]
 enum State {
+    #[default]
     Command,
     Body,
 }
 
 /// Incremental SMTP analyzer fed client and server stream bytes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SmtpAnalyzer {
-    client: StreamBuf,
-    server: StreamBuf,
+    streams: StreamPair,
     state: State,
     session: SmtpSession,
     body_bytes: u64,
 }
 
-impl Default for SmtpAnalyzer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SmtpAnalyzer {
     /// New analyzer for one connection.
     pub fn new() -> SmtpAnalyzer {
-        SmtpAnalyzer {
-            client: StreamBuf::new(),
-            server: StreamBuf::new(),
-            state: State::Command,
-            session: SmtpSession::default(),
-            body_bytes: 0,
-        }
+        SmtpAnalyzer::default()
     }
 
     /// Feed client→server bytes.
     pub fn feed_client(&mut self, data: &[u8]) {
-        self.client.push(data);
-        self.drain_client();
-    }
-
-    /// Feed server→client bytes.
-    pub fn feed_server(&mut self, data: &[u8]) {
-        self.server.push(data);
-        self.drain_server();
-    }
-
-    fn next_line(buf: &mut StreamBuf) -> Option<String> {
-        let pos = buf.bytes().windows(2).position(|w| w == b"\r\n")?;
-        let line = String::from_utf8_lossy(buf.bytes().get(..pos).unwrap_or(&[])).into_owned();
-        buf.consume(pos.saturating_add(2));
-        Some(line)
-    }
-
-    fn drain_client(&mut self) {
-        loop {
+        self.streams.dir(true).feed(data, |u| {
             match self.state {
                 State::Command => {
-                    let Some(line) = Self::next_line(&mut self.client) else {
-                        return;
-                    };
-                    let cmd = Command::parse(&line);
+                    let cmd = Command::parse(&String::from_utf8_lossy(u.until(b"\r\n")?));
                     self.session.commands.push(cmd);
                     match cmd {
                         Command::RcptTo => self.session.recipients += 1,
@@ -135,38 +102,37 @@ impl SmtpAnalyzer {
                         _ => {}
                     }
                 }
-                State::Body => {
-                    // Scan for the dot terminator line.
-                    if let Some(pos) = self
-                        .client
-                        .bytes()
-                        .windows(5)
-                        .position(|w| w == b"\r\n.\r\n")
-                    {
-                        self.body_bytes += pos as u64;
-                        self.client.consume(pos + 5);
+                // The message runs to the dot terminator line; what cannot
+                // begin it is counted and dropped as it goes by.
+                State::Body => match u.until(b"\r\n.\r\n") {
+                    Some(rest) => {
                         self.session.messages += 1;
-                        self.session.message_bytes += self.body_bytes;
+                        self.session.message_bytes += self.body_bytes + rest.len() as u64;
                         self.state = State::Command;
-                    } else {
-                        // Keep at most 4 bytes (possible terminator prefix).
-                        let keep = self.client.len().min(4);
-                        let eat = self.client.len() - keep;
-                        self.body_bytes += eat as u64;
-                        self.client.consume(eat);
-                        return;
                     }
-                }
+                    None => {
+                        self.body_bytes += u.take_searched() as u64;
+                        return None;
+                    }
+                },
             }
-        }
+            Some(())
+        });
     }
 
-    fn drain_server(&mut self) {
-        while let Some(line) = Self::next_line(&mut self.server) {
-            if !self.session.greeted && line.starts_with("220") {
+    /// Feed server→client bytes.
+    pub fn feed_server(&mut self, data: &[u8]) {
+        self.streams.dir(false).feed(data, |u| {
+            if u.until(b"\r\n")?.starts_with(b"220") {
                 self.session.greeted = true;
             }
-        }
+            Some(())
+        });
+    }
+
+    /// Announce a capture gap in the given direction.
+    pub fn gap(&mut self, from_client: bool) {
+        self.streams.gap(from_client);
     }
 
     /// The session summary so far.

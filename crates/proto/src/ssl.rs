@@ -6,6 +6,7 @@
 //! that *do* finish the SSL handshake then immediately close, §5.1.1).
 
 use crate::cursor::Cursor;
+use crate::StreamPair;
 
 ent_wire::code_table! {
     /// TLS record content types.
@@ -37,28 +38,31 @@ pub struct Record {
     pub length: usize,
 }
 
+const RECORD_HEADER_LEN: usize = 5;
+
+/// The record header at the front of `buf`, once its 5 bytes are there.
+fn parse_header(buf: &[u8]) -> Option<Record> {
+    let mut c = Cursor::new(buf);
+    Some(Record {
+        rtype: RecordType::from_u8(c.u8()?),
+        version: (c.u8()?, c.u8()?),
+        length: c.be16()? as usize,
+    })
+}
+
+impl Record {
+    /// A version and length TLS can carry; anything else is not a record.
+    fn plausible(&self) -> bool {
+        self.version.0 == 3 && self.version.1 <= 4 && self.length <= 1 << (14 + 2)
+    }
+}
+
 /// Parse a record header from the front of a stream buffer; returns the
 /// record and bytes consumed once the full record is present.
 pub fn parse_record(buf: &[u8]) -> Option<(Record, usize)> {
-    let mut c = Cursor::new(buf);
-    let t = c.u8()?;
-    let major = c.u8()?;
-    let minor = c.u8()?;
-    let len = c.be16()? as usize;
-    if major != 3 || minor > 4 || len > 1 << (14 + 2) {
-        return None;
-    }
-    if c.remaining() < len {
-        return None;
-    }
-    Some((
-        Record {
-            rtype: RecordType::from_u8(t),
-            version: (major, minor),
-            length: len,
-        },
-        5usize.saturating_add(len),
-    ))
+    let rec = parse_header(buf).filter(Record::plausible)?;
+    let used = RECORD_HEADER_LEN.saturating_add(rec.length);
+    (buf.len() >= used).then_some((rec, used))
 }
 
 /// True if the stream prefix looks like a TLS ClientHello.
@@ -69,8 +73,9 @@ pub fn looks_like_client_hello(buf: &[u8]) -> bool {
 }
 
 /// Tracks handshake completion across both directions of a connection.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default)]
 pub struct TlsTracker {
+    streams: StreamPair,
     client_hello: bool,
     server_hello: bool,
     client_ccs: bool,
@@ -85,32 +90,39 @@ impl TlsTracker {
         TlsTracker::default()
     }
 
-    /// Feed one direction's stream bytes (complete records expected;
-    /// partial trailing records are ignored).
-    pub fn feed(&mut self, from_client: bool, mut data: &[u8]) {
-        while let Some((rec, used)) = parse_record(data) {
+    /// Feed one direction's stream bytes. A record counts once its header
+    /// (and, for a handshake, the message-type byte behind it) has
+    /// arrived; its body is passed over, not kept.
+    pub fn feed(&mut self, from_client: bool, data: &[u8]) {
+        self.streams.dir(from_client).feed(data, |u| {
+            let (rec, msg_type) = u.framed(|buf| {
+                let rec = parse_header(buf)?;
+                let msg_type = match rec.rtype {
+                    RecordType::Handshake => *buf.get(RECORD_HEADER_LEN)?,
+                    _ => 0,
+                };
+                Some(((rec, msg_type), RECORD_HEADER_LEN))
+            })?;
+            if !rec.plausible() {
+                u.poison();
+                return None;
+            }
+            u.skip(rec.length as u64);
             match rec.rtype {
-                RecordType::Handshake => {
-                    let msg_type = data.get(5).copied().unwrap_or(0);
-                    if from_client && msg_type == 1 {
-                        self.client_hello = true;
-                    }
-                    if !from_client && msg_type == 2 {
-                        self.server_hello = true;
-                    }
-                }
-                RecordType::ChangeCipherSpec => {
-                    if from_client {
-                        self.client_ccs = true;
-                    } else {
-                        self.server_ccs = true;
-                    }
-                }
+                RecordType::Handshake if from_client => self.client_hello |= msg_type == 1,
+                RecordType::Handshake => self.server_hello |= msg_type == 2,
+                RecordType::ChangeCipherSpec if from_client => self.client_ccs = true,
+                RecordType::ChangeCipherSpec => self.server_ccs = true,
                 RecordType::ApplicationData => self.app_records += 1,
                 _ => {}
             }
-            data = data.get(used..).unwrap_or(&[]);
-        }
+            Some(())
+        });
+    }
+
+    /// Announce a capture gap in the given direction.
+    pub fn gap(&mut self, from_client: bool) {
+        self.streams.gap(from_client);
     }
 
     /// Handshake completed in both directions.

@@ -13,7 +13,7 @@
 /// says `else Other = 0 => "Other";`: a unit variant that encodes as the
 /// given code. The `fn` lines name the functions to generate — decoder,
 /// encoder and (bucket only) label accessor — each the `match` one would
-/// write by hand.
+/// write by hand. A bucket table also gets `ALL`, its variants in row order.
 #[macro_export]
 macro_rules! code_table {
     (
@@ -63,6 +63,10 @@ macro_rules! code_table {
             $(#[$ometa])* $other,
         }
         impl $name {
+            /// Every bucket in declaration order, the catch-all last: the
+            /// row order of the paper's table.
+            $vis const ALL: &'static [$name] = &[$($name::$variant,)+ $name::$other];
+
             /// Classify a code: its listed bucket, or the catch-all.
             $dvis fn $decode(v: $repr) -> $name {
                 match v {

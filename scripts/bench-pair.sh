@@ -9,7 +9,7 @@
 # tree's, then runs the two alternately with the BENCHMARK.json command
 # line - same seed within a pair, a different seed each pair, the side that
 # goes first flipped each pair. Prints, per end-to-end metric and side, the
-# median and quartiles, and how many pairs the change won.
+# median and quartiles, how many pairs the change won, and every run.
 #
 # A gain is claimed only when the change wins at least nine tenths of the
 # pairs and the medians differ by more than the parent's own interquartile
@@ -105,5 +105,7 @@ for name, sides in runs.items():
     print(f"  change/parent {cq[1] / pq[1]:.3f}; median gap {abs(cq[1] - pq[1]):.6g}"
           f" vs parent interquartile {pq[2] - pq[0]:.6g};"
           f" change won {wins} of {len(p)} pairs ({ties} ties)")
+    print("  every run, parent/change per pair: "
+          + "  ".join(f"{a:.6g}/{b:.6g}" for a, b in zip(p, c)))
 print(f"failed operations: parent {failed['parent']}, change {failed['change']}")
 EOF
