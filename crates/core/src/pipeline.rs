@@ -9,7 +9,7 @@
 //! analyses.
 
 use crate::error::AnalysisError;
-use crate::metrics::{AnalyzerKind, Stage, StageTimer};
+use crate::metrics::{AnalyzerKind, Stage, StageStat, StageTimer};
 use crate::records::*;
 use crate::scanners::{remove_scanners, ScannerConfig};
 use crate::small::SmallMap;
@@ -115,6 +115,95 @@ fn kind_of(state: &AppState) -> Option<AnalyzerKind> {
     }
 }
 
+/// The stage that hands this analyzer its payload. A delivery is made only
+/// to an analyzer of the delivering stage, so each stage's events, bytes
+/// and wall are the sums of its analyzers'.
+fn deliver_stage(kind: AnalyzerKind) -> Stage {
+    match kind {
+        AnalyzerKind::Http
+        | AnalyzerKind::Smtp
+        | AnalyzerKind::Imap
+        | AnalyzerKind::Tls
+        | AnalyzerKind::Cifs
+        | AnalyzerKind::Dcerpc
+        | AnalyzerKind::NfsTcp
+        | AnalyzerKind::Ncp => Stage::TcpDeliver,
+        AnalyzerKind::NfsUdp | AnalyzerKind::Dns | AnalyzerKind::Nbns => Stage::UdpDeliver,
+    }
+}
+
+/// Sampling stride of every clock on the packet path — the fused
+/// parse+ingest pass, analyzer deliveries, connection closes: one event in
+/// `LAP_STRIDE` reads the clock, the rest run clock-free. The two
+/// `Instant::now` reads around an event (~80 ns) rival the work they
+/// bracket at multi-M pkts/s; sampling keeps the per-stage walls honest at
+/// 1/71 of that cost. The phase is always the stage's own exact event
+/// counter — no RNG — so which events are clocked is a pure function of
+/// the input, and the first event of every window is one of them (no stat
+/// has events and a zero wall). A prime, so the clocked events never fall
+/// in step with a `Vec` doubling at powers of two (at 64 every clocked
+/// close from the 64th on paid for the growth of `out.conns`, and
+/// `finalize` read 5.7× high); 71 is the smallest prime that keeps a
+/// full-payload trace — 0.64 deliveries and closes per packet on top of
+/// the pass's three laps — under one clock read per 16 packets.
+const LAP_STRIDE: u64 = 71;
+
+/// One clocked event: its stopwatch, and how many events its lap stands
+/// for. The first event of a window stands for itself alone — a window's
+/// first delivery is always the opening payload of a connection (a request
+/// head, the dearest kind) on cold state, and given a stride's weight it
+/// read `http` 1.75× high at the gate config; every later one stands for
+/// the stride of events up to it.
+struct Clocked {
+    timer: StageTimer,
+    stands_for: u64,
+}
+
+impl Clocked {
+    /// Stop the watch: the lap times the events it stands for.
+    fn weighted_ns(mut self) -> u64 {
+        self.timer.lap().saturating_mul(self.stands_for)
+    }
+}
+
+/// Count one event into `stat` — events and bytes are exact on every
+/// event — and start the stopwatch if the clock rule samples this one.
+#[inline]
+fn sampled_timer(stat: &mut StageStat, bytes: u64) -> Option<Clocked> {
+    let before = stat.events;
+    stat.add(0, 1, bytes);
+    before.is_multiple_of(LAP_STRIDE).then(|| Clocked {
+        stands_for: if before == 0 { 1 } else { LAP_STRIDE },
+        timer: StageTimer::start(),
+    })
+}
+
+/// A window's wall-time estimate for a stat from the weighted laps of its
+/// clocked events ([`Clocked::weighted_ns`]). The window's counters start
+/// at zero, so of `events` events the first and every [`LAP_STRIDE`]-th
+/// after it were clocked and stand for `1 + LAP_STRIDE × ⌊(events − 1) /
+/// LAP_STRIDE⌋` of them; the estimate scales that up to the exact count. A
+/// window with one event reports that event's lap, not a stride of them.
+fn estimate_wall_ns(weighted_ns: u64, events: u64) -> u64 {
+    let Some(after_first) = events.checked_sub(1) else {
+        return 0;
+    };
+    let stood_for = 1 + u128::from(after_first / LAP_STRIDE) * u128::from(LAP_STRIDE);
+    let wall = u128::from(weighted_ns) * u128::from(events) / stood_for;
+    u64::try_from(wall).unwrap_or(u64::MAX)
+}
+
+/// Weighted nanoseconds of one window's clocked events, window-scoped like
+/// the engine's `fused_ns`: [`Engine::close_window`] turns them into the
+/// stats' `wall_ns` and starts the next window from zero.
+#[derive(Default)]
+struct SampledLaps {
+    /// Deliveries, per analyzer in [`AnalyzerKind::ALL`] order.
+    deliver_ns: [u64; AnalyzerKind::COUNT],
+    /// Connection closes ([`Stage::Finalize`]).
+    finalize_ns: u64,
+}
+
 struct Handler {
     /// The window's output record, owned so the engine can swap in a fresh
     /// one at an epoch boundary (the monitor's rotation) without touching
@@ -128,6 +217,7 @@ struct Handler {
     dynamic: DynamicPorts,
     payload_ok: bool,
     max_pending: usize,
+    laps: SampledLaps,
     #[cfg(test)]
     panic_every: u64,
     #[cfg(test)]
@@ -198,10 +288,13 @@ impl Handler {
     }
 
     fn finalize(&mut self, idx: ConnIndex, summary: &ConnSummary) {
-        let mut timer = StageTimer::start();
         let Some(mut pc) = self.conns.get_mut(idx).and_then(Option::take) else {
             return;
         };
+        let clocked = sampled_timer(
+            &mut self.out.metrics.stages[Stage::Finalize],
+            summary.total_payload(),
+        );
         let category = match pc.app {
             Some(a) => a.category(),
             None => match summary.key.proto {
@@ -225,7 +318,9 @@ impl Handler {
             app: pc.app,
             category,
         });
-        self.out.metrics.stages[Stage::Finalize].add(timer.lap(), 1, summary.total_payload());
+        if let Some(clocked) = clocked {
+            self.laps.finalize_ns += clocked.weighted_ns();
+        }
     }
 
     /// Flush a closing connection's analyzer into the output records.
@@ -354,24 +449,26 @@ impl FlowHandler for Handler {
         let Some(pc) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        if matches!(pc.state, AppState::None | AppState::Dns(_) | AppState::Nbns(_)) {
+        let kind = kind_of(&pc.state).filter(|kind| deliver_stage(*kind) == Stage::TcpDeliver);
+        let Some(kind) = kind else {
             return;
-        }
+        };
         #[cfg(test)]
         let inject = {
             self.tcp_data_events += 1;
             self.panic_every != 0 && self.tcp_data_events.is_multiple_of(self.panic_every)
         };
         let from_client = dir == Dir::Orig;
-        // Feed a detached analyzer state so a panicking analyzer is
-        // discarded instead of poisoning the connection entry.
-        let mut state = std::mem::replace(&mut pc.state, AppState::None);
-        let kind = kind_of(&state);
-        let mut timer = StageTimer::start();
+        let bytes = data.len() as u64;
+        self.out.metrics.stages[Stage::TcpDeliver].add(0, 1, bytes);
+        // ent-lint: allow(E001) — `kind` is an AnalyzerKind, not an offset
+        let clocked = sampled_timer(&mut self.out.metrics.analyzers[kind], bytes);
+        // Fed in place: an analyzer that panics is dropped below, so the
+        // state it left half-updated is never read again.
         let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             #[cfg(test)]
             assert!(!inject, "injected analyzer fault");
-            match &mut state {
+            match &mut pc.state {
                 AppState::Http(h) => {
                     if from_client {
                         h.feed_request_data(data);
@@ -395,15 +492,12 @@ impl FlowHandler for Handler {
                 _ => {}
             }
         }));
-        let ns = timer.lap();
-        self.out.metrics.stages[Stage::TcpDeliver].add(ns, 1, data.len() as u64);
-        if let Some(k) = kind {
-            // ent-lint: allow(E001) — `k` is an AnalyzerKind, not an offset
-            self.out.metrics.analyzers[k].add(ns, 1, data.len() as u64);
+        if let (Some(clocked), Some(ns)) = (clocked, self.laps.deliver_ns.get_mut(kind as usize)) {
+            *ns += clocked.weighted_ns();
         }
         match fed {
             Ok(()) => {
-                if let AppState::Dcerpc(d) = &mut state {
+                if let AppState::Dcerpc(d) = &mut pc.state {
                     // Learn Endpoint-Mapper results immediately so follow-up
                     // connections to the mapped port classify as DCE/RPC.
                     if !d.mappings.is_empty() {
@@ -412,11 +506,12 @@ impl FlowHandler for Handler {
                         }
                     }
                 }
-                pc.state = state;
             }
-            // The connection entry already holds AppState::None: from here
-            // on it gets header-only treatment.
-            Err(_) => demote(&mut self.out),
+            // From here on the connection gets header-only treatment.
+            Err(_) => {
+                pc.state = AppState::None;
+                demote(&mut self.out);
+            }
         }
     }
 
@@ -451,21 +546,20 @@ impl FlowHandler for Handler {
         let Some(pc) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        if !matches!(
-            pc.state,
-            AppState::Dns(_) | AppState::Nbns(_) | AppState::NfsUdp(_)
-        ) {
+        let kind = kind_of(&pc.state).filter(|kind| deliver_stage(*kind) == Stage::UdpDeliver);
+        let Some(kind) = kind else {
             return;
-        }
+        };
         let from_client = dir == Dir::Orig;
         let (server, client) = (pc.key.resp.addr, pc.key.orig.addr);
-        let mut state = std::mem::replace(&mut pc.state, AppState::None);
-        let kind = kind_of(&state);
         let max_pending = self.max_pending;
-        let mut timer = StageTimer::start();
+        let bytes = data.len() as u64;
         let out = &mut self.out;
+        out.metrics.stages[Stage::UdpDeliver].add(0, 1, bytes);
+        // ent-lint: allow(E001) — `kind` is an AnalyzerKind, not an offset
+        let clocked = sampled_timer(&mut out.metrics.analyzers[kind], bytes);
         let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match &mut state {
+            match &mut pc.state {
                 AppState::Dns(st) => {
                     let Some(msg) = dns::parse(data) else {
                         return;
@@ -522,15 +616,12 @@ impl FlowHandler for Handler {
                 _ => {}
             }
         }));
-        let ns = timer.lap();
-        self.out.metrics.stages[Stage::UdpDeliver].add(ns, 1, data.len() as u64);
-        if let Some(k) = kind {
-            // ent-lint: allow(E001) — `k` is an AnalyzerKind, not an offset
-            self.out.metrics.analyzers[k].add(ns, 1, data.len() as u64);
+        if let (Some(clocked), Some(ns)) = (clocked, self.laps.deliver_ns.get_mut(kind as usize)) {
+            *ns += clocked.weighted_ns();
         }
-        match fed {
-            Ok(()) => pc.state = state,
-            Err(_) => demote(&mut self.out),
+        if fed.is_err() {
+            pc.state = AppState::None;
+            demote(&mut self.out);
         }
     }
 
@@ -715,13 +806,6 @@ fn ingest<'a>(
     seal(windows, config, total)
 }
 
-/// Sampling stride for the fused parse+ingest pass: one packet in
-/// `LAP_STRIDE` runs with per-stage clock reads, the rest run clock-free.
-/// Two `Instant::now` calls per packet (~70 ns) used to rival the stage
-/// work itself at multi-M pkts/s; sampling keeps the per-stage wall split
-/// honest at 1/64 of that cost.
-const LAP_STRIDE: u64 = 64;
-
 /// The streaming analysis core of every lane: a connection table plus
 /// per-connection analyzer state, fed one dissected frame at a time, and
 /// closed one window at a time. A batch lane closes once, at end of
@@ -766,6 +850,7 @@ impl Engine {
                 dynamic: DynamicPorts::new(),
                 payload_ok,
                 max_pending: config.max_pending,
+                laps: SampledLaps::default(),
                 #[cfg(test)]
                 panic_every: config.analyzer_panic_every,
                 #[cfg(test)]
@@ -860,6 +945,29 @@ impl Engine {
         self.pkt_idx = 0;
     }
 
+    /// Turn the window's clocked delivery and close laps into its wall
+    /// estimates ([`estimate_wall_ns`]): one per analyzer, one for
+    /// `finalize`, and `tcp_deliver` / `udp_deliver` as the sums of their
+    /// analyzers' — a deliver stage times nothing but its analyzers, so its
+    /// wall is written once. Must run after `rotate`, whose forced closes
+    /// are events of this window.
+    fn flush_sampled_laps(&mut self) {
+        let laps = std::mem::take(&mut self.handler.laps);
+        let m = &mut self.handler.out.metrics;
+        for (stat, weighted_ns) in m.analyzers.stats.iter_mut().zip(laps.deliver_ns) {
+            stat.wall_ns = estimate_wall_ns(weighted_ns, stat.events);
+        }
+        let delivered_by = |stage: Stage| -> u64 {
+            let analyzers = AnalyzerKind::ALL.iter().zip(&m.analyzers.stats);
+            let fed = analyzers.filter(|(kind, _)| deliver_stage(**kind) == stage);
+            fed.map(|(_, stat)| stat.wall_ns).sum()
+        };
+        m.stages[Stage::TcpDeliver].wall_ns = delivered_by(Stage::TcpDeliver);
+        m.stages[Stage::UdpDeliver].wall_ns = delivered_by(Stage::UdpDeliver);
+        let finalize = &mut m.stages[Stage::Finalize];
+        finalize.wall_ns = estimate_wall_ns(laps.finalize_ns, finalize.events);
+    }
+
     /// The one window-close step, for the inline lane and every shard
     /// worker at end of trace and for the monitor at each epoch boundary:
     /// force-close every open connection (clamped to `end_ts`), reset the
@@ -871,6 +979,7 @@ impl Engine {
         self.flush_fused_laps();
         self.table.rotate(end_ts, &mut self.handler);
         self.handler.out.metrics.stages[Stage::FlowIngest].add(self.pt.lap(), 0, 0);
+        self.flush_sampled_laps();
         self.handler.reset_epoch();
         let mut out = std::mem::replace(&mut self.handler.out, next);
         let fstats = *self.table.stats();
@@ -1376,6 +1485,141 @@ mod tests {
             a.bytes_per_second.iter().sum::<u64>() < total,
             "binned bytes must undercount here; wire_bytes is the truth"
         );
+    }
+
+    fn clock_reads() -> u64 {
+        crate::metrics::CLOCK_READS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn the_clock_stays_off_the_packet_path() {
+        // Full-payload D0, more deliveries and closes than every second
+        // packet: the parent read the clock twice for each of them, 1.3
+        // reads per packet in all.
+        let trace = generated(0, 3);
+        let before = clock_reads();
+        let a = analyze_trace(&trace, &PipelineConfig::default());
+        let reads = clock_reads() - before;
+        let m = &a.metrics;
+        let closes = m.stages[Stage::Finalize].events;
+        let deliveries: u64 = m.analyzers.named().map(|(_, s)| s.events).sum();
+        assert!((deliveries + closes) * 2 > a.packets, "{deliveries} + {closes} of {}", a.packets);
+        assert!(reads * 16 <= a.packets, "{reads} clock reads for {} packets", a.packets);
+        // And every one of them is the stride rule's: three laps per
+        // sampled frame, a start and a lap per sampled delivery or close,
+        // and a handful once per trace (session, window close, seal,
+        // scanner removal).
+        let sampled = |events: u64| events.div_ceil(LAP_STRIDE);
+        let per_frame = 3 * sampled(m.stages[Stage::FrameParse].events);
+        let per_event: u64 = m.analyzers.named().map(|(_, s)| 2 * sampled(s.events)).sum();
+        let ruled = per_frame + per_event + 2 * sampled(closes);
+        assert!((ruled..=ruled + 16).contains(&reads), "{reads} reads, the rule gives {ruled}");
+    }
+
+    #[test]
+    fn wall_estimate_scales_the_weighted_laps_to_the_exact_count() {
+        assert_eq!(estimate_wall_ns(0, 0), 0);
+        assert_eq!(estimate_wall_ns(999, 0), 0);
+        // One event: its own lap. Up to a stride of them, that lap is all
+        // the window has.
+        assert_eq!(estimate_wall_ns(500, 1), 500);
+        assert_eq!(estimate_wall_ns(500, LAP_STRIDE - 1), 500 * (LAP_STRIDE - 1));
+        assert_eq!(estimate_wall_ns(500, LAP_STRIDE), 500 * LAP_STRIDE);
+        // The second clocked event stands for the stride up to it, the
+        // first for itself: together, for every event so far...
+        let weighted = 500 + 300 * LAP_STRIDE;
+        assert_eq!(estimate_wall_ns(weighted, LAP_STRIDE + 1), weighted);
+        // ...and for 72 of 100.
+        assert_eq!(estimate_wall_ns(21_800, 100), 21_800 * 100 / 72);
+        // The product is taken in u128 and the result saturates.
+        assert_eq!(estimate_wall_ns(1 << 40, u64::MAX), 1 << 40);
+        assert_eq!(estimate_wall_ns(u64::MAX, 2), u64::MAX);
+        assert_eq!(estimate_wall_ns(u64::MAX, u64::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn a_window_with_one_delivery_reports_that_delivery_s_lap() {
+        use ent_wire::tcp::Flags;
+        let meta = TraceMeta {
+            dataset: "one-delivery".into(),
+            subnet: 0,
+            pass: 0,
+            duration: Timestamp::from_secs(1),
+            snaplen: 1_500,
+            link_capacity_bps: 100_000_000,
+        };
+        let (client, server) = (ent_wire::ipv4::Addr::new(10, 0, 0, 1), ent_wire::ipv4::Addr::new(10, 0, 0, 2));
+        let frame = |from_client: bool, seq: u32, ack: u32, flags: Flags, payload: &[u8]| {
+            let (src, dst, sport, dport) = if from_client { (client, server, 40_000, 80) } else { (server, client, 80, 40_000) };
+            let spec = ent_wire::build::TcpFrameSpec {
+                src_mac: ent_wire::ethernet::MacAddr::from_host_id(if from_client { 1 } else { 2 }),
+                dst_mac: ent_wire::ethernet::MacAddr::from_host_id(if from_client { 2 } else { 1 }),
+                src_ip: src,
+                dst_ip: dst,
+                src_port: sport,
+                dst_port: dport,
+                seq,
+                ack,
+                flags,
+                window: 8_192,
+                ttl: 64,
+            };
+            ent_wire::build::tcp_frame(&spec, payload)
+        };
+        let frames = [
+            frame(true, 100, 0, Flags::SYN, b""),
+            frame(false, 500, 101, Flags(Flags::SYN.0 | Flags::ACK.0), b""),
+            frame(true, 101, 501, Flags::ACK, b""),
+            frame(true, 101, 501, Flags(Flags::PSH.0 | Flags::ACK.0), b"GET / HTTP/1.1\r\nHost: a\r\n\r\n"),
+        ];
+        let mut engine = Engine::new(window_analysis(&meta, 1), &PipelineConfig::default(), true, 64);
+        for (i, f) in frames.iter().enumerate() {
+            let p = FrameRef { ts: Timestamp::from_micros(i as u64 * 1_000), frame: f, orig_len: f.len() as u32 };
+            engine.ingest_dissected(p, Packet::parse(f).as_ref().ok());
+        }
+        let lap = engine.handler.laps.deliver_ns[AnalyzerKind::Http as usize];
+        let out = engine.close_window(Timestamp::from_secs(1), TraceAnalysis::default());
+        let m = &out.metrics;
+        assert_eq!((m.stages[Stage::TcpDeliver].events, m.analyzers[AnalyzerKind::Http].events), (1, 1));
+        assert!(lap > 0);
+        // The one lap taken, not a stride of it.
+        assert_eq!(m.analyzers[AnalyzerKind::Http].wall_ns, lap);
+        assert_eq!(m.stages[Stage::TcpDeliver].wall_ns, lap);
+        assert_eq!(m.stages[Stage::Finalize].events, 1);
+        assert!(m.stages[Stage::Finalize].wall_ns > 0);
+        // The window's clock state went with it.
+        assert_eq!(engine.handler.laps.deliver_ns, [0; AnalyzerKind::COUNT]);
+        assert_eq!(engine.handler.laps.finalize_ns, 0);
+    }
+
+    #[test]
+    fn every_monitor_epoch_with_deliveries_reports_their_walls() {
+        use crate::monitor::{Monitor, MonitorConfig};
+        let trace = generated(3, 22); // D3: full payload, one hour
+        let cfg = MonitorConfig { epoch_secs: 60, ..Default::default() };
+        let mut monitor = Monitor::new(trace.meta.clone(), cfg, trace.packets.len());
+        let mut epochs = Vec::new();
+        for p in &trace.packets {
+            epochs.extend(monitor.observe(p.ts, &p.frame, p.orig_len));
+        }
+        epochs.extend(monitor.finish(&Default::default()).0);
+        let (mut tcp, mut udp) = (0, 0);
+        for e in &epochs {
+            let m = &e.analysis.metrics;
+            for stage in [Stage::TcpDeliver, Stage::UdpDeliver, Stage::Finalize] {
+                let s = m.stages[stage];
+                assert_eq!(s.events > 0, s.wall_ns > 0, "epoch {}: {} {s:?}", e.index, stage.name());
+            }
+            for (name, s) in m.analyzers.named() {
+                assert_eq!(s.events > 0, s.wall_ns > 0, "epoch {}: {name} {s:?}", e.index);
+            }
+            let analyzers: u64 = m.analyzers.named().map(|(_, s)| s.wall_ns).sum();
+            let stages = m.stages[Stage::TcpDeliver].wall_ns + m.stages[Stage::UdpDeliver].wall_ns;
+            assert_eq!(analyzers, stages, "epoch {}", e.index);
+            tcp += u64::from(m.stages[Stage::TcpDeliver].events > 0);
+            udp += u64::from(m.stages[Stage::UdpDeliver].events > 0);
+        }
+        assert!(epochs.len() >= 60 && tcp > 10 && udp > 10, "{} epochs, {tcp} tcp, {udp} udp", epochs.len());
     }
 
     #[test]

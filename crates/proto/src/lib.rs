@@ -266,19 +266,23 @@ impl<'a> Unread<'a> {
     /// The bytes before the first `needle`, taking both. A failed search
     /// leaves a watermark, so the next call — on this segment's carried
     /// tail plus the next segment — starts where this one stopped. A step
-    /// searches for one needle at a time.
+    /// searches for one needle at a time. Only positions holding the
+    /// needle's first byte ([`find_byte`]) are compared against all of it.
     pub fn until<const N: usize>(&mut self, needle: &[u8; N]) -> Option<&'a [u8]> {
-        let from = self.searched;
-        match self.bytes.get(from..)?.windows(N).position(|w| w == needle) {
-            Some(at) => {
-                let at = from.saturating_add(at);
-                Some(self.take(at.saturating_add(N)).get(..at).unwrap_or(&[]))
+        let first = *needle.first()?;
+        // Start positions that leave room for the whole needle.
+        let starts = self.bytes.len().saturating_add(1).saturating_sub(N);
+        let mut from = self.searched;
+        while let Some(hit) = self.bytes.get(from..starts).and_then(|hay| find_byte(hay, first)) {
+            let at = from.saturating_add(hit);
+            let end = at.saturating_add(N);
+            if self.bytes.get(at..end) == Some(needle.as_slice()) {
+                return Some(self.take(end).get(..at).unwrap_or(&[]));
             }
-            None => {
-                self.searched = from.max(self.bytes.len().saturating_add(1).saturating_sub(N));
-                None
-            }
+            from = at.saturating_add(1);
         }
+        self.searched = self.searched.max(starts);
+        None
     }
 
     /// Take what a failed [`Unread::until`] ruled out — bytes that cannot
@@ -308,6 +312,26 @@ impl<'a> Unread<'a> {
     pub fn poison(&mut self) {
         self.poisoned = true;
     }
+}
+
+/// Index of the first `byte` in `hay`, looked for eight bytes at a time:
+/// XOR turns a match into a zero byte, `(x − 0x01…) & !x & 0x80…` is
+/// non-zero exactly when `x` has one, and — the word read little-endian —
+/// its lowest set bit marks the first.
+fn find_byte(hay: &[u8], byte: u8) -> Option<usize> {
+    const LOW: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let pattern = u64::from_le_bytes([byte; 8]);
+    let (words, tail) = hay.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(*word) ^ pattern;
+        let zeros = x.wrapping_sub(LOW) & !x & HIGH;
+        if zeros != 0 {
+            return Some(i.saturating_mul(8).saturating_add((zeros.trailing_zeros() >> 3) as usize));
+        }
+    }
+    let in_tail = tail.iter().position(|b| *b == byte)?;
+    Some(words.len().saturating_mul(8).saturating_add(in_tail))
 }
 
 /// The two directions of one connection.
@@ -478,6 +502,74 @@ mod stream_buf_tests {
         assert_eq!(search(b"\n\r"), (None, 6));
         assert_eq!(search(b"\nxy"), (Some(b"abcdef".to_vec()), 0));
         assert_eq!(buf.carry, b"xy");
+    }
+
+    /// One `until` over `bytes` with the watermark at `searched`: what it
+    /// returned, then the view's unread length and watermark afterwards.
+    fn until_at<const N: usize>(bytes: &[u8], searched: usize, needle: &[u8; N]) -> (Option<Vec<u8>>, usize, usize) {
+        let mut unread = Unread { bytes, searched, owed: 0, poisoned: false };
+        let head = unread.until(needle).map(<[u8]>::to_vec);
+        (head, unread.bytes.len(), unread.searched)
+    }
+
+    /// The search `until` replaced: every window compared in full.
+    fn until_by_windows<const N: usize>(bytes: &[u8], searched: usize, needle: &[u8; N]) -> (Option<Vec<u8>>, usize, usize) {
+        match bytes[searched..].windows(N).position(|w| w == needle) {
+            Some(at) => (Some(bytes[..searched + at].to_vec()), bytes.len() - (searched + at + N), 0),
+            None => (None, bytes.len(), searched.max((bytes.len() + 1).saturating_sub(N))),
+        }
+    }
+
+    #[test]
+    fn until_finds_the_needle_wherever_the_word_scan_puts_it() {
+        let needle = b"\r\n.\r\n";
+        // Every alignment against the eight-byte words, the last possible
+        // start included; the bytes behind the needle stay unread.
+        for offset in 0..=24 {
+            let mut hay = vec![b'x'; offset];
+            hay.extend_from_slice(needle);
+            assert_eq!(until_at(&hay, 0, needle), (Some(vec![b'x'; offset]), 0, 0), "at the end, offset {offset}");
+            hay.extend_from_slice(b"tail");
+            assert_eq!(until_at(&hay, 0, needle), (Some(vec![b'x'; offset]), 4, 0), "offset {offset}");
+        }
+        // Absent, and shorter than the needle: every start that could
+        // still hold it is ruled out, no more.
+        assert_eq!(until_at(&[b'x'; 40], 0, needle), (None, 40, 36));
+        assert_eq!(until_at(b"\r\n.", 0, needle), (None, 3, 0));
+        assert_eq!(until_at(b"", 0, needle), (None, 0, 0));
+        // First-byte decoys: a hit on `\r` that is not the needle moves on
+        // by one, so the overlapping real one behind it is found...
+        assert_eq!(until_at(b"\r\r\n.\r\n", 0, needle), (Some(b"\r".to_vec()), 0, 0));
+        // ...and a run of nothing but decoys is ruled out to its last four.
+        let mut decoys = vec![b'\r'; 4_096];
+        assert_eq!(until_at(&decoys, 0, needle), (None, 4_096, 4_092));
+        decoys.extend_from_slice(b"\n.\r\n");
+        assert_eq!(until_at(&decoys, 4_092, needle), (Some(vec![b'\r'; 4_095]), 0, 0));
+    }
+
+    #[test]
+    fn until_agrees_with_the_window_by_window_search() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        fn agree<const N: usize>(rng: &mut StdRng, needle: &[u8; N]) {
+            // Bytes drawn from the needle's own plus one other, so hits,
+            // near misses and overlaps are all common.
+            let len = rng.random_range(0..48usize);
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| needle.get(rng.random_range(0..=N)).copied().unwrap_or(b'x'))
+                .collect();
+            let searched = rng.random_range(0..=len.saturating_sub(N - 1));
+            assert_eq!(
+                until_at(&bytes, searched, needle),
+                until_by_windows(&bytes, searched, needle),
+                "{bytes:?} from {searched} for {needle:?}"
+            );
+        }
+        let mut rng = StdRng::seed_from_u64(2005);
+        for _ in 0..10_000 {
+            agree(&mut rng, b"\r\n");
+            agree(&mut rng, b"\r\n\r\n");
+            agree(&mut rng, b"\r\n.\r\n");
+        }
     }
 
     #[test]
