@@ -2,10 +2,9 @@
 //! non-zero when the tree is not clean.
 //!
 //! ```text
-//! ent-lint [--json] [--root DIR] [--list]
+//! ent-lint [--root DIR] [--list]
 //! ```
 //!
-//! * `--json` — emit the machine-readable report on stdout
 //! * `--root DIR` — lint the workspace rooted at DIR (default: walk up
 //!   from the current directory)
 //! * `--list` — print the lint codes and their one-line descriptions
@@ -16,18 +15,16 @@
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use ent_lint::{find_workspace_root, lint_workspace, report::ALL_CODES, LintConfig};
+use ent_lint::{find_workspace_root, lint_workspace, report::ALL_CODES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut list = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--list" => list = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
@@ -37,7 +34,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!("usage: ent-lint [--json] [--root DIR] [--list]");
+                println!("usage: ent-lint [--root DIR] [--list]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -71,26 +68,22 @@ fn main() -> ExitCode {
             }
         }
     };
-    let report = match lint_workspace(&root, &LintConfig::default()) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ent-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        for f in &report.findings {
-            println!("{f}");
-        }
-        println!(
-            "ent-lint: {} finding(s), {} suppressed, {} file(s) scanned",
-            report.findings.len(),
-            report.suppressed,
-            report.files_scanned
-        );
+    for f in &report.findings {
+        println!("{f}");
     }
+    println!(
+        "ent-lint: {} finding(s), {} suppressed, {} file(s) scanned",
+        report.findings.len(),
+        report.suppressed,
+        report.files_scanned
+    );
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {

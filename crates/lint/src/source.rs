@@ -13,8 +13,8 @@ pub struct SourceFile {
     /// Name of the owning crate (`wire`, `pcap`, …), or the top-level
     /// member name (`tests`, `examples`) outside `crates/`.
     pub crate_name: String,
-    /// Whole file is test context (integration tests, benches, the
-    /// top-level `tests` member).
+    /// Whole file is test context (integration tests, the top-level
+    /// `tests` member).
     pub is_test_file: bool,
     /// Raw bytes.
     pub bytes: Vec<u8>,
@@ -82,15 +82,6 @@ impl SourceFile {
     /// the whole file test context)?
     pub fn is_test_line(&self, line: u32) -> bool {
         self.is_test_file || self.test_lines.get(line as usize).copied().unwrap_or(false)
-    }
-
-    /// Like [`is_test_line`](Self::is_test_line), but ignores the
-    /// whole-file flag: true only inside an attribute-marked
-    /// `#[test]`/`#[cfg(test)]` region. The harness sweep (E001-lite over
-    /// the `tests`/`bench` crates) uses this so helper code *between* test
-    /// fns is still checked even though the whole file is test context.
-    pub fn is_attr_test_line(&self, line: u32) -> bool {
-        self.test_lines.get(line as usize).copied().unwrap_or(false)
     }
 
     /// Is `code` suppressed at `line` by an inline

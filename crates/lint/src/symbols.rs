@@ -3,8 +3,8 @@
 //!
 //! `ent-lint` has no type system — the workspace builds offline, so there
 //! is no `syn`, no HIR, no trait resolution. This layer recovers just
-//! enough structure for the determinism/concurrency lints (E006–E009) to
-//! be *symbol-aware* rather than purely textual:
+//! enough structure for the determinism/taxonomy lints (E006, E008, E009)
+//! to be *symbol-aware* rather than purely textual:
 //!
 //! * **Items** per file: `fn` (with parameter and return types, body span,
 //!   and the `impl` type it belongs to), `struct` fields, `static`/`const`
@@ -24,7 +24,7 @@
 //! pointers, trait objects or macros are invisible). Binding resolution is
 //! file-local: a field of a type imported from another crate resolves only
 //! if a struct of that name exists in the same file. Both trade precision
-//! for zero dependencies; the E006–E009 checks are designed so that a
+//! for zero dependencies; the symbol-aware checks are designed so that a
 //! missed edge degrades to a missed finding, never a phantom one, and the
 //! seeded fixture corpus pins the cases that must be caught.
 
@@ -73,8 +73,6 @@ pub struct StaticItem {
     pub name: String,
     /// 1-based line.
     pub line: u32,
-    /// Declared `static mut`.
-    pub is_mut: bool,
     /// Canonical type text.
     pub ty: String,
 }
@@ -672,11 +670,8 @@ fn parse_fields(file: &SourceFile, from: usize, to: usize, out: &mut Vec<(String
 
 /// Parse `static [mut] NAME: Type` / `const NAME: Type`; returns resume.
 fn parse_static(file: &SourceFile, kw_idx: usize, out: &mut Vec<StaticItem>) -> usize {
-    let is_static = file.text(kw_idx) == "static";
     let Some(mut j) = file.next_sig(kw_idx) else { return kw_idx + 1 };
-    let mut is_mut = false;
     if file.toks[j].kind == TokKind::Ident && file.text(j) == "mut" {
-        is_mut = true;
         j = match file.next_sig(j) {
             Some(x) => x,
             None => return j + 1,
@@ -708,7 +703,6 @@ fn parse_static(file: &SourceFile, kw_idx: usize, out: &mut Vec<StaticItem>) -> 
     out.push(StaticItem {
         name,
         line: file.toks[kw_idx].line,
-        is_mut: is_mut && is_static,
         ty: canon(file, after + 1, k),
     });
     k
@@ -796,7 +790,7 @@ impl WorkspaceSymbols {
 
     /// All fns in `crate_name` reachable (by name-matched call edges) from
     /// fns whose names contain any of `root_markers`, roots included.
-    pub fn reachable_from_markers(&self, crate_name: &str, root_markers: &[String]) -> BTreeSet<FnRef> {
+    pub fn reachable_from_markers(&self, crate_name: &str, root_markers: &[&str]) -> BTreeSet<FnRef> {
         let Some(by_name) = self.crate_fns.get(crate_name) else {
             return BTreeSet::new();
         };
@@ -881,11 +875,10 @@ mod tests {
     fn statics_and_mutability() {
         let s = sf("static mut COUNTER: u64 = 0;\nstatic NAME: &str = \"x\";\nconst LIMIT: usize = 4;\n");
         let syms = FileSymbols::parse(&s);
-        assert_eq!(syms.statics.len(), 3);
-        assert!(syms.statics[0].is_mut);
-        assert_eq!(syms.statics[0].name, "COUNTER");
-        assert!(!syms.statics[1].is_mut);
-        assert!(!syms.statics[2].is_mut);
+        // `mut` is skipped, not taken for the item name.
+        let names: Vec<&str> = syms.statics.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["COUNTER", "NAME", "LIMIT"]);
+        assert_eq!(syms.statics[0].ty, "u64");
     }
 
     #[test]
@@ -913,7 +906,7 @@ mod tests {
             b"pub fn table_7() { tally(); }\nfn tally() {}\nfn unrelated() {}\n".to_vec(),
         );
         let ws = WorkspaceSymbols::build(&[render, table]);
-        let reach = ws.reachable_from_markers("x", &["report".to_string()]);
+        let reach = ws.reachable_from_markers("x", &["report"]);
         let names: Vec<&str> = reach
             .iter()
             .map(|&(fi, gi)| ws.files[fi].fns[gi].name.as_str())

@@ -13,8 +13,9 @@ pub struct FileEntry {
     /// Crate name for files under `crates/<name>/…`, otherwise the first
     /// path component (`tests`, `examples`).
     pub crate_name: String,
-    /// Whole-file test context: anything under a `tests/` or `benches/`
-    /// directory, or in the top-level `tests` member.
+    /// Whole-file test context: anything under a `tests/` directory (which
+    /// covers the top-level `tests` member). A `benches/` path is not: no
+    /// gate runs a bench, so one must never satisfy a coverage rule.
     pub is_test_file: bool,
 }
 
@@ -64,8 +65,7 @@ fn classify(abs: PathBuf, rel: String) -> FileEntry {
     } else {
         parts.first().copied().unwrap_or("").to_string()
     };
-    let is_test_file = crate_name == "tests"
-        || parts.iter().any(|p| *p == "tests" || *p == "benches");
+    let is_test_file = parts.contains(&"tests");
     FileEntry { abs, rel, crate_name, is_test_file }
 }
 
@@ -84,8 +84,8 @@ mod tests {
     fn classify_test_contexts() {
         assert!(classify(PathBuf::from("/x"), "tests/tests/end_to_end.rs".into()).is_test_file);
         assert!(classify(PathBuf::from("/x"), "tests/src/lib.rs".into()).is_test_file);
-        assert!(classify(PathBuf::from("/x"), "crates/bench/benches/tables.rs".into()).is_test_file);
         assert!(classify(PathBuf::from("/x"), "crates/lint/tests/selfhost.rs".into()).is_test_file);
+        assert!(!classify(PathBuf::from("/x"), "crates/core/benches/tables.rs".into()).is_test_file);
         assert!(!classify(PathBuf::from("/x"), "examples/quickstart.rs".into()).is_test_file);
     }
 }

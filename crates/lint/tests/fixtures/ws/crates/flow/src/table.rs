@@ -1,5 +1,5 @@
 //! Fixture for the E002 hot-map rule: this path is listed in
-//! `LintConfig::hot_map_files`, so constructing a std-SipHash `HashMap`
+//! `HOT_MAP_FILES` (`checks.rs`), so constructing a std-SipHash `HashMap`
 //! here must be flagged while the hasher-explicit form passes.
 
 use std::collections::HashMap;

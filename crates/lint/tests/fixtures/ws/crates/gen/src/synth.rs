@@ -1,5 +1,5 @@
 //! Fixture for the E002 hot-allocation rule: this path is listed in
-//! `LintConfig::hot_alloc_files`, so per-call `Vec` allocation here must
+//! `HOT_ALLOC_FILES` (`checks.rs`), so per-call `Vec` allocation here must
 //! be flagged while the reused-buffer forms pass.
 
 /// Violation: a fresh growable Vec per emitted frame.

@@ -1,17 +1,5 @@
-//! Fixture crate root with seeded E001 panic-surface violations and an
-//! incomplete hygiene header (E003: the `missing_docs` deny and the
-//! unwrap/expect gate are deliberately absent).
-#![forbid(unsafe_code)]
-
-/// Seeded E001: `.unwrap()` in ingest code.
-pub fn first_byte(o: Option<u8>) -> u8 {
-    o.unwrap()
-}
-
-/// Seeded E001: `panic!` in ingest code.
-pub fn boom() {
-    panic!("boom");
-}
+//! Fixture crate root with a seeded E001 violation (computed slice index)
+//! and its suppressed twin.
 
 /// Seeded E001: computed slice index in ingest code.
 pub fn at(b: &[u8], off: usize) -> u8 {

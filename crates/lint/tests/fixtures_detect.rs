@@ -4,42 +4,30 @@
 // Test helpers may abort on setup failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ent_lint::{lint_workspace, Code, LintConfig, Report};
+use ent_lint::{lint_workspace, Code, Report};
 use std::path::Path;
 
 fn fixture_report() -> Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
-    lint_workspace(&root, &LintConfig::default()).expect("fixture tree readable")
+    lint_workspace(&root).expect("fixture tree readable")
 }
 
 #[test]
 fn every_code_is_detected() {
     let r = fixture_report();
-    assert_eq!(
-        r.count(Code::E001),
-        4,
-        "unwrap, panic!, computed index, harness bare unwrap:\n{:#?}",
-        r.findings
-    );
+    assert_eq!(r.count(Code::E001), 1, "computed index:\n{:#?}", r.findings);
     assert_eq!(
         r.count(Code::E002),
         6,
         "off + 4, len() as u16, hot-map HashMap::new, hot-alloc Vec::new/vec!/to_vec:\n{:#?}",
         r.findings
     );
-    assert_eq!(r.count(Code::E003), 2, "wire root misses two attrs:\n{:#?}", r.findings);
     assert_eq!(r.count(Code::E004), 2, "ghost listed, http unlisted:\n{:#?}", r.findings);
     assert_eq!(r.count(Code::E005), 1, "Figure 77 has no test reference:\n{:#?}", r.findings);
     assert_eq!(
         r.count(Code::E006),
         3,
         "sink-reachable map iter, Instant::now, float accumulation:\n{:#?}",
-        r.findings
-    );
-    assert_eq!(
-        r.count(Code::E007),
-        3,
-        "static mut, RefCell field, hot-path lock:\n{:#?}",
         r.findings
     );
     assert_eq!(
@@ -64,9 +52,7 @@ fn findings_anchor_to_the_seeded_lines() {
             .iter()
             .any(|f| f.code == code && f.file == file && f.line == line)
     };
-    assert!(has(Code::E001, "crates/wire/src/lib.rs", 8), "unwrap site");
-    assert!(has(Code::E001, "crates/wire/src/lib.rs", 13), "panic! site");
-    assert!(has(Code::E001, "crates/wire/src/lib.rs", 18), "computed index site");
+    assert!(has(Code::E001, "crates/wire/src/lib.rs", 6), "computed index site");
     assert!(has(Code::E002, "crates/wire/src/parse.rs", 6), "off + 4 site");
     assert!(has(Code::E002, "crates/wire/src/parse.rs", 7), "len() as u16 site");
     assert!(has(Code::E002, "crates/flow/src/table.rs", 10), "hot-map HashMap::new site");
@@ -77,26 +63,22 @@ fn findings_anchor_to_the_seeded_lines() {
     assert!(has(Code::E006, "crates/core/src/report.rs", 10), "sink-reachable map iter site");
     assert!(has(Code::E006, "crates/core/src/report.rs", 17), "Instant::now site");
     assert!(has(Code::E006, "crates/core/src/report.rs", 24), "float accumulation site");
-    assert!(has(Code::E007, "crates/flow/src/shard.rs", 9), "static mut site");
-    assert!(has(Code::E007, "crates/flow/src/shard.rs", 15), "RefCell field site");
-    assert!(has(Code::E007, "crates/flow/src/shard.rs", 20), "hot-path lock site");
     assert!(has(Code::E008, "crates/pcap/src/load.rs", 6), "String error site");
     assert!(has(Code::E008, "crates/pcap/src/load.rs", 15), "Option smuggling site");
     assert!(has(Code::E008, "crates/pcap/src/load.rs", 22), "Err truncation site");
     assert!(has(Code::E009, "crates/core/src/checkpoint.rs", 9), "ghost checkpoint field");
     assert!(has(Code::E009, "crates/core/src/metrics.rs", 21), "ghost bench key");
-    assert!(has(Code::E001, "tests/src/helpers.rs", 7), "harness bare unwrap site");
 }
 
 #[test]
 fn suppression_is_honored() {
     let r = fixture_report();
     assert_eq!(r.suppressed, 1, "exactly the at_guarded index is silenced");
-    // The suppressed site (lib.rs:25) must not surface as a finding.
+    // The suppressed site (lib.rs:13) must not surface as a finding.
     assert!(
         !r.findings
             .iter()
-            .any(|f| f.file == "crates/wire/src/lib.rs" && f.line == 25),
+            .any(|f| f.file == "crates/wire/src/lib.rs" && f.line == 13),
         "suppressed finding leaked:\n{:#?}",
         r.findings
     );
@@ -113,8 +95,7 @@ fn cold_paths_and_checked_forms_stay_quiet() {
         "false positive past the seeded lines:\n{:#?}",
         r.findings
     );
-    // The clean proto root and the registered dns module are quiet.
-    assert!(!r.findings.iter().any(|f| f.file == "crates/proto/src/lib.rs"));
+    // The registered dns module is quiet.
     assert!(!r.findings.iter().any(|f| f.message.contains("`dns`")));
     // The hasher-explicit map construction in the hot-map fixture is clean.
     assert!(
@@ -141,14 +122,6 @@ fn cold_paths_and_checked_forms_stay_quiet() {
         "E006 flagged a clean escape form:\n{:#?}",
         r.findings
     );
-    // E007: the cold-path lock in `snapshot` is out of scope.
-    assert!(
-        !r.findings
-            .iter()
-            .any(|f| f.file == "crates/flow/src/shard.rs" && ![9, 15, 20].contains(&f.line)),
-        "E007 flagged the cold-path lock:\n{:#?}",
-        r.findings
-    );
     // E008: the taxonomy-typed fn and the `has_payload` predicate pass.
     assert!(
         !r.findings
@@ -173,37 +146,15 @@ fn cold_paths_and_checked_forms_stay_quiet() {
         "E009 flagged a covered bench key:\n{:#?}",
         r.findings
     );
-    // Harness sweep: unwrap inside the #[test] region is exempt.
-    assert!(
-        !r.findings
-            .iter()
-            .any(|f| f.file == "tests/src/helpers.rs" && f.line != 7),
-        "harness sweep flagged exempt test-region code:\n{:#?}",
-        r.findings
-    );
 }
 
 #[test]
-fn json_report_carries_every_code_and_schema() {
-    let json = fixture_report().to_json();
-    for code in ["E001", "E002", "E003", "E004", "E005", "E006", "E007", "E008", "E009"] {
-        assert!(json.contains(code), "JSON output missing {code}:\n{json}");
-    }
-    // The version tag is the first key, so diff tools can gate on it.
-    assert!(
-        json.starts_with("{\n  \"schema\": \"ent-lint/2\","),
-        "schema tag missing or not first:\n{json}"
-    );
-}
-
-#[test]
-fn json_report_is_deterministic_and_sorted() {
-    let a = fixture_report().to_json();
-    let b = fixture_report().to_json();
-    assert_eq!(a, b, "two runs over the same tree must emit identical JSON");
-    // Findings are sorted by (file, line, code): the serialized anchors
-    // must already be in order, so reports diff cleanly run-to-run.
+fn report_is_deterministic_and_sorted() {
+    let render = |r: &Report| r.findings.iter().map(|f| f.to_string()).collect::<Vec<_>>();
     let r = fixture_report();
+    assert_eq!(render(&r), render(&fixture_report()), "two runs over the same tree must agree");
+    // Findings are sorted by (file, line, code), so reports diff cleanly
+    // run-to-run.
     let keys: Vec<(String, u32, String)> = r
         .findings
         .iter()

@@ -17,6 +17,9 @@ pub fn test_gen_config() -> GenConfig {
 }
 
 /// Run a reduced-subnet version of a dataset (fast but representative).
+// A dataset name no spec carries is a typo in the calling test; aborting
+// that test with the name is the diagnostic.
+#[allow(clippy::panic)]
 pub fn small_dataset(name: &str, subnets: u16) -> DatasetAnalysis {
     let Some(mut spec) = all_datasets().into_iter().find(|d| d.name == name) else {
         panic!("unknown dataset {name}");

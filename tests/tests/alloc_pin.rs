@@ -12,8 +12,9 @@
 //! thread, so these tests may run in parallel with each other and with
 //! the harness's own bookkeeping.
 
-// Test assertions may abort.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort, but must say why: a bare `unwrap` outside a
+// `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_core::{Monitor, MonitorConfig};
 use ent_flow::{

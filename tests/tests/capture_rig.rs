@@ -2,8 +2,9 @@
 //! the same analysis as a directly ordered capture (the paper's 4-NIC
 //! methodology, §2).
 
-// Test helpers may abort on setup failure.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort on setup failure, but must say why: a bare
+// `unwrap` outside a `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_core::{analyze_trace, PipelineConfig};
 use ent_gen::build::{build_site, generate_trace};

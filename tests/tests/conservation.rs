@@ -1,8 +1,9 @@
 //! Accounting invariants: nothing the pipeline reports can exceed (or
 //! silently drop) what is physically in the trace.
 
-// Test helpers may abort on setup failure.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort on setup failure, but must say why: a bare
+// `unwrap` outside a `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_core::{analyze_trace, PipelineConfig};
 use ent_gen::build::{build_site, generate_trace};
@@ -64,6 +65,18 @@ fn packet_and_byte_conservation() {
     assert_eq!(conn_pkts[2], icmp_pkts, "every ICMP packet lands in exactly one conn");
     assert_eq!(conn_payload[0], tcp_payload, "TCP payload bytes conserved");
     assert_eq!(conn_payload[1], udp_payload, "UDP payload bytes conserved");
+    // Host-pair de-duplication (the paper's §5 failure-rate methodology)
+    // is a real collapse here: retries fold into fewer pairs than TCP
+    // connections, so the success rate it yields is not the raw one.
+    let tcp = || a.conns.iter().filter(|c| c.proto() == ent_flow::Proto::Tcp);
+    let mut pairs = std::collections::BTreeMap::new();
+    for c in tcp() {
+        *pairs.entry(c.summary.key.host_pair()).or_insert(false) |= c.successful();
+    }
+    let (conns, ok) = (tcp().count(), tcp().filter(|c| c.successful()).count());
+    let pairs_ok = pairs.values().filter(|ok| **ok).count();
+    assert!(pairs.len() < conns, "{} pairs of {conns} conns", pairs.len());
+    assert_ne!(pairs_ok * conns, ok * pairs.len(), "success rate must move under de-duplication");
     // Utilization bins account for every captured wire byte.
     let binned: u64 = a.bytes_per_second.iter().sum();
     let wire: u64 = trace.packets.iter().map(|p| p.orig_len as u64).sum();

@@ -15,8 +15,9 @@
 //!    connection-level aggregates and health counters;
 //! 3. study-level table inputs — the rendered report, byte-for-byte.
 
-// Test assertions may abort.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort, but must say why: a bare `unwrap` outside a
+// `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_core::run::{run_datasets, DatasetAnalysis, StudyConfig};
 use ent_core::{PipelineConfig, PipelineMetrics, TraceAnalysis};

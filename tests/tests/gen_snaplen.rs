@@ -8,8 +8,9 @@
 //! carries nothing from one dataset's snaplen into the next, and the byte
 //! store really is bounded by the snaplen.
 
-// Test assertions may abort.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort, but must say why: a bare `unwrap` outside a
+// `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_gen::build::{build_site, generate_trace_into, GenConfig, GenTiming};
 use ent_gen::dataset::{all_datasets, DatasetSpec};

@@ -17,8 +17,9 @@
 //!    pipeline's output is a function of that sequence alone, so this is
 //!    the whole fx≡std proof — there is no std-hash pipeline to compare.
 
-// Test helpers may abort on setup failure.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort on setup failure, but must say why: a bare
+// `unwrap` outside a `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_flow::{
     fx_map_with_capacity, ConnIndex, ConnSummary, ConnTable, Dir, Endpoint, FlowHandler, FlowKey,

@@ -8,8 +8,9 @@
 //! uninterrupted run — and a checkpoint damaged in any way degrades to a
 //! typed error (counted cold start), never a panic or a wrong resume.
 
-// Test assertions may abort.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort, but must say why: a bare `unwrap` outside a
+// `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_core::monitor::{drive_capture, Monitor, MonitorConfig};
 use ent_core::{capture_meta, Checkpoint, CheckpointError, PipelineConfig};

@@ -1,8 +1,9 @@
 //! Observability layer end-to-end: stage metrics flow from the pipeline
 //! through dataset aggregation into a schema-valid `BENCH_pipeline.json`.
 
-// Test helpers may abort on setup failure.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort on setup failure, but must say why: a bare
+// `unwrap` outside a `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_core::metrics::{
     bench_json, json_parse, validate_bench_json, PipelineMetrics, Stage, Val, PIPELINE, STUDY_DOC,

@@ -1,7 +1,8 @@
 //! Cross-crate invariants: pcap round trips and anonymization.
 
-// Test helpers may abort on setup failure.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort on setup failure, but must say why: a bare
+// `unwrap` outside a `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_anon::anonymize_trace;
 use ent_core::{analyze_trace, PipelineConfig};
@@ -50,6 +51,19 @@ fn snaplen68_dataset_survives_transport_analysis() {
         payload > captured,
         "wire payload {payload} should exceed captured bytes {captured}"
     );
+    // The ablation proper: a full-payload trace re-captured header-only
+    // keeps every connection and loses the HTTP records it had.
+    let full = sample_trace(0, 3);
+    let cut = Trace {
+        meta: ent_pcap::TraceMeta { snaplen: 68, ..full.meta.clone() },
+        packets: ent_pcap::Tap::new(68).capture_all(full.packets.iter().cloned()),
+    };
+    let (f, c) = (
+        analyze_trace(&full, &PipelineConfig::default()),
+        analyze_trace(&cut, &PipelineConfig::default()),
+    );
+    assert!(!f.http.is_empty() && c.http.is_empty(), "payload analyses need the payload");
+    assert_eq!(f.conns.len(), c.conns.len(), "transport analyses must not");
 }
 
 #[test]
@@ -106,6 +120,13 @@ fn anonymization_defeats_scan_detection() {
         if raw.scanner_conns_removed == 0 {
             continue;
         }
+        // Removal is what it says: with scanners kept, the same trace
+        // carries exactly the removed connections on top.
+        let kept = analyze_trace(
+            &trace,
+            &PipelineConfig { keep_scanners: true, ..Default::default() },
+        );
+        assert_eq!(kept.conns.len() as u64, raw.conns.len() as u64 + raw.scanner_conns_removed);
         let anon = analyze_trace(
             &anonymize_trace(&trace, "integration-key"),
             &PipelineConfig::default(),

@@ -3,8 +3,9 @@
 //! through the vendored deterministic RNG (no external proptest); failures
 //! therefore reproduce exactly from the fixed seeds.
 
-// Test helpers may abort on setup failure.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort on setup failure, but must say why: a bare
+// `unwrap` outside a `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_anon::prefix::{common_prefix_len, Anonymizer};
 use ent_core::stats::Ecdf;

@@ -9,8 +9,9 @@
 //! ([`Clip::Counted`]/[`Clip::Silent`]), the global record sort, and the
 //! capture tap without ever detaching from their frames.
 
-// Test assertions may abort.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Test helpers may abort, but must say why: a bare `unwrap` outside a
+// `#[test]` fn stays a clippy error.
+#![allow(clippy::expect_used)]
 
 use ent_core::{run_pack, PackReport, StudyConfig, PipelineConfig};
 use ent_gen::GenConfig;
