@@ -330,8 +330,9 @@ fn cmd_scaling(args: &Args) -> ExitCode {
             total.absorb(&da.pipeline_metrics());
         }
         eprintln!(
-            "  shards={shards}: ingest wall {:.1} ms, {} packets, signature {:016x}",
+            "  shards={shards}: ingest wall {:.1} ms (dispatcher send-blocked {:.1} ms), {} packets, signature {:016x}",
             total.stages[Stage::ShardIngest].wall_ns as f64 / 1e6,
+            total.stages[Stage::Backpressure].wall_ns as f64 / 1e6,
             total.packets(),
             total.events_signature_hash(),
         );

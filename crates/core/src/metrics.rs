@@ -270,7 +270,10 @@ stat_table! {
     /// written / 0.
     Checkpoint = "checkpoint" in MONITOR_DOC,
     /// Bounded-state degradation: evicted connections plus dropped
-    /// pending-map entries / 0 (zero when no budget was exceeded).
+    /// pending-map entries / 0 (zero when no budget was exceeded). Its
+    /// wall is the other backpressure in the system: the time a sharded
+    /// batch run's dispatcher spent handing batches to lanes that had no
+    /// room for them (zero inline and in monitor mode).
     Backpressure = "backpressure",
     /// *Elapsed* wall of the frame-parse + flow-ingest phase of one trace,
     /// end to end (recorded by the serial batch path too, zero in monitor

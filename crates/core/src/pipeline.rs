@@ -921,6 +921,16 @@ impl Engine {
         }
     }
 
+    /// Run `wait` with the fused stopwatch stopped: the lap so far is
+    /// banked, and the clock restarts when `wait` returns, so a worker
+    /// lane's time waiting for its next batch is no stage's wall.
+    pub(crate) fn unclocked<R>(&mut self, wait: impl FnOnce() -> R) -> R {
+        self.fused_ns += self.pt.lap();
+        let waited_for = wait();
+        self.pt = StageTimer::start();
+        waited_for
+    }
+
     /// Attribute the fused pass's wall time to the current window's
     /// frame_parse/flow_ingest stages: sampled laps are charged directly,
     /// and the clock-free remainder is split in the sampled parse:ingest

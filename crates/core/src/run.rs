@@ -169,21 +169,24 @@ pub fn effective_threads(requested: usize, shards: usize, cores: usize, work_ite
 /// nothing about shards: spend the cores the thread cap leaves idle on
 /// intra-trace fan-out. `requested_threads == 0` (auto threads) returns 0
 /// — trace-level workers already soak every core, and stacking shard
-/// pools under them only adds contention. Otherwise the leftover budget
-/// is `cores / threads`; two or more idle cores per worker buy that many
-/// shards (capped at 8, the top of the scaling gate's measured curve),
-/// fewer mean serial ingest is the right call. Callers that take an
-/// explicit shard request (`--shards N`, including `--shards 0` as the
-/// serial escape hatch) must bypass this entirely — shard count is a
-/// bench-comparability key, so an implicit default must never override an
-/// explicit one.
+/// pools under them only adds contention. Otherwise each worker's budget
+/// is `cores / threads`, and one core of it goes to the dispatcher — the
+/// worker's own thread, busy dissecting and steering while its lanes
+/// ingest — so it buys `cores / threads − 1` lanes (capped at 8, the top
+/// of the scaling gate's measured curve). Fewer than two lanes mean serial
+/// ingest: a single lane loses ≈6% to the inline engine on the study's
+/// arena path, where the dispatcher has no reader stall to absorb (DESIGN
+/// §10). Callers that take an explicit shard request (`--shards N`,
+/// including `--shards 0` as the serial escape hatch) must bypass this
+/// entirely — shard count is a bench-comparability key, so an implicit
+/// default must never override an explicit one.
 pub fn auto_shards(requested_threads: usize, cores: usize) -> usize {
     if requested_threads == 0 {
         return 0;
     }
-    let leftover = cores.max(1) / requested_threads.max(1);
-    if leftover >= 2 {
-        leftover.min(8)
+    let lanes = (cores / requested_threads).saturating_sub(1);
+    if lanes >= 2 {
+        lanes.min(8)
     } else {
         0
     }
@@ -255,12 +258,14 @@ mod tests {
     fn auto_shards_spends_leftover_cores_only() {
         // Auto threads already soak the machine: no implicit shards.
         assert_eq!(auto_shards(0, 16), 0);
-        // Pinned threads with idle cores: shard the leftover, capped at 8.
-        assert_eq!(auto_shards(1, 8), 8);
+        // Pinned threads with idle cores: the leftover less the
+        // dispatcher's own core, capped at 8.
+        assert_eq!(auto_shards(1, 8), 7);
         assert_eq!(auto_shards(1, 16), 8);
-        assert_eq!(auto_shards(2, 8), 4);
-        assert_eq!(auto_shards(4, 8), 2);
-        // Fewer than two idle cores per worker: serial ingest.
+        assert_eq!(auto_shards(2, 8), 3);
+        // Fewer than two lanes per worker: serial ingest.
+        assert_eq!(auto_shards(4, 8), 0);
+        assert_eq!(auto_shards(1, 2), 0);
         assert_eq!(auto_shards(1, 1), 0);
         assert_eq!(auto_shards(8, 8), 0);
         assert_eq!(auto_shards(6, 8), 0);

@@ -65,6 +65,9 @@ echo "==> shard scaling gate (1/2/4/8-shard curve vs committed BENCH_scaling.jso
 # against the committed curve then pins cross-run determinism and - only
 # on machines with >= 4 cores and no ENT_BENCH_WAIVER - the speedup
 # floor (4-shard ingest wall must beat 1-shard by the recorded floor).
+# The curve is the study's arena path; whether one lane beats the inline
+# engine on captures is a paired measurement, not a gate (~10 min):
+#   scripts/bench-pair.sh analyze_sharded,analyze_payload 10
 cargo run --release -q -p ent-cli -- scaling \
     --out "$BENCH_TMP/BENCH_scaling.json"
 cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_scaling.json"
