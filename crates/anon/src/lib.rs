@@ -23,10 +23,6 @@
 //! assert_eq!(common_prefix_len(x, y), common_prefix_len(a, b));
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod prefix;
 pub mod siphash;
 pub mod trace;

@@ -9,28 +9,23 @@
 //!   pipeline emitting rolling per-epoch reports, with optional
 //!   crash-safe checkpoints and bounded-state budgets.
 //! * `anonymize` — prefix-preserving anonymization of a pcap file.
-//! * `scaling`   — run the study once per shard count and export the
-//!   multi-shard scaling curve (`BENCH_scaling.json`): the determinism
-//!   gate (identical events signature at every shard count) plus the
-//!   ingest-wall speedup curve.
 //! * `packs`     — run the labeled scenario packs (base mix plus
 //!   adversarial and modern-variant actors), score scanner removal
 //!   against the ground-truth labels (precision/recall/F1), measure
 //!   per-pack trace complexity (header-symbol entropy), and export the
 //!   `ent-bench-packs/1` scoring document (`BENCH_packs.json`).
-//! * `obs-check` — validate a bench export (pipeline, monitor, scaling
-//!   or packs schema).
+//! * `obs-check` — validate a bench export (pipeline, monitor or packs
+//!   schema).
 //! * `bench-compare` — gate a candidate bench export against a committed
-//!   baseline (exact event/byte equality, one-sided +25 % wall check; for
-//!   scaling documents, entry-for-entry determinism plus the speedup
-//!   floor on machines with at least 4 cores).
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+//!   baseline (exact event/byte equality, one-sided +25 % wall check).
+//!
+//! A flag given a value that does not parse, or `--shards` other than 0 or
+//! 1, exits 2 naming the flag and the value: a mistyped number never runs
+//! as the default.
 
 use ent_core::metrics::{
-    bench_json, compare_bench_json, validate_bench_json, Stage, Val, MONITOR, PACKS, PIPELINE,
-    SCALING, WALL_TOLERANCE,
+    bench_json, compare_bench_json, validate_bench_json, Val, MONITOR, PACKS, PIPELINE,
+    WALL_TOLERANCE,
 };
 use ent_core::run::{run_datasets, StudyConfig};
 use ent_core::run_pack;
@@ -60,9 +55,8 @@ fn or_die<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  entreport study [--scale S] [--seed N] [--threads N] [--shards N] [--datasets D0,D3] [--only 'table 9'] [--csv-dir DIR] [--keep-scanners] [--bench-json FILE.json]
-  entreport scaling [--scale S] [--seed N] [--threads N] [--shard-counts 0,1,2,4,8] [--datasets D0,D3] [--out FILE.json]
-  entreport packs [--scale S] [--seed N] [--threads N] [--shards N] [--packs base,sweep] [--out FILE.json]
+  entreport study [--scale S] [--seed N] [--threads N] [--shards 0|1] [--datasets D0,D3] [--only 'table 9'] [--csv-dir DIR] [--keep-scanners] [--bench-json FILE.json]
+  entreport packs [--scale S] [--seed N] [--threads N] [--shards 0|1] [--packs base,sweep] [--out FILE.json]
   entreport generate --dataset D0 --subnet 3 [--pass 1] [--scale S] [--seed N] --out FILE.pcap
   entreport analyze FILE.pcap [--subnet N] [--name D0]
   entreport monitor FILE.pcap [--epoch-secs 300] [--checkpoint FILE.ckpt] [--max-conns N] [--max-pending N] [--stop-after-epochs N] [--name NAME] [--keep-scanners] [--bench-json FILE.json]
@@ -105,9 +99,25 @@ fn parse_args(raw: &[String]) -> Args {
     a
 }
 
-/// A flag's value parsed as `T`; `None` when absent or unparsable.
-fn flag<T: std::str::FromStr>(args: &Args, name: &str) -> Option<T> {
-    args.flags.get(name).and_then(|s| s.parse().ok())
+/// A command's outcome: its exit code, or the message of a flag it could
+/// not use (exit 2).
+type Outcome = Result<ExitCode, String>;
+
+/// A flag's value parsed as `T`, `None` when absent. A value that does not
+/// parse is an error naming the flag and the value.
+fn flag<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, String> {
+    match args.flags.get(name) {
+        None => Ok(None),
+        Some(s) => s.parse().map(Some).map_err(|_| format!("bad --{name} {s:?}")),
+    }
+}
+
+/// `--shards`: 0 (the inline engine, the default) or 1 (one worker lane).
+fn shards(args: &Args) -> Result<usize, String> {
+    match flag(args, "shards")?.unwrap_or(0) {
+        n @ (0 | 1) => Ok(n),
+        n => Err(format!("bad --shards {n} (0 = inline, 1 = one worker lane)")),
+    }
 }
 
 fn main() -> ExitCode {
@@ -116,26 +126,29 @@ fn main() -> ExitCode {
         return usage();
     };
     let args = parse_args(&raw[1..]);
-    match cmd.as_str() {
+    let outcome = match cmd.as_str() {
         "study" => cmd_study(&args),
-        "scaling" => cmd_scaling(&args),
         "packs" => cmd_packs(&args),
         "generate" => cmd_generate(&args),
         "analyze" => cmd_analyze(&args),
         "monitor" => cmd_monitor(&args),
-        "anonymize" => cmd_anonymize(&args),
-        "obs-check" => cmd_obs_check(&args),
-        "bench-compare" => cmd_bench_compare(&args),
-        _ => usage(),
-    }
+        "anonymize" => Ok(cmd_anonymize(&args)),
+        "obs-check" => Ok(cmd_obs_check(&args)),
+        "bench-compare" => Ok(cmd_bench_compare(&args)),
+        _ => Ok(usage()),
+    };
+    outcome.unwrap_or_else(|why| {
+        eprintln!("entreport: {why}");
+        ExitCode::from(2)
+    })
 }
 
-fn gen_config(args: &Args) -> GenConfig {
-    GenConfig {
-        scale: flag(args, "scale").unwrap_or(0.01),
-        seed: flag(args, "seed").unwrap_or(1),
-        hosts_per_subnet: flag(args, "hosts"),
-    }
+fn gen_config(args: &Args) -> Result<GenConfig, String> {
+    Ok(GenConfig {
+        scale: flag(args, "scale")?.unwrap_or(0.01),
+        seed: flag(args, "seed")?.unwrap_or(1),
+        hosts_per_subnet: flag(args, "hosts")?,
+    })
 }
 
 /// The datasets named by `--datasets D0,D3` (all five when absent).
@@ -145,24 +158,13 @@ fn selected_datasets(args: &Args) -> Vec<DatasetSpec> {
     all_datasets().into_iter().filter(keep).collect()
 }
 
-fn cmd_study(args: &Args) -> ExitCode {
-    let threads: usize = flag(args, "threads").unwrap_or(0);
-    // An explicit --shards (including `--shards 0`, the serial escape
-    // hatch) always wins; only when the flag is absent does the run
-    // auto-shard the cores a pinned --threads leaves idle. Shard count is
-    // a bench-comparability key, so gate scripts pass --shards 0.
-    let shards = match flag(args, "shards") {
-        Some(n) => n,
-        None => ent_core::auto_shards(
-            threads,
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        ),
-    };
+fn cmd_study(args: &Args) -> Outcome {
+    let threads: usize = flag(args, "threads")?.unwrap_or(0);
     let config = StudyConfig {
-        gen: gen_config(args),
+        gen: gen_config(args)?,
         pipeline: PipelineConfig {
             keep_scanners: args.switches.contains("keep-scanners"),
-            shards,
+            shards: shards(args)?,
             ..Default::default()
         },
         threads,
@@ -192,9 +194,10 @@ fn cmd_study(args: &Args) -> ExitCode {
         total.absorb(&m);
     }
     eprintln!(
-        "study wall {:.1}s ({:.0} packets/s worker throughput)",
+        "study wall {:.1}s ({:.0} packets/s worker throughput), events signature {:016x}",
         study_wall_ns as f64 / 1e9,
-        total.packets_per_sec()
+        total.packets_per_sec(),
+        total.events_signature_hash()
     );
     let mut report = build_report(&studies);
     if let Some(only) = args.flags.get("only") {
@@ -258,7 +261,7 @@ fn cmd_study(args: &Args) -> ExitCode {
         }
         eprintln!("CSV exports written to {dir}/");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn slug(title: &str) -> String {
@@ -278,97 +281,6 @@ fn slug(title: &str) -> String {
         .collect()
 }
 
-/// The 4-shard ingest-wall speedup over 1 shard a scaling document asks
-/// of the machine that produced it (`bench-compare` enforces it on a
-/// candidate with at least 4 cores).
-const SCALING_FLOOR: f64 = 1.6;
-
-/// Run the study once per shard count (same scale/seed/threads) and
-/// export the scaling curve as an `ent-bench-scaling/1` document. The
-/// built-in self-check is the determinism gate: every shard count must
-/// produce the identical events signature, packet and trace totals, or
-/// the command fails. Defaults are the gate configuration: scale 0.01,
-/// seed 2005, 1 worker thread, shard counts 0 (serial), 1, 2, 4, 8.
-fn cmd_scaling(args: &Args) -> ExitCode {
-    let mut gen = gen_config(args);
-    if !args.flags.contains_key("seed") {
-        gen.seed = 2005; // the scaling gate's seed, not `study`'s default
-    }
-    let threads: usize = flag(args, "threads").unwrap_or(1);
-    let counts: Vec<usize> = match args.flags.get("shard-counts") {
-        Some(s) => {
-            let parsed: Option<Vec<usize>> =
-                s.split(',').map(|x| x.trim().parse().ok()).collect();
-            match parsed {
-                Some(v) if !v.is_empty() => v,
-                _ => {
-                    eprintln!("entreport: bad --shard-counts {s:?} (want e.g. 0,1,2,4,8)");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => vec![0, 1, 2, 4, 8],
-    };
-    let specs = selected_datasets(args);
-    eprintln!(
-        "scaling curve: scale={} seed={} threads={threads} shard counts {counts:?}",
-        gen.scale, gen.seed
-    );
-    let mut entries = Vec::new();
-    for &shards in &counts {
-        let config = StudyConfig {
-            gen,
-            pipeline: PipelineConfig {
-                shards,
-                ..Default::default()
-            },
-            threads,
-        };
-        let studies = run_datasets(&specs, &config);
-        let mut total = PipelineMetrics::default();
-        for da in &studies {
-            total.absorb(&da.pipeline_metrics());
-        }
-        eprintln!(
-            "  shards={shards}: ingest wall {:.1} ms (dispatcher send-blocked {:.1} ms), {} packets, signature {:016x}",
-            total.stages[Stage::ShardIngest].wall_ns as f64 / 1e6,
-            total.stages[Stage::Backpressure].wall_ns as f64 / 1e6,
-            total.packets(),
-            total.events_signature_hash(),
-        );
-        entries.push(vec![
-            ("shards", Val::U(shards as u64)),
-            ("ingest_wall_us", Val::F(total.stages[Stage::ShardIngest].wall_us())),
-            ("frame_parse_wall_us", Val::F(total.stages[Stage::FrameParse].wall_us())),
-            ("flow_ingest_wall_us", Val::F(total.stages[Stage::FlowIngest].wall_us())),
-            ("packets", Val::U(total.packets())),
-            ("traces", Val::U(total.traces)),
-            ("peak_open_conns", Val::U(total.peak_open_conns)),
-            ("signature", Val::S(format!("{:016x}", total.events_signature_hash()))),
-        ]);
-    }
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let run = [
-        ("scale", Val::F(gen.scale)),
-        ("seed", Val::U(gen.seed)),
-        ("threads", Val::U(threads as u64)),
-        ("cores", Val::U(cores as u64)),
-        ("floor", Val::F(SCALING_FLOOR)),
-    ];
-    let doc = or_die(bench_json(&SCALING, &run, None, &entries), "scaling json");
-    // The self-check is the determinism half of the gate: it fails if any
-    // shard count produced a different signature or packet total.
-    or_die(validate_bench_json(&doc), "scaling determinism self-check");
-    match args.flags.get("out") {
-        Some(path) => {
-            or_die(std::fs::write(path, &doc), "write scaling json");
-            eprintln!("scaling curve written to {path}");
-        }
-        None => print!("{doc}"),
-    }
-    ExitCode::SUCCESS
-}
-
 /// Precision floor of the pack scoring gate: of the connections
 /// scanner removal flags, at least this share must belong to a labeled
 /// scan source (attack actors built to *evade* the heuristic — floods,
@@ -385,14 +297,14 @@ const PACK_RECALL_FLOOR: f64 = 0.9;
 /// `ent-bench-packs/1`. The built-in self-check is the scoring gate:
 /// precision/recall floors per pack, plus per-pack header entropy that
 /// must be distinguishable from the base mix. Defaults are the gate
-/// configuration: scale 0.01, seed 2005, 1 worker thread, serial shards.
-fn cmd_packs(args: &Args) -> ExitCode {
-    let mut gen = gen_config(args);
+/// configuration: scale 0.01, seed 2005, 1 worker thread, inline ingest.
+fn cmd_packs(args: &Args) -> Outcome {
+    let mut gen = gen_config(args)?;
     if !args.flags.contains_key("seed") {
-        gen.seed = 2005; // the pack gate's seed, matching `scaling`
+        gen.seed = 2005; // the pack gate's seed, matching the study gate's
     }
-    let threads: usize = flag(args, "threads").unwrap_or(1);
-    let shards: usize = flag(args, "shards").unwrap_or(0);
+    let threads: usize = flag(args, "threads")?.unwrap_or(1);
+    let shards = shards(args)?;
     let wanted: Option<Vec<String>> = args
         .flags
         .get("packs")
@@ -429,7 +341,7 @@ fn cmd_packs(args: &Args) -> ExitCode {
     for name in names {
         let Some(pack) = ent_gen::packs::pack(name) else {
             eprintln!("entreport: unknown pack {name:?} (want one of {:?})", ent_gen::PACK_NAMES);
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         };
         let report = run_pack(&pack, &config);
         println!(
@@ -484,23 +396,23 @@ fn cmd_packs(args: &Args) -> ExitCode {
         }
         None => print!("{doc}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_generate(args: &Args) -> ExitCode {
+fn cmd_generate(args: &Args) -> Outcome {
     let Some(name) = args.flags.get("dataset") else {
-        return usage();
+        return Ok(usage());
     };
     let Some(spec) = dataset(name) else {
         eprintln!("unknown dataset {name} (use D0..D4)");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
-    let subnet: u16 = flag(args, "subnet").unwrap_or(spec.monitored.start);
-    let pass: u8 = flag(args, "pass").unwrap_or(1);
+    let subnet: u16 = flag(args, "subnet")?.unwrap_or(spec.monitored.start);
+    let pass: u8 = flag(args, "pass")?.unwrap_or(1);
     let Some(out) = args.flags.get("out") else {
-        return usage();
+        return Ok(usage());
     };
-    let config = gen_config(args);
+    let config = gen_config(args)?;
     let (site, wan) = build_site(&spec, &config);
     let trace = generate_trace(&site, &wan, &spec, subnet, pass, &config);
     let f = or_die(File::create(out), "create output file");
@@ -512,18 +424,18 @@ fn cmd_generate(args: &Args) -> ExitCode {
         trace.wire_bytes(),
         trace.meta.snaplen
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_analyze(args: &Args) -> ExitCode {
+fn cmd_analyze(args: &Args) -> Outcome {
     let Some(path) = args.positional.first() else {
-        return usage();
+        return Ok(usage());
     };
     let data = match std::fs::read(path) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut meta = TraceMeta {
@@ -532,7 +444,7 @@ fn cmd_analyze(args: &Args) -> ExitCode {
             .get("name")
             .map(|s| s.as_str().into())
             .unwrap_or_else(|| "pcap".into()),
-        subnet: flag(args, "subnet").unwrap_or(0),
+        subnet: flag(args, "subnet")?.unwrap_or(0),
         pass: 1,
         duration: Timestamp::from_secs(3_600),
         snaplen: 1500,
@@ -559,7 +471,7 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!(
@@ -597,7 +509,7 @@ fn cmd_analyze(args: &Args) -> ExitCode {
     }
     println!();
     println!("{}", a.metrics.stage_table("Pipeline stage metrics").render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Validate a `BENCH_pipeline.json` export: schema identifier, required
@@ -675,15 +587,15 @@ fn cmd_bench_compare(args: &Args) -> ExitCode {
 /// written atomically, and a later run with the same flag resumes
 /// mid-stream, reproducing the remaining epochs exactly. A checkpoint that
 /// fails to load degrades to a counted cold start, never an error exit.
-fn cmd_monitor(args: &Args) -> ExitCode {
+fn cmd_monitor(args: &Args) -> Outcome {
     let Some(path) = args.positional.first() else {
-        return usage();
+        return Ok(usage());
     };
     let data = or_die(std::fs::read(path), "read capture");
-    let epoch_secs: u64 = flag(args, "epoch-secs").unwrap_or(300);
+    let epoch_secs: u64 = flag(args, "epoch-secs")?.unwrap_or(300);
     if epoch_secs == 0 {
         eprintln!("entreport: --epoch-secs must be nonzero");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     let name = args.flags.get("name").map(String::as_str).unwrap_or("monitor");
     let ckpt_path = args.flags.get("checkpoint").map(std::path::PathBuf::from);
@@ -692,8 +604,8 @@ fn cmd_monitor(args: &Args) -> ExitCode {
         checkpoints: ckpt_path.is_some(),
         pipeline: PipelineConfig {
             keep_scanners: args.switches.contains("keep-scanners"),
-            max_conns: flag(args, "max-conns").unwrap_or(0),
-            max_pending: flag(args, "max-pending").unwrap_or(0),
+            max_conns: flag(args, "max-conns")?.unwrap_or(0),
+            max_pending: flag(args, "max-pending")?.unwrap_or(0),
             ..Default::default()
         },
     };
@@ -727,7 +639,7 @@ fn cmd_monitor(args: &Args) -> ExitCode {
     if recovered {
         monitor.note_checkpoint_recovery();
     }
-    let stop_after: Option<u64> = flag(args, "stop-after-epochs");
+    let stop_after: Option<u64> = flag(args, "stop-after-epochs")?;
     let result = drive_capture(
         &data,
         &mut monitor,
@@ -745,7 +657,7 @@ fn cmd_monitor(args: &Args) -> ExitCode {
             "stopped after {} epochs (checkpoint retained for resume)",
             stop_after.unwrap_or(0)
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     };
     print!("{}", summary.render());
     if let Some(out) = args.flags.get("bench-json") {
@@ -763,7 +675,7 @@ fn cmd_monitor(args: &Args) -> ExitCode {
         or_die(std::fs::write(out, &doc), "write bench json");
         eprintln!("monitor metrics written to {out}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_anonymize(args: &Args) -> ExitCode {
@@ -792,4 +704,40 @@ fn cmd_anonymize(args: &Args) -> ExitCode {
     or_die(w.flush(), "flush output");
     eprintln!("anonymized {} packets -> {}", anon.packets.len(), output);
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(raw: &[&str]) -> Args {
+        parse_args(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_valid_value_parses_and_an_absent_flag_is_none() {
+        let a = args(&["trace.pcap", "--scale", "0.01", "--keep-scanners", "--shards", "1"]);
+        assert_eq!(a.positional, ["trace.pcap"]);
+        assert!(a.switches.contains("keep-scanners"));
+        assert_eq!(flag::<f64>(&a, "scale"), Ok(Some(0.01)));
+        assert_eq!(flag::<u64>(&a, "seed"), Ok(None));
+        assert_eq!(shards(&a), Ok(1));
+        assert_eq!(shards(&args(&[])), Ok(0));
+    }
+
+    #[test]
+    fn a_mistyped_value_is_rejected_naming_flag_and_value() {
+        let err = flag::<f64>(&args(&["--scale", "0,01"]), "scale").expect_err("0,01 is no f64");
+        assert!(err.contains("--scale") && err.contains("0,01"), "{err}");
+        let err = flag::<u64>(&args(&["--epoch-secs", "5m"]), "epoch-secs").expect_err("5m is no u64");
+        assert!(err.contains("--epoch-secs") && err.contains("5m"), "{err}");
+        let err = shards(&args(&["--shards", "two"])).expect_err("two is no count");
+        assert!(err.contains("--shards") && err.contains("two"), "{err}");
+    }
+
+    #[test]
+    fn shards_takes_only_the_inline_engine_or_one_lane() {
+        let err = shards(&args(&["--shards", "2"])).expect_err("there is no second lane");
+        assert!(err.contains("--shards 2"), "{err}");
+    }
 }

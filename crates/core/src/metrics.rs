@@ -214,7 +214,7 @@ pub const MONITOR_DOC: u8 = 2;
 stat_table! {
     /// The pipeline stages with individually-attributed time: the ten
     /// batch stages, then three monitor-mode stages (zero for batch runs),
-    /// then the sharding elapsed-wall stage. Each variant states what its
+    /// then the ingest elapsed-wall stage. Each variant states what its
     /// `events` / `bytes` count. A stage nested inside another is declared
     /// `under` it ([`Stage::parent`]), never double-reported as disjoint.
     ///
@@ -271,17 +271,17 @@ stat_table! {
     Checkpoint = "checkpoint" in MONITOR_DOC,
     /// Bounded-state degradation: evicted connections plus dropped
     /// pending-map entries / 0 (zero when no budget was exceeded). Its
-    /// wall is the other backpressure in the system: the time a sharded
-    /// batch run's dispatcher spent handing batches to lanes that had no
-    /// room for them (zero inline and in monitor mode).
+    /// wall is the other backpressure in the system: the time a batch
+    /// run's dispatcher waited for room in its worker lane's batch channel
+    /// (zero inline and in monitor mode).
     Backpressure = "backpressure",
     /// *Elapsed* wall of the frame-parse + flow-ingest phase of one trace,
-    /// end to end (recorded by the serial batch path too, zero in monitor
-    /// mode). Unlike `frame_parse`/`flow_ingest`, whose walls are summed
-    /// across shard workers running concurrently, this is
-    /// dispatcher-observed elapsed time — the denominator of the
-    /// multi-shard scaling curve. Events and bytes are always 0, so the
-    /// stage is signature-neutral.
+    /// end to end, as the caller saw it (zero in monitor mode). Inline it
+    /// is the frame loop plus the window close; on the worker lane, whose
+    /// `frame_parse`/`flow_ingest` walls count only the worker's own work,
+    /// it adds the hand-off and the join. The name dates from N-way lanes
+    /// and stays with checkpoint VERSION 2. Events and bytes are always
+    /// 0, so the stage is signature-neutral.
     ShardIngest = "shard_ingest",
 }
 
@@ -383,11 +383,9 @@ impl PipelineMetrics {
     /// analyzer's (name, events, bytes), plus the trace total.
     /// Wall times are deliberately excluded — two runs of the same study
     /// must produce identical signatures regardless of thread count — and
-    /// so is `peak_open_conns`: a sharded run reports the *sum* of
-    /// per-shard peaks (a serial run its true peak), making the peak the
-    /// one counter that legitimately varies with shard count. It is still
-    /// compared exactly between runs of the same configuration via the
-    /// top-level bench keys.
+    /// so is `peak_open_conns`, so that the committed hashes do not move.
+    /// The peak is equal inline and on the worker lane, and is compared
+    /// exactly between runs via the top-level bench keys.
     pub fn events_signature(&self) -> Vec<(String, u64, u64)> {
         let stages = self.stages.named().map(|(n, s)| (format!("stage:{n}"), s));
         let analyzers = self.analyzers.named().map(|(n, s)| (format!("analyzer:{n}"), s));
@@ -396,9 +394,9 @@ impl PipelineMetrics {
         sig
     }
 
-    /// [`Self::events_signature`] folded into one u64 for display and for
-    /// the scaling-curve gate — FNV-1a over the (name, events, bytes)
-    /// triples, so two runs match iff every counter matches.
+    /// [`Self::events_signature`] folded into one u64 for display — FNV-1a
+    /// over the (name, events, bytes) triples, so two runs match iff every
+    /// counter matches.
     pub fn events_signature_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |bytes: &[u8]| {
@@ -602,8 +600,10 @@ pub const PIPELINE: Schema = Schema {
     tag: "ent-bench-pipeline/1",
     top: &[
         param("scale"), param("seed"), param("threads"),
-        // Pre-sharding documents carry no "shards"; all such runs were serial.
-        param("shards").or_absent(0.0),
+        // Inline (0) or the worker lane (1): no exact key depends on it,
+        // the peak included, so it is recorded, not compared. Documents
+        // older than sharding carry no "shards"; all such runs were inline.
+        info("shards").or_absent(0.0),
         info_us("study_wall_us"),
         info_us("worker_wall_us").derived(|m| Val::F(m.trace_wall_ns as f64 / 1e3)),
         exact("traces").derived(|m| Val::U(m.traces)),
@@ -644,36 +644,6 @@ pub const MONITOR: Schema = Schema {
     gate: None,
 };
 
-/// The shard scaling curve (`entreport scaling`, `BENCH_scaling.json`):
-/// one study per shard count at a fixed scale/seed/threads. `cores` says
-/// where the document was produced and is not a comparability key: the
-/// speedup `floor` is only *enforced* on a candidate machine with at least
-/// 4 cores, so single-core CI keeps the determinism half without a
-/// meaningless wall gate. Walls are never compared between documents.
-pub const SCALING: Schema = Schema {
-    tag: "ent-bench-scaling/1",
-    top: &[param("scale"), param("seed"), param("threads"), info("cores"), param("floor")],
-    stages: None,
-    entries: Some(Entries {
-        array: "entries",
-        roster: "shard-count lists",
-        keys: &[
-            param("shards"),
-            // Elapsed ingest wall (the `shard_ingest` stage), then the
-            // summed-across-workers parse and ingest walls.
-            info_us("ingest_wall_us"), info_us("frame_parse_wall_us"), info_us("flow_ingest_wall_us"),
-            exact("packets"), exact("traces"),
-            // The serial peak at shards ≤ 1, else the sum of per-shard
-            // peaks: deterministic per (config, shards).
-            exact("peak_open_conns"),
-            // `PipelineMetrics::events_signature_hash`, 16 hex digits.
-            Key::new("signature", Exact, Text),
-        ],
-    }),
-    check: Some(check_scaling),
-    gate: Some(gate_scaling_floor),
-};
-
 /// Labeled scenario packs (`entreport packs`, `BENCH_packs.json`): one
 /// scored run per pack — the scanner-removal scoring gate
 /// (precision/recall floors) and the trace-complexity record (per-pack
@@ -702,7 +672,7 @@ pub const PACKS: Schema = Schema {
 };
 
 /// Every bench document kind this build emits, validates and compares.
-const SCHEMAS: [&Schema; 4] = [&PIPELINE, &MONITOR, &SCALING, &PACKS];
+const SCHEMAS: [&Schema; 3] = [&PIPELINE, &MONITOR, &PACKS];
 
 /// `keys` as `"name": value` members, each value derived from `metrics`
 /// or looked up by name in `values`.
@@ -1074,41 +1044,9 @@ fn validated(text: &str) -> Res<(JsonValue, &'static Schema, BenchSummary)> {
 /// Validate a bench document of any kind: every declared key present with
 /// its declared type, every mandatory stage non-zero (the instrumentation-
 /// rot check), entry identities unique, and the schema's own invariants —
-/// the sharding determinism gate for scaling documents, the scanner-removal
-/// quality gate for pack documents.
+/// the scanner-removal quality gate for pack documents.
 pub fn validate_bench_json(text: &str) -> Res<BenchSummary> {
     validated(text).map(|(_, _, summary)| summary)
-}
-
-/// The determinism half of the scaling gate: every entry — serial and
-/// every shard count — must report the same packet count, trace count and
-/// events signature, or sharding changed the analysis results.
-fn check_scaling(_doc: &JsonValue, entries: &[JsonValue], summary: &mut BenchSummary) -> Res {
-    let mut reference: Option<(&str, f64, f64)> = None;
-    for e in entries {
-        let (shards, wall) = (num(e, "shards"), num(e, "ingest_wall_us"));
-        let (sig, packets, traces) = (text(e, "signature"), num(e, "packets"), num(e, "traces"));
-        if wall <= 0.0 {
-            bail!("scaling entry shards={shards} has zero ingest wall — instrumentation rot?");
-        }
-        let (rsig, rpackets, rtraces) = *reference.get_or_insert((sig, packets, traces));
-        if sig != rsig {
-            bail!(
-                "determinism violation: shards={shards} signature {sig} differs from {rsig} — \
-                 sharding changed the analysis results"
-            );
-        }
-        if (packets, traces) != (rpackets, rtraces) {
-            bail!(
-                "determinism violation: shards={shards} analyzed {packets} packets / {traces} \
-                 traces, other entries {rpackets} / {rtraces}"
-            );
-        }
-        summary.stages.push((format!("shards={shards}"), wall, packets as u64));
-    }
-    let (_, packets, traces) = reference.ok_or("missing non-empty \"entries\" array")?;
-    (summary.packets, summary.traces) = (packets as u64, traces as u64);
-    Ok(())
 }
 
 /// Entropies closer than this (bits, on both axes) count as
@@ -1176,38 +1114,6 @@ fn gate_hot_path_share(c: &JsonValue, _entries: &[JsonValue], check_wall: bool) 
     let share = if total > 0.0 { hot / total } else { 0.0 };
     let line = format!("hot-path wall share: {:.1}% (floor: < {:.0}%)", share * 100.0, HOT_PATH_SHARE_FLOOR * 100.0);
     if share < HOT_PATH_SHARE_FLOOR { Ok(line + "  ok\n") } else { Err(line) }
-}
-
-/// The scaling comparison's wall half, candidate-internal: elapsed ingest
-/// wall at 1 shard over 4 shards must reach the candidate's `floor` — only
-/// enforced when the candidate ran on at least 4 cores and `check_wall`.
-fn gate_scaling_floor(c: &JsonValue, entries: &[JsonValue], check_wall: bool) -> Result<String, String> {
-    let wall = |e: &JsonValue| num(e, "ingest_wall_us");
-    let at = |shards: f64| entries.iter().find(|e| num(e, "shards") == shards);
-    // NaN (no 1-shard entry to compare against) must fail the floor too.
-    let speedup = |e: &JsonValue| at(1.0).map_or(f64::NAN, wall) / wall(e);
-    let mut report = String::new();
-    for e in entries {
-        let (shards, us) = (num(e, "shards"), wall(e));
-        report += &format!("shards={shards}: ingest {us:.1} us, {:.2}x the 1-shard run\n", speedup(e));
-    }
-    let (floor, cores) = (num(c, "floor"), num(c, "cores"));
-    match at(4.0).map(speedup) {
-        Some(spd) if check_wall && cores >= 4.0 => {
-            if spd.is_nan() || spd < floor {
-                return Err(format!(
-                    "scaling floor missed: 4-shard speedup {spd:.2}x < required {floor}x \
-                     (ingest wall, candidate machine has {cores} cores)"
-                ));
-            }
-            report += &format!("floor: 4-shard speedup {spd:.2}x >= {floor}x  ok\n");
-        }
-        Some(_) => report += &format!(
-            "floor: waived (check_wall={check_wall}, candidate cores={cores} < 4 enforces determinism only)\n"
-        ),
-        None => report += "floor: no 4-shard entry; determinism only\n",
-    }
-    Ok(report)
 }
 
 /// How far a [`Role::Wall`] value may exceed its baseline: +25%.
@@ -1278,8 +1184,8 @@ fn compare_keys(
 ///   pipeline's outputs changed, which a perf change must never do.
 /// * **Performance** — one-sided: a stage holding at least
 ///   [`WALL_SHARE_FLOOR`] of the summed mandatory-stage wall may not exceed
-///   its baseline wall by more than [`WALL_TOLERANCE`]; scaling documents
-///   instead gate the candidate's own 4-shard speedup. `check_wall = false`
+///   its baseline wall by more than [`WALL_TOLERANCE`]; a schema's own
+///   gate may hold the candidate to a floor of its own. `check_wall = false`
 ///   (`ENT_BENCH_WAIVER=1` in `scripts/check.sh`) skips this half on noisy
 ///   hardware while keeping the determinism half.
 ///
@@ -1671,9 +1577,8 @@ mod tests {
 
     #[test]
     fn signature_excludes_peak_but_hash_tracks_counters() {
-        // peak_open_conns legitimately varies with shard count (sum of
-        // per-shard peaks vs the serial peak), so it must not be part of
-        // the events signature...
+        // peak_open_conns is compared by the bench keys and stays out of
+        // the events signature, so committed hashes do not move...
         let a = nonzero_metrics();
         let mut b = nonzero_metrics();
         b.peak_open_conns += 100;
@@ -1682,106 +1587,6 @@ mod tests {
         // ...while any real counter drift must move the hash.
         b.analyzers[AnalyzerKind::Http].events += 1;
         assert_ne!(a.events_signature_hash(), b.events_signature_hash());
-    }
-
-    const SIGNATURE: u64 = 0xABCD_EF01_2345_6789;
-    const SCALING_WALLS_NS: [(u64, u64); 5] =
-        [(0, 900_000), (1, 1_000_000), (2, 600_000), (4, 400_000), (8, 350_000)];
-
-    fn signature(hash: u64) -> Val {
-        S(format!("{hash:016x}"))
-    }
-
-    fn scaling() -> Doc {
-        let us = |ns: u64| F(ns as f64 / 1e3);
-        Doc {
-            schema: &SCALING,
-            top: vec![("scale", F(0.01)), ("seed", U(2005)), ("threads", U(1)), ("cores", U(8)), ("floor", F(1.6))],
-            metrics: None,
-            entries: SCALING_WALLS_NS
-                .iter()
-                .map(|&(shards, wall)| {
-                    vec![
-                        ("shards", U(shards)),
-                        ("ingest_wall_us", us(wall)),
-                        ("frame_parse_wall_us", us(wall / 3)),
-                        ("flow_ingest_wall_us", us(wall / 2)),
-                        ("packets", U(1_000)), ("traces", U(10)),
-                        ("peak_open_conns", U(if shards <= 1 { 40 } else { 40 + shards })),
-                        ("signature", signature(SIGNATURE)),
-                    ]
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn scaling_json_roundtrips_and_gates_determinism() {
-        let text = scaling().text();
-        let summary = validate_bench_json(&text).expect("valid scaling doc");
-        assert_eq!(summary.packets, 1_000);
-        assert_eq!(summary.traces, 10);
-        assert_eq!(summary.stages.len(), 5);
-        // The emitted wall keys round-trip from their nanosecond source
-        // counters (pins the µs conversion and the key names themselves).
-        let doc = json_parse(&text).expect("well-formed JSON");
-        let Some(JsonValue::Array(entries)) = doc.get("entries") else {
-            panic!("entries array missing");
-        };
-        for (&(_, wall_ns), out) in SCALING_WALLS_NS.iter().zip(entries) {
-            let us = |key: &str| out.get(key).and_then(JsonValue::as_f64).expect("wall key");
-            assert!((us("ingest_wall_us") - wall_ns as f64 / 1_000.0).abs() < 1e-6);
-            assert!((us("frame_parse_wall_us") - (wall_ns / 3) as f64 / 1_000.0).abs() < 1e-6);
-            assert!((us("flow_ingest_wall_us") - (wall_ns / 2) as f64 / 1_000.0).abs() < 1e-6);
-        }
-        // A signature differing between entries is a determinism failure.
-        let bad = scaling().with_entry(2, "signature", signature(SIGNATURE ^ 1));
-        let err = validate_bench_json(&bad.text()).expect_err("sig drift");
-        assert!(err.message().contains("determinism violation"), "{err}");
-        // So is a packet-count mismatch between shard counts.
-        let bad = scaling().with_entry(3, "packets", U(1_001));
-        let err = validate_bench_json(&bad.text()).expect_err("packet drift");
-        assert!(err.message().contains("determinism violation"), "{err}");
-        // Duplicate shard counts are rejected.
-        let bad = scaling().with_entry(4, "shards", U(4));
-        let err = validate_bench_json(&bad.text()).expect_err("dup shards");
-        assert!(err.message().contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn scaling_compare_enforces_floor_on_capable_machines_only() {
-        let base = scaling().text();
-        let report = compare_bench_json(&base, &base, true).expect("identical passes");
-        assert!(report.contains("4-shard speedup 2.50x"), "{report}");
-        // Candidate misses the floor on an 8-core machine: hard failure.
-        let slow = scaling().with_entry(3, "ingest_wall_us", F(900.0)); // 1.11x over 1-shard
-        let err = compare_bench_json(&base, &slow.text(), true)
-            .expect_err("floor miss on capable machine");
-        assert!(err.message().contains("scaling floor missed"), "{err}");
-        // The identical miss on a single-core machine only gates
-        // determinism — walls are meaningless there.
-        let single = slow.clone().with("cores", U(1));
-        let report = compare_bench_json(&base, &single.text(), true)
-            .expect("single-core machine waives the floor");
-        assert!(report.contains("determinism only"), "{report}");
-        // The explicit waiver flag does the same on any machine.
-        compare_bench_json(&base, &slow.text(), false).expect("ENT_BENCH_WAIVER skips the floor");
-        // Cross-document signature drift fails even with the waiver.
-        let mut drift = scaling();
-        for e in &mut drift.entries {
-            set(e, "signature", signature(SIGNATURE ^ 0xFF));
-        }
-        let err = compare_bench_json(&base, &drift.text(), false).expect_err("signature drift");
-        assert!(err.message().contains("signature drifted"), "{err}");
-        // Per-entry peak drift is a hard failure too.
-        let peaky = scaling().with_entry(4, "peak_open_conns", U(49));
-        let err = compare_bench_json(&base, &peaky.text(), false).expect_err("peak drift");
-        assert!(err.message().contains("peak_open_conns"), "{err}");
-        // Different shard lists are not comparable at all.
-        let mut fewer = scaling();
-        fewer.entries.pop();
-        let err = compare_bench_json(&base, &fewer.text(), true).expect_err("shard list mismatch");
-        assert!(err.message().contains("shard-count lists"), "{err}");
     }
 
     fn packs() -> Doc {
@@ -1927,20 +1732,20 @@ mod tests {
         let legacy = base.replace("  \"shards\": 0,\n", "");
         assert!(!legacy.contains("\"shards\""));
         compare_bench_json(&legacy, &base, true).expect("legacy baseline comparable");
-        // But a sharded candidate is a different configuration.
-        let sharded = base.replace("\"shards\": 0", "\"shards\": 4");
-        let err = compare_bench_json(&base, &sharded, true).expect_err("shard mismatch");
-        assert!(err.message().contains("not comparable"), "{err}");
+        // The worker lane changes no exact key, so a one-lane candidate
+        // compares clean against an inline baseline.
+        let lane = base.replace("\"shards\": 0", "\"shards\": 1");
+        assert_ne!(lane, base);
+        compare_bench_json(&base, &lane, true).expect("one lane comparable to inline");
     }
 
-    /// The four fixtures above, one per [`SCHEMAS`] row and in its order,
+    /// The three fixtures above, one per [`SCHEMAS`] row and in its order,
     /// each with the document the parent commit's hand-written emitter
     /// produced for it.
-    fn fixtures() -> [(Doc, &'static str); 4] {
+    fn fixtures() -> [(Doc, &'static str); 3] {
         [
             (pipeline(0.01, 2005, 1, 9_000_000, &nonzero_metrics()), include_str!("../testdata/bench_pipeline.golden.json")),
             (monitor(&monitor_metrics()), include_str!("../testdata/bench_monitor.golden.json")),
-            (scaling(), include_str!("../testdata/bench_scaling.golden.json")),
             (packs(), include_str!("../testdata/bench_packs.golden.json")),
         ]
     }

@@ -56,8 +56,8 @@ pub struct MonitorConfig {
     pub checkpoints: bool,
     /// The underlying pipeline configuration (budgets, ablations).
     /// `shards` is ignored in monitor mode: the monitor's epoch/checkpoint
-    /// machinery is built around one streaming engine, so it always runs
-    /// the inline lane.
+    /// machinery drives one streaming engine on the caller's thread, so it
+    /// never runs the worker lane.
     pub pipeline: PipelineConfig,
 }
 

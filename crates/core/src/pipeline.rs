@@ -49,16 +49,15 @@ pub struct PipelineConfig {
     /// exercise the analyzer-failure demotion path deterministically.
     #[cfg(test)]
     pub analyzer_panic_every: u64,
-    /// Intra-trace sharding: split the flow pipeline across this many
-    /// per-core `ConnTable` lanes, steering frames by canonical host pair
-    /// (see `ent_flow::shard`) and folding the per-lane windows in lane
-    /// order at the seal. `0` (the default) is the dispatcher with zero
-    /// workers: the same frame loop feeds one inline engine on the
-    /// caller's thread, with no channel. `1` runs one worker lane (event-
-    /// for-event identical to `0`). Every batch entry point honors this —
-    /// [`analyze_packets`], [`analyze_trace`] and [`analyze_capture`] are
-    /// one session; the resident monitor ignores it (its epoch rotation
-    /// drives a single engine — see `MonitorConfig`).
+    /// The ingest engine's thread. `0` (the default) is the inline engine:
+    /// the frame loop feeds it on the caller's thread, with no channel.
+    /// Any other value is the one worker lane: the loop dissects on the
+    /// caller's thread and a second thread ingests (`crate::shard`),
+    /// event-for-event identical to `0`, peak included. There is no second
+    /// lane. Every batch entry point honors this — [`analyze_packets`],
+    /// [`analyze_trace`] and [`analyze_capture`] are one session; the
+    /// resident monitor ignores it (its epoch rotation drives a single
+    /// engine — see `MonitorConfig`).
     pub shards: usize,
 }
 
@@ -658,12 +657,12 @@ pub(crate) struct FrameRef<'a> {
 }
 
 /// The stream clock of one ingest session — the only place the window
-/// base and the end of the stream are worked out, for batch runs (any
-/// lane count) and the resident monitor alike.
+/// base and the end of the stream are worked out, for batch runs (inline
+/// or on the worker lane) and the resident monitor alike.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StreamClock {
-    /// The very first frame's timestamp, microseconds: the base every
-    /// lane bins its load samples against (`None` before the first frame).
+    /// The very first frame's timestamp, microseconds: the base the lane
+    /// bins its load samples against (`None` before the first frame).
     pub(crate) base_us: Option<u64>,
     /// Latest timestamp seen: the first frame's, then dissectable frames
     /// only — a frame the dissector rejects cannot vouch for its clock.
@@ -696,9 +695,9 @@ impl StreamClock {
 }
 
 /// Where the frame loop hands its dissected frames: the inline [`Engine`]
-/// (`shards == 0`), or the shard dispatcher's steering buffers.
+/// (`shards == 0`), or the worker lane's batch buffer.
 pub(crate) trait Lane<'a> {
-    /// The stream opened: `base_us` is the window base of every lane.
+    /// The stream opened: `base_us` is the lane's window base.
     fn open(&mut self, base_us: u64);
     /// Take one frame, dissected by the loop (`None`: rejected).
     fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>);
@@ -716,9 +715,9 @@ impl<'a> Lane<'a> for Engine {
 }
 
 /// The one frame loop: dissect each frame once, keep the stream clock,
-/// hand the frame to its lane. Returns the trace's absolute end — the
+/// hand the frame to the lane. Returns the trace's absolute end — the
 /// nominal duration past the first frame, or the last frame seen,
-/// whichever is later — at which every lane then closes its window.
+/// whichever is later — at which the lane then closes its window.
 pub(crate) fn run_frames<'a>(
     frames: impl Iterator<Item = FrameRef<'a>>,
     nominal: Timestamp,
@@ -780,9 +779,9 @@ where
 }
 
 /// One batch ingest session: the frame loop over `frames`, feeding either
-/// the inline engine or `config.shards` worker lanes; every lane closes
-/// its window at the loop's end-of-trace; the seal folds the windows into
-/// the trace's analysis.
+/// the inline engine or the worker lane (`config.shards > 0`); the lane
+/// closes its window at the loop's end-of-trace; the seal turns the window
+/// into the trace's analysis.
 fn ingest<'a>(
     meta: &TraceMeta,
     frames: impl Iterator<Item = FrameRef<'a>>,
@@ -790,20 +789,19 @@ fn ingest<'a>(
     packets_hint: usize,
 ) -> TraceAnalysis {
     let total = StageTimer::start();
-    // Flows spread across the lanes, so each table expects its slice.
-    let expected = expected_conns_hint(packets_hint / config.shards.max(1));
+    let expected = expected_conns_hint(packets_hint);
     let new_engine = || {
         let out = window_analysis(meta, meta.duration.micros() / 1_000_000);
         Engine::new(out, config, meta.has_payload(), expected)
     };
-    let windows = if config.shards == 0 {
+    let window = if config.shards == 0 {
         let mut engine = new_engine();
         let end = run_frames(frames, meta.duration, &mut engine);
-        vec![engine.close_window(end, TraceAnalysis::default())]
+        engine.close_window(end, TraceAnalysis::default())
     } else {
-        crate::shard::run_lanes(config.shards, frames, meta.duration, &new_engine)
+        crate::shard::run_lanes(frames, meta.duration, &new_engine)
     };
-    seal(windows, config, total)
+    seal(window, config, total)
 }
 
 /// The streaming analysis core of every lane: a connection table plus
@@ -868,7 +866,7 @@ impl Engine {
 
     /// Tally and flow-ingest one frame dissected by the caller (`None`
     /// means the dissector rejected it): the frame loop parses each frame
-    /// once, on the steering thread when lanes are workers.
+    /// once, on the dispatcher's thread when the lane is a worker.
     pub(crate) fn ingest_dissected(&mut self, p: FrameRef<'_>, pkt: Option<&Packet<'_>>) {
         // Fused fast path: event/byte stats are exact on every packet, but
         // only one packet in LAP_STRIDE reads the clock (the first packet
@@ -978,8 +976,8 @@ impl Engine {
         finalize.wall_ns = estimate_wall_ns(laps.finalize_ns, finalize.events);
     }
 
-    /// The one window-close step, for the inline lane and every shard
-    /// worker at end of trace and for the monitor at each epoch boundary:
+    /// The one window-close step, for the inline engine and the worker
+    /// lane at end of trace and for the monitor at each epoch boundary:
     /// force-close every open connection (clamped to `end_ts`), reset the
     /// per-window analyzer state retaining capacity, swap `next` in as the
     /// new output window, and return the finished one with the table's
@@ -998,8 +996,7 @@ impl Engine {
         self.closed = fstats;
         out.metrics.peak_open_conns = fstats.peak_open_conns;
         // Degradation events surface as the backpressure stage in every
-        // mode, so a capped batch analysis and a monitor read the same
-        // way; per-lane stages sum at the seal.
+        // mode, so a capped batch analysis and a monitor read the same way.
         let degraded = out.health.evicted_conns + out.health.pending_dropped;
         if degraded > 0 {
             out.metrics.stages[Stage::Backpressure].add(0, degraded, 0);
@@ -1096,47 +1093,11 @@ pub(crate) fn post_process(out: &mut TraceAnalysis, config: &PipelineConfig) {
     }
 }
 
-/// The one seal of a batch session: fold the lanes' closed windows, **in
-/// lane order** and starting from the first, into one trace analysis,
-/// then run the global post-ingest passes exactly once (a scanner's
-/// probes spread across lanes; per-lane removal would miss it). Scalars
-/// and stage stats sum; record vectors concatenate (lane order, each
-/// lane's internal finalize order preserved); the per-second load series
-/// adds elementwise; `peak_open_conns` becomes the sum of lane peaks —
-/// within one trace the lanes hold their state simultaneously (`absorb`'s
-/// max is the cross-trace rule). One lane folds nothing.
-fn seal(windows: Vec<TraceAnalysis>, config: &PipelineConfig, total: StageTimer) -> TraceAnalysis {
-    let mut windows = windows.into_iter();
-    let mut out = windows.next().unwrap_or_default();
-    for part in windows {
-        out.packets += part.packets;
-        out.ip_packets += part.ip_packets;
-        out.arp_packets += part.arp_packets;
-        out.ipx_packets += part.ipx_packets;
-        out.other_l3_packets += part.other_l3_packets;
-        out.wire_bytes += part.wire_bytes;
-        out.conns.extend(part.conns);
-        out.http.extend(part.http);
-        out.dns.extend(part.dns);
-        out.nbns.extend(part.nbns);
-        out.cifs.extend(part.cifs);
-        out.rpc.extend(part.rpc);
-        out.nfs.extend(part.nfs);
-        out.ncp.extend(part.ncp);
-        out.tls.extend(part.tls);
-        out.smtp_message_bytes.extend(part.smtp_message_bytes);
-        out.imap_polls.extend(part.imap_polls);
-        for (bin, add) in out.bytes_per_second.iter_mut().zip(&part.bytes_per_second) {
-            *bin += add;
-        }
-        out.health.absorb(&part.health);
-        let peak_sum = out.metrics.peak_open_conns + part.metrics.peak_open_conns;
-        out.metrics.absorb(&part.metrics);
-        out.metrics.peak_open_conns = peak_sum;
-    }
-    // The ingest phase's elapsed wall (frame loop through the last window
-    // close and the fold): the scaling curve's per-shard-count metric.
-    // Events/bytes stay zero so the entry is constant under
+/// The one seal of a batch session: stamp the ingest phase's elapsed wall
+/// on the lane's closed window, then run the post-ingest passes once.
+fn seal(mut out: TraceAnalysis, config: &PipelineConfig, total: StageTimer) -> TraceAnalysis {
+    // Frame loop through the window close and the worker's join, as the
+    // caller saw it. Events/bytes stay zero so the entry is constant under
     // `events_signature`.
     out.metrics.stages[Stage::ShardIngest].add(total.elapsed_ns(), 0, 0);
     post_process(&mut out, config);

@@ -20,10 +20,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct StudyConfig {
     /// Generator configuration (scale, seed).
     pub gen: GenConfig,
-    /// Pipeline configuration (scanner removal, shards).
+    /// Pipeline configuration (scanner removal, worker lane).
     pub pipeline: PipelineConfig,
-    /// Worker threads (0 = available parallelism; composed with
-    /// `pipeline.shards` by [`effective_threads`]).
+    /// Trace-level worker threads (0 = available parallelism; capped by
+    /// [`effective_threads`]). Each runs its traces inline, or on one
+    /// worker lane of its own when `pipeline.shards > 0`.
     pub threads: usize,
 }
 
@@ -68,7 +69,7 @@ pub(crate) fn run_queue<W: Sync, T: Send>(
     run: impl Fn(&W, &mut PacketArena) -> T + Sync,
 ) -> Vec<T> {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let threads = effective_threads(config.threads, config.pipeline.shards, cores, work.len());
+    let threads = effective_threads(config.threads, cores, work.len());
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
@@ -149,47 +150,16 @@ pub fn run_datasets(specs: &[DatasetSpec], config: &StudyConfig) -> Vec<DatasetA
         .collect()
 }
 
-/// Compose trace-level worker threads with intra-trace shard fan-out.
-///
-/// Every worker thread runs its own shard pool, so the run's total
-/// parallelism is `threads × shards`; letting both knobs multiply past
-/// the core count only adds contention. The rule: cap the *thread* side
-/// so `threads × max(shards, 1) ≤ cores` (never below 1 thread), then
-/// cap at the number of work items. An explicit `requested` count is
-/// honored up to that cap; `requested == 0` means "use the cap".
+/// The trace-level worker count: an explicit `requested` count is honored
+/// up to `cores` (never below 1 thread), `requested == 0` means "one per
+/// core", and never more than the number of work items. A worker lane
+/// makes each worker two threads; the budget stays one worker per core.
 /// Thread count never affects results — only wall time — so capping is
 /// always safe.
-pub fn effective_threads(requested: usize, shards: usize, cores: usize, work_items: usize) -> usize {
-    let budget = (cores.max(1) / shards.max(1)).max(1);
+pub fn effective_threads(requested: usize, cores: usize, work_items: usize) -> usize {
+    let budget = cores.max(1);
     let want = if requested == 0 { budget } else { requested.min(budget) };
     want.min(work_items.max(1))
-}
-
-/// Pick a shard count for a run where the user fixed `--threads` but said
-/// nothing about shards: spend the cores the thread cap leaves idle on
-/// intra-trace fan-out. `requested_threads == 0` (auto threads) returns 0
-/// — trace-level workers already soak every core, and stacking shard
-/// pools under them only adds contention. Otherwise each worker's budget
-/// is `cores / threads`, and one core of it goes to the dispatcher — the
-/// worker's own thread, busy dissecting and steering while its lanes
-/// ingest — so it buys `cores / threads − 1` lanes (capped at 8, the top
-/// of the scaling gate's measured curve). Fewer than two lanes mean serial
-/// ingest: a single lane loses ≈6% to the inline engine on the study's
-/// arena path, where the dispatcher has no reader stall to absorb (DESIGN
-/// §10). Callers that take an explicit shard request (`--shards N`,
-/// including `--shards 0` as the serial escape hatch) must bypass this
-/// entirely — shard count is a bench-comparability key, so an implicit
-/// default must never override an explicit one.
-pub fn auto_shards(requested_threads: usize, cores: usize) -> usize {
-    if requested_threads == 0 {
-        return 0;
-    }
-    let lanes = (cores / requested_threads).saturating_sub(1);
-    if lanes >= 2 {
-        lanes.min(8)
-    } else {
-        0
-    }
 }
 
 /// Generate and analyze one dataset, trace-parallel.
@@ -235,42 +205,16 @@ mod tests {
 
     #[test]
     fn effective_threads_caps_threads_times_shards_at_cores() {
-        // Auto (requested 0): divide the core budget by the shard count.
-        assert_eq!(effective_threads(0, 0, 8, 100), 8);
-        assert_eq!(effective_threads(0, 1, 8, 100), 8);
-        assert_eq!(effective_threads(0, 4, 8, 100), 2);
-        assert_eq!(effective_threads(0, 8, 8, 100), 1);
+        // Auto (requested 0): one worker per core, lane or no lane.
+        assert_eq!(effective_threads(0, 8, 100), 8);
         // Explicit requests are honored up to the budget, never above.
-        assert_eq!(effective_threads(4, 4, 16, 100), 4);
-        assert_eq!(effective_threads(8, 4, 16, 100), 4);
-        assert_eq!(effective_threads(2, 4, 16, 100), 2);
-        // Never below one thread, even oversharded.
-        assert_eq!(effective_threads(1, 64, 4, 100), 1);
-        assert_eq!(effective_threads(0, 64, 4, 100), 1);
+        assert_eq!(effective_threads(4, 16, 100), 4);
+        assert_eq!(effective_threads(32, 16, 100), 16);
         // Never more threads than work items.
-        assert_eq!(effective_threads(0, 0, 16, 3), 3);
-        assert_eq!(effective_threads(8, 0, 16, 3), 3);
+        assert_eq!(effective_threads(0, 16, 3), 3);
+        assert_eq!(effective_threads(8, 16, 3), 3);
         // Degenerate inputs stay sane.
-        assert_eq!(effective_threads(0, 0, 0, 0), 1);
-    }
-
-    #[test]
-    fn auto_shards_spends_leftover_cores_only() {
-        // Auto threads already soak the machine: no implicit shards.
-        assert_eq!(auto_shards(0, 16), 0);
-        // Pinned threads with idle cores: the leftover less the
-        // dispatcher's own core, capped at 8.
-        assert_eq!(auto_shards(1, 8), 7);
-        assert_eq!(auto_shards(1, 16), 8);
-        assert_eq!(auto_shards(2, 8), 3);
-        // Fewer than two lanes per worker: serial ingest.
-        assert_eq!(auto_shards(4, 8), 0);
-        assert_eq!(auto_shards(1, 2), 0);
-        assert_eq!(auto_shards(1, 1), 0);
-        assert_eq!(auto_shards(8, 8), 0);
-        assert_eq!(auto_shards(6, 8), 0);
-        // Degenerate inputs stay sane.
-        assert_eq!(auto_shards(3, 0), 0);
+        assert_eq!(effective_threads(0, 0, 0), 1);
     }
 
     #[test]

@@ -1,21 +1,20 @@
-//! Worker lanes for the ingest session: N per-core connection-table
-//! shards behind the frame loop's steering, returned in lane order for
-//! the seal.
+//! The worker lane of the ingest session: the frame loop on the caller's
+//! thread, one connection-table engine on a thread of its own.
 //!
 //! ## Architecture
 //!
 //! The frame loop ([`run_frames`], on the caller's thread) dissects each
-//! frame **once**; [`ShardLanes`] steers it by canonical host pair
-//! ([`ent_flow::shard_of_packet`] — the same FxHash that keys the tables)
-//! and ships `(frame, parsed packet)` batches to per-shard workers over
-//! bounded channels. Each worker owns a full [`Engine`]: its own
-//! `ConnTable`, analyzer slab, dynamic-port map and output window — the
-//! very engine the loop feeds inline when `shards == 0`. Nothing is
-//! shared between shards — host-pair steering guarantees every flow, and
-//! every piece of per-host-pair coupled state (DCE/RPC endpoint-mapper
-//! learning, pending DNS/NBNS joins), lands wholly inside one shard;
-//! non-IP and undissectable frames route to
-//! [`ent_flow::DESIGNATED_SHARD`].
+//! frame **once**; [`WorkerLane`] ships `(frame, parsed packet)` batches
+//! over one bounded channel to one worker, which owns a full [`Engine`]:
+//! its own `ConnTable`, analyzer slab, dynamic-port map and output window
+//! — the very engine the loop feeds inline when `shards == 0`. The worker
+//! sees the exact serial frame sequence, so its closed window is the
+//! inline lane's, record for record and peak for peak; what the lane buys
+//! is the dispatcher absorbing the reader and the dissector while the
+//! worker ingests (DESIGN §10).
+//!
+//! There is one lane: on the 2-core reference box every count above one
+//! lost to the inline engine wherever it was measured (DESIGN §10).
 //!
 //! ## Hand-off
 //!
@@ -29,48 +28,29 @@
 //! now poll first ([`send_batch`], [`next_batch`]: `try_send` / `try_recv`
 //! up to [`HANDOFF_POLLS`] times, yielding the core on the first miss and
 //! every [`YIELD_EVERY`]th, spinning between) and park only then: 9–15%
-//! and 13–15% on the same runs. Polling is on only when every lane plus
-//! the dispatcher can have a core of its own ([`polls`]); with fewer the
-//! hand-off is the blocking call alone, as it always was. A worker's wait
-//! is charged to no stage ([`Engine::unclocked`]); the dispatcher's is
-//! the wall of the `backpressure` stage.
-//!
-//! ## Determinism
-//!
-//! Workers close their windows at the loop's global end timestamp and are
-//! joined in shard order 0..N, so the sealed output is a pure function of
-//! (trace, shard count). Per-shard event *counts* are additionally
-//! shard-count-invariant: flow splitting (idle timeouts, fresh-SYN reuse)
-//! is decided per flow key from that flow's own packet sequence, which
-//! sharding never reorders. The equivalence suite pins `events_signature`
-//! across 0/1/2/4/8 shards, and a 1-shard run is event-for-event identical
-//! to the inline lane.
-//!
-//! Two knobs acquire documented per-shard semantics: `max_conns` caps each
-//! shard's table separately, and the monotone-clock clamp (damaged traces
-//! only) applies per shard. Both are exactly zero-effect at the gate
-//! config. `peak_open_conns` becomes the *sum* of shard peaks — each shard
-//! genuinely holds that much state — and is excluded from
-//! `events_signature` for exactly that reason.
+//! and 13–15% on the same runs. Polling is on only when the dispatcher and
+//! the worker can each have a core ([`polls`]); on one core the hand-off
+//! is the blocking call alone. A worker's wait is charged to no stage
+//! ([`Engine::unclocked`]); the dispatcher's is the wall of the
+//! `backpressure` stage.
 
 use crate::metrics::{Stage, StageTimer};
 use crate::pipeline::{run_frames, Engine, FrameRef, Lane};
 use crate::records::TraceAnalysis;
-use ent_flow::{shard_of_packet, DESIGNATED_SHARD};
 use ent_wire::{Packet, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::OnceLock;
 
 /// Frames per batch: ≈25 µs of work for either end on the reference box,
-/// small enough that per-shard pipelining starts within a few thousand
-/// packets of trace time. With the poll-then-park hand-off, 64 × 16,
-/// 128 × 8 and 256 × 4 (batch × in flight) measure inside one another's
-/// run-to-run spread on `analyze_sharded` (DESIGN §10), so it stays.
+/// small enough that the worker starts within a few thousand packets of
+/// trace time. With the poll-then-park hand-off, 64 × 16, 128 × 8 and
+/// 256 × 4 (batch × in flight) measure inside one another's run-to-run
+/// spread on `analyze_sharded` (DESIGN §10), so it stays.
 const BATCH: usize = 256;
 
-/// Bounded batches in flight per shard — backpressure on the dispatcher,
-/// keeping peak buffered frames at `shards * BATCHES_IN_FLIGHT * BATCH`.
+/// Bounded batches in flight — backpressure on the dispatcher, keeping
+/// peak buffered frames at `BATCHES_IN_FLIGHT * BATCH`.
 const BATCHES_IN_FLIGHT: usize = 4;
 
 /// Polls of a full (dispatcher) or empty (worker) batch channel before
@@ -90,13 +70,13 @@ const HANDOFF_POLLS: u32 = 2_000;
 /// yield first). With the peer on another core a yield is ≈0.3 µs.
 const YIELD_EVERY: u32 = 256;
 
-/// The hand-off policy: how many polls each end of a batch channel makes
-/// before parking. Polling pays only while the other end is running, so
-/// it is on only when every lane plus the dispatcher has a core of its
-/// own; with fewer cores a poller would spin on the very core its peer
-/// needs, and both ends park at once as they always did.
-fn polls(lanes: usize, cores: usize) -> u32 {
-    if lanes < cores {
+/// The hand-off policy: how many polls each end of the batch channel
+/// makes before parking. Polling pays only while the other end is
+/// running, so it is on only when the dispatcher and the worker can each
+/// have a core; on one core a poller would spin on the very core its peer
+/// needs, and both ends park.
+fn polls(cores: usize) -> u32 {
+    if cores >= 2 {
         HANDOFF_POLLS
     } else {
         0
@@ -121,7 +101,7 @@ fn pause(poll: u32) {
     }
 }
 
-/// Hand `batch` to a worker: poll the bounded channel for room up to
+/// Hand `batch` to the worker: poll the bounded channel for room up to
 /// `polls` times, then park in the blocking send. A send can only fail if
 /// the worker died; joining it surfaces its panic.
 fn send_batch<'a>(tx: &mpsc::SyncSender<Batch<'a>>, mut batch: Batch<'a>, polls: u32) {
@@ -155,122 +135,98 @@ type Item<'a> = (FrameRef<'a>, Option<Packet<'a>>);
 
 struct Batch<'a> {
     /// The trace's window base (first frame's timestamp, microseconds),
-    /// constant across batches; workers apply it before ingesting so
-    /// every shard bins load samples against the same origin.
+    /// constant across batches; the worker applies it before ingesting.
     base_us: u64,
     items: Vec<Item<'a>>,
 }
 
-/// The dispatcher's side of the worker lanes: one steering buffer, one
-/// bounded batch channel and one buffer-recycling channel per shard.
-struct ShardLanes<'a> {
+/// The dispatcher's side of the worker lane: the batch being filled, the
+/// bounded batch channel and the channel the worker returns emptied
+/// buffers on.
+struct WorkerLane<'a> {
     base_us: u64,
-    bufs: Vec<Vec<Item<'a>>>,
-    batch_txs: Vec<mpsc::SyncSender<Batch<'a>>>,
-    recycle_rxs: Vec<mpsc::Receiver<Vec<Item<'a>>>>,
-    /// Polls per hand-off ([`polls`]); the workers use the same figure.
+    buf: Vec<Item<'a>>,
+    batch_tx: mpsc::SyncSender<Batch<'a>>,
+    recycle_rx: mpsc::Receiver<Vec<Item<'a>>>,
+    /// Polls per hand-off ([`polls`]); the worker uses the same figure.
     polls: u32,
     /// Wall spent inside [`send_batch`] so far: the dispatcher waiting for
     /// room.
     send_blocked_ns: u64,
 }
 
-impl<'a> ShardLanes<'a> {
-    /// Ship one steering buffer to its lane, timing the wait for room.
-    fn ship(&mut self, shard: usize, items: Vec<Item<'a>>) {
-        if let Some(tx) = self.batch_txs.get(shard) {
-            let watch = StageTimer::start();
-            send_batch(tx, Batch { base_us: self.base_us, items }, self.polls);
-            self.send_blocked_ns += watch.elapsed_ns();
-        }
+impl<'a> WorkerLane<'a> {
+    /// Ship one batch to the worker, timing the wait for room.
+    fn ship(&mut self, items: Vec<Item<'a>>) {
+        let watch = StageTimer::start();
+        send_batch(&self.batch_tx, Batch { base_us: self.base_us, items }, self.polls);
+        self.send_blocked_ns += watch.elapsed_ns();
     }
 }
 
-impl<'a> Lane<'a> for ShardLanes<'a> {
+impl<'a> Lane<'a> for WorkerLane<'a> {
     fn open(&mut self, base_us: u64) {
         self.base_us = base_us;
     }
 
     fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>) {
-        let shard = match pkt {
-            Some(pkt) => shard_of_packet(pkt, self.bufs.len()),
-            None => DESIGNATED_SHARD,
-        };
-        if let (Some(buf), Some(rrx)) = (self.bufs.get_mut(shard), self.recycle_rxs.get(shard)) {
-            buf.push((p, pkt.cloned()));
-            if buf.len() >= BATCH {
-                let spare = rrx.try_recv().unwrap_or_else(|_| Vec::with_capacity(BATCH));
-                let items = std::mem::replace(buf, spare);
-                self.ship(shard, items);
-            }
+        self.buf.push((p, pkt.cloned()));
+        if self.buf.len() >= BATCH {
+            let spare = self.recycle_rx.try_recv().unwrap_or_else(|_| Vec::with_capacity(BATCH));
+            let items = std::mem::replace(&mut self.buf, spare);
+            self.ship(items);
         }
     }
 }
 
-/// Run the frame loop over `n` worker lanes and return their closed
-/// windows in shard order. Called by the ingest session when
-/// `config.shards > 0`; `new_engine` builds one lane's engine (on the
-/// worker's own thread).
+/// Run the frame loop over the worker lane and return its closed window.
+/// Called by the ingest session when `config.shards > 0`; `new_engine`
+/// builds the lane's engine (on the worker's own thread).
 pub(crate) fn run_lanes<'a>(
-    n: usize,
     frames: impl Iterator<Item = FrameRef<'a>>,
     nominal: Timestamp,
     new_engine: &(impl Fn() -> Engine + Sync),
-) -> Vec<TraceAnalysis> {
+) -> TraceAnalysis {
     // Global trace end (absolute microseconds), stored by the dispatcher
-    // before the batch channels close; workers read it only after their
+    // before the batch channel closes; the worker reads it only after its
     // receive loop ends, which the channel hang-up sequences after the
     // store.
     let end_abs = AtomicU64::new(0);
-    let polls = polls(n, cores());
+    let polls = polls(cores());
+    let (batch_tx, batch_rx) = mpsc::sync_channel::<Batch<'a>>(BATCHES_IN_FLIGHT);
+    let (recycle_tx, recycle_rx) = mpsc::channel::<Vec<Item<'a>>>();
     std::thread::scope(|scope| {
-        let mut lanes = ShardLanes {
+        let end_abs = &end_abs;
+        let worker = scope.spawn(move || lane_worker(new_engine(), batch_rx, recycle_tx, end_abs, polls));
+        let mut lane = WorkerLane {
             base_us: 0,
-            bufs: (0..n).map(|_| Vec::with_capacity(BATCH)).collect(),
-            batch_txs: Vec::with_capacity(n),
-            recycle_rxs: Vec::with_capacity(n),
+            buf: Vec::with_capacity(BATCH),
+            batch_tx,
+            recycle_rx,
             polls,
             send_blocked_ns: 0,
         };
-        let mut workers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (btx, brx) = mpsc::sync_channel::<Batch<'a>>(BATCHES_IN_FLIGHT);
-            let (rtx, rrx) = mpsc::channel::<Vec<Item<'a>>>();
-            lanes.batch_txs.push(btx);
-            lanes.recycle_rxs.push(rrx);
-            let end_abs = &end_abs;
-            let worker = move || shard_worker(new_engine(), brx, rtx, end_abs, polls);
-            workers.push(scope.spawn(worker));
-        }
-        let end = run_frames(frames, nominal, &mut lanes);
+        let end = run_frames(frames, nominal, &mut lane);
         end_abs.store(end.micros(), Ordering::SeqCst);
-        for (shard, items) in std::mem::take(&mut lanes.bufs).into_iter().enumerate() {
-            if !items.is_empty() {
-                lanes.ship(shard, items);
-            }
+        let rest = std::mem::take(&mut lane.buf);
+        if !rest.is_empty() {
+            lane.ship(rest);
         }
-        let send_blocked_ns = lanes.send_blocked_ns;
-        // Hanging up the batch channels releases the workers into their
-        // window close; join them in shard order.
-        drop(lanes.batch_txs);
-        drop(lanes.recycle_rxs);
-        let mut windows: Vec<TraceAnalysis> = workers
-            .into_iter()
-            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect();
+        let send_blocked_ns = lane.send_blocked_ns;
+        // Hanging up the batch channel releases the worker into its window
+        // close.
+        drop(lane);
+        let mut window = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         // The dispatcher's wait for room is the wall of the backpressure
-        // stage, once per trace (events and bytes stay the lanes'
-        // degradation counts; per-lane stages sum at the seal).
-        if let Some(first) = windows.first_mut() {
-            first.metrics.stages[Stage::Backpressure].add(send_blocked_ns, 0, 0);
-        }
-        windows
+        // stage (its events and bytes stay the lane's degradation counts).
+        window.metrics.stages[Stage::Backpressure].add(send_blocked_ns, 0, 0);
+        window
     })
 }
 
-/// One shard's ingest loop: a private engine fed pre-parsed frames,
-/// closed at the dispatcher's global end timestamp.
-fn shard_worker<'a>(
+/// The lane's ingest loop: a private engine fed pre-parsed frames, closed
+/// at the dispatcher's global end timestamp.
+fn lane_worker<'a>(
     mut engine: Engine,
     rx: mpsc::Receiver<Batch<'a>>,
     recycle: mpsc::Sender<Vec<Item<'a>>>,
@@ -295,6 +251,7 @@ fn shard_worker<'a>(
 mod tests {
     use super::*;
     use crate::pipeline::{analyze_trace, PipelineConfig};
+    use ent_flow::FlowKey;
     use ent_gen::{build, dataset, GenConfig};
 
     fn generated(dataset_idx: usize, subnet: u16) -> ent_pcap::Trace {
@@ -316,36 +273,30 @@ mod tests {
         })
     }
 
-    fn with_shards(n: usize) -> PipelineConfig {
+    fn one_lane() -> PipelineConfig {
         PipelineConfig {
-            shards: n,
+            shards: 1,
             ..Default::default()
         }
     }
 
-    /// Order-insensitive digest of the connection records (shard merge
-    /// legitimately reorders across shards for N > 1).
-    fn conn_digest(a: &TraceAnalysis) -> (usize, u64, u64, u64) {
-        let mut pkts = 0u64;
-        let mut bytes = 0u64;
-        let mut dur = 0u64;
-        for c in &a.conns {
-            pkts += c.summary.orig.packets + c.summary.resp.packets;
-            bytes += c.summary.orig.payload_bytes + c.summary.resp.payload_bytes;
-            dur += c.summary.duration_us();
-        }
-        (a.conns.len(), pkts, bytes, dur)
+    /// The connection records in close order: the lane sees the serial
+    /// frame sequence, so it closes the same connections in the same order.
+    fn records(a: &TraceAnalysis) -> Vec<(FlowKey, Timestamp, Timestamp, u64, u64)> {
+        let record = |c: &crate::records::ConnRecord| {
+            let s = &c.summary;
+            (s.key, s.start, s.end, s.orig.packets + s.resp.packets, s.total_payload())
+        };
+        a.conns.iter().map(record).collect()
     }
 
     #[test]
     fn polling_needs_a_core_per_thread() {
-        // Every lane plus the dispatcher on a core of its own: poll.
-        assert_eq!(polls(1, 2), HANDOFF_POLLS);
-        assert_eq!(polls(7, 8), HANDOFF_POLLS);
-        // One thread too many, or a single core: park, as before.
-        assert_eq!(polls(2, 2), 0);
-        assert_eq!(polls(8, 2), 0);
-        assert_eq!(polls(1, 1), 0);
+        // The dispatcher and the worker on a core each: poll.
+        assert_eq!(polls(2), HANDOFF_POLLS);
+        assert_eq!(polls(8), HANDOFF_POLLS);
+        // A single core: park.
+        assert_eq!(polls(1), 0);
     }
 
     /// Run `work` on its own thread and fail, instead of hanging tier-1,
@@ -368,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_boundaries_match_serial_on_one_and_three_lanes() {
+    fn batch_boundaries_match_serial_on_one_lane() {
         // A full batch, one frame either side of it, a lone frame, and a
         // few batches plus a final partial one: what a rewritten send
         // loop gets wrong first.
@@ -379,18 +330,17 @@ mod tests {
             trace.packets.truncate(frames);
             let serial = analyze_trace(&trace, &PipelineConfig::default());
             assert_eq!(serial.packets + serial.health.malformed_frames, frames as u64);
-            for n in [1usize, 3] {
-                let sharded = analyze_trace(&trace, &with_shards(n));
-                let case = format!("frames={frames} shards={n}");
-                assert_eq!(sharded.packets, serial.packets, "{case}");
-                assert_eq!(sharded.wire_bytes, serial.wire_bytes, "{case}");
-                assert_eq!(conn_digest(&sharded), conn_digest(&serial), "{case}");
-                assert_eq!(
-                    sharded.metrics.events_signature(),
-                    serial.metrics.events_signature(),
-                    "{case}"
-                );
-            }
+            let lane = analyze_trace(&trace, &one_lane());
+            let case = format!("frames={frames}");
+            assert_eq!(lane.packets, serial.packets, "{case}");
+            assert_eq!(lane.wire_bytes, serial.wire_bytes, "{case}");
+            assert_eq!(records(&lane), records(&serial), "{case}");
+            assert_eq!(lane.metrics.peak_open_conns, serial.metrics.peak_open_conns, "{case}");
+            assert_eq!(
+                lane.metrics.events_signature(),
+                serial.metrics.events_signature(),
+                "{case}"
+            );
         }
     }
 
@@ -405,18 +355,18 @@ mod tests {
                 let (batch_tx, batch_rx) = mpsc::sync_channel(BATCHES_IN_FLIGHT);
                 let (_recycle_tx, recycle_rx) = mpsc::channel();
                 drop(batch_rx);
-                let mut lanes = ShardLanes {
+                let mut lane = WorkerLane {
                     base_us: 0,
-                    bufs: vec![Vec::with_capacity(BATCH)],
-                    batch_txs: vec![batch_tx],
-                    recycle_rxs: vec![recycle_rx],
+                    buf: Vec::with_capacity(BATCH),
+                    batch_tx,
+                    recycle_rx,
                     polls,
                     send_blocked_ns: 0,
                 };
                 assert!(trace.packets.len() > (BATCHES_IN_FLIGHT + 2) * BATCH);
-                run_frames(frames(&trace), trace.meta.duration, &mut lanes);
-                // Every full batch left its steering buffer.
-                assert!(lanes.bufs.iter().all(|b| b.len() < BATCH));
+                run_frames(frames(&trace), trace.meta.duration, &mut lane);
+                // Every full batch left the buffer.
+                assert!(lane.buf.len() < BATCH);
             });
         }
     }
@@ -430,7 +380,7 @@ mod tests {
         let died = within_five_seconds(|| {
             let trace = generated(0, 3);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_lanes(1, frames(&trace), trace.meta.duration, &|| -> Engine {
+                run_lanes(frames(&trace), trace.meta.duration, &|| -> Engine {
                     panic!("lane engine failed to build")
                 })
             }))
@@ -441,46 +391,34 @@ mod tests {
 
     #[test]
     fn sharded_matches_serial_including_damaged_frames() {
-        // n = 1 runs the poll path wherever there are two cores (the
-        // reference box); n = 8 runs the park path there.
+        // The lane runs the poll path wherever there are two cores (the
+        // reference box); the park path is `a_dead_lane_…`'s.
         let mut trace = generated(0, 3);
-        // Graft an undissectable frame so designated-shard routing and the
-        // authoritative byte counter are both exercised.
+        // Graft an undissectable frame so the rejected-frame hand-off and
+        // the authoritative byte counter are both exercised.
         let graft_ts = trace.packets[15].ts;
         trace
             .packets
             .insert(15, ent_pcap::TimedPacket::new(graft_ts, vec![0xFF; 9]));
         let serial = analyze_trace(&trace, &PipelineConfig::default());
-        for n in [1usize, 2, 3, 4, 8] {
-            let sharded = analyze_trace(&trace, &with_shards(n));
-            assert_eq!(sharded.packets, serial.packets, "shards={n}");
-            assert_eq!(sharded.wire_bytes, serial.wire_bytes, "shards={n}");
-            assert_eq!(
-                sharded.health.malformed_frames, serial.health.malformed_frames,
-                "shards={n}"
-            );
-            assert_eq!(
-                sharded.bytes_per_second, serial.bytes_per_second,
-                "shards={n}"
-            );
-            assert_eq!(conn_digest(&sharded), conn_digest(&serial), "shards={n}");
-            assert_eq!(
-                sharded.metrics.events_signature(),
-                serial.metrics.events_signature(),
-                "shards={n}"
-            );
-            assert_eq!(sharded.dns.len(), serial.dns.len(), "shards={n}");
-            assert_eq!(sharded.http.len(), serial.http.len(), "shards={n}");
-        }
+        let lane = analyze_trace(&trace, &one_lane());
+        assert_eq!(lane.packets, serial.packets);
+        assert_eq!(lane.wire_bytes, serial.wire_bytes);
+        assert_eq!(lane.health.malformed_frames, serial.health.malformed_frames);
+        assert_eq!(lane.bytes_per_second, serial.bytes_per_second);
+        assert_eq!(records(&lane), records(&serial));
+        assert_eq!(lane.metrics.events_signature(), serial.metrics.events_signature());
+        assert_eq!(lane.dns.len(), serial.dns.len());
+        assert_eq!(lane.http.len(), serial.http.len());
     }
 
     #[test]
     fn one_shard_is_event_for_event_identical_to_serial() {
         let trace = generated(0, 3);
         let serial = analyze_trace(&trace, &PipelineConfig::default());
-        let one = analyze_trace(&trace, &with_shards(1));
-        // Same records in the same order — a single shard sees the exact
-        // serial frame sequence.
+        let one = analyze_trace(&trace, &one_lane());
+        // Same records in the same order — the lane sees the exact serial
+        // frame sequence.
         assert_eq!(one.conns.len(), serial.conns.len());
         for (a, b) in one.conns.iter().zip(&serial.conns) {
             assert_eq!(a.summary.key, b.summary.key);
@@ -502,7 +440,7 @@ mod tests {
     #[test]
     fn analyzer_panic_in_a_shard_worker_demotes_instead_of_aborting() {
         // The analyzer `catch_unwind` sits inside the engine, so it holds
-        // on a worker thread exactly as inline: the run returns, the
+        // on the worker thread exactly as inline: the run returns, the
         // failures are counted, and the flow-level results are those of a
         // fault-free serial run.
         let trace = generated(0, 3);
@@ -511,23 +449,12 @@ mod tests {
             &trace,
             &PipelineConfig {
                 analyzer_panic_every: 50,
-                shards: 2,
-                ..Default::default()
+                ..one_lane()
             },
         );
         assert!(faulty.health.analyzer_failures > 0, "no injected faults fired");
         assert!(faulty.health.demoted_conns > 0);
         assert_eq!(faulty.conns.len(), serial.conns.len());
         assert_eq!(faulty.scanner_conns_removed, serial.scanner_conns_removed);
-    }
-
-    #[test]
-    fn sum_of_shard_peaks_bounds_the_serial_peak() {
-        let trace = generated(0, 3);
-        let serial = analyze_trace(&trace, &PipelineConfig::default());
-        let sharded = analyze_trace(&trace, &with_shards(4));
-        // Splitting state across tables can only raise the summed peak:
-        // each shard's high-water mark is hit at its own moment.
-        assert!(sharded.metrics.peak_open_conns >= serial.metrics.peak_open_conns);
     }
 }

@@ -55,12 +55,6 @@
 //! assert_eq!(conn.resp.payload_bytes, 8);
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-// Ingest code must degrade gracefully, never abort: panicking escape
-// hatches are compile errors outside tests.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod fasthash;
 pub mod handler;
 pub mod key;

@@ -1,10 +1,14 @@
-//! Intra-trace shard steering: map flows onto per-core `ConnTable` shards.
+//! Host-pair steering: map flows onto one of N `ConnTable` shards.
 //!
-//! The sharded pipeline splits one trace's flow state across N independent
-//! connection tables, one per worker. Everything hangs off a single
-//! steering function: a frame is routed by the *unordered host pair* of
-//! its IPv4 addresses, hashed with the same [`fasthash`](crate::fasthash)
-//! FxHash that keys the connection tables themselves.
+//! **No product code calls these any more.** `ent-core` ingests on at most
+//! one worker lane, which needs no steering; the functions stay only
+//! because `benchmark/` reports its `flow.steer_*` metrics through them
+//! (and `tests/tests/alloc_pin.rs` pins that they never allocate). ROADMAP
+//! item 1 deletes them together with those metrics.
+//!
+//! A frame is routed by the *unordered host pair* of its IPv4 addresses,
+//! hashed with the same [`fasthash`](crate::fasthash) FxHash that keys the
+//! connection tables themselves.
 //!
 //! Steering by host pair — not by 5-tuple — is a deliberate superset of
 //! flow affinity:

@@ -27,10 +27,6 @@
 //! assert!(trace.packets.windows(2).all(|w| w[0].ts <= w[1].ts));
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod apps;
 pub mod build;
 pub mod dataset;

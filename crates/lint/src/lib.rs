@@ -38,10 +38,6 @@
 //! The workspace runs `ent-lint` self-hosted as a tier-1 test
 //! (`crates/lint/tests/selfhost.rs`): the tree must stay at zero findings.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod checks;
 pub mod checks_det;
 pub mod lexer;

@@ -11,10 +11,6 @@
 //!
 //! Exit status: 0 clean, 1 findings, 2 usage or I/O error.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use ent_lint::{find_workspace_root, lint_workspace, report::ALL_CODES};
 use std::path::PathBuf;
 use std::process::ExitCode;

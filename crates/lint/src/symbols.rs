@@ -1,14 +1,14 @@
-//! Symbol resolution over the token stream: items, bindings, imports, a
-//! module graph across crates and an approximate intra-crate call graph.
+//! Symbol resolution over the token stream: items, bindings, imports and
+//! an approximate intra-crate call graph.
 //!
 //! `ent-lint` has no type system — the workspace builds offline, so there
 //! is no `syn`, no HIR, no trait resolution. This layer recovers just
 //! enough structure for the determinism/taxonomy lints (E006, E008, E009)
 //! to be *symbol-aware* rather than purely textual:
 //!
-//! * **Items** per file: `fn` (with parameter and return types, body span,
-//!   and the `impl` type it belongs to), `struct` fields, `static`/`const`
-//!   items, and `use` imports flattened to `local name → full path`.
+//! * **Items** per file: `fn` (with parameter and return types and body
+//!   span), `struct` fields, `static`/`const` items, and `use` imports
+//!   flattened to `local name → full path`.
 //! * **Bindings**: `let` declarations inside each fn body, keeping the
 //!   annotated type or, failing that, the head of a `Path::constructor()`
 //!   initializer. Receiver lookup walks lets → params → struct fields →
@@ -51,8 +51,6 @@ pub struct FnItem {
     pub calls: Vec<String>,
     /// `let` bindings in the body: `(name, canonical type text)`.
     pub lets: Vec<(String, String)>,
-    /// Head of the enclosing `impl` type, for methods.
-    pub impl_type: Option<String>,
 }
 
 /// One `struct` item with its named fields.
@@ -105,13 +103,8 @@ impl FileSymbols {
     pub fn parse(file: &SourceFile) -> FileSymbols {
         let mut syms = FileSymbols::default();
         let toks = &file.toks;
-        let mut impl_stack: Vec<(String, usize)> = Vec::new(); // (type head, close idx)
         let mut i = 0usize;
         while i < toks.len() {
-            // Pop finished impl blocks.
-            while impl_stack.last().is_some_and(|&(_, close)| i > close) {
-                impl_stack.pop();
-            }
             if toks[i].kind != TokKind::Ident {
                 i += 1;
                 continue;
@@ -120,8 +113,7 @@ impl FileSymbols {
             match word.as_ref() {
                 "use" => i = parse_use(file, i, &mut syms.imports),
                 "fn" => {
-                    let impl_type = impl_stack.last().map(|(t, _)| t.clone());
-                    let (item, next) = parse_fn(file, i, impl_type);
+                    let (item, next) = parse_fn(file, i);
                     let resume = match item.as_ref().and_then(|f| f.body) {
                         Some((open, _)) => open + 1, // descend into the body
                         None => next,
@@ -133,16 +125,9 @@ impl FileSymbols {
                 }
                 "struct" => i = parse_struct(file, i, &mut syms.structs),
                 "static" | "const" => i = parse_static(file, i, &mut syms.statics),
-                "impl" => {
-                    if let Some((head, open)) = parse_impl_head(file, i) {
-                        if let Some(close) = file.matching_close(open) {
-                            impl_stack.push((head, close));
-                        }
-                        i = open + 1;
-                    } else {
-                        i += 1;
-                    }
-                }
+                // Step over the header into the body, so no `const` generic
+                // or bound in it is read as an item.
+                "impl" => i = impl_body_open(file, i).map_or(i + 1, |open| open + 1),
                 _ => i += 1,
             }
         }
@@ -169,18 +154,6 @@ impl FileSymbols {
     /// The import path bound to `local`, if any.
     pub fn import_path(&self, local: &str) -> Option<&str> {
         self.imports.iter().find(|u| u.local == local).map(|u| u.path.as_str())
-    }
-
-    /// The fn item whose body contains `line` (innermost wins).
-    pub fn fn_at_line(&self, file: &SourceFile, line: u32) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| {
-                f.body.is_some_and(|(open, close)| {
-                    file.toks[open].line <= line && line <= file.toks[close].line
-                })
-            })
-            .max_by_key(|f| f.body.map(|(open, _)| file.toks[open].line))
     }
 }
 
@@ -333,7 +306,7 @@ fn parse_use(file: &SourceFile, use_idx: usize, out: &mut Vec<UseItem>) -> usize
 
 /// Parse `fn name …` starting at the `fn` keyword. Returns the item and
 /// the token index to resume at on failure to parse a body.
-fn parse_fn(file: &SourceFile, fn_idx: usize, impl_type: Option<String>) -> (Option<FnItem>, usize) {
+fn parse_fn(file: &SourceFile, fn_idx: usize) -> (Option<FnItem>, usize) {
     let Some(ni) = file.next_sig(fn_idx) else { return (None, fn_idx + 1) };
     if file.toks[ni].kind != TokKind::Ident {
         return (None, fn_idx + 1); // `fn(` pointer type
@@ -416,7 +389,6 @@ fn parse_fn(file: &SourceFile, fn_idx: usize, impl_type: Option<String>) -> (Opt
             ret,
             calls,
             lets,
-            impl_type,
         }),
         k + 1,
     )
@@ -708,33 +680,12 @@ fn parse_static(file: &SourceFile, kw_idx: usize, out: &mut Vec<StaticItem>) -> 
     k
 }
 
-/// Parse an `impl` header: returns the head ident of the implemented type
-/// and the index of the body `{`.
-fn parse_impl_head(file: &SourceFile, impl_idx: usize) -> Option<(String, usize)> {
+/// The index of an `impl` item's body `{`, past its generics and header.
+fn impl_body_open(file: &SourceFile, impl_idx: usize) -> Option<usize> {
     let mut j = impl_idx + 1;
-    if file.toks.get(j).map(|t| t.kind) == Some(TokKind::Punct('<')) {
-        j = skip_angle(file, j);
-    }
-    // Collect path tokens; if `for` appears, the type is what follows it.
-    let mut head: Option<String> = None;
-    let mut after_for = false;
     while j < file.toks.len() {
         match file.toks[j].kind {
-            TokKind::Punct('{') => {
-                return head.map(|h| (h, j));
-            }
-            TokKind::Ident => {
-                let w = file.text(j);
-                if w == "for" {
-                    after_for = true;
-                    head = None;
-                } else if w != "where" && (head.is_none() || !after_for) {
-                    // Track the last path ident seen so `wire::Packet`
-                    // resolves to `Packet`; generics are skipped below.
-                    head = Some(w.into_owned());
-                }
-                j += 1;
-            }
+            TokKind::Punct('{') => return Some(j),
             TokKind::Punct('<') => j = skip_angle(file, j),
             TokKind::Punct(';') => return None,
             _ => j += 1,
@@ -752,15 +703,12 @@ fn parse_impl_head(file: &SourceFile, impl_idx: usize) -> Option<(String, usize)
 pub type FnRef = (usize, usize);
 
 /// Symbols for a whole workspace: per-file items plus per-crate call
-/// graphs and the cross-crate module graph.
+/// graphs.
 pub struct WorkspaceSymbols {
     /// Parallel to the input `SourceFile` slice.
     pub files: Vec<FileSymbols>,
     /// Per crate: fn name → every fn with that name in the crate.
     pub crate_fns: BTreeMap<String, BTreeMap<String, Vec<FnRef>>>,
-    /// Module graph: crate → crates it imports from (via `use ent_*::…`
-    /// or `ent_*::` paths in imports).
-    pub crate_deps: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl WorkspaceSymbols {
@@ -768,24 +716,13 @@ impl WorkspaceSymbols {
     pub fn build(sources: &[SourceFile]) -> WorkspaceSymbols {
         let files: Vec<FileSymbols> = sources.iter().map(FileSymbols::parse).collect();
         let mut crate_fns: BTreeMap<String, BTreeMap<String, Vec<FnRef>>> = BTreeMap::new();
-        let mut crate_deps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for (fi, (src, syms)) in sources.iter().zip(files.iter()).enumerate() {
             let by_name = crate_fns.entry(src.crate_name.clone()).or_default();
             for (gi, f) in syms.fns.iter().enumerate() {
                 by_name.entry(f.name.clone()).or_default().push((fi, gi));
             }
-            let deps = crate_deps.entry(src.crate_name.clone()).or_default();
-            for u in &syms.imports {
-                if let Some(rest) = u.path.strip_prefix("ent_") {
-                    if let Some(dep) = rest.split("::").next() {
-                        if dep != src.crate_name {
-                            deps.insert(dep.to_string());
-                        }
-                    }
-                }
-            }
         }
-        WorkspaceSymbols { files, crate_fns, crate_deps }
+        WorkspaceSymbols { files, crate_fns }
     }
 
     /// All fns in `crate_name` reachable (by name-matched call edges) from
@@ -854,9 +791,8 @@ mod tests {
         assert_eq!(syms.structs[0].fields[0].0, "inner");
         let finish = syms.fns.iter().find(|f| f.name == "finish").unwrap();
         assert!(finish.is_pub);
-        assert_eq!(finish.impl_type.as_deref(), Some("T"));
         let drop_fn = syms.fns.iter().find(|f| f.name == "drop").unwrap();
-        assert_eq!(drop_fn.impl_type.as_deref(), Some("T"));
+        assert!(!drop_fn.is_pub);
         // Field type resolves from inside the method.
         assert_eq!(syms.binding_type(finish, "inner").map(head_ident), Some("HashMap"));
     }
@@ -918,33 +854,11 @@ mod tests {
     }
 
     #[test]
-    fn module_graph_deps() {
-        let a = SourceFile::new(
-            "crates/core/src/lib.rs".into(),
-            "core".into(),
-            false,
-            b"use ent_flow::ConnTable;\nuse ent_pcap::trace::Trace;\nuse std::io;\n".to_vec(),
-        );
-        let ws = WorkspaceSymbols::build(&[a]);
-        let deps = ws.crate_deps.get("core").unwrap();
-        assert!(deps.contains("flow"));
-        assert!(deps.contains("pcap"));
-        assert!(!deps.contains("io"));
-    }
-
-    #[test]
     fn let_initializer_head_and_shadowing() {
         let s = sf("fn f() {\n    let m = HashMap::new();\n    let m = Vec::new();\n    m.iter();\n}\n");
         let syms = FileSymbols::parse(&s);
         let f = &syms.fns[0];
         // Rev lookup: the latest binding wins.
         assert_eq!(syms.binding_type(f, "m"), Some("Vec"));
-    }
-
-    #[test]
-    fn fn_at_line_innermost() {
-        let s = sf("fn outer() {\n    fn inner() {\n        x();\n    }\n}\n");
-        let syms = FileSymbols::parse(&s);
-        assert_eq!(syms.fn_at_line(&s, 3).map(|f| f.name.as_str()), Some("inner"));
     }
 }

@@ -31,10 +31,6 @@
 //! assert_eq!(msg.qtype, Some(dns::QType::Aaaa));
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod cifs;
 pub mod dcerpc;
 pub mod dns;

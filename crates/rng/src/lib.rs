@@ -25,10 +25,6 @@
 //! assert!(a.random_range(10..20u64) >= 10);
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use core::ops::{Range, RangeInclusive};
 
 /// A source of random 64-bit words. The one method every generator must

@@ -48,31 +48,26 @@ echo "==> bench regression gate (study at gate config vs committed BENCH_pipelin
 # of the gate while keeping the determinism half (bench-compare is the one
 # reader of the variable; empty and 0 mean "not waived"):
 #   ENT_BENCH_WAIVER=1 scripts/check.sh
-# --shards 0 is explicit: shard count is a bench-comparability key, and
-# a pinned --threads now auto-shards leftover cores when the flag is
-# absent, which would silently break comparability on multi-core hosts.
+# --shards 0 is the inline engine (the default, spelled out).
 cargo run --release -q -p ent-cli -- study \
     --scale 0.01 --seed 2005 --threads 1 --shards 0 \
     --only 'table 3' --bench-json "$BENCH_TMP/BENCH_gate.json" > /dev/null
 cargo run --release -q -p ent-cli -- bench-compare \
     BENCH_pipeline.json "$BENCH_TMP/BENCH_gate.json"
 
-echo "==> shard scaling gate (1/2/4/8-shard curve vs committed BENCH_scaling.json)"
-# Runs the full D0-D4 study at the gate config once per shard count
-# (0 = serial, then 1/2/4/8) and emits the ent-bench-scaling/1 curve.
-# obs-check enforces the determinism half: events_signature, packet,
-# and trace counts must be identical at every shard count. bench-compare
-# against the committed curve then pins cross-run determinism and - only
-# on machines with >= 4 cores and no ENT_BENCH_WAIVER - the speedup
-# floor (4-shard ingest wall must beat 1-shard by the recorded floor).
-# The curve is the study's arena path; whether one lane beats the inline
-# engine on captures is a paired measurement, not a gate (~10 min):
+echo "==> worker lane gate (the same study on one worker lane vs committed BENCH_pipeline.json)"
+# The worker lane (--shards 1) must change no result: every stage's events
+# and bytes, packets, traces and the peak open-conn count compare exactly
+# equal to the inline baseline (shards is a recorded, not a compared, key).
+# Walls are held to the same one-sided +25 % as the inline run. Whether the
+# lane beats the inline engine on captures is a paired measurement, not a
+# gate (~10 min):
 #   scripts/bench-pair.sh analyze_sharded,analyze_payload 10
-cargo run --release -q -p ent-cli -- scaling \
-    --out "$BENCH_TMP/BENCH_scaling.json"
-cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_scaling.json"
+cargo run --release -q -p ent-cli -- study \
+    --scale 0.01 --seed 2005 --threads 1 --shards 1 \
+    --only 'table 3' --bench-json "$BENCH_TMP/BENCH_lane.json" > /dev/null
 cargo run --release -q -p ent-cli -- bench-compare \
-    BENCH_scaling.json "$BENCH_TMP/BENCH_scaling.json"
+    BENCH_pipeline.json "$BENCH_TMP/BENCH_lane.json"
 
 echo "==> monitor smoke (epoch reports + kill/resume equivalence + obs gate)"
 # Resident-monitor contract (DESIGN §9) on a small capture: a run killed at

@@ -164,7 +164,7 @@ pub fn pack_fingerprints(scale: f64, seed: u64) -> Vec<(String, u64, usize)> {
 }
 
 /// Run the trimmed D0–D4 study at `scale` with an explicit thread count
-/// and intra-trace shard count (0 = serial path). The differential
+/// and `shards` (0 = inline engine, 1 = the worker lane). The differential
 /// equivalence suite calls this with every (threads, shards) combination
 /// it gates and requires identical results.
 pub fn differential_study(

@@ -8,6 +8,7 @@
 // `unwrap` outside a `#[test]` fn stays a clippy error.
 #![allow(clippy::expect_used)]
 
+use ent_core::metrics::Stage;
 use ent_core::{analyze_capture, AnalysisError, PipelineConfig, TraceAnalysis};
 use ent_gen::build::{build_site, generate_trace};
 use ent_gen::dataset::all_datasets;
@@ -97,10 +98,11 @@ fn corrupted_corpus_survives_full_pipeline() {
 }
 
 /// Capture analysis is the same ingest session as every other batch entry
-/// point, so it shards — and damage must not make the lanes disagree.
-/// Every non-fatal fault mode x 8 injector seeds, at 1 and 4 worker lanes
-/// against the inline lane: same events, same rendered health (capture
-/// tally and per-lane clock clamps included), same packet and byte totals.
+/// point, so it runs the worker lane too — and damage must not make the
+/// lane disagree with the inline engine. Every non-fatal fault mode x 8
+/// injector seeds: same events, same rendered health (capture tally and
+/// clock clamps included), same packet and byte totals, and the same
+/// connection records in the same order.
 #[test]
 fn damaged_captures_agree_across_shard_counts() {
     let (clean_bytes, meta) = base_capture();
@@ -111,15 +113,12 @@ fn damaged_captures_agree_across_shard_counts() {
         };
         analyze_capture(bytes, meta.clone(), &config).expect("non-fatal damage stays analyzable")
     };
-    // The knob is honored, not ignored: the seal concatenates lane by lane,
-    // so four lanes return this capture's connection records in another
-    // order than the inline lane does.
+    // The knob is honored, not ignored: only the lane's dispatcher times
+    // its hand-off, as the backpressure stage's wall.
+    let backpressure_ns = |a: &TraceAnalysis| a.metrics.stages[Stage::Backpressure].wall_ns;
+    assert!(backpressure_ns(&with_shards(&clean_bytes, 1)) > 0, "analyze_capture ran inline at shards = 1");
+    assert_eq!(backpressure_ns(&with_shards(&clean_bytes, 0)), 0);
     let keys = |a: &TraceAnalysis| a.conns.iter().map(|c| c.summary.key).collect::<Vec<_>>();
-    assert_ne!(
-        keys(&with_shards(&clean_bytes, 4)),
-        keys(&with_shards(&clean_bytes, 0)),
-        "analyze_capture ran a single lane at shards = 4"
-    );
     let mut damaged = 0;
     for fault in Fault::ALL.into_iter().filter(|f| !f.is_fatal()) {
         for seed in 0..8u64 {
@@ -128,18 +127,17 @@ fn damaged_captures_agree_across_shard_counts() {
             assert!(inj.apply(&mut bytes, fault), "{fault:?} did not apply");
             damaged += 1;
             let serial = with_shards(&bytes, 0);
-            for shards in [1usize, 4] {
-                let sharded = with_shards(&bytes, shards);
-                let at = format!("{fault:?} seed {seed} shards {shards}");
-                assert_eq!(
-                    sharded.metrics.events_signature(),
-                    serial.metrics.events_signature(),
-                    "{at}"
-                );
-                assert_eq!(sharded.health.to_string(), serial.health.to_string(), "{at}");
-                assert_eq!(sharded.packets, serial.packets, "{at}");
-                assert_eq!(sharded.wire_bytes, serial.wire_bytes, "{at}");
-            }
+            let lane = with_shards(&bytes, 1);
+            let at = format!("{fault:?} seed {seed}");
+            assert_eq!(
+                lane.metrics.events_signature(),
+                serial.metrics.events_signature(),
+                "{at}"
+            );
+            assert_eq!(lane.health.to_string(), serial.health.to_string(), "{at}");
+            assert_eq!(lane.packets, serial.packets, "{at}");
+            assert_eq!(lane.wire_bytes, serial.wire_bytes, "{at}");
+            assert_eq!(keys(&lane), keys(&serial), "{at}");
         }
     }
     assert_eq!(damaged, 88, "11 non-fatal modes x 8 seeds");

@@ -87,7 +87,7 @@ fn pack_reports_are_invariant_across_threads_and_shards() {
                 );
             }
             let want = report_key(&reference);
-            for (threads, shards) in [(1, 1), (1, 4), (4, 0), (4, 1), (4, 4)] {
+            for (threads, shards) in [(1, 1), (4, 0), (4, 1)] {
                 let got = report_key(&run_pack(&pack, &pack_config(seed, threads, shards)));
                 assert_eq!(
                     want, got,
