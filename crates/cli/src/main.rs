@@ -15,17 +15,17 @@
 //!   per-pack trace complexity (header-symbol entropy), and export the
 //!   `ent-bench-packs/1` scoring document (`BENCH_packs.json`).
 //! * `obs-check` — validate a bench export (pipeline, monitor or packs
-//!   schema).
+//!   schema) and hold a study export to its hot-path wall share.
 //! * `bench-compare` — gate a candidate bench export against a committed
-//!   baseline (exact event/byte equality, one-sided +25 % wall check).
+//!   baseline (exact event/byte equality; walls are printed as ratios,
+//!   never failed).
 //!
 //! A flag given a value that does not parse, or `--shards` other than 0 or
 //! 1, exits 2 naming the flag and the value: a mistyped number never runs
 //! as the default.
 
 use ent_core::metrics::{
-    bench_json, compare_bench_json, validate_bench_json, Val, MONITOR, PACKS, PIPELINE,
-    WALL_TOLERANCE,
+    bench_json, compare_bench_json, obs_check, validate_bench_json, Val, MONITOR, PACKS, PIPELINE,
 };
 use ent_core::run::{run_datasets, StudyConfig};
 use ent_core::run_pack;
@@ -512,8 +512,9 @@ fn cmd_analyze(args: &Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Validate a `BENCH_pipeline.json` export: schema identifier, required
-/// fields, and nonzero wall time and events for every mandatory stage.
+/// Validate a bench export: schema identifier, required fields, nonzero
+/// wall time and events for every mandatory stage, and the schema's
+/// within-run gate (a study's hot-path wall share).
 fn cmd_obs_check(args: &Args) -> ExitCode {
     let Some(path) = args.positional.first() else {
         return usage();
@@ -525,8 +526,8 @@ fn cmd_obs_check(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match validate_bench_json(&text) {
-        Ok(s) => {
+    match obs_check(&text) {
+        Ok((s, gate)) => {
             println!(
                 "{path}: ok — {} traces, {} packets, study wall {:.1}s",
                 s.traces,
@@ -536,6 +537,7 @@ fn cmd_obs_check(args: &Args) -> ExitCode {
             for (name, wall_us, events) in &s.stages {
                 println!("  {name:<16}{:>12.1} ms{:>14} events", wall_us / 1e3, events);
             }
+            print!("{gate}");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -545,37 +547,25 @@ fn cmd_obs_check(args: &Args) -> ExitCode {
     }
 }
 
-/// Gate a candidate `BENCH_pipeline.json` against a committed baseline:
-/// exact event/byte equality on every mandatory stage plus a one-sided
-/// wall-time check (see `ent_core::metrics::compare_bench_json`).
-/// `ENT_BENCH_WAIVER=1` waives the wall half for noisy hardware.
+/// Gate a candidate bench export against a committed baseline: exact
+/// event/byte equality on every mandatory stage and exact key, walls
+/// printed as ratios (see `ent_core::metrics::compare_bench_json`).
 fn cmd_bench_compare(args: &Args) -> ExitCode {
     let (Some(base_path), Some(cand_path)) =
         (args.positional.first(), args.positional.get(1))
     else {
         return usage();
     };
-    let waived = std::env::var("ENT_BENCH_WAIVER").is_ok_and(|v| !v.is_empty() && v != "0");
     let baseline = or_die(std::fs::read_to_string(base_path), "read baseline json");
     let candidate = or_die(std::fs::read_to_string(cand_path), "read candidate json");
-    match compare_bench_json(&baseline, &candidate, !waived) {
+    match compare_bench_json(&baseline, &candidate) {
         Ok(report) => {
             print!("{report}");
-            if waived {
-                println!("note: wall-time checks waived via ENT_BENCH_WAIVER");
-            }
-            println!("bench-compare: ok ({cand_path} vs {base_path}, tolerance +{:.0}%)",
-                WALL_TOLERANCE * 100.0);
+            println!("bench-compare: ok ({cand_path} vs {base_path})");
             ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("bench-compare: FAILED ({cand_path} vs {base_path}):\n{e}");
-            eprintln!(
-                "hint: on noisy hardware, re-run with ENT_BENCH_WAIVER=1 to skip the \
-                 wall-time half of the gate (event/byte determinism is always enforced); \
-                 if the regression is real and intended, regenerate the committed baseline \
-                 with `entreport study --bench-json BENCH_pipeline.json`"
-            );
             ExitCode::FAILURE
         }
     }

@@ -36,7 +36,7 @@ use crate::error::AnalysisError;
 use crate::metrics::{PipelineMetrics, Stage, StageTimer};
 use crate::pipeline::{
     expected_conns_hint, post_process, window_analysis, Engine, FrameRef, PipelineConfig,
-    StreamClock,
+    StreamClock, LAP_STRIDE,
 };
 use crate::records::{IngestHealth, TraceAnalysis};
 use crate::report::fmt_bytes;
@@ -309,6 +309,9 @@ pub struct Monitor {
     /// which every epoch boundary is measured.
     clock: StreamClock,
     epoch_index: u64,
+    /// Frames observed in the open epoch: the stride counter that picks
+    /// which frames [`Monitor::observe`] clocks.
+    epoch_frames: u64,
     totals: MonitorTotals,
     health: IngestHealth,
     metrics: PipelineMetrics,
@@ -340,6 +343,7 @@ impl Monitor {
             engine,
             clock: StreamClock::default(),
             epoch_index: 0,
+            epoch_frames: 0,
             totals: MonitorTotals::default(),
             health: IngestHealth::default(),
             metrics,
@@ -430,7 +434,24 @@ impl Monitor {
     /// Feed one timed frame. Returns the epoch reports this frame flushed:
     /// usually none, one at a boundary crossing, several when the stream
     /// gaps across empty epochs.
+    ///
+    /// The boundaries the frame crosses are flushed before it is parsed, so
+    /// the laps of a clocked frame (an epoch's first, and one in every 71
+    /// after it) bracket its own parse and ingest only.
     pub fn observe(&mut self, ts: Timestamp, frame: &[u8], orig_len: u32) -> Vec<EpochReport> {
+        let mut reports = Vec::new();
+        // Before the first frame there is no base to measure epochs from;
+        // the first frame opens epoch 0 and crosses nothing.
+        while self.clock.base_us.is_some()
+            && ts.micros() >= self.epoch_start_us().saturating_add(self.epoch_len_us())
+        {
+            reports.push(self.rotate(None));
+        }
+        let clocked = self.epoch_frames.is_multiple_of(LAP_STRIDE);
+        self.epoch_frames += 1;
+        if clocked {
+            self.engine.start_lap();
+        }
         let parsed = Packet::parse(frame);
         let pkt = parsed.as_ref().ok();
         if self.clock.tick(ts, pkt.is_some()) {
@@ -438,11 +459,15 @@ impl Monitor {
             // which for epoch 0 is this first packet.
             self.engine.set_window_base(self.epoch_start_us());
         }
-        let mut reports = Vec::new();
-        while ts.micros() >= self.epoch_start_us().saturating_add(self.epoch_len_us()) {
-            reports.push(self.rotate(None));
-        }
-        self.engine.ingest_dissected(FrameRef { ts, frame, orig_len }, pkt);
+        self.engine.ingest_dissected(
+            FrameRef {
+                ts,
+                frame,
+                orig_len,
+            },
+            pkt,
+            clocked,
+        );
         reports
     }
 
@@ -471,6 +496,7 @@ impl Monitor {
         self.health.absorb(&epoch.health);
         self.metrics.absorb(&epoch.metrics);
         self.epoch_index += 1;
+        self.epoch_frames = 0;
         self.engine.set_window_base(self.epoch_start_us());
 
         if self.cfg.checkpoints && final_end.is_none() {

@@ -131,7 +131,7 @@ fn deliver_stage(kind: AnalyzerKind) -> Stage {
     }
 }
 
-/// Sampling stride of every clock on the packet path — the fused
+/// Sampling stride of every clock on the packet path — the frame loop's
 /// parse+ingest pass, analyzer deliveries, connection closes: one event in
 /// `LAP_STRIDE` reads the clock, the rest run clock-free. The two
 /// `Instant::now` reads around an event (~80 ns) rival the work they
@@ -145,7 +145,7 @@ fn deliver_stage(kind: AnalyzerKind) -> Stage {
 /// `finalize` read 5.7× high); 71 is the smallest prime that keeps a
 /// full-payload trace — 0.64 deliveries and closes per packet on top of
 /// the pass's three laps — under one clock read per 16 packets.
-const LAP_STRIDE: u64 = 71;
+pub(crate) const LAP_STRIDE: u64 = 71;
 
 /// One clocked event: its stopwatch, and how many events its lap stands
 /// for. The first event of a window stands for itself alone — a window's
@@ -153,14 +153,23 @@ const LAP_STRIDE: u64 = 71;
 /// head, the dearest kind) on cold state, and given a stride's weight it
 /// read `http` 1.75× high at the gate config; every later one stands for
 /// the stride of events up to it.
-struct Clocked {
+pub(crate) struct Clocked {
     timer: StageTimer,
     stands_for: u64,
 }
 
 impl Clocked {
+    /// Start the watch on the event that `before` events of its window
+    /// precede.
+    pub(crate) fn start(before: u64) -> Clocked {
+        Clocked {
+            stands_for: if before == 0 { 1 } else { LAP_STRIDE },
+            timer: StageTimer::start(),
+        }
+    }
+
     /// Stop the watch: the lap times the events it stands for.
-    fn weighted_ns(mut self) -> u64 {
+    pub(crate) fn weighted_ns(mut self) -> u64 {
         self.timer.lap().saturating_mul(self.stands_for)
     }
 }
@@ -171,10 +180,9 @@ impl Clocked {
 fn sampled_timer(stat: &mut StageStat, bytes: u64) -> Option<Clocked> {
     let before = stat.events;
     stat.add(0, 1, bytes);
-    before.is_multiple_of(LAP_STRIDE).then(|| Clocked {
-        stands_for: if before == 0 { 1 } else { LAP_STRIDE },
-        timer: StageTimer::start(),
-    })
+    before
+        .is_multiple_of(LAP_STRIDE)
+        .then(|| Clocked::start(before))
 }
 
 /// A window's wall-time estimate for a stat from the weighted laps of its
@@ -183,7 +191,7 @@ fn sampled_timer(stat: &mut StageStat, bytes: u64) -> Option<Clocked> {
 /// after it were clocked and stand for `1 + LAP_STRIDE × ⌊(events − 1) /
 /// LAP_STRIDE⌋` of them; the estimate scales that up to the exact count. A
 /// window with one event reports that event's lap, not a stride of them.
-fn estimate_wall_ns(weighted_ns: u64, events: u64) -> u64 {
+pub(crate) fn estimate_wall_ns(weighted_ns: u64, events: u64) -> u64 {
     let Some(after_first) = events.checked_sub(1) else {
         return 0;
     };
@@ -699,8 +707,12 @@ impl StreamClock {
 pub(crate) trait Lane<'a> {
     /// The stream opened: `base_us` is the lane's window base.
     fn open(&mut self, base_us: u64);
-    /// Take one frame, dissected by the loop (`None`: rejected).
-    fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>);
+    /// The next frame is a clocked one: its `frame_parse` lap starts here,
+    /// before the loop parses it.
+    fn start_lap(&mut self);
+    /// Take one frame, dissected by the loop (`None`: rejected); `clocked`
+    /// when [`Lane::start_lap`] preceded it.
+    fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>, clocked: bool);
 }
 
 impl<'a> Lane<'a> for Engine {
@@ -708,29 +720,39 @@ impl<'a> Lane<'a> for Engine {
         self.set_window_base(base_us);
     }
 
+    fn start_lap(&mut self) {
+        Engine::start_lap(self);
+    }
+
     #[inline]
-    fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>) {
-        self.ingest_dissected(p, pkt);
+    fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>, clocked: bool) {
+        self.ingest_dissected(p, pkt, clocked);
     }
 }
 
 /// The one frame loop: dissect each frame once, keep the stream clock,
-/// hand the frame to the lane. Returns the trace's absolute end — the
-/// nominal duration past the first frame, or the last frame seen,
-/// whichever is later — at which the lane then closes its window.
+/// hand the frame to the lane. The first frame and every [`LAP_STRIDE`]th
+/// after it are clocked from before their parse. Returns the trace's
+/// absolute end — the nominal duration past the first frame, or the last
+/// frame seen, whichever is later — at which the lane then closes its
+/// window.
 pub(crate) fn run_frames<'a>(
     frames: impl Iterator<Item = FrameRef<'a>>,
     nominal: Timestamp,
     lane: &mut impl Lane<'a>,
 ) -> Timestamp {
     let mut clock = StreamClock::default();
-    for p in frames {
+    for (n, p) in (0u64..).zip(frames) {
+        let clocked = n.is_multiple_of(LAP_STRIDE);
+        if clocked {
+            lane.start_lap();
+        }
         let parsed = Packet::parse(p.frame);
         let pkt = parsed.as_ref().ok();
         if clock.tick(p.ts, pkt.is_some()) {
             lane.open(p.ts.micros());
         }
-        lane.push(p, pkt);
+        lane.push(p, pkt, clocked);
     }
     clock.end_after(nominal.micros())
 }
@@ -822,10 +844,9 @@ pub(crate) struct Engine {
     /// window's flow health is the delta against this snapshot.
     closed: FlowStats,
     pt: StageTimer,
-    // Fused parse+ingest timing state: packet phase index, un-attributed
-    // clock-free wall, and the clocked parse/ingest laps from sampled
-    // packets (the attribution ratio). All window-scoped.
-    pkt_idx: u64,
+    // Fused parse+ingest timing state: un-attributed clock-free wall, and
+    // the clocked parse/ingest laps of the frames the loop clocks (the
+    // attribution ratio). All window-scoped.
     fused_ns: u64,
     parse_sample_ns: u64,
     ingest_sample_ns: u64,
@@ -857,27 +878,41 @@ impl Engine {
             base_sec: 0,
             closed: FlowStats::default(),
             pt: StageTimer::start(),
-            pkt_idx: 0,
             fused_ns: 0,
             parse_sample_ns: 0,
             ingest_sample_ns: 0,
         }
     }
 
+    /// Bank the clock-free span so far: the frame the caller is about to
+    /// parse is a clocked one, and its `frame_parse` lap starts now.
+    ///
+    /// Cold and out of line: one frame in 71 takes this branch, and with
+    /// the clock read inlined into the frame loop `analyze_payload` ran
+    /// 5–10% slower than with it kept out.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn start_lap(&mut self) {
+        self.fused_ns += self.pt.lap();
+    }
+
     /// Tally and flow-ingest one frame dissected by the caller (`None`
     /// means the dissector rejected it): the frame loop parses each frame
     /// once, on the dispatcher's thread when the lane is a worker.
-    pub(crate) fn ingest_dissected(&mut self, p: FrameRef<'_>, pkt: Option<&Packet<'_>>) {
-        // Fused fast path: event/byte stats are exact on every packet, but
-        // only one packet in LAP_STRIDE reads the clock (the first packet
-        // of every window is a sample, so no epoch reports a zero wall).
-        // Clock-free spans accumulate in fused_ns and get split between
-        // frame_parse and flow_ingest at flush time in the sampled ratio.
-        let sampled = self.pkt_idx.is_multiple_of(LAP_STRIDE);
-        self.pkt_idx += 1;
-        if sampled {
-            self.fused_ns += self.pt.lap();
-        }
+    ///
+    /// Event/byte stats are exact on every frame, but only the frames the
+    /// loop clocks (`clocked`, after [`Engine::start_lap`]; the first frame
+    /// of every window is one, so no epoch reports a zero wall) read the
+    /// clock: once after the tallies, closing the `frame_parse` lap that
+    /// began before the parse, and once after `ConnTable::ingest`, closing
+    /// the `flow_ingest` lap. Clock-free spans accumulate in `fused_ns` and
+    /// get split between the two at flush time in the clocked ratio.
+    pub(crate) fn ingest_dissected(
+        &mut self,
+        p: FrameRef<'_>,
+        pkt: Option<&Packet<'_>>,
+        clocked: bool,
+    ) {
         let handler = &mut self.handler;
         // Every frame counts toward the authoritative wire-byte total —
         // including undissectable ones and samples the per-second bins
@@ -888,7 +923,7 @@ impl Engine {
             // the trace — the analyses' denominators stay honest.
             handler.out.health.malformed_frames += 1;
             handler.out.metrics.stages[Stage::FrameParse].add(0, 1, p.frame.len() as u64);
-            if sampled {
+            if clocked {
                 self.parse_sample_ns += self.pt.lap();
             }
             return;
@@ -909,12 +944,12 @@ impl Engine {
             handler.out.health.load_samples_out_of_range += 1;
         }
         handler.out.metrics.stages[Stage::FrameParse].add(0, 1, p.frame.len() as u64);
-        if sampled {
+        if clocked {
             self.parse_sample_ns += self.pt.lap();
         }
         self.table.ingest(pkt, p.ts, &mut self.handler);
         self.handler.out.metrics.stages[Stage::FlowIngest].add(0, 1, p.orig_len as u64);
-        if sampled {
+        if clocked {
             self.ingest_sample_ns += self.pt.lap();
         }
     }
@@ -930,11 +965,12 @@ impl Engine {
     }
 
     /// Attribute the fused pass's wall time to the current window's
-    /// frame_parse/flow_ingest stages: sampled laps are charged directly,
-    /// and the clock-free remainder is split in the sampled parse:ingest
-    /// ratio (an even split when no sample landed in the window, which
-    /// only happens for packet-free windows). Must run before a window is
-    /// swapped out so every epoch report carries its own wall time.
+    /// frame_parse/flow_ingest stages: clocked laps are charged directly,
+    /// and the clock-free remainder is split in the clocked parse:ingest
+    /// ratio (an even split when no clocked frame landed in the window,
+    /// which only happens for packet-free windows). Must run before a
+    /// window is swapped out so every epoch report carries its own wall
+    /// time.
     fn flush_fused_laps(&mut self) {
         self.fused_ns += self.pt.lap();
         let ps = self.parse_sample_ns;
@@ -950,7 +986,6 @@ impl Engine {
         self.fused_ns = 0;
         self.parse_sample_ns = 0;
         self.ingest_sample_ns = 0;
-        self.pkt_idx = 0;
     }
 
     /// Turn the window's clocked delivery and close laps into its wall
@@ -1546,7 +1581,7 @@ mod tests {
         let mut engine = Engine::new(window_analysis(&meta, 1), &PipelineConfig::default(), true, 64);
         for (i, f) in frames.iter().enumerate() {
             let p = FrameRef { ts: Timestamp::from_micros(i as u64 * 1_000), frame: f, orig_len: f.len() as u32 };
-            engine.ingest_dissected(p, Packet::parse(f).as_ref().ok());
+            engine.ingest_dissected(p, Packet::parse(f).as_ref().ok(), false);
         }
         let lap = engine.handler.laps.deliver_ns[AnalyzerKind::Http as usize];
         let out = engine.close_window(Timestamp::from_secs(1), TraceAnalysis::default());

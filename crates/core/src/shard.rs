@@ -33,9 +33,17 @@
 //! is the blocking call alone. A worker's wait is charged to no stage
 //! ([`Engine::unclocked`]); the dispatcher's is the wall of the
 //! `backpressure` stage.
+//!
+//! ## Clocks
+//!
+//! The frame loop clocks the same frames it would inline. On such a frame
+//! the dispatcher times the parse, and the worker times the frame's tallies
+//! (`frame_parse`) and its table ingest (`flow_ingest`) on its own clock.
+//! The dispatcher's parse laps are estimated up to the trace's frames and
+//! added to the window's `frame_parse` wall at the seal.
 
 use crate::metrics::{Stage, StageTimer};
-use crate::pipeline::{run_frames, Engine, FrameRef, Lane};
+use crate::pipeline::{estimate_wall_ns, run_frames, Clocked, Engine, FrameRef, Lane};
 use crate::records::TraceAnalysis;
 use ent_wire::{Packet, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,9 +137,9 @@ fn next_batch<'a>(rx: &mpsc::Receiver<Batch<'a>>, polls: u32) -> Option<Batch<'a
     rx.recv().ok()
 }
 
-/// One dispatched unit: a frame view plus its pre-parsed packet (`None`
-/// when the dissector rejected the frame).
-type Item<'a> = (FrameRef<'a>, Option<Packet<'a>>);
+/// One dispatched unit: a frame view, its pre-parsed packet (`None` when
+/// the dissector rejected the frame), and whether the loop clocked it.
+type Item<'a> = (FrameRef<'a>, Option<Packet<'a>>, bool);
 
 struct Batch<'a> {
     /// The trace's window base (first frame's timestamp, microseconds),
@@ -153,9 +161,33 @@ struct WorkerLane<'a> {
     /// Wall spent inside [`send_batch`] so far: the dispatcher waiting for
     /// room.
     send_blocked_ns: u64,
+    /// Frames pushed so far.
+    frames: u64,
+    /// The parse lap of the clocked frame in flight, and the weighted laps
+    /// of those before it.
+    parse_lap: Option<Clocked>,
+    parse_ns: u64,
 }
 
 impl<'a> WorkerLane<'a> {
+    fn new(
+        batch_tx: mpsc::SyncSender<Batch<'a>>,
+        recycle_rx: mpsc::Receiver<Vec<Item<'a>>>,
+        polls: u32,
+    ) -> WorkerLane<'a> {
+        WorkerLane {
+            base_us: 0,
+            buf: Vec::with_capacity(BATCH),
+            batch_tx,
+            recycle_rx,
+            polls,
+            send_blocked_ns: 0,
+            frames: 0,
+            parse_lap: None,
+            parse_ns: 0,
+        }
+    }
+
     /// Ship one batch to the worker, timing the wait for room.
     fn ship(&mut self, items: Vec<Item<'a>>) {
         let watch = StageTimer::start();
@@ -169,8 +201,18 @@ impl<'a> Lane<'a> for WorkerLane<'a> {
         self.base_us = base_us;
     }
 
-    fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>) {
-        self.buf.push((p, pkt.cloned()));
+    #[cold]
+    #[inline(never)]
+    fn start_lap(&mut self) {
+        self.parse_lap = Some(Clocked::start(self.frames));
+    }
+
+    fn push(&mut self, p: FrameRef<'a>, pkt: Option<&Packet<'a>>, clocked: bool) {
+        if let Some(lap) = self.parse_lap.take() {
+            self.parse_ns += lap.weighted_ns();
+        }
+        self.frames += 1;
+        self.buf.push((p, pkt.cloned(), clocked));
         if self.buf.len() >= BATCH {
             let spare = self.recycle_rx.try_recv().unwrap_or_else(|_| Vec::with_capacity(BATCH));
             let items = std::mem::replace(&mut self.buf, spare);
@@ -198,14 +240,7 @@ pub(crate) fn run_lanes<'a>(
     std::thread::scope(|scope| {
         let end_abs = &end_abs;
         let worker = scope.spawn(move || lane_worker(new_engine(), batch_rx, recycle_tx, end_abs, polls));
-        let mut lane = WorkerLane {
-            base_us: 0,
-            buf: Vec::with_capacity(BATCH),
-            batch_tx,
-            recycle_rx,
-            polls,
-            send_blocked_ns: 0,
-        };
+        let mut lane = WorkerLane::new(batch_tx, recycle_rx, polls);
         let end = run_frames(frames, nominal, &mut lane);
         end_abs.store(end.micros(), Ordering::SeqCst);
         let rest = std::mem::take(&mut lane.buf);
@@ -213,13 +248,16 @@ pub(crate) fn run_lanes<'a>(
             lane.ship(rest);
         }
         let send_blocked_ns = lane.send_blocked_ns;
+        let parse_ns = estimate_wall_ns(lane.parse_ns, lane.frames);
         // Hanging up the batch channel releases the worker into its window
         // close.
         drop(lane);
         let mut window = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         // The dispatcher's wait for room is the wall of the backpressure
-        // stage (its events and bytes stay the lane's degradation counts).
+        // stage (its events and bytes stay the lane's degradation counts);
+        // its parses are frame_parse wall next to the worker's tallies.
         window.metrics.stages[Stage::Backpressure].add(send_blocked_ns, 0, 0);
+        window.metrics.stages[Stage::FrameParse].add(parse_ns, 0, 0);
         window
     })
 }
@@ -236,8 +274,11 @@ fn lane_worker<'a>(
     // Waiting for the dispatcher is charged to no stage.
     while let Some(mut batch) = engine.unclocked(|| next_batch(&rx, polls)) {
         engine.set_window_base(batch.base_us);
-        for (frame, pkt) in batch.items.drain(..) {
-            engine.ingest_dissected(frame, pkt.as_ref());
+        for (frame, pkt, clocked) in batch.items.drain(..) {
+            if clocked {
+                engine.start_lap();
+            }
+            engine.ingest_dissected(frame, pkt.as_ref(), clocked);
         }
         // Hand the emptied buffer back; if the dispatcher is gone, the
         // buffer just drops.
@@ -355,14 +396,7 @@ mod tests {
                 let (batch_tx, batch_rx) = mpsc::sync_channel(BATCHES_IN_FLIGHT);
                 let (_recycle_tx, recycle_rx) = mpsc::channel();
                 drop(batch_rx);
-                let mut lane = WorkerLane {
-                    base_us: 0,
-                    buf: Vec::with_capacity(BATCH),
-                    batch_tx,
-                    recycle_rx,
-                    polls,
-                    send_blocked_ns: 0,
-                };
+                let mut lane = WorkerLane::new(batch_tx, recycle_rx, polls);
                 assert!(trace.packets.len() > (BATCHES_IN_FLIGHT + 2) * BATCH);
                 run_frames(frames(&trace), trace.meta.duration, &mut lane);
                 // Every full batch left the buffer.

@@ -61,12 +61,15 @@ pub struct TableCarry {
     pub stats: FlowStats,
 }
 
+/// A connection's map key: its [`FlowKey::canonical`] form.
+type CanonKey = (Proto, Endpoint, Endpoint);
+
 struct Conn {
     idx: ConnIndex,
     key: FlowKey,
     /// `key.canonical()`, computed once at open so the per-packet lookup
     /// and the close path never re-canonicalize.
-    canon: (Proto, Endpoint, Endpoint),
+    canon: CanonKey,
     start: Timestamp,
     end: Timestamp,
     orig: DirStats,
@@ -138,6 +141,10 @@ impl Conn {
 /// Feed packets in timestamp order via [`ConnTable::ingest`], then call
 /// [`ConnTable::finish`] to flush still-open flows.
 ///
+/// Packets arrive in runs of one flow (a transfer's segments, a request
+/// and its reply), so the table remembers the connection the last packet
+/// resolved to and checks it before probing the map (DESIGN §8a).
+///
 /// Generic over the key map's [`BuildHasher`]: the default is the
 /// dependency-free [`FxBuildHasher`] (see [`crate::fasthash`] for the
 /// safety argument); [`ConnTable::with_std_hasher`] builds the SipHash
@@ -146,8 +153,11 @@ impl Conn {
 /// hash-order independent, so the two instantiations are interchangeable.
 pub struct ConnTable<S: BuildHasher = FxBuildHasher> {
     config: TableConfig,
-    map: HashMap<(Proto, Endpoint, Endpoint), usize, S>,
+    map: HashMap<CanonKey, usize, S>,
     conns: Vec<Option<Conn>>, // slot per ConnIndex; None once closed
+    /// The `(key, slot)` the last lookup resolved to: always a live map
+    /// entry, because closing that slot and [`ConnTable::rotate`] clear it.
+    last: Option<(CanonKey, usize)>,
     next_idx: ConnIndex,
     packets_seen: u64,
     last_ts: Option<Timestamp>,
@@ -180,6 +190,7 @@ impl<S: BuildHasher> ConnTable<S> {
             config,
             map: HashMap::with_capacity_and_hasher(config.expected_conns, hasher),
             conns: Vec::with_capacity(config.expected_conns),
+            last: None,
             next_idx: 0,
             packets_seen: 0,
             last_ts: None,
@@ -236,6 +247,7 @@ impl<S: BuildHasher> ConnTable<S> {
         // the bucket allocation either way.
         self.map.clear();
         self.conns.clear();
+        self.last = None;
         self.next_idx = 0;
     }
 
@@ -281,6 +293,9 @@ impl<S: BuildHasher> ConnTable<S> {
     }
 
     fn close_slot<H: FlowHandler>(&mut self, slot: usize, handler: &mut H) {
+        if self.last.is_some_and(|(_, last)| last == slot) {
+            self.last = None;
+        }
         if let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.take()) {
             self.map.remove(&conn.canon);
             handler.on_conn_closed(conn.idx, &conn.summarize());
@@ -317,13 +332,15 @@ impl<S: BuildHasher> ConnTable<S> {
         let slot = self.conns.len();
         self.conns.push(Some(conn));
         self.map.insert(canon, slot);
+        self.last = Some((canon, slot));
         self.stats.peak_open_conns = self.stats.peak_open_conns.max(self.map.len() as u64);
         handler.on_new_conn(idx, &key, ts);
         slot
     }
 
-    /// Look up (or create) the flow for `key`; handles inactivity-based
-    /// splitting of UDP/ICMP flows and stale TCP attempts.
+    /// Look up (or create) the flow for `key` — the last packet's flow
+    /// first, then the map; handles inactivity-based splitting of UDP/ICMP
+    /// flows and stale TCP attempts.
     fn lookup_or_open<H: FlowHandler>(
         &mut self,
         key: FlowKey,
@@ -333,7 +350,11 @@ impl<S: BuildHasher> ConnTable<S> {
         handler: &mut H,
     ) -> usize {
         let canon = key.canonical();
-        if let Some(&slot) = self.map.get(&canon) {
+        let found = match self.last {
+            Some((last, slot)) if last == canon => Some(slot),
+            _ => self.map.get(&canon).copied(),
+        };
+        if let Some(slot) = found {
             let Some(conn) = self.conns.get(slot).and_then(|c| c.as_ref()) else {
                 // A mapped slot is always live; if the invariant is ever
                 // broken, repair the map instead of aborting the analysis.
@@ -360,6 +381,7 @@ impl<S: BuildHasher> ConnTable<S> {
                 self.close_slot(slot, handler);
                 return self.open_conn(key, ts, multicast, handler);
             }
+            self.last = Some((canon, slot));
             return slot;
         }
         self.open_conn(key, ts, multicast, handler)
@@ -971,6 +993,191 @@ mod tests {
         assert_eq!(fresh.stats().clock_regressions, 2);
         fresh.finish(Timestamp::from_secs(2), &mut h2);
         assert_eq!(h2.summaries[0].start, Timestamp::from_micros(700));
+    }
+
+    #[test]
+    fn a_later_fragment_opens_no_flow() {
+        // An 8 KB NFS read reply over UDP, fragmented: the first fragment
+        // carries the UDP header, the second starts 1480 bytes into the
+        // datagram, where the reply's data would read as ports 0x4141.
+        let (server, client) = (Addr::new(10, 0, 3, 3), Addr::new(10, 0, 0, 1));
+        let datagram = ent_wire::udp::emit(server, client, 2049, 800, &[0x41; 8192]);
+        let fragment = |from: usize, to: usize, word: u16| {
+            let mut ip = ent_wire::ipv4::emit(
+                server,
+                client,
+                ent_wire::ipv4::Protocol::Udp,
+                64,
+                9,
+                &datagram[from..to],
+            );
+            ip[6..8].copy_from_slice(&word.to_be_bytes());
+            ent_wire::ethernet::emit(
+                MacAddr::from_host_id(1),
+                MacAddr::from_host_id(3),
+                ent_wire::ethernet::EtherType::Ipv4,
+                &ip,
+            )
+        };
+        let first = fragment(0, 1480, 0x2000); // more fragments, offset 0
+        let second = fragment(1480, 2960, 0x2000 | 185);
+        let mut t = ConnTable::new(TableConfig::default());
+        let mut h = CollectSummaries::default();
+        t.ingest(&Packet::parse(&second).unwrap(), Timestamp::ZERO, &mut h);
+        assert_eq!(t.open_conns(), 0, "a later fragment opened a flow");
+        t.ingest(
+            &Packet::parse(&first).unwrap(),
+            Timestamp::from_micros(1),
+            &mut h,
+        );
+        t.ingest(
+            &Packet::parse(&second).unwrap(),
+            Timestamp::from_micros(2),
+            &mut h,
+        );
+        t.finish(Timestamp::from_secs(1), &mut h);
+        assert_eq!(h.summaries.len(), 1);
+        let s = &h.summaries[0];
+        assert_eq!((s.key.orig.port, s.key.resp.port), (2049, 800));
+        assert_eq!((s.orig.packets, s.orig.payload_bytes), (1, 8192));
+        assert_eq!(t.packets_seen(), 3);
+    }
+
+    #[test]
+    fn a_flow_evicted_while_last_reopens_on_its_next_packet() {
+        let mut t = ConnTable::new(TableConfig {
+            max_conns: 2,
+            ..Default::default()
+        });
+        let mut h = CollectSummaries::default();
+        let server = Addr::new(10, 0, 9, 9);
+        let mk = |i: u8| udp_frame(Addr::new(10, 0, 0, i), server, 4000 + u16::from(i), 53, 20);
+        let (a, b, c) = (mk(1), mk(2), mk(3));
+        // One instant, so the cap evicts by slot: `a`, the last packet's
+        // flow, goes first when `c` opens.
+        let ts = Timestamp::from_millis(1);
+        for f in [&a, &b, &a, &c, &a] {
+            t.ingest(&Packet::parse(f).unwrap(), ts, &mut h);
+        }
+        assert_eq!(t.stats().evicted_conns, 2);
+        t.finish(Timestamp::from_secs(1), &mut h);
+        let seen: Vec<_> = h
+            .summaries
+            .iter()
+            .map(|s| (s.key.orig.port, s.orig.packets))
+            .collect();
+        assert_eq!(seen, [(4001, 2), (4002, 1), (4003, 1), (4001, 1)]);
+    }
+
+    #[test]
+    fn an_idle_udp_flow_splits_when_it_is_the_last_flow() {
+        let f = udp_frame(Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2), 123, 123, 48);
+        let mut t = ConnTable::new(TableConfig::default());
+        let mut h = CollectSummaries::default();
+        let idle = Timestamp::from_micros(1_000 + IDLE_TIMEOUT_US + 1);
+        for ts in [Timestamp::ZERO, Timestamp::from_micros(1_000), idle, idle] {
+            t.ingest(&Packet::parse(&f).unwrap(), ts, &mut h);
+        }
+        t.finish(Timestamp::from_secs(1_000), &mut h);
+        let seen: Vec<_> = h
+            .summaries
+            .iter()
+            .map(|s| (s.start, s.orig.packets))
+            .collect();
+        assert_eq!(seen, [(Timestamp::ZERO, 2), (idle, 2)]);
+    }
+
+    #[test]
+    fn a_fresh_syn_on_a_finished_last_flow_splits_it() {
+        let (client, server) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+        let seg = |from_client: bool, seq: u32, ack: u32, flags: Flags| {
+            let (src_ip, dst_ip, src_port, dst_port) = if from_client {
+                (client, server, 40_000, 445)
+            } else {
+                (server, client, 445, 40_000)
+            };
+            build::tcp_frame(
+                &build::TcpFrameSpec {
+                    src_mac: MacAddr::from_host_id(1),
+                    dst_mac: MacAddr::from_host_id(2),
+                    src_ip,
+                    dst_ip,
+                    src_port,
+                    dst_port,
+                    seq,
+                    ack,
+                    flags,
+                    window: 1000,
+                    ttl: 64,
+                },
+                &[],
+            )
+        };
+        let syn = seg(true, 10, 0, Flags::SYN);
+        let stream = [
+            syn.clone(),
+            syn.clone(), // a retransmitted SYN on the live attempt: same connection
+            seg(false, 50, 11, Flags::SYN | Flags::ACK),
+            seg(true, 11, 51, Flags::ACK),
+            seg(true, 11, 51, Flags::FIN | Flags::ACK),
+            seg(false, 51, 12, Flags::FIN | Flags::ACK),
+            syn, // port reuse, straight after the close
+        ];
+        let mut t = ConnTable::new(TableConfig::default());
+        let mut h = CollectSummaries::default();
+        for (i, f) in stream.iter().enumerate() {
+            t.ingest(
+                &Packet::parse(f).unwrap(),
+                Timestamp::from_millis(i as u64),
+                &mut h,
+            );
+        }
+        t.finish(Timestamp::from_secs(1), &mut h);
+        let seen: Vec<_> = h
+            .summaries
+            .iter()
+            .map(|s| (s.tcp_state, s.orig.packets + s.resp.packets))
+            .collect();
+        assert_eq!(seen, [(TcpState::Closed, 6), (TcpState::SynSent, 1)]);
+    }
+
+    #[test]
+    fn rotate_forgets_the_last_flow() {
+        let server = Addr::new(10, 0, 9, 9);
+        let a = udp_frame(Addr::new(10, 0, 0, 1), server, 4000, 53, 20);
+        let b = udp_frame(Addr::new(10, 0, 0, 2), server, 4001, 53, 20);
+        let mut t = ConnTable::new(TableConfig::default());
+        let mut h = CollectSummaries::default();
+        t.ingest(
+            &Packet::parse(&a).unwrap(),
+            Timestamp::from_millis(1),
+            &mut h,
+        );
+        t.rotate(Timestamp::from_secs(1), &mut h);
+        // The same key again: a new connection in the new index space,
+        // then another flow and the first again.
+        for (ms, f) in [(2_000, &a), (2_001, &b), (2_002, &a)] {
+            t.ingest(
+                &Packet::parse(f).unwrap(),
+                Timestamp::from_millis(ms),
+                &mut h,
+            );
+        }
+        assert_eq!(t.open_conns(), 2);
+        t.finish(Timestamp::from_secs(3), &mut h);
+        let seen: Vec<_> = h
+            .summaries
+            .iter()
+            .map(|s| (s.key.orig.port, s.start, s.orig.packets))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (4000, Timestamp::from_millis(1), 1),
+                (4000, Timestamp::from_millis(2_000), 2),
+                (4001, Timestamp::from_millis(2_001), 1),
+            ]
+        );
     }
 
     #[test]

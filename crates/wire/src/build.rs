@@ -514,6 +514,7 @@ pub fn raw_ip_frame_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::X;
     use crate::{udp, Packet};
 
     fn macs() -> (ethernet::MacAddr, ethernet::MacAddr) {
@@ -581,23 +582,6 @@ mod tests {
         let ident = ip_ident(payload.len() as u32, spec.src_port);
         let ip = ipv4::emit(spec.src_ip, spec.dst_ip, ipv4::Protocol::Udp, spec.ttl, ident, &dg);
         ethernet::emit(spec.dst_mac, spec.src_mac, ethernet::EtherType::Ipv4, &ip)
-    }
-
-    /// Tiny deterministic generator (xorshift64*) so the equivalence
-    /// property runs without a rand dependency.
-    struct X(u64);
-    impl X {
-        fn next_u64(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-        fn below(&mut self, n: u64) -> u64 {
-            self.next_u64() % n
-        }
     }
 
     fn random_payload(x: &mut X, len: usize) -> Vec<u8> {

@@ -6,6 +6,9 @@ use core::fmt;
 /// Minimum IPv4 header length (no options).
 pub const MIN_HEADER_LEN: usize = 20;
 
+/// The fragment-offset bits of the flags/fragment-offset word.
+pub const FRAG_OFFSET_MASK: u16 = 0x1FFF;
+
 /// An IPv4 address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Addr(pub u32);
@@ -83,6 +86,10 @@ pub struct Header<'a> {
     pub total_len: u16,
     /// Identification field.
     pub ident: u16,
+    /// Fragment offset, in 8-byte units (the flags are not kept). Only a
+    /// datagram's first fragment — offset 0 — starts with its transport
+    /// header; a later one starts mid-payload.
+    pub frag_offset: u16,
     /// Time to live.
     pub ttl: u8,
     /// Transport protocol.
@@ -126,6 +133,7 @@ impl<'a> Header<'a> {
             header_len: u8::try_from(ihl).unwrap_or(u8::MAX),
             total_len,
             ident: be16(buf, 4),
+            frag_offset: be16(buf, 6) & FRAG_OFFSET_MASK,
             ttl: buf[8],
             protocol: Protocol::from_u8(buf[9]),
             src: Addr(crate::be32(buf, 12)),
@@ -201,6 +209,25 @@ mod tests {
         p[0] = 0x41; // IHL 4 -> 16 bytes, invalid
         assert_eq!(Header::parse(&p).unwrap_err(), Error::Malformed);
         assert_eq!(Header::parse(&[0u8; 10]).unwrap_err(), Error::Truncated);
+    }
+
+    #[test]
+    fn fragment_offset_ignores_the_flags() {
+        let mut p = emit(
+            Addr::new(1, 1, 1, 1),
+            Addr::new(2, 2, 2, 2),
+            Protocol::Udp,
+            64,
+            7,
+            &[0u8; 16],
+        );
+        assert_eq!(Header::parse(&p).unwrap().frag_offset, 0);
+        // More-fragments set, offset 0: a first fragment.
+        put_be16(&mut p, 6, 0x2000);
+        assert_eq!(Header::parse(&p).unwrap().frag_offset, 0);
+        // Don't-fragment plus offset 185 (1480 bytes in).
+        put_be16(&mut p, 6, 0x4000 | 185);
+        assert_eq!(Header::parse(&p).unwrap().frag_offset, 185);
     }
 
     #[test]

@@ -125,6 +125,28 @@ pub(crate) fn put_be32(buf: &mut [u8], off: usize, v: u32) {
     }
 }
 
+/// Tiny deterministic generator (xorshift64*) for this crate's property
+/// tests, so they run without a rand dependency.
+#[cfg(test)]
+pub(crate) mod test_rng {
+    pub(crate) struct X(pub(crate) u64);
+
+    impl X {
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next_u64() % n
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,6 +16,9 @@
 //!    issue the identical sequence of [`FlowHandler`] callbacks. The
 //!    pipeline's output is a function of that sequence alone, so this is
 //!    the whole fx≡std proof — there is no std-hash pipeline to compare.
+//!    The same parity holds at the two extremes of the table's last-flow
+//!    memo: a stream where every lookup misses it and one where every
+//!    lookup hits it.
 
 // Test helpers may abort on setup failure, but must say why: a bare
 // `unwrap` outside a `#[test]` fn stays a clippy error.
@@ -23,7 +26,7 @@
 
 use ent_flow::{
     fx_map_with_capacity, ConnIndex, ConnSummary, ConnTable, Dir, Endpoint, FlowHandler, FlowKey,
-    FxHashMap, Proto, TableConfig,
+    FlowStats, FxHashMap, Proto, TableConfig,
 };
 use ent_gen::build::{build_site, generate_trace};
 use ent_gen::GenConfig;
@@ -177,12 +180,12 @@ impl FlowHandler for Recorder {
 
 /// Feed one packet stream to an fx-hash and a std-hash table under the
 /// same `config` and require identical stats and callback sequences.
-/// Returns the fx table's recorder for workload sanity checks.
+/// Returns the fx table's recorder and stats for workload sanity checks.
 fn assert_callback_parity<'a>(
     config: TableConfig,
     packets: impl Iterator<Item = (&'a [u8], Timestamp)>,
     label: &str,
-) -> Recorder {
+) -> (Recorder, FlowStats) {
     let mut fx = ConnTable::new(config);
     let mut std_t = ConnTable::with_std_hasher(config);
     let mut fx_sink = Recorder::default();
@@ -195,7 +198,6 @@ fn assert_callback_parity<'a>(
     let end = Timestamp::from_secs(100_000);
     fx.finish(end, &mut fx_sink);
     std_t.finish(end, &mut std_sink);
-    assert!(fx.stats().evicted_conns > 0, "workload never hit the cap ({label})");
     assert_eq!(fx.stats(), std_t.stats(), "flow stats diverged ({label})");
     assert_eq!(fx.packets_seen(), std_t.packets_seen());
     let (fl, sl) = (&fx_sink.events, &std_sink.events);
@@ -203,7 +205,7 @@ fn assert_callback_parity<'a>(
     for (i, (a, b)) in fl.iter().zip(sl).enumerate() {
         assert_eq!(a, b, "callback {i} diverged ({label})");
     }
-    fx_sink
+    (fx_sink, *fx.stats())
 }
 
 #[test]
@@ -216,7 +218,11 @@ fn eviction_under_max_conns_matches_std_hash_table_decision_for_decision() {
         };
         let workload = eviction_workload(&mut rng, 2_000);
         let packets = workload.iter().map(|(frame, ts)| (frame.as_slice(), *ts));
-        assert_callback_parity(config, packets, &format!("case {case}"));
+        let (_, stats) = assert_callback_parity(config, packets, &format!("case {case}"));
+        assert!(
+            stats.evicted_conns > 0,
+            "workload never hit the cap (case {case})"
+        );
     }
     // The synthetic workload above is UDP only. Generated enterprise traces
     // drive the TCP side through the same undersized, capped tables: D0
@@ -237,7 +243,12 @@ fn eviction_under_max_conns_matches_std_hash_table_decision_for_decision() {
         let (site, wan) = build_site(&spec, &gen);
         let trace = generate_trace(&site, &wan, &spec, spec.monitored.start, 1, &gen);
         let packets = trace.packets.iter().map(|p| (&*p.frame, p.ts));
-        let seen = assert_callback_parity(config, packets, &format!("generated {name} trace"));
+        let (seen, stats) =
+            assert_callback_parity(config, packets, &format!("generated {name} trace"));
+        assert!(
+            stats.evicted_conns > 0,
+            "workload never hit the cap (generated {name} trace)"
+        );
         tcp_data += seen.tcp_data;
         tcp_gaps += seen.tcp_gaps;
         udp_datagrams += seen.udp_datagrams;
@@ -245,4 +256,54 @@ fn eviction_under_max_conns_matches_std_hash_table_decision_for_decision() {
     assert!(tcp_data > 0, "traces delivered no TCP data");
     assert!(tcp_gaps > 0, "traces produced no TCP gaps");
     assert!(udp_datagrams > 0, "traces delivered no UDP datagrams");
+}
+
+#[test]
+fn last_flow_memo_hits_and_misses_match_std_hash_table() {
+    let udp = |src: Addr, dst: Addr, src_port: u16, dst_port: u16| {
+        build::udp_frame(
+            &build::UdpFrameSpec {
+                src_mac: MacAddr::from_host_id(1),
+                dst_mac: MacAddr::from_host_id(2),
+                src_ip: src,
+                dst_ip: dst,
+                src_port,
+                dst_port,
+                ttl: 64,
+            },
+            b"memo",
+        )
+    };
+    let (client, server) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 9, 9));
+    // Strict ping-pong between two flows: every lookup misses the table's
+    // last-flow memo. One flow's requests and replies back to back: every
+    // lookup after the first hits it. Both idle past the split timeout
+    // every 500 packets, so splits land on both sides of the memo.
+    let ping_pong = [
+        udp(client, server, 5_000, 53),
+        udp(client, server, 5_001, 53),
+    ];
+    let burst = [
+        udp(client, server, 5_000, 53),
+        udp(server, client, 53, 5_000),
+    ];
+    let mut ts = 0u64;
+    let stamps: Vec<Timestamp> = (0..2_000u64)
+        .map(|n| {
+            ts += if n % 500 == 0 { 70_000_000 } else { 1_000 };
+            Timestamp::from_micros(ts)
+        })
+        .collect();
+    for (label, frames) in [("ping-pong", &ping_pong), ("burst", &burst)] {
+        let packets = stamps
+            .iter()
+            .enumerate()
+            .map(|(n, ts)| (frames[n % 2].as_slice(), *ts));
+        let (seen, _) = assert_callback_parity(TableConfig::default(), packets, label);
+        let opened = seen.events.iter().filter(|e| e.starts_with("new ")).count();
+        assert_eq!(seen.udp_datagrams, 2_000, "{label}");
+        // Each flow opens four times: at its first packet and after each
+        // of three idle gaps.
+        assert_eq!(opened, if label == "burst" { 4 } else { 8 }, "{label}");
+    }
 }
