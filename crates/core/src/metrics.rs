@@ -469,8 +469,8 @@ fn stage_row(name: &str, s: &StageStat, exclusive_ns: Option<u64>) -> Vec<String
 // ---------------------------------------------------------------------------
 // Bench documents. Each kind of document is one row of [`SCHEMAS`]; the
 // emitter, the validator (`entreport obs-check`) and the comparer
-// (`entreport bench-compare`) below walk that row, and `ent-lint` E009
-// reads its key names. Adding a document kind is a row plus its
+// (`entreport bench-compare`) below walk that row, and one golden document
+// per row pins its keys. Adding a document kind is a row plus its
 // invariants — see DESIGN §8.
 // ---------------------------------------------------------------------------
 
@@ -1707,8 +1707,9 @@ mod tests {
 
     /// The three fixtures above, one per [`SCHEMAS`] row and in its order,
     /// each with the document the parent commit's hand-written emitter
-    /// produced for it.
-    fn fixtures() -> [(Doc, &'static str); 3] {
+    /// produced for it. The length is the table's, so a row without a
+    /// fixture does not compile.
+    fn fixtures() -> [(Doc, &'static str); SCHEMAS.len()] {
         [
             (pipeline(0.01, 2005, 1, 9_000_000, &nonzero_metrics()), include_str!("../testdata/bench_pipeline.golden.json")),
             (monitor(&monitor_metrics()), include_str!("../testdata/bench_monitor.golden.json")),

@@ -98,8 +98,8 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Drop-in `HashMap` alias using [`FxHasher`]. Construct with
 /// [`fx_map_with_capacity`] (or `FxHashMap::default()`) — `HashMap::new()`
-/// is not available for non-`RandomState` hashers, which conveniently
-/// matches the ent-lint E002 hot-map rule.
+/// is not available for non-`RandomState` hashers, so rustc rejects a
+/// SipHash constructor wherever a map is typed with this hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// Pre-sized [`FxHashMap`] constructor; use dataset hints so hot maps never

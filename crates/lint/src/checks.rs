@@ -1,4 +1,4 @@
-//! The lint rules E001, E002, E004 and E005.
+//! The token-stream lint rules E001, E002 and E005.
 //!
 //! Each check walks the token streams produced by [`crate::lexer`] and
 //! emits [`Finding`]s. Suppression filtering happens centrally in
@@ -21,37 +21,6 @@ const HOT_FN_MARKERS: [&str; 9] =
 /// Substrings identifying length/offset-carrying identifiers for E002.
 const LENISH_MARKERS: [&str; 10] =
     ["len", "off", "size", "total", "ihl", "cap", "snap", "pos", "idx", "count"];
-/// Per-packet hot-path modules in which E002 also forbids constructing a
-/// std-SipHash `HashMap` (`new` / `default` / `with_capacity`): these maps
-/// were deliberately moved to the pre-sized fx-hash forms, and a
-/// reintroduced default map is a silent perf regression the compiler will
-/// not catch.
-const HOT_MAP_FILES: [&str; 4] = [
-    "crates/flow/src/table.rs",
-    "crates/core/src/pipeline.rs",
-    "crates/flow/src/shard.rs",
-    "crates/core/src/shard.rs",
-];
-/// Per-packet emission modules in which E002 also forbids ad-hoc heap
-/// allocation (`Vec::new()` / `vec![..]` / `.to_vec()`): these paths were
-/// rebuilt around arena buffers, and a reintroduced per-packet `Vec` is a
-/// silent throughput regression the compiler will not catch.
-const HOT_ALLOC_FILES: [&str; 14] = [
-    "crates/gen/src/synth.rs",
-    "crates/wire/src/build.rs",
-    "crates/gen/src/apps/mod.rs",
-    "crates/gen/src/apps/backup.rs",
-    "crates/gen/src/apps/bulk_interactive.rs",
-    "crates/gen/src/apps/email.rs",
-    "crates/gen/src/apps/mgmt.rs",
-    "crates/gen/src/apps/name.rs",
-    "crates/gen/src/apps/netfile.rs",
-    "crates/gen/src/apps/nonip.rs",
-    "crates/gen/src/apps/scanner.rs",
-    "crates/gen/src/apps/streaming.rs",
-    "crates/gen/src/apps/web.rs",
-    "crates/gen/src/apps/windows.rs",
-];
 
 fn finding(code: Code, file: &SourceFile, line: u32, message: String) -> Finding {
     Finding { code, file: file.rel.clone(), line, message }
@@ -141,22 +110,12 @@ pub fn e001(file: &SourceFile) -> Vec<Finding> {
 }
 
 /// E002: unchecked offset arithmetic and truncating casts of
-/// length-derived values inside parser hot paths; in the named hot-map
-/// modules ([`HOT_MAP_FILES`]), also any construction of a std-SipHash
-/// `HashMap` where the pre-sized fx-hash form is required; in the named
-/// hot-allocation modules ([`HOT_ALLOC_FILES`]), also any ad-hoc `Vec`
-/// allocation where the arena buffer is required.
+/// length-derived values inside parser hot paths.
 pub fn e002(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    if !file.is_test_file && HOT_MAP_FILES.contains(&file.rel.as_str()) {
-        hot_map_scan(file, &mut out);
-    }
-    if !file.is_test_file && HOT_ALLOC_FILES.contains(&file.rel.as_str()) {
-        hot_alloc_scan(file, &mut out);
-    }
     if !ARITH_CRATES.contains(&file.crate_name.as_str()) || file.is_test_file {
-        return out;
+        return Vec::new();
     }
+    let mut out = Vec::new();
     for i in 0..file.toks.len() {
         let t = &file.toks[i];
         if t.kind == TokKind::Comment || file.is_test_line(t.line) {
@@ -217,88 +176,6 @@ pub fn e002(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
-/// The hot-map half of E002: flag `HashMap::new()` / `HashMap::default()`
-/// / `HashMap::with_capacity(..)` — the constructors that silently pick
-/// SipHash-`RandomState` — in modules on the per-packet path. The
-/// hasher-explicit forms (`with_hasher`, `with_capacity_and_hasher`) and
-/// the `FxHashMap` alias pass.
-fn hot_map_scan(file: &SourceFile, out: &mut Vec<Finding>) {
-    for i in 0..file.toks.len() {
-        let t = &file.toks[i];
-        if t.kind != TokKind::Ident || file.is_test_line(t.line) || file.text(i) != "HashMap" {
-            continue;
-        }
-        let Some(c1) = file.next_sig(i) else { continue };
-        let Some(c2) = file.next_sig(c1) else { continue };
-        let Some(m) = file.next_sig(c2) else { continue };
-        if file.toks[c1].kind != TokKind::Punct(':')
-            || file.toks[c2].kind != TokKind::Punct(':')
-            || file.toks[m].kind != TokKind::Ident
-        {
-            continue;
-        }
-        let method = file.text(m);
-        if matches!(method.as_ref(), "new" | "default" | "with_capacity") {
-            out.push(finding(
-                Code::E002,
-                file,
-                t.line,
-                format!("std-SipHash `HashMap::{method}` in a hot-path module; use the pre-sized fx-hash form (`fx_map_with_capacity` / `with_capacity_and_hasher`, see crates/flow/src/fasthash.rs)"),
-            ));
-        }
-    }
-}
-
-/// The hot-allocation half of E002: flag `Vec::new()`, `vec![..]` and
-/// `.to_vec()` — the forms that heap-allocate per call — in modules on the
-/// per-packet emission path. Those paths write through a reused
-/// [`PacketArena`] buffer (`frame_buf` / `extend_from_slice`), so a fresh
-/// `Vec` per packet is exactly the allocation churn the arena rework
-/// removed; reintroducing one compiles fine and silently costs ~2x.
-fn hot_alloc_scan(file: &SourceFile, out: &mut Vec<Finding>) {
-    let flag = |out: &mut Vec<Finding>, line: u32, what: &str| {
-        out.push(finding(
-            Code::E002,
-            file,
-            line,
-            format!("per-call heap allocation (`{what}`) in a hot emission module; write through the reused arena buffer instead (see crates/pcap/src/arena.rs)"),
-        ));
-    };
-    for i in 0..file.toks.len() {
-        let t = &file.toks[i];
-        if t.kind != TokKind::Ident || file.is_test_line(t.line) {
-            continue;
-        }
-        match file.text(i).as_ref() {
-            // `vec![..]` — ident `vec` directly followed by `!`.
-            "vec" if file.next_sig(i).is_some_and(|n| file.toks[n].kind == TokKind::Punct('!')) => {
-                flag(out, t.line, "vec![..]");
-            }
-            // `Vec::new()` — the empty-growable constructor. The sized
-            // forms (`with_capacity`) pass: one-time setup buffers are
-            // fine, it is the per-call empty Vec that churns.
-            "Vec" => {
-                let Some(c1) = file.next_sig(i) else { continue };
-                let Some(c2) = file.next_sig(c1) else { continue };
-                let Some(m) = file.next_sig(c2) else { continue };
-                if file.toks[c1].kind == TokKind::Punct(':')
-                    && file.toks[c2].kind == TokKind::Punct(':')
-                    && file.toks[m].kind == TokKind::Ident
-                    && file.text(m) == "new"
-                {
-                    flag(out, t.line, "Vec::new()");
-                }
-            }
-            // `.to_vec()` — method call only (ident preceded by `.`), so a
-            // local named `to_vec` would not trip it.
-            "to_vec" if file.prev_sig(i).is_some_and(|p| file.toks[p].kind == TokKind::Punct('.')) => {
-                flag(out, t.line, ".to_vec()");
-            }
-            _ => {}
-        }
-    }
-}
-
 /// For `…) as u16` / `…) + off`: scan the parenthesized operand ending at
 /// `close_idx` (a `)`) plus the callee ident before the `(` for a lenish
 /// name (`buf.len()`, `(total_len + 4)`).
@@ -340,93 +217,6 @@ fn operand_is_lenish(file: &SourceFile, as_idx: usize) -> bool {
         TokKind::Punct(')') => call_is_lenish(file, p),
         _ => false,
     }
-}
-
-/// E004: every analyzer module under `crates/proto/src/` must appear in
-/// `registry.rs`'s `ANALYZER_MODULES`, and every listed name must have a
-/// module file.
-pub fn e004(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut modules = BTreeSet::new();
-    let mut registry: Option<&SourceFile> = None;
-    for file in files {
-        let Some(rest) = file.rel.strip_prefix("crates/proto/src/") else { continue };
-        if rest.contains('/') {
-            continue;
-        }
-        let Some(stem) = rest.strip_suffix(".rs") else { continue };
-        match stem {
-            "lib" | "mod" => {}
-            "registry" => registry = Some(file),
-            _ => {
-                modules.insert(stem.to_string());
-            }
-        }
-    }
-    if modules.is_empty() && registry.is_none() {
-        return out; // workspace has no proto crate (e.g. fixture trees)
-    }
-    let Some(reg) = registry else {
-        if let Some(any) = files.iter().find(|f| f.rel.starts_with("crates/proto/src/")) {
-            out.push(finding(
-                Code::E004,
-                any,
-                1,
-                "crates/proto/src/registry.rs not found; analyzer modules cannot be checked for registration".to_string(),
-            ));
-        }
-        return out;
-    };
-    // Locate `ANALYZER_MODULES` and collect its string entries.
-    let mut listed: BTreeMap<String, u32> = BTreeMap::new();
-    let mut const_line = None;
-    for i in 0..reg.toks.len() {
-        if reg.toks[i].kind == TokKind::Ident && reg.text(i) == "ANALYZER_MODULES" {
-            const_line = Some(reg.toks[i].line);
-            for j in i + 1..reg.toks.len() {
-                match reg.toks[j].kind {
-                    TokKind::Str => {
-                        let raw = reg.text(j);
-                        let name = raw.trim_matches(|c| c == '"');
-                        listed.insert(name.to_string(), reg.toks[j].line);
-                    }
-                    TokKind::Punct(';') => break,
-                    _ => {}
-                }
-            }
-            break;
-        }
-    }
-    let Some(const_line) = const_line else {
-        out.push(finding(
-            Code::E004,
-            reg,
-            1,
-            "registry.rs does not declare `ANALYZER_MODULES`; the protocol registry cannot be checked for totality".to_string(),
-        ));
-        return out;
-    };
-    for m in &modules {
-        if !listed.contains_key(m) {
-            out.push(finding(
-                Code::E004,
-                reg,
-                const_line,
-                format!("analyzer module `{m}.rs` is not listed in ANALYZER_MODULES; wire it into the registry"),
-            ));
-        }
-    }
-    for (m, line) in &listed {
-        if !modules.contains(m) {
-            out.push(finding(
-                Code::E004,
-                reg,
-                *line,
-                format!("ANALYZER_MODULES lists `{m}` but crates/proto/src/{m}.rs does not exist"),
-            ));
-        }
-    }
-    out
 }
 
 /// Extract `(kind, number)` paper-artifact IDs (`Table 7`, `Figure 10`)
@@ -572,50 +362,6 @@ mod tests {
     fn e002_len_call_cast() {
         let f = wire_file("fn read_rec(b: &[u8]) -> u32 {\n    b.len() as u32\n}\n");
         assert_eq!(e002(&f).len(), 1);
-    }
-
-    #[test]
-    fn e002_hot_alloc_flags_per_call_allocation() {
-        let f = SourceFile::new(
-            "crates/gen/src/synth.rs".into(),
-            "gen".into(),
-            false,
-            b"fn emit() -> Vec<u8> {\n    let mut f = Vec::new();\n    f.extend_from_slice(&vec![0u8; 4]);\n    f[..2].to_vec()\n}\n".to_vec(),
-        );
-        let got = e002(&f);
-        assert_eq!(got.len(), 3, "{got:?}");
-        assert_eq!(got[0].line, 2);
-        assert_eq!(got[1].line, 3);
-        assert_eq!(got[2].line, 4);
-        assert!(got.iter().all(|f| f.code == Code::E002));
-    }
-
-    #[test]
-    fn e002_hot_alloc_reused_and_sized_forms_pass() {
-        // with_capacity setup, writing through a reused buffer, a local
-        // *named* to_vec, and test-region allocation are all out of scope.
-        let f = SourceFile::new(
-            "crates/gen/src/synth.rs".into(),
-            "gen".into(),
-            false,
-            b"fn setup(n: usize) -> Vec<u8> {\n    Vec::with_capacity(n)\n}\nfn emit(buf: &mut Vec<u8>, to_vec: u8) {\n    buf.push(to_vec);\n}\n#[cfg(test)]\nmod tests {\n    fn t() -> Vec<u8> { vec![1, 2].to_vec() }\n}\n".to_vec(),
-        );
-        assert!(e002(&f).is_empty(), "{:?}", e002(&f));
-    }
-
-    #[test]
-    fn e002_hot_alloc_only_in_listed_files() {
-        // Same patterns in a non-listed gen module stay quiet (gen is not
-        // an arith crate either, so e002 has no other reason to look).
-        // The app generators are all listed now, so the example is the
-        // site-modeling layer, which runs per trace rather than per packet.
-        let f = SourceFile::new(
-            "crates/gen/src/network.rs".into(),
-            "gen".into(),
-            false,
-            b"fn emit() -> Vec<u8> {\n    Vec::new()\n}\n".to_vec(),
-        );
-        assert!(e002(&f).is_empty());
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Symbol-aware determinism and taxonomy checks: E006, E008 and E009.
+//! Symbol-aware determinism and taxonomy checks: E006 and E008.
 //!
-//! All three lints consume the [`crate::symbols`] layer rather than raw
-//! token patterns: E006 needs to know whether a receiver *is* a std
-//! unordered map and whether the enclosing fn can reach a report sink;
-//! E008 reads parsed return types; E009 reads struct fields and schema
-//! `const` items. The approximations inherited from the symbol layer are
-//! deliberately one-sided: an unresolved binding or missed call edge
+//! Both lints consume the [`crate::symbols`] layer rather than raw token
+//! patterns: E006 needs to know whether a receiver *is* a std unordered
+//! map and whether the enclosing fn can reach a report sink; E008 reads
+//! parsed return types. The approximations inherited from the symbol layer
+//! are deliberately one-sided: an unresolved binding or missed call edge
 //! silences a finding, it never invents one.
 
 use crate::lexer::TokKind;
@@ -45,14 +44,6 @@ const TAXONOMY_ERRORS: [&str; 7] = [
 /// `bool`/`Option` smuggling rule (predicates like `is_*` stay legal).
 const FALLIBLE_FN_MARKERS: [&str; 8] =
     ["load", "open", "save", "persist", "restore", "resume", "flush", "commit"];
-/// File and struct holding the checkpoint payload for E009: every field
-/// must appear in test code somewhere in the workspace.
-const CHECKPOINT_PAYLOAD: (&str, &str) = ("crates/core/src/checkpoint.rs", "Checkpoint");
-/// Files holding the `ent-bench-*` schema tables key-checked by E009.
-const BENCH_EMITTER_FILES: [&str; 1] = ["crates/core/src/metrics.rs"];
-/// Type names that mark a `const` in those files as a schema table: every
-/// identifier-shaped string literal in it is a declared key.
-const BENCH_SCHEMA_TYPES: [&str; 2] = ["Schema", "Key"];
 
 /// Methods whose results surface std-map iteration order.
 const UNORDERED_ITER: [&str; 9] = [
@@ -82,7 +73,6 @@ pub fn symbol_checks(sources: &[SourceFile]) -> Vec<Finding> {
     let ws = WorkspaceSymbols::build(sources);
     let mut out = e006(sources, &ws);
     out.extend(e008(sources, &ws));
-    out.extend(e009(sources, &ws));
     out
 }
 
@@ -439,103 +429,6 @@ fn e008(sources: &[SourceFile], ws: &WorkspaceSymbols) -> Vec<Finding> {
     out
 }
 
-/// E009 — checkpoint/bench schema hygiene: every payload field and every
-/// emitted JSON key must be referenced from test code.
-fn e009(sources: &[SourceFile], ws: &WorkspaceSymbols) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let covered = test_reference_words(sources);
-
-    // (a) checkpoint payload fields.
-    let (ckpt_file, ckpt_struct) = CHECKPOINT_PAYLOAD;
-    for (fi, file) in sources.iter().enumerate() {
-        if file.rel != ckpt_file {
-            continue;
-        }
-        if let Some(s) = ws.files[fi].structs.iter().find(|s| s.name == ckpt_struct) {
-            for (fname, fline, _ty) in &s.fields {
-                if !covered.contains(fname.as_str()) {
-                    out.push(finding(
-                        Code::E009,
-                        file,
-                        *fline,
-                        format!("checkpoint payload field `{fname}` has no test reference: add it to a round-trip test before it silently rots"),
-                    ));
-                }
-            }
-        }
-    }
-
-    // (b) bench-document keys: every identifier-shaped string literal in
-    // a schema-table `const` (one whose type names a schema type).
-    for (fi, file) in sources.iter().enumerate() {
-        if !BENCH_EMITTER_FILES.contains(&file.rel.as_str()) {
-            continue;
-        }
-        let mut seen_keys: BTreeSet<String> = BTreeSet::new();
-        for item in &ws.files[fi].statics {
-            let mut ty_words = item.ty.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
-            let is_table = ty_words.any(|w| BENCH_SCHEMA_TYPES.contains(&w));
-            if !is_table || file.is_test_line(item.line) {
-                continue;
-            }
-            // The item runs from its line to the first `;` outside every bracket.
-            let mut depth = 0i32;
-            for k in (0..file.toks.len()).skip_while(|&k| file.toks[k].line < item.line) {
-                match file.toks[k].kind {
-                    TokKind::Punct('(' | '[' | '{') => depth += 1,
-                    TokKind::Punct(')' | ']' | '}') => depth -= 1,
-                    TokKind::Punct(';') if depth == 0 => break,
-                    TokKind::Str => {
-                        let text = file.text(k);
-                        let key = text.trim_matches('"');
-                        let ident_shaped = key.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
-                            && key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-                        if ident_shaped && seen_keys.insert(key.to_string()) && !covered.contains(key) {
-                            out.push(finding(
-                                Code::E009,
-                                file,
-                                file.toks[k].line,
-                                format!("bench JSON key `{key}` is declared but never referenced from test code: extend the obs-check/round-trip coverage"),
-                            ));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Every identifier-shaped word visible from test context: idents on test
-/// lines plus words inside string literals on test lines (tests reference
-/// JSON keys as strings, struct fields as idents).
-fn test_reference_words(sources: &[SourceFile]) -> BTreeSet<String> {
-    let mut words = BTreeSet::new();
-    for file in sources {
-        for (j, t) in file.toks.iter().enumerate() {
-            if !file.is_test_line(t.line) {
-                continue;
-            }
-            match t.kind {
-                TokKind::Ident => {
-                    words.insert(file.text(j).into_owned());
-                }
-                TokKind::Str => {
-                    let text = file.text(j).into_owned();
-                    for w in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-                        if !w.is_empty() {
-                            words.insert(w.to_string());
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    words
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,52 +531,5 @@ mod tests {
         );
         let fs = run(vec![f]);
         assert!(fs.iter().all(|f| f.code != Code::E008), "{fs:#?}");
-    }
-
-    #[test]
-    fn e009_uncovered_field_and_key() {
-        let ckpt = src(
-            "crates/core/src/checkpoint.rs",
-            "core",
-            false,
-            "pub struct Checkpoint {\n    pub epoch_index: u64,\n    pub ghost_field: u64,\n}\n",
-        );
-        let table = src(
-            "crates/core/src/metrics.rs",
-            "core",
-            false,
-            "const NOT_A_TABLE: &str = \"free_text\";\npub const PIPELINE: Schema = Schema {\n    tag: \"ent-bench-pipeline/1\",\n    top: &[Key::new(\"ghost_key\", Exact)],\n    entries: &[Key::new(\"covered_key\", Info).from_metrics(|m| fmt(\"{:016x}\", m))],\n};\n",
-        );
-        let tests = src(
-            "tests/tests/obs.rs",
-            "tests",
-            true,
-            "fn check() {\n    let _ = \"schema covered_key\";\n    let c = Checkpoint { epoch_index: 1, ghost_field: 0 };\n    let _ = c.epoch_index;\n}\n",
-        );
-        // `ghost_field` appears in tests too — drop it from coverage by
-        // renaming in the test source.
-        let tests = {
-            let _ = tests;
-            src(
-                "tests/tests/obs.rs",
-                "tests",
-                true,
-                "fn check() {\n    let _ = \"schema covered_key\";\n    let _ = epoch_index;\n}\n",
-            )
-        };
-        let fs = run(vec![ckpt, table, tests]);
-        let e9: Vec<(String, u32)> = fs
-            .iter()
-            .filter(|f| f.code == Code::E009)
-            .map(|f| (f.file.clone(), f.line))
-            .collect();
-        assert_eq!(
-            e9,
-            vec![
-                ("crates/core/src/checkpoint.rs".to_string(), 3),
-                ("crates/core/src/metrics.rs".to_string(), 4),
-            ],
-            "{fs:#?}"
-        );
     }
 }

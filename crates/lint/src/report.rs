@@ -3,10 +3,12 @@
 use std::fmt;
 
 /// The coded lints `ent-lint` enforces. See `DESIGN.md` §6a for the
-/// rationale behind each invariant. E003 (crate-root attributes) and E007
-/// (shared-state discipline) are retired, their numbers not reused: rustc
-/// enforces both through `[workspace.lints]` (`unsafe_code = "forbid"`)
-/// and `thread::scope`'s `Send` bound.
+/// rationale behind each invariant. Retired codes are not reused: E003
+/// (crate-root attributes) and E007 (shared-state discipline) are rustc's
+/// through `[workspace.lints]` (`unsafe_code = "forbid"`) and
+/// `thread::scope`'s `Send` bound; E004 (registry totality) and E009
+/// (schema coverage) are the compiler's and the goldens' (§6a names the
+/// enforcer per rule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// Panic surface in ingest crates: computed slice indexing in non-test
@@ -17,10 +19,6 @@ pub enum Code {
     /// length-derived values inside parser hot paths of `wire`/`pcap`/
     /// `proto`.
     E002,
-    /// Protocol-registry totality: every analyzer module under
-    /// `crates/proto/src/` must be listed in `registry.rs`'s
-    /// `ANALYZER_MODULES`, and every listed module must exist.
-    E004,
     /// Paper-artifact coverage: every `Table N`/`Figure N` claimed in
     /// `crates/core/src/analyses` must be referenced from test code.
     E005,
@@ -35,15 +33,10 @@ pub enum Code {
     /// `bool`/`Option` smuggling on fallible-verb names, no truncating
     /// `as` casts inside `Err(..)` construction).
     E008,
-    /// Checkpoint/bench schema hygiene: every `Checkpoint` payload field
-    /// and every key emitted by the `ent-bench-*` JSON writers must be
-    /// referenced from test code (round-trip or obs-check coverage).
-    E009,
 }
 
 /// All live codes, in order.
-pub const ALL_CODES: [Code; 7] =
-    [Code::E001, Code::E002, Code::E004, Code::E005, Code::E006, Code::E008, Code::E009];
+pub const ALL_CODES: [Code; 5] = [Code::E001, Code::E002, Code::E005, Code::E006, Code::E008];
 
 impl Code {
     /// The code as printed in findings and written in suppressions.
@@ -51,11 +44,9 @@ impl Code {
         match self {
             Code::E001 => "E001",
             Code::E002 => "E002",
-            Code::E004 => "E004",
             Code::E005 => "E005",
             Code::E006 => "E006",
             Code::E008 => "E008",
-            Code::E009 => "E009",
         }
     }
 
@@ -64,11 +55,9 @@ impl Code {
         match self {
             Code::E001 => "computed slice index in ingest crate",
             Code::E002 => "unchecked wire-length arithmetic in parser hot path",
-            Code::E004 => "protocol analyzer not registered",
             Code::E005 => "paper artifact without test reference",
             Code::E006 => "nondeterminism hazard in analysis path",
             Code::E008 => "untyped error on public fallible function",
-            Code::E009 => "checkpoint/bench schema field without test coverage",
         }
     }
 
@@ -135,20 +124,22 @@ mod tests {
         for c in ALL_CODES {
             assert_eq!(Code::parse(c.as_str()), Some(c));
         }
-        // Retired codes stay retired: a stale `allow(E003)` silences nothing.
-        assert_eq!(Code::parse("E003"), None);
-        assert_eq!(Code::parse("E007"), None);
+        // Retired codes stay retired: a stale `allow(..)` naming one
+        // silences nothing.
+        for retired in ["E003", "E004", "E007", "E009"] {
+            assert_eq!(Code::parse(retired), None, "{retired}");
+        }
     }
 
     #[test]
     fn display_format_is_clickable() {
         let f = Finding {
-            code: Code::E004,
-            file: "crates/proto/src/registry.rs".into(),
+            code: Code::E005,
+            file: "crates/core/src/analyses/foo.rs".into(),
             line: 1,
-            message: "not listed".into(),
+            message: "untested".into(),
         };
-        assert_eq!(f.to_string(), "crates/proto/src/registry.rs:1: error [E004]: not listed");
+        assert_eq!(f.to_string(), "crates/core/src/analyses/foo.rs:1: error [E005]: untested");
     }
 
     #[test]

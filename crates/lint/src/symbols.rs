@@ -3,16 +3,16 @@
 //!
 //! `ent-lint` has no type system — the workspace builds offline, so there
 //! is no `syn`, no HIR, no trait resolution. This layer recovers just
-//! enough structure for the determinism/taxonomy lints (E006, E008, E009)
-//! to be *symbol-aware* rather than purely textual:
+//! enough structure for the determinism/taxonomy lints (E006, E008) to be
+//! *symbol-aware* rather than purely textual:
 //!
 //! * **Items** per file: `fn` (with parameter and return types and body
-//!   span), `struct` fields, `static`/`const` items, and `use` imports
-//!   flattened to `local name → full path`.
+//!   span), named `struct` fields, and `use` imports flattened to
+//!   `local name → full path`.
 //! * **Bindings**: `let` declarations inside each fn body, keeping the
 //!   annotated type or, failing that, the head of a `Path::constructor()`
-//!   initializer. Receiver lookup walks lets → params → struct fields →
-//!   statics, all within one file.
+//!   initializer. Receiver lookup walks lets → params → struct fields, all
+//!   within one file.
 //! * **Call graph**: within each crate, `ident(` free-function calls and
 //!   `.ident(` method calls are matched *by name* against the crate's fn
 //!   items. Reachability is a plain BFS over those edges.
@@ -53,28 +53,6 @@ pub struct FnItem {
     pub lets: Vec<(String, String)>,
 }
 
-/// One `struct` item with its named fields.
-#[derive(Debug, Clone)]
-pub struct StructItem {
-    /// Struct name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// `(name, canonical type text)` per named field.
-    pub fields: Vec<(String, u32, String)>,
-}
-
-/// One `static` or `const` item.
-#[derive(Debug, Clone)]
-pub struct StaticItem {
-    /// Item name.
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Canonical type text.
-    pub ty: String,
-}
-
 /// One flattened `use` import: `local` is the name visible in the file,
 /// `path` the full `::`-joined path it stands for.
 #[derive(Debug, Clone)]
@@ -90,10 +68,8 @@ pub struct UseItem {
 pub struct FileSymbols {
     /// Every `fn`, in source order (nested fns included).
     pub fns: Vec<FnItem>,
-    /// Every `struct` with named fields.
-    pub structs: Vec<StructItem>,
-    /// Every `static`/`const` item at any nesting level.
-    pub statics: Vec<StaticItem>,
+    /// `(name, canonical type text)` of every named `struct` field.
+    pub fields: Vec<(String, String)>,
     /// Flattened imports.
     pub imports: Vec<UseItem>,
 }
@@ -123,11 +99,7 @@ impl FileSymbols {
                     }
                     i = resume;
                 }
-                "struct" => i = parse_struct(file, i, &mut syms.structs),
-                "static" | "const" => i = parse_static(file, i, &mut syms.statics),
-                // Step over the header into the body, so no `const` generic
-                // or bound in it is read as an item.
-                "impl" => i = impl_body_open(file, i).map_or(i + 1, |open| open + 1),
+                "struct" => i = parse_struct(file, i, &mut syms.fields),
                 _ => i += 1,
             }
         }
@@ -135,7 +107,7 @@ impl FileSymbols {
     }
 
     /// Resolve the type of `name` as seen from inside fn `f`: let bindings
-    /// first, then parameters, then any struct field or static in the file.
+    /// first, then parameters, then any struct field in the file.
     pub fn binding_type<'a>(&'a self, f: &'a FnItem, name: &str) -> Option<&'a str> {
         if let Some((_, ty)) = f.lets.iter().rev().find(|(n, _)| n == name) {
             return Some(ty);
@@ -143,12 +115,7 @@ impl FileSymbols {
         if let Some((_, ty)) = f.params.iter().find(|(n, _)| n == name) {
             return Some(ty);
         }
-        for s in &self.structs {
-            if let Some((_, _, ty)) = s.fields.iter().find(|(n, _, _)| n == name) {
-                return Some(ty);
-            }
-        }
-        self.statics.iter().find(|s| s.name == name).map(|s| s.ty.as_str())
+        self.fields.iter().find(|(n, _)| n == name).map(|(_, ty)| ty.as_str())
     }
 
     /// The import path bound to `local`, if any.
@@ -557,14 +524,13 @@ fn parse_let(file: &SourceFile, let_idx: usize, to: usize, lets: &mut Vec<(Strin
     j + 1
 }
 
-/// Parse `struct Name { fields }`; returns resume index.
-fn parse_struct(file: &SourceFile, struct_idx: usize, out: &mut Vec<StructItem>) -> usize {
+/// Parse `struct Name { fields }`, appending its named fields to `out`;
+/// returns resume index.
+fn parse_struct(file: &SourceFile, struct_idx: usize, out: &mut Vec<(String, String)>) -> usize {
     let Some(ni) = file.next_sig(struct_idx) else { return struct_idx + 1 };
     if file.toks[ni].kind != TokKind::Ident {
         return struct_idx + 1;
     }
-    let name = file.text(ni).into_owned();
-    let line = file.toks[struct_idx].line;
     // Skip generics, find `{`, `(` (tuple) or `;` (unit).
     let mut j = ni + 1;
     if file.toks.get(j).map(|t| t.kind) == Some(TokKind::Punct('<')) {
@@ -574,16 +540,10 @@ fn parse_struct(file: &SourceFile, struct_idx: usize, out: &mut Vec<StructItem>)
         match file.toks[j].kind {
             TokKind::Punct('{') => {
                 let Some(close) = file.matching_close(j) else { return j + 1 };
-                let mut fields = Vec::new();
-                parse_fields(file, j + 1, close, &mut fields);
-                out.push(StructItem { name, line, fields });
+                parse_fields(file, j + 1, close, out);
                 return j + 1; // descend (nested items are unlikely but harmless)
             }
-            TokKind::Punct('(') | TokKind::Punct(';') => {
-                out.push(StructItem { name, line, fields: Vec::new() });
-                return j + 1;
-            }
-            TokKind::Ident if file.text(j) == "where" => j += 1,
+            TokKind::Punct('(') | TokKind::Punct(';') => return j + 1,
             _ => j += 1,
         }
     }
@@ -591,7 +551,7 @@ fn parse_struct(file: &SourceFile, struct_idx: usize, out: &mut Vec<StructItem>)
 }
 
 /// Parse `name: Type,` fields between braces (visibility tolerated).
-fn parse_fields(file: &SourceFile, from: usize, to: usize, out: &mut Vec<(String, u32, String)>) {
+fn parse_fields(file: &SourceFile, from: usize, to: usize, out: &mut Vec<(String, String)>) {
     let mut j = from;
     while j < to {
         // Skip attributes on the field.
@@ -634,64 +594,10 @@ fn parse_fields(file: &SourceFile, from: usize, to: usize, out: &mut Vec<(String
             k += 1;
         }
         if let (Some(ni), Some(c)) = (name_idx, colon) {
-            out.push((file.text(ni).into_owned(), file.toks[ni].line, canon(file, c + 1, k)));
+            out.push((file.text(ni).into_owned(), canon(file, c + 1, k)));
         }
         j = k + 1;
     }
-}
-
-/// Parse `static [mut] NAME: Type` / `const NAME: Type`; returns resume.
-fn parse_static(file: &SourceFile, kw_idx: usize, out: &mut Vec<StaticItem>) -> usize {
-    let Some(mut j) = file.next_sig(kw_idx) else { return kw_idx + 1 };
-    if file.toks[j].kind == TokKind::Ident && file.text(j) == "mut" {
-        j = match file.next_sig(j) {
-            Some(x) => x,
-            None => return j + 1,
-        };
-    }
-    if file.toks[j].kind != TokKind::Ident {
-        return kw_idx + 1; // `const fn`, `const {}` blocks, `const` generics
-    }
-    let name = file.text(j).into_owned();
-    if name == "fn" {
-        return j; // `const fn` — let the fn parser handle it
-    }
-    let Some(after) = file.next_sig(j) else { return j + 1 };
-    if file.toks[after].kind != TokKind::Punct(':') {
-        return j + 1;
-    }
-    // Type up to `=` or `;`.
-    let mut depth = 0i64;
-    let mut k = after + 1;
-    while k < file.toks.len() {
-        match file.toks[k].kind {
-            TokKind::Punct('<') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-            TokKind::Punct('>') | TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-            TokKind::Punct('=') | TokKind::Punct(';') if depth <= 0 => break,
-            _ => {}
-        }
-        k += 1;
-    }
-    out.push(StaticItem {
-        name,
-        line: file.toks[kw_idx].line,
-        ty: canon(file, after + 1, k),
-    });
-    k
-}
-
-/// The index of an `impl` item's body `{`, past its generics and header.
-fn impl_body_open(file: &SourceFile, impl_idx: usize) -> Option<usize> {
-    let mut j = impl_idx + 1;
-    while j < file.toks.len() {
-        match file.toks[j].kind {
-            TokKind::Punct('{') => return Some(j),
-            TokKind::Punct('<') => j = skip_angle(file, j),
-            TokKind::Punct(';') => return None,
-            _ => j += 1,
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -786,9 +692,7 @@ mod tests {
     fn pub_crate_visibility_and_impl_methods() {
         let s = sf("struct T { inner: HashMap<u32, u64> }\nimpl T {\n    pub(crate) fn finish(&mut self) {\n        self.inner.drain();\n    }\n}\nimpl Drop for T {\n    fn drop(&mut self) {}\n}\n");
         let syms = FileSymbols::parse(&s);
-        assert_eq!(syms.structs.len(), 1);
-        assert_eq!(syms.structs[0].fields.len(), 1);
-        assert_eq!(syms.structs[0].fields[0].0, "inner");
+        assert_eq!(syms.fields, vec![("inner".to_string(), "HashMap<u32,u64>".to_string())]);
         let finish = syms.fns.iter().find(|f| f.name == "finish").unwrap();
         assert!(finish.is_pub);
         let drop_fn = syms.fns.iter().find(|f| f.name == "drop").unwrap();
@@ -805,16 +709,6 @@ mod tests {
         assert_eq!(syms.import_path("HashSet"), Some("std::collections::HashSet"));
         assert_eq!(syms.import_path("Fx"), Some("ent_flow::fasthash::FxHashMap"));
         assert_eq!(syms.import_path("io"), Some("std::io"));
-    }
-
-    #[test]
-    fn statics_and_mutability() {
-        let s = sf("static mut COUNTER: u64 = 0;\nstatic NAME: &str = \"x\";\nconst LIMIT: usize = 4;\n");
-        let syms = FileSymbols::parse(&s);
-        // `mut` is skipped, not taken for the item name.
-        let names: Vec<&str> = syms.statics.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["COUNTER", "NAME", "LIMIT"]);
-        assert_eq!(syms.statics[0].ty, "u64");
     }
 
     #[test]

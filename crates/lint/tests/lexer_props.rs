@@ -1,8 +1,8 @@
 //! Property tests for the hand-rolled lexer: adversarial token soups.
 //!
 //! The lint checks trust three lexer invariants absolutely — a violation of
-//! any of them turns into phantom findings (or a panic) somewhere in
-//! E001–E009:
+//! any of them turns into phantom findings (or a panic) somewhere in the
+//! live checks (E001, E002, E005, E006, E008):
 //!
 //! 1. **Spans are sliceable**: every token satisfies
 //!    `start < end <= src.len()` and tokens are non-overlapping, in order.

@@ -9,14 +9,6 @@
 
 use crate::Transport;
 
-/// Every analyzer module under `crates/proto/src/` that the registry wires
-/// into identification. `ent-lint` (E004) cross-checks this list against
-/// the files on disk in both directions, so adding an analyzer without
-/// registering it here — or listing one that does not exist — fails CI.
-pub const ANALYZER_MODULES: &[&str] = &[
-    "cifs", "dcerpc", "dns", "http", "imap", "ncp", "netbios", "nfs", "smtp", "ssl", "sunrpc",
-];
-
 /// Table 4, one row per protocol: `Variant = "name", Category, ports,` in
 /// the enum's declaration order (it derives `Ord`), where `ports` is the
 /// `(port, transport)` pattern [`well_known`] matches. The enum, `ALL`,

@@ -4,8 +4,11 @@
 # `mod` item: both lines and the whole block, followed by brace depth with
 # string and char literals blanked; an out-of-line `mod tests;` drops just
 # the two lines). Code after a nested test module counts. A `#[cfg(test)]`
-# on a field, statement or function is product code and is counted. This is
-# the count simplicity PRs quote before/after.
+# on a field, statement or function is product code and is counted. A
+# crate's own `tests/` directory (integration tests and their fixtures,
+# `crates/<name>/tests/...`) is test code and is not counted either; the
+# top-level `tests` member is counted only when named (`-v tests/tests`).
+# This is the count simplicity PRs quote before/after.
 #   scripts/loc.sh            # one row per crate under crates/, plus a total
 #   scripts/loc.sh -v DIR...  # one row per file under the given directories
 set -euo pipefail
@@ -18,7 +21,7 @@ if [ "${1:-}" = "-v" ]; then
 fi
 [ "$#" -gt 0 ] || set -- crates/*/
 
-find "$@" -name '*.rs' -not -path '*/target/*' | sort | while read -r f; do
+find "$@" -name '*.rs' -not -path '*/target/*' -not -regex 'crates/[^/]*/tests/.*' | sort | while read -r f; do
     echo "$(awk 'function braces(s) {
                      gsub(/"([^"\\]|\\.)*"/, "", s)
                      gsub(/\47([^\47\\]|\\.)\47/, "", s)

@@ -7,8 +7,9 @@
 //! worker), re-emitting TCP, UDP and ICMP sessions — and clamping the
 //! result through the capture tap — performs **zero** heap allocations,
 //! so a reintroduced per-packet `Vec` shows up as an O(packets) count,
-//! not a silent throughput regression. (The lint half of the same pin is
-//! ent-lint's E002 hot-alloc rule over `gen/synth.rs` + `wire/build.rs`.)
+//! not a silent throughput regression. This count is the contract's one
+//! enforcer: it sees an allocation however it is spelled. Allocating while
+//! a session is planned (before its first packet) is outside the contract.
 //!
 //! The counting allocator is `ent_integration::alloc_count`, shared with
 //! `alloc_pin.rs`.
