@@ -40,7 +40,7 @@ use ent_gen::GenConfig;
 use ent_pcap::{RecoveringReader, Trace, TraceMeta};
 use ent_wire::Timestamp;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 /// Unwrap a CLI-level result or exit with a message. Failures here are
@@ -677,7 +677,7 @@ fn cmd_anonymize(args: &Args) -> ExitCode {
         .get("key")
         .cloned()
         .unwrap_or_else(|| "default-key".into());
-    let f = or_die(File::open(input), "open input pcap");
+    let data = or_die(std::fs::read(input), "read input pcap");
     let meta = TraceMeta {
         dataset: "anon".into(),
         subnet: 0,
@@ -686,7 +686,11 @@ fn cmd_anonymize(args: &Args) -> ExitCode {
         snaplen: 1500,
         link_capacity_bps: 100_000_000,
     };
-    let trace = or_die(Trace::read_pcap(BufReader::new(f), meta), "read pcap");
+    // Salvage damage as `analyze` and `monitor` do; only a bad global header is fatal.
+    let (trace, stats) = or_die(Trace::read_pcap(&data, meta), "read pcap");
+    if !stats.is_clean() {
+        eprintln!("ingest health: {stats}");
+    }
     let anon = ent_anon::anonymize_trace(&trace, &key);
     let out = or_die(File::create(output), "create output pcap");
     let mut w = BufWriter::new(out);

@@ -365,8 +365,9 @@ macro_rules! walk_payload {
 
 /// FNV-1a over the payload: not cryptographic, but a torn write or a run
 /// of flipped bits has no realistic chance of colliding, which is the
-/// threat model for a local state file.
-fn fnv1a(data: &[u8]) -> u64 {
+/// threat model for a local state file. Also folds the events signature
+/// ([`crate::PipelineMetrics::events_signature_hash`]).
+pub(crate) fn fnv1a(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
         h ^= u64::from(b);

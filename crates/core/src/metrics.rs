@@ -398,19 +398,13 @@ impl PipelineMetrics {
     /// over the (name, events, bytes) triples, so two runs match iff every
     /// counter matches.
     pub fn events_signature_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut data = Vec::new();
         for (name, events, bytes) in self.events_signature() {
-            mix(name.as_bytes());
-            mix(&events.to_le_bytes());
-            mix(&bytes.to_le_bytes());
+            data.extend_from_slice(name.as_bytes());
+            data.extend_from_slice(&events.to_le_bytes());
+            data.extend_from_slice(&bytes.to_le_bytes());
         }
-        h
+        crate::checkpoint::fnv1a(&data)
     }
 
     /// A stage's wall time less that of the stages declared `under` it

@@ -2,6 +2,7 @@
 //! the packet pipeline and the dataset-level analyses.
 
 use ent_flow::{ConnSummary, Proto, TcpOutcome};
+use ent_gen::network::{INTERNAL_NET, INTERNAL_PREFIX};
 use ent_proto::cifs::CifsClass;
 use ent_proto::dcerpc::RpcFunction;
 use ent_proto::dns::{QType, RCode};
@@ -12,11 +13,12 @@ use ent_proto::ncp::NcpOp;
 use ent_proto::{AppProtocol, Category};
 use ent_wire::ipv4;
 
-/// Locality of an address relative to the enterprise.
+/// Locality of an address relative to the enterprise: inside the site's
+/// internal prefix, which is the generator's and what an operator would
+/// configure for a real trace. Spelled out here, not re-exported: without
+/// LTO, `ent_gen::network::is_internal` is an out-of-line call per record.
 pub fn is_internal(addr: ipv4::Addr) -> bool {
-    // The monitored site's internal prefix; matches ent-gen's model and is
-    // what an operator would configure for a real trace.
-    addr.in_prefix(ipv4::Addr::new(10, 100, 0, 0), 16)
+    addr.in_prefix(INTERNAL_NET, INTERNAL_PREFIX)
 }
 
 /// One analyzed connection.

@@ -145,7 +145,7 @@ mod tests {
         for _ in 0..160 {
             generate(&mut c);
         }
-        let sums = summaries(&c.out.to_packets());
+        let sums = summaries(&c.out.captured_packets());
         let vdata: Vec<_> = sums.iter().filter(|s| s.key.resp.port == 13_724).collect();
         let dantz: Vec<_> = sums.iter().filter(|s| s.key.resp.port == 497).collect();
         assert!(!vdata.is_empty() && !dantz.is_empty());
@@ -170,7 +170,7 @@ mod tests {
         for _ in 0..160 {
             generate(&mut c);
         }
-        let sums = summaries(&c.out.to_packets());
+        let sums = summaries(&c.out.captured_packets());
         let ctrl_bytes: u64 = sums
             .iter()
             .filter(|s| s.key.resp.port == 13_720)
@@ -192,7 +192,7 @@ mod tests {
         for _ in 0..80 {
             generate(&mut c);
         }
-        let sums = summaries(&c.out.to_packets());
+        let sums = summaries(&c.out.captured_packets());
         let connected: Vec<_> = sums.iter().filter(|s| s.key.resp.port == 16_384).collect();
         assert!(!connected.is_empty(), "no Connected sessions generated");
         for s in &connected {

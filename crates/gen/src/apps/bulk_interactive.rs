@@ -142,7 +142,7 @@ mod tests {
         }
         let mut pkts = 0u64;
         let mut bytes = 0u64;
-        for p in &c.out.to_packets() {
+        for p in &c.out.captured_packets() {
             let pkt = Packet::parse(&p.frame).unwrap();
             if let Some(t) = pkt.tcp() {
                 if t.wire_payload_len > 0 {
@@ -165,7 +165,7 @@ mod tests {
             bulk(&mut c);
         }
         let mut data_bytes = 0u64;
-        for p in &c.out.to_packets() {
+        for p in &c.out.captured_packets() {
             let pkt = Packet::parse(&p.frame).unwrap();
             if let Some(t) = pkt.tcp() {
                 if t.src_port == 20 || t.src_port == 1_218 {

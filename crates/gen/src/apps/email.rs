@@ -303,7 +303,7 @@ mod tests {
         for _ in 0..60 {
             smtp_traffic(&mut c);
         }
-        let sums = summaries(&c.out.to_packets());
+        let sums = summaries(&c.out.captured_packets());
         let mut int_d = Vec::new();
         let mut wan_d = Vec::new();
         for s in sums.iter().filter(|s| {
@@ -337,7 +337,7 @@ mod tests {
         for _ in 0..40 {
             imap_traffic(&mut c0);
         }
-        let d0_ports: std::collections::HashSet<u16> = summaries(&c0.out.to_packets())
+        let d0_ports: std::collections::HashSet<u16> = summaries(&c0.out.captured_packets())
             .iter()
             .map(|s| s.key.resp.port)
             .collect();
@@ -346,7 +346,7 @@ mod tests {
         for _ in 0..40 {
             imap_traffic(&mut c1);
         }
-        let d1_ports: std::collections::HashSet<u16> = summaries(&c1.out.to_packets())
+        let d1_ports: std::collections::HashSet<u16> = summaries(&c1.out.captured_packets())
             .iter()
             .map(|s| s.key.resp.port)
             .collect();
@@ -361,7 +361,7 @@ mod tests {
         for _ in 0..80 {
             imap_traffic(&mut c);
         }
-        let sums = summaries(&c.out.to_packets());
+        let sums = summaries(&c.out.captured_packets());
         let mut int_d = Vec::new();
         let mut wan_d = Vec::new();
         for s in sums.iter().filter(|s| s.key.resp.port == 993) {

@@ -142,7 +142,7 @@ mod tests {
         );
         // Verify mixture classification through the wire parser.
         let (mut arp_n, mut ipx_n, mut other_n) = (0, 0, 0);
-        let all = c.out.to_packets();
+        let all = c.out.captured_packets();
         for p in &all[before..] {
             match Packet::parse(&p.frame).unwrap().net {
                 NetLayer::Arp(_) => arp_n += 1,

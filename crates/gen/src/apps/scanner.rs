@@ -212,7 +212,7 @@ mod tests {
             generate(&mut c);
         }
         let mut dests: HashMap<u32, Vec<u32>> = HashMap::new();
-        for p in &c.out.to_packets() {
+        for p in &c.out.captured_packets() {
             let pkt = Packet::parse(&p.frame).unwrap();
             if let Some((src, dst)) = pkt.ipv4_addrs() {
                 let e = dests.entry(src.0).or_default();

@@ -138,7 +138,7 @@ mod tests {
         multicast_background(&mut c);
         let mut mcast_bytes = 0u64;
         let mut ucast_bytes = 0u64;
-        for p in &c.out.to_packets() {
+        for p in &c.out.captured_packets() {
             let pkt = Packet::parse(&p.frame).unwrap();
             let len = pkt.wire_payload_len() as u64;
             if pkt.is_multicast() {
@@ -165,7 +165,7 @@ mod tests {
         }
         let rtsp = c
             .out
-            .to_packets()
+            .captured_packets()
             .iter()
             .filter(|p| {
                 Packet::parse(&p.frame)

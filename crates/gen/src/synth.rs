@@ -687,7 +687,7 @@ mod tests {
         let mut arena = PacketArena::unbounded();
         emit(&mut arena);
         arena.sort_records();
-        arena.to_packets()
+        arena.captured_packets()
     }
 
     fn synth_tcp<R: Rng + ?Sized>(spec: &TcpSessionSpec, rng: &mut R) -> Vec<TimedPacket> {

@@ -317,32 +317,6 @@ impl PacketArena {
             .collect()
     }
 
-    /// Materialize the packets in record order through a capture tap
-    /// (snaplen clamp + injected drops), one bounded copy per packet. The
-    /// arena is not changed; a tap snaplen above the arena's yields what
-    /// the arena stored.
-    pub fn capture(&self, tap: &mut Tap) -> Vec<TimedPacket> {
-        let mut out = Vec::with_capacity(self.recs.len());
-        for r in &self.recs {
-            let Some(cap) = tap.admit(r.len as usize) else {
-                continue;
-            };
-            let stored = self.frame(r);
-            out.push(TimedPacket {
-                ts: r.ts,
-                frame: stored.get(..cap).unwrap_or(stored).to_vec(),
-                orig_len: r.len,
-            });
-        }
-        out
-    }
-
-    /// Materialize every packet in record order as stored (no tap).
-    pub fn to_packets(&self) -> Vec<TimedPacket> {
-        let mut tap = Tap::new(usize::MAX);
-        self.capture(&mut tap)
-    }
-
     /// Drop all packets and bytes, keeping allocated capacity (and the
     /// window limit and snaplen) for reuse.
     pub fn clear(&mut self) {
@@ -374,7 +348,7 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.logical_len(), 2);
         assert_eq!(a.logical_wire_bytes(), 5);
-        let pkts = a.to_packets();
+        let pkts = a.captured_packets();
         assert_eq!(pkts[0].frame, vec![1, 2, 3]);
         assert_eq!(pkts[0].ts, ts(5));
         assert_eq!(pkts[1].frame, vec![4, 5]);
@@ -388,7 +362,7 @@ mod tests {
             a.commit(ts(t), 1);
         }
         a.sort_records();
-        let order: Vec<u8> = a.to_packets().iter().map(|p| p.frame[0]).collect();
+        let order: Vec<u8> = a.captured_packets().iter().map(|p| p.frame[0]).collect();
         // Equal ts=9 packets keep emission order (0 before 2): the sort is
         // stable and its key is `ts` alone, so this is the whole tie-break.
         assert_eq!(order, vec![3, 1, 0, 2]);
@@ -405,20 +379,6 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(a.logical_len(), 2, "counted ghost included");
         assert_eq!(a.logical_wire_bytes(), 130, "ghost bytes included");
-    }
-
-    #[test]
-    fn capture_applies_snaplen_and_drops() {
-        let mut a = PacketArena::unbounded();
-        for i in 0..10u8 {
-            a.frame_buf().extend_from_slice(&[i; 100]);
-            a.commit(ts(i as u64), 100);
-        }
-        let mut tap = Tap::new(68).with_drop_period(5);
-        let pkts = a.capture(&mut tap);
-        assert_eq!(pkts.len(), 8, "every 5th packet dropped");
-        assert!(pkts.iter().all(|p| p.frame.len() == 68 && p.orig_len == 100));
-        assert_eq!(tap.dropped(), 2);
     }
 
     #[test]
@@ -463,19 +423,21 @@ mod tests {
             assert_eq!(frame.len(), (orig as usize).min(68));
             assert!(same_byte(frame));
         }
-        // A tap the arena never saw, wider than what was stored, and the
-        // tap-less materialization both stop at the stored bytes.
-        for pkts in [a.capture(&mut Tap::new(1500)), a.to_packets()] {
-            assert_eq!(pkts.len(), 6);
-            for p in &pkts {
-                assert_eq!(p.frame.len(), (p.orig_len as usize).min(68));
-                assert!(same_byte(&p.frame));
-            }
+        // The materialization stops at the stored bytes.
+        let pkts = a.captured_packets();
+        assert_eq!(pkts.len(), 6);
+        for p in &pkts {
+            assert_eq!(p.frame.len(), (p.orig_len as usize).min(68));
+            assert!(same_byte(&p.frame));
         }
-        // With records present the snaplen only goes down: raising it
-        // would cut slices past the stored bytes.
+        // With records present the snaplen only goes down: raising it, or
+        // a tap wider than what was stored, would cut slices past the
+        // stored bytes.
         a.set_snaplen(1500);
         assert_eq!(a.snaplen(), 68);
+        assert_eq!(a.apply_tap(&mut Tap::new(1500)), stored as u64);
+        assert_eq!(a.snaplen(), 68);
+        assert_eq!(a.captured_packets(), pkts);
         // A narrower tap lowers it, and the views follow.
         let captured = a.apply_tap(&mut Tap::new(50));
         assert_eq!(a.snaplen(), 50);
@@ -486,7 +448,7 @@ mod tests {
         assert_eq!(a.snaplen(), 50);
         a.set_snaplen(usize::MAX);
         a.push_frame(ts(0), Clip::Counted, &[7; 200]);
-        assert_eq!(a.to_packets()[0].frame.len(), 200);
+        assert_eq!(a.captured_packets()[0].frame.len(), 200);
     }
 
     #[test]
@@ -547,6 +509,6 @@ mod tests {
         assert_eq!(a.logical_wire_bytes(), 0);
         // Reusable after clear, same limit.
         a.push_frame(ts(2), Clip::Counted, &[9; 3]);
-        assert_eq!(a.to_packets()[0].frame, vec![9, 9, 9]);
+        assert_eq!(a.captured_packets()[0].frame, vec![9, 9, 9]);
     }
 }

@@ -2,12 +2,12 @@
 //! paper's FreeBSD 4.10 capture host).
 //!
 //! Layout: a 24-byte global header (magic 0xA1B2C3D4, microsecond
-//! timestamps), then per-packet 16-byte record headers. Both byte orders are
-//! accepted on read; writes are native-magic little-endian.
+//! timestamps), then per-packet 16-byte record headers. The header parsers
+//! accept both byte orders (the reader is [`crate::RecoveringReader`]);
+//! writes are native-magic little-endian.
 
 use crate::{PcapError, Result, TimedPacket};
-use ent_wire::Timestamp;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Magic for microsecond-resolution pcap, written in our byte order.
 pub const MAGIC_USEC: u32 = 0xA1B2_C3D4;
@@ -174,80 +174,21 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Streaming pcap reader (accepts either byte order).
-pub struct PcapReader<R: Read> {
-    input: R,
-    swapped: bool,
-    snaplen: u32,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Open a pcap stream, validating the global header.
-    pub fn new(mut input: R) -> Result<PcapReader<R>> {
-        let mut hdr = [0u8; GLOBAL_HEADER_LEN];
-        input.read_exact(&mut hdr)?;
-        let GlobalHeader { swapped, snaplen } = GlobalHeader::parse(&hdr)?;
-        Ok(PcapReader {
-            input,
-            swapped,
-            snaplen,
-        })
-    }
-
-    /// The snaplen recorded in the file header.
-    pub fn snaplen(&self) -> u32 {
-        self.snaplen
-    }
-
-    /// The link type recorded in the file header (only Ethernet opens).
-    pub fn link_type(&self) -> u32 {
-        LINKTYPE_ETHERNET
-    }
-
-    /// Read the next record; `Ok(None)` at clean end-of-file.
-    pub fn next_packet(&mut self) -> Result<Option<TimedPacket>> {
-        let mut rec = [0u8; RECORD_HEADER_LEN];
-        match self.input.read_exact(&mut rec) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
-        }
-        let h = RecordHeader::parse(&rec, self.swapped);
-        if let Some(why) = h.defect(self.snaplen) {
-            return Err(PcapError::BadFormat(why));
-        }
-        // `caplen` is bounded by MAX_RECORD_BYTES above, so this allocation
-        // is small even when the file header advertises an absurd snaplen.
-        let mut frame = vec![0u8; h.caplen as usize];
-        self.input.read_exact(&mut frame)?;
-        Ok(Some(TimedPacket {
-            ts: Timestamp::from_micros(h.ts_us()),
-            frame,
-            orig_len: h.orig_len,
-        }))
-    }
-
-    /// Drain all remaining records into a vector.
-    pub fn read_all(&mut self) -> Result<Vec<TimedPacket>> {
-        let mut v = Vec::new();
-        while let Some(p) = self.next_packet()? {
-            v.push(p);
-        }
-        Ok(v)
-    }
-}
-
-impl<R: Read> Iterator for PcapReader<R> {
-    type Item = Result<TimedPacket>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_packet().transpose()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecoveringReader;
+    use ent_wire::Timestamp;
+
+    /// Read a written capture back through the reader that ships, which
+    /// must find nothing to repair.
+    fn read_clean(buf: &[u8]) -> (u32, Vec<TimedPacket>) {
+        let r = RecoveringReader::new(buf).unwrap();
+        let snaplen = r.snaplen();
+        let (pkts, stats) = r.read_all();
+        assert!(stats.is_clean(), "{stats}");
+        (snaplen, pkts)
+    }
 
     fn sample_packets() -> Vec<TimedPacket> {
         (0..10)
@@ -270,11 +211,7 @@ mod tests {
         }
         assert_eq!(w.packets_written(), 10);
         w.finish().unwrap();
-        let mut r = PcapReader::new(&buf[..]).unwrap();
-        assert_eq!(r.snaplen(), 65_535);
-        assert_eq!(r.link_type(), LINKTYPE_ETHERNET);
-        let got = r.read_all().unwrap();
-        assert_eq!(got, pkts);
+        assert_eq!(read_clean(&buf), (65_535, pkts));
     }
 
     #[test]
@@ -284,75 +221,10 @@ mod tests {
         let mut w = PcapWriter::new(&mut buf, 68).unwrap();
         w.write_packet(&pkt).unwrap();
         w.finish().unwrap();
-        let got = PcapReader::new(&buf[..]).unwrap().read_all().unwrap();
+        let (snaplen, got) = read_clean(&buf);
+        assert_eq!(snaplen, 68);
         assert_eq!(got[0].frame.len(), 68);
         assert_eq!(got[0].orig_len, 200);
-        assert!(got[0].is_truncated());
-    }
-
-    #[test]
-    fn swapped_byte_order_accepted() {
-        // Hand-build a big-endian header + one record.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC_USEC.to_be_bytes());
-        buf.extend_from_slice(&2u16.to_be_bytes());
-        buf.extend_from_slice(&4u16.to_be_bytes());
-        buf.extend_from_slice(&0u32.to_be_bytes());
-        buf.extend_from_slice(&0u32.to_be_bytes());
-        buf.extend_from_slice(&1500u32.to_be_bytes());
-        buf.extend_from_slice(&LINKTYPE_ETHERNET.to_be_bytes());
-        buf.extend_from_slice(&3u32.to_be_bytes()); // sec
-        buf.extend_from_slice(&7u32.to_be_bytes()); // usec
-        buf.extend_from_slice(&4u32.to_be_bytes()); // caplen
-        buf.extend_from_slice(&4u32.to_be_bytes()); // origlen
-        buf.extend_from_slice(&[9, 9, 9, 9]);
-        let mut r = PcapReader::new(&buf[..]).unwrap();
-        let p = r.next_packet().unwrap().unwrap();
-        assert_eq!(p.ts, Timestamp::from_sec_usec(3, 7));
-        assert_eq!(p.frame, vec![9, 9, 9, 9]);
-        assert!(r.next_packet().unwrap().is_none());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let buf = [0u8; 24];
-        assert!(matches!(
-            PcapReader::new(&buf[..]),
-            Err(PcapError::BadFormat("bad magic"))
-        ));
-    }
-
-    #[test]
-    fn nanosecond_magic_rejected_distinctly() {
-        let mut buf = [0u8; 24];
-        buf[0..4].copy_from_slice(&0xA1B2_3C4Du32.to_le_bytes());
-        assert!(matches!(
-            PcapReader::new(&buf[..]),
-            Err(PcapError::BadFormat("nanosecond pcap not supported"))
-        ));
-    }
-
-    #[test]
-    fn absurd_snaplen_cannot_drive_giant_allocation() {
-        // A crafted header advertising snaplen u32::MAX must not let a
-        // record claiming a ~3 GiB caplen reach the allocator.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC_USEC.to_le_bytes());
-        buf.extend_from_slice(&2u16.to_le_bytes());
-        buf.extend_from_slice(&4u16.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // snaplen
-        buf.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes()); // sec
-        buf.extend_from_slice(&0u32.to_le_bytes()); // usec
-        buf.extend_from_slice(&0xC000_0000u32.to_le_bytes()); // caplen
-        buf.extend_from_slice(&0xC000_0000u32.to_le_bytes()); // origlen
-        let mut r = PcapReader::new(&buf[..]).unwrap();
-        assert!(matches!(
-            r.next_packet(),
-            Err(PcapError::BadFormat("caplen exceeds snaplen"))
-        ));
     }
 
     #[test]
@@ -361,46 +233,5 @@ mod tests {
         assert_eq!(record_limit(65_535), 65_535);
         assert_eq!(record_limit(100_000), 100_000);
         assert_eq!(record_limit(u32::MAX), MAX_RECORD_BYTES);
-    }
-
-    #[test]
-    fn corrupt_usec_rejected() {
-        let mut buf = Vec::new();
-        {
-            let mut w = PcapWriter::new(&mut buf, 100).unwrap();
-            w.write_packet(&TimedPacket::new(Timestamp::ZERO, vec![0u8; 4]))
-                .unwrap();
-        }
-        // Overwrite usec with 2_000_000.
-        buf[28..32].copy_from_slice(&2_000_000u32.to_le_bytes());
-        let mut r = PcapReader::new(&buf[..]).unwrap();
-        assert!(r.next_packet().is_err());
-    }
-
-    #[test]
-    fn truncated_final_record_is_io_error() {
-        let mut buf = Vec::new();
-        {
-            let mut w = PcapWriter::new(&mut buf, 100).unwrap();
-            w.write_packet(&TimedPacket::new(Timestamp::ZERO, vec![0u8; 40]))
-                .unwrap();
-        }
-        buf.truncate(buf.len() - 10); // cut payload short
-        let mut r = PcapReader::new(&buf[..]).unwrap();
-        assert!(matches!(r.next_packet(), Err(PcapError::Io(_))));
-    }
-
-    #[test]
-    fn iterator_interface() {
-        let pkts = sample_packets();
-        let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, 65_535).unwrap();
-        for p in &pkts {
-            w.write_packet(p).unwrap();
-        }
-        w.finish().unwrap();
-        let r = PcapReader::new(&buf[..]).unwrap();
-        let got: Vec<_> = r.map(|p| p.unwrap()).collect();
-        assert_eq!(got.len(), 10);
     }
 }

@@ -1,14 +1,13 @@
-//! Damage-tolerant pcap ingest.
+//! Damage-tolerant pcap ingest: the one pcap reader.
 //!
 //! Real capture files arrive damaged: the paper's own apparatus produced
 //! truncated files when disks filled, records with clock regressions when
 //! NIC timestamp counters wrapped or drifted, and the occasional garbage
-//! run when a capture host crashed mid-write. The strict
-//! [`PcapReader`](crate::PcapReader) fails the whole file on the first bad
-//! record; [`RecoveringReader`] instead salvages everything salvageable and
-//! tallies exactly what it had to skip or repair in [`IngestStats`], so an
-//! analysis over a damaged trace is *labelled* degraded rather than
-//! silently wrong.
+//! run when a capture host crashed mid-write. [`RecoveringReader`]
+//! salvages everything salvageable and tallies exactly what it had to
+//! skip or repair in [`IngestStats`], so an analysis over a damaged trace
+//! is *labelled* degraded rather than silently wrong. Every reader of a
+//! capture (analysis, monitor, anonymization) sees the same records.
 //!
 //! Recovery semantics:
 //!
@@ -222,7 +221,7 @@ impl<'a> RecoveringReader<'a> {
         self.snaplen
     }
 
-    /// Damage tally so far (final once iteration returns `None`).
+    /// Damage tally so far (final once `next_record` returns `None`).
     pub fn stats(&self) -> &IngestStats {
         &self.stats
     }
@@ -313,10 +312,11 @@ impl<'a> RecoveringReader<'a> {
     /// capture buffer; `None` at end of input. Never fails: damage is
     /// skipped or repaired and tallied in [`stats`].
     ///
-    /// This is the zero-copy hot path: the frame slice borrows the input
-    /// buffer directly (lifetime `'a`, independent of `&mut self`, so the
-    /// caller may keep views while continuing to read). Use
-    /// [`RecoveringReader::next_packet`] when an owned copy is needed.
+    /// This is the only way records leave the reader: the frame slice
+    /// borrows the input buffer directly (lifetime `'a`, independent of
+    /// `&mut self`, so the caller may keep views while continuing to
+    /// read). [`RecoveringReader::read_all`] copies every view out when
+    /// owned packets are needed.
     ///
     /// [`stats`]: RecoveringReader::stats
     pub fn next_record(&mut self) -> Option<RecordView<'a>> {
@@ -388,32 +388,17 @@ impl<'a> RecoveringReader<'a> {
         }
     }
 
-    /// Deliver the next salvageable record as an owned [`TimedPacket`].
-    /// A copying convenience wrapper around [`RecoveringReader::next_record`].
-    #[allow(clippy::should_implement_trait)] // mirrors PcapReader::next_packet
-    pub fn next_packet(&mut self) -> Option<TimedPacket> {
-        self.next_record().map(|r| TimedPacket {
-            ts: r.ts,
-            frame: r.frame.to_vec(),
-            orig_len: r.orig_len,
-        })
-    }
-
-    /// Drain every salvageable record and return the final damage tally.
+    /// Drain every salvageable record as owned packets and return the
+    /// final damage tally.
     pub fn read_all(mut self) -> (Vec<TimedPacket>, IngestStats) {
-        let mut v = Vec::new();
-        while let Some(p) = self.next_packet() {
-            v.push(p);
-        }
-        (v, self.stats)
-    }
-}
-
-impl Iterator for RecoveringReader<'_> {
-    type Item = TimedPacket;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_packet()
+        let packets = std::iter::from_fn(|| self.next_record())
+            .map(|r| TimedPacket {
+                ts: r.ts,
+                frame: r.frame.to_vec(),
+                orig_len: r.orig_len,
+            })
+            .collect();
+        (packets, self.stats)
     }
 }
 
@@ -465,39 +450,37 @@ mod tests {
     }
 
     #[test]
-    fn both_readers_agree_in_both_byte_orders() {
+    fn both_byte_orders_read_back_what_was_written() {
         let mut le = Vec::new();
         let mut w = PcapWriter::new(&mut le, 1_500).unwrap();
-        for i in 0..40u64 {
-            let mut p = TimedPacket::new(
-                Timestamp::from_micros(1_100_000_000_000_000 + i * 999_983),
-                (0..60 + 7 * i as usize).map(|b| (b as u8) ^ (i as u8)).collect(),
-            );
-            p.orig_len += (i as u32 % 3) * 500;
-            w.write_packet(&p).unwrap();
+        let written: Vec<_> = (0..40u64)
+            .map(|i| {
+                let mut p = TimedPacket::new(
+                    Timestamp::from_micros(1_100_000_000_000_000 + i * 999_983),
+                    (0..60 + 7 * i as usize)
+                        .map(|b| (b as u8) ^ (i as u8))
+                        .collect(),
+                );
+                p.orig_len += (i as u32 % 3) * 500;
+                p
+            })
+            .collect();
+        for p in &written {
+            w.write_packet(p).unwrap();
         }
         w.finish().unwrap();
         let be = byte_swapped(&le);
         assert_ne!(le, be);
 
-        let strict = |file: &[u8]| {
-            let mut r = crate::PcapReader::new(file).unwrap();
-            (r.snaplen(), r.read_all().unwrap())
-        };
-        let recovering = |file: &[u8]| {
+        for file in [&le, &be] {
             let r = RecoveringReader::new(file).unwrap();
-            let snaplen = r.snaplen();
+            assert_eq!(r.snaplen(), 1_500);
             let (pkts, stats) = r.read_all();
             assert!(stats.is_clean(), "{stats}");
-            (snaplen, pkts)
-        };
-        let want = strict(&le);
-        assert_eq!((want.0, want.1.len()), (1_500, 40));
-        assert_eq!(strict(&be), want);
-        assert_eq!(recovering(&le), want);
-        assert_eq!(recovering(&be), want);
+            assert_eq!(pkts, written);
+        }
 
-        // What neither reader opens, in either byte order, and why.
+        // What the reader does not open, in either byte order, and why.
         for file in [&le, &be] {
             let swapped = file[0] == 0xA1;
             let field = |v: u32| if swapped { v.to_be_bytes() } else { v.to_le_bytes() };
@@ -509,10 +492,8 @@ mod tests {
                 (&nanos, "nanosecond pcap not supported"),
                 (&wifi, "only Ethernet link type supported"),
             ] {
-                let strict = crate::PcapReader::new(&bad[..]).err().expect("strict rejects");
-                let recovering = RecoveringReader::new(bad).err().expect("recovering rejects");
-                assert!(matches!(strict, PcapError::BadFormat(w) if w == why), "{strict:?}");
-                assert!(matches!(recovering, PcapError::BadFormat(w) if w == why), "{recovering:?}");
+                let err = RecoveringReader::new(bad).err().expect("rejected");
+                assert!(matches!(err, PcapError::BadFormat(w) if w == why), "{err:?}");
             }
         }
     }
@@ -707,12 +688,11 @@ mod tests {
     fn resume_at_saved_position_reproduces_the_tail() {
         let buf = sample_pcap(10);
         let mut r = RecoveringReader::new(&buf).unwrap();
-        let mut head = Vec::new();
         for _ in 0..4 {
-            head.push(r.next_packet().unwrap());
+            r.next_record().unwrap();
         }
         let (pos, clock) = (r.position(), r.last_clock_us());
-        let tail_expected: Vec<_> = r.collect();
+        let (tail_expected, _) = r.read_all();
         let (tail, stats) = RecoveringReader::resume(&buf, pos, clock)
             .unwrap()
             .read_all();

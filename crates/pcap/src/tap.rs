@@ -3,9 +3,8 @@
 //! The paper notes its kernel reported no drops yet analysis found TCP
 //! receivers acknowledging data absent from the trace — i.e. silent capture
 //! loss. [`Tap`] models a tap with a snaplen and a deterministic drop
-//! pattern so analyses can be tested against imperfect captures.
-
-use crate::TimedPacket;
+//! pattern so analyses can be tested against imperfect captures. It is
+//! applied in one place, [`crate::PacketArena::apply_tap`].
 
 /// A capture tap applying snaplen and optional periodic drops.
 #[derive(Debug, Clone)]
@@ -46,16 +45,10 @@ impl Tap {
         self.dropped
     }
 
-    /// Packets offered so far (captured + dropped).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
     /// Offer one packet of `wire_len` bytes to the tap: returns the
     /// capture length (wire length clamped to snaplen), or `None` if the
-    /// tap dropped it. This is the allocation-free core of
-    /// [`Tap::capture`], used by the arena path to decide how many bytes
-    /// to copy before any buffer exists.
+    /// tap dropped it. [`crate::PacketArena::apply_tap`] calls this once
+    /// per record in time order, and moves no bytes.
     pub fn admit(&mut self, wire_len: usize) -> Option<usize> {
         self.seen += 1;
         if self.drop_period != 0 && self.seen.is_multiple_of(self.drop_period) {
@@ -64,54 +57,35 @@ impl Tap {
         }
         Some(wire_len.min(self.snaplen))
     }
-
-    /// Pass one packet through the tap: returns the (possibly truncated)
-    /// captured packet, or `None` if the tap dropped it.
-    pub fn capture(&mut self, mut pkt: TimedPacket) -> Option<TimedPacket> {
-        let cap = self.admit(pkt.frame.len())?;
-        pkt.frame.truncate(cap);
-        Some(pkt)
-    }
-
-    /// Pass a whole stream through the tap.
-    pub fn capture_all(&mut self, pkts: impl IntoIterator<Item = TimedPacket>) -> Vec<TimedPacket> {
-        pkts.into_iter().filter_map(|p| self.capture(p)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ent_wire::Timestamp;
 
-    fn pkt(len: usize) -> TimedPacket {
-        TimedPacket::new(Timestamp::ZERO, vec![0u8; len])
+    /// How many of `n` packets of `len` wire bytes the tap keeps.
+    fn kept(tap: &mut Tap, n: usize, len: usize) -> usize {
+        (0..n).filter_map(|_| tap.admit(len)).count()
     }
 
     #[test]
     fn snaplen_applied() {
         let mut tap = Tap::new(68);
-        let got = tap.capture(pkt(1500)).unwrap();
-        assert_eq!(got.frame.len(), 68);
-        assert_eq!(got.orig_len, 1500);
-        let got = tap.capture(pkt(40)).unwrap();
-        assert_eq!(got.frame.len(), 40);
+        assert_eq!(tap.admit(1500), Some(68));
+        assert_eq!(tap.admit(40), Some(40));
     }
 
     #[test]
     fn periodic_drops() {
         let mut tap = Tap::new(1500).with_drop_period(10);
-        let kept = tap.capture_all((0..100).map(|_| pkt(100)));
-        assert_eq!(kept.len(), 90);
+        assert_eq!(kept(&mut tap, 100, 100), 90);
         assert_eq!(tap.dropped(), 10);
-        assert_eq!(tap.seen(), 100);
     }
 
     #[test]
     fn no_drops_by_default() {
         let mut tap = Tap::new(1500);
-        let kept = tap.capture_all((0..50).map(|_| pkt(100)));
-        assert_eq!(kept.len(), 50);
+        assert_eq!(kept(&mut tap, 50, 100), 50);
         assert_eq!(tap.dropped(), 0);
     }
 }

@@ -6,9 +6,9 @@
 //! utilization and retransmission figures, §6) operate on [`Trace`]; dataset
 //! analyses aggregate across them.
 
-use crate::{PcapReader, PcapWriter, Result, TimedPacket};
+use crate::{IngestStats, PcapWriter, RecoveringReader, Result, TimedPacket};
 use ent_wire::Timestamp;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::sync::Arc;
 
 /// Metadata describing one monitored-subnet trace.
@@ -51,11 +51,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Total captured bytes (sum of captured frame lengths).
-    pub fn captured_bytes(&self) -> u64 {
-        self.packets.iter().map(|p| p.frame.len() as u64).sum()
-    }
-
     /// Total on-the-wire bytes (sum of original frame lengths).
     pub fn wire_bytes(&self) -> u64 {
         self.packets.iter().map(|p| p.orig_len as u64).sum()
@@ -71,14 +66,15 @@ impl Trace {
         Ok(())
     }
 
-    /// Read packets from a pcap stream, attaching the given metadata
-    /// (which is not stored in the pcap format itself). The file snaplen
-    /// overrides `meta.snaplen`.
-    pub fn read_pcap<R: Read>(input: R, mut meta: TraceMeta) -> Result<Trace> {
-        let mut r = PcapReader::new(input)?;
+    /// Read a capture's packets through [`RecoveringReader`] with the given
+    /// metadata (which the pcap format does not store), plus the reader's
+    /// damage tally. The file snaplen overrides `meta.snaplen`. Only an
+    /// unusable global header is an error.
+    pub fn read_pcap(data: &[u8], mut meta: TraceMeta) -> Result<(Trace, IngestStats)> {
+        let r = RecoveringReader::new(data)?;
         meta.snaplen = r.snaplen();
-        let packets = r.read_all()?;
-        Ok(Trace { meta, packets })
+        let (packets, stats) = r.read_all();
+        Ok((Trace { meta, packets }, stats))
     }
 }
 
@@ -107,11 +103,11 @@ mod tests {
         };
         let mut buf = Vec::new();
         t.write_pcap(&mut buf).unwrap();
-        let back = Trace::read_pcap(&buf[..], meta()).unwrap();
+        let (back, stats) = Trace::read_pcap(&buf, meta()).unwrap();
+        assert!(stats.is_clean(), "{stats}");
         assert_eq!(back.packets, t.packets);
         assert_eq!(back.meta.snaplen, 1500);
         assert_eq!(back.wire_bytes(), 20 * 64);
-        assert_eq!(back.captured_bytes(), 20 * 64);
     }
 
     #[test]

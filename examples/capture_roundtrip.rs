@@ -12,7 +12,7 @@ use ent_core::{analyze_trace, PipelineConfig};
 use ent_gen::build::{build_site, generate_trace};
 use ent_gen::dataset::dataset;
 use ent_gen::GenConfig;
-use ent_pcap::{Tap, Trace};
+use ent_pcap::{PacketArena, Tap, Trace};
 
 fn main() {
     let spec = dataset("D3").expect("D3 exists");
@@ -33,8 +33,9 @@ fn main() {
         pcap_bytes.len()
     );
 
-    // Read back and compare.
-    let back = Trace::read_pcap(&pcap_bytes[..], trace.meta.clone()).expect("read pcap");
+    // Read back and compare: the reader finds nothing to repair.
+    let (back, health) = Trace::read_pcap(&pcap_bytes, trace.meta.clone()).expect("read pcap");
+    assert!(health.is_clean(), "{health}");
     assert_eq!(back.packets.len(), trace.packets.len());
     assert_eq!(back.packets, trace.packets);
     println!("round trip: byte-identical packets ✓");
@@ -51,14 +52,22 @@ fn main() {
         a.rpc.len()
     );
 
-    // Now the D1/D2 story: re-capture the same traffic at snaplen 68.
-    let mut tap = Tap::new(68);
+    // Now the D1/D2 story: re-capture the same traffic at snaplen 68,
+    // staging the frames in an arena and applying the tap there, as trace
+    // generation does.
+    let mut arena = PacketArena::unbounded();
+    arena.set_snaplen(trace.meta.snaplen as usize);
+    for p in &trace.packets {
+        arena.frame_buf().extend_from_slice(&p.frame);
+        arena.commit(p.ts, p.orig_len as usize);
+    }
+    arena.apply_tap(&mut Tap::new(68));
     let truncated = Trace {
         meta: ent_pcap::TraceMeta {
             snaplen: 68,
             ..trace.meta.clone()
         },
-        packets: tap.capture_all(trace.packets.iter().cloned()),
+        packets: arena.captured_packets(),
     };
     let c = analyze_trace(&truncated, &PipelineConfig::default());
     println!(

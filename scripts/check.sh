@@ -96,6 +96,20 @@ cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_monitor.json"
 cargo run --release -q -p ent-cli -- bench-compare \
     "$BENCH_TMP/BENCH_monitor.json" "$BENCH_TMP/BENCH_monitor_resumed.json"
 
+echo "==> damaged-capture smoke (anonymize salvages a cut capture as analyze does)"
+# The monitor smoke's capture cut 100 bytes short ends mid-record. anonymize
+# must exit 0 and print the truncated-tail tally, the analyses of the damaged
+# file and of its anonymization must count the same packets, and the
+# anonymized file must read clean.
+head -c -100 "$BENCH_TMP/monitor.pcap" > "$BENCH_TMP/cut.pcap"
+cargo run --release -q -p ent-cli -- anonymize "$BENCH_TMP/cut.pcap" \
+    "$BENCH_TMP/cut_anon.pcap" --key 42 2> "$BENCH_TMP/anon.err"
+grep -q 'truncated tail' "$BENCH_TMP/anon.err"
+cargo run --release -q -p ent-cli -- analyze "$BENCH_TMP/cut.pcap" > "$BENCH_TMP/cut.txt"
+cargo run --release -q -p ent-cli -- analyze "$BENCH_TMP/cut_anon.pcap" > "$BENCH_TMP/cut_anon.txt"
+diff <(grep '^trace:' "$BENCH_TMP/cut.txt") <(grep '^trace:' "$BENCH_TMP/cut_anon.txt")
+grep -qx 'ingest health: clean' "$BENCH_TMP/cut_anon.txt"
+
 echo "==> scenario pack gate (labeled packs + scored scanner removal vs committed BENCH_packs.json)"
 # Runs every scenario pack at the gate config (scale 0.01, seed 2005,
 # serial) and scores scanner removal against ground-truth labels.

@@ -9,7 +9,7 @@ use ent_core::{analyze_trace, PipelineConfig};
 use ent_gen::build::{build_site, generate_trace};
 use ent_gen::dataset::all_datasets;
 use ent_integration::test_gen_config;
-use ent_pcap::Trace;
+use ent_pcap::{Fault, FaultInjector, PacketArena, RecoveringReader, Tap, Trace, TraceMeta};
 
 fn sample_trace(dataset_idx: usize, subnet: u16) -> Trace {
     let specs = all_datasets();
@@ -18,12 +18,32 @@ fn sample_trace(dataset_idx: usize, subnet: u16) -> Trace {
     generate_trace(&site, &wan, &specs[dataset_idx], subnet, 1, &config)
 }
 
+/// Re-capture an owned trace through `tap` on the product path: stage its
+/// frames in an arena at the trace's snaplen, then `apply_tap`.
+fn recapture(trace: &Trace, tap: &mut Tap) -> Trace {
+    let mut arena = PacketArena::unbounded();
+    arena.set_snaplen(trace.meta.snaplen as usize);
+    for p in &trace.packets {
+        arena.frame_buf().extend_from_slice(&p.frame);
+        arena.commit(p.ts, p.orig_len as usize);
+    }
+    arena.apply_tap(tap);
+    Trace {
+        meta: TraceMeta {
+            snaplen: arena.snaplen() as u32,
+            ..trace.meta.clone()
+        },
+        packets: arena.captured_packets(),
+    }
+}
+
 #[test]
 fn pcap_roundtrip_preserves_analysis() {
     let trace = sample_trace(0, 4);
     let mut buf = Vec::new();
     trace.write_pcap(&mut buf).expect("write");
-    let back = Trace::read_pcap(&buf[..], trace.meta.clone()).expect("read");
+    let (back, stats) = Trace::read_pcap(&buf, trace.meta.clone()).expect("read");
+    assert!(stats.is_clean(), "{stats}");
     assert_eq!(back.packets, trace.packets);
     let a = analyze_trace(&trace, &PipelineConfig::default());
     let b = analyze_trace(&back, &PipelineConfig::default());
@@ -54,10 +74,8 @@ fn snaplen68_dataset_survives_transport_analysis() {
     // The ablation proper: a full-payload trace re-captured header-only
     // keeps every connection and loses the HTTP records it had.
     let full = sample_trace(0, 3);
-    let cut = Trace {
-        meta: ent_pcap::TraceMeta { snaplen: 68, ..full.meta.clone() },
-        packets: ent_pcap::Tap::new(68).capture_all(full.packets.iter().cloned()),
-    };
+    let cut = recapture(&full, &mut Tap::new(68));
+    assert_eq!(cut.meta.snaplen, 68);
     let (f, c) = (
         analyze_trace(&full, &PipelineConfig::default()),
         analyze_trace(&cut, &PipelineConfig::default()),
@@ -106,6 +124,57 @@ fn anonymization_preserves_every_aggregate() {
     assert_eq!(bytes(&a), bytes(&b));
 }
 
+/// `entreport anonymize` reads a damaged capture the way `analyze` and
+/// `monitor` do. For every non-fatal fault at two seeds: `Trace::read_pcap`
+/// salvages exactly what the recovering reader delivers, the anonymized
+/// salvage writes out a capture that reads back clean, and the analyses of
+/// the salvage and of its anonymization agree.
+#[test]
+fn anonymizing_a_damaged_capture_salvages_it() {
+    let trace = sample_trace(0, 3);
+    let mut clean = Vec::new();
+    trace.write_pcap(&mut clean).expect("write");
+    let cfg = PipelineConfig {
+        keep_scanners: true,
+        ..Default::default()
+    };
+    let mut damaged = 0;
+    for fault in Fault::ALL.into_iter().filter(|f| !f.is_fatal()) {
+        for seed in 0..2u64 {
+            let at = format!("{fault:?} seed {seed}");
+            let mut bytes = clean.clone();
+            assert!(
+                FaultInjector::new(0xA2_0000 + seed).apply(&mut bytes, fault),
+                "{at}: not applied"
+            );
+            damaged += 1;
+            let (salvaged, stats) = Trace::read_pcap(&bytes, trace.meta.clone())
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            let (packets, want) = RecoveringReader::new(&bytes)
+                .expect("header intact")
+                .read_all();
+            assert_eq!(stats, want, "{at}");
+            assert_eq!(salvaged.packets, packets, "{at}");
+
+            let anon = anonymize_trace(&salvaged, "integration-key");
+            let mut out = Vec::new();
+            anon.write_pcap(&mut out).expect("write anonymized");
+            let (back, back_stats) =
+                Trace::read_pcap(&out, anon.meta.clone()).expect("read anonymized");
+            assert!(back_stats.is_clean(), "{at}: {back_stats}");
+            assert_eq!(back_stats.records, stats.records, "{at}");
+            assert_eq!(back.packets, anon.packets, "{at}");
+
+            let (a, b) = (analyze_trace(&salvaged, &cfg), analyze_trace(&anon, &cfg));
+            assert_eq!(a.packets, b.packets, "{at}");
+            assert_eq!(a.conns.len(), b.conns.len(), "{at}");
+            assert_eq!(a.dns.len(), b.dns.len(), "{at}");
+            assert_eq!(a.http.len(), b.http.len(), "{at}");
+        }
+    }
+    assert_eq!(damaged, 22, "11 non-fatal modes x 2 seeds");
+}
+
 #[test]
 fn anonymization_defeats_scan_detection() {
     // The flip side of prefix preservation: the sweep scanners detected in
@@ -149,11 +218,8 @@ fn capture_drops_detected_as_acked_unseen() {
     // show the paper's §2 anomaly — a receiver acknowledging data absent
     // from the trace.
     let clean = sample_trace(0, 3);
-    let mut tap = ent_pcap::Tap::new(1_500).with_drop_period(97);
-    let lossy = Trace {
-        meta: clean.meta.clone(),
-        packets: tap.capture_all(clean.packets.iter().cloned()),
-    };
+    let mut tap = Tap::new(1_500).with_drop_period(97);
+    let lossy = recapture(&clean, &mut tap);
     assert!(tap.dropped() > 0, "tap must drop packets");
     let a = analyze_trace(&lossy, &PipelineConfig::default());
     assert!(

@@ -9,7 +9,7 @@
 
 use ent_anon::prefix::{common_prefix_len, Anonymizer};
 use ent_core::stats::Ecdf;
-use ent_pcap::{PcapReader, PcapWriter, TimedPacket};
+use ent_pcap::{PcapWriter, RecoveringReader, TimedPacket};
 use ent_wire::{build, ethernet::MacAddr, ipv4, tcp, Packet, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -95,7 +95,8 @@ fn truncation_never_panics() {
     }
 }
 
-/// pcap files round-trip arbitrary packet sequences.
+/// pcap files round-trip arbitrary packet sequences through the reader
+/// that ships, which finds nothing to repair.
 #[test]
 fn pcap_roundtrip() {
     let mut rng = StdRng::seed_from_u64(0x7c9_0003);
@@ -121,7 +122,8 @@ fn pcap_roundtrip() {
                 w.write_packet(p).unwrap();
             }
         }
-        let got = PcapReader::new(&buf[..]).unwrap().read_all().unwrap();
+        let (got, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        assert!(stats.is_clean(), "{stats}");
         assert_eq!(got, packets);
     }
 }
@@ -218,26 +220,6 @@ fn flow_delivery_exact_under_retx() {
             seq = seq.wrapping_add(chunk.len() as u32);
         }
         assert_eq!(delivered, expected);
-    }
-}
-
-/// The pcap reader never panics on arbitrary bytes — corrupt capture
-/// files must fail cleanly.
-#[test]
-fn pcap_reader_never_panics() {
-    let mut rng = StdRng::seed_from_u64(0x7c9_0007);
-    for _ in 0..CASES {
-        let bytes = rand_bytes(&mut rng, 0, 600);
-        if let Ok(mut r) = PcapReader::new(&bytes[..]) {
-            // Drain until error or EOF; must not panic or loop forever.
-            let mut n = 0;
-            while let Ok(Some(_)) = r.next_packet() {
-                n += 1;
-                if n > 1_000 {
-                    break;
-                }
-            }
-        }
     }
 }
 
