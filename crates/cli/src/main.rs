@@ -37,7 +37,7 @@ use ent_core::{
 use ent_gen::build::{build_site, generate_trace};
 use ent_gen::dataset::{all_datasets, dataset, DatasetSpec};
 use ent_gen::GenConfig;
-use ent_pcap::{RecoveringReader, Trace, TraceMeta};
+use ent_pcap::{RecoveringReader, Trace};
 use ent_wire::Timestamp;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -178,6 +178,7 @@ fn cmd_study(args: &Args) -> Outcome {
     );
     // One global work queue across every dataset: no worker idles at a
     // dataset boundary waiting for the previous dataset's stragglers.
+    #[expect(clippy::disallowed_methods, reason = "the study wall is printed, not analyzed")]
     let t0 = std::time::Instant::now();
     let studies = run_datasets(&specs, &config);
     let study_wall_ns = t0.elapsed().as_nanos() as u64;
@@ -217,13 +218,7 @@ fn cmd_study(args: &Args) -> Outcome {
         println!("{}", total.stage_table("Pipeline stage metrics (study total)").render());
     }
     if let Some(path) = args.flags.get("bench-json") {
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            config.threads
-        };
+        let threads = config.workers(studies.iter().map(|da| da.traces.len()).sum());
         let run = [
             ("scale", Val::F(config.gen.scale)),
             ("seed", Val::U(config.gen.seed)),
@@ -338,12 +333,15 @@ fn cmd_packs(args: &Args) -> Outcome {
         "recall", "f1", "H(sym)", "H(pair)"
     );
     let mut entries = Vec::new();
+    // The most worker threads any one pack's run started.
+    let mut workers = 1;
     for name in names {
         let Some(pack) = ent_gen::packs::pack(name) else {
             eprintln!("entreport: unknown pack {name:?} (want one of {:?})", ent_gen::PACK_NAMES);
             return Ok(ExitCode::from(2));
         };
         let report = run_pack(&pack, &config);
+        workers = workers.max(config.workers(report.traces as usize));
         println!(
             "{:<10} {:>7} {:>9} {:>8} {:>8} {:>5} {:>5} {:>5} {:>7.4} {:>7.4} {:>7.4} {:>9.4} {:>9.4}",
             report.name,
@@ -380,7 +378,7 @@ fn cmd_packs(args: &Args) -> Outcome {
     let run = [
         ("scale", Val::F(gen.scale)),
         ("seed", Val::U(gen.seed)),
-        ("threads", Val::U(threads as u64)),
+        ("threads", Val::U(workers as u64)),
         ("shards", Val::U(shards as u64)),
         ("precision_floor", Val::F(PACK_PRECISION_FLOOR)),
         ("recall_floor", Val::F(PACK_RECALL_FLOOR)),
@@ -438,18 +436,18 @@ fn cmd_analyze(args: &Args) -> Outcome {
             return Ok(ExitCode::FAILURE);
         }
     };
-    let mut meta = TraceMeta {
-        dataset: args
-            .flags
-            .get("name")
-            .map(|s| s.as_str().into())
-            .unwrap_or_else(|| "pcap".into()),
-        subnet: flag(args, "subnet")?.unwrap_or(0),
-        pass: 1,
-        duration: Timestamp::from_secs(3_600),
-        snaplen: 1500,
-        link_capacity_bps: 100_000_000,
+    let name = args.flags.get("name").map(String::as_str).unwrap_or("pcap");
+    let subnet = flag(args, "subnet")?.unwrap_or(0);
+    // Only an unusable global header is fatal: everything readable past it
+    // is salvaged from a possibly damaged file.
+    let mut meta = match capture_meta(name, &data) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
     };
+    meta.subnet = subnet;
     // Size the utilization bins to the capture's actual span, from a
     // header-only pass over the record timestamps. Binning is relative to
     // the first packet wherever its clock starts (epoch or zero), so
@@ -464,9 +462,6 @@ fn cmd_analyze(args: &Args) -> Outcome {
                 Timestamp::from_micros(last.saturating_micros_since(first) + 1_000_000);
         }
     }
-    // Stream the capture through the pipeline, salvaging everything
-    // readable from a possibly damaged file; only an unusable global
-    // header is fatal.
     let a = match ent_core::analyze_capture(&data, meta, &PipelineConfig::default()) {
         Ok(a) => a,
         Err(e) => {
@@ -495,7 +490,7 @@ fn cmd_analyze(args: &Args) -> Outcome {
         a.ncp.len(),
         a.tls.len()
     );
-    let mut by_cat: std::collections::HashMap<&str, (u64, u64)> = Default::default();
+    let mut by_cat: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
     for c in &a.conns {
         let e = by_cat.entry(c.category.label()).or_default();
         e.0 += 1;
@@ -678,15 +673,8 @@ fn cmd_anonymize(args: &Args) -> ExitCode {
         .cloned()
         .unwrap_or_else(|| "default-key".into());
     let data = or_die(std::fs::read(input), "read input pcap");
-    let meta = TraceMeta {
-        dataset: "anon".into(),
-        subnet: 0,
-        pass: 1,
-        duration: Timestamp::from_secs(3_600),
-        snaplen: 1500,
-        link_capacity_bps: 100_000_000,
-    };
     // Salvage damage as `analyze` and `monitor` do; only a bad global header is fatal.
+    let meta = or_die(capture_meta("anon", &data), "read pcap");
     let (trace, stats) = or_die(Trace::read_pcap(&data, meta), "read pcap");
     if !stats.is_clean() {
         eprintln!("ingest health: {stats}");

@@ -8,7 +8,7 @@ use super::DatasetTraces;
 use crate::report::Table;
 use crate::stats::{pct, Ecdf};
 use ent_proto::Category;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Locality profile of one application category.
 #[derive(Debug, Clone, Default)]
@@ -25,9 +25,9 @@ pub struct CategoryLocality {
 
 /// Compute per-category locality.
 pub fn app_locality(traces: &DatasetTraces) -> Vec<(Category, CategoryLocality)> {
-    let mut ent: HashMap<Category, u64> = HashMap::new();
-    let mut total: HashMap<Category, u64> = HashMap::new();
-    let mut fanout: HashMap<Category, HashMap<u32, HashSet<u32>>> = HashMap::new();
+    let mut ent: BTreeMap<Category, u64> = BTreeMap::new();
+    let mut total: BTreeMap<Category, u64> = BTreeMap::new();
+    let mut fanout: BTreeMap<Category, BTreeMap<u32, BTreeSet<u32>>> = BTreeMap::new();
     for t in traces {
         for c in &t.conns {
             if c.summary.multicast {

@@ -46,11 +46,11 @@ pub struct AppMix {
 
 /// Compute Figure 1's data for one dataset.
 pub fn appmix(traces: &DatasetTraces) -> AppMix {
-    use std::collections::HashMap;
-    let mut bytes_ent: HashMap<Category, u64> = HashMap::new();
-    let mut bytes_wan: HashMap<Category, u64> = HashMap::new();
-    let mut conns_ent: HashMap<Category, u64> = HashMap::new();
-    let mut conns_wan: HashMap<Category, u64> = HashMap::new();
+    use std::collections::BTreeMap;
+    let mut bytes_ent: BTreeMap<Category, u64> = BTreeMap::new();
+    let mut bytes_wan: BTreeMap<Category, u64> = BTreeMap::new();
+    let mut conns_ent: BTreeMap<Category, u64> = BTreeMap::new();
+    let mut conns_wan: BTreeMap<Category, u64> = BTreeMap::new();
     let (mut ub, mut uc) = (0u64, 0u64); // unicast totals
     let (mut all_bytes, mut all_conns) = (0u64, 0u64);
     let mut mcast_stream_bytes = 0u64;
@@ -105,8 +105,8 @@ pub fn appmix(traces: &DatasetTraces) -> AppMix {
 /// but that interactive traffic's packet share is about twice its byte
 /// share — small keystroke packets).
 pub fn packet_shares(traces: &DatasetTraces) -> Vec<(Category, f64)> {
-    use std::collections::HashMap;
-    let mut pkts: HashMap<Category, u64> = HashMap::new();
+    use std::collections::BTreeMap;
+    let mut pkts: BTreeMap<Category, u64> = BTreeMap::new();
     let mut total = 0u64;
     for t in traces {
         for c in &t.conns {

@@ -4,7 +4,7 @@ use super::DatasetTraces;
 use crate::records::is_internal;
 use crate::report::Figure;
 use crate::stats::Ecdf;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Fan-in/fan-out distributions for one dataset.
 #[derive(Debug, Clone, Default)]
@@ -28,11 +28,11 @@ pub struct Locality {
 /// host on the trace's monitored subnet.
 pub fn locality(traces: &DatasetTraces) -> Locality {
     // host -> sets of distinct peers.
-    let mut fan_in_ent: HashMap<u32, HashSet<u32>> = HashMap::new();
-    let mut fan_in_wan: HashMap<u32, HashSet<u32>> = HashMap::new();
-    let mut fan_out_ent: HashMap<u32, HashSet<u32>> = HashMap::new();
-    let mut fan_out_wan: HashMap<u32, HashSet<u32>> = HashMap::new();
-    let mut hosts: HashSet<u32> = HashSet::new();
+    let mut fan_in_ent: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+    let mut fan_in_wan: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+    let mut fan_out_ent: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+    let mut fan_out_wan: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+    let mut hosts: BTreeSet<u32> = BTreeSet::new();
     for t in traces {
         for c in &t.conns {
             if c.summary.multicast {
@@ -63,11 +63,11 @@ pub fn locality(traces: &DatasetTraces) -> Locality {
             }
         }
     }
-    let collect = |m: &HashMap<u32, HashSet<u32>>| -> Ecdf {
+    let collect = |m: &BTreeMap<u32, BTreeSet<u32>>| -> Ecdf {
         Ecdf::new(m.values().map(|s| s.len() as f64).filter(|&n| n > 0.0).collect())
     };
-    let only_internal = |ent: &HashMap<u32, HashSet<u32>>, wan: &HashMap<u32, HashSet<u32>>| {
-        let with_any: HashSet<&u32> = ent.keys().chain(wan.keys()).collect();
+    let only_internal = |ent: &BTreeMap<u32, BTreeSet<u32>>, wan: &BTreeMap<u32, BTreeSet<u32>>| {
+        let with_any: BTreeSet<&u32> = ent.keys().chain(wan.keys()).collect();
         if with_any.is_empty() {
             return 0.0;
         }

@@ -1,5 +1,8 @@
 //! Dataset-level analyses, one module per paper section/table/figure.
 
+// Report bytes must not follow hash iteration order (clippy.toml).
+#![deny(clippy::disallowed_types)]
+
 pub mod app_locality;
 pub mod appmix;
 pub mod backup;

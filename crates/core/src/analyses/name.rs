@@ -8,7 +8,7 @@ use crate::stats::{pct, Ecdf};
 use ent_proto::dns::{QType, RCode};
 use ent_proto::netbios::NsOpcode;
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// DNS characteristics for one dataset.
 #[derive(Debug, Clone, Default)]
@@ -60,7 +60,7 @@ pub fn dns_characteristics(traces: &DatasetTraces) -> DnsCharacteristics {
     let mut lat_wan = Vec::new();
     let mut qtypes = [0u64; 5];
     let (mut noerr, mut nx, mut answered) = (0u64, 0u64, 0u64);
-    let mut per_client: HashMap<u32, u64> = HashMap::new();
+    let mut per_client: BTreeMap<u32, u64> = BTreeMap::new();
     let mut total = 0u64;
     for t in traces {
         for d in &t.dns {
@@ -134,8 +134,8 @@ pub struct NbnsCharacteristics {
 pub fn nbns_characteristics<T: Borrow<TraceAnalysis>>(traces: &[T]) -> NbnsCharacteristics {
     let (mut query, mut refresh, mut other) = (0u64, 0u64, 0u64);
     let (mut host_t, mut dom_t, mut typed) = (0u64, 0u64, 0u64);
-    let mut per_name_fail: HashMap<String, (bool, bool)> = HashMap::new(); // (ok seen, fail seen)
-    let mut per_client: HashMap<u32, u64> = HashMap::new();
+    let mut per_name_fail: BTreeMap<String, (bool, bool)> = BTreeMap::new(); // (ok seen, fail seen)
+    let mut per_client: BTreeMap<u32, u64> = BTreeMap::new();
     let mut total = 0u64;
     for t in traces.iter().map(Borrow::borrow) {
         for n in &t.nbns {

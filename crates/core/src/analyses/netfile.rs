@@ -11,8 +11,7 @@ use ent_proto::nfs::NfsOp;
 use ent_proto::ncp::NcpOp;
 use ent_proto::AppProtocol;
 use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
 /// Table 12: NFS/NCP connections and bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -80,12 +79,12 @@ pub type OpBreakdown = Vec<(String, f64, f64)>;
 
 /// Break `(op, request+reply bytes)` calls down by request type, one row
 /// per entry of `all` in its order: total requests, total bytes, rows.
-fn op_breakdown<Op: Copy + Eq + Hash>(
+fn op_breakdown<Op: Copy + Ord>(
     all: &[Op],
     label: fn(Op) -> &'static str,
     calls: impl Iterator<Item = (Op, u64)>,
 ) -> (u64, u64, OpBreakdown) {
-    let mut per_op: HashMap<Op, (u64, u64)> = HashMap::new();
+    let mut per_op: BTreeMap<Op, (u64, u64)> = BTreeMap::new();
     let (mut tr, mut tb) = (0u64, 0u64);
     for (op, b) in calls {
         let (req, bytes) = per_op.entry(op).or_default();
@@ -177,8 +176,8 @@ pub struct NetFileDistributions {
 
 /// Compute Figures 7–8.
 pub fn netfile_distributions(traces: &DatasetTraces) -> NetFileDistributions {
-    let mut nfs_pairs: HashMap<(u32, u32), u64> = HashMap::new();
-    let mut ncp_pairs: HashMap<(u32, u32), u64> = HashMap::new();
+    let mut nfs_pairs: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    let mut ncp_pairs: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     let (mut nfs_req, mut nfs_rep, mut ncp_req, mut ncp_rep) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for t in traces {
@@ -247,9 +246,9 @@ pub struct NetFileFindings {
 pub fn netfile_findings<T: Borrow<TraceAnalysis>>(traces: &[T]) -> NetFileFindings {
     let (mut ncp_ka, mut ncp_conns, mut ncp_ok_conns, mut ncp_tcp_conns) = (0u64, 0u64, 0u64, 0u64);
     let (mut nfs_udp_b, mut nfs_b) = (0u64, 0u64);
-    let mut nfs_pair_bytes: HashMap<(u32, u32), u64> = HashMap::new();
-    let mut ncp_pair_bytes: HashMap<(u32, u32), u64> = HashMap::new();
-    let mut nfs_pair_udp: HashMap<(u32, u32), bool> = HashMap::new();
+    let mut nfs_pair_bytes: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    let mut ncp_pair_bytes: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    let mut nfs_pair_udp: BTreeMap<(u32, u32), bool> = BTreeMap::new();
     let (mut nfs_ok, mut nfs_tot, mut ncp_rok, mut ncp_rtot) = (0u64, 0u64, 0u64, 0u64);
     for t in traces.iter().map(Borrow::borrow) {
         for c in &t.conns {
@@ -289,7 +288,7 @@ pub fn netfile_findings<T: Borrow<TraceAnalysis>>(traces: &[T]) -> NetFileFindin
             ncp_rok += u64::from(r.ok);
         }
     }
-    let top3 = |m: &HashMap<(u32, u32), u64>| {
+    let top3 = |m: &BTreeMap<(u32, u32), u64>| {
         let total: u64 = m.values().sum();
         let mut v: Vec<u64> = m.values().copied().collect();
         v.sort_unstable_by(|a, b| b.cmp(a));

@@ -7,7 +7,7 @@ use crate::records::is_internal;
 use crate::report::Table;
 use crate::stats::pct;
 use ent_flow::{Proto, TcpOutcome};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Profile of one scanner source.
 #[derive(Debug, Clone)]
@@ -43,7 +43,7 @@ pub struct ScanStudy {
 
 /// Characterize the scanning traffic of a dataset.
 pub fn scan_study(traces: &DatasetTraces) -> ScanStudy {
-    let mut by_src: HashMap<u32, Vec<&crate::records::ConnRecord>> = HashMap::new();
+    let mut by_src: BTreeMap<u32, Vec<&crate::records::ConnRecord>> = BTreeMap::new();
     let (mut removed, mut kept) = (0u64, 0u64);
     for t in traces {
         kept += t.conns.len() as u64;
@@ -56,8 +56,8 @@ pub fn scan_study(traces: &DatasetTraces) -> ScanStudy {
         .into_iter()
         .map(|(src, conns)| {
             let source = ent_wire::ipv4::Addr(src);
-            let targets: HashSet<u32> = conns.iter().map(|c| c.resp_addr().0).collect();
-            let ports: HashSet<u16> = conns
+            let targets: BTreeSet<u32> = conns.iter().map(|c| c.resp_addr().0).collect();
+            let ports: BTreeSet<u16> = conns
                 .iter()
                 .filter(|c| c.proto() != Proto::Icmp)
                 .map(|c| c.summary.key.resp.port)

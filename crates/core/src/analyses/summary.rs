@@ -3,7 +3,7 @@
 use super::DatasetTraces;
 use crate::records::is_internal;
 use crate::report::Table;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// One dataset's Table 1 row set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,10 +33,10 @@ pub struct DatasetSummary {
 /// Compute Table 1 for one dataset. `snaplen` comes from trace metadata
 /// via the pipeline caller.
 pub fn dataset_summary(name: &str, traces: &DatasetTraces, snaplen: u32) -> DatasetSummary {
-    let mut monitored: HashSet<u32> = HashSet::new();
-    let mut internal: HashSet<u32> = HashSet::new();
-    let mut remote: HashSet<u32> = HashSet::new();
-    let mut subnets: HashSet<u16> = HashSet::new();
+    let mut monitored: BTreeSet<u32> = BTreeSet::new();
+    let mut internal: BTreeSet<u32> = BTreeSet::new();
+    let mut remote: BTreeSet<u32> = BTreeSet::new();
+    let mut subnets: BTreeSet<u16> = BTreeSet::new();
     let mut packets = 0u64;
     let mut passes = 0u8;
     for t in traces {

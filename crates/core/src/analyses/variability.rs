@@ -26,9 +26,9 @@ pub struct CategoryVariability {
 /// Compute per-category share variability across traces.
 pub fn variability(traces: &DatasetTraces) -> Vec<(Category, CategoryVariability)> {
     // Per trace, per category byte shares.
-    let mut shares: std::collections::HashMap<Category, Vec<f64>> = Default::default();
+    let mut shares: std::collections::BTreeMap<Category, Vec<f64>> = Default::default();
     for t in traces {
-        let mut by_cat: std::collections::HashMap<Category, u64> = Default::default();
+        let mut by_cat: std::collections::BTreeMap<Category, u64> = Default::default();
         let mut total = 0u64;
         for c in &t.conns {
             let b = c.payload_bytes();

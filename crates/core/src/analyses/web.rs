@@ -8,7 +8,7 @@ use crate::report::{Figure, Table};
 use crate::stats::{pct, Ecdf};
 use ent_proto::http::{ClientKind, ContentClass};
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Table 6: automated clients' share of internal HTTP traffic.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -25,8 +25,8 @@ pub struct AutomatedClients {
 
 /// Compute Table 6 over internal HTTP transactions.
 pub fn automated_clients<T: Borrow<TraceAnalysis>>(traces: &[T]) -> AutomatedClients {
-    let mut req: HashMap<ClientKind, u64> = HashMap::new();
-    let mut data: HashMap<ClientKind, u64> = HashMap::new();
+    let mut req: BTreeMap<ClientKind, u64> = BTreeMap::new();
+    let mut data: BTreeMap<ClientKind, u64> = BTreeMap::new();
     let (mut total_req, mut total_data) = (0u64, 0u64);
     for t in traces.iter().map(Borrow::borrow) {
         for h in t.http.iter().filter(|h| h.server_internal) {
@@ -135,7 +135,7 @@ pub struct WebCharacteristics {
 /// excluded from request-level numbers, as in the paper.
 pub fn web_characteristics(traces: &DatasetTraces) -> WebCharacteristics {
     // Host-pair success from connection records.
-    let mut pair_ok: HashMap<(u32, u32, bool), bool> = HashMap::new();
+    let mut pair_ok: BTreeMap<(u32, u32, bool), bool> = BTreeMap::new();
     for t in traces {
         for c in &t.conns {
             if !is_http_port(c.summary.key.resp.port) || c.summary.key.proto != ent_flow::Proto::Tcp
@@ -204,8 +204,8 @@ pub fn web_characteristics(traces: &DatasetTraces) -> WebCharacteristics {
 
 /// Figure 3: per-client fan-out to HTTP servers (automated excluded).
 pub fn http_fanout(traces: &DatasetTraces) -> (Ecdf, Ecdf) {
-    let mut ent: HashMap<u32, HashSet<u32>> = HashMap::new();
-    let mut wan: HashMap<u32, HashSet<u32>> = HashMap::new();
+    let mut ent: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+    let mut wan: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
     for t in traces {
         for h in &t.http {
             if h.tx.client.is_automated() {

@@ -9,7 +9,7 @@
 use super::DatasetTraces;
 use crate::report::Figure;
 use crate::stats::Ecdf;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Objects-per-session distributions, internal vs WAN servers.
 #[derive(Debug, Clone, Default)]
@@ -47,8 +47,8 @@ impl WebSessions {
 /// Compute objects-per-session distributions (automated clients excluded,
 /// as in the paper).
 pub fn web_sessions(traces: &DatasetTraces) -> WebSessions {
-    let mut ent: HashMap<(u32, u32), u64> = HashMap::new();
-    let mut wan: HashMap<(u32, u32), u64> = HashMap::new();
+    let mut ent: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    let mut wan: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     for t in traces {
         for h in &t.http {
             if h.tx.client.is_automated() {

@@ -10,7 +10,7 @@ use ent_flow::Proto;
 use ent_proto::cifs::CifsClass;
 use ent_proto::dcerpc::RpcFunction;
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Table 9: per-service host-pair connection outcomes (internal only).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -34,7 +34,7 @@ pub fn windows_success(traces: &DatasetTraces) -> [(u16, ServiceSuccess); 3] {
             rejected: bool,
             unanswered: bool,
         }
-        let mut pairs: HashMap<(u32, u32), PairState> = HashMap::new();
+        let mut pairs: BTreeMap<(u32, u32), PairState> = BTreeMap::new();
         for t in traces {
             for c in &t.conns {
                 if c.summary.key.proto != Proto::Tcp
@@ -130,8 +130,8 @@ pub struct CifsBreakdown {
 
 /// Compute Table 10.
 pub fn cifs_breakdown<T: Borrow<TraceAnalysis>>(traces: &[T]) -> CifsBreakdown {
-    let mut req: HashMap<CifsClass, u64> = HashMap::new();
-    let mut bytes: HashMap<CifsClass, u64> = HashMap::new();
+    let mut req: BTreeMap<CifsClass, u64> = BTreeMap::new();
+    let mut bytes: BTreeMap<CifsClass, u64> = BTreeMap::new();
     let (mut tr, mut tb) = (0u64, 0u64);
     for t in traces.iter().map(Borrow::borrow) {
         for c in &t.cifs {
@@ -216,8 +216,8 @@ pub struct RpcBreakdown {
 /// Compute Table 11. Endpoint-mapper calls fold into Other, matching the
 /// paper's row set.
 pub fn rpc_breakdown(traces: &DatasetTraces) -> RpcBreakdown {
-    let mut calls: HashMap<RpcFunction, u64> = HashMap::new();
-    let mut bytes: HashMap<RpcFunction, u64> = HashMap::new();
+    let mut calls: BTreeMap<RpcFunction, u64> = BTreeMap::new();
+    let mut bytes: BTreeMap<RpcFunction, u64> = BTreeMap::new();
     let (mut tc, mut tb) = (0u64, 0u64);
     for t in traces {
         for r in &t.rpc {

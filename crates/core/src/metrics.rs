@@ -90,6 +90,7 @@ thread_local! {
 
 /// The one place a stage timer reads the clock.
 #[inline]
+#[expect(clippy::disallowed_methods, reason = "stage walls are observability, never a result")]
 fn now() -> Instant {
     #[cfg(test)]
     CLOCK_READS.with(|n| n.set(n.get() + 1));

@@ -266,17 +266,6 @@ impl IngestHealth {
             && self.checkpoint_recoveries == 0
     }
 
-    /// Total damage events past the capture layer.
-    pub fn pipeline_events(&self) -> u64 {
-        self.malformed_frames
-            + self.clock_regressions
-            + self.evicted_conns
-            + self.analyzer_failures
-            + self.load_samples_out_of_range
-            + self.pending_dropped
-            + self.checkpoint_recoveries
-    }
-
     /// Fold another trace's health into this one (dataset aggregation).
     pub fn absorb(&mut self, other: &IngestHealth) {
         self.capture.absorb(&other.capture);

@@ -1,6 +1,9 @@
 //! Rendering: ASCII tables in the paper's layout, CDF "figures" as
 //! quantile series, and CSV export for external plotting.
 
+// Report bytes must not follow hash iteration order (clippy.toml).
+#![deny(clippy::disallowed_types)]
+
 use crate::stats::Ecdf;
 use std::fmt::Write as _;
 
@@ -177,17 +180,6 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Format a percentage with the paper's precision conventions.
-pub fn fmt_pct(p: f64) -> String {
-    if p == 0.0 {
-        "0.0%".to_string()
-    } else if p < 0.95 {
-        format!("{p:.1}%")
-    } else {
-        format!("{p:.0}%")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,8 +221,5 @@ mod tests {
         assert_eq!(fmt_bytes(500), "500B");
         assert_eq!(fmt_bytes(13_120_000_000), "13.12GB");
         assert_eq!(fmt_bytes(602_000_000), "602.0MB");
-        assert_eq!(fmt_pct(0.0), "0.0%");
-        assert_eq!(fmt_pct(45.3), "45%");
-        assert_eq!(fmt_pct(0.4), "0.4%");
     }
 }

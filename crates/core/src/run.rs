@@ -28,6 +28,16 @@ pub struct StudyConfig {
     pub threads: usize,
 }
 
+impl StudyConfig {
+    /// The worker threads a run of `work_items` traces starts on this
+    /// machine: [`effective_threads`] of the request and the core count.
+    /// This, not the request, is what a bench document records.
+    pub fn workers(&self, work_items: usize) -> usize {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+        effective_threads(self.threads, cores, work_items)
+    }
+}
+
 /// One analyzed dataset.
 #[derive(Debug)]
 pub struct DatasetAnalysis {
@@ -58,7 +68,7 @@ impl DatasetAnalysis {
 }
 
 /// The one trace work queue: every item of `work` is claimed off an
-/// atomic cursor by one of [`effective_threads`] workers, each reusing a
+/// atomic cursor by one of [`StudyConfig::workers`] threads, each reusing a
 /// single [`PacketArena`] across its items (after the first trace its
 /// buffers are warm and generation stops allocating entirely). Results
 /// come back in work-index order, so they are identical for any thread
@@ -68,8 +78,7 @@ pub(crate) fn run_queue<W: Sync, T: Send>(
     config: &StudyConfig,
     run: impl Fn(&W, &mut PacketArena) -> T + Sync,
 ) -> Vec<T> {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let threads = effective_threads(config.threads, cores, work.len());
+    let threads = config.workers(work.len());
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)

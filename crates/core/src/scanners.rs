@@ -32,6 +32,7 @@ pub fn identify_scanners(conns: &[ConnRecord]) -> Vec<ipv4::Addr> {
         }
     }
     let mut out = Vec::new();
+    #[expect(clippy::iter_over_hash_type, reason = "the flagged sources are sorted before return")]
     for (src, seq) in sequences {
         let distinct: HashSet<u32> = seq.iter().copied().collect();
         if distinct.len() <= 50 {

@@ -127,15 +127,6 @@ pub fn pct(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Percentage for float accumulators.
-pub fn pct_f(part: f64, whole: f64) -> f64 {
-    if whole <= 0.0 {
-        0.0
-    } else {
-        part / whole * 100.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,7 +238,5 @@ mod tests {
     fn pct_helpers() {
         assert_eq!(pct(1, 4), 25.0);
         assert_eq!(pct(1, 0), 0.0);
-        assert_eq!(pct_f(2.0, 8.0), 25.0);
-        assert_eq!(pct_f(2.0, 0.0), 0.0);
     }
 }

@@ -1,15 +1,19 @@
 //! Whole-study assembly: every table and figure of the paper, rendered
 //! from a set of analyzed datasets.
 
+// Report bytes must not follow hash iteration order (clippy.toml).
+#![deny(clippy::disallowed_types)]
+
 use crate::analyses::*;
 use crate::report::{Figure, Table};
 use crate::run::DatasetAnalysis;
 use ent_proto::AppProtocol;
 
-/// Full-payload datasets (snaplen 1500): the only ones usable for
-/// payload-level analyses, as in the paper (D1/D2 are header-only).
+/// Full-payload datasets ([`ent_pcap::keeps_payload`]): the only ones
+/// usable for payload-level analyses, as in the paper (D1/D2 are
+/// header-only).
 pub fn payload_sets(studies: &[DatasetAnalysis]) -> Vec<&DatasetAnalysis> {
-    studies.iter().filter(|d| d.spec.snaplen >= 1500).collect()
+    studies.iter().filter(|d| ent_pcap::keeps_payload(d.spec.snaplen)).collect()
 }
 
 /// The complete rendered study.
@@ -269,7 +273,7 @@ pub fn build_report(studies: &[DatasetAnalysis]) -> StudyReport {
             .count();
         // The paper's D4 observation: hundreds of short handshake-then-
         // close connections between a single host pair.
-        let mut pairs: std::collections::HashMap<(u32, u32), usize> = Default::default();
+        let mut pairs: std::collections::BTreeMap<(u32, u32), usize> = Default::default();
         for t in d.traces.iter().flat_map(|t| t.tls.iter()) {
             if t.port == 443 {
                 *pairs.entry((t.pair.0 .0, t.pair.1 .0)).or_default() += 1;

@@ -61,37 +61,3 @@ impl FlowHandler for CollectSummaries {
         self.summaries.push(*summary);
     }
 }
-
-/// Chain two handlers; both observe every event in order.
-#[derive(Debug)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: FlowHandler, B: FlowHandler> FlowHandler for Tee<A, B> {
-    fn on_new_conn(&mut self, idx: ConnIndex, key: &FlowKey, ts: Timestamp) {
-        self.0.on_new_conn(idx, key, ts);
-        self.1.on_new_conn(idx, key, ts);
-    }
-    fn on_tcp_data(&mut self, idx: ConnIndex, dir: Dir, ts: Timestamp, data: &[u8]) {
-        self.0.on_tcp_data(idx, dir, ts, data);
-        self.1.on_tcp_data(idx, dir, ts, data);
-    }
-    fn on_tcp_gap(&mut self, idx: ConnIndex, dir: Dir, wire_bytes: u64) {
-        self.0.on_tcp_gap(idx, dir, wire_bytes);
-        self.1.on_tcp_gap(idx, dir, wire_bytes);
-    }
-    fn on_udp_datagram(
-        &mut self,
-        idx: ConnIndex,
-        dir: Dir,
-        ts: Timestamp,
-        data: &[u8],
-        wire_len: u32,
-    ) {
-        self.0.on_udp_datagram(idx, dir, ts, data, wire_len);
-        self.1.on_udp_datagram(idx, dir, ts, data, wire_len);
-    }
-    fn on_conn_closed(&mut self, idx: ConnIndex, summary: &ConnSummary) {
-        self.0.on_conn_closed(idx, summary);
-        self.1.on_conn_closed(idx, summary);
-    }
-}

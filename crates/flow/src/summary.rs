@@ -140,11 +140,6 @@ impl ConnSummary {
         let ka = self.orig.keepalive_packets + self.resp.keepalive_packets;
         ka > 0 && data <= 2
     }
-
-    /// Responder service port — what protocol identification keys on.
-    pub fn service_port(&self) -> u16 {
-        self.key.resp.port
-    }
 }
 
 #[cfg(test)]
@@ -199,10 +194,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(d.real_retx_packets(), 3);
-    }
-
-    #[test]
-    fn service_port_is_responder() {
-        assert_eq!(summary().service_port(), 524);
     }
 }

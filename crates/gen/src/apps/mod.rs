@@ -311,12 +311,6 @@ impl<'a> TraceCtx<'a> {
     pub fn push_frame(&mut self, ts: Timestamp, frame: &[u8]) {
         self.out.push_frame(ts, Clip::Counted, frame);
     }
-
-    /// Is this address on the monitored subnet?
-    pub fn on_subnet(&self, addr: ipv4::Addr) -> bool {
-        let o = addr.octets();
-        crate::network::is_internal(addr) && o[2] as u16 == self.subnet
-    }
 }
 
 /// Run every application generator for this trace.

@@ -298,8 +298,8 @@ mod tests {
         for _ in 0..8 {
             nbns_traffic(&mut c);
         }
-        use std::collections::HashMap;
-        let mut per_name: HashMap<String, (usize, usize)> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut per_name: BTreeMap<String, (usize, usize)> = BTreeMap::new();
         for p in &c.out.captured_packets() {
             let pkt = Packet::parse(&p.frame).unwrap();
             if let Some(m) = netbios::parse_ns(pkt.payload()) {

@@ -196,7 +196,7 @@ mod tests {
     use super::*;
     use crate::dataset::all_datasets;
     use ent_wire::Packet;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// The removal heuristic itself lives in ent-core; here we verify the
     /// generated traffic has the *detectable shape*: >50 distinct
@@ -211,7 +211,7 @@ mod tests {
         for _ in 0..12 {
             generate(&mut c);
         }
-        let mut dests: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut dests: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for p in &c.out.captured_packets() {
             let pkt = Packet::parse(&p.frame).unwrap();
             if let Some((src, dst)) = pkt.ipv4_addrs() {

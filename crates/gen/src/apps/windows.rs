@@ -418,7 +418,7 @@ mod tests {
         // with the real flow engine + CIFS/DCE-RPC analyzers.
         #[derive(Default)]
         struct H {
-            analyzers: std::collections::HashMap<ConnIndex, cifs::CifsAnalyzer>,
+            analyzers: std::collections::BTreeMap<ConnIndex, cifs::CifsAnalyzer>,
         }
         impl FlowHandler for H {
             fn on_tcp_data(&mut self, idx: ConnIndex, dir: Dir, _ts: Timestamp, data: &[u8]) {

@@ -147,8 +147,10 @@ where
         .wrapping_add(config.seed.rotate_left(32));
     let rng = StdRng::seed_from_u64(seed);
     let mut timing = GenTiming::default();
+    #[expect(clippy::disallowed_methods, reason = "stage timing laps; never feed the trace")]
     let mut clock = std::time::Instant::now();
     let mut lap = |acc: &mut u64| {
+        #[expect(clippy::disallowed_methods, reason = "stage timing laps; never feed the trace")]
         let now = std::time::Instant::now();
         *acc += now.duration_since(clock).as_nanos() as u64;
         clock = now;

@@ -148,12 +148,6 @@ fn pack_spec() -> DatasetSpec {
     spec
 }
 
-/// Ground-truth per-host role labels for a generated site: the pack
-/// output's host-level truth (the paper's server-placement model).
-pub fn host_role_labels(site: &Site) -> Vec<(ipv4::Addr, Role)> {
-    site.hosts.iter().map(|h| (h.addr, h.role)).collect()
-}
-
 /// Generate one pack trace into a caller-owned arena:
 /// [`build::generate_trace_into`] plus the pack's actors, with every
 /// record carrying its ground-truth label.
@@ -499,15 +493,5 @@ mod tests {
             "only {v6_frames} of {} frames are IPv6",
             v6.len()
         );
-    }
-
-    #[test]
-    fn host_role_labels_cover_every_host() {
-        let p = pack("base").unwrap_or_else(|| panic!("base"));
-        let config = tiny_config();
-        let (site, _) = build_site(&p.spec, &config);
-        let labels = host_role_labels(&site);
-        assert_eq!(labels.len(), site.hosts.len());
-        assert!(labels.iter().any(|(_, r)| *r != Role::Workstation));
     }
 }

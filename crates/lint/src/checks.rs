@@ -1,12 +1,14 @@
-//! The token-stream lint rules E001, E002 and E005.
+//! The lint rules E001, E002, E005 and E008.
 //!
-//! Each check walks the token streams produced by [`crate::lexer`] and
+//! Each check walks the token streams produced by [`crate::lexer`] (E008
+//! reads the fn signatures [`crate::symbols`] recovers from them) and
 //! emits [`Finding`]s. Suppression filtering happens centrally in
 //! [`crate::lint_sources`], so checks report everything they see.
 
 use crate::lexer::TokKind;
 use crate::report::{Code, Finding};
 use crate::source::SourceFile;
+use crate::symbols::{fn_items, generic_args, head_ident};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates on the ingest path, whose non-test code must not index with a
@@ -21,6 +23,21 @@ const HOT_FN_MARKERS: [&str; 9] =
 /// Substrings identifying length/offset-carrying identifiers for E002.
 const LENISH_MARKERS: [&str; 10] =
     ["len", "off", "size", "total", "ihl", "cap", "snap", "pos", "idx", "count"];
+/// Crates whose public fallible API must use the typed error taxonomy
+/// (E008).
+const ERROR_CRATES: [&str; 4] = ["wire", "pcap", "flow", "core"];
+/// Head identifiers of the approved error-taxonomy types for E008.
+const TAXONOMY_ERRORS: [&str; 7] = [
+    "AnalysisError", "PcapError", "CheckpointError", "BenchJsonError", "Error", "io::Error",
+    "fmt::Error",
+];
+/// Fn-name segments that imply a fallible operation for E008's
+/// `bool`/`Option` smuggling rule (predicates like `is_*` stay legal).
+const FALLIBLE_FN_MARKERS: [&str; 8] =
+    ["load", "open", "save", "persist", "restore", "resume", "flush", "commit"];
+/// Truncating integer targets for E002's casts and E008's `as`-in-`Err`
+/// rule.
+const TRUNCATING_INTS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 
 fn finding(code: Code, file: &SourceFile, line: u32, message: String) -> Finding {
     Finding { code, file: file.rel.clone(), line, message }
@@ -128,8 +145,7 @@ pub fn e002(file: &SourceFile) -> Vec<Finding> {
         if t.kind == TokKind::Ident && file.text(i) == "as" {
             let Some(n) = file.next_sig(i) else { continue };
             let target = file.text(n);
-            let truncating = matches!(target.as_ref(), "u8" | "u16" | "u32" | "i8" | "i16" | "i32");
-            if truncating && operand_is_lenish(file, i) {
+            if TRUNCATING_INTS.contains(&target.as_ref()) && operand_is_lenish(file, i) {
                 out.push(finding(
                     Code::E002,
                     file,
@@ -311,6 +327,85 @@ pub fn e005(files: &[SourceFile]) -> Vec<Finding> {
     out
 }
 
+/// E008: error-taxonomy totality on the public fallible API of the
+/// ingest crates. Reads each fn's signature only: its name, visibility,
+/// line and return type.
+pub fn e008(file: &SourceFile) -> Vec<Finding> {
+    if !ERROR_CRATES.contains(&file.crate_name.as_str()) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for f in fn_items(file) {
+        if !f.is_pub || file.is_test_line(f.line) {
+            continue;
+        }
+        let Some(ret) = &f.ret else { continue };
+        // (a) `Result<T, E>`: E must come from the taxonomy.
+        if head_ident(ret) == "Result" {
+            let args = generic_args(ret);
+            if let [_, err] = args.as_slice() {
+                let eh = head_ident(err);
+                let generic_param = eh.len() == 1 && eh.chars().all(|c| c.is_ascii_uppercase());
+                let typed = TAXONOMY_ERRORS.iter().any(|t| *t == eh || err.contains(t));
+                if !typed && !generic_param {
+                    out.push(finding(
+                        Code::E008,
+                        file,
+                        f.line,
+                        format!("pub fn `{}` returns `Result<_, {eh}>`: error type is outside the crate taxonomy (expected one of {})", f.name, TAXONOMY_ERRORS.join("/")),
+                    ));
+                }
+            }
+        }
+        // (b) bool/Option smuggling on fallible-verb names. The marker
+        // must match a whole `_`-separated segment so `has_payload` does
+        // not trip on `load`; predicate prefixes stay legal by
+        // construction.
+        let lower = f.name.to_ascii_lowercase();
+        let fallible = lower.split('_').any(|seg| FALLIBLE_FN_MARKERS.contains(&seg));
+        if fallible && (ret == "bool" || head_ident(ret) == "Option") {
+            out.push(finding(
+                Code::E008,
+                file,
+                f.line,
+                format!("pub fn `{}` is a fallible operation but returns `{ret}`: failure detail is smuggled instead of typed — return a taxonomy `Result`", f.name),
+            ));
+        }
+    }
+
+    // (c) truncating `as` casts inside `Err(..)` construction.
+    for j in 0..file.toks.len() {
+        if file.toks[j].kind != TokKind::Ident || file.text(j) != "Err" {
+            continue;
+        }
+        let Some(open) = file.next_sig(j) else { continue };
+        if file.toks[open].kind != TokKind::Punct('(') {
+            continue;
+        }
+        let Some(close) = file.matching_close(open) else { continue };
+        for k in open + 1..close {
+            if file.toks[k].kind != TokKind::Ident || file.text(k) != "as" {
+                continue;
+            }
+            let Some(t) = file.next_sig(k) else { continue };
+            if file.toks[t].kind == TokKind::Ident
+                && TRUNCATING_INTS.contains(&file.text(t).as_ref())
+            {
+                let line = file.toks[k].line;
+                if !file.is_test_line(line) {
+                    out.push(finding(
+                        Code::E008,
+                        file,
+                        line,
+                        format!("truncating `as {}` inside `Err(..)`: error-path values must not silently lose width — use `try_into` or widen the field", file.text(t)),
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,5 +496,28 @@ mod tests {
             b"//! Reproduces Table 99.\n#[cfg(test)]\nmod tests {\n    // asserts Table 99 shape\n}\n".to_vec(),
         );
         assert!(e005(&[claim]).is_empty());
+    }
+
+    #[test]
+    fn e008_string_error_and_option_smuggling() {
+        let f = SourceFile::new(
+            "crates/core/src/io.rs".into(),
+            "core".into(),
+            false,
+            b"pub fn parse_doc(s: &str) -> Result<u32, String> {\n    s.parse().map_err(|_| \"bad\".to_string())\n}\npub fn load_state(p: &str) -> Option<u32> {\n    let _ = p;\n    None\n}\npub fn open_typed(p: &str) -> Result<u32, AnalysisError> {\n    let _ = p;\n    Err(AnalysisError::bad(9999 as u16))\n}\n".to_vec(),
+        );
+        let e8: Vec<u32> = e008(&f).iter().map(|f| f.line).collect();
+        assert_eq!(e8, vec![1, 4, 10]);
+    }
+
+    #[test]
+    fn e008_generic_and_io_errors_pass() {
+        let f = SourceFile::new(
+            "crates/pcap/src/rdr.rs".into(),
+            "pcap".into(),
+            false,
+            b"pub fn read_all(p: &str) -> Result<Vec<u8>, io::Error> {\n    std::fs::read(p)\n}\npub fn map_with<E>(f: fn() -> Result<u32, E>) -> Result<u32, E> {\n    f()\n}\n".to_vec(),
+        );
+        assert!(e008(&f).is_empty(), "{:#?}", e008(&f));
     }
 }

@@ -2,23 +2,27 @@
 //!
 //! An offline, dependency-free analyzer that machine-checks the repo
 //! invariants no compiler lint can state. It lexes the workspace with a
-//! hand-rolled Rust lexer (no `syn`: the build is vendored-only), builds a
-//! per-file symbol table plus an approximate intra-crate call graph
-//! ([`symbols`]), and enforces five coded lints:
+//! hand-rolled Rust lexer (no `syn`: the build is vendored-only), reads
+//! fn signatures off the token stream ([`symbols`]), and enforces four
+//! coded lints, each a per-file check except E005's workspace-wide
+//! coverage join:
 //!
 //! | code | invariant |
 //! |------|-----------|
 //! | E001 | no computed slice indexing in non-test ingest code (`wire`, `pcap`, `proto`, `flow`, `core`); a literal or const index behind an up-front length check passes |
 //! | E002 | no unchecked offset arithmetic or truncating casts of length-derived values in parser hot paths (`wire`, `pcap`, `proto`) |
 //! | E005 | every `Table N`/`Figure N` claimed in `crates/core/src/analyses` is referenced from test code |
-//! | E006 | no nondeterminism on report-feeding paths in analysis crates: std `HashMap`/`HashSet` iteration reaching a report/signature/finalize sink without a sort or order-insensitive reduction, wall-clock/thread-id/env reads, float accumulation over unordered iteration |
 //! | E008 | error-taxonomy totality: public fallible fns in ingest crates return typed taxonomy errors — no `Result<_, String>`, no `bool`/`Option` smuggling on fallible-verb names, no truncating `as` casts inside `Err(..)` construction |
 //!
 //! Every check has one enforcer. What clippy or rustc already rejects is
 //! theirs: `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
 //! `unimplemented!` are denied for every crate by `[workspace.lints.clippy]`
-//! (formerly E001's other half), the crate-hygiene attributes by
-//! `[workspace.lints]` (formerly E003), and shared-state discipline by
+//! (formerly E001's other half), and so is report nondeterminism (formerly
+//! E006): `clippy.toml`'s `disallowed_types` keeps std `HashMap`/`HashSet`
+//! out of the report modules, `disallowed_methods` denies clock, thread-id
+//! and environment reads, and `iter_over_hash_type` a `for` over a hash
+//! collection. rustc holds the crate-hygiene attributes through
+//! `[workspace.lints]` (formerly E003), and shared-state discipline through
 //! `unsafe_code = "forbid"` plus `thread::scope`'s `Send` bound (formerly
 //! E007). What the workspace's own types and tests already pin is theirs
 //! too: the hot connection map's hasher by its type and the emission path's
@@ -27,11 +31,8 @@
 //! goldens (formerly E009), and orphan modules by `selfhost.rs` (formerly
 //! E004). The rule scopes are module `const`s beside each check.
 //!
-//! E006 and E008 are symbol-aware: they read the symbol layer
-//! ([`symbols::WorkspaceSymbols`]) rather than matching tokens alone, so a
-//! map iteration is only a finding when its enclosing function actually
-//! reaches a sink. Findings carry `file:line` anchors. A finding is
-//! silenced by an inline comment on the same line or the line above:
+//! Findings carry `file:line` anchors. A finding is silenced by an inline
+//! comment on the same line or the line above:
 //!
 //! ```text
 //! // ent-lint: allow(E001) — index bounded by the length check above
@@ -42,7 +43,6 @@
 //! (`crates/lint/tests/selfhost.rs`): the tree must stay at zero findings.
 
 pub mod checks;
-pub mod checks_det;
 pub mod lexer;
 pub mod report;
 pub mod source;
@@ -74,9 +74,9 @@ pub fn lint_sources(sources: Vec<SourceFile>) -> Report {
     for file in &sources {
         findings.extend(checks::e001(file));
         findings.extend(checks::e002(file));
+        findings.extend(checks::e008(file));
     }
     findings.extend(checks::e005(&sources));
-    findings.extend(checks_det::symbol_checks(&sources));
 
     let mut suppressed = 0usize;
     findings.retain(|f| {

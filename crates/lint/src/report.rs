@@ -7,8 +7,9 @@ use std::fmt;
 /// (crate-root attributes) and E007 (shared-state discipline) are rustc's
 /// through `[workspace.lints]` (`unsafe_code = "forbid"`) and
 /// `thread::scope`'s `Send` bound; E004 (registry totality) and E009
-/// (schema coverage) are the compiler's and the goldens' (§6a names the
-/// enforcer per rule).
+/// (schema coverage) are the compiler's and the goldens'; E006 (report
+/// determinism) is clippy's `disallowed_types`, `disallowed_methods` and
+/// `iter_over_hash_type` (§6a names the enforcer per rule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// Panic surface in ingest crates: computed slice indexing in non-test
@@ -22,12 +23,6 @@ pub enum Code {
     /// Paper-artifact coverage: every `Table N`/`Figure N` claimed in
     /// `crates/core/src/analyses` must be referenced from test code.
     E005,
-    /// Nondeterminism hazard in analysis code: iteration over a std
-    /// `HashMap`/`HashSet` on a path that reaches report/signature/
-    /// finalize sinks without an intervening sort or order-insensitive
-    /// reduction; wall-clock/thread-id/env reads; float accumulation over
-    /// unordered-map iteration.
-    E006,
     /// Error-taxonomy totality: public fallible functions in ingest crates
     /// must return a typed taxonomy error (no `Result<_, String>`, no
     /// `bool`/`Option` smuggling on fallible-verb names, no truncating
@@ -36,7 +31,7 @@ pub enum Code {
 }
 
 /// All live codes, in order.
-pub const ALL_CODES: [Code; 5] = [Code::E001, Code::E002, Code::E005, Code::E006, Code::E008];
+pub const ALL_CODES: [Code; 4] = [Code::E001, Code::E002, Code::E005, Code::E008];
 
 impl Code {
     /// The code as printed in findings and written in suppressions.
@@ -45,7 +40,6 @@ impl Code {
             Code::E001 => "E001",
             Code::E002 => "E002",
             Code::E005 => "E005",
-            Code::E006 => "E006",
             Code::E008 => "E008",
         }
     }
@@ -56,7 +50,6 @@ impl Code {
             Code::E001 => "computed slice index in ingest crate",
             Code::E002 => "unchecked wire-length arithmetic in parser hot path",
             Code::E005 => "paper artifact without test reference",
-            Code::E006 => "nondeterminism hazard in analysis path",
             Code::E008 => "untyped error on public fallible function",
         }
     }
@@ -126,7 +119,7 @@ mod tests {
         }
         // Retired codes stay retired: a stale `allow(..)` naming one
         // silences nothing.
-        for retired in ["E003", "E004", "E007", "E009"] {
+        for retired in ["E003", "E004", "E006", "E007", "E009"] {
             assert_eq!(Code::parse(retired), None, "{retired}");
         }
     }

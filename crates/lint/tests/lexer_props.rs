@@ -2,7 +2,7 @@
 //!
 //! The lint checks trust three lexer invariants absolutely — a violation of
 //! any of them turns into phantom findings (or a panic) somewhere in the
-//! live checks (E001, E002, E005, E006, E008):
+//! live checks (E001, E002, E005, E008):
 //!
 //! 1. **Spans are sliceable**: every token satisfies
 //!    `start < end <= src.len()` and tokens are non-overlapping, in order.

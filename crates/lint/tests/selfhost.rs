@@ -1,9 +1,10 @@
 //! Tier-1 gate: `ent-lint` run self-hosted over this workspace must report
 //! zero findings. Any new computed index in ingest code, unchecked parser
-//! arithmetic, untested paper artifact, nondeterminism hazard or untyped
-//! public error fails `cargo test` — not just `scripts/check.sh`. Beside
-//! it sit the two workspace-shape checks no compiler makes: every member
-//! opts into `[workspace.lints]`, and every source file is a module.
+//! arithmetic, untested paper artifact or untyped public error fails
+//! `cargo test` — not just `scripts/check.sh`. Beside it sit the
+//! workspace-shape checks no compiler makes: every member opts into
+//! `[workspace.lints]`, the determinism lints stay configured, and every
+//! source file is a module.
 
 use ent_lint::{find_workspace_root, lint_workspace, walk};
 use std::path::{Path, PathBuf};
@@ -59,6 +60,59 @@ fn every_member_opts_into_the_lint_policy() {
         let text = std::fs::read_to_string(&manifest).expect("member manifest readable");
         assert!(text.lines().any(|l| l.starts_with("[lints")), "{} has no [lints] table", manifest.display());
     }
+}
+
+/// Report determinism is clippy's (DESIGN §6a): std `HashMap`/`HashSet`
+/// are denied in the three report modules, and clock, thread-id and
+/// environment reads and a `for` over a hash collection everywhere. Each
+/// piece is one line of configuration that could go without a word from
+/// cargo or clippy, so this names whichever one is missing.
+#[test]
+fn determinism_lints_stay_configured() {
+    let root = workspace_root().expect("workspace root above crates/lint");
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    // The uncommented lines of a TOML table or array, up to the next one.
+    let section = |text: &str, head: &str| -> Vec<String> {
+        text.lines()
+            .map(str::trim)
+            .skip_while(|l| !l.starts_with(head))
+            .skip(1)
+            .take_while(|l| !l.starts_with('[') && *l != "]")
+            .filter(|l| !l.starts_with('#'))
+            .map(String::from)
+            .collect()
+    };
+    let mut missing = Vec::new();
+    let clippy = read("clippy.toml");
+    let lists: [(&str, &[&str]); 2] = [
+        ("disallowed-types", &["std::collections::HashMap", "std::collections::HashSet"]),
+        (
+            "disallowed-methods",
+            &["std::time::Instant::now", "std::time::SystemTime::now", "std::thread::current", "std::env::var", "std::env::var_os"],
+        ),
+    ];
+    for (list, paths) in lists {
+        let entries = section(&clippy, &format!("{list} = ["));
+        for path in paths {
+            if !entries.iter().any(|l| l.contains(&format!("path = \"{path}\""))) {
+                missing.push(format!("clippy.toml {list}: {path}"));
+            }
+        }
+    }
+    for (manifest, table) in [("Cargo.toml", "[workspace.lints.clippy]"), ("tests/Cargo.toml", "[lints.clippy]")] {
+        let lints = section(&read(manifest), table);
+        for lint in ["disallowed_methods = \"deny\"", "iter_over_hash_type = \"deny\""] {
+            if !lints.iter().any(|l| l == lint) {
+                missing.push(format!("{manifest} {table}: {lint}"));
+            }
+        }
+    }
+    for module in ["crates/core/src/analyses/mod.rs", "crates/core/src/study.rs", "crates/core/src/report.rs"] {
+        if !read(module).lines().any(|l| l.trim() == "#![deny(clippy::disallowed_types)]") {
+            missing.push(format!("{module}: #![deny(clippy::disallowed_types)]"));
+        }
+    }
+    assert!(missing.is_empty(), "determinism enforcers missing:\n{}", missing.join("\n"));
 }
 
 /// A `.rs` file under `crates/*/src` that no `mod name;` item in its parent

@@ -38,7 +38,7 @@ pub use format::{PcapWriter, LINKTYPE_ETHERNET, MAX_RECORD_BYTES};
 pub use merge::{merge_streams, merge_streams_with_stats, MergeStats};
 pub use recover::{IngestStats, RecordView, RecoveringReader};
 pub use tap::Tap;
-pub use trace::{Trace, TraceMeta};
+pub use trace::{keeps_payload, Trace, TraceMeta};
 
 use ent_wire::Timestamp;
 

@@ -32,12 +32,17 @@ pub struct TraceMeta {
     pub link_capacity_bps: u64,
 }
 
+/// True if a capture cut at `snaplen` keeps application payloads (full
+/// snaplen), i.e. its traces are usable for payload analyses. The paper
+/// omits D1/D2 (snaplen 68) from all application-layer message parsing.
+pub fn keeps_payload(snaplen: u32) -> bool {
+    snaplen >= 1500
+}
+
 impl TraceMeta {
-    /// True if application payloads were captured (full snaplen), i.e. the
-    /// trace is usable for payload analyses. The paper omits D1/D2
-    /// (snaplen 68) from all application-layer message parsing.
+    /// [`keeps_payload`] for this trace's snaplen.
     pub fn has_payload(&self) -> bool {
-        self.snaplen >= 1500
+        keeps_payload(self.snaplen)
     }
 }
 

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 /// Classification of the client software issuing a request, from the
 /// User-Agent header. The paper separates these automated clients out
 /// before characterizing "ordinary" browsing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ClientKind {
     /// Ordinary interactive browser.
     Browser,

@@ -65,13 +65,6 @@ pub fn parse_record(buf: &[u8]) -> Option<(Record, usize)> {
     (buf.len() >= used).then_some((rec, used))
 }
 
-/// True if the stream prefix looks like a TLS ClientHello.
-pub fn looks_like_client_hello(buf: &[u8]) -> bool {
-    matches!(parse_record(buf), Some((r, _)) if r.rtype == RecordType::Handshake)
-        && buf.len() > 5
-        && buf[5] == 1
-}
-
 /// Tracks handshake completion across both directions of a connection.
 #[derive(Debug, Default)]
 pub struct TlsTracker {
@@ -182,7 +175,6 @@ mod tests {
         let (ch, sf, ccc, scc) = encode_handshake();
         let mut t = TlsTracker::new();
         t.feed(true, &ch);
-        assert!(looks_like_client_hello(&ch));
         t.feed(false, &sf);
         t.feed(true, &ccc);
         t.feed(false, &scc);
@@ -218,7 +210,6 @@ mod tests {
         assert_eq!(rec.length, 2);
         assert_eq!(used, 7);
         assert!(parse_record(&r[..6]).is_none());
-        assert!(!looks_like_client_hello(&r));
     }
 
     #[test]

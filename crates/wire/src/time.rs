@@ -36,26 +36,10 @@ impl Timestamp {
         Timestamp(s * 1_000_000)
     }
 
-    /// Construct from fractional seconds. Negative inputs clamp to zero.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            Timestamp(0)
-        } else {
-            Timestamp((s * 1e6).round() as u64)
-        }
-    }
-
     /// Microseconds since the epoch.
     #[inline]
     pub const fn micros(self) -> u64 {
         self.0
-    }
-
-    /// Fractional seconds since the epoch.
-    #[inline]
-    pub fn secs_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Split into (seconds, microseconds-within-second) as stored by pcap.
@@ -64,25 +48,10 @@ impl Timestamp {
         ((self.0 / 1_000_000) as u32, (self.0 % 1_000_000) as u32)
     }
 
-    /// Recombine a pcap (seconds, microseconds) pair.
-    #[inline]
-    pub const fn from_sec_usec(sec: u32, usec: u32) -> Self {
-        Timestamp(sec as u64 * 1_000_000 + usec as u64)
-    }
-
     /// Saturating difference in microseconds (`self - earlier`).
     #[inline]
     pub const fn saturating_micros_since(self, earlier: Timestamp) -> u64 {
         self.0.saturating_sub(earlier.0)
-    }
-
-    /// Checked addition of a microsecond offset.
-    #[inline]
-    pub const fn checked_add_micros(self, us: u64) -> Option<Timestamp> {
-        match self.0.checked_add(us) {
-            Some(v) => Some(Timestamp(v)),
-            None => None,
-        }
     }
 }
 
@@ -125,15 +94,7 @@ mod tests {
     fn conversions() {
         let t = Timestamp::from_millis(1_234);
         assert_eq!(t.micros(), 1_234_000);
-        assert_eq!(t.secs_f64(), 1.234);
         assert_eq!(t.to_sec_usec(), (1, 234_000));
-        assert_eq!(Timestamp::from_sec_usec(1, 234_000), t);
-    }
-
-    #[test]
-    fn from_secs_f64_clamps_negative() {
-        assert_eq!(Timestamp::from_secs_f64(-1.0), Timestamp::ZERO);
-        assert_eq!(Timestamp::from_secs_f64(0.5).micros(), 500_000);
     }
 
     #[test]
@@ -148,11 +109,5 @@ mod tests {
     #[test]
     fn display_pads_microseconds() {
         assert_eq!(Timestamp::from_micros(1_000_005).to_string(), "1.000005");
-    }
-
-    #[test]
-    fn checked_add_overflow() {
-        assert_eq!(Timestamp::from_micros(u64::MAX).checked_add_micros(1), None);
-        assert!(Timestamp::ZERO.checked_add_micros(5).is_some());
     }
 }

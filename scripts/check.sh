@@ -11,6 +11,10 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> cargo clippy --workspace --all-targets (warnings denied)"
+# Beside the panic surface, clippy carries the determinism rules
+# (clippy.toml, [workspace.lints.clippy]): std HashMap/HashSet are denied in
+# ent-core's report modules (analyses, study, report), clock, thread-id and
+# environment reads and a `for` over a hash collection everywhere.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> ent-lint (workspace static analysis, zero findings required)"

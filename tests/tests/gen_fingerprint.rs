@@ -67,7 +67,9 @@ fn check_golden(
     golden: &[(&str, u64, usize)],
     what: &str,
 ) {
-    if std::env::var_os("ENT_PRINT_FINGERPRINTS").is_some() {
+    #[expect(clippy::disallowed_methods, reason = "opt-in printing of new goldens; asserts nothing")]
+    let print = std::env::var_os("ENT_PRINT_FINGERPRINTS").is_some();
+    if print {
         for (name, digest, traces) in &got {
             println!("    (\"{name}\", {digest:#018x}, {traces}),");
         }
