@@ -16,7 +16,7 @@ use crate::small::SmallMap;
 use ent_flow::{
     ConnIndex, ConnSummary, ConnTable, Dir, FlowHandler, FlowKey, FlowStats, Proto, TableConfig,
 };
-use ent_pcap::{RecoveringReader, Trace, TraceMeta};
+use ent_pcap::{PacketArena, RecoveringReader, Trace, TraceMeta};
 use ent_proto::dns::QType;
 use ent_proto::http::HttpAnalyzer;
 use ent_proto::imap::ImapAnalyzer;
@@ -54,8 +54,9 @@ pub struct PipelineConfig {
     /// Any other value is the one worker lane: the loop dissects on the
     /// caller's thread and a second thread ingests (`crate::shard`),
     /// event-for-event identical to `0`, peak included. There is no second
-    /// lane. Every batch entry point honors this — [`analyze_packets`],
-    /// [`analyze_trace`] and [`analyze_capture`] are one session; the
+    /// lane. Every batch entry point honors this — [`analyze_arena`],
+    /// [`analyze_packets`], [`analyze_trace`] and [`analyze_capture`] are
+    /// one session; the
     /// resident monitor ignores it (its epoch rotation drives a single
     /// engine — see `MonitorConfig`).
     pub shards: usize,
@@ -730,31 +731,51 @@ impl<'a> Lane<'a> for Engine {
     }
 }
 
-/// The one frame loop: dissect each frame once, keep the stream clock,
-/// hand the frame to the lane. The first frame and every [`LAP_STRIDE`]th
-/// after it are clocked from before their parse. Returns the trace's
-/// absolute end — the nominal duration past the first frame, or the last
-/// frame seen, whichever is later — at which the lane then closes its
-/// window.
-pub(crate) fn run_frames<'a>(
-    frames: impl Iterator<Item = FrameRef<'a>>,
-    nominal: Timestamp,
-    lane: &mut impl Lane<'a>,
-) -> Timestamp {
-    let mut clock = StreamClock::default();
-    for (n, p) in (0u64..).zip(frames) {
-        let clocked = n.is_multiple_of(LAP_STRIDE);
+/// The one frame loop, one frame at a time: dissect each frame once, keep
+/// the stream clock, hand the frame to the lane. The first frame and every
+/// [`LAP_STRIDE`]th after it are clocked from before their parse.
+#[derive(Default)]
+struct FrameLoop {
+    frames: u64,
+    clock: StreamClock,
+}
+
+impl FrameLoop {
+    #[inline]
+    fn step<'a>(&mut self, p: FrameRef<'a>, lane: &mut impl Lane<'a>) {
+        let clocked = self.frames.is_multiple_of(LAP_STRIDE);
+        self.frames += 1;
         if clocked {
             lane.start_lap();
         }
         let parsed = Packet::parse(p.frame);
         let pkt = parsed.as_ref().ok();
-        if clock.tick(p.ts, pkt.is_some()) {
+        if self.clock.tick(p.ts, pkt.is_some()) {
             lane.open(p.ts.micros());
         }
         lane.push(p, pkt, clocked);
     }
-    clock.end_after(nominal.micros())
+
+    /// The trace's absolute end — the nominal duration past the first
+    /// frame, or the last frame seen, whichever is later — at which the
+    /// lane then closes its window.
+    fn end(&self, nominal: Timestamp) -> Timestamp {
+        self.clock.end_after(nominal.micros())
+    }
+}
+
+/// The frame loop over borrowed frames; returns the trace's end
+/// ([`FrameLoop::end`]).
+pub(crate) fn run_frames<'a>(
+    frames: impl Iterator<Item = FrameRef<'a>>,
+    nominal: Timestamp,
+    lane: &mut impl Lane<'a>,
+) -> Timestamp {
+    let mut frame_loop = FrameLoop::default();
+    for p in frames {
+        frame_loop.step(p, lane);
+    }
+    frame_loop.end(nominal)
 }
 
 /// Pre-size hot structures from a packet-count hint. Connection
@@ -800,6 +821,40 @@ where
     ingest(meta, frames, config, packets_hint)
 }
 
+/// Analyze a generated trace straight out of its arena: the study's entry
+/// point. Inline (`shards == 0`) the frame loop reads
+/// [`PacketArena::stream`], which writes each record into one reused
+/// frame buffer as the loop reads it, so that write is part of the
+/// `frame_parse` / `flow_ingest` wall (as the reader is for
+/// [`analyze_capture`]) and no buffer holds a payload trace's filler. The
+/// worker lane keeps many frames in flight, so it reads the arena's one
+/// materialisation ([`PacketArena::captured_frames`]).
+pub fn analyze_arena(
+    meta: &TraceMeta,
+    arena: &mut PacketArena,
+    config: &PipelineConfig,
+) -> TraceAnalysis {
+    let packets_hint = arena.len();
+    if config.shards != 0 {
+        return analyze_packets(meta, arena.captured_frames(), config, packets_hint);
+    }
+    let total = StageTimer::start();
+    let mut engine = new_engine(meta, config, packets_hint);
+    let mut frame_loop = FrameLoop::default();
+    let mut frames = arena.stream();
+    while let Some((ts, frame, orig_len)) = frames.next_frame() {
+        frame_loop.step(FrameRef { ts, frame, orig_len }, &mut engine);
+    }
+    let window = engine.close_window(frame_loop.end(meta.duration), TraceAnalysis::default());
+    seal(window, config, total)
+}
+
+/// A batch session's engine, its window sized to the trace.
+fn new_engine(meta: &TraceMeta, config: &PipelineConfig, packets_hint: usize) -> Engine {
+    let out = window_analysis(meta, meta.duration.micros() / 1_000_000);
+    Engine::new(out, config, meta.has_payload(), expected_conns_hint(packets_hint))
+}
+
 /// One batch ingest session: the frame loop over `frames`, feeding either
 /// the inline engine or the worker lane (`config.shards > 0`); the lane
 /// closes its window at the loop's end-of-trace; the seal turns the window
@@ -811,17 +866,12 @@ fn ingest<'a>(
     packets_hint: usize,
 ) -> TraceAnalysis {
     let total = StageTimer::start();
-    let expected = expected_conns_hint(packets_hint);
-    let new_engine = || {
-        let out = window_analysis(meta, meta.duration.micros() / 1_000_000);
-        Engine::new(out, config, meta.has_payload(), expected)
-    };
     let window = if config.shards == 0 {
-        let mut engine = new_engine();
+        let mut engine = new_engine(meta, config, packets_hint);
         let end = run_frames(frames, meta.duration, &mut engine);
         engine.close_window(end, TraceAnalysis::default())
     } else {
-        crate::shard::run_lanes(frames, meta.duration, &new_engine)
+        crate::shard::run_lanes(frames, meta.duration, &|| new_engine(meta, config, packets_hint))
     };
     seal(window, config, total)
 }

@@ -8,7 +8,7 @@
 //! same queue.
 
 use crate::metrics::{PipelineMetrics, Stage, StageTimer};
-use crate::pipeline::{analyze_packets, PipelineConfig};
+use crate::pipeline::{analyze_arena, PipelineConfig};
 use crate::records::{IngestHealth, TraceAnalysis};
 use ent_gen::build::{build_site, generate_trace_into, GenConfig, GenTiming};
 use ent_gen::dataset::{all_datasets, DatasetSpec};
@@ -116,7 +116,7 @@ pub(crate) fn analyze_generated(
     let gt = StageTimer::start();
     let (meta, gen) = generate(arena);
     let gen_ns = gt.elapsed_ns();
-    let mut analysis = analyze_packets(&meta, arena.captured_frames(), pipeline, arena.len());
+    let mut analysis = analyze_arena(&meta, arena, pipeline);
     let stages = &mut analysis.metrics.stages;
     stages[Stage::Generate].add(gen_ns, arena.len() as u64, arena.wire_bytes());
     // The generation sub-stages (all nested inside `generate`): session

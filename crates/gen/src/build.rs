@@ -99,11 +99,12 @@ pub fn generate_trace(
 /// The zero-copy core of trace generation: emit, sort and tap the trace
 /// entirely inside a caller-owned [`PacketArena`](ent_pcap::PacketArena),
 /// returning the per-sub-stage [`GenTiming`] breakdown beside the meta.
-/// Afterwards the arena holds the post-tap capture as `(ts, offset, len)`
-/// records over a single byte buffer that stores each frame cut at
-/// `spec.snaplen` (the generator writes what the tap keeps); callers
-/// either iterate it borrowed (`captured_frames`, what the study pipeline
-/// does) or materialize owned packets (`captured_packets`). A worker loop reuses one arena's buffers
+/// Afterwards the arena holds the post-tap capture as records over a
+/// single byte store of frame prefixes cut at `spec.snaplen` (the
+/// generator writes what the tap keeps, and leaves filler runs
+/// symbolic); callers stream it (`stream`, what the study pipeline does),
+/// iterate it borrowed (`captured_frames`) or materialize owned packets
+/// (`captured_packets`). A worker loop reuses one arena's buffers
 /// across many traces: after the first trace the steady-state emission
 /// path performs no heap allocation at all. The arena is cleared
 /// (capacity kept) before generation.

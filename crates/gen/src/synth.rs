@@ -83,8 +83,8 @@ pub enum Close {
 /// Most of the corpus's payload volume is a short protocol head (status
 /// line, RPC header, record header) followed by a constant filler. Keeping
 /// the filler symbolic lets [`emit_tcp`]/[`emit_udp`] hand the frame
-/// builders a [`build::SplitPayload`], which checksums the run in O(1) and
-/// writes it with one memset — the template-slot fast path of DESIGN §8c.
+/// builders a [`build::SplitPayload`], which checksums the run in O(1);
+/// the arena stores only its byte, and the frame's reader writes it out.
 /// Fully-literal payloads use the head alone (`fill_len == 0`).
 #[derive(Debug, Clone)]
 pub struct Payload {
@@ -329,7 +329,7 @@ impl<R: Rng + ?Sized> TcpSim<'_, R> {
         }
         let tmpl = if from_client { &self.c_tmpl } else { &self.s_tmpl };
         let snaplen = self.out.snaplen();
-        build::tcp_frame_split_into(tmpl, seq, ack, flags, payload, snaplen, self.out.frame_buf());
+        build::tcp_frame_split_into(tmpl, seq, ack, flags, payload, snaplen, &mut *self.out);
         self.out.commit(ts, wire);
     }
 
@@ -611,7 +611,7 @@ pub fn emit_udp(spec: &UdpFlowSpec, out: &mut PacketArena, clip: Clip) {
         let wire = build::UDP_HDR_LEN + m.payload.len();
         if out.admit(ts, clip, wire as u64) {
             let snaplen = out.snaplen();
-            build::udp_frame_split_into(tmpl, m.payload.split(), snaplen, out.frame_buf());
+            build::udp_frame_split_into(tmpl, m.payload.split(), snaplen, &mut *out);
             out.commit(ts, wire);
         }
     }

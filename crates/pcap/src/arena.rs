@@ -3,18 +3,29 @@
 //! The generator used to materialize every packet as its own
 //! `TimedPacket { ts, frame: Vec<u8> }`, millions of small heap
 //! allocations per trace that dominated generation wall time. A
-//! [`PacketArena`] instead stores all frame bytes back-to-back in one
-//! growing buffer and represents each packet as a `(ts, offset, len)`
-//! record. Sessions append frames via [`PacketArena::frame_buf`] +
-//! [`PacketArena::commit`]; the trace assembly then orders records with
-//! [`PacketArena::sort_records`] and materializes the surviving
-//! post-[`Tap`](crate::Tap) packets in one pass.
+//! [`PacketArena`] instead stores frames back-to-back in one growing byte
+//! store and represents each packet as a 24-byte record. Sessions append
+//! frames through the arena's [`FrameSink`] (or
+//! [`PacketArena::frame_buf`]) + [`PacketArena::commit`]; the trace
+//! assembly then orders records with [`PacketArena::sort_records`] and
+//! drops the [`Tap`](crate::Tap)'s losses in place.
 //!
-//! The arena knows the capture's snaplen ([`PacketArena::set_snaplen`])
-//! and stores only what the tap will keep: writers stop at
-//! [`PacketArena::snaplen`] bytes and a record's captured length is
-//! always `min(len, snaplen)`, so a header-only trace (snaplen 68)
-//! occupies 68 bytes per packet however long its frames were on the wire.
+//! The arena stores only what cannot be recomputed. A generated frame is
+//! a header image and a protocol head, then a run of one filler byte up
+//! to its captured length. The byte store keeps the non-filler prefix
+//! (header image ∥ protocol head, cut at the snaplen); the record keeps
+//! the filler byte and the prefix length. The captured length is always
+//! `min(len, snaplen)` ([`PacketArena::set_snaplen`]), so the filler
+//! length is derived, not stored. A full-payload trace thus occupies its
+//! headers, not its 1500-byte frames.
+//!
+//! Frames become bytes in one place, [`write_frame`]: prefix copy plus
+//! filler memset. The study's frame loop reads them through
+//! [`PacketArena::stream`], which writes each record into one reused
+//! scratch frame as it is read; callers that keep many frames alive at
+//! once ([`PacketArena::captured_frames`] and the views built on it) get
+//! borrowed slices of one materialisation the arena performs on the
+//! first such request.
 //!
 //! The arena also owns the monitoring-window cutoff that used to be a
 //! post-hoc `retain`: [`PacketArena::admit`] rejects packets timestamped
@@ -23,7 +34,13 @@
 //! emission counts match the old emit-then-retain pipeline.
 
 use crate::{Tap, TimedPacket};
+use ent_wire::build::FrameSink;
 use ent_wire::Timestamp;
+use std::sync::OnceLock;
+
+/// The largest snaplen an arena captures at, the classic pcap maximum: a
+/// stored prefix length always fits the record's `u16`.
+const MAX_SNAPLEN: usize = u16::MAX as usize;
 
 /// How an out-of-window packet at an emission site is accounted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,34 +54,62 @@ pub enum Clip {
     Silent,
 }
 
-/// One staged packet: timestamp, where the frame's stored bytes start in
-/// the byte buffer, and its wire length. The stored (= captured) length
-/// is not a field: it is `min(len, snaplen)` for the arena's snaplen (see
-/// [`PacketArena::frame`]), which keeps the record at 24 bytes through
-/// the sort. `label` is the ground-truth tag active at commit time (see
-/// [`PacketArena::set_label`]); it rides with the record through
-/// [`PacketArena::sort_records`] and [`PacketArena::apply_tap`] but
-/// never enters the frame bytes.
+/// One staged packet: timestamp, where its stored prefix starts in the
+/// byte store, its wire length, the prefix length (`head`) and the filler
+/// byte that runs from the prefix to the captured length `min(len,
+/// snaplen)` (see [`write_frame`]). `label` is the ground-truth tag
+/// active at commit time (see [`PacketArena::set_label`]); it rides with
+/// the record through [`PacketArena::sort_records`] and
+/// [`PacketArena::apply_tap`] but never enters the frame bytes.
 #[derive(Debug, Clone, Copy)]
 struct Rec {
     ts: Timestamp,
-    off: u64,
+    off: u32,
     len: u32,
     label: u32,
+    head: u16,
+    fill: u8,
 }
 
-/// Arena of trace packets: one contiguous byte buffer plus per-packet
-/// `(ts, offset, len)` records.
+// The sort moves records, not frames: their size is its cost.
+const _: () = assert!(std::mem::size_of::<Rec>() == 24);
+
+impl Rec {
+    /// Captured length under `snaplen`.
+    fn captured(&self, snaplen: usize) -> usize {
+        (self.len as usize).min(snaplen)
+    }
+}
+
+/// The one frame writer: append record `r`'s captured frame to `out` —
+/// its stored prefix (cut at the captured length), then its filler run.
+/// The streamed frames and the arena's materialisation both go through
+/// it.
+fn write_frame(store: &[u8], snaplen: usize, r: &Rec, out: &mut Vec<u8>) {
+    let captured = r.captured(snaplen);
+    let start = r.off as usize;
+    let head = usize::from(r.head).min(captured);
+    let prefix = store.get(start..start.saturating_add(head)).unwrap_or(&[]);
+    debug_assert_eq!(prefix.len(), head, "record at {start} runs past the byte store");
+    out.extend_from_slice(prefix);
+    out.resize(out.len() + (captured - prefix.len()), r.fill);
+}
+
+/// Arena of trace packets: one contiguous store of frame prefixes plus
+/// per-packet records.
 #[derive(Debug, Clone)]
 pub struct PacketArena {
     buf: Vec<u8>,
     recs: Vec<Rec>,
     /// Monitoring-window limit: packets with `ts >= limit` are refused.
     limit: Timestamp,
-    /// Capture snaplen: no record stores more than this many frame bytes.
+    /// Capture snaplen: no record captures more than this many bytes.
     snaplen: usize,
     /// Start of the frame currently being built in `buf`.
     watermark: usize,
+    /// Filler byte and run length the frame being built ends with, as its
+    /// writer announced them ([`FrameSink::fill`]).
+    pending_fill: (u8, usize),
     /// Wire bytes of all committed records.
     wire_bytes: u64,
     /// Out-of-window packets tallied by [`Clip::Counted`] admissions.
@@ -73,27 +118,38 @@ pub struct PacketArena {
     ghost_bytes: u64,
     /// Ground-truth label stamped onto subsequently committed records.
     cur_label: u32,
+    /// The radix sort's second record buffer, kept for the next sort.
+    sort_scratch: Vec<Rec>,
+    /// The one frame [`PacketArena::stream`] writes each record into.
+    frame_scratch: Vec<u8>,
+    /// Every captured frame back to back in record order, written on the
+    /// first borrowed view and dropped by anything that changes a record.
+    frames: OnceLock<Vec<u8>>,
 }
 
 impl PacketArena {
-    /// An arena admitting packets strictly before `limit`, storing full
-    /// frames (no snaplen).
+    /// An arena admitting packets strictly before `limit`, capturing up to
+    /// 65 535 bytes a frame.
     pub fn new(limit: Timestamp) -> PacketArena {
         PacketArena {
             buf: Vec::new(),
             recs: Vec::new(),
             limit,
-            snaplen: usize::MAX,
+            snaplen: MAX_SNAPLEN,
             watermark: 0,
+            pending_fill: (0, 0),
             wire_bytes: 0,
             ghost_packets: 0,
             ghost_bytes: 0,
             cur_label: 0,
+            sort_scratch: Vec::new(),
+            frame_scratch: Vec::new(),
+            frames: OnceLock::new(),
         }
     }
 
-    /// An arena with no window limit and no snaplen (admits and stores
-    /// everything).
+    /// An arena with no window limit, capturing up to 65 535 bytes a frame
+    /// (admits everything and stores whole frames).
     pub fn unbounded() -> PacketArena {
         PacketArena::new(Timestamp::from_micros(u64::MAX))
     }
@@ -104,20 +160,23 @@ impl PacketArena {
         self.limit = limit;
     }
 
-    /// Set the capture snaplen: frames committed from now on store at most
-    /// `snaplen` bytes ([`PacketArena::clear`] keeps it, like the window
-    /// limit). Records already committed were stored under the old value,
-    /// so with any present the snaplen can only go down.
+    /// Set the capture snaplen, at most 65 535: frames committed from now
+    /// on capture at most `snaplen` bytes ([`PacketArena::clear`] keeps
+    /// it, like the window limit). Records already committed were stored
+    /// under the old value, so with any present the snaplen can only go
+    /// down.
     pub fn set_snaplen(&mut self, snaplen: usize) {
+        let snaplen = snaplen.min(MAX_SNAPLEN);
         self.snaplen = if self.recs.is_empty() {
             snaplen
         } else {
             self.snaplen.min(snaplen)
         };
+        self.frames = OnceLock::new();
     }
 
     /// The capture snaplen: how many bytes of a frame a writer needs to
-    /// append before [`PacketArena::commit`].
+    /// produce before [`PacketArena::commit`].
     pub fn snaplen(&self) -> usize {
         self.snaplen
     }
@@ -151,36 +210,51 @@ impl PacketArena {
         false
     }
 
-    /// The byte buffer, positioned for appending one frame. Callers
-    /// extend it (e.g. via `ent_wire::build::tcp_frame_split_into` with
-    /// [`PacketArena::snaplen`] as the limit) then call
-    /// [`PacketArena::commit`] with the timestamp and wire length.
+    /// The byte store, positioned for appending one whole frame, for
+    /// writers without a filler run (ICMP, raw IP, prebuilt frames).
+    /// Callers extend it, then call [`PacketArena::commit`] with the
+    /// timestamp and wire length. Split-payload frames go through the
+    /// arena's [`FrameSink`] instead, which keeps the filler symbolic.
     pub fn frame_buf(&mut self) -> &mut Vec<u8> {
         &mut self.buf
     }
 
-    /// Record the bytes appended since the last commit as one packet of
-    /// `wire_len` bytes on the wire. The writer must have appended at
-    /// least the first `min(wire_len, snaplen)` frame bytes; anything
-    /// beyond that is cut off here, so a writer that ignores the snaplen
-    /// costs time but never changes what is stored.
+    /// Record the bytes appended since the last commit, plus the filler
+    /// run their writer announced, as one packet of `wire_len` bytes on
+    /// the wire. Together they must cover the first `min(wire_len,
+    /// snaplen)` frame bytes; appended bytes beyond that are cut off
+    /// here, so a writer that ignores the snaplen costs time but never
+    /// changes what is stored.
     pub fn commit(&mut self, ts: Timestamp, wire_len: usize) {
-        let off = self.watermark;
-        let end = off + wire_len.min(self.snaplen);
+        let start = self.watermark;
+        let captured = wire_len.min(self.snaplen);
+        let head = (self.buf.len() - start).min(captured);
+        let (fill, fill_len) = std::mem::take(&mut self.pending_fill);
         debug_assert!(
-            self.buf.len() >= end,
-            "commit of {wire_len} wire bytes over {} appended",
-            self.buf.len().saturating_sub(off)
+            head + fill_len >= captured,
+            "commit of {wire_len} wire bytes over {head} appended and {fill_len} filler"
         );
-        self.buf.truncate(end);
+        let (Ok(off), Ok(head16)) = (u32::try_from(start), u16::try_from(head)) else {
+            // The store addresses 4 GiB of prefixes: a frame past that is
+            // tallied like an out-of-window one, never stored at a
+            // wrapped offset.
+            self.buf.truncate(start);
+            self.ghost_packets += 1;
+            self.ghost_bytes += wire_len as u64;
+            return;
+        };
+        self.buf.truncate(start + head);
         self.watermark = self.buf.len();
         self.wire_bytes += wire_len as u64;
         self.recs.push(Rec {
             ts,
-            off: off as u64,
+            off,
             len: wire_len as u32,
             label: self.cur_label,
+            head: head16,
+            fill,
         });
+        self.frames = OnceLock::new();
     }
 
     /// Convenience: admit + append a prebuilt frame (up to the snaplen) +
@@ -215,18 +289,17 @@ impl PacketArena {
     }
 
     /// Order records by timestamp, equal timestamps staying in emission
-    /// order. The key is the timestamp alone: records are committed in
-    /// ascending `off`, so the *stable* sort's tie-break already is the
-    /// emission offset, and a `(ts, off)` key would only make every
-    /// compare two words wide. Stability is deliberate twice over — the
-    /// record list is a concatenation of per-session ascending runs, which
-    /// merge sort detects and exploits; pattern-defeating quicksort
-    /// measures ~2x slower on this shape.
+    /// order: a stable LSD radix sort over the digits of the microsecond
+    /// key that actually vary, scattering between the record list and a
+    /// scratch list the arena keeps, so a warm arena sorts without
+    /// allocating.
     pub fn sort_records(&mut self) {
-        self.recs.sort_by_key(|r| r.ts);
+        radix_sort_by_ts(&mut self.recs, &mut self.sort_scratch);
+        self.frames = OnceLock::new();
     }
 
-    /// Frame bytes held in the byte buffer: at most `snaplen` per record.
+    /// Prefix bytes held in the byte store: at most `snaplen` per record,
+    /// and no filler.
     pub fn stored_bytes(&self) -> usize {
         self.buf.len()
     }
@@ -247,13 +320,14 @@ impl PacketArena {
     /// drop counter walks the trace in time order.
     pub fn apply_tap(&mut self, tap: &mut Tap) -> u64 {
         self.snaplen = self.snaplen.min(tap.snaplen());
+        self.frames = OnceLock::new();
         let snaplen = self.snaplen;
         let mut captured = 0u64;
         let mut dropped_wire = 0u64;
         self.recs.retain(|r| {
             let kept = tap.admit(r.len as usize).is_some();
             if kept {
-                captured += (r.len as usize).min(snaplen) as u64;
+                captured += r.captured(snaplen) as u64;
             } else {
                 dropped_wire += r.len as u64;
             }
@@ -263,35 +337,50 @@ impl PacketArena {
         captured
     }
 
-    /// The captured bytes of one record: `min(len, snaplen)` bytes from
-    /// its offset. This is the only place a record becomes a slice, and
-    /// it is clamped to the buffer: frames sit back to back, so a slice
-    /// cut longer than what was stored would not fail, it would run on
-    /// into the next frame's bytes.
-    fn frame(&self, r: &Rec) -> &[u8] {
-        let len = (r.len as usize).min(self.snaplen);
-        let stored = self.buf.get(r.off as usize..).unwrap_or(&[]);
-        debug_assert!(
-            stored.len() >= len,
-            "record at {} does not resolve inside the byte buffer",
-            r.off
-        );
-        stored.get(..len).unwrap_or(stored)
+    /// The captured frames in record order, each written into one reused
+    /// scratch frame as it is read — the study's frame loop reads a trace
+    /// this way, so no buffer ever holds more than one frame's filler.
+    pub fn stream(&mut self) -> FrameStream<'_> {
+        FrameStream {
+            recs: self.recs.iter(),
+            store: &self.buf,
+            snaplen: self.snaplen,
+            frame: &mut self.frame_scratch,
+        }
+    }
+
+    /// Every captured frame back to back in record order: materialised by
+    /// the first call after a change, borrowed thereafter.
+    fn materialised(&self) -> &[u8] {
+        self.frames.get_or_init(|| {
+            let total = self.recs.iter().map(|r| r.captured(self.snaplen)).sum();
+            let mut out = Vec::with_capacity(total);
+            for r in &self.recs {
+                write_frame(&self.buf, self.snaplen, r, &mut out);
+            }
+            out
+        })
     }
 
     /// Borrowed views of the captured packets in record order:
-    /// `(timestamp, captured frame bytes, original wire length)`.
+    /// `(timestamp, captured frame bytes, original wire length)`. The
+    /// first view after a change materialises every frame once;
+    /// [`PacketArena::stream`] is the one-frame-at-a-time form.
     pub fn captured_frames(&self) -> impl Iterator<Item = (Timestamp, &[u8], u32)> + '_ {
-        self.recs.iter().map(|r| (r.ts, self.frame(r), r.len))
+        self.labeled_frames().map(|(ts, frame, len, _)| (ts, frame, len))
     }
 
     /// Like [`PacketArena::captured_frames`] but with each record's
     /// ground-truth label appended:
     /// `(timestamp, captured frame bytes, original wire length, label)`.
     pub fn labeled_frames(&self) -> impl Iterator<Item = (Timestamp, &[u8], u32, u32)> + '_ {
-        self.recs
-            .iter()
-            .map(|r| (r.ts, self.frame(r), r.len, r.label))
+        let mut at = 0usize;
+        self.recs.iter().map(move |r| {
+            let end = at + r.captured(self.snaplen);
+            let frame = self.materialised().get(at..end).unwrap_or(&[]);
+            at = end;
+            (r.ts, frame, r.len, r.label)
+        })
     }
 
     /// Histogram of record labels in ascending label order. The counts
@@ -323,10 +412,116 @@ impl PacketArena {
         self.buf.clear();
         self.recs.clear();
         self.watermark = 0;
+        self.pending_fill = (0, 0);
         self.wire_bytes = 0;
         self.ghost_packets = 0;
         self.ghost_bytes = 0;
         self.cur_label = 0;
+        self.frames = OnceLock::new();
+    }
+}
+
+/// The arena as a frame writer's destination: literal bytes land in the
+/// byte store, the filler run that ends the frame is only noted, and
+/// [`PacketArena::commit`] stores its byte on the record.
+impl FrameSink for PacketArena {
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn fill(&mut self, byte: u8, n: usize) {
+        self.pending_fill = (byte, n);
+    }
+}
+
+/// The captured frames of an arena in record order, each written into the
+/// arena's one reused frame buffer as it is read ([`PacketArena::stream`]).
+#[derive(Debug)]
+pub struct FrameStream<'a> {
+    recs: std::slice::Iter<'a, Rec>,
+    store: &'a [u8],
+    snaplen: usize,
+    frame: &'a mut Vec<u8>,
+}
+
+impl FrameStream<'_> {
+    /// The next record as `(timestamp, captured frame bytes, original wire
+    /// length)`; the bytes stay valid until the next call.
+    #[inline]
+    pub fn next_frame(&mut self) -> Option<(Timestamp, &[u8], u32)> {
+        let r = self.recs.next()?;
+        self.frame.clear();
+        write_frame(self.store, self.snaplen, r, self.frame);
+        Some((r.ts, self.frame.as_slice(), r.len))
+    }
+}
+
+/// Bits per radix digit: 256 counters per digit stay in L1 beside the
+/// records streaming through.
+const DIGIT_BITS: u32 = 8;
+/// Buckets per digit.
+const BUCKETS: usize = 1 << DIGIT_BITS;
+/// Digits in a 64-bit key.
+const DIGITS: usize = (u64::BITS / DIGIT_BITS) as usize;
+
+/// The digit of `key` at bit offset `shift`.
+fn bucket(key: u64, shift: u32) -> usize {
+    ((key >> shift) as usize) & (BUCKETS - 1)
+}
+
+/// Stable LSD radix sort of `recs` by timestamp. Only digits in which some
+/// timestamp differs from the first get a pass (a trace an hour long
+/// varies in four of eight); one counting pass histograms all of them,
+/// then each scatters `recs` into `scratch` in order and the two swap.
+/// Every pass is stable, so equal timestamps keep their emission order.
+fn radix_sort_by_ts(recs: &mut Vec<Rec>, scratch: &mut Vec<Rec>) {
+    let Some(&first) = recs.first() else {
+        return;
+    };
+    let base = first.ts.micros();
+    let varying = recs.iter().fold(0, |acc, r| acc | (r.ts.micros() ^ base));
+    let mut shifts = [0u32; DIGITS];
+    let mut active = 0;
+    for shift in (0..u64::BITS).step_by(DIGIT_BITS as usize) {
+        if bucket(varying, shift) != 0 {
+            if let Some(slot) = shifts.get_mut(active) {
+                *slot = shift;
+                active += 1;
+            }
+        }
+    }
+    let shifts = shifts.get(..active).unwrap_or(&[]);
+    if shifts.is_empty() {
+        return;
+    }
+    let mut counts = [[0usize; BUCKETS]; DIGITS];
+    for r in recs.iter() {
+        let key = r.ts.micros();
+        for (&shift, hist) in shifts.iter().zip(counts.iter_mut()) {
+            if let Some(c) = hist.get_mut(bucket(key, shift)) {
+                *c += 1;
+            }
+        }
+    }
+    scratch.clear();
+    scratch.resize(recs.len(), first);
+    for (&shift, hist) in shifts.iter().zip(counts.iter_mut()) {
+        // Counts become each bucket's first output position.
+        let mut next = 0;
+        for c in hist.iter_mut() {
+            let n = *c;
+            *c = next;
+            next += n;
+        }
+        for r in recs.iter() {
+            if let Some(pos) = hist.get_mut(bucket(r.ts.micros(), shift)) {
+                if let Some(slot) = scratch.get_mut(*pos) {
+                    *slot = *r;
+                }
+                *pos += 1;
+            }
+        }
+        std::mem::swap(recs, scratch);
     }
 }
 
@@ -366,6 +561,63 @@ mod tests {
         // Equal ts=9 packets keep emission order (0 before 2): the sort is
         // stable and its key is `ts` alone, so this is the whole tie-break.
         assert_eq!(order, vec![3, 1, 0, 2]);
+    }
+
+    /// xorshift64*: a dependency-free stream for the sort property.
+    struct X(u64);
+
+    impl X {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    #[test]
+    fn radix_sort_equals_the_stable_sort_by_timestamp() {
+        let mut x = X(0x9E37_79B9_7F4A_7C15);
+        let mut arena = PacketArena::unbounded();
+        for case in 0..60u64 {
+            let n = (x.next() % 3_000) as usize + 1;
+            // Heavy ties (five values), interleaved ascending runs (how
+            // sessions commit), keys past 2^32, and keys just under the
+            // top of the range.
+            let keys: Vec<u64> = match case % 4 {
+                0 => (0..n).map(|_| x.next() % 5).collect(),
+                1 => {
+                    let mut runs = vec![0u64; (x.next() % 40 + 1) as usize];
+                    (0..n)
+                        .map(|_| {
+                            let i = (x.next() % runs.len() as u64) as usize;
+                            runs[i] += x.next() % 1_000;
+                            runs[i]
+                        })
+                        .collect()
+                }
+                2 => (0..n).map(|_| (1 << 32) + x.next() % (1 << 36)).collect(),
+                _ => (0..n).map(|_| u64::MAX - 1 - x.next() % 100_000).collect(),
+            };
+            arena.clear();
+            for (i, &k) in keys.iter().enumerate() {
+                // The label and the frame carry the emission index, so a
+                // broken tie or a detached frame shows.
+                arena.set_label(i as u32);
+                arena.push_frame(ts(k), Clip::Counted, &(i as u32).to_be_bytes());
+            }
+            let mut want: Vec<(u64, u32)> = keys.iter().zip(0u32..).map(|(&k, i)| (k, i)).collect();
+            want.sort_by_key(|&(k, _)| k);
+            arena.sort_records();
+            let got: Vec<(u64, u32)> = arena
+                .labeled_frames()
+                .map(|(t, f, _, label)| {
+                    assert_eq!(f, label.to_be_bytes(), "frame moved with its record");
+                    (t.micros(), label)
+                })
+                .collect();
+            assert_eq!(got, want, "case {case}: {n} keys");
+        }
     }
 
     #[test]
@@ -443,12 +695,56 @@ mod tests {
         assert_eq!(a.snaplen(), 50);
         assert_eq!(captured, 40 + 5 * 50);
         assert!(a.captured_frames().all(|(_, f, _)| f.len() <= 50 && same_byte(f)));
-        // clear keeps the snaplen; an empty arena may raise it again.
+        // clear keeps the snaplen; an empty arena may raise it again, up
+        // to the largest snaplen an arena captures at.
         a.clear();
         assert_eq!(a.snaplen(), 50);
         a.set_snaplen(usize::MAX);
+        assert_eq!(a.snaplen(), MAX_SNAPLEN);
         a.push_frame(ts(0), Clip::Counted, &[7; 200]);
         assert_eq!(a.captured_packets()[0].frame.len(), 200);
+    }
+
+    #[test]
+    fn the_filler_is_one_stored_byte_written_out_where_the_frame_is_read() {
+        let mut a = PacketArena::unbounded();
+        a.set_snaplen(100);
+        // Prefix [1; 30], then 50 filler bytes: 80 bytes on the wire.
+        a.put(&[1; 30]);
+        a.fill(0xAB, 50);
+        a.commit(ts(3), 80);
+        // 300 bytes on the wire, captured at the snaplen: 30 + 70.
+        a.put(&[2; 30]);
+        a.fill(0xCD, 70);
+        a.commit(ts(1), 300);
+        // A whole frame with no filler.
+        a.push_frame(ts(2), Clip::Counted, &[3; 40]);
+        assert_eq!(a.stored_bytes(), 30 + 30 + 40, "no filler byte is stored");
+        a.sort_records();
+        let frame = |b: u8, head: usize, fill: u8, n: usize| {
+            let mut f = vec![b; head];
+            f.resize(head + n, fill);
+            f
+        };
+        let want = vec![
+            (ts(1), frame(2, 30, 0xCD, 70), 300),
+            (ts(2), frame(3, 40, 0, 0), 40),
+            (ts(3), frame(1, 30, 0xAB, 50), 80),
+        ];
+        let materialised: Vec<_> = a.captured_frames().map(|(t, f, l)| (t, f.to_vec(), l)).collect();
+        assert_eq!(materialised, want);
+        let mut streamed = Vec::new();
+        let mut frames = a.stream();
+        while let Some((t, f, l)) = frames.next_frame() {
+            streamed.push((t, f.to_vec(), l));
+        }
+        assert_eq!(streamed, want, "streamed frames equal the materialised ones");
+        // A narrower tap cuts into the filler, then into the prefix.
+        a.apply_tap(&mut Tap::new(35));
+        let cut: Vec<Vec<u8>> = a.captured_frames().map(|(_, f, _)| f.to_vec()).collect();
+        assert_eq!(cut, vec![frame(2, 30, 0xCD, 5), frame(3, 35, 0, 0), frame(1, 30, 0xAB, 5)]);
+        a.apply_tap(&mut Tap::new(20));
+        assert!(a.captured_frames().all(|(_, f, _)| f.len() == 20 && f[19] == f[0]));
     }
 
     #[test]

@@ -130,27 +130,27 @@ pub const UDP_HDR_LEN: usize = 42;
 /// Full header image length for an ICMP frame (Ethernet + IPv4 + ICMP).
 pub const ICMP_HDR_LEN: usize = 42;
 
-/// Raw ones-complement word sum of `data` (big-endian 16-bit words, odd
-/// trailing byte zero-padded), carries unfolded.
-fn word_sum(data: &[u8]) -> u32 {
-    let mut s = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        s += u16::from_be_bytes([c[0], c[1]]) as u32;
-    }
-    if let [last] = chunks.remainder() {
-        s += u16::from_be_bytes([*last, 0]) as u32;
-    }
-    s
+use crate::checksum::{fold as fold_sum, word_sum};
+
+/// Where the split writers put a frame: literal bytes, then the run of one
+/// fill byte that ends it. A `Vec<u8>` writes the run out (one memset); a
+/// sink that can write it later — the trace generator's packet arena,
+/// which writes it where the frame is read — only notes the byte.
+pub trait FrameSink {
+    /// Append literal frame bytes.
+    fn put(&mut self, bytes: &[u8]);
+    /// End the frame with `n` copies of `byte`.
+    fn fill(&mut self, byte: u8, n: usize);
 }
 
-/// Fold carries and complement: turns a [`word_sum`] into the wire checksum
-/// value (same folding as [`crate::checksum::Checksum::finish`]).
-fn fold_sum(mut s: u32) -> u16 {
-    while s > 0xFFFF {
-        s = (s & 0xFFFF) + (s >> 16);
+impl FrameSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
-    !(s as u16)
+
+    fn fill(&mut self, byte: u8, n: usize) {
+        self.resize(self.len() + n, byte);
+    }
 }
 
 /// Shared Ethernet + IPv4 header prefix of a template: MACs, EtherType,
@@ -296,13 +296,12 @@ impl<'a> SplitPayload<'a> {
         s
     }
 
-    /// Append the first `limit` logical bytes to `out` (head copy + one
-    /// memset).
-    fn write_into(&self, limit: usize, out: &mut Vec<u8>) {
+    /// Hand the first `limit` logical bytes to `out`: the head, then the
+    /// fill run.
+    fn write_into(&self, limit: usize, out: &mut impl FrameSink) {
         let head = self.head.get(..limit).unwrap_or(self.head);
-        out.extend_from_slice(head);
-        let fill_len = self.fill_len.min(limit - head.len());
-        out.resize(out.len() + fill_len, self.fill);
+        out.put(head);
+        out.fill(self.fill, self.fill_len.min(limit - head.len()));
     }
 }
 
@@ -317,14 +316,14 @@ fn write_frame<const N: usize>(
     hdr: &[u8; N],
     payload: SplitPayload<'_>,
     limit: usize,
-    out: &mut Vec<u8>,
+    out: &mut impl FrameSink,
 ) {
     match limit.checked_sub(N) {
         Some(rest) => {
-            out.extend_from_slice(hdr);
+            out.put(hdr);
             payload.write_into(rest, out);
         }
-        None => out.extend_from_slice(hdr.get(..limit).unwrap_or(hdr)),
+        None => out.put(hdr.get(..limit).unwrap_or(hdr)),
     }
 }
 
@@ -338,7 +337,7 @@ pub fn tcp_frame_split_into(
     flags: tcp::Flags,
     payload: SplitPayload<'_>,
     limit: usize,
-    out: &mut Vec<u8>,
+    out: &mut impl FrameSink,
 ) {
     let mut hdr = t.hdr;
     let total = (TCP_HDR_LEN - 14 + payload.len()) as u16;
@@ -373,7 +372,7 @@ pub fn udp_frame_split_into(
     t: &UdpTemplate,
     payload: SplitPayload<'_>,
     limit: usize,
-    out: &mut Vec<u8>,
+    out: &mut impl FrameSink,
 ) {
     let mut hdr = t.hdr;
     let total = (UDP_HDR_LEN - 14 + payload.len()) as u16;

@@ -2,6 +2,50 @@
 
 use crate::ipv4;
 
+/// Ones-complement sum of `data` read as big-endian 16-bit words (an odd
+/// trailing byte is zero-padded), carries not yet folded: add further
+/// words to it, then [`fold`] it into the wire value.
+///
+/// Eight bytes per step. A big-endian `u64` is four such words, and
+/// because 2¹⁶ ≡ 1 modulo 0xFFFF, a `u64` sum with end-around carry is
+/// congruent to the 16-bit word sum. It is zero only for all-zero data,
+/// like the word sum, so folding either gives the same checksum. The
+/// result stays below 2¹⁹: a caller may add thousands of 16-bit words to
+/// it before folding.
+pub(crate) fn word_sum(data: &[u8]) -> u32 {
+    let mut acc = 0u64;
+    let mut carries = 0u64;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_be_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        let (sum, carried) = acc.overflowing_add(w);
+        acc = sum;
+        carries += u64::from(carried);
+    }
+    // End-around carry: each 2⁶⁴ that overflowed is worth 1.
+    let (sum, carried) = acc.overflowing_add(carries);
+    let acc = sum + u64::from(carried);
+    let mut s = (acc & 0xFFFF) + ((acc >> 16) & 0xFFFF) + ((acc >> 32) & 0xFFFF) + (acc >> 48);
+    let mut tail = words.remainder().chunks_exact(2);
+    for pair in &mut tail {
+        s += u64::from(u16::from_be_bytes([pair[0], pair[1]]));
+    }
+    if let [last] = tail.remainder() {
+        s += u64::from(u16::from_be_bytes([*last, 0]));
+    }
+    // At most seven words of 0xFFFF: well inside a u32.
+    s as u32
+}
+
+/// Fold the carries of a [`word_sum`] (plus any words added to it) and
+/// complement it: the checksum as written on the wire.
+pub(crate) fn fold(mut s: u32) -> u16 {
+    while s > 0xFFFF {
+        s = (s & 0xFFFF) + (s >> 16);
+    }
+    !(s as u16)
+}
+
 /// Incremental ones-complement sum over byte data.
 ///
 /// Fold with [`Checksum::finish`] to obtain the 16-bit checksum value.
@@ -20,13 +64,7 @@ impl Checksum {
     /// 16-bit aligned at call boundaries (each call treats its slice as a
     /// fresh run of 16-bit words, padding a trailing odd byte with zero).
     pub fn add_bytes(&mut self, data: &[u8]) -> &mut Self {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u16::from_be_bytes([c[0], c[1]]) as u32;
-        }
-        if let [last] = chunks.remainder() {
-            self.sum += u16::from_be_bytes([*last, 0]) as u32;
-        }
+        self.sum += word_sum(data);
         self
     }
 
@@ -38,11 +76,7 @@ impl Checksum {
 
     /// Fold carries and return the ones-complement checksum.
     pub fn finish(&self) -> u16 {
-        let mut s = self.sum;
-        while s > 0xFFFF {
-            s = (s & 0xFFFF) + (s >> 16);
-        }
-        !(s as u16)
+        fold(self.sum)
     }
 }
 
@@ -111,6 +145,34 @@ mod tests {
         let a = transport(ipv4::Addr::new(10, 0, 0, 1), ipv4::Addr::new(10, 0, 0, 2), 6, &seg);
         let b = transport(ipv4::Addr::new(10, 0, 0, 1), ipv4::Addr::new(10, 0, 0, 3), 6, &seg);
         assert_ne!(a, b);
+    }
+
+    /// The two-byte loop the eight-byte [`word_sum`] replaced, kept as its
+    /// reference.
+    fn word_sum_by_pairs(data: &[u8]) -> u32 {
+        let mut s = 0u32;
+        let mut chunks = data.chunks_exact(2);
+        for c in &mut chunks {
+            s += u16::from_be_bytes([c[0], c[1]]) as u32;
+        }
+        if let [last] = chunks.remainder() {
+            s += u16::from_be_bytes([*last, 0]) as u32;
+        }
+        s
+    }
+
+    #[test]
+    fn eight_byte_sum_folds_like_the_two_byte_loop() {
+        let mut x = crate::test_rng::X(0x0C5E_C0DE_2048_0001);
+        for len in 0..=2048usize {
+            let random: Vec<u8> = (0..len).map(|_| x.next_u64() as u8).collect();
+            for data in [random, vec![0xFF; len], vec![0; len]] {
+                let (new, old) = (word_sum(&data), word_sum_by_pairs(&data));
+                assert_eq!(fold(new), fold(old), "len {len}");
+                // Partial sums stay equal once more words are added.
+                assert_eq!(fold(new + 0xFFFF + 7), fold(old + 0xFFFF + 7), "len {len} + words");
+            }
+        }
     }
 
     #[test]

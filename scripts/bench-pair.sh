@@ -16,10 +16,14 @@
 # pairs the change won, and every run; then one table of all of it:
 # workload x metric -> medians, parent interquartile distance, pair wins.
 #
-# A gain is claimed only when the change wins at least nine tenths of the
-# pairs and the medians differ by more than the parent's own interquartile
-# distance; this script prints both facts and leaves the verdict to the
-# reader. Everything is offline; PAIRS defaults to 10.
+# Each workload x metric ends in the protocol's verdict, with the bound read
+# from BENCHMARK.json: `unresolved` when the parent's interquartile distance
+# is wider than the bound (as a share of its median) and not every change
+# run beats every parent run; `regression` when the change's median is worse
+# than the parent's by more than the bound; `gain` when the change wins at
+# least nine tenths of the pairs and its median is better by more than the
+# parent's interquartile distance; `neutral` otherwise. Everything is
+# offline; PAIRS defaults to 10.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,7 +94,9 @@ done
 python3 - "$WORK/runs.txt" <<'EOF'
 import json, sys
 
-better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+end_to_end = json.load(open("BENCHMARK.json"))["end_to_end"]
+better = {m["name"]: m["better"] for m in end_to_end}
+bound = {m["name"]: m["bound"] for m in end_to_end}
 runs = {}  # workload -> metric -> side -> [value per pair]
 failed = {}  # workload -> side -> failed operations
 for line in open(sys.argv[1]):
@@ -111,6 +117,19 @@ def quartiles(xs):
         return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
     return at(0.25), at(0.5), at(0.75)
 
+def verdict(name, p, c, pq, cq, wins):
+    sign = 1 if better[name] == "higher" else -1
+    scale = abs(pq[1]) or 1.0
+    iqr = pq[2] - pq[0]
+    every_run_better = min(sign * x for x in c) > max(sign * x for x in p)
+    if iqr / scale > bound[name] and not every_run_better:
+        return "unresolved"
+    if sign * (pq[1] - cq[1]) / scale > bound[name]:
+        return "regression"
+    if wins * 10 >= 9 * len(p) and sign * (cq[1] - pq[1]) > iqr:
+        return "gain"
+    return "neutral"
+
 table = []
 for workload, metrics in runs.items():
     print(f"== {workload}")
@@ -128,12 +147,14 @@ for workload, metrics in runs.items():
               f" change won {wins} of {len(p)} pairs ({ties} ties)")
         print("  every run, parent/change per pair: "
               + "  ".join(f"{a:.6g}/{b:.6g}" for a, b in zip(p, c)))
+        v = verdict(name, p, c, pq, cq, wins)
+        print(f"  verdict: {v} (bound {bound[name]})")
         table.append((workload, f"{name} ({better[name]})", f"{pq[1]:.6g}", f"{cq[1]:.6g}",
                       f"{cq[1] / pq[1]:.3f}", f"{abs(cq[1] - pq[1]):.6g}", f"{pq[2] - pq[0]:.6g}",
-                      f"{wins}/{len(p)}" + (f" ({ties} ties)" if ties else "")))
+                      f"{wins}/{len(p)}" + (f" ({ties} ties)" if ties else ""), v))
 
 header = ("workload", "metric (better)", "parent median", "change median", "change/parent",
-          "median gap", "parent IQ distance", "pairs won")
+          "median gap", "parent IQ distance", "pairs won", "verdict")
 widths = [max(len(row[i]) for row in [header] + table) for i in range(len(header))]
 print()
 for row in [header] + table:

@@ -23,7 +23,8 @@ use ent_gen::synth::{
     emit_icmp_echo, emit_tcp, emit_udp, Exchange, Payload, Peer, TcpSessionSpec, UdpFlowSpec,
     UdpMessage,
 };
-use ent_pcap::{Clip, PacketArena, Tap};
+use ent_core::pipeline::{analyze_arena, PipelineConfig};
+use ent_pcap::{Clip, PacketArena, Tap, TraceMeta};
 use ent_wire::{ethernet::MacAddr, ipv4::Addr, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,11 +101,12 @@ fn warm_arena_emission_makes_zero_allocations() {
     let (tcp, udp) = session_specs();
     let mut arena = PacketArena::unbounded();
 
-    // Warm pass: grows the arena's record and byte buffers once, exactly
-    // like a worker's first trace.
+    // Warm pass: grows the arena's record, byte and sort buffers once,
+    // exactly like a worker's first trace.
     emit_all(&tcp, &udp, &mut arena);
     let packets = arena.len();
     assert!(packets > 20, "mix too small to pin anything: {packets}");
+    arena.sort_records();
     arena.clear();
 
     // Steady state: same sessions into the warm arena.
@@ -117,8 +119,13 @@ fn warm_arena_emission_makes_zero_allocations() {
         "steady-state emission allocated on the per-packet path"
     );
 
-    // The in-place capture tap (sort excluded: stable sort legitimately
-    // uses scratch) must stay allocation-free too.
+    // The sort scatters into a scratch list the warm arena keeps.
+    alloc_count::start();
+    arena.sort_records();
+    let allocs = alloc_count::stop();
+    assert_eq!(allocs, 0, "a warm arena's sort allocated");
+
+    // The in-place capture tap must stay allocation-free too.
     let mut tap = Tap::new(68).with_drop_period(29);
     alloc_count::start();
     let captured = arena.apply_tap(&mut tap);
@@ -128,4 +135,53 @@ fn warm_arena_emission_makes_zero_allocations() {
         allocs, 0,
         "apply_tap allocated while clamping records in place"
     );
+}
+
+/// One TCP session whose server sends `bytes` of filler to a port no
+/// analyzer claims, sorted: only the frame loop, the flow table and the
+/// tallies see its packets.
+fn bulk_session(bytes: usize, arena: &mut PacketArena) {
+    let tcp = TcpSessionSpec::success(
+        Timestamp::ZERO,
+        peer(1, 5, 40_000),
+        peer(2, 9, 5_001),
+        400,
+        vec![
+            Exchange::client(Payload::fill(0x41, 300), 100),
+            Exchange::server(Payload::fill(0x42, bytes), 2_000),
+        ],
+    );
+    arena.clear();
+    emit_tcp(&tcp, &mut StdRng::seed_from_u64(7), arena, Clip::Counted);
+    arena.sort_records();
+}
+
+#[test]
+fn a_warm_arena_streams_through_the_inline_engine_without_allocating_per_packet() {
+    let meta = TraceMeta {
+        dataset: "pin".into(),
+        subnet: 0,
+        pass: 1,
+        duration: Timestamp::from_secs(300),
+        snaplen: 1_500,
+        link_capacity_bps: 100_000_000,
+    };
+    let pipeline = PipelineConfig::default();
+    let mut arena = PacketArena::unbounded();
+    arena.set_snaplen(1_500);
+    let mut allocs_for = |bytes: usize| {
+        bulk_session(bytes, &mut arena);
+        alloc_count::start();
+        let analysis = analyze_arena(&meta, &mut arena, &pipeline);
+        (alloc_count::stop(), analysis.packets)
+    };
+    // Warm: the arena's frame buffer grows once, to the largest frame.
+    allocs_for(200_000);
+    let (few_allocs, few) = allocs_for(20_000);
+    let (many_allocs, many) = allocs_for(200_000);
+    assert!(many > 5 * few, "{many} packets against {few}");
+    // The session's engine, table and window allocate per trace and per
+    // connection; the same connection carrying ten times the packets must
+    // not add one allocation.
+    assert_eq!(many_allocs, few_allocs, "the inline frame loop allocated per packet");
 }
