@@ -137,6 +137,22 @@ fn warm_arena_emission_makes_zero_allocations() {
     );
 }
 
+#[test]
+fn a_header_only_trace_is_viewed_without_materialising() {
+    let (tcp, udp) = session_specs();
+    let mut arena = PacketArena::unbounded();
+    // D1's snaplen: no frame captures more than 64 bytes of filler, so the
+    // arena stores every captured byte and lends every frame.
+    arena.set_snaplen(68);
+    emit_all(&tcp, &udp, &mut arena);
+    arena.sort_records();
+    alloc_count::start();
+    let viewed: usize = arena.captured_frames().map(|(_, f, _)| f.len()).sum();
+    let allocs = alloc_count::stop();
+    assert_eq!(viewed, arena.stored_bytes(), "every frame is its stored bytes");
+    assert_eq!(allocs, 0, "viewing a header-only trace materialised it");
+}
+
 /// One TCP session whose server sends `bytes` of filler to a port no
 /// analyzer claims, sorted: only the frame loop, the flow table and the
 /// tallies see its packets.
