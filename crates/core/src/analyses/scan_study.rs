@@ -73,8 +73,8 @@ pub fn scan_study(traces: &DatasetTraces) -> ScanStudy {
             let mut starts: Vec<u64> = conns.iter().map(|c| c.summary.start.micros()).collect();
             starts.sort_unstable();
             let gaps: Vec<f64> = starts
-                .windows(2)
-                .map(|w| (w[1] - w[0]) as f64 / 1_000.0)
+                .array_windows()
+                .map(|[a, b]| (b - a) as f64 / 1_000.0)
                 .collect();
             let median_gap_ms = crate::stats::Ecdf::new(gaps).median();
             ScannerProfile {

@@ -143,17 +143,10 @@ pub fn cifs_breakdown<T: Borrow<TraceAnalysis>>(traces: &[T]) -> CifsBreakdown {
             }
         }
     }
-    let order = [
-        CifsClass::SmbBasic,
-        CifsClass::RpcPipes,
-        CifsClass::FileSharing,
-        CifsClass::Lanman,
-        CifsClass::Other,
-    ];
     CifsBreakdown {
         requests: tr,
         bytes: tb,
-        per_class: order
+        per_class: CifsClass::ALL
             .iter()
             .map(|c| {
                 (

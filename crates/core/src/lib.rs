@@ -31,6 +31,10 @@
 //! assert_eq!(analysis.packets, trace.packets.len() as u64);
 //! ```
 
+// E001 (DESIGN §6a): ingest code reads bytes through `get`, fixed-size
+// chunks or slice patterns, never a panicking index.
+#![deny(clippy::indexing_slicing)]
+
 // Table-rendering helpers pass (label, getter) arrays whose types are
 // verbose but local and single-use; naming them would add noise.
 #![allow(clippy::type_complexity)]

@@ -187,16 +187,16 @@ macro_rules! stat_table {
         impl std::ops::Index<$E> for $T {
             type Output = StageStat;
             #[inline]
+            #[expect(clippy::indexing_slicing, reason = "the table has one slot per variant")]
             fn index(&self, k: $E) -> &StageStat {
-                // ent-lint: allow(E001) — the table has one slot per variant
                 &self.stats[k as usize]
             }
         }
 
         impl std::ops::IndexMut<$E> for $T {
             #[inline]
+            #[expect(clippy::indexing_slicing, reason = "the table has one slot per variant")]
             fn index_mut(&mut self, k: $E) -> &mut StageStat {
-                // ent-lint: allow(E001) — the table has one slot per variant
                 &mut self.stats[k as usize]
             }
         }
@@ -945,7 +945,9 @@ fn entries_of<'a>(doc: &'a JsonValue, schema: &Schema) -> Res<&'a [JsonValue]> {
 
 /// An entry's identity — its first key — as `name=value`.
 fn entry_id(e: &Entries, entry: &JsonValue) -> String {
-    format!("{}={}", e.keys[0].name, show(&e.keys[0], entry))
+    e.keys
+        .first()
+        .map_or_else(String::new, |id| format!("{}={}", id.name, show(id, entry)))
 }
 
 /// Check `obj` carries every required key of `keys` with the declared

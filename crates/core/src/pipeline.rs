@@ -469,7 +469,6 @@ impl FlowHandler for Handler {
         let from_client = dir == Dir::Orig;
         let bytes = data.len() as u64;
         self.out.metrics.stages[Stage::TcpDeliver].add(0, 1, bytes);
-        // ent-lint: allow(E001) — `kind` is an AnalyzerKind, not an offset
         let clocked = sampled_timer(&mut self.out.metrics.analyzers[kind], bytes);
         // Fed in place: an analyzer that panics is dropped below, so the
         // state it left half-updated is never read again.
@@ -564,7 +563,6 @@ impl FlowHandler for Handler {
         let bytes = data.len() as u64;
         let out = &mut self.out;
         out.metrics.stages[Stage::UdpDeliver].add(0, 1, bytes);
-        // ent-lint: allow(E001) — `kind` is an AnalyzerKind, not an offset
         let clocked = sampled_timer(&mut out.metrics.analyzers[kind], bytes);
         let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match &mut pc.state {

@@ -41,10 +41,10 @@ pub fn identify_scanners(conns: &[ConnRecord]) -> Vec<ipv4::Addr> {
         let mut ascending = 0usize;
         let mut descending = 0usize;
         let steps = seq.len().saturating_sub(1).max(1);
-        for w in seq.windows(2) {
-            if w[1] > w[0] {
+        for [a, b] in seq.array_windows() {
+            if b > a {
                 ascending += 1;
-            } else if w[1] < w[0] {
+            } else if b < a {
                 descending += 1;
             }
         }

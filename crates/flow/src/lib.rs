@@ -55,6 +55,10 @@
 //! assert_eq!(conn.resp.payload_bytes, 8);
 //! ```
 
+// E001 (DESIGN §6a): ingest code reads bytes through `get`, fixed-size
+// chunks or slice patterns, never a panicking index.
+#![deny(clippy::indexing_slicing)]
+
 pub mod fasthash;
 pub mod handler;
 pub mod key;

@@ -45,14 +45,18 @@ fn smtp_session(ctx: &mut TraceCtx<'_>, client: Peer, server: Peer, rtt: u64, vo
     let rcpts = 1 + usize::from(coin(&mut ctx.rng, 0.25));
     let (client_chunks, server_chunks) = smtp::encode_session(body, rcpts);
     // Interleave: server banner first, then command/response pairs. Server
-    // processing time gives internal connections their ~0.3 s floor.
+    // processing time gives internal connections their ~0.3 s floor. The
+    // chunks move into the exchanges, so the message body is built once.
     let mut exchanges = Vec::with_capacity(1 + 2 * client_chunks.len());
     let think = || ctx_think(rtt);
-    exchanges.push(Exchange::server(server_chunks[0].clone(), 0));
-    for (i, c) in client_chunks.iter().enumerate() {
-        exchanges.push(Exchange::client(c.clone(), think()));
-        if let Some(s) = server_chunks.get(i + 1) {
-            exchanges.push(Exchange::server(s.clone(), think()));
+    let mut server_chunks = server_chunks.into_iter();
+    if let Some(banner) = server_chunks.next() {
+        exchanges.push(Exchange::server(banner, 0));
+    }
+    for c in client_chunks {
+        exchanges.push(Exchange::client(c, think()));
+        if let Some(s) = server_chunks.next() {
+            exchanges.push(Exchange::server(s, think()));
         }
     }
     let spec = TcpSessionSpec::success(ctx.early_start(0.9), client, server, rtt, exchanges);

@@ -490,6 +490,7 @@ impl FrameStream<'_> {
     /// filler is lent from the byte store ([`lent_frame`]): on D1/D2,
     /// copying it into the frame buffer cost the study's ingest ≈18 %.
     #[inline]
+    #[deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
     pub fn next_frame(&mut self) -> Option<(Timestamp, &[u8], u32)> {
         let r = self.recs.next()?;
         if let Some(frame) = lent_frame(self.store, self.snaplen, r) {

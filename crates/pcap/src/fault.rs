@@ -148,13 +148,13 @@ impl FaultInjector {
                 if data.len() < 4 {
                     return false;
                 }
-                data[0..4].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+                put_at(data, 0, &0xDEAD_BEEFu32.to_le_bytes());
             }
             Fault::AbsurdSnaplen => {
                 if data.len() < 24 {
                     return false;
                 }
-                data[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+                put_at(data, 16, &u32::MAX.to_le_bytes());
             }
             Fault::ZeroCaplen => {
                 let Some(&(off, caplen)) = self.pick(&recs) else {

@@ -5,6 +5,7 @@
 //! timestamps), then per-packet 16-byte record headers. The header parsers
 //! accept both byte orders (the reader is [`crate::RecoveringReader`]);
 //! writes are native-magic little-endian.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::{PcapError, Result, TimedPacket};
 use std::io::Write;
@@ -117,7 +118,9 @@ impl RecordHeader {
     /// The record's timestamp, microseconds.
     #[inline]
     pub(crate) fn ts_us(&self) -> u64 {
-        u64::from(self.sec) * 1_000_000 + u64::from(self.usec)
+        u64::from(self.sec)
+            .saturating_mul(1_000_000)
+            .saturating_add(u64::from(self.usec))
     }
 }
 
@@ -154,11 +157,11 @@ impl<W: Write> PcapWriter<W> {
         let mut rec = [0u8; 16];
         rec[0..4].copy_from_slice(&sec.to_le_bytes());
         rec[4..8].copy_from_slice(&usec.to_le_bytes());
-        rec[8..12].copy_from_slice(&(caplen as u32).to_le_bytes());
+        rec[8..12].copy_from_slice(&u32::try_from(caplen).unwrap_or(u32::MAX).to_le_bytes());
         rec[12..16].copy_from_slice(&pkt.orig_len.to_le_bytes());
         self.out.write_all(&rec)?;
         self.out.write_all(pkt.frame.get(..caplen).unwrap_or(&[]))?;
-        self.packets_written += 1;
+        self.packets_written = self.packets_written.saturating_add(1);
         Ok(())
     }
 

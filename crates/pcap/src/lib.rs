@@ -24,6 +24,10 @@
 //! assert!(r.next_record().is_none() && r.stats().is_clean());
 //! ```
 
+// E001 (DESIGN §6a): ingest code reads bytes through `get`, fixed-size
+// chunks or slice patterns, never a panicking index.
+#![deny(clippy::indexing_slicing)]
+
 pub mod arena;
 pub mod fault;
 pub mod format;

@@ -135,12 +135,14 @@ fn adjusted_ts(p: &TimedPacket, offset_us: i64) -> u64 {
 /// stream's clock offset. Out-of-order input is tolerated via a
 /// [`DEFAULT_REORDER_WINDOW`]-record repair pass per stream; use
 /// [`merge_streams_with_stats`] to observe how much repair was needed.
+#[deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
 pub fn merge_streams(streams: Vec<Stream>) -> Vec<TimedPacket> {
     merge_streams_with_stats(streams, DEFAULT_REORDER_WINDOW).0
 }
 
 /// [`merge_streams`] with an explicit reorder window, returning the repair
 /// tally alongside the merged trace.
+#[deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
 pub fn merge_streams_with_stats(
     mut streams: Vec<Stream>,
     window: usize,
@@ -171,7 +173,7 @@ pub fn merge_streams_with_stats(
         let mut pkt = cur.clone();
         pkt.ts = ent_wire::Timestamp::from_micros(e.ts_us);
         out.push(pkt);
-        let next = e.index + 1;
+        let next = e.index.saturating_add(1);
         if let Some(np) = s.packets.get(next) {
             heap.push(HeapEntry {
                 ts_us: adjusted_ts(np, s.clock_offset_us),

@@ -32,6 +32,7 @@
 //! Only the 24-byte global header is load-bearing: a bad magic, an
 //! unsupported link type, or a file shorter than the header is a fatal
 //! [`PcapError`] — there is no frame boundary to recover.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::format::{
     GlobalHeader, RecordHeader, GLOBAL_HEADER_LEN, MAX_RECORD_BYTES, RECORD_HEADER_LEN,
@@ -70,22 +71,30 @@ impl IngestStats {
 
     /// Total count of distinct damage events observed.
     pub fn damage_events(&self) -> u64 {
-        self.malformed_records
-            + self.repaired_records
-            + self.zero_len_records
-            + self.clock_regressions
-            + u64::from(self.truncated_tail)
-            + u64::from(self.snaplen_clamped)
+        [
+            self.malformed_records,
+            self.repaired_records,
+            self.zero_len_records,
+            self.clock_regressions,
+            u64::from(self.truncated_tail),
+            u64::from(self.snaplen_clamped),
+        ]
+        .into_iter()
+        .fold(0, u64::saturating_add)
     }
 
     /// Fold another tally into this one (e.g. across a dataset's traces).
     pub fn absorb(&mut self, other: &IngestStats) {
-        self.records += other.records;
-        self.malformed_records += other.malformed_records;
-        self.repaired_records += other.repaired_records;
-        self.zero_len_records += other.zero_len_records;
-        self.clock_regressions += other.clock_regressions;
-        self.bytes_skipped += other.bytes_skipped;
+        for (mine, theirs) in [
+            (&mut self.records, other.records),
+            (&mut self.malformed_records, other.malformed_records),
+            (&mut self.repaired_records, other.repaired_records),
+            (&mut self.zero_len_records, other.zero_len_records),
+            (&mut self.clock_regressions, other.clock_regressions),
+            (&mut self.bytes_skipped, other.bytes_skipped),
+        ] {
+            *mine = mine.saturating_add(theirs);
+        }
         self.truncated_tail |= other.truncated_tail;
         self.snaplen_clamped |= other.snaplen_clamped;
     }
@@ -194,8 +203,10 @@ impl<'a> RecoveringReader<'a> {
         last_ts_us: Option<u64>,
     ) -> Result<RecoveringReader<'a>> {
         let mut r = RecoveringReader::new(data)?;
-        // ent-lint: allow(E002) — clamped min() against the buffer length
-        r.pos = (offset as usize).min(data.len()).max(GLOBAL_HEADER_LEN);
+        r.pos = usize::try_from(offset)
+            .unwrap_or(usize::MAX)
+            .min(data.len())
+            .max(GLOBAL_HEADER_LEN);
         r.last_ts_us = last_ts_us;
         Ok(r)
     }
@@ -247,7 +258,9 @@ impl<'a> RecoveringReader<'a> {
     /// the chain check because their bogus caplen points nowhere valid.
     fn plausible(&self, off: usize) -> Option<RecordHeader> {
         let h = self.sane_header_at(off)?;
-        let end = off + RECORD_HEADER_LEN + h.caplen as usize;
+        let end = off
+            .saturating_add(RECORD_HEADER_LEN)
+            .saturating_add(h.caplen as usize);
         (end == self.data.len() || self.sane_header_at(end).is_some()).then_some(h)
     }
 
@@ -260,7 +273,7 @@ impl<'a> RecoveringReader<'a> {
             return true;
         };
         let ts = h.ts_us();
-        ts + MAX_CLOCK_JUMP_US >= last && ts <= last + MAX_CLOCK_JUMP_US
+        ts.saturating_add(MAX_CLOCK_JUMP_US) >= last && ts <= last.saturating_add(MAX_CLOCK_JUMP_US)
     }
 
     /// Does the record after the current one (at `self.pos`, already
@@ -271,7 +284,7 @@ impl<'a> RecoveringReader<'a> {
     /// sparse capture an intact packet sits alone inside a quiet stretch.
     fn next_clock_confirms(&self, ts_us: u64) -> bool {
         self.sane_header_at(self.pos)
-            .is_some_and(|next| next.ts_us() + MAX_CLOCK_JUMP_US >= ts_us)
+            .is_some_and(|next| next.ts_us().saturating_add(MAX_CLOCK_JUMP_US) >= ts_us)
     }
 
     /// Skip forward from a damaged record header to the next plausible one.
@@ -284,7 +297,7 @@ impl<'a> RecoveringReader<'a> {
     /// fallback (a real capture may simply have a gap).
     fn resync(&mut self) {
         let start = self.pos;
-        self.stats.malformed_records += 1;
+        self.stats.malformed_records = self.stats.malformed_records.saturating_add(1);
         let mut fallback: Option<usize> = None;
         let mut off = self.pos.saturating_add(1);
         let mut lock: Option<usize> = None;
@@ -304,7 +317,10 @@ impl<'a> RecoveringReader<'a> {
             off = off.saturating_add(1);
         }
         self.pos = lock.or(fallback).unwrap_or(self.data.len());
-        self.stats.bytes_skipped += self.pos.saturating_sub(start) as u64;
+        self.stats.bytes_skipped = self
+            .stats
+            .bytes_skipped
+            .saturating_add(self.pos.saturating_sub(start) as u64);
         self.resynced = true;
     }
 
@@ -328,7 +344,8 @@ impl<'a> RecoveringReader<'a> {
             let Some(h) = self.header_at(self.pos) else {
                 // Tail shorter than a record header: mid-record EOF.
                 self.stats.truncated_tail = true;
-                self.stats.bytes_skipped += remaining as u64;
+                self.stats.bytes_skipped =
+                    self.stats.bytes_skipped.saturating_add(remaining as u64);
                 self.pos = self.data.len();
                 return None;
             };
@@ -337,8 +354,7 @@ impl<'a> RecoveringReader<'a> {
                 continue;
             }
             if h.caplen == 0 {
-                // ent-lint: allow(E002) — u64 damage counter, not offset math
-                self.stats.zero_len_records += 1;
+                self.stats.zero_len_records = self.stats.zero_len_records.saturating_add(1);
                 self.pos = self.pos.saturating_add(RECORD_HEADER_LEN);
                 continue;
             }
@@ -346,7 +362,8 @@ impl<'a> RecoveringReader<'a> {
             if cap > remaining.saturating_sub(RECORD_HEADER_LEN) {
                 // Payload runs past end-of-file: mid-record EOF.
                 self.stats.truncated_tail = true;
-                self.stats.bytes_skipped += remaining as u64;
+                self.stats.bytes_skipped =
+                    self.stats.bytes_skipped.saturating_add(remaining as u64);
                 self.pos = self.data.len();
                 return None;
             }
@@ -358,28 +375,28 @@ impl<'a> RecoveringReader<'a> {
             self.pos = payload_start.saturating_add(cap);
             let mut orig_len = h.orig_len;
             if orig_len < h.caplen {
-                self.stats.repaired_records += 1;
+                self.stats.repaired_records = self.stats.repaired_records.saturating_add(1);
                 orig_len = h.caplen;
             }
             let mut ts_us = h.ts_us();
             if let Some(last) = self.last_ts_us {
                 if ts_us < last {
-                    self.stats.clock_regressions += 1;
+                    self.stats.clock_regressions = self.stats.clock_regressions.saturating_add(1);
                     ts_us = last;
-                } else if ts_us > last + MAX_CLOCK_JUMP_US
+                } else if ts_us > last.saturating_add(MAX_CLOCK_JUMP_US)
                     && (self.resynced || !self.next_clock_confirms(ts_us))
                 {
                     // A wildly future clock is either a false resync lock
                     // or a corrupted `sec` field — unless the next record
                     // stays up there with it (a genuine capture gap). Pin
                     // the outlier so it cannot poison the monotone clamp.
-                    self.stats.clock_regressions += 1;
+                    self.stats.clock_regressions = self.stats.clock_regressions.saturating_add(1);
                     ts_us = last;
                 }
             }
             self.resynced = false;
             self.last_ts_us = Some(ts_us);
-            self.stats.records += 1;
+            self.stats.records = self.stats.records.saturating_add(1);
             return Some(RecordView {
                 ts: Timestamp::from_micros(ts_us),
                 frame,

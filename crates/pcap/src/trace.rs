@@ -75,6 +75,7 @@ impl Trace {
     /// metadata (which the pcap format does not store), plus the reader's
     /// damage tally. The file snaplen overrides `meta.snaplen`. Only an
     /// unusable global header is an error.
+    #[deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
     pub fn read_pcap(data: &[u8], mut meta: TraceMeta) -> Result<(Trace, IngestStats)> {
         let r = RecoveringReader::new(data)?;
         meta.snaplen = r.snaplen();

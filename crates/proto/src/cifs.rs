@@ -7,10 +7,11 @@
 //! Pipes*, *LANMAN* — and expose embedded DCE/RPC fragments from
 //! Transaction messages so the DCE/RPC analyzer can process named-pipe
 //! traffic (which the paper found to be the dominant CIFS component).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::cursor::Cursor;
 use crate::netbios::{self, SsnType};
-use crate::StreamPair;
+use crate::{len16, StreamPair};
 
 ent_wire::code_table! {
     /// SMB1 command codes used by the generator and classifier.
@@ -35,33 +36,24 @@ ent_wire::code_table! {
     pub fn to_u8;
 }
 
-/// The paper's Table 10 command buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CifsClass {
-    /// Session plumbing: negotiate, session setup/teardown, tree
-    /// connect/disconnect, open/close of files and pipes.
-    SmbBasic,
-    /// DCE/RPC over named pipes.
-    RpcPipes,
-    /// Actual file read/write and metadata (Windows File Sharing).
-    FileSharing,
-    /// The LANMAN non-RPC management pipe.
-    Lanman,
-    /// Everything else.
-    Other,
-}
-
-impl CifsClass {
-    /// Display label as in Table 10.
-    pub fn label(self) -> &'static str {
-        match self {
-            CifsClass::SmbBasic => "SMB Basic",
-            CifsClass::RpcPipes => "RPC Pipes",
-            CifsClass::FileSharing => "Windows File Sharing",
-            CifsClass::Lanman => "LANMAN",
-            CifsClass::Other => "Other",
-        }
+ent_wire::code_table! {
+    /// The paper's Table 10 command buckets.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum CifsClass {
+        /// Session plumbing: negotiate, session setup/teardown, tree
+        /// connect/disconnect, open/close of files and pipes.
+        SmbBasic => "SMB Basic",
+        /// DCE/RPC over named pipes.
+        RpcPipes => "RPC Pipes",
+        /// Actual file read/write and metadata (Windows File Sharing).
+        FileSharing => "Windows File Sharing",
+        /// The LANMAN non-RPC management pipe.
+        Lanman => "LANMAN",
+        /// Everything else.
+        Other => "Other",
     }
+    pub fn label;
+    const ALL;
 }
 
 /// One parsed SMB message.
@@ -128,12 +120,12 @@ pub fn parse_smb(buf: &[u8]) -> Option<CifsMessage> {
         // word_count(1), 14 parameter words, byte_count(2),
         // name(ascii nul-terminated), data...
         let wc = c.u8()? as usize;
-        c.skip(wc * 2)?;
+        c.skip(wc.saturating_mul(2))?;
         let bc = c.le16()? as usize;
         let body = c.take(bc)?;
         let nul = body.iter().position(|&b| b == 0)?;
         pipe = Some(String::from_utf8_lossy(body.get(..nul).unwrap_or(&[])).into_owned());
-        trans_data = body.get(nul + 1..).unwrap_or(&[]).to_vec();
+        trans_data = body.get(nul.saturating_add(1)..).unwrap_or(&[]).to_vec();
     }
     Some(CifsMessage {
         command,
@@ -146,7 +138,7 @@ pub fn parse_smb(buf: &[u8]) -> Option<CifsMessage> {
 
 /// Emit an SMB message with the given command and body bytes.
 pub fn encode_smb(command: SmbCommand, is_response: bool, body: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(SMB_HEADER_LEN + body.len());
+    let mut buf = Vec::with_capacity(body.len().saturating_add(SMB_HEADER_LEN));
     buf.extend_from_slice(&[0xFF, b'S', b'M', b'B']);
     buf.push(command.to_u8());
     buf.extend_from_slice(&[0; 4]); // status
@@ -158,13 +150,13 @@ pub fn encode_smb(command: SmbCommand, is_response: bool, body: &[u8]) -> Vec<u8
 
 /// Emit a Transaction message carrying `data` on pipe `pipe`.
 pub fn encode_trans(pipe: &str, is_response: bool, data: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(1 + 28 + 2 + pipe.len() + 1 + data.len());
+    let bc = pipe.len().saturating_add(1).saturating_add(data.len());
+    let mut body = Vec::with_capacity(bc.saturating_add(1 + 28 + 2));
     body.push(14); // word count
     let mut words = [0u8; 28];
-    words[0..2].copy_from_slice(&(data.len() as u16).to_le_bytes()); // total data count
+    words[0..2].copy_from_slice(&len16(data.len()).to_le_bytes()); // total data count
     body.extend_from_slice(&words);
-    let bc = pipe.len() + 1 + data.len();
-    body.extend_from_slice(&(bc as u16).to_le_bytes());
+    body.extend_from_slice(&len16(bc).to_le_bytes());
     body.extend_from_slice(pipe.as_bytes());
     body.push(0);
     body.extend_from_slice(data);
@@ -176,7 +168,7 @@ pub fn encode_trans(pipe: &str, is_response: bool, data: &[u8]) -> Vec<u8> {
 pub fn encode_rw(command: SmbCommand, is_response: bool, data_len: usize) -> Vec<u8> {
     let mut body = vec![12u8]; // word count
     body.extend_from_slice(&[0u8; 24]);
-    body.extend_from_slice(&(data_len as u16).to_le_bytes());
+    body.extend_from_slice(&len16(data_len).to_le_bytes());
     body.extend(std::iter::repeat_n(0xAB, data_len));
     encode_smb(command, is_response, &body)
 }

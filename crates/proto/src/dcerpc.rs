@@ -5,9 +5,10 @@
 //! 135/tcp. We parse bind PDUs (to learn the interface), request PDUs (to
 //! get the operation number), and Endpoint-Mapper map responses (to learn
 //! dynamic ports — feeding [`crate::registry::DynamicPorts`]).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::cursor::Cursor;
-use crate::StreamPair;
+use crate::{len16, len32, StreamPair};
 use ent_wire::ipv4;
 
 /// A 16-byte interface UUID.
@@ -44,22 +45,25 @@ pub mod interfaces {
     ]);
 }
 
-/// The paper's Table 11 function buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum RpcFunction {
-    /// NetLogon authentication calls.
-    NetLogon,
-    /// LsaRPC calls.
-    LsaRpc,
-    /// Spoolss WritePrinter — the single dominant function where a print
-    /// server is monitored (81% of D4 requests).
-    SpoolssWritePrinter,
-    /// All other Spoolss printing calls.
-    SpoolssOther,
-    /// Endpoint-mapper map calls.
-    EpmMap,
-    /// Everything else.
-    Other,
+ent_wire::code_table! {
+    /// The paper's Table 11 function buckets.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum RpcFunction {
+        /// NetLogon authentication calls.
+        NetLogon => "NetLogon",
+        /// LsaRPC calls.
+        LsaRpc => "LsaRPC",
+        /// Spoolss WritePrinter — the single dominant function where a print
+        /// server is monitored (81% of D4 requests).
+        SpoolssWritePrinter => "Spoolss/WritePrinter",
+        /// All other Spoolss printing calls.
+        SpoolssOther => "Spoolss/other",
+        /// Endpoint-mapper map calls.
+        EpmMap => "EpmMap",
+        /// Everything else.
+        Other => "Other",
+    }
+    pub fn label;
 }
 
 impl RpcFunction {
@@ -80,18 +84,6 @@ impl RpcFunction {
             RpcFunction::EpmMap
         } else {
             RpcFunction::Other
-        }
-    }
-
-    /// Table 11 row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            RpcFunction::NetLogon => "NetLogon",
-            RpcFunction::LsaRpc => "LsaRPC",
-            RpcFunction::SpoolssWritePrinter => "Spoolss/WritePrinter",
-            RpcFunction::SpoolssOther => "Spoolss/other",
-            RpcFunction::EpmMap => "EpmMap",
-            RpcFunction::Other => "Other",
         }
     }
 }
@@ -169,10 +161,7 @@ pub fn parse_pdu(buf: &[u8]) -> Option<(Pdu, usize)> {
             let mut b = Cursor::new(body);
             b.skip(8)?;
             b.skip(4)?;
-            let uuid = b.take(16)?;
-            let mut u = [0u8; 16];
-            u.copy_from_slice(uuid);
-            pdu.bind_iface = Some(Uuid(u));
+            pdu.bind_iface = Some(Uuid(b.array()?));
         }
         PduType::Request => {
             // alloc_hint(4) context_id(2) opnum(2) stub...
@@ -180,39 +169,39 @@ pub fn parse_pdu(buf: &[u8]) -> Option<(Pdu, usize)> {
             b.skip(4)?;
             b.skip(2)?;
             pdu.opnum = Some(b.le16()?);
-            pdu.stub_len = b.remaining() as u32;
+            pdu.stub_len = len32(b.remaining());
         }
         PduType::Response => {
             // alloc_hint(4) context_id(2) cancel(1) pad(1) stub...
             let mut b = Cursor::new(body);
             b.skip(8)?;
-            pdu.stub_len = b.remaining() as u32;
-            // Endpoint-mapper map responses carry our simplified tower:
-            // magic "EPMv" + uuid(16) + port(2) + addr(4).
-            if body.len() >= 8 + 4 + 16 + 2 + 4 && &body[8..12] == b"EPMv" {
-                let mut u = [0u8; 16];
-                u.copy_from_slice(&body[12..28]);
-                let port = u16::from_be_bytes([body[28], body[29]]);
-                let addr = ipv4::Addr(u32::from_be_bytes([
-                    body[30], body[31], body[32], body[33],
-                ]));
-                pdu.epm_mapping = Some((Uuid(u), addr, port));
-            }
+            pdu.stub_len = len32(b.remaining());
+            pdu.epm_mapping = epm_tower(&mut b);
         }
         _ => {}
     }
     Some((pdu, frag_len as usize))
 }
 
+/// The simplified tower an endpoint-mapper map response carries after
+/// its stub header: magic "EPMv" + uuid(16) + port(2) + addr(4).
+fn epm_tower(c: &mut Cursor<'_>) -> Option<(Uuid, ipv4::Addr, u16)> {
+    if c.take(4)? != b"EPMv" {
+        return None;
+    }
+    let (u, port, addr) = (c.array()?, c.be16()?, c.be32()?);
+    Some((Uuid(u), ipv4::Addr(addr), port))
+}
+
 fn emit_header(ptype: PduType, body_len: usize) -> Vec<u8> {
-    let frag = HEADER_LEN + body_len;
+    let frag = body_len.saturating_add(HEADER_LEN);
     let mut buf = Vec::with_capacity(frag);
     buf.push(5);
     buf.push(0);
     buf.push(ptype.to_u8());
     buf.push(0x03); // first+last fragment
     buf.extend_from_slice(&[0x10, 0, 0, 0]); // little-endian drep
-    buf.extend_from_slice(&(frag as u16).to_le_bytes());
+    buf.extend_from_slice(&len16(frag).to_le_bytes());
     buf.extend_from_slice(&0u16.to_le_bytes());
     buf.extend_from_slice(&1u32.to_le_bytes());
     buf
@@ -242,8 +231,8 @@ pub fn encode_bind_ack() -> Vec<u8> {
 
 /// Encode a Request PDU with `opnum` and `stub_len` filler stub bytes.
 pub fn encode_request(opnum: u16, stub_len: usize) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 + stub_len);
-    body.extend_from_slice(&(stub_len as u32).to_le_bytes());
+    let mut body = Vec::with_capacity(stub_len.saturating_add(8));
+    body.extend_from_slice(&len32(stub_len).to_le_bytes());
     body.extend_from_slice(&0u16.to_le_bytes());
     body.extend_from_slice(&opnum.to_le_bytes());
     body.extend(std::iter::repeat_n(0x5A, stub_len));
@@ -254,8 +243,8 @@ pub fn encode_request(opnum: u16, stub_len: usize) -> Vec<u8> {
 
 /// Encode a Response PDU with `stub_len` filler bytes.
 pub fn encode_response(stub_len: usize) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 + stub_len);
-    body.extend_from_slice(&(stub_len as u32).to_le_bytes());
+    let mut body = Vec::with_capacity(stub_len.saturating_add(8));
+    body.extend_from_slice(&len32(stub_len).to_le_bytes());
     body.extend_from_slice(&[0u8; 4]);
     body.extend(std::iter::repeat_n(0xA5, stub_len));
     let mut pdu = emit_header(PduType::Response, body.len());

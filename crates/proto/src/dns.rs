@@ -2,6 +2,7 @@
 //! name-service analysis — query types (A / AAAA / PTR / MX dominate),
 //! response codes (NOERROR vs NXDOMAIN), and query/response latency
 //! pairing by transaction ID.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::cursor::Cursor;
 
@@ -148,7 +149,7 @@ fn parse_name(c: &mut Cursor<'_>) -> Option<String> {
 
 /// Build a DNS query for (`qname`, `qtype`) with transaction id `id`.
 pub fn encode_query(id: u16, qname: &str, qtype: QType) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(17 + qname.len());
+    let mut buf = Vec::with_capacity(qname.len().saturating_add(17));
     buf.extend_from_slice(&id.to_be_bytes());
     buf.extend_from_slice(&0x0100u16.to_be_bytes()); // RD
     buf.extend_from_slice(&1u16.to_be_bytes()); // QD
@@ -163,7 +164,7 @@ pub fn encode_query(id: u16, qname: &str, qtype: QType) -> Vec<u8> {
 /// records (enough structure for size realism; the analyzer only reads the
 /// header and question).
 pub fn encode_response(id: u16, qname: &str, qtype: QType, rcode: RCode, answers: u16) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + qname.len());
+    let mut buf = Vec::with_capacity(qname.len().saturating_add(64));
     buf.extend_from_slice(&id.to_be_bytes());
     let flags: u16 = 0x8180 | rcode.to_u8() as u16;
     buf.extend_from_slice(&flags.to_be_bytes());
@@ -186,16 +187,17 @@ pub fn encode_response(id: u16, qname: &str, qtype: QType, rcode: RCode, answers
         buf.extend_from_slice(&1u16.to_be_bytes());
         buf.extend_from_slice(&300u32.to_be_bytes()); // TTL
         buf.extend_from_slice(&rdlen.to_be_bytes());
-        buf.extend(std::iter::repeat_n(i as u8, rdlen as usize));
+        let [.., fill] = i.to_be_bytes();
+        buf.extend(std::iter::repeat_n(fill, usize::from(rdlen)));
     }
     buf
 }
 
 fn encode_name(buf: &mut Vec<u8>, name: &str) {
     for label in name.split('.').filter(|l| !l.is_empty()) {
-        let l = label.len().min(63);
-        buf.push(l as u8);
-        buf.extend_from_slice(label.as_bytes().get(..l).unwrap_or(&[]));
+        let l = u8::try_from(label.len()).unwrap_or(u8::MAX).min(63);
+        buf.push(l);
+        buf.extend_from_slice(label.as_bytes().get(..usize::from(l)).unwrap_or(&[]));
     }
     buf.push(0);
 }

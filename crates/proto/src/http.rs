@@ -6,6 +6,7 @@
 //! vulnerability scanner, two Google crawl bots, and HTTP-layered
 //! applications like iFolder) which dominate internal HTTP traffic
 //! (Table 6).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::{StreamPair, Unread};
 use std::collections::VecDeque;
@@ -344,21 +345,21 @@ pub const RESPONSE_FILL: u8 = b'x';
 
 /// Write `v` as ASCII decimal digits (no formatting machinery).
 fn push_u64(out: &mut Vec<u8>, v: u64) {
+    // u64 has at most 20 decimal digits, written from the right.
     let mut digits = [0u8; 20];
-    let mut i = digits.len();
+    let mut start = digits.len();
     let mut v = v;
-    loop {
-        i -= 1;
-        // In-bounds by construction: u64 has at most 20 decimal digits,
-        // so i stays in 0..20. ent-lint: allow(E001)
-        digits[i] = b'0' + (v % 10) as u8;
+    for (i, d) in digits.iter_mut().enumerate().rev() {
+        let [.., low] = (v % 10).to_be_bytes();
+        // `low` < 10, so OR-ing it into b'0' (0x30) spells the digit.
+        *d = b'0' | low;
+        start = i;
         v /= 10;
         if v == 0 {
             break;
         }
     }
-    // ent-lint: allow(E001)
-    out.extend_from_slice(&digits[i..]);
+    out.extend_from_slice(digits.get(start..).unwrap_or(&[]));
 }
 
 /// Build an HTTP request head whose URI is assembled from literal
@@ -376,7 +377,11 @@ pub fn encode_request_head(
     conditional: bool,
     body_len: usize,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128 + host.len() + user_agent.len());
+    let mut out = Vec::with_capacity(
+        host.len()
+            .saturating_add(user_agent.len())
+            .saturating_add(128),
+    );
     out.extend_from_slice(method.as_bytes());
     out.push(b' ');
     for (i, part) in uri_parts.iter().enumerate() {
@@ -429,7 +434,7 @@ pub fn encode_response_head(status: u16, content_type: &str, body_len: usize) ->
         404 => "Not Found",
         _ => "Response",
     };
-    let mut out = Vec::with_capacity(96 + content_type.len());
+    let mut out = Vec::with_capacity(content_type.len().saturating_add(96));
     out.extend_from_slice(b"HTTP/1.1 ");
     push_u64(&mut out, u64::from(status));
     out.push(b' ');

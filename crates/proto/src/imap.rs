@@ -5,6 +5,7 @@
 //! transport level. Cleartext IMAP4 (D0) is parsed here: tagged commands
 //! and the poll-style session structure (periodic NOOP/CHECK) that gives
 //! internal IMAP connections their long durations (Figure 5b).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::StreamPair;
 
@@ -74,8 +75,8 @@ impl ImapAnalyzer {
             if let Some(verb) = line.split_whitespace().nth(1) {
                 let cmd = Command::parse(verb);
                 match cmd {
-                    Command::Poll => self.session.polls += 1,
-                    Command::Fetch => self.session.fetches += 1,
+                    Command::Poll => self.session.polls = self.session.polls.saturating_add(1),
+                    Command::Fetch => self.session.fetches = self.session.fetches.saturating_add(1),
                     _ => {}
                 }
                 self.session.commands.push(cmd);
@@ -99,14 +100,14 @@ impl ImapAnalyzer {
 /// `fetches` fetches.
 pub fn encode_client_session(polls: u32, fetches: u32) -> Vec<u8> {
     let mut s = String::from("a001 LOGIN user pass\r\na002 SELECT INBOX\r\n");
-    let mut tag = 3;
+    let mut tag = 3u32;
     for _ in 0..polls {
         s.push_str(&format!("a{tag:03} NOOP\r\n"));
-        tag += 1;
+        tag = tag.saturating_add(1);
     }
-    for i in 0..fetches {
-        s.push_str(&format!("a{tag:03} FETCH {} (RFC822)\r\n", i + 1));
-        tag += 1;
+    for i in 1..=fetches {
+        s.push_str(&format!("a{tag:03} FETCH {i} (RFC822)\r\n"));
+        tag = tag.saturating_add(1);
     }
     s.push_str(&format!("a{tag:03} LOGOUT\r\n"));
     s.into_bytes()

@@ -31,6 +31,10 @@
 //! assert_eq!(msg.qtype, Some(dns::QType::Aaaa));
 //! ```
 
+// E001 (DESIGN §6a): ingest code reads bytes through `get`, fixed-size
+// chunks or slice patterns, never a panicking index.
+#![deny(clippy::indexing_slicing)]
+
 pub mod cifs;
 pub mod dcerpc;
 pub mod dns;
@@ -57,6 +61,17 @@ pub enum Transport {
     Tcp,
     /// UDP.
     Udp,
+}
+
+/// `n` as a 16-bit length field, saturating: no encoded message comes near
+/// the limit.
+pub(crate) fn len16(n: usize) -> u16 {
+    u16::try_from(n).unwrap_or(u16::MAX)
+}
+
+/// `n` as a 32-bit length field, saturating, like [`len16`].
+pub(crate) fn len32(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 /// Reading helpers shared by the binary protocol parsers.
@@ -90,24 +105,28 @@ pub(crate) mod cursor {
             Some(s)
         }
 
+        pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+            self.take(N)?.first_chunk().copied()
+        }
+
         pub fn u8(&mut self) -> Option<u8> {
-            self.take(1).map(|s| s[0])
+            self.array().map(u8::from_be_bytes)
         }
 
         pub fn be16(&mut self) -> Option<u16> {
-            self.take(2).map(|s| u16::from_be_bytes([s[0], s[1]]))
+            self.array().map(u16::from_be_bytes)
         }
 
         pub fn be32(&mut self) -> Option<u32> {
-            self.take(4).map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
+            self.array().map(u32::from_be_bytes)
         }
 
         pub fn le16(&mut self) -> Option<u16> {
-            self.take(2).map(|s| u16::from_le_bytes([s[0], s[1]]))
+            self.array().map(u16::from_le_bytes)
         }
 
         pub fn le32(&mut self) -> Option<u32> {
-            self.take(4).map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+            self.array().map(u32::from_le_bytes)
         }
 
         pub fn skip(&mut self, n: usize) -> Option<()> {
@@ -200,6 +219,7 @@ impl StreamBuf {
     /// Read the next in-order segment: pay off an owed skip, then run
     /// `step` over the unread bytes until it returns `None` (or stops
     /// making progress), and carry what it left.
+    #[deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
     pub fn feed(&mut self, segment: &[u8], mut step: impl FnMut(&mut Unread<'_>) -> Option<()>) {
         if self.poisoned {
             return;

@@ -6,9 +6,10 @@
 //! The paper found NCP "predominantly used for file sharing" with reads
 //! dominating, plus the striking keep-alive-only connection population
 //! (detected at the flow layer, not here).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::cursor::Cursor;
-use crate::{Call, CallMatcher, StreamPair};
+use crate::{len32, Call, CallMatcher, StreamPair};
 use ent_wire::Timestamp;
 
 /// NCP-over-IP frame signature ("DmdT").
@@ -63,7 +64,7 @@ fn next_frame(buf: &[u8]) -> Option<(&[u8], usize)> {
 
 /// Encode an NCP request with the given function and `extra` filler bytes.
 pub fn encode_request(seq: u8, op: NcpOp, extra: usize) -> Vec<u8> {
-    let mut pkt = Vec::with_capacity(7 + extra);
+    let mut pkt = Vec::with_capacity(extra.saturating_add(7));
     pkt.extend_from_slice(&REQUEST_TYPE.to_be_bytes());
     pkt.push(seq);
     pkt.push(1); // connection low
@@ -79,7 +80,7 @@ pub fn encode_request(seq: u8, op: NcpOp, extra: usize) -> Vec<u8> {
 /// 2 bytes of payload beyond the reply header, etc. — controlled by the
 /// caller via `extra`.
 pub fn encode_reply(seq: u8, completion: u8, extra: usize) -> Vec<u8> {
-    let mut pkt = Vec::with_capacity(8 + extra);
+    let mut pkt = Vec::with_capacity(extra.saturating_add(8));
     pkt.extend_from_slice(&REPLY_TYPE.to_be_bytes());
     pkt.push(seq);
     pkt.push(1);
@@ -102,7 +103,7 @@ pub const REPLY_FILL: u8 = 0x6F;
 pub fn request_head(seq: u8, op: NcpOp, extra: usize) -> Vec<u8> {
     let mut buf = Vec::with_capacity(15);
     buf.extend_from_slice(&SIGNATURE.to_be_bytes());
-    buf.extend_from_slice(&((8 + 7 + extra) as u32).to_be_bytes());
+    buf.extend_from_slice(&len32(extra.saturating_add(8 + 7)).to_be_bytes());
     buf.extend_from_slice(&REQUEST_TYPE.to_be_bytes());
     buf.push(seq);
     buf.push(1); // connection low
@@ -117,7 +118,7 @@ pub fn request_head(seq: u8, op: NcpOp, extra: usize) -> Vec<u8> {
 pub fn reply_head(seq: u8, completion: u8, extra: usize) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16);
     buf.extend_from_slice(&SIGNATURE.to_be_bytes());
-    buf.extend_from_slice(&((8 + 8 + extra) as u32).to_be_bytes());
+    buf.extend_from_slice(&len32(extra.saturating_add(8 + 8)).to_be_bytes());
     buf.extend_from_slice(&REPLY_TYPE.to_be_bytes());
     buf.push(seq);
     buf.push(1);
@@ -129,9 +130,10 @@ pub fn reply_head(seq: u8, completion: u8, extra: usize) -> Vec<u8> {
 }
 
 fn frame(pkt: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + pkt.len());
+    let len = pkt.len().saturating_add(8);
+    let mut buf = Vec::with_capacity(len);
     buf.extend_from_slice(&SIGNATURE.to_be_bytes());
-    buf.extend_from_slice(&((8 + pkt.len()) as u32).to_be_bytes());
+    buf.extend_from_slice(&len32(len).to_be_bytes());
     buf.extend_from_slice(pkt);
     buf
 }

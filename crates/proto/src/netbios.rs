@@ -5,8 +5,10 @@
 //! domain/browser), and the strikingly high NXDOMAIN rate (36–50% of
 //! distinct queries). §5.2.1 analyzes the NetBIOS-SSN handshake that
 //! fronts CIFS on port 139.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::cursor::Cursor;
+use crate::len32;
 
 /// NBNS operations (opcode field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,32 +132,22 @@ pub fn encode_nb_name(name: &str, ntype: NameType) -> [u8; 34] {
     raw[15] = ntype.to_u8();
     let mut out = [0u8; 34];
     out[0] = 32;
-    for (i, &b) in raw.iter().enumerate() {
-        if let Some(slot) = out.get_mut(1 + i * 2) {
-            *slot = b'A' + (b >> 4);
-        }
-        if let Some(slot) = out.get_mut(2 + i * 2) {
-            *slot = b'A' + (b & 0x0F);
-        }
+    for (pair, &b) in out[1..33].as_chunks_mut::<2>().0.iter_mut().zip(&raw) {
+        *pair = [b'A'.saturating_add(b >> 4), b'A'.saturating_add(b & 0x0F)];
     }
     out[33] = 0;
     out
 }
 
 fn decode_nb_name(label: &[u8]) -> Option<(String, NameType)> {
-    if label.len() != 32 {
-        return None;
-    }
+    let label = <&[u8; 32]>::try_from(label).ok()?;
     let mut raw = [0u8; 16];
-    for i in 0..16 {
-        let hi = label.get(i * 2)?.checked_sub(b'A')?;
-        let lo = label.get(i * 2 + 1)?.checked_sub(b'A')?;
+    for (slot, &[hi, lo]) in raw.iter_mut().zip(label.as_chunks::<2>().0) {
+        let (hi, lo) = (hi.checked_sub(b'A')?, lo.checked_sub(b'A')?);
         if hi > 15 || lo > 15 {
             return None;
         }
-        if let Some(slot) = raw.get_mut(i) {
-            *slot = (hi << 4) | lo;
-        }
+        *slot = (hi << 4) | lo;
     }
     let ntype = NameType::from_u8(raw[15]);
     let name = String::from_utf8_lossy(&raw[..15]).trim_end().to_string();
@@ -272,11 +264,9 @@ pub struct SsnFrame {
 /// Try to parse a session frame header from the front of `buf`; returns the
 /// frame and total consumed length once the full frame is buffered.
 pub fn parse_ssn_frame(buf: &[u8]) -> Option<(SsnFrame, usize)> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let stype = SsnType::from_u8(buf[0]);
-    let length = ((buf[1] as usize & 0x01) << 16) | ((buf[2] as usize) << 8) | buf[3] as usize;
+    let &[stype, hi, mid, lo] = buf.first_chunk::<4>()?;
+    let stype = SsnType::from_u8(stype);
+    let length = (usize::from(hi & 0x01) << 16) | (usize::from(mid) << 8) | usize::from(lo);
     let total = 4usize.saturating_add(length);
     if buf.len() < total {
         return None;
@@ -287,11 +277,10 @@ pub fn parse_ssn_frame(buf: &[u8]) -> Option<(SsnFrame, usize)> {
 /// Encode a session frame with the given payload.
 pub fn encode_ssn_frame(stype: SsnType, payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() < (1 << 17));
-    let mut buf = Vec::with_capacity(4 + payload.len());
+    let mut buf = Vec::with_capacity(payload.len().saturating_add(4));
     buf.push(stype.to_u8());
-    buf.push(((payload.len() >> 16) & 0x01) as u8);
-    buf.push((payload.len() >> 8) as u8);
-    buf.push(payload.len() as u8);
+    let [.., hi, mid, lo] = len32(payload.len()).to_be_bytes();
+    buf.extend_from_slice(&[hi & 0x01, mid, lo]);
     buf.extend_from_slice(payload);
     buf
 }

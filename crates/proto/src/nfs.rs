@@ -1,4 +1,5 @@
 //! NFSv3 request classification (paper Table 13, Figures 7–8).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::sunrpc::{self, Message, PROG_NFS};
 use crate::{Call, CallMatcher, StreamPair};

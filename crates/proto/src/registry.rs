@@ -104,36 +104,39 @@ app_protocols! {
     MsSql = "ms-sql", Misc, (1433, Tcp),
 }
 
-/// The paper's application categories (Table 4, plus the other-tcp /
-/// other-udp catch-alls of Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Category {
-    /// Site backup systems (Dantz, Veritas, Connected).
-    Backup,
-    /// Bulk transfer (FTP, HPSS).
-    Bulk,
-    /// Mail transfer and access.
-    Email,
-    /// Interactive remote access (SSH, telnet, rlogin, X11).
-    Interactive,
-    /// Name/directory services.
-    Name,
-    /// Network file systems.
-    NetFile,
-    /// Network management and housekeeping.
-    NetMgnt,
-    /// Streaming media.
-    Streaming,
-    /// Web.
-    Web,
-    /// Windows services.
-    Windows,
-    /// Miscellaneous site services.
-    Misc,
-    /// Unrecognized TCP.
-    OtherTcp,
-    /// Unrecognized UDP.
-    OtherUdp,
+ent_wire::code_table! {
+    /// The paper's application categories (Table 4, plus the other-tcp /
+    /// other-udp catch-alls of Figure 1).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum Category {
+        /// Site backup systems (Dantz, Veritas, Connected).
+        Backup => "backup",
+        /// Bulk transfer (FTP, HPSS).
+        Bulk => "bulk",
+        /// Mail transfer and access.
+        Email => "email",
+        /// Interactive remote access (SSH, telnet, rlogin, X11).
+        Interactive => "interactive",
+        /// Name/directory services.
+        Name => "name",
+        /// Network file systems.
+        NetFile => "net-file",
+        /// Network management and housekeeping.
+        NetMgnt => "net-mgnt",
+        /// Streaming media.
+        Streaming => "streaming",
+        /// Web.
+        Web => "web",
+        /// Windows services.
+        Windows => "windows",
+        /// Miscellaneous site services.
+        Misc => "misc",
+        /// Unrecognized TCP.
+        OtherTcp => "other-tcp",
+        /// Unrecognized UDP.
+        OtherUdp => "other-udp",
+    }
+    pub fn label;
 }
 
 impl Category {
@@ -153,25 +156,6 @@ impl Category {
         Category::OtherTcp,
         Category::OtherUdp,
     ];
-
-    /// Display label matching the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            Category::Backup => "backup",
-            Category::Bulk => "bulk",
-            Category::Email => "email",
-            Category::Interactive => "interactive",
-            Category::Name => "name",
-            Category::NetFile => "net-file",
-            Category::NetMgnt => "net-mgnt",
-            Category::Streaming => "streaming",
-            Category::Web => "web",
-            Category::Windows => "windows",
-            Category::Misc => "misc",
-            Category::OtherTcp => "other-tcp",
-            Category::OtherUdp => "other-udp",
-        }
-    }
 }
 
 /// Dynamically learned port mappings — DCE/RPC endpoints handed out by the

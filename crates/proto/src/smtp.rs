@@ -6,6 +6,7 @@
 //! envelope exchanges followed by a unidirectional DATA transfer whose
 //! time scales with RTT, which is what produces the paper's order-of-
 //! magnitude internal/WAN duration split.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::StreamPair;
 
@@ -94,7 +95,9 @@ impl SmtpAnalyzer {
                     let cmd = Command::parse(&String::from_utf8_lossy(u.until(b"\r\n")?));
                     self.session.commands.push(cmd);
                     match cmd {
-                        Command::RcptTo => self.session.recipients += 1,
+                        Command::RcptTo => {
+                            self.session.recipients = self.session.recipients.saturating_add(1)
+                        }
                         Command::Data => {
                             self.state = State::Body;
                             self.body_bytes = 0;
@@ -106,12 +109,16 @@ impl SmtpAnalyzer {
                 // begin it is counted and dropped as it goes by.
                 State::Body => match u.until(b"\r\n.\r\n") {
                     Some(rest) => {
-                        self.session.messages += 1;
-                        self.session.message_bytes += self.body_bytes + rest.len() as u64;
+                        self.session.messages = self.session.messages.saturating_add(1);
+                        self.session.message_bytes = self
+                            .session
+                            .message_bytes
+                            .saturating_add(self.body_bytes)
+                            .saturating_add(rest.len() as u64);
                         self.state = State::Command;
                     }
                     None => {
-                        self.body_bytes += u.take_searched() as u64;
+                        self.body_bytes = self.body_bytes.saturating_add(u.take_searched() as u64);
                         return None;
                     }
                 },
@@ -157,7 +164,7 @@ pub fn encode_session(body_len: usize, rcpts: usize) -> (Vec<Vec<u8>>, Vec<Vec<u
     }
     client.push(b"DATA\r\n".to_vec());
     server.push(b"354 go ahead\r\n".to_vec());
-    let mut body = Vec::with_capacity(body_len + 5);
+    let mut body = Vec::with_capacity(body_len.saturating_add(5));
     body.extend(std::iter::repeat_n(b'm', body_len));
     body.extend_from_slice(b"\r\n.\r\n");
     client.push(body);

@@ -4,9 +4,10 @@
 //! analyze them at the transport level but verify that the handshake
 //! completed (the paper's HTTPS observation of many short connections
 //! that *do* finish the SSL handshake then immediately close, §5.1.1).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::cursor::Cursor;
-use crate::StreamPair;
+use crate::{len16, StreamPair};
 
 ent_wire::code_table! {
     /// TLS record content types.
@@ -106,7 +107,9 @@ impl TlsTracker {
                 RecordType::Handshake => self.server_hello |= msg_type == 2,
                 RecordType::ChangeCipherSpec if from_client => self.client_ccs = true,
                 RecordType::ChangeCipherSpec => self.server_ccs = true,
-                RecordType::ApplicationData => self.app_records += 1,
+                RecordType::ApplicationData => {
+                    self.app_records = self.app_records.saturating_add(1)
+                }
                 _ => {}
             }
             Some(())
@@ -127,7 +130,7 @@ impl TlsTracker {
 /// Encode a TLS record with filler payload.
 pub fn encode_record(rtype: RecordType, payload: &[u8]) -> Vec<u8> {
     let mut out = vec![rtype.to_u8(), 3, 1];
-    out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+    out.extend_from_slice(&len16(payload.len()).to_be_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -140,7 +143,7 @@ pub fn record_head(rtype: RecordType, payload_len: usize) -> Vec<u8> {
     out.push(rtype.to_u8());
     out.push(3);
     out.push(1);
-    out.extend_from_slice(&(payload_len as u16).to_be_bytes());
+    out.extend_from_slice(&len16(payload_len).to_be_bytes());
     out
 }
 

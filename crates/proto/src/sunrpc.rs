@@ -3,8 +3,10 @@
 //! Handles both transports the paper observed (§5.2.2 notes — contrary to
 //! expectation — that UDP still dominated NFS at the site): one message
 //! per UDP datagram, and record-marked streams over TCP.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::cursor::Cursor;
+use crate::len32;
 
 /// RPC program numbers of interest.
 pub const PROG_PORTMAP: u32 = 100000;
@@ -86,7 +88,7 @@ pub fn parse_message(buf: &[u8]) -> Option<Message> {
                 prog,
                 vers,
                 proc,
-                arg_len: c.remaining() as u32,
+                arg_len: len32(c.remaining()),
             }))
         }
         1 => {
@@ -101,7 +103,7 @@ pub fn parse_message(buf: &[u8]) -> Option<Message> {
                 xid,
                 accepted: reply_stat == 0 && accept_stat == 0,
                 status_word,
-                result_len: c.remaining() as u32 + 4,
+                result_len: len32(c.remaining()).saturating_add(4),
             }))
         }
         _ => None,
@@ -110,7 +112,7 @@ pub fn parse_message(buf: &[u8]) -> Option<Message> {
 
 /// Encode an RPC call with `arg_len` filler argument bytes.
 pub fn encode_call(xid: u32, prog: u32, vers: u32, proc: u32, arg_len: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(40 + arg_len);
+    let mut buf = Vec::with_capacity(arg_len.saturating_add(40));
     buf.extend_from_slice(&xid.to_be_bytes());
     buf.extend_from_slice(&0u32.to_be_bytes()); // CALL
     buf.extend_from_slice(&2u32.to_be_bytes()); // RPC v2
@@ -129,7 +131,7 @@ pub fn encode_call(xid: u32, prog: u32, vers: u32, proc: u32, arg_len: usize) ->
 /// Encode an accepted RPC reply whose first result word is `status_word`
 /// followed by `result_len` filler bytes.
 pub fn encode_reply(xid: u32, status_word: u32, result_len: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(28 + result_len);
+    let mut buf = Vec::with_capacity(result_len.saturating_add(28));
     buf.extend_from_slice(&xid.to_be_bytes());
     buf.extend_from_slice(&1u32.to_be_bytes()); // REPLY
     buf.extend_from_slice(&0u32.to_be_bytes()); // MSG_ACCEPTED
@@ -161,16 +163,17 @@ pub fn reply_head(xid: u32, status_word: u32) -> Vec<u8> {
 /// covers the full logical length, so `mark_record_head(&m, 0)` equals
 /// [`mark_record`] and the fill stays at the tail for split emission.
 pub fn mark_record_head(head: &[u8], fill_len: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + head.len());
-    buf.extend_from_slice(&(0x8000_0000u32 | (head.len() + fill_len) as u32).to_be_bytes());
+    let mut buf = Vec::with_capacity(head.len().saturating_add(4));
+    let len = len32(head.len().saturating_add(fill_len));
+    buf.extend_from_slice(&(0x8000_0000u32 | len).to_be_bytes());
     buf.extend_from_slice(head);
     buf
 }
 
 /// Wrap a message with TCP record marking (single final fragment).
 pub fn mark_record(msg: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + msg.len());
-    buf.extend_from_slice(&(0x8000_0000u32 | msg.len() as u32).to_be_bytes());
+    let mut buf = Vec::with_capacity(msg.len().saturating_add(4));
+    buf.extend_from_slice(&(0x8000_0000u32 | len32(msg.len())).to_be_bytes());
     buf.extend_from_slice(msg);
     buf
 }
@@ -178,10 +181,7 @@ pub fn mark_record(msg: &[u8]) -> Vec<u8> {
 /// Extract the next record-marked message from a stream buffer prefix;
 /// returns (message bytes, total consumed).
 pub fn next_record(buf: &[u8]) -> Option<(&[u8], usize)> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let word = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    let word = u32::from_be_bytes(*buf.first_chunk::<4>()?);
     let len = (word & 0x7FFF_FFFF) as usize;
     if word & 0x8000_0000 == 0 {
         // Multi-fragment records are not generated; treat as unparseable.

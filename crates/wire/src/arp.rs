@@ -2,8 +2,9 @@
 //!
 //! ARP is one of the two dominant non-IP protocols in the LBNL traces
 //! (paper Table 2: 5–27% of non-IP packets depending on dataset).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
-use crate::{be16, ethernet::MacAddr, ipv4, put_be16, Error, Result};
+use crate::{be16, bytes_at, ethernet::MacAddr, ipv4, put, put_be16, Error, Result};
 
 /// ARP packet length for Ethernet/IPv4 (fixed 28 bytes).
 pub const PACKET_LEN: usize = 28;
@@ -41,41 +42,32 @@ pub struct Packet {
 impl Packet {
     /// Parse an ARP packet; only Ethernet/IPv4 ARP is supported.
     pub fn parse(buf: &[u8]) -> Result<Packet> {
-        if buf.len() < PACKET_LEN {
-            return Err(Error::Truncated);
-        }
+        let buf = buf.first_chunk::<PACKET_LEN>().ok_or(Error::Truncated)?;
         if be16(buf, 0) != 1 || be16(buf, 2) != 0x0800 || buf[4] != 6 || buf[5] != 4 {
             return Err(Error::Unsupported);
         }
-        let mac = |off: usize| {
-            let mut m = [0u8; 6];
-            if let Some(src) = buf.get(off..off.saturating_add(6)) {
-                m.copy_from_slice(src);
-            }
-            MacAddr(m)
-        };
         Ok(Packet {
             operation: Operation::from_u16(be16(buf, 6)),
-            sender_mac: mac(8),
+            sender_mac: MacAddr(bytes_at(buf, 8)),
             sender_ip: ipv4::Addr(crate::be32(buf, 14)),
-            target_mac: mac(18),
+            target_mac: MacAddr(bytes_at(buf, 18)),
             target_ip: ipv4::Addr(crate::be32(buf, 24)),
         })
     }
 
     /// Emit the 28-byte wire form.
     pub fn emit(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; PACKET_LEN];
+        let mut buf = [0u8; PACKET_LEN];
         put_be16(&mut buf, 0, 1); // Ethernet
         put_be16(&mut buf, 2, 0x0800); // IPv4
         buf[4] = 6;
         buf[5] = 4;
         put_be16(&mut buf, 6, self.operation.to_u16());
-        buf[8..14].copy_from_slice(&self.sender_mac.0);
-        buf[14..18].copy_from_slice(&self.sender_ip.octets());
-        buf[18..24].copy_from_slice(&self.target_mac.0);
-        buf[24..28].copy_from_slice(&self.target_ip.octets());
-        buf
+        put(&mut buf, 8, &self.sender_mac.0);
+        put(&mut buf, 14, &self.sender_ip.octets());
+        put(&mut buf, 18, &self.target_mac.0);
+        put(&mut buf, 24, &self.target_ip.octets());
+        buf.to_vec()
     }
 }
 

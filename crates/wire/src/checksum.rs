@@ -15,9 +15,9 @@ use crate::ipv4;
 pub(crate) fn word_sum(data: &[u8]) -> u32 {
     let mut acc = 0u64;
     let mut carries = 0u64;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let w = u64::from_be_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+    let (words, rest) = data.as_chunks::<8>();
+    for w in words {
+        let w = u64::from_be_bytes(*w);
         let (sum, carried) = acc.overflowing_add(w);
         acc = sum;
         carries += u64::from(carried);
@@ -26,11 +26,11 @@ pub(crate) fn word_sum(data: &[u8]) -> u32 {
     let (sum, carried) = acc.overflowing_add(carries);
     let acc = sum + u64::from(carried);
     let mut s = (acc & 0xFFFF) + ((acc >> 16) & 0xFFFF) + ((acc >> 32) & 0xFFFF) + (acc >> 48);
-    let mut tail = words.remainder().chunks_exact(2);
-    for pair in &mut tail {
-        s += u64::from(u16::from_be_bytes([pair[0], pair[1]]));
+    let (pairs, last) = rest.as_chunks::<2>();
+    for pair in pairs {
+        s += u64::from(u16::from_be_bytes(*pair));
     }
-    if let [last] = tail.remainder() {
+    if let [last] = last {
         s += u64::from(u16::from_be_bytes([*last, 0]));
     }
     // At most seven words of 0xFFFF: well inside a u32.

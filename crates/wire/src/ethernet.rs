@@ -3,8 +3,9 @@
 //! The LBNL traces are Ethernet captures; the network-layer breakdown of the
 //! paper's Table 2 (IP vs ARP vs IPX vs other) is driven entirely by the
 //! EtherType / 802.3 length field parsed here.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
-use crate::{be16, put_be16, Error, Result};
+use crate::{be16, bytes_at, Error, Result};
 use core::fmt;
 
 /// Minimum Ethernet II header: dst(6) + src(6) + ethertype(2).
@@ -112,29 +113,25 @@ impl<'a> Frame<'a> {
     /// Parse an Ethernet II header.
     #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Frame<'a>> {
-        if buf.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&buf[0..6]);
-        src.copy_from_slice(&buf[6..12]);
+        let (hdr, payload) = buf
+            .split_first_chunk::<HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
         Ok(Frame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype: EtherType::from_u16(be16(buf, 12)),
-            payload: &buf[HEADER_LEN..],
+            dst: MacAddr(bytes_at(hdr, 0)),
+            src: MacAddr(bytes_at(hdr, 6)),
+            ethertype: EtherType::from_u16(be16(hdr, 12)),
+            payload,
         })
     }
 }
 
 /// Emit an Ethernet II header followed by `payload` into a fresh vector.
 pub fn emit(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
-    let mut buf = vec![0u8; HEADER_LEN + payload.len()];
-    buf[0..6].copy_from_slice(&dst.0);
-    buf[6..12].copy_from_slice(&src.0);
-    put_be16(&mut buf, 12, ethertype.to_u16());
-    buf[HEADER_LEN..].copy_from_slice(payload);
+    let mut buf = Vec::with_capacity(HEADER_LEN.saturating_add(payload.len()));
+    buf.extend_from_slice(&dst.0);
+    buf.extend_from_slice(&src.0);
+    buf.extend_from_slice(&ethertype.to_u16().to_be_bytes());
+    buf.extend_from_slice(payload);
     buf
 }
 

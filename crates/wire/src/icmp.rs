@@ -3,6 +3,7 @@
 //! The paper treats ICMP echo exchanges as "connections" (Table 3) and most
 //! of the external scanners it removes are ICMP probes, so echo semantics and
 //! the ident/seq pair matter for flow keying.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::{be16, checksum, put_be16, Error, Result};
 
@@ -47,27 +48,27 @@ impl<'a> Message<'a> {
     /// Parse an ICMP message.
     #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Message<'a>> {
-        if buf.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
+        let (hdr, payload) = buf
+            .split_first_chunk::<HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
         Ok(Message {
-            mtype: MessageType::from_u8(buf[0]),
-            code: buf[1],
-            ident: be16(buf, 4),
-            seq: be16(buf, 6),
-            payload: &buf[HEADER_LEN..],
+            mtype: MessageType::from_u8(hdr[0]),
+            code: hdr[1],
+            ident: be16(hdr, 4),
+            seq: be16(hdr, 6),
+            payload,
         })
     }
 }
 
 /// Emit an ICMP message (checksummed).
 pub fn emit(mtype: MessageType, code: u8, ident: u16, seq: u16, payload: &[u8]) -> Vec<u8> {
-    let mut buf = vec![0u8; HEADER_LEN + payload.len()];
-    buf[0] = mtype.to_u8();
-    buf[1] = code;
-    put_be16(&mut buf, 4, ident);
-    put_be16(&mut buf, 6, seq);
-    buf[HEADER_LEN..].copy_from_slice(payload);
+    let mut hdr = [0u8; HEADER_LEN];
+    hdr[0] = mtype.to_u8();
+    hdr[1] = code;
+    put_be16(&mut hdr, 4, ident);
+    put_be16(&mut hdr, 6, seq);
+    let mut buf = [hdr.as_slice(), payload].concat();
     let ck = checksum::of(&buf);
     put_be16(&mut buf, 2, ck);
     buf

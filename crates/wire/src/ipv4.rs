@@ -1,6 +1,7 @@
 //! IPv4 header parsing and emission.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
-use crate::{be16, checksum, put_be16, Error, Result};
+use crate::{be16, checksum, put, put_be16, Error, Result};
 use core::fmt;
 
 /// Minimum IPv4 header length (no options).
@@ -39,7 +40,7 @@ impl Addr {
         if prefix_len == 0 {
             return true;
         }
-        let shift = 32 - prefix_len as u32;
+        let shift = 32u32.saturating_sub(prefix_len as u32);
         (self.0 >> shift) == (net.0 >> shift)
     }
 }
@@ -108,36 +109,36 @@ impl<'a> Header<'a> {
     /// truncated or structurally invalid headers.
     #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Header<'a>> {
-        if buf.len() < MIN_HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        if buf[0] >> 4 != 4 {
+        let hdr = buf
+            .first_chunk::<MIN_HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
+        if hdr[0] >> 4 != 4 {
             return Err(Error::Malformed);
         }
-        let ihl = usize::from(buf[0] & 0x0F).saturating_mul(4);
+        let ihl = usize::from(hdr[0] & 0x0F).saturating_mul(4);
         if ihl < MIN_HEADER_LEN {
             return Err(Error::Malformed);
         }
         if buf.len() < ihl {
             return Err(Error::Truncated);
         }
-        let total_len = be16(buf, 2);
-        if (total_len as usize) < ihl {
+        let total_len = be16(hdr, 2);
+        if usize::from(total_len) < ihl {
             return Err(Error::Malformed);
         }
-        let captured_payload_end = core::cmp::min(buf.len(), total_len as usize);
+        let captured_payload_end = core::cmp::min(buf.len(), usize::from(total_len));
         let payload = buf
             .get(ihl..core::cmp::max(ihl, captured_payload_end))
             .unwrap_or(&[]);
         Ok(Header {
             header_len: u8::try_from(ihl).unwrap_or(u8::MAX),
             total_len,
-            ident: be16(buf, 4),
-            frag_offset: be16(buf, 6) & FRAG_OFFSET_MASK,
-            ttl: buf[8],
-            protocol: Protocol::from_u8(buf[9]),
-            src: Addr(crate::be32(buf, 12)),
-            dst: Addr(crate::be32(buf, 16)),
+            ident: be16(hdr, 4),
+            frag_offset: be16(hdr, 6) & FRAG_OFFSET_MASK,
+            ttl: hdr[8],
+            protocol: Protocol::from_u8(hdr[9]),
+            src: Addr(crate::be32(hdr, 12)),
+            dst: Addr(crate::be32(hdr, 16)),
             payload,
         })
     }
@@ -145,26 +146,25 @@ impl<'a> Header<'a> {
     /// On-the-wire payload length implied by the header (not capped by the
     /// capture snaplen). This is what byte-volume analyses must use.
     pub fn wire_payload_len(&self) -> usize {
-        self.total_len as usize - self.header_len as usize
+        usize::from(self.total_len).saturating_sub(usize::from(self.header_len))
     }
 }
 
 /// Emit a 20-byte IPv4 header (checksummed) followed by `payload`.
 pub fn emit(src: Addr, dst: Addr, protocol: Protocol, ttl: u8, ident: u16, payload: &[u8]) -> Vec<u8> {
-    let total = MIN_HEADER_LEN + payload.len();
-    assert!(total <= u16::MAX as usize, "IPv4 datagram too large");
-    let mut buf = vec![0u8; total];
-    buf[0] = 0x45; // version 4, IHL 5
-    put_be16(&mut buf, 2, total as u16);
-    put_be16(&mut buf, 4, ident);
-    buf[8] = ttl;
-    buf[9] = protocol.to_u8();
-    buf[12..16].copy_from_slice(&src.octets());
-    buf[16..20].copy_from_slice(&dst.octets());
-    let ck = checksum::of(&buf[..MIN_HEADER_LEN]);
-    put_be16(&mut buf, 10, ck);
-    buf[MIN_HEADER_LEN..].copy_from_slice(payload);
-    buf
+    let total = u16::try_from(MIN_HEADER_LEN.saturating_add(payload.len()));
+    assert!(total.is_ok(), "IPv4 datagram too large");
+    let mut hdr = [0u8; MIN_HEADER_LEN];
+    hdr[0] = 0x45; // version 4, IHL 5
+    put_be16(&mut hdr, 2, total.unwrap_or(u16::MAX));
+    put_be16(&mut hdr, 4, ident);
+    hdr[8] = ttl;
+    hdr[9] = protocol.to_u8();
+    put(&mut hdr, 12, &src.octets());
+    put(&mut hdr, 16, &dst.octets());
+    let ck = checksum::of(&hdr);
+    put_be16(&mut hdr, 10, ck);
+    [hdr.as_slice(), payload].concat()
 }
 
 #[cfg(test)]

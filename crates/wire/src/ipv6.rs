@@ -3,8 +3,9 @@
 //! The 2004–05 LBNL traces contain essentially no IPv6 *traffic* (though
 //! 17–25% of DNS queries ask for AAAA records, §5.1.3); we parse the fixed
 //! header so such packets are classified rather than dropped as malformed.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
-use crate::{be16, Error, Result};
+use crate::{be16, bytes_at, Error, Result};
 use core::fmt;
 
 /// Fixed IPv6 header length.
@@ -23,11 +24,11 @@ impl Addr {
 
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, pair) in self.0.chunks(2).enumerate() {
+        for (i, pair) in self.0.as_chunks::<2>().0.iter().enumerate() {
             if i > 0 {
                 write!(f, ":")?;
             }
-            write!(f, "{:x}", u16::from_be_bytes([pair[0], pair[1]]))?;
+            write!(f, "{:x}", u16::from_be_bytes(*pair))?;
         }
         Ok(())
     }
@@ -53,23 +54,19 @@ pub struct Header<'a> {
 impl<'a> Header<'a> {
     /// Parse the fixed header.
     pub fn parse(buf: &'a [u8]) -> Result<Header<'a>> {
-        if buf.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        if buf[0] >> 4 != 6 {
+        let (hdr, payload) = buf
+            .split_first_chunk::<HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
+        if hdr[0] >> 4 != 6 {
             return Err(Error::Malformed);
         }
-        let mut src = [0u8; 16];
-        let mut dst = [0u8; 16];
-        src.copy_from_slice(&buf[8..24]);
-        dst.copy_from_slice(&buf[24..40]);
         Ok(Header {
-            payload_len: be16(buf, 4),
-            next_header: buf[6],
-            hop_limit: buf[7],
-            src: Addr(src),
-            dst: Addr(dst),
-            payload: &buf[HEADER_LEN..],
+            payload_len: be16(hdr, 4),
+            next_header: hdr[6],
+            hop_limit: hdr[7],
+            src: Addr(bytes_at(hdr, 8)),
+            dst: Addr(bytes_at(hdr, 24)),
+            payload,
         })
     }
 }

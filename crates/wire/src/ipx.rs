@@ -3,8 +3,9 @@
 //! IPX is the dominant non-IP protocol in the LBNL traces (paper Table 2:
 //! 32–80% of non-IP packets), mostly broadcast SAP/RIP chatter confined to
 //! subnets. We parse enough of the header to classify and count it.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
-use crate::{be16, put_be16, Error, Result};
+use crate::{be16, bytes_at, put, put_be16, Error, Result};
 
 /// IPX header length.
 pub const HEADER_LEN: usize = 30;
@@ -59,13 +60,9 @@ pub struct Header<'a> {
 }
 
 fn addr_at(buf: &[u8], off: usize) -> Addr {
-    let mut node = [0u8; 6];
-    if let Some(src) = buf.get(off.saturating_add(4)..off.saturating_add(10)) {
-        node.copy_from_slice(src);
-    }
     Addr {
         network: crate::be32(buf, off),
-        node,
+        node: bytes_at(buf, off.saturating_add(4)),
         socket: be16(buf, off.saturating_add(10)),
     }
 }
@@ -74,22 +71,20 @@ impl<'a> Header<'a> {
     /// Parse an IPX header; the checksum field must be 0xFFFF (IPX never
     /// checksums in practice) — anything else is treated as malformed.
     pub fn parse(buf: &'a [u8]) -> Result<Header<'a>> {
-        if buf.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        if be16(buf, 0) != 0xFFFF {
+        let hdr = buf.first_chunk::<HEADER_LEN>().ok_or(Error::Truncated)?;
+        if be16(hdr, 0) != 0xFFFF {
             return Err(Error::Malformed);
         }
-        let length = be16(buf, 2);
-        if (length as usize) < HEADER_LEN {
+        let length = be16(hdr, 2);
+        if usize::from(length) < HEADER_LEN {
             return Err(Error::Malformed);
         }
-        let end = core::cmp::min(buf.len(), length as usize);
+        let end = core::cmp::min(buf.len(), usize::from(length));
         Ok(Header {
             length,
-            ptype: PacketType::from_u8(buf[5]),
-            dst: addr_at(buf, 6),
-            src: addr_at(buf, 18),
+            ptype: PacketType::from_u8(hdr[5]),
+            dst: addr_at(hdr, 6),
+            src: addr_at(hdr, 18),
             payload: buf.get(HEADER_LEN..core::cmp::max(HEADER_LEN, end)).unwrap_or(&[]),
         })
     }
@@ -97,23 +92,23 @@ impl<'a> Header<'a> {
 
 /// Emit an IPX packet.
 pub fn emit(ptype: PacketType, src: Addr, dst: Addr, payload: &[u8]) -> Vec<u8> {
-    let total = HEADER_LEN + payload.len();
-    let mut buf = vec![0u8; total];
-    put_be16(&mut buf, 0, 0xFFFF);
-    put_be16(&mut buf, 2, total as u16);
-    buf[4] = 0; // transport control
-    buf[5] = ptype.to_u8();
+    let mut hdr = [0u8; HEADER_LEN];
+    put_be16(&mut hdr, 0, 0xFFFF);
+    put_be16(
+        &mut hdr,
+        2,
+        u16::try_from(HEADER_LEN.saturating_add(payload.len())).unwrap_or(u16::MAX),
+    );
+    hdr[4] = 0; // transport control
+    hdr[5] = ptype.to_u8();
     let put_addr = |buf: &mut [u8], off: usize, a: &Addr| {
         crate::put_be32(buf, off, a.network);
-        if let Some(dst) = buf.get_mut(off.saturating_add(4)..off.saturating_add(10)) {
-            dst.copy_from_slice(&a.node);
-        }
+        put(buf, off.saturating_add(4), &a.node);
         put_be16(buf, off.saturating_add(10), a.socket);
     };
-    put_addr(&mut buf, 6, &dst);
-    put_addr(&mut buf, 18, &src);
-    buf[HEADER_LEN..].copy_from_slice(payload);
-    buf
+    put_addr(&mut hdr, 6, &dst);
+    put_addr(&mut hdr, 18, &src);
+    [hdr.as_slice(), payload].concat()
 }
 
 #[cfg(test)]

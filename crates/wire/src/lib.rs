@@ -37,6 +37,10 @@
 //! assert_eq!(pkt.payload(), payload);
 //! ```
 
+// E001 (DESIGN §6a): ingest code reads bytes through `get`, fixed-size
+// chunks or slice patterns, never a panicking index.
+#![deny(clippy::indexing_slicing)]
+
 pub mod arp;
 pub mod build;
 pub mod checksum;
@@ -108,21 +112,35 @@ pub(crate) fn be32(buf: &[u8], off: usize) -> u32 {
     }
 }
 
-/// Write a big-endian `u16`. Total: out-of-range writes are dropped
+/// Read the `N` bytes at `off` as an array; total, like [`be16`] (a read
+/// past the end yields zeros).
+#[inline]
+pub(crate) fn bytes_at<const N: usize>(buf: &[u8], off: usize) -> [u8; N] {
+    buf.get(off..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .unwrap_or([0; N])
+}
+
+/// Copy `src` into `buf` at `off`. Total: an out-of-range write is dropped
 /// (builders always size their buffers up front).
 #[inline]
-pub(crate) fn put_be16(buf: &mut [u8], off: usize, v: u16) {
-    if let Some(dst) = buf.get_mut(off..off.saturating_add(2)) {
-        dst.copy_from_slice(&v.to_be_bytes());
+pub(crate) fn put(buf: &mut [u8], off: usize, src: &[u8]) {
+    if let Some(dst) = buf.get_mut(off..off.saturating_add(src.len())) {
+        dst.copy_from_slice(src);
     }
 }
 
-/// Write a big-endian `u32`; total, like [`put_be16`].
+/// Write a big-endian `u16`; total, like [`put`].
+#[inline]
+pub(crate) fn put_be16(buf: &mut [u8], off: usize, v: u16) {
+    put(buf, off, &v.to_be_bytes());
+}
+
+/// Write a big-endian `u32`; total, like [`put`].
 #[inline]
 pub(crate) fn put_be32(buf: &mut [u8], off: usize, v: u32) {
-    if let Some(dst) = buf.get_mut(off..off.saturating_add(4)) {
-        dst.copy_from_slice(&v.to_be_bytes());
-    }
+    put(buf, off, &v.to_be_bytes());
 }
 
 /// Tiny deterministic generator (xorshift64*) for this crate's property

@@ -5,6 +5,7 @@
 //! that merely uses a protocol we do not model — such packets are classified
 //! as [`NetLayer::OtherL3`] / [`Transport::Other`] so the broad breakdowns of
 //! the paper's §3 can still count them.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::{arp, be16, be32, ethernet, icmp, ipv4, ipv6, ipx, tcp, udp, Error, Result};
 
@@ -140,10 +141,16 @@ const UDP_PAYLOAD_AT: usize = L4_AT + udp::HEADER_LEN;
 const FIXED_LEN: usize = L4_AT + tcp::MIN_HEADER_LEN;
 /// IPv4 version 4, IHL 5: no options.
 const VERSION_IHL5: u8 = 0x45;
-const IP4_HDR_BYTES: u16 = ipv4::MIN_HEADER_LEN as u16;
-const UDP_HDR_BYTES: u16 = udp::HEADER_LEN as u16;
+const IP4_HDR_BYTES: u16 = 20;
+const UDP_HDR_BYTES: u16 = 8;
+const TCP_HDR_BYTES: u16 = 20;
+const _: () = assert!(
+    IP4_HDR_BYTES as usize == ipv4::MIN_HEADER_LEN
+        && UDP_HDR_BYTES as usize == udp::HEADER_LEN
+        && TCP_HDR_BYTES as usize == tcp::MIN_HEADER_LEN
+);
 /// Smallest IPv4 total length that carries a whole TCP / UDP header.
-const TCP_MIN_TOTAL: u16 = IP4_HDR_BYTES + tcp::MIN_HEADER_LEN as u16;
+const TCP_MIN_TOTAL: u16 = IP4_HDR_BYTES + TCP_HDR_BYTES;
 const UDP_MIN_TOTAL: u16 = IP4_HDR_BYTES + UDP_HDR_BYTES;
 
 impl<'a> Packet<'a> {
@@ -280,7 +287,10 @@ impl<'a> Packet<'a> {
                                 ack: seg.ack,
                                 flags: seg.flags,
                                 window: seg.window,
-                                wire_payload_len: ip.wire_payload_len().saturating_sub(hdr) as u32,
+                                wire_payload_len: u32::try_from(
+                                    ip.wire_payload_len().saturating_sub(hdr),
+                                )
+                                .unwrap_or(u32::MAX),
                             };
                         }
                         Err(Error::Truncated) => transport = Transport::Other(6),
@@ -345,7 +355,7 @@ impl<'a> Packet<'a> {
             },
             ethernet::EtherType::Ieee8023Length(_) => {
                 // Raw 802.3 IPX starts with FF FF (the IPX "checksum").
-                if eth.payload.len() >= 2 && eth.payload[0] == 0xFF && eth.payload[1] == 0xFF {
+                if eth.payload.starts_with(&[0xFF, 0xFF]) {
                     match ipx::Header::parse(eth.payload) {
                         Ok(x) => NetLayer::Ipx {
                             ptype: x.ptype,

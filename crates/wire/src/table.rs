@@ -14,6 +14,10 @@
 /// given code. The `fn` lines name the functions to generate — decoder,
 /// encoder and (bucket only) label accessor — each the `match` one would
 /// write by hand. A bucket table also gets `ALL`, its variants in row order.
+/// A *label* table has no codes: its rows are `Variant => "label"`, it
+/// names only the label accessor, and a trailing `const ALL;` asks for
+/// `ALL` (a table whose display order differs from its declaration order
+/// keeps its own).
 #[macro_export]
 macro_rules! code_table {
     (
@@ -86,6 +90,47 @@ macro_rules! code_table {
                 match self {
                     $($name::$variant => $label,)+
                     $name::$other => $olabel,
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $label:literal,)+
+        }
+        $lvis:vis fn $labelfn:ident;
+        const ALL;
+    ) => {
+        $crate::code_table! {
+            $(#[$meta])*
+            $vis enum $name {
+                $($(#[$vmeta])* $variant => $label,)+
+            }
+            $lvis fn $labelfn;
+        }
+        impl $name {
+            /// Every row in declaration order: the row order of the paper's
+            /// table.
+            $vis const ALL: &'static [$name] = &[$($name::$variant,)+];
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $label:literal,)+
+        }
+        $lvis:vis fn $labelfn:ident;
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+        impl $name {
+            /// The paper's label for this row.
+            $lvis fn $labelfn(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
                 }
             }
         }

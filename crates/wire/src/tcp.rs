@@ -1,4 +1,5 @@
 //! TCP segment parsing and emission.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::{be16, be32, checksum, ipv4, put_be16, put_be32, Error, Result};
 
@@ -100,10 +101,10 @@ impl<'a> Segment<'a> {
     /// the true size).
     #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Segment<'a>> {
-        if buf.len() < MIN_HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let data_off = usize::from(buf.get(12).copied().unwrap_or(0) >> 4).saturating_mul(4);
+        let hdr = buf
+            .first_chunk::<MIN_HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
+        let data_off = usize::from(hdr[12] >> 4).saturating_mul(4);
         if data_off < MIN_HEADER_LEN {
             return Err(Error::Malformed);
         }
@@ -112,13 +113,13 @@ impl<'a> Segment<'a> {
         // header-only traces (D1/D2) still yield flags and ports.
         let (hdr_len, payload) = (data_off, buf.get(data_off..).unwrap_or(&[]));
         Ok(Segment {
-            src_port: be16(buf, 0),
-            dst_port: be16(buf, 2),
-            seq: be32(buf, 4),
-            ack: be32(buf, 8),
+            src_port: be16(hdr, 0),
+            dst_port: be16(hdr, 2),
+            seq: be32(hdr, 4),
+            ack: be32(hdr, 8),
             header_len: u8::try_from(hdr_len).unwrap_or(u8::MAX),
-            flags: Flags(buf[13] & 0x3F),
-            window: be16(buf, 14),
+            flags: Flags(hdr[13] & 0x3F),
+            window: be16(hdr, 14),
             payload,
         })
     }
@@ -138,15 +139,15 @@ pub fn emit(
     window: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let mut buf = vec![0u8; MIN_HEADER_LEN + payload.len()];
-    put_be16(&mut buf, 0, src_port);
-    put_be16(&mut buf, 2, dst_port);
-    put_be32(&mut buf, 4, seq);
-    put_be32(&mut buf, 8, ack);
-    buf[12] = 5 << 4;
-    buf[13] = flags.0;
-    put_be16(&mut buf, 14, window);
-    buf[MIN_HEADER_LEN..].copy_from_slice(payload);
+    let mut hdr = [0u8; MIN_HEADER_LEN];
+    put_be16(&mut hdr, 0, src_port);
+    put_be16(&mut hdr, 2, dst_port);
+    put_be32(&mut hdr, 4, seq);
+    put_be32(&mut hdr, 8, ack);
+    hdr[12] = 5 << 4;
+    hdr[13] = flags.0;
+    put_be16(&mut hdr, 14, window);
+    let mut buf = [hdr.as_slice(), payload].concat();
     let ck = checksum::transport(src_ip, dst_ip, 6, &buf);
     put_be16(&mut buf, 16, ck);
     buf

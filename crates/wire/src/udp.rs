@@ -1,4 +1,5 @@
 //! UDP datagram parsing and emission.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use crate::{be16, checksum, ipv4, put_be16, Error, Result};
 
@@ -23,17 +24,15 @@ impl<'a> Datagram<'a> {
     /// Parse a UDP header, tolerating payload truncation.
     #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Datagram<'a>> {
-        if buf.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let length = be16(buf, 4);
-        if (length as usize) < HEADER_LEN {
+        let hdr = buf.first_chunk::<HEADER_LEN>().ok_or(Error::Truncated)?;
+        let length = be16(hdr, 4);
+        if usize::from(length) < HEADER_LEN {
             return Err(Error::Malformed);
         }
-        let end = core::cmp::min(buf.len(), length as usize);
+        let end = core::cmp::min(buf.len(), usize::from(length));
         Ok(Datagram {
-            src_port: be16(buf, 0),
-            dst_port: be16(buf, 2),
+            src_port: be16(hdr, 0),
+            dst_port: be16(hdr, 2),
             length,
             payload: buf.get(HEADER_LEN..core::cmp::max(HEADER_LEN, end)).unwrap_or(&[]),
         })
@@ -41,7 +40,7 @@ impl<'a> Datagram<'a> {
 
     /// On-the-wire payload length implied by the header.
     pub fn wire_payload_len(&self) -> usize {
-        self.length as usize - HEADER_LEN
+        usize::from(self.length).saturating_sub(HEADER_LEN)
     }
 }
 
@@ -53,11 +52,15 @@ pub fn emit(
     dst_port: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let mut buf = vec![0u8; HEADER_LEN + payload.len()];
-    put_be16(&mut buf, 0, src_port);
-    put_be16(&mut buf, 2, dst_port);
-    put_be16(&mut buf, 4, (HEADER_LEN + payload.len()) as u16);
-    buf[HEADER_LEN..].copy_from_slice(payload);
+    let mut hdr = [0u8; HEADER_LEN];
+    put_be16(&mut hdr, 0, src_port);
+    put_be16(&mut hdr, 2, dst_port);
+    put_be16(
+        &mut hdr,
+        4,
+        u16::try_from(HEADER_LEN.saturating_add(payload.len())).unwrap_or(u16::MAX),
+    );
+    let mut buf = [hdr.as_slice(), payload].concat();
     let ck = checksum::transport(src_ip, dst_ip, 17, &buf);
     // Per RFC 768 a computed checksum of zero is transmitted as all-ones.
     put_be16(&mut buf, 6, if ck == 0 { 0xFFFF } else { ck });

@@ -14,11 +14,14 @@ echo "==> cargo clippy --workspace --all-targets (warnings denied)"
 # Beside the panic surface, clippy carries the determinism rules
 # (clippy.toml, [workspace.lints.clippy]): std HashMap/HashSet are denied in
 # ent-core's report modules (analyses, study, report), clock, thread-id and
-# environment reads and a `for` over a hash collection everywhere.
+# environment reads and a `for` over a hash collection everywhere. It also
+# carries parser safety (DESIGN §6a): `indexing_slicing` is denied in the
+# crate roots of wire, pcap, proto, flow and core (E001), and
+# `arithmetic_side_effects` with `cast_possible_truncation` in every parser
+# module of wire, pcap and proto plus five named entry points (E002).
+# tests/tests/workspace_policy.rs (run by `cargo test` above) fails if any
+# of these deny lines goes.
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> ent-lint (workspace static analysis, zero findings required)"
-cargo run --release -q -p ent-lint
 
 echo "==> benchmark harness smoke (benchmark/ builds against this API and passes its own checks)"
 # benchmark/ is its own workspace compiled against ent-core/ent-gen's pub
