@@ -4,7 +4,8 @@
 //! * `study`     — generate all five datasets, run every analysis, print
 //!   every table and figure of the paper (optionally export CSVs).
 //! * `generate`  — write one synthetic trace as a pcap file.
-//! * `analyze`   — analyze a pcap file (ours or any Ethernet capture).
+//! * `analyze`   — analyze a pcap file (ours or any Ethernet capture),
+//!   inline or on the one worker lane (`--shards 1`).
 //! * `monitor`   — resident monitor mode: stream a capture through the
 //!   pipeline emitting rolling per-epoch reports, with optional
 //!   crash-safe checkpoints and bounded-state budgets.
@@ -22,7 +23,8 @@
 //!
 //! A flag given a value that does not parse, or `--shards` other than 0 or
 //! 1, exits 2 naming the flag and the value: a mistyped number never runs
-//! as the default.
+//! as the default. `study` and `packs` ingest every generated trace inline:
+//! they take `--shards 0` and refuse 1, pointing at `analyze`.
 
 use ent_core::metrics::{
     bench_json, compare_bench_json, obs_check, validate_bench_json, Val, MONITOR, PACKS, PIPELINE,
@@ -34,10 +36,10 @@ use ent_core::{
     capture_meta, drive_capture, Checkpoint, Monitor, MonitorConfig, PipelineConfig,
     PipelineMetrics,
 };
-use ent_gen::build::{build_site, generate_trace};
+use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::{all_datasets, dataset, DatasetSpec};
 use ent_gen::GenConfig;
-use ent_pcap::{RecoveringReader, Trace};
+use ent_pcap::{PacketArena, RecoveringReader, Trace};
 use ent_wire::Timestamp;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -55,10 +57,10 @@ fn or_die<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  entreport study [--scale S] [--seed N] [--threads N] [--shards 0|1] [--datasets D0,D3] [--only 'table 9'] [--csv-dir DIR] [--keep-scanners] [--bench-json FILE.json]
-  entreport packs [--scale S] [--seed N] [--threads N] [--shards 0|1] [--packs base,sweep] [--out FILE.json]
+  entreport study [--scale S] [--seed N] [--threads N] [--datasets D0,D3] [--only 'table 9'] [--csv-dir DIR] [--keep-scanners] [--bench-json FILE.json]
+  entreport packs [--scale S] [--seed N] [--threads N] [--packs base,sweep] [--out FILE.json]
   entreport generate --dataset D0 --subnet 3 [--pass 1] [--scale S] [--seed N] --out FILE.pcap
-  entreport analyze FILE.pcap [--subnet N] [--name D0]
+  entreport analyze FILE.pcap [--subnet N] [--name D0] [--shards 0|1]
   entreport monitor FILE.pcap [--epoch-secs 300] [--checkpoint FILE.ckpt] [--max-conns N] [--max-pending N] [--stop-after-epochs N] [--name NAME] [--keep-scanners] [--bench-json FILE.json]
   entreport anonymize IN.pcap OUT.pcap --key SEED
   entreport obs-check FILE.json
@@ -112,11 +114,14 @@ fn flag<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, Stri
     }
 }
 
-/// `--shards`: 0 (the inline engine, the default) or 1 (one worker lane).
-fn shards(args: &Args) -> Result<usize, String> {
+/// `--shards`: 0 (the inline engine, the default) or, where the worker
+/// `lane` serves (`analyze`), 1. `study` and `packs` take only 0.
+fn shards(args: &Args, lane: bool) -> Result<usize, String> {
     match flag(args, "shards")?.unwrap_or(0) {
-        n @ (0 | 1) => Ok(n),
-        n => Err(format!("bad --shards {n} (0 = inline, 1 = one worker lane)")),
+        n @ (0 | 1) if lane || n == 0 => Ok(n),
+        n if lane => Err(format!("bad --shards {n} (0 = inline, 1 = one worker lane)")),
+        n => Err(format!("bad --shards {n}: generated traces ingest inline; \
+            the worker lane is `entreport analyze --shards 1 FILE.pcap`")),
     }
 }
 
@@ -159,15 +164,14 @@ fn selected_datasets(args: &Args) -> Vec<DatasetSpec> {
 }
 
 fn cmd_study(args: &Args) -> Outcome {
-    let threads: usize = flag(args, "threads")?.unwrap_or(0);
+    shards(args, false)?;
     let config = StudyConfig {
         gen: gen_config(args)?,
         pipeline: PipelineConfig {
             keep_scanners: args.switches.contains("keep-scanners"),
-            shards: shards(args)?,
             ..Default::default()
         },
-        threads,
+        threads: flag(args, "threads")?.unwrap_or(0),
     };
     let specs = selected_datasets(args);
     eprintln!(
@@ -299,7 +303,7 @@ fn cmd_packs(args: &Args) -> Outcome {
         gen.seed = 2005; // the pack gate's seed, matching the study gate's
     }
     let threads: usize = flag(args, "threads")?.unwrap_or(1);
-    let shards = shards(args)?;
+    shards(args, false)?;
     let wanted: Option<Vec<String>> = args
         .flags
         .get("packs")
@@ -317,14 +321,11 @@ fn cmd_packs(args: &Args) -> Outcome {
         .collect();
     let config = StudyConfig {
         gen,
-        pipeline: PipelineConfig {
-            shards,
-            ..Default::default()
-        },
+        pipeline: PipelineConfig::default(),
         threads,
     };
     eprintln!(
-        "scenario packs: scale={} seed={} threads={threads} shards={shards} packs={names:?}",
+        "scenario packs: scale={} seed={} threads={threads} packs={names:?}",
         gen.scale, gen.seed
     );
     println!(
@@ -379,7 +380,7 @@ fn cmd_packs(args: &Args) -> Outcome {
         ("scale", Val::F(gen.scale)),
         ("seed", Val::U(gen.seed)),
         ("threads", Val::U(workers as u64)),
-        ("shards", Val::U(shards as u64)),
+        ("shards", Val::U(0)),
         ("precision_floor", Val::F(PACK_PRECISION_FLOOR)),
         ("recall_floor", Val::F(PACK_RECALL_FLOOR)),
     ];
@@ -412,15 +413,16 @@ fn cmd_generate(args: &Args) -> Outcome {
     };
     let config = gen_config(args)?;
     let (site, wan) = build_site(&spec, &config);
-    let trace = generate_trace(&site, &wan, &spec, subnet, pass, &config);
+    let mut arena = PacketArena::unbounded();
+    let (meta, _) = generate_trace_into(&site, &wan, &spec, subnet, pass, &config, &mut arena);
     let f = or_die(File::create(out), "create output file");
-    or_die(trace.write_pcap(BufWriter::new(f)), "write pcap");
+    or_die(arena.write_pcap(BufWriter::new(f)), "write pcap");
     eprintln!(
         "wrote {}: {} packets, {} wire bytes, snaplen {}",
         out,
-        trace.packets.len(),
-        trace.wire_bytes(),
-        trace.meta.snaplen
+        arena.len(),
+        arena.wire_bytes(),
+        meta.snaplen
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -429,6 +431,11 @@ fn cmd_analyze(args: &Args) -> Outcome {
     let Some(path) = args.positional.first() else {
         return Ok(usage());
     };
+    let config = PipelineConfig {
+        shards: shards(args, true)?,
+        ..Default::default()
+    };
+    let subnet = flag(args, "subnet")?.unwrap_or(0);
     let data = match std::fs::read(path) {
         Ok(d) => d,
         Err(e) => {
@@ -437,7 +444,6 @@ fn cmd_analyze(args: &Args) -> Outcome {
         }
     };
     let name = args.flags.get("name").map(String::as_str).unwrap_or("pcap");
-    let subnet = flag(args, "subnet")?.unwrap_or(0);
     // Only an unusable global header is fatal: everything readable past it
     // is salvaged from a possibly damaged file.
     let mut meta = match capture_meta(name, &data) {
@@ -462,13 +468,14 @@ fn cmd_analyze(args: &Args) -> Outcome {
                 Timestamp::from_micros(last.saturating_micros_since(first) + 1_000_000);
         }
     }
-    let a = match ent_core::analyze_capture(&data, meta, &PipelineConfig::default()) {
+    let a = match ent_core::analyze_capture(&data, meta, &config) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
             return Ok(ExitCode::FAILURE);
         }
     };
+    eprintln!("events signature {:016x}", a.metrics.events_signature_hash());
     println!(
         "trace: {} packets ({} IP, {} ARP, {} IPX, {} other)",
         a.packets, a.ip_packets, a.arp_packets, a.ipx_packets, a.other_l3_packets
@@ -703,8 +710,8 @@ mod tests {
         assert!(a.switches.contains("keep-scanners"));
         assert_eq!(flag::<f64>(&a, "scale"), Ok(Some(0.01)));
         assert_eq!(flag::<u64>(&a, "seed"), Ok(None));
-        assert_eq!(shards(&a), Ok(1));
-        assert_eq!(shards(&args(&[])), Ok(0));
+        assert_eq!(shards(&a, true), Ok(1));
+        assert_eq!(shards(&args(&[]), true), Ok(0));
     }
 
     #[test]
@@ -713,13 +720,21 @@ mod tests {
         assert!(err.contains("--scale") && err.contains("0,01"), "{err}");
         let err = flag::<u64>(&args(&["--epoch-secs", "5m"]), "epoch-secs").expect_err("5m is no u64");
         assert!(err.contains("--epoch-secs") && err.contains("5m"), "{err}");
-        let err = shards(&args(&["--shards", "two"])).expect_err("two is no count");
+        let err = shards(&args(&["--shards", "two"]), true).expect_err("two is no count");
         assert!(err.contains("--shards") && err.contains("two"), "{err}");
     }
 
     #[test]
     fn shards_takes_only_the_inline_engine_or_one_lane() {
-        let err = shards(&args(&["--shards", "2"])).expect_err("there is no second lane");
+        let err = shards(&args(&["--shards", "2"]), true).expect_err("there is no second lane");
         assert!(err.contains("--shards 2"), "{err}");
+    }
+
+    #[test]
+    fn study_and_packs_take_shards_0_and_name_analyze_for_the_lane() {
+        assert_eq!(shards(&args(&["--shards", "0"]), false), Ok(0));
+        assert_eq!(shards(&args(&[]), false), Ok(0));
+        let err = shards(&args(&["--shards", "2"]), false).expect_err("the lane serves captures");
+        assert!(err.contains("--shards 2") && err.contains("analyze --shards 1"), "{err}");
     }
 }

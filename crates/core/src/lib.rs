@@ -7,16 +7,18 @@
 //! characterizations of §5 (web, email, name services, Windows services,
 //! network file systems, backup), and the load assessment of §6.
 //!
-//! Flow: [`pipeline::analyze_trace`] turns a trace into a
+//! Flow: [`pipeline::analyze_arena`] turns a generated trace (and
+//! [`pipeline::analyze_capture`] a pcap file) into a
 //! [`records::TraceAnalysis`]; the [`analyses`] modules aggregate a
 //! dataset's trace analyses into table/figure structs; [`report`] renders
 //! them in the paper's layout; [`run`] orchestrates the whole study
 //! (generation → analysis, parallel across traces).
 //!
 //! ```
-//! use ent_core::{analyze_trace, PipelineConfig};
-//! use ent_gen::build::{build_site, generate_trace};
+//! use ent_core::{analyze_arena, PipelineConfig};
+//! use ent_gen::build::{build_site, generate_trace_into};
 //! use ent_gen::{dataset, GenConfig};
+//! use ent_pcap::PacketArena;
 //!
 //! let spec = dataset::dataset("D0").unwrap();
 //! let config = GenConfig {
@@ -25,10 +27,11 @@
 //!     hosts_per_subnet: Some(8),
 //! };
 //! let (site, wan) = build_site(&spec, &config);
-//! let trace = generate_trace(&site, &wan, &spec, 3, 1, &config);
-//! let analysis = analyze_trace(&trace, &PipelineConfig::default());
+//! let mut arena = PacketArena::unbounded();
+//! let (meta, _) = generate_trace_into(&site, &wan, &spec, 3, 1, &config, &mut arena);
+//! let analysis = analyze_arena(&meta, &mut arena, &PipelineConfig::default());
 //! assert!(!analysis.conns.is_empty());
-//! assert_eq!(analysis.packets, trace.packets.len() as u64);
+//! assert_eq!(analysis.packets, arena.len() as u64);
 //! ```
 
 // E001 (DESIGN §6a): ingest code reads bytes through `get`, fixed-size
@@ -64,7 +67,7 @@ pub use monitor::{
 };
 pub use metrics::{PipelineMetrics, StageStat, StageTimer};
 pub use packs::{run_all_packs, run_pack, Complexity, PackReport, PackScore};
-pub use pipeline::{analyze_capture, analyze_trace, PipelineConfig};
+pub use pipeline::{analyze_arena, analyze_capture, analyze_trace, PipelineConfig};
 pub use records::{IngestHealth, TraceAnalysis};
 pub use run::{run_dataset, run_datasets, run_study, DatasetAnalysis, StudyConfig};
 pub use study::{build_report, StudyReport};

@@ -314,10 +314,11 @@ pub struct PackReport {
 
 /// Generate, analyze and score every trace of one pack.
 ///
-/// Per-trace truth is extracted from the labeled arena records and scored
-/// against that same trace's removal decisions (removal is a per-trace
-/// step); partial results come off the shared work queue in work order,
-/// so the report is identical for any thread/shard count.
+/// Per-trace truth is extracted from the arena's stream of labeled frames
+/// and scored against that same trace's removal decisions (removal is a
+/// per-trace step); partial results come off the shared work queue in
+/// work order, so the report is identical for any thread count. Every
+/// trace ingests inline ([`crate::analyze_arena`]).
 pub fn run_pack(pack: &ScenarioPack, config: &StudyConfig) -> PackReport {
     let (site, wan) = build_site(&pack.spec, &config.gen);
     let slots: Vec<_> = pack.spec.slots().collect();
@@ -337,7 +338,8 @@ pub fn run_pack(pack: &ScenarioPack, config: &StudyConfig) -> PackReport {
         });
         let mut truth = PackTruth::default();
         let mut complexity = Complexity::default();
-        for (_, frame, _, lab) in arena.labeled_frames() {
+        let mut frames = arena.stream();
+        while let Some((_, frame, _, lab)) = frames.next_frame() {
             truth.observe(frame, lab);
             complexity.observe(frame);
         }
@@ -571,10 +573,11 @@ mod tests {
     /// The dissector-backed `header_symbol` / `originator_src` against the
     /// hand-indexed originals, on every frame of `arena`: the symbols must
     /// split the frames into the same classes, the sources must be equal.
-    fn assert_matches_parent(arena: &ent_pcap::PacketArena) {
+    fn assert_matches_parent(arena: &mut ent_pcap::PacketArena) {
         let (mut fwd, mut back) = (BTreeMap::new(), BTreeMap::new());
         assert!(arena.len() > 1_000, "trace too small to mean anything");
-        for (_, frame, _) in arena.captured_frames() {
+        let mut frames = arena.stream();
+        while let Some((_, frame, _, _)) = frames.next_frame() {
             let (new, old) = (header_symbol(frame), parent_header_symbol(frame));
             assert_eq!(*fwd.entry(new).or_insert(old), old, "one new symbol, two old");
             assert_eq!(*back.entry(old).or_insert(new), new, "one old symbol, two new");
@@ -592,14 +595,14 @@ mod tests {
         let (site, wan) = build_site(&d0, &gen);
         let (subnet, pass) = d0.slots().next().unwrap();
         ent_gen::build::generate_trace_into(&site, &wan, &d0, subnet, pass, &gen, &mut arena);
-        assert_matches_parent(&arena);
+        assert_matches_parent(&mut arena);
 
         let v6 = packs::pack("v6heavy").unwrap();
         let (site, wan) = build_site(&v6.spec, &gen);
         let (subnet, pass) = v6.spec.slots().next().unwrap();
         arena.clear();
         packs::generate_pack_trace_into(&v6, &site, &wan, subnet, pass, &gen, &mut arena);
-        assert_matches_parent(&arena);
+        assert_matches_parent(&mut arena);
     }
 
     #[test]

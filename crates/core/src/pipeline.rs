@@ -54,11 +54,11 @@ pub struct PipelineConfig {
     /// Any other value is the one worker lane: the loop dissects on the
     /// caller's thread and a second thread ingests (`crate::shard`),
     /// event-for-event identical to `0`, peak included. There is no second
-    /// lane. Every batch entry point honors this — [`analyze_arena`],
-    /// [`analyze_packets`], [`analyze_trace`] and [`analyze_capture`] are
-    /// one session; the
-    /// resident monitor ignores it (its epoch rotation drives a single
-    /// engine — see `MonitorConfig`).
+    /// lane. It applies to borrowed frames only — [`analyze_capture`],
+    /// [`analyze_packets`] and [`analyze_trace`]. [`analyze_arena`] (the
+    /// study and the scenario packs) and the resident monitor (its epoch
+    /// rotation drives a single engine — see `MonitorConfig`) always
+    /// ingest inline.
     pub shards: usize,
 }
 
@@ -801,11 +801,9 @@ pub fn analyze_trace(trace: &Trace, config: &PipelineConfig) -> TraceAnalysis {
     analyze_packets(&trace.meta, frames, config, trace.packets.len())
 }
 
-/// Analyze a stream of `(timestamp, captured frame, original wire length)`
-/// views without materializing owned packets — the zero-copy entry point
-/// the study path feeds straight from the generator's
-/// [`PacketArena`](ent_pcap::PacketArena). `packets_hint` pre-sizes the
-/// connection table (pass the packet count when known).
+/// Analyze an iterator of borrowed `(timestamp, captured frame, original
+/// wire length)` views. `packets_hint` pre-sizes the connection table
+/// (pass the packet count when known).
 pub fn analyze_packets<'a, I>(
     meta: &TraceMeta,
     packets: I,
@@ -819,28 +817,24 @@ where
     ingest(meta, frames, config, packets_hint)
 }
 
-/// Analyze a generated trace straight out of its arena: the study's entry
-/// point. Inline (`shards == 0`) the frame loop reads
+/// Analyze a generated trace straight out of its arena: the study's and
+/// the scenario packs' entry point. The frame loop reads
 /// [`PacketArena::stream`], which writes each record into one reused
 /// frame buffer as the loop reads it, so that write is part of the
 /// `frame_parse` / `flow_ingest` wall (as the reader is for
 /// [`analyze_capture`]) and no buffer holds a payload trace's filler. The
-/// worker lane keeps many frames in flight, so it reads the arena's one
-/// materialisation ([`PacketArena::captured_frames`]).
+/// engine is always inline (a stream lends one frame at a time; the
+/// worker lane keeps many in flight), so `config.shards` is not read.
 pub fn analyze_arena(
     meta: &TraceMeta,
     arena: &mut PacketArena,
     config: &PipelineConfig,
 ) -> TraceAnalysis {
-    let packets_hint = arena.len();
-    if config.shards != 0 {
-        return analyze_packets(meta, arena.captured_frames(), config, packets_hint);
-    }
     let total = StageTimer::start();
-    let mut engine = new_engine(meta, config, packets_hint);
+    let mut engine = new_engine(meta, config, arena.len());
     let mut frame_loop = FrameLoop::default();
     let mut frames = arena.stream();
-    while let Some((ts, frame, orig_len)) = frames.next_frame() {
+    while let Some((ts, frame, orig_len, _)) = frames.next_frame() {
         frame_loop.step(FrameRef { ts, frame, orig_len }, &mut engine);
     }
     let window = engine.close_window(frame_loop.end(meta.duration), TraceAnalysis::default());
@@ -1224,11 +1218,13 @@ pub fn analyze_capture(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ent_gen::{build, dataset, GenConfig};
+    use ent_pcap::TimedPacket;
 
-    fn analyzed(dataset_idx: usize, subnet: u16) -> TraceAnalysis {
+    /// One generated trace in its arena, at the unit tests' scale.
+    fn arena(dataset_idx: usize, subnet: u16) -> (TraceMeta, PacketArena) {
         let specs = dataset::all_datasets();
         let config = GenConfig {
             scale: 0.03,
@@ -1236,8 +1232,16 @@ mod tests {
             hosts_per_subnet: Some(10),
         };
         let (site, wan) = build::build_site(&specs[dataset_idx], &config);
-        let trace = build::generate_trace(&site, &wan, &specs[dataset_idx], subnet, 1, &config);
-        analyze_trace(&trace, &PipelineConfig::default())
+        let mut arena = PacketArena::unbounded();
+        let (meta, _) = build::generate_trace_into(
+            &site, &wan, &specs[dataset_idx], subnet, 1, &config, &mut arena,
+        );
+        (meta, arena)
+    }
+
+    fn analyzed(dataset_idx: usize, subnet: u16) -> TraceAnalysis {
+        let (meta, mut arena) = arena(dataset_idx, subnet);
+        analyze_arena(&meta, &mut arena, &PipelineConfig::default())
     }
 
     /// Merge several subnets' analyses into one (for statistically stable
@@ -1289,16 +1293,10 @@ mod tests {
             .expect("non-empty");
         // Ablation keeps them (re-analyze the subnet with the most
         // scanner traffic).
-        let specs = dataset::all_datasets();
-        let config = GenConfig {
-            scale: 0.03,
-            seed: 11,
-            hosts_per_subnet: Some(10),
-        };
-        let (site, wan) = build::build_site(&specs[3], &config);
-        let trace = build::generate_trace(&site, &wan, &specs[3], a.subnet, 1, &config);
-        let kept = analyze_trace(
-            &trace,
+        let (meta, mut arena) = arena(3, a.subnet);
+        let kept = analyze_arena(
+            &meta,
+            &mut arena,
             &PipelineConfig {
                 keep_scanners: true,
                 ..Default::default()
@@ -1320,15 +1318,15 @@ mod tests {
         assert!(writes > 0, "no WritePrinter calls seen");
     }
 
-    fn generated(dataset_idx: usize, subnet: u16) -> ent_pcap::Trace {
-        let specs = dataset::all_datasets();
-        let config = GenConfig {
-            scale: 0.03,
-            seed: 11,
-            hosts_per_subnet: Some(10),
-        };
-        let (site, wan) = build::build_site(&specs[dataset_idx], &config);
-        build::generate_trace(&site, &wan, &specs[dataset_idx], subnet, 1, &config)
+    /// One generated trace as owned packets, read off its arena's stream.
+    pub(crate) fn generated(dataset_idx: usize, subnet: u16) -> Trace {
+        let (meta, mut arena) = arena(dataset_idx, subnet);
+        let mut packets = Vec::with_capacity(arena.len());
+        let mut frames = arena.stream();
+        while let Some((ts, frame, orig_len, _)) = frames.next_frame() {
+            packets.push(TimedPacket { ts, frame: frame.to_vec(), orig_len });
+        }
+        Trace { meta, packets }
     }
 
     #[test]

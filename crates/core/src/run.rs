@@ -20,11 +20,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct StudyConfig {
     /// Generator configuration (scale, seed).
     pub gen: GenConfig,
-    /// Pipeline configuration (scanner removal, worker lane).
+    /// Pipeline configuration (scanner removal). Its `shards` is not read:
+    /// a generated trace always ingests inline ([`analyze_arena`]).
     pub pipeline: PipelineConfig,
     /// Trace-level worker threads (0 = available parallelism; capped by
-    /// [`effective_threads`]). Each runs its traces inline, or on one
-    /// worker lane of its own when `pipeline.shards > 0`.
+    /// [`effective_threads`]). Each runs its traces inline.
     pub threads: usize,
 }
 
@@ -161,9 +161,7 @@ pub fn run_datasets(specs: &[DatasetSpec], config: &StudyConfig) -> Vec<DatasetA
 
 /// The trace-level worker count: an explicit `requested` count is honored
 /// up to `cores` (never below 1 thread), `requested == 0` means "one per
-/// core", and never more than the number of work items. A worker lane
-/// makes each worker two threads; the budget stays one worker per core.
-/// Thread count never affects results — only wall time — so capping is
+/// core", and never more than the number of work items. Thread count never affects results — only wall time — so capping is
 /// always safe.
 pub fn effective_threads(requested: usize, cores: usize, work_items: usize) -> usize {
     let budget = cores.max(1);

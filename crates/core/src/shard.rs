@@ -291,20 +291,9 @@ fn lane_worker<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::generated;
     use crate::pipeline::{analyze_trace, PipelineConfig};
     use ent_flow::FlowKey;
-    use ent_gen::{build, dataset, GenConfig};
-
-    fn generated(dataset_idx: usize, subnet: u16) -> ent_pcap::Trace {
-        let specs = dataset::all_datasets();
-        let config = GenConfig {
-            scale: 0.03,
-            seed: 11,
-            hosts_per_subnet: Some(10),
-        };
-        let (site, wan) = build::build_site(&specs[dataset_idx], &config);
-        build::generate_trace(&site, &wan, &specs[dataset_idx], subnet, 1, &config)
-    }
 
     fn frames(trace: &ent_pcap::Trace) -> impl Iterator<Item = FrameRef<'_>> {
         trace.packets.iter().map(|p| FrameRef {

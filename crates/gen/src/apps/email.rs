@@ -307,7 +307,7 @@ mod tests {
         for _ in 0..60 {
             smtp_traffic(&mut c);
         }
-        let sums = summaries(&c.out.captured_packets());
+        let sums = summaries(&packets(&mut c.out));
         let mut int_d = Vec::new();
         let mut wan_d = Vec::new();
         for s in sums.iter().filter(|s| {
@@ -341,7 +341,7 @@ mod tests {
         for _ in 0..40 {
             imap_traffic(&mut c0);
         }
-        let d0_ports: std::collections::HashSet<u16> = summaries(&c0.out.captured_packets())
+        let d0_ports: std::collections::HashSet<u16> = summaries(&packets(&mut c0.out))
             .iter()
             .map(|s| s.key.resp.port)
             .collect();
@@ -350,7 +350,7 @@ mod tests {
         for _ in 0..40 {
             imap_traffic(&mut c1);
         }
-        let d1_ports: std::collections::HashSet<u16> = summaries(&c1.out.captured_packets())
+        let d1_ports: std::collections::HashSet<u16> = summaries(&packets(&mut c1.out))
             .iter()
             .map(|s| s.key.resp.port)
             .collect();
@@ -365,7 +365,7 @@ mod tests {
         for _ in 0..80 {
             imap_traffic(&mut c);
         }
-        let sums = summaries(&c.out.captured_packets());
+        let sums = summaries(&packets(&mut c.out));
         let mut int_d = Vec::new();
         let mut wan_d = Vec::new();
         for s in sums.iter().filter(|s| s.key.resp.port == 993) {

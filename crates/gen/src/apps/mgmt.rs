@@ -333,9 +333,7 @@ mod tests {
         let specs = all_datasets();
         let mut c = ctx(&site, &wan, &specs[1], 11);
         netmgnt(&mut c);
-        let sap = c
-            .out
-            .captured_packets()
+        let sap = packets(&mut c.out)
             .iter()
             .filter(|p| {
                 Packet::parse(&p.frame)
@@ -355,7 +353,7 @@ mod tests {
         let mut c = ctx(&site, &wan, &specs[2], 11);
         minor_transports(&mut c);
         assert!(!c.out.is_empty());
-        for p in &c.out.captured_packets() {
+        for p in &packets(&mut c.out) {
             let pkt = Packet::parse(&p.frame).unwrap();
             assert!(matches!(pkt.transport, Transport::Other(_)));
         }
@@ -370,7 +368,7 @@ mod tests {
             icmp_echo(&mut c);
         }
         let (mut req, mut rep) = (0, 0);
-        for p in &c.out.captured_packets() {
+        for p in &packets(&mut c.out) {
             match Packet::parse(&p.frame).unwrap().transport {
                 Transport::Icmp { mtype: ent_wire::icmp::MessageType::EchoRequest, .. } => req += 1,
                 Transport::Icmp { mtype: ent_wire::icmp::MessageType::EchoReply, .. } => rep += 1,

@@ -333,6 +333,7 @@ pub fn generate_all(ctx: &mut TraceCtx<'_>) {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
+    use ent_pcap::{TimedPacket, Trace};
     use rand::SeedableRng;
 
     /// A small context for generator unit tests.
@@ -351,6 +352,38 @@ pub(crate) mod testutil {
             Site::build(&mut rng, crate::network::TOTAL_SUBNETS, 12),
             WanPool::new(2_000),
         )
+    }
+
+    /// The arena's frames in record order, read off its stream and owned:
+    /// `(timestamp, frame, wire length, label)`.
+    pub fn labeled(arena: &mut PacketArena) -> Vec<(Timestamp, Vec<u8>, u32, u32)> {
+        let mut out = Vec::with_capacity(arena.len());
+        let mut frames = arena.stream();
+        while let Some((ts, frame, orig_len, label)) = frames.next_frame() {
+            out.push((ts, frame.to_vec(), orig_len, label));
+        }
+        out
+    }
+
+    /// The arena's frames in record order as owned packets.
+    pub fn packets(arena: &mut PacketArena) -> Vec<TimedPacket> {
+        let packet = |(ts, frame, orig_len, _)| TimedPacket { ts, frame, orig_len };
+        labeled(arena).into_iter().map(packet).collect()
+    }
+
+    /// One generated trace as owned packets.
+    pub fn owned_trace(
+        site: &Site,
+        wan: &WanPool,
+        spec: &DatasetSpec,
+        subnet: u16,
+        pass: u8,
+        config: &crate::GenConfig,
+    ) -> Trace {
+        let mut arena = PacketArena::unbounded();
+        let (meta, _) =
+            crate::build::generate_trace_into(site, wan, spec, subnet, pass, config, &mut arena);
+        Trace { meta, packets: packets(&mut arena) }
     }
 }
 

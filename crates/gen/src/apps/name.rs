@@ -265,7 +265,7 @@ mod tests {
         let mut qtypes = std::collections::HashMap::new();
         let mut responses = 0usize;
         let mut nx = 0usize;
-        for p in &c.out.captured_packets() {
+        for p in &packets(&mut c.out) {
             let pkt = Packet::parse(&p.frame).unwrap();
             if pkt.udp().map(|(s, d, _)| s == 53 || d == 53) == Some(true) {
                 if let Some(m) = dns::parse(pkt.payload()) {
@@ -300,7 +300,7 @@ mod tests {
         }
         use std::collections::BTreeMap;
         let mut per_name: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for p in &c.out.captured_packets() {
+        for p in &packets(&mut c.out) {
             let pkt = Packet::parse(&p.frame).unwrap();
             if let Some(m) = netbios::parse_ns(pkt.payload()) {
                 if m.is_response && m.opcode == NsOpcode::Query {
@@ -337,7 +337,7 @@ mod tests {
         let mut mcast = 0usize;
         let mut fanout: std::collections::HashMap<u32, std::collections::HashSet<u32>> =
             Default::default();
-        for p in &c.out.captured_packets() {
+        for p in &packets(&mut c.out) {
             let pkt = Packet::parse(&p.frame).unwrap();
             if pkt.is_multicast() {
                 mcast += 1;

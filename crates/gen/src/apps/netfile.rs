@@ -345,7 +345,7 @@ mod tests {
             0.08,
         );
         nfs_traffic(&mut c);
-        let sums = summaries(&c.out.captured_packets());
+        let sums = summaries(&packets(&mut c.out));
         use std::collections::HashMap;
         let mut by_pair: HashMap<_, u64> = HashMap::new();
         let mut total = 0u64;
@@ -371,7 +371,7 @@ mod tests {
         for _ in 0..40 {
             ncp_traffic(&mut c);
         }
-        let sums = summaries(&c.out.captured_packets());
+        let sums = summaries(&packets(&mut c.out));
         let ncp: Vec<_> = sums
             .iter()
             .filter(|s| s.key.resp.port == 524 && s.tcp_state != ent_flow::TcpState::RejectedState)
@@ -394,7 +394,7 @@ mod tests {
             nfs_traffic(&mut c);
         }
         let mut ops: std::collections::HashMap<&'static str, usize> = Default::default();
-        for p in &c.out.captured_packets() {
+        for p in &packets(&mut c.out) {
             let pkt = Packet::parse(&p.frame).unwrap();
             if pkt.udp().map(|(_, d, _)| d == 2049) == Some(true) {
                 if let Some(sunrpc::Message::Call(call)) = sunrpc::parse_message(pkt.payload()) {
@@ -415,7 +415,7 @@ mod tests {
         let share = |spec_idx: usize, subnet: u16| {
             let mut c = ctx(&site, &wan, &specs[spec_idx], subnet);
             nfs_traffic(&mut c);
-            let sums = summaries(&c.out.captured_packets());
+            let sums = summaries(&packets(&mut c.out));
             let (mut udp, mut total) = (0u64, 0u64);
             for s in sums.iter().filter(|s| s.key.resp.port == 2049) {
                 let b = s.total_payload();

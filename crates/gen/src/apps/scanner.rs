@@ -212,7 +212,7 @@ mod tests {
             generate(&mut c);
         }
         let mut dests: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for p in &c.out.captured_packets() {
+        for p in &packets(&mut c.out) {
             let pkt = Packet::parse(&p.frame).unwrap();
             if let Some((src, dst)) = pkt.ipv4_addrs() {
                 let e = dests.entry(src.0).or_default();

@@ -138,7 +138,7 @@ mod tests {
         multicast_background(&mut c);
         let mut mcast_bytes = 0u64;
         let mut ucast_bytes = 0u64;
-        for p in &c.out.captured_packets() {
+        for p in &packets(&mut c.out) {
             let pkt = Packet::parse(&p.frame).unwrap();
             let len = pkt.wire_payload_len() as u64;
             if pkt.is_multicast() {
@@ -163,9 +163,7 @@ mod tests {
         for _ in 0..10 {
             unicast(&mut c);
         }
-        let rtsp = c
-            .out
-            .captured_packets()
+        let rtsp = packets(&mut c.out)
             .iter()
             .filter(|p| {
                 Packet::parse(&p.frame)

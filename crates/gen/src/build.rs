@@ -5,7 +5,7 @@
 use crate::apps::{self, TraceCtx};
 use crate::dataset::DatasetSpec;
 use crate::network::{Site, WanPool, TOTAL_SUBNETS};
-use ent_pcap::{Tap, Trace, TraceMeta};
+use ent_pcap::{Tap, TraceMeta};
 use ent_wire::Timestamp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,7 +52,7 @@ fn scaled_hosts(full: usize, scale: f64) -> usize {
     ((full as f64) * scale.sqrt().clamp(0.08, 1.0)).max(8.0) as usize
 }
 
-/// Wall-time and count breakdown of one [`generate_trace`] call, for the
+/// Wall-time and count breakdown of one [`generate_trace_into`] call, for the
 /// observability layer's `gen_synth` / `gen_sort` / `gen_tap` sub-stages.
 ///
 /// `ent-gen` has no dependency on the metrics module, so this is a plain
@@ -78,36 +78,17 @@ pub struct GenTiming {
     pub captured_bytes: u64,
 }
 
-/// Generate one trace: the packets seen at one subnet's router port
-/// during one monitoring pass, as owned packets.
-pub fn generate_trace(
-    site: &Site,
-    wan: &WanPool,
-    spec: &DatasetSpec,
-    subnet: u16,
-    pass: u8,
-    config: &GenConfig,
-) -> Trace {
-    let mut arena = ent_pcap::PacketArena::unbounded();
-    let (meta, _) = generate_trace_into(site, wan, spec, subnet, pass, config, &mut arena);
-    Trace {
-        meta,
-        packets: arena.captured_packets(),
-    }
-}
-
-/// The zero-copy core of trace generation: emit, sort and tap the trace
+/// Generate one trace — the packets seen at one subnet's router port
+/// during one monitoring pass — by emitting, sorting and tapping it
 /// entirely inside a caller-owned [`PacketArena`](ent_pcap::PacketArena),
 /// returning the per-sub-stage [`GenTiming`] breakdown beside the meta.
 /// Afterwards the arena holds the post-tap capture as records over a
 /// single byte store of frame prefixes cut at `spec.snaplen` (the
 /// generator writes what the tap keeps, and leaves filler runs
-/// symbolic); callers stream it (`stream`, what the study pipeline does),
-/// iterate it borrowed (`captured_frames`) or materialize owned packets
-/// (`captured_packets`). A worker loop reuses one arena's buffers
-/// across many traces: after the first trace the steady-state emission
-/// path performs no heap allocation at all. The arena is cleared
-/// (capacity kept) before generation.
+/// symbolic); callers read it through `PacketArena::stream`. A worker
+/// loop reuses one arena's buffers across many traces: after the first
+/// trace the steady-state emission path performs no heap allocation at
+/// all. The arena is cleared (capacity kept) before generation.
 pub fn generate_trace_into(
     site: &Site,
     wan: &WanPool,
@@ -191,18 +172,10 @@ where
     (meta, timing)
 }
 
-/// Generate a dataset trace-by-trace, invoking `f` on each so callers can
-/// analyze and drop traces without holding the whole dataset.
-pub fn for_each_trace<F: FnMut(Trace)>(spec: &DatasetSpec, config: &GenConfig, mut f: F) {
-    let (site, wan) = build_site(spec, config);
-    for (subnet, pass) in spec.slots() {
-        f(generate_trace(&site, &wan, spec, subnet, pass, config));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::testutil::owned_trace;
     use crate::dataset::all_datasets;
 
     fn tiny_config() -> GenConfig {
@@ -218,7 +191,7 @@ mod tests {
         let specs = all_datasets();
         let config = tiny_config();
         let (site, wan) = build_site(&specs[1], &config);
-        let t = generate_trace(&site, &wan, &specs[1], 3, 1, &config);
+        let t = owned_trace(&site, &wan, &specs[1], 3, 1, &config);
         assert!(!t.packets.is_empty());
         assert!(t.packets.windows(2).all(|w| w[0].ts <= w[1].ts));
         let limit = Timestamp::from_secs(3_600);
@@ -233,12 +206,12 @@ mod tests {
         let specs = all_datasets();
         let config = tiny_config();
         let (site, wan) = build_site(&specs[0], &config);
-        let a = generate_trace(&site, &wan, &specs[0], 5, 1, &config);
-        let b = generate_trace(&site, &wan, &specs[0], 5, 1, &config);
+        let a = owned_trace(&site, &wan, &specs[0], 5, 1, &config);
+        let b = owned_trace(&site, &wan, &specs[0], 5, 1, &config);
         assert_eq!(a.packets.len(), b.packets.len());
         assert_eq!(a.packets[0].frame, b.packets[0].frame);
         // Different subnet differs.
-        let c = generate_trace(&site, &wan, &specs[0], 6, 1, &config);
+        let c = owned_trace(&site, &wan, &specs[0], 6, 1, &config);
         assert_ne!(a.packets.len(), c.packets.len());
     }
 
@@ -250,18 +223,20 @@ mod tests {
             seed: 1,
             hosts_per_subnet: Some(6),
         };
-        let mut count = 0;
-        for_each_trace(&specs[0], &config, |_| count += 1);
-        assert_eq!(count, 22);
-        let mut count = 0;
-        for_each_trace(&specs[1], &config, |_| count += 1);
-        assert_eq!(count, 44);
-        let mut count = 0;
-        for_each_trace(&specs[4], &config, |t| {
-            assert!(t.meta.subnet >= 22);
-            count += 1;
-        });
-        assert_eq!(count, 27); // 18 once + 9 odd subnets twice
+        let traces = |spec: &DatasetSpec| {
+            let (site, wan) = build_site(spec, &config);
+            let mut arena = ent_pcap::PacketArena::unbounded();
+            spec.slots()
+                .map(|(subnet, pass)| {
+                    generate_trace_into(&site, &wan, spec, subnet, pass, &config, &mut arena).0
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(traces(&specs[0]).len(), 22);
+        assert_eq!(traces(&specs[1]).len(), 44);
+        let d4 = traces(&specs[4]);
+        assert!(d4.iter().all(|meta| meta.subnet >= 22));
+        assert_eq!(d4.len(), 27); // 18 once + 9 odd subnets twice
     }
 
     #[test]
@@ -272,9 +247,9 @@ mod tests {
             monitored: (0..2).into(),
             ..specs[1]
         };
-        let mut traces = 0;
-        for_each_trace(&spec, &config, |_| traces += 1);
-        assert_eq!(traces, 4);
+        let (site, wan) = build_site(&spec, &config);
+        let traces = spec.slots().map(|(subnet, pass)| owned_trace(&site, &wan, &spec, subnet, pass, &config));
+        assert_eq!(traces.count(), 4);
     }
 
     #[test]
@@ -282,7 +257,7 @@ mod tests {
         let specs = all_datasets();
         let config = tiny_config();
         let (site, wan) = build_site(&specs[0], &config);
-        let t = generate_trace(&site, &wan, &specs[0], 6, 1, &config);
+        let t = owned_trace(&site, &wan, &specs[0], 6, 1, &config);
         let mut http_payloads = 0;
         for p in &t.packets {
             if let Ok(pkt) = ent_wire::Packet::parse(&p.frame) {

@@ -12,8 +12,9 @@
 //! traced to the paper table/figure it reproduces.
 //!
 //! ```
-//! use ent_gen::build::{build_site, generate_trace};
+//! use ent_gen::build::{build_site, generate_trace_into};
 //! use ent_gen::{dataset, GenConfig};
+//! use ent_pcap::PacketArena;
 //!
 //! let spec = dataset::dataset("D0").unwrap();
 //! let config = GenConfig {
@@ -22,9 +23,15 @@
 //!     hosts_per_subnet: Some(8),
 //! };
 //! let (site, wan) = build_site(&spec, &config);
-//! let trace = generate_trace(&site, &wan, &spec, 3, 1, &config);
-//! assert!(!trace.packets.is_empty());
-//! assert!(trace.packets.windows(2).all(|w| w[0].ts <= w[1].ts));
+//! let mut arena = PacketArena::unbounded();
+//! generate_trace_into(&site, &wan, &spec, 3, 1, &config, &mut arena);
+//! assert!(!arena.is_empty());
+//! // The trace streams in time order.
+//! let (mut frames, mut last) = (arena.stream(), None);
+//! while let Some((ts, _frame, _wire_len, _label)) = frames.next_frame() {
+//!     assert!(last <= Some(ts));
+//!     last = Some(ts);
+//! }
 //! ```
 
 pub mod apps;
@@ -35,7 +42,7 @@ pub mod network;
 pub mod packs;
 pub mod synth;
 
-pub use build::{generate_trace, GenConfig};
+pub use build::GenConfig;
 pub use dataset::{DatasetSpec, ALL_DATASETS};
 pub use network::{Role, Site, WanPool};
 pub use packs::{ScenarioPack, PACK_NAMES};

@@ -374,6 +374,7 @@ fn v6_chatter(ctx: &mut TraceCtx<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::testutil::{labeled, packets};
     use crate::build::build_site;
     use ent_wire::Packet;
     use std::collections::{BTreeSet, HashMap};
@@ -413,8 +414,8 @@ mod tests {
         generate_pack_trace_into(&p, &site, &wan, 1, 1, &config, &mut with_pack);
         let mut plain = ent_pcap::PacketArena::unbounded();
         build::generate_trace_into(&site, &wan, &p.spec, 1, 1, &config, &mut plain);
-        let a = with_pack.captured_packets();
-        let b = plain.captured_packets();
+        let a = packets(&mut with_pack);
+        let b = packets(&mut plain);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.ts, y.ts);
@@ -424,14 +425,14 @@ mod tests {
 
     #[test]
     fn sweep_pack_is_heuristic_detectable_and_scan_labeled() {
-        let arena = gen_pack("sweep", 0);
+        let mut arena = gen_pack("sweep", 0);
         // Collect destination sequences per SCAN-labeled source.
         let mut dests: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (_, frame, _, lab) in arena.labeled_frames() {
+        for (_, frame, _, lab) in labeled(&mut arena) {
             if lab != label::SCAN {
                 continue;
             }
-            if let Ok(pkt) = Packet::parse(frame) {
+            if let Ok(pkt) = Packet::parse(&frame) {
                 if let Some((src, dst)) = pkt.ipv4_addrs() {
                     let e = dests.entry(src.0).or_default();
                     if e.last() != Some(&dst.0) {
@@ -455,7 +456,7 @@ mod tests {
             ("bruteforce", label::BRUTE_FORCE),
             ("exfil", label::EXFIL),
         ] {
-            let arena = gen_pack(name, 0);
+            let mut arena = gen_pack(name, 0);
             let counts = arena.label_counts();
             let total: u64 = counts.iter().map(|&(_, n)| n).sum();
             assert_eq!(total, arena.len() as u64, "{name}: labels conserved");
@@ -463,11 +464,11 @@ mod tests {
             assert!(tagged > 0, "{name}: no {lab}-labeled packets");
             // All attack packets share one originator address.
             let mut sources = BTreeSet::new();
-            for (_, frame, _, l) in arena.labeled_frames() {
+            for (_, frame, _, l) in labeled(&mut arena) {
                 if l != lab {
                     continue;
                 }
-                if let Ok(pkt) = Packet::parse(frame) {
+                if let Ok(pkt) = Packet::parse(&frame) {
                     if let Some((src, dst)) = pkt.ipv4_addrs() {
                         // Both directions appear; keep the non-target end.
                         sources.insert(src.0.min(dst.0));

@@ -21,14 +21,11 @@
 //! headers, not its 1500-byte frames.
 //!
 //! Frames become bytes in one place, [`write_frame`]: prefix copy plus
-//! filler memset. The study's frame loop reads them through
-//! [`PacketArena::stream`], which writes each record that ends in filler
-//! into one reused scratch frame as it is read (and lends the rest
-//! straight from the byte store); callers that keep many frames alive at
-//! once ([`PacketArena::captured_frames`] and the views built on it) get
-//! borrowed slices of the byte store and of one materialisation, of the
-//! frames that end in filler, that the arena performs on the first such
-//! request. A header-only trace is never materialised.
+//! filler memset. Every product reader goes through [`PacketArena::stream`], which
+//! writes each record that ends in filler into one reused scratch frame as
+//! it is read (and lends the rest straight from the byte store), so no
+//! buffer ever holds more than one frame's filler:
+//! [`PacketArena::write_pcap`] writes a capture file off it.
 //!
 //! The arena also owns the monitoring-window cutoff that used to be a
 //! post-hoc `retain`: [`PacketArena::admit`] rejects packets timestamped
@@ -36,9 +33,10 @@
 //! still tallying them (for [`Clip::Counted`] sites) so logical
 //! emission counts match the old emit-then-retain pipeline.
 
-use crate::{Tap, TimedPacket};
+use crate::{PcapWriter, Tap, TimedPacket};
 use ent_wire::build::FrameSink;
 use ent_wire::Timestamp;
+use std::io::Write;
 use std::sync::OnceLock;
 
 /// The largest snaplen an arena captures at, the classic pcap maximum: a
@@ -92,8 +90,8 @@ impl Rec {
 
 /// The one frame writer: append record `r`'s captured frame to `out` —
 /// its stored prefix (cut at the captured length), then its filler run.
-/// The streamed frames and the arena's materialisation both go through
-/// it.
+/// The streamed frames (and the benchmark-only materialisation) go
+/// through it.
 fn write_frame(store: &[u8], snaplen: usize, r: &Rec, out: &mut Vec<u8>) {
     let captured = r.captured(snaplen);
     let start = r.off as usize;
@@ -143,9 +141,10 @@ pub struct PacketArena {
     sort_scratch: Vec<Rec>,
     /// The one frame [`PacketArena::stream`] writes each record into.
     frame_scratch: Vec<u8>,
-    /// Every captured frame that ends in filler, back to back in record
-    /// order, written on the first borrowed view that needs one and
-    /// dropped by anything that changes a record.
+    /// The benchmark-only materialisation behind
+    /// [`PacketArena::captured_frames`]: every captured frame that ends in
+    /// filler, back to back in record order, written on the first view
+    /// that needs one and dropped by anything that changes a record.
     frames: OnceLock<Vec<u8>>,
 }
 
@@ -366,9 +365,9 @@ impl PacketArena {
     }
 
     /// The captured frames in record order, each one that ends in filler
-    /// written into one reused scratch frame as it is read — the study's
-    /// frame loop reads a trace this way, so no buffer ever holds more than
-    /// one frame's filler.
+    /// written into one reused scratch frame as it is read: the one way
+    /// to read an arena, so no buffer ever holds more than one frame's
+    /// filler.
     pub fn stream(&mut self) -> FrameStream<'_> {
         FrameStream {
             recs: self.recs.iter(),
@@ -376,6 +375,24 @@ impl PacketArena {
             snaplen: self.snaplen,
             frame: &mut self.frame_scratch,
         }
+    }
+
+    /// Write the captured frames to `out` as a pcap file at the arena's
+    /// snaplen, one streamed record at a time through
+    /// [`PcapWriter::write_packet`]; returns `out`, flushed.
+    pub fn write_pcap<W: Write>(&mut self, out: W) -> crate::Result<W> {
+        // The snaplen is at most `MAX_SNAPLEN`, so it fits.
+        let mut w = PcapWriter::new(out, u32::try_from(self.snaplen).unwrap_or(u32::MAX))?;
+        let mut pkt = TimedPacket::new(Timestamp::ZERO, Vec::new());
+        let mut frames = self.stream();
+        while let Some((ts, frame, orig_len, _)) = frames.next_frame() {
+            pkt.ts = ts;
+            pkt.orig_len = orig_len;
+            pkt.frame.clear();
+            pkt.frame.extend_from_slice(frame);
+            w.write_packet(&pkt)?;
+        }
+        w.finish()
     }
 
     /// Every captured frame that ends in filler, back to back in record
@@ -398,18 +415,12 @@ impl PacketArena {
     }
 
     /// Borrowed views of the captured packets in record order:
-    /// `(timestamp, captured frame bytes, original wire length)`. A frame
-    /// with no filler is a slice of the byte store; the first view after a
-    /// change materialises every frame that ends in filler, once;
-    /// [`PacketArena::stream`] is the one-frame-at-a-time form.
+    /// `(timestamp, captured frame bytes, original wire length)`, through
+    /// one lazy materialisation of every frame that ends in filler.
+    /// `benchmark/` is the only caller, and ROADMAP item 1(h) deletes this
+    /// shim; everything else reads [`PacketArena::stream`].
+    #[doc(hidden)]
     pub fn captured_frames(&self) -> impl Iterator<Item = (Timestamp, &[u8], u32)> + '_ {
-        self.labeled_frames().map(|(ts, frame, len, _)| (ts, frame, len))
-    }
-
-    /// Like [`PacketArena::captured_frames`] but with each record's
-    /// ground-truth label appended:
-    /// `(timestamp, captured frame bytes, original wire length, label)`.
-    pub fn labeled_frames(&self) -> impl Iterator<Item = (Timestamp, &[u8], u32, u32)> + '_ {
         let mut at = 0usize;
         self.recs.iter().map(move |r| {
             let frame = lent_frame(&self.buf, self.snaplen, r).unwrap_or_else(|| {
@@ -418,7 +429,7 @@ impl PacketArena {
                 at = end;
                 frame
             });
-            (r.ts, frame, r.len, r.label)
+            (r.ts, frame, r.len)
         })
     }
 
@@ -431,18 +442,6 @@ impl PacketArena {
             *counts.entry(r.label).or_insert(0u64) += 1;
         }
         counts.into_iter().collect()
-    }
-
-    /// Materialize the captured packets (post-[`PacketArena::apply_tap`])
-    /// as owned [`TimedPacket`]s, one bounded copy per packet.
-    pub fn captured_packets(&self) -> Vec<TimedPacket> {
-        self.captured_frames()
-            .map(|(ts, frame, orig_len)| TimedPacket {
-                ts,
-                frame: frame.to_vec(),
-                orig_len,
-            })
-            .collect()
     }
 
     /// Drop all packets and bytes, keeping allocated capacity (and the
@@ -486,19 +485,20 @@ pub struct FrameStream<'a> {
 
 impl FrameStream<'_> {
     /// The next record as `(timestamp, captured frame bytes, original wire
-    /// length)`; the bytes stay valid until the next call. A frame with no
-    /// filler is lent from the byte store ([`lent_frame`]): on D1/D2,
-    /// copying it into the frame buffer cost the study's ingest ≈18 %.
+    /// length, ground-truth label)`; the bytes stay valid until the next
+    /// call. A frame with no filler is lent from the byte store
+    /// ([`lent_frame`]): on D1/D2, copying it into the frame buffer cost
+    /// the study's ingest ≈18 %.
     #[inline]
     #[deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
-    pub fn next_frame(&mut self) -> Option<(Timestamp, &[u8], u32)> {
+    pub fn next_frame(&mut self) -> Option<(Timestamp, &[u8], u32, u32)> {
         let r = self.recs.next()?;
         if let Some(frame) = lent_frame(self.store, self.snaplen, r) {
-            return Some((r.ts, frame, r.len));
+            return Some((r.ts, frame, r.len, r.label));
         }
         self.frame.clear();
         write_frame(self.store, self.snaplen, r, self.frame);
-        Some((r.ts, self.frame.as_slice(), r.len))
+        Some((r.ts, self.frame.as_slice(), r.len, r.label))
     }
 }
 
@@ -579,6 +579,22 @@ mod tests {
         Timestamp::from_micros(us)
     }
 
+    /// The streamed frames, owned: `(timestamp, frame, wire length, label)`.
+    fn labeled(a: &mut PacketArena) -> Vec<(Timestamp, Vec<u8>, u32, u32)> {
+        let mut out = Vec::new();
+        let mut frames = a.stream();
+        while let Some((ts, frame, orig_len, label)) = frames.next_frame() {
+            out.push((ts, frame.to_vec(), orig_len, label));
+        }
+        out
+    }
+
+    /// The streamed frames as owned packets.
+    fn packets(a: &mut PacketArena) -> Vec<TimedPacket> {
+        let packet = |(ts, frame, orig_len, _)| TimedPacket { ts, frame, orig_len };
+        labeled(a).into_iter().map(packet).collect()
+    }
+
     #[test]
     fn commit_records_spans_and_counts() {
         let mut a = PacketArena::unbounded();
@@ -589,7 +605,7 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.logical_len(), 2);
         assert_eq!(a.logical_wire_bytes(), 5);
-        let pkts = a.captured_packets();
+        let pkts = packets(&mut a);
         assert_eq!(pkts[0].frame, vec![1, 2, 3]);
         assert_eq!(pkts[0].ts, ts(5));
         assert_eq!(pkts[1].frame, vec![4, 5]);
@@ -603,7 +619,7 @@ mod tests {
             a.commit(ts(t), 1);
         }
         a.sort_records();
-        let order: Vec<u8> = a.captured_packets().iter().map(|p| p.frame[0]).collect();
+        let order: Vec<u8> = packets(&mut a).iter().map(|p| p.frame[0]).collect();
         // Equal ts=9 packets keep emission order (0 before 2): the sort is
         // stable and its key is `ts` alone, so this is the whole tie-break.
         assert_eq!(order, vec![3, 1, 0, 2]);
@@ -655,8 +671,8 @@ mod tests {
             let mut want: Vec<(u64, u32)> = keys.iter().zip(0u32..).map(|(&k, i)| (k, i)).collect();
             want.sort_by_key(|&(k, _)| k);
             arena.sort_records();
-            let got: Vec<(u64, u32)> = arena
-                .labeled_frames()
+            let got: Vec<(u64, u32)> = labeled(&mut arena)
+                .into_iter()
                 .map(|(t, f, _, label)| {
                     assert_eq!(f, label.to_be_bytes(), "frame moved with its record");
                     (t.micros(), label)
@@ -695,7 +711,7 @@ mod tests {
         assert_eq!(views.len(), 8);
         assert!(views.iter().all(|(_, f, orig)| f.len() == 68 && *orig == 100));
         // Materialized form agrees with the borrowed views.
-        let pkts = a.captured_packets();
+        let pkts = packets(&mut a);
         assert_eq!(pkts.len(), 8);
         assert!(pkts.iter().all(|p| p.frame.len() == 68 && p.orig_len == 100));
     }
@@ -722,7 +738,7 @@ mod tests {
             assert!(same_byte(frame));
         }
         // The materialization stops at the stored bytes.
-        let pkts = a.captured_packets();
+        let pkts = packets(&mut a);
         assert_eq!(pkts.len(), 6);
         for p in &pkts {
             assert_eq!(p.frame.len(), (p.orig_len as usize).min(68));
@@ -735,7 +751,7 @@ mod tests {
         assert_eq!(a.snaplen(), 68);
         assert_eq!(a.apply_tap(&mut Tap::new(1500)), stored as u64);
         assert_eq!(a.snaplen(), 68);
-        assert_eq!(a.captured_packets(), pkts);
+        assert_eq!(packets(&mut a), pkts);
         // A narrower tap lowers it, and the views follow.
         let captured = a.apply_tap(&mut Tap::new(50));
         assert_eq!(a.snaplen(), 50);
@@ -748,7 +764,7 @@ mod tests {
         a.set_snaplen(usize::MAX);
         assert_eq!(a.snaplen(), MAX_SNAPLEN);
         a.push_frame(ts(0), Clip::Counted, &[7; 200]);
-        assert_eq!(a.captured_packets()[0].frame.len(), 200);
+        assert_eq!(packets(&mut a)[0].frame.len(), 200);
     }
 
     #[test]
@@ -786,7 +802,7 @@ mod tests {
         assert_eq!(materialised, want);
         let mut streamed = Vec::new();
         let mut frames = a.stream();
-        while let Some((t, f, l)) = frames.next_frame() {
+        while let Some((t, f, l, _)) = frames.next_frame() {
             streamed.push((t, f.to_vec(), l));
         }
         assert_eq!(streamed, want, "streamed frames equal the materialised ones");
@@ -812,7 +828,7 @@ mod tests {
         a.commit(ts(3), 4);
         a.set_label(0);
         a.push_frame(ts(4), Clip::Counted, &[4; 4]);
-        let labels: Vec<u32> = a.labeled_frames().map(|(_, _, _, l)| l).collect();
+        let labels: Vec<u32> = labeled(&mut a).into_iter().map(|(_, _, _, l)| l).collect();
         assert_eq!(labels, vec![0, 7, 7, 0]);
         assert_eq!(a.label_counts(), vec![(0, 2), (7, 2)]);
         a.set_label(9);
@@ -832,7 +848,7 @@ mod tests {
             a.push_frame(ts(1_000 - u64::from(i)), Clip::Counted, &[i; 90]);
         }
         a.sort_records();
-        for (_, frame, _, label) in a.labeled_frames() {
+        for (_, frame, _, label) in labeled(&mut a) {
             assert_eq!(label, u32::from(frame[0] % 3), "label moved with its record");
         }
         assert_eq!(a.label_counts(), vec![(0, 10), (1, 10), (2, 10)]);
@@ -841,7 +857,7 @@ mod tests {
         assert_eq!(a.len(), 24);
         let total: u64 = a.label_counts().iter().map(|&(_, n)| n).sum();
         assert_eq!(total, 24, "no orphaned or duplicated labels after tap");
-        for (_, frame, _, label) in a.labeled_frames() {
+        for (_, frame, _, label) in labeled(&mut a) {
             assert_eq!(label, u32::from(frame[0] % 3), "snaplen clamp keeps labels");
         }
     }
@@ -859,6 +875,6 @@ mod tests {
         assert_eq!(a.logical_wire_bytes(), 0);
         // Reusable after clear, same limit.
         a.push_frame(ts(2), Clip::Counted, &[9; 3]);
-        assert_eq!(a.captured_packets()[0].frame, vec![9, 9, 9]);
+        assert_eq!(packets(&mut a)[0].frame, vec![9, 9, 9]);
     }
 }

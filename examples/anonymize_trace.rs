@@ -12,9 +12,10 @@
 use ent_anon::prefix::common_prefix_len;
 use ent_anon::{anonymize_trace, Anonymizer};
 use ent_core::{analyze_trace, PipelineConfig};
-use ent_gen::build::{build_site, generate_trace};
+use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::dataset;
 use ent_gen::GenConfig;
+use ent_pcap::{PacketArena, Trace};
 use ent_wire::ipv4;
 
 fn main() {
@@ -25,7 +26,12 @@ fn main() {
         hosts_per_subnet: None,
     };
     let (site, wan) = build_site(&spec, &config);
-    let trace = generate_trace(&site, &wan, &spec, 6, 1, &config);
+    let mut arena = PacketArena::unbounded();
+    let (meta, _) = generate_trace_into(&site, &wan, &spec, 6, 1, &config, &mut arena);
+    // What gets anonymized is a capture file: write the trace as one and
+    // read it back.
+    let pcap = arena.write_pcap(Vec::new()).expect("write pcap");
+    let (trace, _) = Trace::read_pcap(&pcap, meta).expect("read pcap");
 
     // Prefix preservation on its own.
     let mut anon = Anonymizer::new("release-key-2005");

@@ -8,8 +8,8 @@
 // Examples abort on setup failure rather than degrade.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ent_core::{analyze_trace, PipelineConfig};
-use ent_gen::build::{build_site, generate_trace};
+use ent_core::{analyze_arena, analyze_trace, PipelineConfig};
+use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::dataset;
 use ent_gen::GenConfig;
 use ent_pcap::{PacketArena, Tap, Trace};
@@ -22,26 +22,31 @@ fn main() {
         hosts_per_subnet: None,
     };
     let (site, wan) = build_site(&spec, &config);
-    let trace = generate_trace(&site, &wan, &spec, 30, 1, &config); // print-server subnet
+    let mut arena = PacketArena::unbounded();
+    // The print-server subnet.
+    let (meta, _) = generate_trace_into(&site, &wan, &spec, 30, 1, &config, &mut arena);
 
-    // Write to an in-memory pcap (a file works identically).
-    let mut pcap_bytes = Vec::new();
-    trace.write_pcap(&mut pcap_bytes).expect("write pcap");
+    // Write to an in-memory pcap (a file works identically), streaming the
+    // frames out of the arena as `entreport generate` does.
+    let pcap_bytes = arena.write_pcap(Vec::new()).expect("write pcap");
     println!(
         "wrote pcap: {} packets -> {} bytes on disk",
-        trace.packets.len(),
+        arena.len(),
         pcap_bytes.len()
     );
 
-    // Read back and compare: the reader finds nothing to repair.
-    let (back, health) = Trace::read_pcap(&pcap_bytes, trace.meta.clone()).expect("read pcap");
+    // Read back and compare: the reader finds nothing to repair, and the
+    // packets it returns write the same file again.
+    let (back, health) = Trace::read_pcap(&pcap_bytes, meta.clone()).expect("read pcap");
     assert!(health.is_clean(), "{health}");
-    assert_eq!(back.packets.len(), trace.packets.len());
-    assert_eq!(back.packets, trace.packets);
+    assert_eq!(back.packets.len(), arena.len());
+    let mut again = Vec::new();
+    back.write_pcap(&mut again).expect("write pcap");
+    assert!(again == pcap_bytes);
     println!("round trip: byte-identical packets ✓");
 
     // Analyze both; results must agree.
-    let a = analyze_trace(&trace, &PipelineConfig::default());
+    let a = analyze_arena(&meta, &mut arena, &PipelineConfig::default());
     let b = analyze_trace(&back, &PipelineConfig::default());
     assert_eq!(a.conns.len(), b.conns.len());
     assert_eq!(a.http.len(), b.http.len());
@@ -55,21 +60,14 @@ fn main() {
     // Now the D1/D2 story: re-capture the same traffic at snaplen 68,
     // staging the frames in an arena and applying the tap there, as trace
     // generation does.
-    let mut arena = PacketArena::unbounded();
-    arena.set_snaplen(trace.meta.snaplen as usize);
-    for p in &trace.packets {
+    arena.clear();
+    for p in &back.packets {
         arena.frame_buf().extend_from_slice(&p.frame);
         arena.commit(p.ts, p.orig_len as usize);
     }
     arena.apply_tap(&mut Tap::new(68));
-    let truncated = Trace {
-        meta: ent_pcap::TraceMeta {
-            snaplen: 68,
-            ..trace.meta.clone()
-        },
-        packets: arena.captured_packets(),
-    };
-    let c = analyze_trace(&truncated, &PipelineConfig::default());
+    let meta68 = ent_pcap::TraceMeta { snaplen: 68, ..meta };
+    let c = analyze_arena(&meta68, &mut arena, &PipelineConfig::default());
     println!(
         "\nsnaplen 68 re-capture: {} conns still tracked (transport analyses survive),",
         c.conns.len()

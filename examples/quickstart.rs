@@ -7,10 +7,11 @@
 // Examples abort on setup failure rather than degrade.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ent_core::{analyze_trace, PipelineConfig};
-use ent_gen::build::{build_site, generate_trace};
+use ent_core::{analyze_arena, PipelineConfig};
+use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::dataset;
 use ent_gen::GenConfig;
+use ent_pcap::PacketArena;
 
 fn main() {
     // 1. Pick a dataset spec (D0 = the paper's 10-minute full-payload
@@ -22,20 +23,23 @@ fn main() {
         hosts_per_subnet: None,
     };
 
-    // 2. Build the site model and synthesize one monitored-subnet trace.
+    // 2. Build the site model and synthesize one monitored-subnet trace
+    //    into an arena (the study reuses one per worker thread).
     let (site, wan) = build_site(&spec, &config);
     let subnet = 3; // hosts an NFS and an NCP server
-    let trace = generate_trace(&site, &wan, &spec, subnet, 1, &config);
+    let mut arena = PacketArena::unbounded();
+    let (meta, _) = generate_trace_into(&site, &wan, &spec, subnet, 1, &config, &mut arena);
     println!(
         "generated trace: dataset {} subnet {} — {} packets, {} wire bytes",
         spec.name,
         subnet,
-        trace.packets.len(),
-        trace.wire_bytes()
+        arena.len(),
+        arena.wire_bytes()
     );
 
-    // 3. Analyze: connection tracking, protocol analyzers, scanner removal.
-    let analysis = analyze_trace(&trace, &PipelineConfig::default());
+    // 3. Analyze, streaming the frames out of the arena: connection
+    //    tracking, protocol analyzers, scanner removal.
+    let analysis = analyze_arena(&meta, &mut arena, &PipelineConfig::default());
     println!(
         "network layers: {} IP, {} ARP, {} IPX, {} other",
         analysis.ip_packets, analysis.arp_packets, analysis.ipx_packets, analysis.other_l3_packets

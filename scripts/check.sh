@@ -63,21 +63,6 @@ cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_gate.json"
 cargo run --release -q -p ent-cli -- bench-compare \
     BENCH_pipeline.json "$BENCH_TMP/BENCH_gate.json"
 
-echo "==> worker lane gate (the same study on one worker lane vs committed BENCH_pipeline.json)"
-# The worker lane (--shards 1) must change no result: every stage's events
-# and bytes, packets, traces and the peak open-conn count compare exactly
-# equal to the inline baseline (shards is a recorded, not a compared, key),
-# and its hot-path share is held like the inline run's. Whether the lane
-# beats the inline engine on captures is a paired measurement, not a gate
-# (~10 min):
-#   scripts/bench-pair.sh analyze_sharded,analyze_payload 10
-cargo run --release -q -p ent-cli -- study \
-    --scale 0.01 --seed 2005 --threads 1 --shards 1 \
-    --only 'table 3' --bench-json "$BENCH_TMP/BENCH_lane.json" > /dev/null
-cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_lane.json"
-cargo run --release -q -p ent-cli -- bench-compare \
-    BENCH_pipeline.json "$BENCH_TMP/BENCH_lane.json"
-
 echo "==> monitor smoke (epoch reports + kill/resume equivalence + obs gate)"
 # Resident-monitor contract (DESIGN §9) on a small capture: a run killed at
 # an epoch boundary and resumed from its checkpoint must print the exact
@@ -102,6 +87,28 @@ diff <(awk '/^== Epoch 4 /,0' "$BENCH_TMP/full.txt") \
 cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_monitor.json"
 cargo run --release -q -p ent-cli -- bench-compare \
     "$BENCH_TMP/BENCH_monitor.json" "$BENCH_TMP/BENCH_monitor_resumed.json"
+
+echo "==> worker lane gate (analyze --shards 1 vs inline on a D0 and a D1 capture)"
+# The worker lane serves captures; a generated trace (study, packs) always
+# ingests inline. On the monitor smoke's D0 capture and a D1 (snaplen-68)
+# capture the lane must change no result: every line above the stage table
+# and the events signature on stderr (every stage's events and bytes) are
+# identical inline and on the lane. Whether the lane beats the inline
+# engine is a paired measurement, not a gate (~10 min):
+#   scripts/bench-pair.sh analyze_sharded,analyze_payload 10
+cargo run --release -q -p ent-cli -- generate \
+    --dataset D1 --subnet 3 --scale 0.01 --seed 2005 \
+    --out "$BENCH_TMP/lane_d1.pcap" 2> /dev/null
+for cap in monitor lane_d1; do
+    for shards in 0 1; do
+        cargo run --release -q -p ent-cli -- analyze "$BENCH_TMP/$cap.pcap" \
+            --shards "$shards" > "$BENCH_TMP/$cap.$shards.txt" 2> "$BENCH_TMP/$cap.$shards.err"
+    done
+    diff <(sed '/Pipeline stage metrics/,$d' "$BENCH_TMP/$cap.0.txt") \
+         <(sed '/Pipeline stage metrics/,$d' "$BENCH_TMP/$cap.1.txt")
+    diff <(grep 'events signature' "$BENCH_TMP/$cap.0.err") \
+         <(grep 'events signature' "$BENCH_TMP/$cap.1.err")
+done
 
 echo "==> damaged-capture smoke (anonymize salvages a cut capture as analyze does)"
 # The monitor smoke's capture cut 100 bytes short ends mid-record. anonymize

@@ -3,9 +3,12 @@
 pub mod alloc_count;
 
 use ent_core::run::{run_dataset, run_datasets, DatasetAnalysis, StudyConfig};
-use ent_core::PipelineConfig;
+use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::{all_datasets, DatasetSpec};
+use ent_gen::network::{Site, WanPool};
 use ent_gen::GenConfig;
+use ent_pcap::{PacketArena, TimedPacket, Trace};
+use ent_wire::Timestamp;
 
 /// A fast generation config for integration tests.
 pub fn test_gen_config() -> GenConfig {
@@ -13,6 +16,42 @@ pub fn test_gen_config() -> GenConfig {
         scale: 0.006,
         seed: 17,
         hosts_per_subnet: Some(10),
+    }
+}
+
+/// The arena's frames in record order, read off its stream and owned:
+/// `(timestamp, frame, wire length, label)`. How a test that keeps, edits
+/// or re-reads a trace's frames gets them (the library reads every arena
+/// through `PacketArena::stream`).
+pub fn streamed(arena: &mut PacketArena) -> Vec<(Timestamp, Vec<u8>, u32, u32)> {
+    let mut out = Vec::with_capacity(arena.len());
+    let mut frames = arena.stream();
+    while let Some((ts, frame, orig_len, label)) = frames.next_frame() {
+        out.push((ts, frame.to_vec(), orig_len, label));
+    }
+    out
+}
+
+/// [`streamed`] frames as owned packets.
+pub fn owned_packets(arena: &mut PacketArena) -> Vec<TimedPacket> {
+    let packet = |(ts, frame, orig_len, _)| TimedPacket { ts, frame, orig_len };
+    streamed(arena).into_iter().map(packet).collect()
+}
+
+/// One generated trace as owned packets ([`owned_packets`]).
+pub fn owned_trace(
+    site: &Site,
+    wan: &WanPool,
+    spec: &DatasetSpec,
+    subnet: u16,
+    pass: u8,
+    config: &GenConfig,
+) -> Trace {
+    let mut arena = PacketArena::unbounded();
+    let (meta, _) = generate_trace_into(site, wan, spec, subnet, pass, config, &mut arena);
+    Trace {
+        meta,
+        packets: owned_packets(&mut arena),
     }
 }
 
@@ -76,19 +115,30 @@ fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
 /// Digest seed (the FNV-1a offset basis, reused as a familiar constant).
 const FP_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Order- and content-sensitive digest of one generated trace: every
-/// packet's timestamp, wire length, capture length and captured bytes.
-/// Any byte-level change to generator output changes this value.
-pub fn trace_fingerprint(trace: &ent_pcap::Trace) -> u64 {
+/// Order- and content-sensitive digest of one generated arena, read off
+/// its stream: every record's timestamp, original wire length, ground-truth
+/// label (when `labels`), capture length and captured bytes.
+fn arena_fingerprint(arena: &mut PacketArena, labels: bool) -> u64 {
     let mut h = FP_SEED;
-    h = mix(h, trace.packets.len() as u64);
-    for p in &trace.packets {
-        h = mix(h, p.ts.micros());
-        h = mix(h, p.orig_len as u64);
-        h = mix(h, p.frame.len() as u64);
-        h = mix_bytes(h, &p.frame);
+    h = mix(h, arena.len() as u64);
+    let mut frames = arena.stream();
+    while let Some((ts, frame, orig_len, label)) = frames.next_frame() {
+        h = mix(h, ts.micros());
+        h = mix(h, orig_len as u64);
+        if labels {
+            h = mix(h, label as u64);
+        }
+        h = mix(h, frame.len() as u64);
+        h = mix_bytes(h, frame);
     }
     h
+}
+
+/// Digest of one generated trace: every packet's timestamp, wire length,
+/// capture length and captured bytes. Any byte-level change to generator
+/// output changes this value.
+pub fn trace_fingerprint(arena: &mut PacketArena) -> u64 {
+    arena_fingerprint(arena, false)
 }
 
 /// Per-dataset generator digests for one `(scale, seed)`: for each of
@@ -102,36 +152,29 @@ pub fn generator_fingerprints(scale: f64, seed: u64) -> Vec<(String, u64, usize)
         seed,
         hosts_per_subnet: None,
     };
+    let mut arena = PacketArena::unbounded();
     all_datasets()
         .iter()
         .map(|spec| {
+            let (site, wan) = build_site(spec, &config);
             let mut h = FP_SEED;
             let mut traces = 0usize;
-            ent_gen::build::for_each_trace(spec, &config, |t| {
-                h = mix(h, trace_fingerprint(&t));
+            for (subnet, pass) in spec.slots() {
+                generate_trace_into(&site, &wan, spec, subnet, pass, &config, &mut arena);
+                h = mix(h, trace_fingerprint(&mut arena));
                 traces += 1;
-            });
+            }
             (spec.name.to_string(), h, traces)
         })
         .collect()
 }
 
 /// Order-, content- and label-sensitive digest of one generated pack
-/// arena: every record's timestamp, original wire length, ground-truth
-/// label and captured bytes. A byte change *or* a label move changes the
-/// digest, so the pack goldens pin the actor output and the label
-/// plumbing together.
-pub fn labeled_arena_fingerprint(arena: &ent_pcap::PacketArena) -> u64 {
-    let mut h = FP_SEED;
-    h = mix(h, arena.len() as u64);
-    for (ts, frame, orig_len, label) in arena.labeled_frames() {
-        h = mix(h, ts.micros());
-        h = mix(h, orig_len as u64);
-        h = mix(h, label as u64);
-        h = mix(h, frame.len() as u64);
-        h = mix_bytes(h, frame);
-    }
-    h
+/// arena: [`trace_fingerprint`] with each record's ground-truth label
+/// mixed in. A byte change *or* a label move changes the digest, so the
+/// pack goldens pin the actor output and the label plumbing together.
+pub fn labeled_arena_fingerprint(arena: &mut PacketArena) -> u64 {
+    arena_fingerprint(arena, true)
 }
 
 /// Per-pack generator digests for one `(scale, seed)`: for each scenario
@@ -147,15 +190,15 @@ pub fn pack_fingerprints(scale: f64, seed: u64) -> Vec<(String, u64, usize)> {
     ent_gen::packs::all_packs()
         .iter()
         .map(|pack| {
-            let (site, wan) = ent_gen::build::build_site(&pack.spec, &config);
+            let (site, wan) = build_site(&pack.spec, &config);
             let mut h = FP_SEED;
             let mut traces = 0usize;
-            let mut arena = ent_pcap::PacketArena::unbounded();
+            let mut arena = PacketArena::unbounded();
             for (subnet, pass) in pack.spec.slots() {
                 ent_gen::packs::generate_pack_trace_into(
                     pack, &site, &wan, subnet, pass, &config, &mut arena,
                 );
-                h = mix(h, labeled_arena_fingerprint(&arena));
+                h = mix(h, labeled_arena_fingerprint(&mut arena));
                 traces += 1;
             }
             (pack.name.to_string(), h, traces)
@@ -163,16 +206,10 @@ pub fn pack_fingerprints(scale: f64, seed: u64) -> Vec<(String, u64, usize)> {
         .collect()
 }
 
-/// Run the trimmed D0–D4 study at `scale` with an explicit thread count
-/// and `shards` (0 = inline engine, 1 = the worker lane). The differential
-/// equivalence suite calls this with every (threads, shards) combination
+/// Run the trimmed D0–D4 study at `scale` with an explicit thread count.
+/// The differential equivalence suite calls this with every thread count
 /// it gates and requires identical results.
-pub fn differential_study(
-    scale: f64,
-    threads: usize,
-    subnets: u16,
-    shards: usize,
-) -> Vec<DatasetAnalysis> {
+pub fn differential_study(scale: f64, threads: usize, subnets: u16) -> Vec<DatasetAnalysis> {
     let specs = trimmed_specs(subnets);
     run_datasets(
         &specs,
@@ -182,11 +219,8 @@ pub fn differential_study(
                 seed: 2005,
                 hosts_per_subnet: Some(10),
             },
-            pipeline: PipelineConfig {
-                shards,
-                ..Default::default()
-            },
             threads,
+            ..Default::default()
         },
     )
 }

@@ -7,9 +7,9 @@
 #![allow(clippy::expect_used)]
 
 use ent_core::{analyze_trace, PipelineConfig};
-use ent_gen::build::{build_site, generate_trace};
+use ent_gen::build::build_site;
 use ent_gen::dataset::all_datasets;
-use ent_integration::test_gen_config;
+use ent_integration::{owned_trace, test_gen_config};
 use ent_pcap::merge::{merge_streams, Stream};
 use ent_pcap::Trace;
 use ent_wire::Packet;
@@ -19,7 +19,7 @@ fn tap_merge_equals_direct_capture() {
     let specs = all_datasets();
     let config = test_gen_config();
     let (site, wan) = build_site(&specs[0], &config);
-    let trace = generate_trace(&site, &wan, &specs[0], 6, 1, &config);
+    let trace = owned_trace(&site, &wan, &specs[0], 6, 1, &config);
 
     // Split into two unidirectional streams, as one Shomiti tap pair
     // would: traffic entering vs leaving the subnet.
@@ -64,7 +64,7 @@ fn clock_skew_within_tolerance_preserves_connections() {
     let specs = all_datasets();
     let config = test_gen_config();
     let (site, wan) = build_site(&specs[3], &config);
-    let trace = generate_trace(&site, &wan, &specs[3], 24, 1, &config);
+    let trace = owned_trace(&site, &wan, &specs[3], 24, 1, &config);
     let mut inbound = Vec::new();
     let mut outbound = Vec::new();
     for p in &trace.packets {

@@ -6,9 +6,9 @@
 #![allow(clippy::expect_used)]
 
 use ent_core::{analyze_trace, PipelineConfig};
-use ent_gen::build::{build_site, generate_trace};
+use ent_gen::build::build_site;
 use ent_gen::dataset::all_datasets;
-use ent_integration::test_gen_config;
+use ent_integration::{owned_trace, test_gen_config};
 use ent_wire::{Packet, Transport};
 
 #[test]
@@ -16,7 +16,7 @@ fn packet_and_byte_conservation() {
     let specs = all_datasets();
     let config = test_gen_config();
     let (site, wan) = build_site(&specs[0], &config);
-    let trace = generate_trace(&site, &wan, &specs[0], 3, 1, &config);
+    let trace = owned_trace(&site, &wan, &specs[0], 3, 1, &config);
 
     // Ground truth straight from the frames.
     let (mut tcp_pkts, mut udp_pkts, mut icmp_pkts) = (0u64, 0u64, 0u64);

@@ -10,9 +10,9 @@
 
 use ent_core::metrics::Stage;
 use ent_core::{analyze_capture, AnalysisError, PipelineConfig, TraceAnalysis};
-use ent_gen::build::{build_site, generate_trace};
+use ent_gen::build::build_site;
 use ent_gen::dataset::all_datasets;
-use ent_integration::test_gen_config;
+use ent_integration::{owned_trace, test_gen_config};
 use ent_pcap::{Fault, FaultInjector, RecoveringReader, Trace, TraceMeta};
 use ent_wire::{build, ethernet::MacAddr, ipv4::Addr, Packet, Timestamp};
 use rand::rngs::StdRng;
@@ -23,7 +23,7 @@ fn base_capture() -> (Vec<u8>, TraceMeta) {
     let specs = all_datasets();
     let config = test_gen_config();
     let (site, wan) = build_site(&specs[0], &config);
-    let trace = generate_trace(&site, &wan, &specs[0], 3, 1, &config);
+    let trace = owned_trace(&site, &wan, &specs[0], 3, 1, &config);
     let mut bytes = Vec::new();
     trace.write_pcap(&mut bytes).expect("serialize");
     (bytes, trace.meta)

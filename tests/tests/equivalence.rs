@@ -1,7 +1,7 @@
 //! Differential equivalence suite: every execution mode of the pipeline
-//! — 4 worker threads, the sharded machinery at one shard — must be
-//! output-identical to the serial single-thread run on every dataset
-//! D0–D4. (That the fast hasher changes nothing is proven one level down,
+//! — 4 worker threads, and the worker lane on the same traces written as
+//! captures — must be output-identical to the serial single-thread run
+//! on every dataset D0–D4. (That the fast hasher changes nothing is proven one level down,
 //! callback for callback against a std-SipHash `ConnTable`, in
 //! `hash_table_props.rs`.)
 //!
@@ -19,10 +19,16 @@
 // `#[test]` fn stays a clippy error.
 #![allow(clippy::expect_used)]
 
-use ent_core::run::{run_datasets, DatasetAnalysis, StudyConfig};
-use ent_core::{PipelineConfig, PipelineMetrics, TraceAnalysis};
+use ent_core::metrics::Stage;
+use ent_core::run::DatasetAnalysis;
+use ent_core::{analyze_capture, PipelineConfig, PipelineMetrics, TraceAnalysis};
+use ent_flow::FlowKey;
+use ent_gen::build::{build_site, generate_trace_into};
+use ent_gen::dataset::DatasetSpec;
 use ent_gen::GenConfig;
 use ent_integration::{differential_study, trimmed_specs};
+use ent_pcap::{PacketArena, TraceMeta};
+use ent_wire::Timestamp;
 
 const SCALE: f64 = 0.01;
 const SUBNETS: u16 = 3;
@@ -107,12 +113,91 @@ fn assert_equivalent(reference: &[DatasetAnalysis], candidate: &[DatasetAnalysis
     assert_eq!(rr, cr, "rendered study report drifted under {label}");
 }
 
+/// One dataset's traces as pcap buffers, each with its generator metadata.
+type Captures = (DatasetSpec, Vec<(TraceMeta, Vec<u8>)>);
+
+/// One connection record: key, start, end, packets, payload bytes.
+type Record = (FlowKey, Timestamp, Timestamp, u64, u64);
+
+/// The trimmed workload at `(scale, seed)`, every trace written as a pcap
+/// buffer, dataset by dataset.
+fn captures(scale: f64, seed: u64, subnets: u16) -> Vec<Captures> {
+    let config = GenConfig {
+        scale,
+        seed,
+        hosts_per_subnet: Some(10),
+    };
+    let mut arena = PacketArena::unbounded();
+    trimmed_specs(subnets)
+        .into_iter()
+        .map(|spec| {
+            let (site, wan) = build_site(&spec, &config);
+            let traces = spec
+                .slots()
+                .map(|(subnet, pass)| {
+                    let (meta, _) =
+                        generate_trace_into(&site, &wan, &spec, subnet, pass, &config, &mut arena);
+                    (meta, arena.write_pcap(Vec::new()).expect("write pcap"))
+                })
+                .collect();
+            (spec, traces)
+        })
+        .collect()
+}
+
+/// Every capture through `analyze_capture` at `shards`, as a study.
+fn analyze_captures(
+    captures: &[Captures],
+    shards: usize,
+) -> Vec<DatasetAnalysis> {
+    let config = PipelineConfig {
+        shards,
+        ..PipelineConfig::default()
+    };
+    captures
+        .iter()
+        .map(|(spec, traces)| DatasetAnalysis {
+            spec: *spec,
+            traces: traces
+                .iter()
+                .map(|(meta, bytes)| {
+                    analyze_capture(bytes, meta.clone(), &config).expect("clean capture")
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// Every trace's connection records in close order.
+fn records(study: &[DatasetAnalysis]) -> Vec<Vec<Record>> {
+    let trace = |t: &TraceAnalysis| {
+        t.conns
+            .iter()
+            .map(|c| {
+                let s = &c.summary;
+                (s.key, s.start, s.end, s.orig.packets + s.resp.packets, s.total_payload())
+            })
+            .collect()
+    };
+    study.iter().flat_map(|d| d.traces.iter().map(trace)).collect()
+}
+
+/// Only the lane's dispatcher times its hand-off (the `backpressure`
+/// wall): a lane run that reads zero here ran inline.
+fn lane_ran(study: &[DatasetAnalysis]) -> bool {
+    study
+        .iter()
+        .flat_map(|d| &d.traces)
+        .all(|t| t.metrics.stages[Stage::Backpressure].wall_ns > 0)
+}
+
 /// The one differential run: a serial single-thread reference vs the
-/// 4-thread and 1-shard variants. One test (not two) so the reference
-/// study is generated once.
+/// 4-thread variant, and the same traces as captures on the worker lane
+/// vs inline. One test (not two) so the reference study is generated
+/// once.
 #[test]
 fn every_execution_mode_is_output_identical_to_the_serial_reference() {
-    let reference = differential_study(SCALE, 1, SUBNETS, 0);
+    let reference = differential_study(SCALE, 1, SUBNETS);
     // Sanity: the workload exercises every dataset and produces records.
     assert_eq!(reference.len(), 5);
     assert!(reference.iter().all(|d| !d.traces.is_empty()));
@@ -123,44 +208,37 @@ fn every_execution_mode_is_output_identical_to_the_serial_reference() {
         .sum();
     assert!(total_conns > 1_000, "workload too small: {total_conns}");
 
-    let multi_thread = differential_study(SCALE, 4, SUBNETS, 0);
+    let multi_thread = differential_study(SCALE, 4, SUBNETS);
     assert_equivalent(&reference, &multi_thread, "4 threads");
 
-    // The worker lane is event-for-event identical to the serial path
-    // across all three layers: every frame reaches the one worker in
-    // arrival order, so the connection table sees the exact ingest
-    // sequence the serial engine does — same records, same order, same
-    // peak.
-    let one_shard = differential_study(SCALE, 1, SUBNETS, 1);
-    assert_equivalent(&reference, &one_shard, "1 shard @ 1 thread");
+    // The worker lane serves borrowed frames (a generated trace always
+    // ingests inline), and there it is event-for-event identical to the
+    // inline engine across all three layers: every frame reaches the one
+    // worker in arrival order, so the connection table sees the exact
+    // ingest sequence the inline engine does — same records, same order,
+    // same peak.
+    let caps = captures(SCALE, 2005, SUBNETS);
+    let inline = analyze_captures(&caps, 0);
+    let lane = analyze_captures(&caps, 1);
+    assert!(lane_ran(&lane), "a capture at shards = 1 ran inline");
+    assert_equivalent(&inline, &lane, "1 shard @ 1 thread");
+    assert_eq!(records(&inline), records(&lane), "records drifted on the lane");
 }
 
 /// The worker-lane determinism gate at test scale: `events_signature`,
-/// the packet count and the peak must be identical inline and on the
-/// worker lane, for more than one generator seed. (`scripts/check.sh`
-/// pins the same at the gate configuration — scale 0.01, seed 2005 — by
-/// comparing a `--shards 1` study against the committed
-/// `BENCH_pipeline.json`.)
+/// the packet count, the peak and every connection record in order must
+/// be identical inline and on the worker lane, for more than one
+/// generator seed. (`scripts/check.sh` pins the same on the `entreport
+/// analyze` output of a D0 and a D1 capture at seed 2005.)
 #[test]
 fn events_signature_is_invariant_across_shard_counts() {
     for seed in [1u64, 2005] {
+        let caps = captures(0.004, seed, 2);
         let mut curve: Vec<(usize, u64, u64, u64)> = Vec::new();
+        let mut conns = Vec::new();
         for shards in [0usize, 1] {
-            let study = run_datasets(
-                &trimmed_specs(2),
-                &StudyConfig {
-                    gen: GenConfig {
-                        scale: 0.004,
-                        seed,
-                        hosts_per_subnet: Some(10),
-                    },
-                    pipeline: PipelineConfig {
-                        shards,
-                        ..Default::default()
-                    },
-                    threads: 1,
-                },
-            );
+            let study = analyze_captures(&caps, shards);
+            assert!(shards == 0 || lane_ran(&study), "seed {seed}: the lane ran inline");
             let mut total = PipelineMetrics::default();
             for d in &study {
                 total.absorb(&d.pipeline_metrics());
@@ -171,6 +249,7 @@ fn events_signature_is_invariant_across_shard_counts() {
                 total.packets(),
                 total.peak_open_conns,
             ));
+            conns.push(records(&study));
         }
         let (_, ref_sig, ref_packets, serial_peak) = curve[0];
         assert!(ref_packets > 0, "seed {seed}: empty workload");
@@ -188,5 +267,6 @@ fn events_signature_is_invariant_across_shard_counts() {
                 "seed {seed}: peak open conns drifted at {shards} shards"
             );
         }
+        assert_eq!(conns[0], conns[1], "seed {seed}: records drifted on the lane");
     }
 }

@@ -14,11 +14,12 @@
 
 use ent_gen::build::{build_site, generate_trace_into, GenConfig, GenTiming};
 use ent_gen::dataset::{all_datasets, DatasetSpec};
+use ent_integration::streamed;
 use ent_pcap::{PacketArena, Tap};
 
 /// Same `(ts, captured bytes, orig_len, label)` sequence in both arenas.
-fn same_frames(a: &PacketArena, b: &PacketArena) -> bool {
-    a.labeled_frames().eq(b.labeled_frames())
+fn same_frames(a: &mut PacketArena, b: &mut PacketArena) -> bool {
+    streamed(a) == streamed(b)
 }
 
 /// The deterministic half of a [`GenTiming`].
@@ -70,7 +71,7 @@ fn writing_at_the_snaplen_equals_writing_everything_then_tapping() {
                 let what = format!("{} subnet {subnet} pass {pass} seed {seed}", spec.name);
                 assert_eq!(counts(&got), counts(&want), "{what}: GenTiming counts");
                 assert_eq!(tapped.wire_bytes(), direct.wire_bytes(), "{what}: wire bytes");
-                assert!(same_frames(&tapped, &direct), "{what}: captured records differ");
+                assert!(same_frames(&mut tapped, &mut direct), "{what}: captured records differ");
                 if spec.tap_drop_period > 0 {
                     assert!(tap.dropped() > 0, "{what}: drop period never fired");
                 }
@@ -97,7 +98,7 @@ fn a_reused_arena_carries_no_snaplen_from_one_dataset_into_the_next() {
         let (_, want) = generate_trace_into(&site, &wan, spec, subnet, pass, &config, &mut fresh);
         let (_, got) = generate_trace_into(&site, &wan, spec, subnet, pass, &config, &mut reused);
         assert_eq!(counts(&got), counts(&want), "{}: GenTiming counts", spec.name);
-        assert!(same_frames(&reused, &fresh), "{}: reused arena differs", spec.name);
+        assert!(same_frames(&mut reused, &mut fresh), "{}: reused arena differs", spec.name);
         // Dropped records leave their bytes behind, so the bound is over
         // every record that was committed (= went through the sort).
         assert!(

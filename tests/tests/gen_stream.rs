@@ -1,13 +1,13 @@
 //! The study reads each generated frame where it is written.
 //!
 //! A payload trace's arena stores each frame's header image and protocol
-//! head, plus the byte of the filler run that follows them. The study's
-//! inline frame loop (`ent_core::pipeline::analyze_arena` with `shards ==
-//! 0`) writes each record into one reused frame buffer as it reads it
-//! (`PacketArena::stream`); callers that keep many frames alive read the
+//! head, plus the byte of the filler run that follows them. Every product
+//! reader (`ent_core::pipeline::analyze_arena`, pack scoring, `entreport
+//! generate`) writes each record into one reused frame buffer as it reads
+//! it (`PacketArena::stream`); the benchmark harness alone still reads the
 //! arena's one materialisation (`captured_frames`). These tests pin that
-//! the two are the same frames, and that analysing either gives the same
-//! result.
+//! the two are the same frames, and that analysing
+//! either gives the same result.
 
 // Test helpers may abort, but must say why: a bare `unwrap` outside a
 // `#[test]` fn stays a clippy error.
@@ -36,15 +36,15 @@ fn streamed_frames_equal_the_materialised_ones_in_every_slot() {
             for (subnet, pass) in spec.slots() {
                 generate_trace_into(&site, &wan, &spec, subnet, pass, &config, &mut arena);
                 let what = format!("{} subnet {subnet} pass {pass} seed {seed}", spec.name);
-                let want = arena.captured_packets();
+                let want: Vec<_> = arena.captured_frames().map(|(t, f, l)| (t, f.to_vec(), l)).collect();
                 let mut frames = arena.stream();
                 let mut n = 0;
-                while let Some((ts, frame, orig_len)) = frames.next_frame() {
+                while let Some((ts, frame, orig_len, _)) = frames.next_frame() {
                     let Some(p) = want.get(n) else {
                         panic!("{what}: the stream runs past {n} frames");
                     };
                     assert!(
-                        ts == p.ts && frame == p.frame.as_slice() && orig_len == p.orig_len,
+                        (ts, frame, orig_len) == (p.0, p.1.as_slice(), p.2),
                         "{what}: frame {n} differs"
                     );
                     n += 1;

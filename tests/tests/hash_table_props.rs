@@ -28,8 +28,9 @@ use ent_flow::{
     fx_map_with_capacity, ConnIndex, ConnSummary, ConnTable, Dir, Endpoint, FlowHandler, FlowKey,
     FlowStats, FxHashMap, Proto, TableConfig,
 };
-use ent_gen::build::{build_site, generate_trace};
+use ent_gen::build::build_site;
 use ent_gen::GenConfig;
+use ent_integration::owned_trace;
 use ent_wire::{build, ethernet::MacAddr, ipv4::Addr, Packet, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -241,7 +242,7 @@ fn eviction_under_max_conns_matches_std_hash_table_decision_for_decision() {
     for name in ["D0", "D1"] {
         let spec = ent_gen::dataset::dataset(name).expect("dataset");
         let (site, wan) = build_site(&spec, &gen);
-        let trace = generate_trace(&site, &wan, &spec, spec.monitored.start, 1, &gen);
+        let trace = owned_trace(&site, &wan, &spec, spec.monitored.start, 1, &gen);
         let packets = trace.packets.iter().map(|p| (&*p.frame, p.ts));
         let (seen, stats) =
             assert_callback_parity(config, packets, &format!("generated {name} trace"));

@@ -14,9 +14,10 @@
 
 use ent_core::monitor::{drive_capture, Monitor, MonitorConfig};
 use ent_core::{capture_meta, Checkpoint, CheckpointError, PipelineConfig};
-use ent_gen::build::{build_site, generate_trace};
+use ent_gen::build::build_site;
 use ent_gen::dataset::all_datasets;
 use ent_gen::GenConfig;
+use ent_integration::owned_trace;
 use ent_pcap::{Fault, FaultInjector};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -34,7 +35,7 @@ fn capture_bytes(dataset: &str, seed: u64) -> Vec<u8> {
         hosts_per_subnet: Some(8),
     };
     let (site, wan) = build_site(&spec, &config);
-    let trace = generate_trace(&site, &wan, &spec, spec.monitored.start, 1, &config);
+    let trace = owned_trace(&site, &wan, &spec, spec.monitored.start, 1, &config);
     let mut bytes = Vec::new();
     trace.write_pcap(&mut bytes).expect("serialize");
     bytes

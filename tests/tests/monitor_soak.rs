@@ -23,11 +23,12 @@
 use ent_core::monitor::{Monitor, MonitorConfig};
 use ent_core::metrics::Stage;
 use ent_core::PipelineConfig;
-use ent_gen::build::{build_site, generate_trace};
+use ent_gen::build::build_site;
 use ent_gen::dataset::all_datasets;
 use ent_gen::GenConfig;
 use ent_pcap::TraceMeta;
 use ent_integration::alloc_count::{self, CountingAlloc};
+use ent_integration::owned_trace;
 use ent_wire::Timestamp;
 
 #[global_allocator]
@@ -49,7 +50,7 @@ fn frame_pool() -> (Vec<PooledFrame>, TraceMeta, u64) {
         hosts_per_subnet: Some(8),
     };
     let (site, wan) = build_site(&spec, &config);
-    let trace = generate_trace(&site, &wan, &spec, spec.monitored.start, 1, &config);
+    let trace = owned_trace(&site, &wan, &spec, spec.monitored.start, 1, &config);
     let base = trace.packets.first().expect("packets").ts.micros();
     let pool: Vec<PooledFrame> = trace
         .packets

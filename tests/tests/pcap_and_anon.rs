@@ -6,16 +6,16 @@
 
 use ent_anon::anonymize_trace;
 use ent_core::{analyze_trace, PipelineConfig};
-use ent_gen::build::{build_site, generate_trace};
+use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::all_datasets;
-use ent_integration::test_gen_config;
+use ent_integration::{owned_packets, owned_trace, test_gen_config};
 use ent_pcap::{Fault, FaultInjector, PacketArena, RecoveringReader, Tap, Trace, TraceMeta};
 
 fn sample_trace(dataset_idx: usize, subnet: u16) -> Trace {
     let specs = all_datasets();
     let config = test_gen_config();
     let (site, wan) = build_site(&specs[dataset_idx], &config);
-    generate_trace(&site, &wan, &specs[dataset_idx], subnet, 1, &config)
+    owned_trace(&site, &wan, &specs[dataset_idx], subnet, 1, &config)
 }
 
 /// Re-capture an owned trace through `tap` on the product path: stage its
@@ -33,7 +33,31 @@ fn recapture(trace: &Trace, tap: &mut Tap) -> Trace {
             snaplen: arena.snaplen() as u32,
             ..trace.meta.clone()
         },
-        packets: arena.captured_packets(),
+        packets: owned_packets(&mut arena),
+    }
+}
+
+/// `entreport generate` writes a capture off the arena's stream
+/// (`PacketArena::write_pcap`): byte for byte the file that the same
+/// trace's owned packets write, on a payload and a print-server trace.
+#[test]
+fn the_streamed_capture_is_the_owned_trace_file() {
+    let specs = all_datasets();
+    let config = test_gen_config();
+    let mut arena = PacketArena::unbounded();
+    for (dataset_idx, subnet) in [(0, 3), (4, 30)] {
+        let spec = &specs[dataset_idx];
+        let (site, wan) = build_site(spec, &config);
+        let (meta, _) = generate_trace_into(&site, &wan, spec, subnet, 1, &config, &mut arena);
+        let streamed = arena.write_pcap(Vec::new()).expect("write streamed");
+        let owned = Trace {
+            meta,
+            packets: owned_packets(&mut arena),
+        };
+        let mut want = Vec::new();
+        owned.write_pcap(&mut want).expect("write owned");
+        assert!(owned.packets.len() > 1_000, "{}: trace too small", spec.name);
+        assert!(streamed == want, "{} subnet {subnet}: the streamed file differs", spec.name);
     }
 }
 
