@@ -21,8 +21,9 @@
 //!   baseline (exact event/byte equality; walls are printed as ratios,
 //!   never failed).
 //!
-//! A flag given a value that does not parse, or `--shards` other than 0 or
-//! 1, exits 2 naming the flag and the value: a mistyped number never runs
+//! Each command takes only the flags its usage line lists: any other
+//! flag, a value flag with no value, a value that does not parse, or
+//! `--shards` other than 0 or 1 exits 2 naming the flag: a typo never runs
 //! as the default. `study` and `packs` ingest every generated trace inline:
 //! they take `--shards 0` and refuse 1, pointing at `analyze`.
 
@@ -33,16 +34,17 @@ use ent_core::run::{run_datasets, StudyConfig};
 use ent_core::run_pack;
 use ent_core::study::build_report;
 use ent_core::{
-    capture_meta, drive_capture, Checkpoint, Monitor, MonitorConfig, PipelineConfig,
-    PipelineMetrics,
+    capture_meta, drive_capture, AnalysisError, Checkpoint, Monitor, MonitorConfig,
+    PipelineConfig, PipelineMetrics,
 };
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::{all_datasets, dataset, DatasetSpec};
 use ent_gen::GenConfig;
-use ent_pcap::{PacketArena, RecoveringReader, Trace};
+use ent_anon::{trace::anonymize_frame, Anonymizer};
+use ent_pcap::{PacketArena, PcapWriter, RecoveringReader, TimedPacket};
 use ent_wire::Timestamp;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::BufWriter;
 use std::process::ExitCode;
 
 /// Unwrap a CLI-level result or exit with a message. Failures here are
@@ -54,51 +56,74 @@ fn or_die<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
     })
 }
 
+/// Every command's synopsis: its positional arguments, then each flag it
+/// takes (bracketed when optional; a flag followed by a placeholder takes
+/// a value, a bare one is a switch). `usage()` prints these lists, and a
+/// command exits 2 on any flag outside its own.
+const COMMANDS: &[(&str, &str, &[&str])] = &[
+    ("study", "", &["[--scale S]", "[--seed N]", "[--hosts N]", "[--threads N]", "[--shards 0]",
+        "[--datasets D0,D3]", "[--only 'table 9']", "[--csv-dir DIR]", "[--keep-scanners]",
+        "[--bench-json FILE.json]"]),
+    ("packs", "", &["[--scale S]", "[--seed N]", "[--hosts N]", "[--threads N]", "[--shards 0]",
+        "[--packs base,sweep]", "[--out FILE.json]"]),
+    ("generate", "", &["--dataset D0", "[--subnet 3]", "[--pass 1]", "[--scale S]", "[--seed N]",
+        "[--hosts N]", "--out FILE.pcap"]),
+    ("analyze", "FILE.pcap", &["[--subnet N]", "[--name D0]", "[--shards 0|1]"]),
+    ("monitor", "FILE.pcap", &["[--epoch-secs 300]", "[--checkpoint FILE.ckpt]", "[--max-conns N]",
+        "[--max-pending N]", "[--stop-after-epochs N]", "[--name NAME]", "[--keep-scanners]",
+        "[--bench-json FILE.json]"]),
+    ("anonymize", "IN.pcap OUT.pcap", &["[--key SEED]"]),
+    ("obs-check", "FILE.json", &[]),
+    ("bench-compare", "BASELINE.json CANDIDATE.json", &[]),
+];
+
+/// One command's usage line.
+fn synopsis(cmd: &str, positional: &str, flags: &[&str]) -> String {
+    let words = [cmd, positional].into_iter().chain(flags.iter().copied());
+    format!("  entreport {}", words.filter(|w| !w.is_empty()).collect::<Vec<_>>().join(" "))
+}
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:
-  entreport study [--scale S] [--seed N] [--threads N] [--datasets D0,D3] [--only 'table 9'] [--csv-dir DIR] [--keep-scanners] [--bench-json FILE.json]
-  entreport packs [--scale S] [--seed N] [--threads N] [--packs base,sweep] [--out FILE.json]
-  entreport generate --dataset D0 --subnet 3 [--pass 1] [--scale S] [--seed N] --out FILE.pcap
-  entreport analyze FILE.pcap [--subnet N] [--name D0] [--shards 0|1]
-  entreport monitor FILE.pcap [--epoch-secs 300] [--checkpoint FILE.ckpt] [--max-conns N] [--max-pending N] [--stop-after-epochs N] [--name NAME] [--keep-scanners] [--bench-json FILE.json]
-  entreport anonymize IN.pcap OUT.pcap --key SEED
-  entreport obs-check FILE.json
-  entreport bench-compare BASELINE.json CANDIDATE.json"
-    );
+    eprintln!("usage:");
+    for (cmd, positional, flags) in COMMANDS {
+        eprintln!("{}", synopsis(cmd, positional, flags));
+    }
     ExitCode::from(2)
 }
 
+#[derive(Default)]
 struct Args {
     positional: Vec<String>,
     flags: std::collections::HashMap<String, String>,
     switches: std::collections::HashSet<String>,
 }
 
-fn parse_args(raw: &[String]) -> Args {
-    let mut a = Args {
-        positional: Vec::new(),
-        flags: Default::default(),
-        switches: Default::default(),
-    };
+/// Split `raw` into positional arguments, value flags and switches, by
+/// the command's own flag list `takes` (see [`COMMANDS`]). A flag outside
+/// the list, or a value flag with no value after it, is an error naming
+/// the flag.
+fn parse_args(takes: &[&str], raw: &[String]) -> Result<Args, String> {
+    let mut a = Args::default();
     let mut it = raw.iter().peekable();
     while let Some(arg) = it.next() {
-        if let Some(name) = arg.strip_prefix("--") {
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    if let Some(v) = it.next() {
-                        a.flags.insert(name.to_string(), v.clone());
-                    }
-                }
-                _ => {
-                    a.switches.insert(name.to_string());
-                }
-            }
-        } else {
+        let Some(name) = arg.strip_prefix("--") else {
             a.positional.push(arg.clone());
+            continue;
+        };
+        let mut specs = takes.iter().map(|t| t.trim_matches(['[', ']']));
+        let Some(spec) = specs.find(|t| t.split(' ').next() == Some(arg.as_str())) else {
+            return Err(format!("unknown flag --{name}"));
+        };
+        if !spec.contains(' ') {
+            a.switches.insert(name.to_string());
+            continue;
         }
+        match it.next_if(|v| !v.starts_with("--")) {
+            Some(v) => a.flags.insert(name.to_string(), v.clone()),
+            None => return Err(format!("--{name} needs a value")),
+        };
     }
-    a
+    Ok(a)
 }
 
 /// A command's outcome: its exit code, or the message of a flag it could
@@ -127,11 +152,19 @@ fn shards(args: &Args, lane: bool) -> Result<usize, String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().cloned() else {
+    let Some((cmd, positional, takes)) =
+        raw.first().and_then(|c| COMMANDS.iter().find(|(name, ..)| name == c))
+    else {
         return usage();
     };
-    let args = parse_args(&raw[1..]);
-    let outcome = match cmd.as_str() {
+    let args = match parse_args(takes, &raw[1..]) {
+        Ok(args) => args,
+        Err(why) => {
+            eprintln!("entreport {cmd}: {why}\nusage:\n{}", synopsis(cmd, positional, takes));
+            return ExitCode::from(2);
+        }
+    };
+    let outcome = match *cmd {
         "study" => cmd_study(&args),
         "packs" => cmd_packs(&args),
         "generate" => cmd_generate(&args),
@@ -670,28 +703,35 @@ fn cmd_monitor(args: &Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Anonymize a capture record by record: each salvaged record is read
+/// into one reused packet, rewritten in place and written out, so no copy
+/// of the capture is held beside the input buffer.
 fn cmd_anonymize(args: &Args) -> ExitCode {
     let (Some(input), Some(output)) = (args.positional.first(), args.positional.get(1)) else {
         return usage();
     };
-    let key = args
-        .flags
-        .get("key")
-        .cloned()
-        .unwrap_or_else(|| "default-key".into());
+    let key = args.flags.get("key").map_or("default-key", String::as_str);
     let data = or_die(std::fs::read(input), "read input pcap");
     // Salvage damage as `analyze` and `monitor` do; only a bad global header is fatal.
-    let meta = or_die(capture_meta("anon", &data), "read pcap");
-    let (trace, stats) = or_die(Trace::read_pcap(&data, meta), "read pcap");
-    if !stats.is_clean() {
-        eprintln!("ingest health: {stats}");
-    }
-    let anon = ent_anon::anonymize_trace(&trace, &key);
+    let mut reader = or_die(RecoveringReader::new(&data).map_err(AnalysisError::Ingest), "read pcap");
     let out = or_die(File::create(output), "create output pcap");
-    let mut w = BufWriter::new(out);
-    or_die(anon.write_pcap(&mut w), "write pcap");
-    or_die(w.flush(), "flush output");
-    eprintln!("anonymized {} packets -> {}", anon.packets.len(), output);
+    let mut w = or_die(PcapWriter::new(BufWriter::new(out), reader.snaplen()), "write pcap");
+    let mut anon = Anonymizer::new(key);
+    let mut pkt = TimedPacket::new(Timestamp::ZERO, Vec::new());
+    let mut packets = 0u64;
+    while let Some(r) = reader.next_record() {
+        (pkt.ts, pkt.orig_len) = (r.ts, r.orig_len);
+        pkt.frame.clear();
+        pkt.frame.extend_from_slice(r.frame);
+        anonymize_frame(&mut anon, &mut pkt.frame);
+        or_die(w.write_packet(&pkt), "write pcap");
+        packets += 1;
+    }
+    if !reader.stats().is_clean() {
+        eprintln!("ingest health: {}", reader.stats());
+    }
+    or_die(w.finish(), "flush output");
+    eprintln!("anonymized {packets} packets -> {output}");
     ExitCode::SUCCESS
 }
 
@@ -700,7 +740,9 @@ mod tests {
     use super::*;
 
     fn args(raw: &[&str]) -> Args {
-        parse_args(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        let takes = ["[--scale S]", "[--keep-scanners]", "[--shards 0|1]", "[--epoch-secs N]"];
+        let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+        parse_args(&takes, &raw).expect("every flag is in the list")
     }
 
     #[test]

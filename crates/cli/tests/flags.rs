@@ -1,7 +1,8 @@
-//! Where `--shards` is taken, checked on the built binary's exit codes:
-//! `analyze` runs a capture inline or on the one worker lane; `study` and
-//! `packs` ingest generated traces inline, so they refuse the lane and
-//! name `analyze` instead.
+//! Which flags each command takes, checked on the built binary's exit
+//! codes: a flag outside a command's list is refused by name. Where
+//! `--shards` is taken, `analyze` runs a capture inline or on the one
+//! worker lane; `study` and `packs` ingest generated traces inline, so
+//! they refuse the lane and name `analyze` instead.
 
 // Test helpers may abort, but must say why: a bare `panic!` outside a
 // `#[test]` fn stays a clippy error.
@@ -41,4 +42,36 @@ fn analyze_takes_no_second_lane() {
     let out = entreport(&["analyze", "no-such-capture.pcap", "--shards", "2"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("--shards 2"), "{}", stderr(&out));
+}
+
+#[test]
+fn every_command_refuses_a_misspelled_flag_naming_it() {
+    // One typo per command, each next to the flag it misspells. The
+    // command stops before reading a file or generating a trace.
+    let cases: [&[&str]; 8] = [
+        &["study", "--thread", "1"],
+        &["packs", "--pack", "base"],
+        &["generate", "--dataset", "D0", "--subnets", "3", "--out", "never.pcap"],
+        &["analyze", "no-such-capture.pcap", "--shard", "1"],
+        &["monitor", "no-such-capture.pcap", "--epoch-sec", "60"],
+        &["anonymize", "in.pcap", "out.pcap", "--keys", "42"],
+        &["obs-check", "no-such.json", "--strict"],
+        &["bench-compare", "a.json", "b.json", "--keep-scanner"],
+    ];
+    for args in cases {
+        let out = entreport(args);
+        let typo = args.iter().find(|a| a.starts_with("--") && !["--dataset", "--out"].contains(a));
+        let typo = typo.unwrap_or_else(|| panic!("{args:?} holds no typo"));
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(&format!("unknown flag {typo}")), "{args:?}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{args:?} ran before refusing the flag");
+    }
+    assert!(!std::path::Path::new("never.pcap").exists(), "generate ran past the typo");
+}
+
+#[test]
+fn a_value_flag_without_its_value_is_refused() {
+    let out = entreport(&["monitor", "no-such-capture.pcap", "--epoch-secs"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--epoch-secs needs a value"), "{}", stderr(&out));
 }

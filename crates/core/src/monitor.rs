@@ -35,13 +35,12 @@ use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError};
 use crate::error::AnalysisError;
 use crate::metrics::{PipelineMetrics, Stage, StageTimer};
 use crate::pipeline::{
-    expected_conns_hint, post_process, window_analysis, Engine, FrameRef, PipelineConfig,
-    StreamClock, LAP_STRIDE,
+    new_engine, post_process, window_analysis, Engine, FrameLoop, FrameRef, PipelineConfig,
 };
 use crate::records::{IngestHealth, TraceAnalysis};
 use crate::report::fmt_bytes;
 use ent_pcap::{IngestStats, RecoveringReader, TraceMeta};
-use ent_wire::{Packet, Timestamp};
+use ent_wire::Timestamp;
 use std::fmt::Write as _;
 
 /// How a resident monitor is parameterized.
@@ -292,10 +291,10 @@ impl MonitorSummary {
     }
 }
 
-/// The resident monitor: the batch session's own pieces — the stream
-/// clock's per-frame step, one inline [`Engine`], the engine's
-/// window-close step — with the window closed at every epoch boundary
-/// instead of once, plus cumulative accounting and checkpoint production.
+/// The resident monitor: the batch session's own pieces — the
+/// `FrameLoop`, one inline [`Engine`], the engine's window close — with
+/// the window closed at every epoch boundary instead of once, plus
+/// cumulative accounting and checkpoint production.
 ///
 /// Feed it timed frames via [`Monitor::observe`]; it returns the epoch
 /// reports each frame flushes (usually none). Close the stream with
@@ -305,13 +304,11 @@ pub struct Monitor {
     cfg: MonitorConfig,
     meta: TraceMeta,
     engine: Engine,
-    /// The stream clock; its base is the first packet's timestamp, from
-    /// which every epoch boundary is measured.
-    clock: StreamClock,
+    /// The frame loop; its base is the first packet's timestamp, from
+    /// which every epoch boundary is measured, and its stride restarts
+    /// with every epoch.
+    frames: FrameLoop,
     epoch_index: u64,
-    /// Frames observed in the open epoch: the stride counter that picks
-    /// which frames [`Monitor::observe`] clocks.
-    epoch_frames: u64,
     totals: MonitorTotals,
     health: IngestHealth,
     metrics: PipelineMetrics,
@@ -325,9 +322,7 @@ impl Monitor {
     /// run, link capacity); `packets_hint` pre-sizes the connection table.
     pub fn new(meta: TraceMeta, cfg: MonitorConfig, packets_hint: usize) -> Monitor {
         let epoch_secs = cfg.epoch_secs.max(1);
-        let expected = expected_conns_hint(packets_hint);
-        let out = window_analysis(&meta, epoch_secs);
-        let engine = Engine::new(out, &cfg.pipeline, meta.has_payload(), expected);
+        let engine = new_engine(&meta, &cfg.pipeline, epoch_secs, packets_hint);
         // One stream, one "trace" — counted once, not per epoch, so the
         // cumulative signature matches however often the stream rotates.
         let metrics = PipelineMetrics {
@@ -341,9 +336,8 @@ impl Monitor {
             },
             meta,
             engine,
-            clock: StreamClock::default(),
+            frames: FrameLoop::default(),
             epoch_index: 0,
-            epoch_frames: 0,
             totals: MonitorTotals::default(),
             health: IngestHealth::default(),
             metrics,
@@ -375,8 +369,11 @@ impl Monitor {
         if ck.epoch_len_us != cfg.epoch_secs.max(1) * 1_000_000 {
             return Err(CheckpointError::ConfigMismatch("epoch length"));
         }
+        if ck.stream_base_us.is_none() && ck.epoch_index != 0 {
+            return Err(CheckpointError::Malformed("epoch index without a stream base"));
+        }
         let mut m = Monitor::new(meta, cfg, packets_hint);
-        m.clock.base_us = ck.stream_base_us;
+        m.frames.base_us = ck.stream_base_us;
         m.epoch_index = ck.epoch_index;
         m.totals = ck.totals;
         m.health = ck.health;
@@ -386,9 +383,7 @@ impl Monitor {
         for &(addr, port, proto) in &ck.dynamic_ports {
             m.engine.learn_dynamic(addr, port, proto);
         }
-        if m.clock.base_us.is_some() {
-            m.engine.set_window_base(m.epoch_start_us());
-        }
+        m.engine.set_window_base(m.epoch_start_us());
         Ok(m)
     }
 
@@ -397,10 +392,8 @@ impl Monitor {
     }
 
     fn epoch_start_us(&self) -> u64 {
-        self.clock
-            .base_us
-            .unwrap_or(0)
-            .saturating_add(self.epoch_index.saturating_mul(self.epoch_len_us()))
+        let base = self.frames.base_us.unwrap_or(0);
+        base.saturating_add(self.epoch_index.saturating_mul(self.epoch_len_us()))
     }
 
     /// Index of the epoch currently being filled.
@@ -435,39 +428,20 @@ impl Monitor {
     /// usually none, one at a boundary crossing, several when the stream
     /// gaps across empty epochs.
     ///
-    /// The boundaries the frame crosses are flushed before it is parsed, so
-    /// the laps of a clocked frame (an epoch's first, and one in every 71
-    /// after it) bracket its own parse and ingest only.
+    /// The boundaries the frame crosses are flushed before the frame loop
+    /// steps it, so the laps of a clocked frame (an epoch's first, and one
+    /// in every 71 after it) bracket its own parse and ingest only. The
+    /// stream's first frame opens epoch 0, based at that frame.
     pub fn observe(&mut self, ts: Timestamp, frame: &[u8], orig_len: u32) -> Vec<EpochReport> {
         let mut reports = Vec::new();
         // Before the first frame there is no base to measure epochs from;
         // the first frame opens epoch 0 and crosses nothing.
-        while self.clock.base_us.is_some()
+        while self.frames.base_us.is_some()
             && ts.micros() >= self.epoch_start_us().saturating_add(self.epoch_len_us())
         {
             reports.push(self.rotate(None));
         }
-        let clocked = self.epoch_frames.is_multiple_of(LAP_STRIDE);
-        self.epoch_frames += 1;
-        if clocked {
-            self.engine.start_lap();
-        }
-        let parsed = Packet::parse(frame);
-        let pkt = parsed.as_ref().ok();
-        if self.clock.tick(ts, pkt.is_some()) {
-            // The load bins are epoch-relative: based at the epoch start,
-            // which for epoch 0 is this first packet.
-            self.engine.set_window_base(self.epoch_start_us());
-        }
-        self.engine.ingest_dissected(
-            FrameRef {
-                ts,
-                frame,
-                orig_len,
-            },
-            pkt,
-            clocked,
-        );
+        self.frames.step(FrameRef { ts, frame, orig_len }, &mut self.engine);
         reports
     }
 
@@ -496,7 +470,7 @@ impl Monitor {
         self.health.absorb(&epoch.health);
         self.metrics.absorb(&epoch.metrics);
         self.epoch_index += 1;
-        self.epoch_frames = 0;
+        self.frames.restart_stride();
         self.engine.set_window_base(self.epoch_start_us());
 
         if self.cfg.checkpoints && final_end.is_none() {
@@ -509,7 +483,7 @@ impl Monitor {
             let mut ck = Checkpoint {
                 epoch_len_us: self.epoch_len_us(),
                 epoch_index: self.epoch_index,
-                stream_base_us: self.clock.base_us,
+                stream_base_us: self.frames.base_us,
                 resume_offset: 0,
                 reader_clock_us: None,
                 capture: IngestStats::default(),
@@ -532,7 +506,7 @@ impl Monitor {
 
         EpochReport {
             index: self.epoch_index - 1,
-            base_us: self.clock.base_us.unwrap_or(0),
+            base_us: self.frames.base_us.unwrap_or(0),
             start_us,
             end_us,
             analysis: epoch,
@@ -551,11 +525,10 @@ impl Monitor {
         // for the nominal duration: the last packet seen, never before the
         // open epoch's start.
         let flushed_us = self.epoch_index.saturating_mul(self.epoch_len_us());
-        let last = self
-            .clock
-            .base_us
-            .is_some()
-            .then(|| self.rotate(Some(self.clock.end_after(flushed_us).micros())));
+        let last = self.frames.base_us.is_some().then(|| {
+            let end = self.frames.end(flushed_us);
+            self.rotate(Some(end.micros()))
+        });
         let mut merged = self.prior_capture;
         merged.absorb(capture);
         self.health.capture = merged;
@@ -715,6 +688,26 @@ mod tests {
         assert_eq!(reports[2].analysis.packets, 0);
         let (last, _) = m.finish(&IngestStats::default());
         assert_eq!(last.expect("final").index, 3);
+    }
+
+    #[test]
+    fn a_checkpoint_past_epoch_0_without_a_stream_base_is_refused() {
+        // Epochs are measured from the stream base, so none can have
+        // flushed before the first frame set it: a checkpoint that says
+        // otherwise would rebase the resumed epoch on its next frame.
+        let cfg = MonitorConfig {
+            checkpoints: true,
+            ..MonitorConfig::default()
+        };
+        let mut m = Monitor::new(meta(), cfg.clone(), 64);
+        let f = udp_frame(40_003, 9);
+        m.observe(Timestamp::from_secs(10), &f, f.len() as u32);
+        m.observe(Timestamp::from_secs(310), &f, f.len() as u32);
+        let mut ck = m.take_boundaries().pop().expect("one boundary checkpoint");
+        assert!(Monitor::from_checkpoint(meta(), cfg.clone(), &ck, 64).is_ok());
+        ck.stream_base_us = None;
+        let err = Monitor::from_checkpoint(meta(), cfg, &ck, 64).err().expect("no base, epoch 1");
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
     }
 
     #[test]

@@ -663,44 +663,6 @@ pub(crate) struct FrameRef<'a> {
     pub(crate) orig_len: u32,
 }
 
-/// The stream clock of one ingest session — the only place the window
-/// base and the end of the stream are worked out, for batch runs (inline
-/// or on the worker lane) and the resident monitor alike.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StreamClock {
-    /// The very first frame's timestamp, microseconds: the base the lane
-    /// bins its load samples against (`None` before the first frame).
-    pub(crate) base_us: Option<u64>,
-    /// Latest timestamp seen: the first frame's, then dissectable frames
-    /// only — a frame the dissector rejects cannot vouch for its clock.
-    max_ts: Timestamp,
-}
-
-impl StreamClock {
-    /// Advance the clock past one frame stamped `ts`; `dissected` says
-    /// whether the dissector accepted it. Returns whether this frame
-    /// opened the stream.
-    #[inline]
-    pub(crate) fn tick(&mut self, ts: Timestamp, dissected: bool) -> bool {
-        let opened = self.base_us.is_none();
-        if opened {
-            self.base_us = Some(ts.micros());
-            self.max_ts = ts;
-        } else if dissected && ts > self.max_ts {
-            self.max_ts = ts;
-        }
-        opened
-    }
-
-    /// The stream's absolute end: `elapsed_us` past the base — a trace's
-    /// nominal duration, or the whole epochs a monitor has flushed — or
-    /// the last frame seen, whichever is later.
-    pub(crate) fn end_after(&self, elapsed_us: u64) -> Timestamp {
-        Timestamp::from_micros(self.base_us.unwrap_or(0).saturating_add(elapsed_us))
-            .max(self.max_ts)
-    }
-}
-
 /// Where the frame loop hands its dissected frames: the inline [`Engine`]
 /// (`shards == 0`), or the worker lane's batch buffer.
 pub(crate) trait Lane<'a> {
@@ -729,18 +691,34 @@ impl<'a> Lane<'a> for Engine {
     }
 }
 
-/// The one frame loop, one frame at a time: dissect each frame once, keep
-/// the stream clock, hand the frame to the lane. The first frame and every
-/// [`LAP_STRIDE`]th after it are clocked from before their parse.
+/// The one frame loop of every mode, one frame at a time: dissect each
+/// frame once, keep the stream clock, hand the frame to the lane. The
+/// first frame and every [`LAP_STRIDE`]th after it are clocked from
+/// before their parse. The loop is the only place the window base and the
+/// end of the stream are worked out, for batch runs (inline or on the
+/// worker lane) and the resident monitor alike.
 #[derive(Default)]
-struct FrameLoop {
+pub(crate) struct FrameLoop {
+    /// Frames stepped since the stride last restarted: the stream's start
+    /// in batch mode, the open epoch's in the monitor.
     frames: u64,
-    clock: StreamClock,
+    /// The very first frame's timestamp, microseconds: the base the lane
+    /// bins its load samples against (`None` before the first frame; a
+    /// monitor resumed from its checkpoint restores it).
+    pub(crate) base_us: Option<u64>,
+    /// Latest timestamp seen: the first frame's, then dissectable frames
+    /// only — a frame the dissector rejects cannot vouch for its clock.
+    max_ts: Timestamp,
 }
 
 impl FrameLoop {
+    /// Clock the next frame and every [`LAP_STRIDE`]th after it.
+    pub(crate) fn restart_stride(&mut self) {
+        self.frames = 0;
+    }
+
     #[inline]
-    fn step<'a>(&mut self, p: FrameRef<'a>, lane: &mut impl Lane<'a>) {
+    pub(crate) fn step<'a>(&mut self, p: FrameRef<'a>, lane: &mut impl Lane<'a>) {
         let clocked = self.frames.is_multiple_of(LAP_STRIDE);
         self.frames += 1;
         if clocked {
@@ -748,17 +726,22 @@ impl FrameLoop {
         }
         let parsed = Packet::parse(p.frame);
         let pkt = parsed.as_ref().ok();
-        if self.clock.tick(p.ts, pkt.is_some()) {
+        if self.base_us.is_none() {
+            self.base_us = Some(p.ts.micros());
+            self.max_ts = p.ts;
             lane.open(p.ts.micros());
+        } else if pkt.is_some() && p.ts > self.max_ts {
+            self.max_ts = p.ts;
         }
         lane.push(p, pkt, clocked);
     }
 
-    /// The trace's absolute end — the nominal duration past the first
-    /// frame, or the last frame seen, whichever is later — at which the
-    /// lane then closes its window.
-    fn end(&self, nominal: Timestamp) -> Timestamp {
-        self.clock.end_after(nominal.micros())
+    /// The stream's absolute end: `elapsed_us` past the base — a trace's
+    /// nominal duration, or the whole epochs a monitor has flushed — or
+    /// the last frame seen, whichever is later.
+    pub(crate) fn end(&self, elapsed_us: u64) -> Timestamp {
+        Timestamp::from_micros(self.base_us.unwrap_or(0).saturating_add(elapsed_us))
+            .max(self.max_ts)
     }
 }
 
@@ -773,23 +756,7 @@ pub(crate) fn run_frames<'a>(
     for p in frames {
         frame_loop.step(p, lane);
     }
-    frame_loop.end(nominal)
-}
-
-/// Pre-size hot structures from a packet-count hint. Connection
-/// populations in both the generated datasets and the paper's traces run
-/// a few dozen packets per connection, so `packets / 32` with sane bounds
-/// keeps the key map from rehashing mid-trace without over-reserving for
-/// tiny fixtures.
-pub(crate) fn expected_conns_hint(packets_hint: usize) -> usize {
-    (packets_hint / 32).clamp(64, 16_384)
-}
-
-fn table_config(config: &PipelineConfig, expected_conns: usize) -> TableConfig {
-    TableConfig {
-        max_conns: config.max_conns,
-        expected_conns,
-    }
+    frame_loop.end(nominal.micros())
 }
 
 /// Analyze one trace end-to-end.
@@ -831,20 +798,68 @@ pub fn analyze_arena(
     config: &PipelineConfig,
 ) -> TraceAnalysis {
     let total = StageTimer::start();
-    let mut engine = new_engine(meta, config, arena.len());
-    let mut frame_loop = FrameLoop::default();
-    let mut frames = arena.stream();
-    while let Some((ts, frame, orig_len, _)) = frames.next_frame() {
-        frame_loop.step(FrameRef { ts, frame, orig_len }, &mut engine);
-    }
-    let window = engine.close_window(frame_loop.end(meta.duration), TraceAnalysis::default());
+    let window = inline_window(meta, config, arena.len(), |frame_loop, engine| {
+        let mut frames = arena.stream();
+        while let Some((ts, frame, orig_len, _)) = frames.next_frame() {
+            frame_loop.step(FrameRef { ts, frame, orig_len }, engine);
+        }
+    });
     seal(window, config, total)
 }
 
-/// A batch session's engine, its window sized to the trace.
-fn new_engine(meta: &TraceMeta, config: &PipelineConfig, packets_hint: usize) -> Engine {
-    let out = window_analysis(meta, meta.duration.micros() / 1_000_000);
-    Engine::new(out, config, meta.has_payload(), expected_conns_hint(packets_hint))
+/// The one engine constructor of every mode: a first window whose load
+/// bins span `window_secs` (a batch session's trace, a monitor's epoch),
+/// and a connection table pre-sized from a packet-count hint. Connection
+/// populations in both the generated datasets and the paper's traces run
+/// a few dozen packets per connection, so `packets / 32` with sane bounds
+/// keeps the key map from rehashing mid-trace without over-reserving for
+/// tiny fixtures.
+pub(crate) fn new_engine(
+    meta: &TraceMeta,
+    config: &PipelineConfig,
+    window_secs: u64,
+    packets_hint: usize,
+) -> Engine {
+    let expected_conns = (packets_hint / 32).clamp(64, 16_384);
+    Engine {
+        table: ConnTable::new(TableConfig {
+            max_conns: config.max_conns,
+            expected_conns,
+        }),
+        handler: Handler {
+            out: window_analysis(meta, window_secs),
+            conns: Vec::with_capacity(expected_conns),
+            dynamic: DynamicPorts::new(),
+            payload_ok: meta.has_payload(),
+            max_pending: config.max_pending,
+            laps: SampledLaps::default(),
+            #[cfg(test)]
+            panic_every: config.analyzer_panic_every,
+            #[cfg(test)]
+            tcp_data_events: 0,
+        },
+        base_sec: 0,
+        closed: FlowStats::default(),
+        pt: StageTimer::start(),
+        fused_ns: 0,
+        parse_sample_ns: 0,
+        ingest_sample_ns: 0,
+    }
+}
+
+/// A batch session's inline window: `feed` steps the trace's frames
+/// through one [`FrameLoop`] into an engine sized to the trace, which
+/// then closes at the loop's end of trace.
+fn inline_window(
+    meta: &TraceMeta,
+    config: &PipelineConfig,
+    packets_hint: usize,
+    feed: impl FnOnce(&mut FrameLoop, &mut Engine),
+) -> TraceAnalysis {
+    let mut engine = new_engine(meta, config, meta.duration.micros() / 1_000_000, packets_hint);
+    let mut frame_loop = FrameLoop::default();
+    feed(&mut frame_loop, &mut engine);
+    engine.close_window(frame_loop.end(meta.duration.micros()), TraceAnalysis::default())
 }
 
 /// One batch ingest session: the frame loop over `frames`, feeding either
@@ -859,11 +874,12 @@ fn ingest<'a>(
 ) -> TraceAnalysis {
     let total = StageTimer::start();
     let window = if config.shards == 0 {
-        let mut engine = new_engine(meta, config, packets_hint);
-        let end = run_frames(frames, meta.duration, &mut engine);
-        engine.close_window(end, TraceAnalysis::default())
+        inline_window(meta, config, packets_hint, |frame_loop, engine| {
+            frames.for_each(|p| frame_loop.step(p, engine));
+        })
     } else {
-        crate::shard::run_lanes(frames, meta.duration, &|| new_engine(meta, config, packets_hint))
+        let secs = meta.duration.micros() / 1_000_000;
+        crate::shard::run_lanes(frames, meta.duration, &|| new_engine(meta, config, secs, packets_hint))
     };
     seal(window, config, total)
 }
@@ -895,37 +911,6 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Build an engine around an output record, with a connection table
-    /// pre-sized for `expected_conns`.
-    pub(crate) fn new(
-        out: TraceAnalysis,
-        config: &PipelineConfig,
-        payload_ok: bool,
-        expected_conns: usize,
-    ) -> Engine {
-        Engine {
-            table: ConnTable::new(table_config(config, expected_conns)),
-            handler: Handler {
-                out,
-                conns: Vec::with_capacity(expected_conns),
-                dynamic: DynamicPorts::new(),
-                payload_ok,
-                max_pending: config.max_pending,
-                laps: SampledLaps::default(),
-                #[cfg(test)]
-                panic_every: config.analyzer_panic_every,
-                #[cfg(test)]
-                tcp_data_events: 0,
-            },
-            base_sec: 0,
-            closed: FlowStats::default(),
-            pt: StageTimer::start(),
-            fused_ns: 0,
-            parse_sample_ns: 0,
-            ingest_sample_ns: 0,
-        }
-    }
-
     /// Bank the clock-free span so far: the frame the caller is about to
     /// parse is a clocked one, and its `frame_parse` lap starts now.
     ///
@@ -1624,7 +1609,7 @@ pub(crate) mod tests {
             frame(true, 101, 501, Flags::ACK, b""),
             frame(true, 101, 501, Flags(Flags::PSH.0 | Flags::ACK.0), b"GET / HTTP/1.1\r\nHost: a\r\n\r\n"),
         ];
-        let mut engine = Engine::new(window_analysis(&meta, 1), &PipelineConfig::default(), true, 64);
+        let mut engine = new_engine(&meta, &PipelineConfig::default(), 1, 0);
         for (i, f) in frames.iter().enumerate() {
             let p = FrameRef { ts: Timestamp::from_micros(i as u64 * 1_000), frame: f, orig_len: f.len() as u32 };
             engine.ingest_dissected(p, Packet::parse(f).as_ref().ok(), false);

@@ -152,13 +152,8 @@ where
     lap(&mut timing.sort_ns);
     // Through the capture tap: injected drops, applied to the records in
     // place. The frames were already written cut at `spec.snaplen` (the
-    // arena got it from `TraceCtx::with_arena`), so the tap's snaplen
-    // finds nothing left to clamp.
-    let mut tap = Tap::new(spec.snaplen as usize);
-    if spec.tap_drop_period > 0 {
-        tap = tap.with_drop_period(spec.tap_drop_period);
-    }
-    timing.captured_bytes = ctx.out.apply_tap(&mut tap);
+    // arena got it from `TraceCtx::with_arena`).
+    timing.captured_bytes = ctx.out.apply_tap(&mut Tap::new(spec.tap_drop_period));
     lap(&mut timing.tap_ns);
     let meta = TraceMeta {
         dataset: spec.name.into(),

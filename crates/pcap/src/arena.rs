@@ -339,20 +339,17 @@ impl PacketArena {
     }
 
     /// Run every record through a capture tap *in place*: injected drops
-    /// remove the record, and a tap snaplen below the arena's lowers the
-    /// arena's (the frames were written at the arena's snaplen, so a
-    /// tap at that snaplen or above has nothing left to clamp). No frame
-    /// bytes move. Returns the total captured (post-snaplen) bytes.
-    /// Call after [`PacketArena::sort_records`] so the tap's periodic
-    /// drop counter walks the trace in time order.
+    /// remove the record. No frame bytes move (the frames were written at
+    /// the arena's snaplen). Returns the total captured (post-snaplen)
+    /// bytes of the records kept. Call after [`PacketArena::sort_records`]
+    /// so the tap's periodic drop counter walks the trace in time order.
     pub fn apply_tap(&mut self, tap: &mut Tap) -> u64 {
-        self.snaplen = self.snaplen.min(tap.snaplen());
         self.frames = OnceLock::new();
         let snaplen = self.snaplen;
         let mut captured = 0u64;
         let mut dropped_wire = 0u64;
         self.recs.retain(|r| {
-            let kept = tap.admit(r.len as usize).is_some();
+            let kept = tap.admit();
             if kept {
                 captured += r.captured(snaplen) as u64;
             } else {
@@ -702,8 +699,9 @@ mod tests {
             a.frame_buf().extend_from_slice(&[i; 100]);
             a.commit(ts(i as u64), 100);
         }
-        let mut tap = Tap::new(68).with_drop_period(5);
-        let captured = a.apply_tap(&mut tap);
+        // Re-captured at 68 bytes: a filled arena's snaplen goes down.
+        a.set_snaplen(68);
+        let captured = a.apply_tap(&mut Tap::new(5));
         assert_eq!(a.len(), 8, "every 5th packet dropped");
         assert_eq!(captured, 8 * 68);
         assert_eq!(a.wire_bytes(), 8 * 100, "dropped wire bytes removed");
@@ -744,16 +742,15 @@ mod tests {
             assert_eq!(p.frame.len(), (p.orig_len as usize).min(68));
             assert!(same_byte(&p.frame));
         }
-        // With records present the snaplen only goes down: raising it, or
-        // a tap wider than what was stored, would cut slices past the
-        // stored bytes.
+        // With records present the snaplen only goes down: raising it
+        // would cut slices past the stored bytes.
         a.set_snaplen(1500);
         assert_eq!(a.snaplen(), 68);
-        assert_eq!(a.apply_tap(&mut Tap::new(1500)), stored as u64);
-        assert_eq!(a.snaplen(), 68);
+        assert_eq!(a.apply_tap(&mut Tap::new(0)), stored as u64);
         assert_eq!(packets(&mut a), pkts);
-        // A narrower tap lowers it, and the views follow.
-        let captured = a.apply_tap(&mut Tap::new(50));
+        // Lowering it cuts every view.
+        a.set_snaplen(50);
+        let captured = a.apply_tap(&mut Tap::new(0));
         assert_eq!(a.snaplen(), 50);
         assert_eq!(captured, 40 + 5 * 50);
         assert!(a.captured_frames().all(|(_, f, _)| f.len() <= 50 && same_byte(f)));
@@ -806,14 +803,14 @@ mod tests {
             streamed.push((t, f.to_vec(), l));
         }
         assert_eq!(streamed, want, "streamed frames equal the materialised ones");
-        // A narrower tap cuts into the filler, then into the prefix.
-        a.apply_tap(&mut Tap::new(35));
+        // A narrower snaplen cuts into the filler, then into the prefix.
+        a.set_snaplen(35);
         let cut: Vec<Vec<u8>> = a.captured_frames().map(|(_, f, _)| f.to_vec()).collect();
         assert_eq!(
             cut,
             vec![frame(2, 30, 0xCD, 5), frame(3, 35, 0, 0), frame(1, 30, 0xAB, 5), frame(4, 30, 0xEF, 5)]
         );
-        a.apply_tap(&mut Tap::new(20));
+        a.set_snaplen(20);
         assert!(a.captured_frames().all(|(_, f, _)| f.len() == 20 && f[19] == f[0]));
     }
 
@@ -852,8 +849,8 @@ mod tests {
             assert_eq!(label, u32::from(frame[0] % 3), "label moved with its record");
         }
         assert_eq!(a.label_counts(), vec![(0, 10), (1, 10), (2, 10)]);
-        let mut tap = Tap::new(68).with_drop_period(5);
-        a.apply_tap(&mut tap);
+        a.set_snaplen(68);
+        a.apply_tap(&mut Tap::new(5));
         assert_eq!(a.len(), 24);
         let total: u64 = a.label_counts().iter().map(|&(_, n)| n).sum();
         assert_eq!(total, 24, "no orphaned or duplicated labels after tap");

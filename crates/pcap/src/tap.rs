@@ -1,15 +1,15 @@
-//! Capture-tap simulation: snaplen truncation and packet drops.
+//! Capture-tap simulation: packet drops.
 //!
 //! The paper notes its kernel reported no drops yet analysis found TCP
 //! receivers acknowledging data absent from the trace — i.e. silent capture
-//! loss. [`Tap`] models a tap with a snaplen and a deterministic drop
-//! pattern so analyses can be tested against imperfect captures. It is
-//! applied in one place, [`crate::PacketArena::apply_tap`].
+//! loss. [`Tap`] models a tap with a deterministic drop pattern so analyses
+//! can be tested against imperfect captures. It is applied in one place,
+//! [`crate::PacketArena::apply_tap`]; the snaplen is the arena's own
+//! ([`crate::PacketArena::set_snaplen`]).
 
-/// A capture tap applying snaplen and optional periodic drops.
+/// A capture tap dropping one packet in every `drop_period`.
 #[derive(Debug, Clone)]
 pub struct Tap {
-    snaplen: usize,
     /// Drop one packet in every `drop_period` (0 = no drops). Deterministic
     /// so tests are reproducible; real loss is bursty but a periodic model
     /// suffices to exercise the "acked data missing from trace" condition.
@@ -19,25 +19,14 @@ pub struct Tap {
 }
 
 impl Tap {
-    /// A tap with the given snaplen and no loss.
-    pub fn new(snaplen: usize) -> Tap {
+    /// A tap dropping one packet per `drop_period` packets observed (0 =
+    /// no loss).
+    pub fn new(drop_period: u64) -> Tap {
         Tap {
-            snaplen,
-            drop_period: 0,
+            drop_period,
             seen: 0,
             dropped: 0,
         }
-    }
-
-    /// Enable dropping one packet per `period` packets observed.
-    pub fn with_drop_period(mut self, period: u64) -> Tap {
-        self.drop_period = period;
-        self
-    }
-
-    /// The configured snaplen.
-    pub fn snaplen(&self) -> usize {
-        self.snaplen
     }
 
     /// Packets dropped so far.
@@ -45,17 +34,14 @@ impl Tap {
         self.dropped
     }
 
-    /// Offer one packet of `wire_len` bytes to the tap: returns the
-    /// capture length (wire length clamped to snaplen), or `None` if the
-    /// tap dropped it. [`crate::PacketArena::apply_tap`] calls this once
-    /// per record in time order, and moves no bytes.
-    pub fn admit(&mut self, wire_len: usize) -> Option<usize> {
+    /// Offer the next packet to the tap: returns whether it keeps it.
+    /// [`crate::PacketArena::apply_tap`] calls this once per record in
+    /// time order.
+    pub fn admit(&mut self) -> bool {
         self.seen += 1;
-        if self.drop_period != 0 && self.seen.is_multiple_of(self.drop_period) {
-            self.dropped += 1;
-            return None;
-        }
-        Some(wire_len.min(self.snaplen))
+        let drop = self.drop_period != 0 && self.seen.is_multiple_of(self.drop_period);
+        self.dropped += u64::from(drop);
+        !drop
     }
 }
 
@@ -63,29 +49,22 @@ impl Tap {
 mod tests {
     use super::*;
 
-    /// How many of `n` packets of `len` wire bytes the tap keeps.
-    fn kept(tap: &mut Tap, n: usize, len: usize) -> usize {
-        (0..n).filter_map(|_| tap.admit(len)).count()
-    }
-
-    #[test]
-    fn snaplen_applied() {
-        let mut tap = Tap::new(68);
-        assert_eq!(tap.admit(1500), Some(68));
-        assert_eq!(tap.admit(40), Some(40));
+    /// How many of `n` packets the tap keeps.
+    fn kept(tap: &mut Tap, n: usize) -> usize {
+        (0..n).filter(|_| tap.admit()).count()
     }
 
     #[test]
     fn periodic_drops() {
-        let mut tap = Tap::new(1500).with_drop_period(10);
-        assert_eq!(kept(&mut tap, 100, 100), 90);
+        let mut tap = Tap::new(10);
+        assert_eq!(kept(&mut tap, 100), 90);
         assert_eq!(tap.dropped(), 10);
     }
 
     #[test]
     fn no_drops_by_default() {
-        let mut tap = Tap::new(1500);
-        assert_eq!(kept(&mut tap, 50, 100), 50);
+        let mut tap = Tap::new(0);
+        assert_eq!(kept(&mut tap, 50), 50);
         assert_eq!(tap.dropped(), 0);
     }
 }

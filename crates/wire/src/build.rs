@@ -33,10 +33,11 @@ pub struct TcpFrameSpec {
 }
 
 /// Build a complete TCP/IPv4/Ethernet frame in a `Vec` of its own
-/// ([`tcp_frame_into`] over a one-shot [`TcpTemplate`]).
+/// ([`tcp_frame_split_into`] over a one-shot [`TcpTemplate`]).
 pub fn tcp_frame(spec: &TcpFrameSpec, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(TCP_HDR_LEN + payload.len());
-    tcp_frame_into(&TcpTemplate::new(spec), spec.seq, spec.ack, spec.flags, payload, &mut out);
+    let (t, payload) = (TcpTemplate::new(spec), SplitPayload::contiguous(payload));
+    tcp_frame_split_into(&t, spec.seq, spec.ack, spec.flags, payload, usize::MAX, &mut out);
     out
 }
 
@@ -60,10 +61,11 @@ pub struct UdpFrameSpec {
 }
 
 /// Build a complete UDP/IPv4/Ethernet frame in a `Vec` of its own
-/// ([`udp_frame_into`] over a one-shot [`UdpTemplate`]).
+/// ([`udp_frame_split_into`] over a one-shot [`UdpTemplate`]).
 pub fn udp_frame(spec: &UdpFrameSpec, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(UDP_HDR_LEN + payload.len());
-    udp_frame_into(&UdpTemplate::new(spec), payload, &mut out);
+    let payload = SplitPayload::contiguous(payload);
+    udp_frame_split_into(&UdpTemplate::new(spec), payload, usize::MAX, &mut out);
     out
 }
 
@@ -180,8 +182,8 @@ fn net_prefix(
 /// header image plus the static halves of both checksums.
 ///
 /// Built once per session from a [`TcpFrameSpec`] (whose `seq`/`ack`/`flags`
-/// are ignored — they are per-packet); [`tcp_frame_into`] then emits each
-/// frame by patching seq, ack, flags, lengths, ident and checksums.
+/// are ignored — they are per-packet); [`tcp_frame_split_into`] then emits
+/// each frame by patching seq, ack, flags, lengths, ident and checksums.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpTemplate {
     /// Header image; dynamic fields zero.
@@ -225,20 +227,6 @@ impl TcpTemplate {
             src_port: spec.src_port,
         }
     }
-}
-
-/// Append one TCP frame built from `t` to `out`: the header image is
-/// copied, seq/ack/flags/lengths/ident patched, and both checksums
-/// finished incrementally from the template's static sums.
-pub fn tcp_frame_into(
-    t: &TcpTemplate,
-    seq: u32,
-    ack: u32,
-    flags: tcp::Flags,
-    payload: &[u8],
-    out: &mut Vec<u8>,
-) {
-    tcp_frame_split_into(t, seq, ack, flags, SplitPayload::contiguous(payload), usize::MAX, out);
 }
 
 /// A logical payload expressed as a literal head followed by a run of one
@@ -327,9 +315,11 @@ fn write_frame<const N: usize>(
     }
 }
 
-/// Append the first `limit` bytes of one TCP frame with a split payload to
-/// `out`; with `limit >= TCP_HDR_LEN + payload.len()` byte-identical to
-/// [`tcp_frame_into`] over the concatenated payload, otherwise its prefix.
+/// Append the first `limit` bytes of one TCP frame built from `t` with a
+/// split payload to `out`: the header image is copied, seq/ack/flags/
+/// lengths/ident patched, and both checksums finished incrementally from
+/// the template's static sums. With `limit >= TCP_HDR_LEN + payload.len()`
+/// the whole frame, otherwise its prefix.
 pub fn tcp_frame_split_into(
     t: &TcpTemplate,
     seq: u32,
@@ -365,9 +355,9 @@ pub fn tcp_frame_split_into(
     write_frame(&hdr, payload, limit, out);
 }
 
-/// Append the first `limit` bytes of one UDP frame with a split payload to
-/// `out`; with `limit >= UDP_HDR_LEN + payload.len()` byte-identical to
-/// [`udp_frame_into`] over the concatenated payload, otherwise its prefix.
+/// Append the first `limit` bytes of one UDP frame built from `t` with a
+/// split payload to `out`; with `limit >= UDP_HDR_LEN + payload.len()` the
+/// whole frame, otherwise its prefix.
 pub fn udp_frame_split_into(
     t: &UdpTemplate,
     payload: SplitPayload<'_>,
@@ -431,11 +421,6 @@ impl UdpTemplate {
             src_port: spec.src_port,
         }
     }
-}
-
-/// Append one UDP frame built from `t` to `out`.
-pub fn udp_frame_into(t: &UdpTemplate, payload: &[u8], out: &mut Vec<u8>) {
-    udp_frame_split_into(t, SplitPayload::contiguous(payload), usize::MAX, out);
 }
 
 /// Append one ICMP frame to `out`. ICMP echoes are too few per session to
@@ -624,7 +609,8 @@ mod tests {
                 let flags = tcp::Flags((x.next_u64() as u8) & 0x1F);
                 let legacy = legacy_tcp_frame(&TcpFrameSpec { seq, ack, flags, ..spec }, &payload);
                 let mut got = Vec::new();
-                tcp_frame_into(&tmpl, seq, ack, flags, &payload, &mut got);
+                let whole = SplitPayload::contiguous(&payload);
+                tcp_frame_split_into(&tmpl, seq, ack, flags, whole, usize::MAX, &mut got);
                 assert_eq!(got, legacy, "tcp template mismatch (len {len})");
             }
             // Saturated payload: every word 0xFFFF, maximal carry folding.
@@ -634,7 +620,8 @@ mod tests {
                 &payload,
             );
             let mut got = Vec::new();
-            tcp_frame_into(&tmpl, u32::MAX, u32::MAX, tcp::Flags::ACK, &payload, &mut got);
+            let whole = SplitPayload::contiguous(&payload);
+            tcp_frame_split_into(&tmpl, u32::MAX, u32::MAX, tcp::Flags::ACK, whole, usize::MAX, &mut got);
             assert_eq!(got, legacy, "tcp template mismatch (saturated)");
         }
     }
@@ -657,7 +644,7 @@ mod tests {
                 let payload = random_payload(&mut x, len);
                 let legacy = legacy_udp_frame(&spec, &payload);
                 let mut got = Vec::new();
-                udp_frame_into(&tmpl, &payload, &mut got);
+                udp_frame_split_into(&tmpl, SplitPayload::contiguous(&payload), usize::MAX, &mut got);
                 assert_eq!(got, legacy, "udp template mismatch (len {len})");
             }
         }
@@ -744,13 +731,14 @@ mod tests {
                     let ack = x.next_u64() as u32;
 
                     let mut want = Vec::new();
-                    tcp_frame_into(&tt, seq, ack, tcp::Flags::ACK, &concat, &mut want);
+                    let whole = SplitPayload::contiguous(&concat);
+                    tcp_frame_split_into(&tt, seq, ack, tcp::Flags::ACK, whole, usize::MAX, &mut want);
                     let mut got = Vec::new();
                     tcp_frame_split_into(&tt, seq, ack, tcp::Flags::ACK, split, usize::MAX, &mut got);
                     assert_eq!(got, want, "tcp split mismatch head={head:?} fill={fill} n={fill_len}");
 
                     let mut want = Vec::new();
-                    udp_frame_into(&ut, &concat, &mut want);
+                    udp_frame_split_into(&ut, whole, usize::MAX, &mut want);
                     let mut got = Vec::new();
                     udp_frame_split_into(&ut, split, usize::MAX, &mut got);
                     assert_eq!(got, want, "udp split mismatch head={head:?} fill={fill} n={fill_len}");
@@ -810,7 +798,7 @@ mod tests {
             ttl: 64,
         };
         let mut out = vec![0xAA, 0xBB];
-        udp_frame_into(&UdpTemplate::new(&spec), b"hi", &mut out);
+        udp_frame_split_into(&UdpTemplate::new(&spec), SplitPayload::contiguous(b"hi"), usize::MAX, &mut out);
         assert_eq!(&out[..2], &[0xAA, 0xBB]);
         assert_eq!(&out[2..], &udp_frame(&spec, b"hi")[..]);
     }

@@ -12,7 +12,7 @@ use ent_core::{analyze_arena, analyze_trace, PipelineConfig};
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::dataset;
 use ent_gen::GenConfig;
-use ent_pcap::{PacketArena, Tap, Trace};
+use ent_pcap::{PacketArena, Trace};
 
 fn main() {
     let spec = dataset("D3").expect("D3 exists");
@@ -58,14 +58,14 @@ fn main() {
     );
 
     // Now the D1/D2 story: re-capture the same traffic at snaplen 68,
-    // staging the frames in an arena and applying the tap there, as trace
-    // generation does.
+    // staging the frames in an arena and lowering its snaplen (a filled
+    // arena's snaplen only goes down, cutting every view of its frames).
     arena.clear();
     for p in &back.packets {
         arena.frame_buf().extend_from_slice(&p.frame);
         arena.commit(p.ts, p.orig_len as usize);
     }
-    arena.apply_tap(&mut Tap::new(68));
+    arena.set_snaplen(68);
     let meta68 = ent_pcap::TraceMeta { snaplen: 68, ..meta };
     let c = analyze_arena(&meta68, &mut arena, &PipelineConfig::default());
     println!(

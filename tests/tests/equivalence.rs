@@ -1,7 +1,8 @@
 //! Differential equivalence suite: every execution mode of the pipeline
-//! — 4 worker threads, and the worker lane on the same traces written as
-//! captures — must be output-identical to the serial single-thread run
-//! on every dataset D0–D4. (That the fast hasher changes nothing is proven one level down,
+//! — 4 worker threads, the worker lane on the same traces written as
+//! captures, and the resident monitor on those captures — must be
+//! output-identical to the serial single-thread run on every dataset
+//! D0–D4 (the monitor: on D0 and D3, record for record). (That the fast hasher changes nothing is proven one level down,
 //! callback for callback against a std-SipHash `ConnTable`, in
 //! `hash_table_props.rs`.)
 //!
@@ -21,7 +22,10 @@
 
 use ent_core::metrics::Stage;
 use ent_core::run::DatasetAnalysis;
-use ent_core::{analyze_capture, PipelineConfig, PipelineMetrics, TraceAnalysis};
+use ent_core::{
+    analyze_capture, drive_capture, Monitor, MonitorConfig, PipelineConfig, PipelineMetrics,
+    TraceAnalysis,
+};
 use ent_flow::FlowKey;
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::DatasetSpec;
@@ -119,16 +123,16 @@ type Captures = (DatasetSpec, Vec<(TraceMeta, Vec<u8>)>);
 /// One connection record: key, start, end, packets, payload bytes.
 type Record = (FlowKey, Timestamp, Timestamp, u64, u64);
 
-/// The trimmed workload at `(scale, seed)`, every trace written as a pcap
+/// The datasets `specs` at `(scale, seed)`, every trace written as a pcap
 /// buffer, dataset by dataset.
-fn captures(scale: f64, seed: u64, subnets: u16) -> Vec<Captures> {
+fn captures(scale: f64, seed: u64, specs: Vec<DatasetSpec>) -> Vec<Captures> {
     let config = GenConfig {
         scale,
         seed,
         hosts_per_subnet: Some(10),
     };
     let mut arena = PacketArena::unbounded();
-    trimmed_specs(subnets)
+    specs
         .into_iter()
         .map(|spec| {
             let (site, wan) = build_site(&spec, &config);
@@ -217,12 +221,81 @@ fn every_execution_mode_is_output_identical_to_the_serial_reference() {
     // worker in arrival order, so the connection table sees the exact
     // ingest sequence the inline engine does — same records, same order,
     // same peak.
-    let caps = captures(SCALE, 2005, SUBNETS);
+    let caps = captures(SCALE, 2005, trimmed_specs(SUBNETS));
     let inline = analyze_captures(&caps, 0);
     let lane = analyze_captures(&caps, 1);
     assert!(lane_ran(&lane), "a capture at shards = 1 ran inline");
     assert_equivalent(&inline, &lane, "1 shard @ 1 thread");
     assert_eq!(records(&inline), records(&lane), "records drifted on the lane");
+
+    // The resident monitor steps the same frame loop into the same engine,
+    // closing a window per epoch instead of once.
+    let d0_d3 = || trimmed_specs(SUBNETS).into_iter().filter(|s| ["D0", "D3"].contains(&s.name));
+    let seed_1 = captures(SCALE, 1, d0_d3().collect());
+    let seed_2005 = caps.iter().filter(|(spec, _)| d0_d3().any(|s| s.name == spec.name));
+    for (seed, (spec, traces)) in seed_1.iter().map(|c| (1, c)).chain(seed_2005.map(|c| (2005, c))) {
+        for (meta, bytes) in traces {
+            let what = format!("{} subnet {} seed {seed}", spec.name, meta.subnet);
+            assert_monitor_matches_batch(meta, bytes, &what);
+        }
+    }
+}
+
+/// A window's records: every connection record in close order and every
+/// application record, as printed.
+fn window_records(t: &TraceAnalysis) -> String {
+    format!(
+        "{:?}",
+        (&t.conns, &t.http, &t.dns, &t.nbns, &t.cifs, &t.rpc, &t.nfs, &t.ncp, &t.tls)
+    ) + &format!("{:?}", (&t.smtp_message_bytes, &t.imap_polls, &t.scanner_conns))
+}
+
+/// Every batch stage's and analyzer's events and bytes: the signature
+/// less the monitor's own stages and the trace count the seal sets.
+fn batch_signature(t: &TraceAnalysis) -> Vec<(String, u64, u64)> {
+    let monitor_only = ["stage:epoch_rotate", "stage:checkpoint", "traces"];
+    let mut sig = t.metrics.events_signature();
+    sig.retain(|(name, ..)| !monitor_only.contains(&name.as_str()));
+    sig
+}
+
+/// `drive_capture` against `analyze_capture` on one capture. With one
+/// epoch covering the capture, the epoch is the batch window: the same
+/// records in the same order and the same events and bytes on every batch
+/// stage (the load bins are sized by the window, so they are not
+/// compared). At 60 s epochs, the epochs sum to the batch run's packets,
+/// wire bytes and `frame_parse` events.
+fn assert_monitor_matches_batch(meta: &TraceMeta, bytes: &[u8], what: &str) {
+    let batch = analyze_capture(bytes, meta.clone(), &PipelineConfig::default())
+        .expect("clean capture");
+    let epochs = |epoch_secs: u64| {
+        let cfg = MonitorConfig {
+            epoch_secs,
+            ..MonitorConfig::default()
+        };
+        let mut monitor = Monitor::new(meta.clone(), cfg, bytes.len() / 600);
+        let mut epochs = Vec::new();
+        let on_epoch = |e: &ent_core::EpochReport| epochs.push(e.analysis.clone());
+        drive_capture(bytes, &mut monitor, None, None, on_epoch, |_| {}).expect("clean capture");
+        epochs
+    };
+    let whole = epochs(meta.duration.micros() / 1_000_000 + 1);
+    assert_eq!(whole.len(), 1, "{what}: one epoch must cover the capture");
+    assert!(!batch.conns.is_empty(), "{what}: no connections");
+    assert!(
+        window_records(&whole[0]) == window_records(&batch),
+        "{what}: the monitor's records drifted from the batch run's"
+    );
+    assert_eq!(batch_signature(&whole[0]), batch_signature(&batch), "{what}: stage events drifted");
+
+    let counts = |t: &TraceAnalysis| [t.packets, t.wire_bytes, t.metrics.stages[Stage::FrameParse].events];
+    let minutes = epochs(60);
+    assert!(minutes.len() > 1, "{what}: 60 s epochs must cut the capture");
+    let mut summed = [0; 3];
+    for epoch in &minutes {
+        summed.iter_mut().zip(counts(epoch)).for_each(|(sum, n)| *sum += n);
+    }
+    assert_eq!(summed, counts(&batch), "{what}: 60 s epochs do not sum to the batch run");
 }
 
 /// The worker-lane determinism gate at test scale: `events_signature`,
@@ -233,7 +306,7 @@ fn every_execution_mode_is_output_identical_to_the_serial_reference() {
 #[test]
 fn events_signature_is_invariant_across_shard_counts() {
     for seed in [1u64, 2005] {
-        let caps = captures(0.004, seed, 2);
+        let caps = captures(0.004, seed, trimmed_specs(2));
         let mut curve: Vec<(usize, u64, u64, u64)> = Vec::new();
         let mut conns = Vec::new();
         for shards in [0usize, 1] {

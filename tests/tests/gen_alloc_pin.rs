@@ -126,7 +126,8 @@ fn warm_arena_emission_makes_zero_allocations() {
     assert_eq!(allocs, 0, "a warm arena's sort allocated");
 
     // The in-place capture tap must stay allocation-free too.
-    let mut tap = Tap::new(68).with_drop_period(29);
+    arena.set_snaplen(68);
+    let mut tap = Tap::new(29);
     alloc_count::start();
     let captured = arena.apply_tap(&mut tap);
     let allocs = alloc_count::stop();

@@ -65,8 +65,8 @@ fn writing_at_the_snaplen_equals_writing_everything_then_tapping() {
                 let (_, mut got) =
                     generate_trace_into(&site, &wan, &whole, subnet, pass, &config, &mut tapped);
                 assert_eq!(tapped.wire_bytes(), got.captured_bytes, "nothing cut yet");
-                let mut tap =
-                    Tap::new(spec.snaplen as usize).with_drop_period(spec.tap_drop_period);
+                tapped.set_snaplen(spec.snaplen as usize);
+                let mut tap = Tap::new(spec.tap_drop_period);
                 got.captured_bytes = tapped.apply_tap(&mut tap);
                 let what = format!("{} subnet {subnet} pass {pass} seed {seed}", spec.name);
                 assert_eq!(counts(&got), counts(&want), "{what}: GenTiming counts");

@@ -18,15 +18,17 @@ fn sample_trace(dataset_idx: usize, subnet: u16) -> Trace {
     owned_trace(&site, &wan, &specs[dataset_idx], subnet, 1, &config)
 }
 
-/// Re-capture an owned trace through `tap` on the product path: stage its
-/// frames in an arena at the trace's snaplen, then `apply_tap`.
-fn recapture(trace: &Trace, tap: &mut Tap) -> Trace {
+/// Re-capture an owned trace at `snaplen` through `tap` on the product
+/// path: stage its frames in an arena at the trace's snaplen, lower that
+/// to `snaplen`, then `apply_tap`.
+fn recapture(trace: &Trace, snaplen: usize, tap: &mut Tap) -> Trace {
     let mut arena = PacketArena::unbounded();
     arena.set_snaplen(trace.meta.snaplen as usize);
     for p in &trace.packets {
         arena.frame_buf().extend_from_slice(&p.frame);
         arena.commit(p.ts, p.orig_len as usize);
     }
+    arena.set_snaplen(snaplen);
     arena.apply_tap(tap);
     Trace {
         meta: TraceMeta {
@@ -98,7 +100,7 @@ fn snaplen68_dataset_survives_transport_analysis() {
     // The ablation proper: a full-payload trace re-captured header-only
     // keeps every connection and loses the HTTP records it had.
     let full = sample_trace(0, 3);
-    let cut = recapture(&full, &mut Tap::new(68));
+    let cut = recapture(&full, 68, &mut Tap::new(0));
     assert_eq!(cut.meta.snaplen, 68);
     let (f, c) = (
         analyze_trace(&full, &PipelineConfig::default()),
@@ -242,8 +244,8 @@ fn capture_drops_detected_as_acked_unseen() {
     // show the paper's §2 anomaly — a receiver acknowledging data absent
     // from the trace.
     let clean = sample_trace(0, 3);
-    let mut tap = Tap::new(1_500).with_drop_period(97);
-    let lossy = recapture(&clean, &mut tap);
+    let mut tap = Tap::new(97);
+    let lossy = recapture(&clean, 1_500, &mut tap);
     assert!(tap.dropped() > 0, "tap must drop packets");
     let a = analyze_trace(&lossy, &PipelineConfig::default());
     assert!(

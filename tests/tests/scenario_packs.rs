@@ -138,7 +138,7 @@ fn histogram(arena: &PacketArena) -> BTreeMap<u32, u64> {
 
 /// Labels are conserved through admission, sort and tap: the histogram
 /// matches the admitted pushes exactly, sorting moves records without
-/// touching labels, and the tap's snaplen clamp + injected drops never
+/// touching labels, and a lowered snaplen + the tap's drops never
 /// detach a label from its frame (first byte keeps mirroring the label).
 #[test]
 fn labels_are_conserved_through_admission_sort_and_tap() {
@@ -151,12 +151,12 @@ fn labels_are_conserved_through_admission_sort_and_tap() {
         assert_eq!(histogram(&arena), expected, "case {case}: pre-sort histogram");
         arena.sort_records();
         assert_eq!(histogram(&arena), expected, "case {case}: post-sort histogram");
-        // A tap with a small snaplen and periodic drops: survivors keep
+        // A small snaplen and a tap's periodic drops: survivors keep
         // their label pairing, and the survivor histogram re-derives from
         // the surviving records alone.
         let snaplen = rng.random_range(4..80usize);
-        let mut tap = Tap::new(snaplen).with_drop_period(rng.random_range(3..9u64));
-        arena.apply_tap(&mut tap);
+        arena.set_snaplen(snaplen);
+        arena.apply_tap(&mut Tap::new(rng.random_range(3..9u64)));
         let mut survivors: BTreeMap<u32, u64> = BTreeMap::new();
         for (_, frame, _, label) in streamed(&mut arena) {
             assert_eq!(
