@@ -4,8 +4,10 @@
 //! tcpmkpub-style prefix-preserving address anonymization. This crate
 //! reproduces that capability: a keyed, deterministic, prefix-preserving
 //! IPv4 mapping (two addresses sharing an n-bit prefix map to addresses
-//! sharing exactly an n-bit prefix), MAC anonymization, and whole-trace
-//! rewriting with checksum repair.
+//! sharing exactly an n-bit prefix), MAC anonymization, and frame
+//! rewriting with checksum repair. A capture is anonymized record by
+//! record: each frame the recovering pcap reader salvages is rewritten in
+//! place with [`anonymize_frame`] and written out (`entreport anonymize`).
 //!
 //! The keyed bit-PRF is SipHash-2-4, implemented from scratch (no external
 //! crypto dependency; SipHash is compact and well-suited to per-bit PRF
@@ -28,4 +30,4 @@ pub mod siphash;
 pub mod trace;
 
 pub use prefix::Anonymizer;
-pub use trace::anonymize_trace;
+pub use trace::anonymize_frame;

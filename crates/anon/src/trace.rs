@@ -1,10 +1,11 @@
-//! Whole-trace anonymization: rewrite MAC and IPv4 addresses in every
-//! frame of a trace, repairing the IPv4 header checksum (transport
+//! Trace anonymization, one frame at a time: rewrite a frame's MAC and
+//! IPv4 addresses, repairing the IPv4 header checksum (transport
 //! checksums are recomputed where the full segment was captured, and
-//! zeroed otherwise, as tcpmkpub does for truncated captures).
+//! zeroed otherwise, as tcpmkpub does for truncated captures). A capture
+//! is anonymized by running every record through [`anonymize_frame`]
+//! under one [`Anonymizer`], as `entreport anonymize` does.
 
 use crate::prefix::Anonymizer;
-use ent_pcap::{TimedPacket, Trace};
 use ent_wire::{checksum, ethernet, ipv4};
 
 /// Anonymize one frame in place; returns false if the frame was not
@@ -110,32 +111,10 @@ fn anonymize_arp(anon: &mut Anonymizer, arp: &mut [u8]) -> bool {
     true
 }
 
-/// Anonymize every packet of a trace under the given seed.
-pub fn anonymize_trace(trace: &Trace, seed: &str) -> Trace {
-    let mut anon = Anonymizer::new(seed);
-    let packets = trace
-        .packets
-        .iter()
-        .map(|p| {
-            let mut frame = p.frame.clone();
-            anonymize_frame(&mut anon, &mut frame);
-            TimedPacket {
-                ts: p.ts,
-                frame,
-                orig_len: p.orig_len,
-            }
-        })
-        .collect();
-    Trace {
-        meta: trace.meta.clone(),
-        packets,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ent_wire::{build, tcp, Packet, Timestamp};
+    use ent_wire::{build, tcp, Packet};
 
     fn sample_frame() -> Vec<u8> {
         build::tcp_frame(
@@ -217,30 +196,6 @@ mod tests {
         assert_eq!(&truncated[50..52], &[0, 0]);
         // IP checksum still valid.
         assert!(checksum::verify(&truncated[14..34]));
-    }
-
-    #[test]
-    fn whole_trace() {
-        let trace = Trace {
-            meta: ent_pcap::TraceMeta {
-                dataset: "D0".into(),
-                subnet: 1,
-                pass: 1,
-                duration: Timestamp::from_secs(600),
-                snaplen: 1500,
-                link_capacity_bps: 100_000_000,
-            },
-            packets: (0..5)
-                .map(|i| TimedPacket::new(Timestamp::from_micros(i), sample_frame()))
-                .collect(),
-        };
-        let out = anonymize_trace(&trace, "key");
-        assert_eq!(out.packets.len(), 5);
-        assert_ne!(out.packets[0].frame, trace.packets[0].frame);
-        assert_eq!(out.packets[0].ts, trace.packets[0].ts);
-        // Deterministic.
-        let again = anonymize_trace(&trace, "key");
-        assert_eq!(out.packets[0].frame, again.packets[0].frame);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use ent_core::{
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::{all_datasets, dataset, DatasetSpec};
 use ent_gen::GenConfig;
-use ent_anon::{trace::anonymize_frame, Anonymizer};
+use ent_anon::{anonymize_frame, Anonymizer};
 use ent_pcap::{PacketArena, PcapWriter, RecoveringReader, TimedPacket};
 use ent_wire::Timestamp;
 use std::fs::File;

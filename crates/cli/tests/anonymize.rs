@@ -1,17 +1,18 @@
 //! `entreport anonymize` streams a capture record by record; what it
-//! writes is byte for byte what the library's whole-trace path
-//! (`Trace::read_pcap` → `anonymize_trace` → `Trace::write_pcap`) writes,
-//! for a clean capture and for the same capture cut mid-record.
+//! writes is byte for byte what the owned-trace reference path
+//! (`Trace::read_pcap` → `anonymize_trace` → `Trace::write_pcap`, in
+//! `ent-integration`) writes, for a clean capture and for the same capture
+//! cut mid-record.
 
 // Test helpers may abort, but must say why: a bare `unwrap` outside a
 // `#[test]` fn stays a clippy error.
 #![allow(clippy::expect_used)]
 
-use ent_anon::anonymize_trace;
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::dataset;
 use ent_gen::GenConfig;
-use ent_pcap::{PacketArena, Trace};
+use ent_integration::{anonymize_trace, Trace};
+use ent_pcap::PacketArena;
 use std::path::Path;
 use std::process::Command;
 

@@ -67,7 +67,7 @@ pub use monitor::{
 };
 pub use metrics::{PipelineMetrics, StageStat, StageTimer};
 pub use packs::{run_all_packs, run_pack, Complexity, PackReport, PackScore};
-pub use pipeline::{analyze_arena, analyze_capture, analyze_trace, PipelineConfig};
+pub use pipeline::{analyze_arena, analyze_capture, PipelineConfig};
 pub use records::{IngestHealth, TraceAnalysis};
 pub use run::{run_dataset, run_datasets, run_study, DatasetAnalysis, StudyConfig};
 pub use study::{build_report, StudyReport};

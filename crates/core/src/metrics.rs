@@ -5,8 +5,8 @@
 //! of traces); the ROADMAP demands the pipeline run as fast as the
 //! hardware allows. Neither is achievable blind: this module records
 //! where a study run spends its time — per pipeline stage and per
-//! application analyzer — with monotonic timers, threaded
-//! through [`crate::pipeline::analyze_trace`] exactly like
+//! application analyzer — with monotonic timers, threaded through every
+//! batch entry point of [`crate::pipeline`] exactly like
 //! [`crate::records::IngestHealth`]: accumulated per trace, merged
 //! lock-free per worker, aggregated per dataset and study-wide. One
 //! [`std::time::Instant::now`] costs 39–43 ns on the reference box (20 M
@@ -246,11 +246,13 @@ stat_table! {
     /// snaplen: packets captured / captured (post-snaplen) bytes.
     GenTap = "gen_tap" in STUDY_DOC under Generate,
     /// Link/network/transport dissection (`ent-wire`): frames seen
-    /// (including rejected ones) / captured bytes.
-    FrameParse = "frame_parse" in STUDY_DOC | MONITOR_DOC,
+    /// (including rejected ones) / captured bytes. Inside the batch ingest
+    /// phase's elapsed wall, [`Stage::ShardIngest`].
+    FrameParse = "frame_parse" in STUDY_DOC | MONITOR_DOC under ShardIngest,
     /// Connection demultiplexing (`ent-flow`) *including* nested analyzer
     /// deliveries and conn finalization: packets ingested / wire bytes.
-    FlowIngest = "flow_ingest" in STUDY_DOC | MONITOR_DOC,
+    /// Inside [`Stage::ShardIngest`], as `frame_parse` is.
+    FlowIngest = "flow_ingest" in STUDY_DOC | MONITOR_DOC under ShardIngest,
     /// In-order TCP payload handed to an application analyzer: deliveries /
     /// delivered bytes. Its wall is the sum of the TCP analyzers' walls,
     /// which is all it ever timed.
@@ -280,9 +282,11 @@ stat_table! {
     /// end to end, as the caller saw it (zero in monitor mode). Inline it
     /// is the frame loop plus the window close; on the worker lane, whose
     /// `frame_parse`/`flow_ingest` walls count only the worker's own work,
-    /// it adds the hand-off and the join. The name dates from N-way lanes
-    /// and stays with checkpoint VERSION 2. Events and bytes are always
-    /// 0, so the stage is signature-neutral.
+    /// it adds the hand-off and the join. Both of those stages are
+    /// declared `under` it, so its exclusive wall is the phase's own share
+    /// (the window close, and the lane's hand-off). The name dates from
+    /// N-way lanes and stays with checkpoint VERSION 2. Events and bytes
+    /// are always 0, so the stage is signature-neutral.
     ShardIngest = "shard_ingest",
 }
 
@@ -322,8 +326,8 @@ stat_table! {
 
 /// Stage-level observability for the analysis pipeline.
 ///
-/// Accumulated per trace during [`crate::pipeline::analyze_trace`], carried
-/// on [`crate::records::TraceAnalysis::metrics`], and aggregated with
+/// Accumulated per trace by the [`crate::pipeline`] session, carried on
+/// [`crate::records::TraceAnalysis::metrics`], and aggregated with
 /// [`PipelineMetrics::absorb`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineMetrics {
@@ -1260,6 +1264,11 @@ mod tests {
         assert_eq!(m.exclusive_ns(Stage::Generate), 2_100_000); // 3000 − (600 + 100 + 200) µs
         assert_eq!(m.exclusive_ns(Stage::FlowIngest), 1_500_000); // 3000 − (500 + 400 + 600) µs
         assert_eq!(m.exclusive_ns(Stage::TcpDeliver), 500_000);
+        // The ingest phase's elapsed wall encloses `frame_parse` and
+        // `flow_ingest`: its own share is what is left of it.
+        m.stages[Stage::ShardIngest].wall_ns = 5_250_000; // 2000 + 3000 µs + its own 250 µs
+        assert_eq!(m.exclusive_ns(Stage::ShardIngest), 250_000);
+        // So the column adds up to the roots' walls, counting no stage twice.
         let table = m.stage_table("stages");
         let col = table.headers.iter().position(|h| h == "excl ms").expect("excl ms column");
         let column_ms: f64 = table.rows.iter().filter_map(|row| row[col].parse::<f64>().ok()).sum();

@@ -16,7 +16,7 @@ use crate::small::SmallMap;
 use ent_flow::{
     ConnIndex, ConnSummary, ConnTable, Dir, FlowHandler, FlowKey, FlowStats, Proto, TableConfig,
 };
-use ent_pcap::{PacketArena, RecoveringReader, Trace, TraceMeta};
+use ent_pcap::{PacketArena, RecoveringReader, TraceMeta};
 use ent_proto::dns::QType;
 use ent_proto::http::HttpAnalyzer;
 use ent_proto::imap::ImapAnalyzer;
@@ -54,11 +54,10 @@ pub struct PipelineConfig {
     /// Any other value is the one worker lane: the loop dissects on the
     /// caller's thread and a second thread ingests (`crate::shard`),
     /// event-for-event identical to `0`, peak included. There is no second
-    /// lane. It applies to borrowed frames only — [`analyze_capture`],
-    /// [`analyze_packets`] and [`analyze_trace`]. [`analyze_arena`] (the
-    /// study and the scenario packs) and the resident monitor (its epoch
-    /// rotation drives a single engine — see `MonitorConfig`) always
-    /// ingest inline.
+    /// lane. It applies to borrowed frames only — [`analyze_capture`] and
+    /// [`analyze_packets`]. [`analyze_arena`] (the study and the scenario
+    /// packs) and the resident monitor (its epoch rotation drives a single
+    /// engine — see `MonitorConfig`) always ingest inline.
     pub shards: usize,
 }
 
@@ -654,8 +653,8 @@ impl FlowHandler for Handler {
 }
 
 /// A borrowed view of one timed frame: the single currency of the frame
-/// loop, produced either from an in-memory [`Trace`] or streamed straight
-/// off a pcap byte buffer by the recovering reader.
+/// loop, lent by the caller's iterator ([`analyze_packets`]) or streamed
+/// straight off a pcap byte buffer by the recovering reader.
 #[derive(Clone, Copy)]
 pub(crate) struct FrameRef<'a> {
     pub(crate) ts: Timestamp,
@@ -757,15 +756,6 @@ pub(crate) fn run_frames<'a>(
         frame_loop.step(p, lane);
     }
     frame_loop.end(nominal.micros())
-}
-
-/// Analyze one trace end-to-end.
-pub fn analyze_trace(trace: &Trace, config: &PipelineConfig) -> TraceAnalysis {
-    let frames = trace
-        .packets
-        .iter()
-        .map(|p| (p.ts, &*p.frame, p.orig_len));
-    analyze_packets(&trace.meta, frames, config, trace.packets.len())
 }
 
 /// Analyze an iterator of borrowed `(timestamp, captured frame, original
@@ -1304,14 +1294,33 @@ pub(crate) mod tests {
     }
 
     /// One generated trace as owned packets, read off its arena's stream.
-    pub(crate) fn generated(dataset_idx: usize, subnet: u16) -> Trace {
+    pub(crate) fn generated(dataset_idx: usize, subnet: u16) -> (TraceMeta, Vec<TimedPacket>) {
         let (meta, mut arena) = arena(dataset_idx, subnet);
         let mut packets = Vec::with_capacity(arena.len());
         let mut frames = arena.stream();
         while let Some((ts, frame, orig_len, _)) = frames.next_frame() {
             packets.push(TimedPacket { ts, frame: frame.to_vec(), orig_len });
         }
-        Trace { meta, packets }
+        (meta, packets)
+    }
+
+    /// Owned packets lent to [`analyze_packets`].
+    pub(crate) fn analyze_owned(
+        meta: &TraceMeta,
+        packets: &[TimedPacket],
+        config: &PipelineConfig,
+    ) -> TraceAnalysis {
+        let frames = packets.iter().map(|p| (p.ts, &*p.frame, p.orig_len));
+        analyze_packets(meta, frames, config, packets.len())
+    }
+
+    /// Owned packets written as a pcap file at the trace's snaplen.
+    fn capture(meta: &TraceMeta, packets: &[TimedPacket]) -> Vec<u8> {
+        let mut w = ent_pcap::PcapWriter::new(Vec::new(), meta.snaplen).expect("pcap header");
+        for p in packets {
+            w.write_packet(p).expect("serialize");
+        }
+        w.finish().expect("flush")
     }
 
     #[test]
@@ -1322,8 +1331,8 @@ pub(crate) mod tests {
 
     #[test]
     fn malformed_frames_are_counted_not_silently_dropped() {
-        let mut trace = generated(0, 3);
-        let clean = analyze_trace(&trace, &PipelineConfig::default());
+        let (meta, mut packets) = generated(0, 3);
+        let clean = analyze_owned(&meta, &packets, &PipelineConfig::default());
         // Graft three undissectable frames into the middle of the trace:
         // empty, shorter than an Ethernet header, and an IPv4 ethertype
         // followed by a truncated IP header.
@@ -1331,12 +1340,10 @@ pub(crate) mod tests {
         bad_ipv4[12..14].copy_from_slice(&[0x08, 0x00]);
         bad_ipv4.extend_from_slice(&[0xFF; 2]);
         for (i, frame) in [vec![], vec![0xFF; 7], bad_ipv4].into_iter().enumerate() {
-            let ts = trace.packets[10 * (i + 1)].ts;
-            trace
-                .packets
-                .insert(10 * (i + 1), ent_pcap::TimedPacket::new(ts, frame));
+            let ts = packets[10 * (i + 1)].ts;
+            packets.insert(10 * (i + 1), TimedPacket::new(ts, frame));
         }
-        let a = analyze_trace(&trace, &PipelineConfig::default());
+        let a = analyze_owned(&meta, &packets, &PipelineConfig::default());
         assert_eq!(a.health.malformed_frames, 3);
         assert!(!a.health.is_clean());
         // The rest of the analysis is unaffected.
@@ -1346,19 +1353,14 @@ pub(crate) mod tests {
 
     #[test]
     fn analyzer_panic_demotes_connection_but_keeps_summary() {
-        let trace = generated(0, 3);
-        let clean = analyze_trace(&trace, &PipelineConfig::default());
+        let (meta, packets) = generated(0, 3);
+        let clean = analyze_owned(&meta, &packets, &PipelineConfig::default());
         // Silence the default panic hook around the injected faults so the
         // test log stays readable; the injection itself is deterministic.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let a = analyze_trace(
-            &trace,
-            &PipelineConfig {
-                analyzer_panic_every: 7,
-                ..Default::default()
-            },
-        );
+        let config = PipelineConfig { analyzer_panic_every: 7, ..Default::default() };
+        let a = analyze_owned(&meta, &packets, &config);
         std::panic::set_hook(hook);
         assert!(a.health.analyzer_failures > 0, "no injected faults fired");
         assert_eq!(a.health.analyzer_failures, a.health.demoted_conns);
@@ -1374,18 +1376,13 @@ pub(crate) mod tests {
 
     #[test]
     fn conn_cap_flows_into_health() {
-        let trace = generated(0, 3);
-        let a = analyze_trace(
-            &trace,
-            &PipelineConfig {
-                max_conns: 8,
-                ..Default::default()
-            },
-        );
+        let (meta, packets) = generated(0, 3);
+        let config = PipelineConfig { max_conns: 8, ..Default::default() };
+        let a = analyze_owned(&meta, &packets, &config);
         assert!(a.health.evicted_conns > 0);
         // Eviction summarizes connections early (a flow continuing past its
         // eviction reopens as a new conn); nothing is dropped.
-        let unbounded = analyze_trace(&trace, &PipelineConfig::default());
+        let unbounded = analyze_owned(&meta, &packets, &PipelineConfig::default());
         assert!(
             a.conns.len() + a.scanner_conns.len()
                 >= unbounded.conns.len() + unbounded.scanner_conns.len()
@@ -1394,13 +1391,12 @@ pub(crate) mod tests {
 
     #[test]
     fn analyze_capture_carries_capture_damage_into_health() {
-        let trace = generated(0, 3);
-        let mut bytes = Vec::new();
-        trace.write_pcap(&mut bytes).expect("serialize");
-        let clean = analyze_capture(&bytes, trace.meta.clone(), &PipelineConfig::default())
+        let (meta, packets) = generated(0, 3);
+        let mut bytes = capture(&meta, &packets);
+        let clean = analyze_capture(&bytes, meta.clone(), &PipelineConfig::default())
             .expect("clean capture");
         assert!(clean.health.capture.is_clean());
-        assert_eq!(clean.packets, trace.packets.len() as u64);
+        assert_eq!(clean.packets, packets.len() as u64);
         // Corrupt one record header mid-file: the reader resynchronizes and
         // the damage shows up in the analysis health.
         let mut offsets = Vec::new();
@@ -1413,13 +1409,13 @@ pub(crate) mod tests {
         }
         let rec = offsets[offsets.len() / 2];
         bytes[rec + 4..rec + 8].copy_from_slice(&0x7FFF_FFFFu32.to_le_bytes());
-        let a = analyze_capture(&bytes, trace.meta.clone(), &PipelineConfig::default())
+        let a = analyze_capture(&bytes, meta.clone(), &PipelineConfig::default())
             .expect("damaged but salvageable");
         assert!(a.health.capture.malformed_records > 0);
         assert!(a.packets > clean.packets / 2, "most packets salvaged");
         // An unusable global header is the one fatal case.
         bytes[0] = 0;
-        let err = analyze_capture(&bytes, trace.meta.clone(), &PipelineConfig::default());
+        let err = analyze_capture(&bytes, meta.clone(), &PipelineConfig::default());
         assert!(matches!(err, Err(AnalysisError::Ingest(_))));
     }
 
@@ -1442,14 +1438,13 @@ pub(crate) mod tests {
         // packet, or every sample lands past the end of the per-second
         // vec and the load series silently reads all zeros.
         let rel = analyzed(0, 3);
-        let mut trace = generated(0, 3);
+        let (meta, mut packets) = generated(0, 3);
         const EPOCH_US: u64 = 1_100_000_000 * 1_000_000;
-        for p in &mut trace.packets {
+        for p in &mut packets {
             p.ts = Timestamp::from_micros(EPOCH_US + p.ts.micros());
         }
-        let mut bytes = Vec::new();
-        trace.write_pcap(&mut bytes).expect("serialize");
-        let a = analyze_capture(&bytes, trace.meta.clone(), &PipelineConfig::default())
+        let bytes = capture(&meta, &packets);
+        let a = analyze_capture(&bytes, meta.clone(), &PipelineConfig::default())
             .expect("clean capture");
         assert!(
             a.bytes_per_second.iter().sum::<u64>() > 0,
@@ -1474,14 +1469,9 @@ pub(crate) mod tests {
         // Paper §6 retransmission rates are over *data* packets; pure
         // ACKs (the handshake's third segment, every ACK of received
         // data) carry nothing and must not inflate the denominator.
-        let trace = generated(0, 3);
-        let a = analyze_trace(
-            &trace,
-            &PipelineConfig {
-                keep_scanners: true,
-                ..Default::default()
-            },
-        );
+        let (meta, packets) = generated(0, 3);
+        let config = PipelineConfig { keep_scanners: true, ..Default::default() };
+        let a = analyze_owned(&meta, &packets, &config);
         let (mut data, mut total) = (0u64, 0u64);
         for c in &a.conns {
             if c.summary.key.proto != Proto::Tcp {
@@ -1504,17 +1494,15 @@ pub(crate) mod tests {
         // health.load_samples_out_of_range) and malformed frames never
         // reach the binning at all — so summing the bins undercounts.
         // `wire_bytes` must still equal the full on-the-wire total.
-        let mut trace = generated(0, 3);
-        if let Some(p) = trace.packets.last_mut() {
+        let (meta, mut packets) = generated(0, 3);
+        if let Some(p) = packets.last_mut() {
             // Wild timestamp: 50k seconds past the window end.
             p.ts = Timestamp::from_micros(p.ts.micros() + 50_000_000_000);
         }
-        let graft_ts = trace.packets[20].ts;
-        trace
-            .packets
-            .insert(20, ent_pcap::TimedPacket::new(graft_ts, vec![0xFF; 9]));
-        let a = analyze_trace(&trace, &PipelineConfig::default());
-        let total: u64 = trace.packets.iter().map(|p| p.orig_len as u64).sum();
+        let graft_ts = packets[20].ts;
+        packets.insert(20, TimedPacket::new(graft_ts, vec![0xFF; 9]));
+        let a = analyze_owned(&meta, &packets, &PipelineConfig::default());
+        let total: u64 = packets.iter().map(|p| p.orig_len as u64).sum();
         assert_eq!(a.wire_bytes, total);
         assert!(a.health.load_samples_out_of_range >= 1);
         assert_eq!(a.health.malformed_frames, 1);
@@ -1533,9 +1521,9 @@ pub(crate) mod tests {
         // Full-payload D0, more deliveries and closes than every second
         // packet: the parent read the clock twice for each of them, 1.3
         // reads per packet in all.
-        let trace = generated(0, 3);
+        let (meta, packets) = generated(0, 3);
         let before = clock_reads();
-        let a = analyze_trace(&trace, &PipelineConfig::default());
+        let a = analyze_owned(&meta, &packets, &PipelineConfig::default());
         let reads = clock_reads() - before;
         let m = &a.metrics;
         let closes = m.stages[Stage::Finalize].events;
@@ -1632,11 +1620,11 @@ pub(crate) mod tests {
     #[test]
     fn every_monitor_epoch_with_deliveries_reports_their_walls() {
         use crate::monitor::{Monitor, MonitorConfig};
-        let trace = generated(3, 22); // D3: full payload, one hour
+        let (meta, packets) = generated(3, 22); // D3: full payload, one hour
         let cfg = MonitorConfig { epoch_secs: 60, ..Default::default() };
-        let mut monitor = Monitor::new(trace.meta.clone(), cfg, trace.packets.len());
+        let mut monitor = Monitor::new(meta.clone(), cfg, packets.len());
         let mut epochs = Vec::new();
-        for p in &trace.packets {
+        for p in &packets {
             epochs.extend(monitor.observe(p.ts, &p.frame, p.orig_len));
         }
         epochs.extend(monitor.finish(&Default::default()).0);

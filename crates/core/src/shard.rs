@@ -291,12 +291,13 @@ fn lane_worker<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::generated;
-    use crate::pipeline::{analyze_trace, PipelineConfig};
+    use crate::pipeline::tests::{analyze_owned, generated};
+    use crate::pipeline::PipelineConfig;
     use ent_flow::FlowKey;
+    use ent_pcap::TimedPacket;
 
-    fn frames(trace: &ent_pcap::Trace) -> impl Iterator<Item = FrameRef<'_>> {
-        trace.packets.iter().map(|p| FrameRef {
+    fn frames(packets: &[TimedPacket]) -> impl Iterator<Item = FrameRef<'_>> {
+        packets.iter().map(|p| FrameRef {
             ts: p.ts,
             frame: &p.frame,
             orig_len: p.orig_len,
@@ -353,14 +354,13 @@ mod tests {
         // A full batch, one frame either side of it, a lone frame, and a
         // few batches plus a final partial one: what a rewritten send
         // loop gets wrong first.
-        let full = generated(0, 3);
-        assert!(full.packets.len() >= 1_025, "fixture too small");
+        let (meta, full) = generated(0, 3);
+        assert!(full.len() >= 1_025, "fixture too small");
         for frames in [1usize, BATCH - 1, BATCH, BATCH + 1, 4 * BATCH + 1] {
-            let mut trace = full.clone();
-            trace.packets.truncate(frames);
-            let serial = analyze_trace(&trace, &PipelineConfig::default());
+            let packets = &full[..frames];
+            let serial = analyze_owned(&meta, packets, &PipelineConfig::default());
             assert_eq!(serial.packets + serial.health.malformed_frames, frames as u64);
-            let lane = analyze_trace(&trace, &one_lane());
+            let lane = analyze_owned(&meta, packets, &one_lane());
             let case = format!("frames={frames}");
             assert_eq!(lane.packets, serial.packets, "{case}");
             assert_eq!(lane.wire_bytes, serial.wire_bytes, "{case}");
@@ -381,13 +381,13 @@ mod tests {
         // the park path alike, however many batches that is.
         for polls in [HANDOFF_POLLS, 0] {
             within_five_seconds(move || {
-                let trace = generated(0, 3);
+                let (meta, packets) = generated(0, 3);
                 let (batch_tx, batch_rx) = mpsc::sync_channel(BATCHES_IN_FLIGHT);
                 let (_recycle_tx, recycle_rx) = mpsc::channel();
                 drop(batch_rx);
                 let mut lane = WorkerLane::new(batch_tx, recycle_rx, polls);
-                assert!(trace.packets.len() > (BATCHES_IN_FLIGHT + 2) * BATCH);
-                run_frames(frames(&trace), trace.meta.duration, &mut lane);
+                assert!(packets.len() > (BATCHES_IN_FLIGHT + 2) * BATCH);
+                run_frames(frames(&packets), meta.duration, &mut lane);
                 // Every full batch left the buffer.
                 assert!(lane.buf.len() < BATCH);
             });
@@ -401,9 +401,9 @@ mod tests {
         // dispatcher runs the trace out against the dead channel and the
         // join re-raises the worker's panic on the caller.
         let died = within_five_seconds(|| {
-            let trace = generated(0, 3);
+            let (meta, packets) = generated(0, 3);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_lanes(frames(&trace), trace.meta.duration, &|| -> Engine {
+                run_lanes(frames(&packets), meta.duration, &|| -> Engine {
                     panic!("lane engine failed to build")
                 })
             }))
@@ -416,15 +416,13 @@ mod tests {
     fn sharded_matches_serial_including_damaged_frames() {
         // The lane runs the poll path wherever there are two cores (the
         // reference box); the park path is `a_dead_lane_…`'s.
-        let mut trace = generated(0, 3);
+        let (meta, mut packets) = generated(0, 3);
         // Graft an undissectable frame so the rejected-frame hand-off and
         // the authoritative byte counter are both exercised.
-        let graft_ts = trace.packets[15].ts;
-        trace
-            .packets
-            .insert(15, ent_pcap::TimedPacket::new(graft_ts, vec![0xFF; 9]));
-        let serial = analyze_trace(&trace, &PipelineConfig::default());
-        let lane = analyze_trace(&trace, &one_lane());
+        let graft_ts = packets[15].ts;
+        packets.insert(15, TimedPacket::new(graft_ts, vec![0xFF; 9]));
+        let serial = analyze_owned(&meta, &packets, &PipelineConfig::default());
+        let lane = analyze_owned(&meta, &packets, &one_lane());
         assert_eq!(lane.packets, serial.packets);
         assert_eq!(lane.wire_bytes, serial.wire_bytes);
         assert_eq!(lane.health.malformed_frames, serial.health.malformed_frames);
@@ -437,9 +435,9 @@ mod tests {
 
     #[test]
     fn one_shard_is_event_for_event_identical_to_serial() {
-        let trace = generated(0, 3);
-        let serial = analyze_trace(&trace, &PipelineConfig::default());
-        let one = analyze_trace(&trace, &one_lane());
+        let (meta, packets) = generated(0, 3);
+        let serial = analyze_owned(&meta, &packets, &PipelineConfig::default());
+        let one = analyze_owned(&meta, &packets, &one_lane());
         // Same records in the same order — the lane sees the exact serial
         // frame sequence.
         assert_eq!(one.conns.len(), serial.conns.len());
@@ -466,15 +464,10 @@ mod tests {
         // on the worker thread exactly as inline: the run returns, the
         // failures are counted, and the flow-level results are those of a
         // fault-free serial run.
-        let trace = generated(0, 3);
-        let serial = analyze_trace(&trace, &PipelineConfig::default());
-        let faulty = analyze_trace(
-            &trace,
-            &PipelineConfig {
-                analyzer_panic_every: 50,
-                ..one_lane()
-            },
-        );
+        let (meta, packets) = generated(0, 3);
+        let serial = analyze_owned(&meta, &packets, &PipelineConfig::default());
+        let config = PipelineConfig { analyzer_panic_every: 50, ..one_lane() };
+        let faulty = analyze_owned(&meta, &packets, &config);
         assert!(faulty.health.analyzer_failures > 0, "no injected faults fired");
         assert!(faulty.health.demoted_conns > 0);
         assert_eq!(faulty.conns.len(), serial.conns.len());

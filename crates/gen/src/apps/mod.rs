@@ -333,7 +333,7 @@ pub fn generate_all(ctx: &mut TraceCtx<'_>) {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
-    use ent_pcap::{TimedPacket, Trace};
+    use ent_pcap::{TimedPacket, TraceMeta};
     use rand::SeedableRng;
 
     /// A small context for generator unit tests.
@@ -379,11 +379,11 @@ pub(crate) mod testutil {
         subnet: u16,
         pass: u8,
         config: &crate::GenConfig,
-    ) -> Trace {
+    ) -> (TraceMeta, Vec<TimedPacket>) {
         let mut arena = PacketArena::unbounded();
         let (meta, _) =
             crate::build::generate_trace_into(site, wan, spec, subnet, pass, config, &mut arena);
-        Trace { meta, packets: packets(&mut arena) }
+        (meta, packets(&mut arena))
     }
 }
 

@@ -186,14 +186,14 @@ mod tests {
         let specs = all_datasets();
         let config = tiny_config();
         let (site, wan) = build_site(&specs[1], &config);
-        let t = owned_trace(&site, &wan, &specs[1], 3, 1, &config);
-        assert!(!t.packets.is_empty());
-        assert!(t.packets.windows(2).all(|w| w[0].ts <= w[1].ts));
+        let (meta, packets) = owned_trace(&site, &wan, &specs[1], 3, 1, &config);
+        assert!(!packets.is_empty());
+        assert!(packets.windows(2).all(|w| w[0].ts <= w[1].ts));
         let limit = Timestamp::from_secs(3_600);
-        assert!(t.packets.iter().all(|p| p.ts < limit));
-        assert!(t.packets.iter().all(|p| p.frame.len() <= 68), "D1 snaplen 68");
-        assert_eq!(t.meta.snaplen, 68);
-        assert_eq!(&*t.meta.dataset, "D1");
+        assert!(packets.iter().all(|p| p.ts < limit));
+        assert!(packets.iter().all(|p| p.frame.len() <= 68), "D1 snaplen 68");
+        assert_eq!(meta.snaplen, 68);
+        assert_eq!(&*meta.dataset, "D1");
     }
 
     #[test]
@@ -201,13 +201,13 @@ mod tests {
         let specs = all_datasets();
         let config = tiny_config();
         let (site, wan) = build_site(&specs[0], &config);
-        let a = owned_trace(&site, &wan, &specs[0], 5, 1, &config);
-        let b = owned_trace(&site, &wan, &specs[0], 5, 1, &config);
-        assert_eq!(a.packets.len(), b.packets.len());
-        assert_eq!(a.packets[0].frame, b.packets[0].frame);
+        let (_, a) = owned_trace(&site, &wan, &specs[0], 5, 1, &config);
+        let (_, b) = owned_trace(&site, &wan, &specs[0], 5, 1, &config);
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a[0].frame, b[0].frame);
         // Different subnet differs.
-        let c = owned_trace(&site, &wan, &specs[0], 6, 1, &config);
-        assert_ne!(a.packets.len(), c.packets.len());
+        let (_, c) = owned_trace(&site, &wan, &specs[0], 6, 1, &config);
+        assert_ne!(a.len(), c.len());
     }
 
     #[test]
@@ -252,9 +252,9 @@ mod tests {
         let specs = all_datasets();
         let config = tiny_config();
         let (site, wan) = build_site(&specs[0], &config);
-        let t = owned_trace(&site, &wan, &specs[0], 6, 1, &config);
+        let (_, packets) = owned_trace(&site, &wan, &specs[0], 6, 1, &config);
         let mut http_payloads = 0;
-        for p in &t.packets {
+        for p in &packets {
             if let Ok(pkt) = ent_wire::Packet::parse(&p.frame) {
                 if pkt.payload().starts_with(b"GET ") || pkt.payload().starts_with(b"HTTP/1.1") {
                     http_payloads += 1;

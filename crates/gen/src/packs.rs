@@ -484,11 +484,12 @@ mod tests {
         let base = gen_pack("base", 0);
         let tls = gen_pack("tlsweb", 0);
         assert!(tls.len() > base.len(), "tlsweb adds sessions");
-        let v6 = gen_pack("v6heavy", 0);
-        let v6_frames = v6
-            .captured_frames()
-            .filter(|(_, f, _)| f.len() >= 14 && f[12] == 0x86 && f[13] == 0xDD)
-            .count();
+        let mut v6 = gen_pack("v6heavy", 0);
+        let mut v6_frames = 0usize;
+        let mut frames = v6.stream();
+        while let Some((_, f, _, _)) = frames.next_frame() {
+            v6_frames += usize::from(f.len() >= 14 && f[12] == 0x86 && f[13] == 0xDD);
+        }
         assert!(
             v6_frames as f64 > v6.len() as f64 * 0.04,
             "only {v6_frames} of {} frames are IPv6",

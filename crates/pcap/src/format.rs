@@ -180,6 +180,7 @@ impl<W: Write> PcapWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recover::tests::read_all;
     use crate::RecoveringReader;
     use ent_wire::Timestamp;
 
@@ -188,7 +189,7 @@ mod tests {
     fn read_clean(buf: &[u8]) -> (u32, Vec<TimedPacket>) {
         let r = RecoveringReader::new(buf).unwrap();
         let snaplen = r.snaplen();
-        let (pkts, stats) = r.read_all();
+        let (pkts, stats) = read_all(r);
         assert!(stats.is_clean(), "{stats}");
         (snaplen, pkts)
     }

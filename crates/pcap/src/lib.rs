@@ -1,11 +1,15 @@
-//! # ent-pcap — capture files and the LBNL capture rig
+//! # ent-pcap — capture files and the capture path
 //!
-//! Implements the classic libpcap file format (write, and one
-//! damage-tolerant reader for both byte orders, microsecond resolution),
-//! snaplen truncation, configurable packet drops, and the multi-NIC timestamp merge that the paper's measurement
-//! apparatus performed: each Shomiti tap produced one *unidirectional* packet
-//! stream per router-port direction, and streams were merged by NIC-driver-
-//! synchronized timestamps into a single per-subnet trace.
+//! Implements the classic libpcap file format (a writer, and one
+//! damage-tolerant reader for both byte orders, microsecond resolution,
+//! that lends each salvaged record straight out of the capture buffer)
+//! and the capture path of a generated trace: the [`PacketArena`] stores
+//! every frame cut at the trace's snaplen, and [`Tap`] drops one packet in
+//! every period. The paper's traces were merged on the capture host — each
+//! Shomiti tap produced one *unidirectional* stream per router-port
+//! direction, merged by NIC-synchronized timestamps (§2) — so the product
+//! has no merge: that the multi-tap merge preserves the analysis is a
+//! tested property under `tests/`.
 //!
 //! ```
 //! use ent_pcap::{PcapWriter, RecoveringReader, TimedPacket};
@@ -29,20 +33,16 @@
 #![deny(clippy::indexing_slicing)]
 
 pub mod arena;
-pub mod fault;
 pub mod format;
-pub mod merge;
 pub mod recover;
 pub mod tap;
 pub mod trace;
 
 pub use arena::{Clip, PacketArena};
-pub use fault::{Fault, FaultInjector};
 pub use format::{PcapWriter, LINKTYPE_ETHERNET, MAX_RECORD_BYTES};
-pub use merge::{merge_streams, merge_streams_with_stats, MergeStats};
 pub use recover::{IngestStats, RecordView, RecoveringReader};
 pub use tap::Tap;
-pub use trace::{keeps_payload, Trace, TraceMeta};
+pub use trace::{keeps_payload, TraceMeta};
 
 use ent_wire::Timestamp;
 

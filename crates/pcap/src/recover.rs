@@ -37,7 +37,7 @@
 use crate::format::{
     GlobalHeader, RecordHeader, GLOBAL_HEADER_LEN, MAX_RECORD_BYTES, RECORD_HEADER_LEN,
 };
-use crate::{PcapError, Result, TimedPacket};
+use crate::{PcapError, Result};
 use ent_wire::Timestamp;
 
 /// Tally of everything a [`RecoveringReader`] skipped, repaired, or
@@ -122,8 +122,8 @@ impl core::fmt::Display for IngestStats {
 }
 
 /// A salvaged record borrowed straight from the capture buffer — the
-/// zero-copy counterpart of [`TimedPacket`], produced by
-/// [`RecoveringReader::next_record`].
+/// zero-copy counterpart of [`TimedPacket`](crate::TimedPacket), produced
+/// by [`RecoveringReader::next_record`].
 #[derive(Debug, Clone, Copy)]
 pub struct RecordView<'a> {
     /// Capture timestamp (after monotone clamping/pinning).
@@ -331,8 +331,8 @@ impl<'a> RecoveringReader<'a> {
     /// This is the only way records leave the reader: the frame slice
     /// borrows the input buffer directly (lifetime `'a`, independent of
     /// `&mut self`, so the caller may keep views while continuing to
-    /// read). [`RecoveringReader::read_all`] copies every view out when
-    /// owned packets are needed.
+    /// read). A caller that needs an owned packet copies the view into one
+    /// it reuses, as `entreport anonymize` does.
     ///
     /// [`stats`]: RecoveringReader::stats
     pub fn next_record(&mut self) -> Option<RecordView<'a>> {
@@ -404,25 +404,21 @@ impl<'a> RecoveringReader<'a> {
             });
         }
     }
-
-    /// Drain every salvageable record as owned packets and return the
-    /// final damage tally.
-    pub fn read_all(mut self) -> (Vec<TimedPacket>, IngestStats) {
-        let packets = std::iter::from_fn(|| self.next_record())
-            .map(|r| TimedPacket {
-                ts: r.ts,
-                frame: r.frame.to_vec(),
-                orig_len: r.orig_len,
-            })
-            .collect();
-        (packets, self.stats)
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::PcapWriter;
+    use crate::{PcapWriter, TimedPacket};
+
+    /// Drain every salvageable record as owned packets, with the final
+    /// damage tally.
+    pub(crate) fn read_all(mut r: RecoveringReader<'_>) -> (Vec<TimedPacket>, IngestStats) {
+        let packets = std::iter::from_fn(|| r.next_record())
+            .map(|v| TimedPacket { ts: v.ts, frame: v.frame.to_vec(), orig_len: v.orig_len })
+            .collect();
+        (packets, r.stats)
+    }
 
     fn sample_pcap(n: u64) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -441,7 +437,7 @@ mod tests {
     #[test]
     fn clean_file_reads_clean() {
         let buf = sample_pcap(10);
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 10);
         assert!(stats.is_clean(), "{stats}");
         assert_eq!(stats.records, 10);
@@ -492,7 +488,7 @@ mod tests {
         for file in [&le, &be] {
             let r = RecoveringReader::new(file).unwrap();
             assert_eq!(r.snaplen(), 1_500);
-            let (pkts, stats) = r.read_all();
+            let (pkts, stats) = read_all(r);
             assert!(stats.is_clean(), "{stats}");
             assert_eq!(pkts, written);
         }
@@ -534,7 +530,7 @@ mod tests {
     fn truncated_tail_salvages_prefix() {
         let mut buf = sample_pcap(5);
         buf.truncate(buf.len() - 30); // cut into the last record's payload
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 4);
         assert!(stats.truncated_tail);
         assert!(stats.bytes_skipped > 0);
@@ -546,7 +542,7 @@ mod tests {
         // Destroy record 2's header (records start at 24, each 16+60).
         let off = 24 + 2 * 76;
         buf[off..off + 16].copy_from_slice(&[0xFF; 16]);
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         // Records 0,1 then resync past the damaged record into 3,4. The
         // damaged record's payload (0x02 x 60) contains no plausible header
         // (usec bytes all 0x02020202 > 1e6), so resync lands on record 3.
@@ -568,7 +564,7 @@ mod tests {
         buf[r1..r1 + 16].copy_from_slice(&[0xFF; 16]);
         let r2 = 24 + 2 * 76;
         buf[r2..r2 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 2);
         assert_eq!(stats.malformed_records, 1);
         assert_eq!(stats.clock_regressions, 0);
@@ -587,7 +583,7 @@ mod tests {
         buf[r1..r1 + 16].copy_from_slice(&[0xFF; 16]);
         let r2 = 24 + 2 * 76;
         buf[r2..r2 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 2);
         assert_eq!(stats.malformed_records, 1);
         assert_eq!(stats.clock_regressions, 1);
@@ -603,7 +599,7 @@ mod tests {
         // pinned instead of dragging the monotone clamp 34 years forward.
         let r2 = 24 + 2 * 76;
         buf[r2 + 3] ^= 0x40;
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 4);
         assert_eq!(stats.clock_regressions, 1);
         assert_eq!(pkts[2].ts, pkts[1].ts);
@@ -625,7 +621,7 @@ mod tests {
             .unwrap();
         }
         w.finish().unwrap();
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 4);
         assert!(stats.is_clean(), "{stats}");
         assert_eq!(pkts[2].ts, Timestamp::from_micros(year_us));
@@ -645,7 +641,7 @@ mod tests {
                 .unwrap();
         }
         w.finish().unwrap();
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert!(stats.is_clean(), "{stats}");
         let read: Vec<_> = pkts.iter().map(|p| p.ts).collect();
         assert_eq!(read, secs.map(Timestamp::from_secs));
@@ -658,7 +654,7 @@ mod tests {
         let off = 24 + 76;
         buf[off + 8..off + 12].copy_from_slice(&0u32.to_le_bytes());
         buf.drain(off + 16..off + 76);
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 2);
         assert_eq!(stats.zero_len_records, 1);
         assert_eq!(pkts[1].frame[0], 2);
@@ -671,7 +667,7 @@ mod tests {
         let off = 24 + 2 * 76;
         buf[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
         buf[off + 4..off + 8].copy_from_slice(&1u32.to_le_bytes());
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 4);
         assert_eq!(stats.clock_regressions, 1);
         // Output is monotone: the regressed record clamps to its predecessor.
@@ -684,7 +680,7 @@ mod tests {
         let mut buf = sample_pcap(2);
         let off = 24;
         buf[off + 12..off + 16].copy_from_slice(&5u32.to_le_bytes()); // orig < caplen 60
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 2);
         assert_eq!(stats.repaired_records, 1);
         assert_eq!(pkts[0].orig_len, 60);
@@ -696,7 +692,7 @@ mod tests {
         buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
         let r = RecoveringReader::new(&buf).unwrap();
         assert_eq!(r.snaplen(), MAX_RECORD_BYTES);
-        let (pkts, stats) = r.read_all();
+        let (pkts, stats) = read_all(r);
         assert_eq!(pkts.len(), 2);
         assert!(stats.snaplen_clamped);
     }
@@ -709,10 +705,8 @@ mod tests {
             r.next_record().unwrap();
         }
         let (pos, clock) = (r.position(), r.last_clock_us());
-        let (tail_expected, _) = r.read_all();
-        let (tail, stats) = RecoveringReader::resume(&buf, pos, clock)
-            .unwrap()
-            .read_all();
+        let (tail_expected, _) = read_all(r);
+        let (tail, stats) = read_all(RecoveringReader::resume(&buf, pos, clock).unwrap());
         assert_eq!(tail, tail_expected);
         assert_eq!(tail.len(), 6);
         assert!(stats.is_clean(), "{stats}");
@@ -724,18 +718,15 @@ mod tests {
         // An offset into the middle of a record's payload: not a record
         // boundary. The resync scan must find the next real record.
         let bogus = 24 + 76 + 30;
-        let (pkts, stats) = RecoveringReader::resume(&buf, bogus as u64, Some(1_000))
-            .unwrap()
-            .read_all();
+        let (pkts, stats) =
+            read_all(RecoveringReader::resume(&buf, bogus as u64, Some(1_000)).unwrap());
         assert!(!pkts.is_empty());
         assert!(stats.malformed_records > 0 || stats.bytes_skipped > 0);
         // Everything delivered is a genuine tail record, in order.
         assert!(pkts.windows(2).all(|w| w[0].ts <= w[1].ts));
         // Offsets beyond the buffer clamp to EOF (stale checkpoint against
         // a shorter file): iteration ends cleanly.
-        let (none, _) = RecoveringReader::resume(&buf, u64::MAX, None)
-            .unwrap()
-            .read_all();
+        let (none, _) = read_all(RecoveringReader::resume(&buf, u64::MAX, None).unwrap());
         assert!(none.is_empty());
     }
 
@@ -774,7 +765,7 @@ mod tests {
                 bytes[20..24].copy_from_slice(&crate::LINKTYPE_ETHERNET.to_le_bytes());
             }
             if let Ok(r) = RecoveringReader::new(&bytes) {
-                let (_, stats) = r.read_all();
+                let (_, stats) = read_all(r);
                 let _ = stats.damage_events();
             }
         }

@@ -3,12 +3,10 @@
 //! In the paper each *trace* is one monitoring period of one subnet's router
 //! port (10 minutes in D0, 1 hour in D1–D4), and each *dataset* is the
 //! collection of traces across 18–22 subnets. Per-trace analyses (the
-//! utilization and retransmission figures, §6) operate on [`Trace`]; dataset
-//! analyses aggregate across them.
+//! utilization and retransmission figures, §6) run over one trace's frames
+//! under its [`TraceMeta`]; dataset analyses aggregate across them.
 
-use crate::{IngestStats, PcapWriter, RecoveringReader, Result, TimedPacket};
 use ent_wire::Timestamp;
-use std::io::Write;
 use std::sync::Arc;
 
 /// Metadata describing one monitored-subnet trace.
@@ -46,44 +44,6 @@ impl TraceMeta {
     }
 }
 
-/// A captured trace: metadata plus timestamp-ordered packets.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    /// Capture metadata.
-    pub meta: TraceMeta,
-    /// Packets in timestamp order.
-    pub packets: Vec<TimedPacket>,
-}
-
-impl Trace {
-    /// Total on-the-wire bytes (sum of original frame lengths).
-    pub fn wire_bytes(&self) -> u64 {
-        self.packets.iter().map(|p| p.orig_len as u64).sum()
-    }
-
-    /// Write the packets as a pcap stream.
-    pub fn write_pcap<W: Write>(&self, out: W) -> Result<()> {
-        let mut w = PcapWriter::new(out, self.meta.snaplen)?;
-        for p in &self.packets {
-            w.write_packet(p)?;
-        }
-        w.finish()?;
-        Ok(())
-    }
-
-    /// Read a capture's packets through [`RecoveringReader`] with the given
-    /// metadata (which the pcap format does not store), plus the reader's
-    /// damage tally. The file snaplen overrides `meta.snaplen`. Only an
-    /// unusable global header is an error.
-    #[deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
-    pub fn read_pcap(data: &[u8], mut meta: TraceMeta) -> Result<(Trace, IngestStats)> {
-        let r = RecoveringReader::new(data)?;
-        meta.snaplen = r.snaplen();
-        let (packets, stats) = r.read_all();
-        Ok((Trace { meta, packets }, stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,23 +57,6 @@ mod tests {
             snaplen: 1500,
             link_capacity_bps: 100_000_000,
         }
-    }
-
-    #[test]
-    fn pcap_roundtrip_preserves_packets() {
-        let t = Trace {
-            meta: meta(),
-            packets: (0..20)
-                .map(|i| TimedPacket::new(Timestamp::from_micros(i * 100), vec![i as u8; 64]))
-                .collect(),
-        };
-        let mut buf = Vec::new();
-        t.write_pcap(&mut buf).unwrap();
-        let (back, stats) = Trace::read_pcap(&buf, meta()).unwrap();
-        assert!(stats.is_clean(), "{stats}");
-        assert_eq!(back.packets, t.packets);
-        assert_eq!(back.meta.snaplen, 1500);
-        assert_eq!(back.wire_bytes(), 20 * 64);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Trace anonymization, as the paper's authors did before releasing their
-//! traces: prefix-preserving address rewriting with checksum repair.
+//! traces: prefix-preserving address rewriting with checksum repair, one
+//! capture record at a time, on the path `entreport anonymize` takes.
 //! Demonstrates that (i) addresses change, (ii) subnet structure is
 //! preserved, and (iii) the analyses still produce the same aggregate
-//! numbers on the anonymized trace.
+//! numbers on the anonymized capture.
 //!
 //! Run with: `cargo run --release -p ent-examples --bin anonymize_trace`
 
@@ -10,13 +11,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ent_anon::prefix::common_prefix_len;
-use ent_anon::{anonymize_trace, Anonymizer};
-use ent_core::{analyze_trace, PipelineConfig};
+use ent_anon::{anonymize_frame, Anonymizer};
+use ent_core::{analyze_capture, PipelineConfig};
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::dataset;
 use ent_gen::GenConfig;
-use ent_pcap::{PacketArena, Trace};
-use ent_wire::ipv4;
+use ent_pcap::{PacketArena, PcapWriter, RecoveringReader, TimedPacket};
+use ent_wire::{ipv4, Timestamp};
 
 fn main() {
     let spec = dataset("D0").expect("D0 exists");
@@ -28,10 +29,8 @@ fn main() {
     let (site, wan) = build_site(&spec, &config);
     let mut arena = PacketArena::unbounded();
     let (meta, _) = generate_trace_into(&site, &wan, &spec, 6, 1, &config, &mut arena);
-    // What gets anonymized is a capture file: write the trace as one and
-    // read it back.
+    // What gets anonymized is a capture file: write the trace as one.
     let pcap = arena.write_pcap(Vec::new()).expect("write pcap");
-    let (trace, _) = Trace::read_pcap(&pcap, meta).expect("read pcap");
 
     // Prefix preservation on its own.
     let mut anon = Anonymizer::new("release-key-2005");
@@ -50,12 +49,25 @@ fn main() {
         common_prefix_len(a, c),
     );
 
-    // Whole-trace anonymization.
-    let anon_trace = anonymize_trace(&trace, "release-key-2005");
+    // The capture, record by record under the same key: each salvaged
+    // record is copied into one reused packet, rewritten in place and
+    // written out.
+    let mut reader = RecoveringReader::new(&pcap).expect("read pcap");
+    let mut out = PcapWriter::new(Vec::new(), reader.snaplen()).expect("write pcap");
+    let mut pkt = TimedPacket::new(Timestamp::ZERO, Vec::new());
+    while let Some(r) = reader.next_record() {
+        (pkt.ts, pkt.orig_len) = (r.ts, r.orig_len);
+        pkt.frame.clear();
+        pkt.frame.extend_from_slice(r.frame);
+        anonymize_frame(&mut anon, &mut pkt.frame);
+        out.write_packet(&pkt).expect("write pcap");
+    }
+    assert!(reader.stats().is_clean(), "{}", reader.stats());
     println!(
         "\nanonymized {} packets (timestamps and sizes untouched)",
-        anon_trace.packets.len()
+        out.packets_written()
     );
+    let anon_pcap = out.finish().expect("flush");
 
     // Aggregate analyses are invariant (scanner removal disabled: the
     // monotone-sweep heuristic cannot fire once address order inside a
@@ -65,8 +77,9 @@ fn main() {
         keep_scanners: true,
         ..Default::default()
     };
-    let before = analyze_trace(&trace, &cfg);
-    let after = analyze_trace(&anon_trace, &cfg);
+    let before = analyze_capture(&pcap, meta.clone(), &cfg).expect("analyze capture");
+    let after = analyze_capture(&anon_pcap, meta, &cfg).expect("analyze anonymized capture");
+    assert_eq!(before.packets, after.packets);
     println!(
         "connections: {} -> {} | HTTP tx: {} -> {} | DNS: {} -> {}",
         before.conns.len(),

@@ -1,6 +1,6 @@
 //! Capture-file round trip: synthesize a trace, write it as a classic
-//! pcap, read it back, and verify the analysis pipeline sees the same
-//! thing — plus a demonstration of what snaplen truncation (the paper's
+//! pcap, read it back record by record, and verify the analysis pipeline
+//! sees the same thing — plus a demonstration of what snaplen truncation (the paper's
 //! D1/D2 68-byte captures) does to payload analyses.
 //!
 //! Run with: `cargo run --release -p ent-examples --bin capture_roundtrip`
@@ -8,11 +8,11 @@
 // Examples abort on setup failure rather than degrade.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ent_core::{analyze_arena, analyze_trace, PipelineConfig};
+use ent_core::{analyze_arena, analyze_capture, PipelineConfig};
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::dataset;
 use ent_gen::GenConfig;
-use ent_pcap::{PacketArena, Trace};
+use ent_pcap::{PacketArena, RecoveringReader};
 
 fn main() {
     let spec = dataset("D3").expect("D3 exists");
@@ -35,19 +35,13 @@ fn main() {
         pcap_bytes.len()
     );
 
-    // Read back and compare: the reader finds nothing to repair, and the
-    // packets it returns write the same file again.
-    let (back, health) = Trace::read_pcap(&pcap_bytes, meta.clone()).expect("read pcap");
-    assert!(health.is_clean(), "{health}");
-    assert_eq!(back.packets.len(), arena.len());
-    let mut again = Vec::new();
-    back.write_pcap(&mut again).expect("write pcap");
-    assert!(again == pcap_bytes);
-    println!("round trip: byte-identical packets ✓");
-
-    // Analyze both; results must agree.
+    // Analyze the capture as `entreport analyze` does (each record lent
+    // straight off the buffer) and the arena directly; results must agree.
     let a = analyze_arena(&meta, &mut arena, &PipelineConfig::default());
-    let b = analyze_trace(&back, &PipelineConfig::default());
+    let b = analyze_capture(&pcap_bytes, meta.clone(), &PipelineConfig::default())
+        .expect("read pcap");
+    assert!(b.health.capture.is_clean(), "{}", b.health.capture);
+    assert_eq!(b.packets, a.packets);
     assert_eq!(a.conns.len(), b.conns.len());
     assert_eq!(a.http.len(), b.http.len());
     println!(
@@ -57,14 +51,21 @@ fn main() {
         a.rpc.len()
     );
 
-    // Now the D1/D2 story: re-capture the same traffic at snaplen 68,
-    // staging the frames in an arena and lowering its snaplen (a filled
-    // arena's snaplen only goes down, cutting every view of its frames).
+    // Read the records back one at a time into the arena: the reader finds
+    // nothing to repair, and the records it lends write the same file again.
+    let mut reader = RecoveringReader::new(&pcap_bytes).expect("read pcap");
     arena.clear();
-    for p in &back.packets {
-        arena.frame_buf().extend_from_slice(&p.frame);
-        arena.commit(p.ts, p.orig_len as usize);
+    while let Some(r) = reader.next_record() {
+        arena.frame_buf().extend_from_slice(r.frame);
+        arena.commit(r.ts, r.orig_len as usize);
     }
+    assert!(reader.stats().is_clean(), "{}", reader.stats());
+    assert!(arena.write_pcap(Vec::new()).expect("write pcap") == pcap_bytes);
+    println!("round trip: byte-identical records ✓");
+
+    // Now the D1/D2 story: re-capture the same traffic at snaplen 68 by
+    // lowering the arena's snaplen (a filled arena's snaplen only goes
+    // down, cutting every view of its frames).
     arena.set_snaplen(68);
     let meta68 = ent_pcap::TraceMeta { snaplen: 68, ..meta };
     let c = analyze_arena(&meta68, &mut arena, &PipelineConfig::default());

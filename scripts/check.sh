@@ -36,6 +36,15 @@ echo "==> generator golden fingerprints (byte equivalence, release mode)"
 # gate ever runs.
 cargo test -q --release -p ent-integration --test gen_fingerprint
 
+echo "==> examples (each asserts its own result)"
+# The five examples are workspace binaries built above; each exits non-zero
+# when what it demonstrates stops holding (capture_roundtrip and
+# anonymize_trace drive the streaming read -> anonymize -> write -> analyze
+# path that entreport takes).
+for example in quickstart http_fanout windows_deep_dive capture_roundtrip anonymize_trace; do
+    cargo run --release -q -p ent-examples --bin "$example" > /dev/null
+done
+
 echo "==> pipeline metrics smoke (tiny study -> BENCH_pipeline.json -> schema check)"
 BENCH_TMP="$(mktemp -d)"
 trap 'rm -rf "$BENCH_TMP"' EXIT

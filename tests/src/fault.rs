@@ -8,7 +8,7 @@
 //! fully reproducible from `(seed, fault list)`.
 //!
 //! Faults operate on the *serialized* little-endian file our
-//! [`PcapWriter`](crate::PcapWriter) produces — damage is byte-level, the
+//! [`PcapWriter`](ent_pcap::PcapWriter) produces — damage is byte-level, the
 //! same thing a torn write or bit rot produces, not a structured mutation
 //! of in-memory packets.
 
@@ -99,7 +99,7 @@ fn put_at(data: &mut [u8], off: usize, bytes: &[u8]) {
 
 /// Byte offsets of each record in a well-formed little-endian capture
 /// buffer, paired with its caplen.
-fn record_offsets(data: &[u8]) -> Vec<(usize, u32)> {
+pub fn record_offsets(data: &[u8]) -> Vec<(usize, u32)> {
     let mut v = Vec::new();
     let mut pos = 24;
     while pos + 16 <= data.len() {
@@ -290,7 +290,8 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PcapWriter, RecoveringReader, TimedPacket};
+    use crate::read_all;
+    use ent_pcap::{PcapWriter, RecoveringReader, TimedPacket};
     use ent_wire::Timestamp;
 
     fn sample_pcap(n: u64) -> Vec<u8> {
@@ -339,9 +340,9 @@ mod tests {
             }
             let mut buf = sample_pcap(10);
             FaultInjector::new(1000 + i as u64).apply(&mut buf, fault);
-            let (pkts, stats) = RecoveringReader::new(&buf)
-                .unwrap_or_else(|e| panic!("{fault:?} unreadable: {e}"))
-                .read_all();
+            let (pkts, stats) = read_all(
+                RecoveringReader::new(&buf).unwrap_or_else(|e| panic!("{fault:?} unreadable: {e}")),
+            );
             // Most of the trace must survive every single-point fault.
             assert!(pkts.len() >= 7, "{fault:?}: only {} records", pkts.len());
             // And the damage (if visible at the pcap layer) must be tallied.
@@ -367,7 +368,7 @@ mod tests {
     fn reorder_fault_shows_up_as_clock_regression() {
         let mut buf = sample_pcap(6);
         FaultInjector::new(3).apply(&mut buf, Fault::ReorderRecords);
-        let (pkts, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (pkts, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert_eq!(pkts.len(), 6);
         assert_eq!(stats.clock_regressions, 1);
     }

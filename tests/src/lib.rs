@@ -1,13 +1,22 @@
-//! Shared helpers for the cross-crate integration tests.
+//! Shared helpers for the cross-crate integration tests, and the
+//! owned-capture reference the streaming product path is compared
+//! against: whole traces ([`Trace`]), the capture rig's multi-tap merge
+//! ([`merge`]) and the capture-file fault injector ([`fault`]).
 
 pub mod alloc_count;
+pub mod fault;
+pub mod merge;
+pub mod trace;
+
+pub use fault::{Fault, FaultInjector};
+pub use trace::{analyze_trace, anonymize_trace, read_all, Trace};
 
 use ent_core::run::{run_dataset, run_datasets, DatasetAnalysis, StudyConfig};
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::{all_datasets, DatasetSpec};
 use ent_gen::network::{Site, WanPool};
 use ent_gen::GenConfig;
-use ent_pcap::{PacketArena, TimedPacket, Trace};
+use ent_pcap::{PacketArena, TimedPacket};
 use ent_wire::Timestamp;
 
 /// A fast generation config for integration tests.

@@ -1,10 +1,14 @@
-//! Multi-stream timestamp merge.
+//! Multi-stream timestamp merge: the capture rig as a tested property.
 //!
 //! The paper's capture rig recorded each direction of a monitored router
 //! port on its own NIC (via Shomiti taps) and merged the unidirectional
-//! streams by NIC-synchronized timestamps. This module reproduces that merge
-//! as a k-way stable merge, with optional per-stream clock offsets modeling
-//! residual skew between NICs.
+//! streams by NIC-synchronized timestamps (§2); the traces it analyses were
+//! already merged. The product captures a generated trace through the
+//! arena's snaplen and `Tap`'s periodic drop only, so this module is test
+//! support: it reproduces that merge as a k-way stable merge, with optional
+//! per-stream clock offsets modeling residual skew between NICs, and
+//! `tests/capture_rig.rs` holds the analysis of a merged trace to that of
+//! the directly ordered one.
 //!
 //! Real capture streams are not perfectly sorted: NIC interrupt coalescing
 //! and driver buffering reorder nearby packets, and clock steps move
@@ -14,7 +18,7 @@
 //! position lies within the window, and clamped to the window floor if it
 //! is older than that — with every intervention counted in [`MergeStats`].
 
-use crate::TimedPacket;
+use ent_pcap::TimedPacket;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 

@@ -6,12 +6,11 @@
 // `unwrap` outside a `#[test]` fn stays a clippy error.
 #![allow(clippy::expect_used)]
 
-use ent_core::{analyze_trace, PipelineConfig};
+use ent_core::PipelineConfig;
 use ent_gen::build::build_site;
 use ent_gen::dataset::all_datasets;
-use ent_integration::{owned_trace, test_gen_config};
-use ent_pcap::merge::{merge_streams, Stream};
-use ent_pcap::Trace;
+use ent_integration::merge::{merge_streams, Stream};
+use ent_integration::{analyze_trace, owned_trace, test_gen_config, Trace};
 use ent_wire::Packet;
 
 #[test]

@@ -12,8 +12,8 @@ use ent_core::metrics::Stage;
 use ent_core::{analyze_capture, AnalysisError, PipelineConfig, TraceAnalysis};
 use ent_gen::build::build_site;
 use ent_gen::dataset::all_datasets;
-use ent_integration::{owned_trace, test_gen_config};
-use ent_pcap::{Fault, FaultInjector, RecoveringReader, Trace, TraceMeta};
+use ent_integration::{owned_trace, read_all, test_gen_config, Fault, FaultInjector, Trace};
+use ent_pcap::{RecoveringReader, TraceMeta};
 use ent_wire::{build, ethernet::MacAddr, ipv4::Addr, Packet, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -325,7 +325,7 @@ fn pcap_reader_mutation_harness() {
             }
         }
         if let Ok(r) = RecoveringReader::new(&bytes) {
-            let (pkts, stats) = r.read_all();
+            let (pkts, stats) = read_all(r);
             assert_eq!(pkts.len() as u64, stats.records);
             assert!(stats.bytes_skipped <= bytes.len() as u64);
             recovered_records += stats.records;

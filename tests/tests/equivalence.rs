@@ -30,9 +30,12 @@ use ent_flow::FlowKey;
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::DatasetSpec;
 use ent_gen::GenConfig;
-use ent_integration::{differential_study, trimmed_specs};
+use ent_integration::fault::record_offsets;
+use ent_integration::{differential_study, test_gen_config, trimmed_specs};
 use ent_pcap::{PacketArena, TraceMeta};
 use ent_wire::Timestamp;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 const SCALE: f64 = 0.01;
 const SUBNETS: u16 = 3;
@@ -264,8 +267,8 @@ fn batch_signature(t: &TraceAnalysis) -> Vec<(String, u64, u64)> {
 /// records in the same order and the same events and bytes on every batch
 /// stage (the load bins are sized by the window, so they are not
 /// compared). At 60 s epochs, the epochs sum to the batch run's packets,
-/// wire bytes and `frame_parse` events.
-fn assert_monitor_matches_batch(meta: &TraceMeta, bytes: &[u8], what: &str) {
+/// wire bytes and `frame_parse` events. Returns the batch analysis.
+fn assert_monitor_matches_batch(meta: &TraceMeta, bytes: &[u8], what: &str) -> TraceAnalysis {
     let batch = analyze_capture(bytes, meta.clone(), &PipelineConfig::default())
         .expect("clean capture");
     let epochs = |epoch_secs: u64| {
@@ -296,6 +299,58 @@ fn assert_monitor_matches_batch(meta: &TraceMeta, bytes: &[u8], what: &str) {
         summed.iter_mut().zip(counts(epoch)).for_each(|(sum, n)| *sum += n);
     }
     assert_eq!(summed, counts(&batch), "{what}: 60 s epochs do not sum to the batch run");
+    batch
+}
+
+/// Damage about one payload frame in twelve of a capture buffer written by
+/// `PcapWriter` (little-endian records): 1–3 bytes past offset 54 (beyond
+/// the Ethernet, IPv4 and bare TCP headers) are each flipped, zeroed or
+/// set to 0xff. Returns the number of frames damaged.
+fn mutate_payloads(bytes: &mut [u8], rng: &mut StdRng) -> usize {
+    const PAST_HEADERS: usize = 54;
+    let mut damaged = 0;
+    for (at, caplen) in record_offsets(bytes) {
+        let caplen = caplen as usize;
+        if caplen > PAST_HEADERS && rng.random_bool(0.08) {
+            for _ in 0..rng.random_range(1..=3usize) {
+                let i = at + 16 + rng.random_range(PAST_HEADERS..caplen);
+                bytes[i] = match rng.random_range(0..3u32) {
+                    0 => bytes[i] ^ (rng.random::<u8>() | 1),
+                    1 => 0,
+                    _ => 0xff,
+                };
+            }
+            damaged += 1;
+        }
+    }
+    damaged
+}
+
+/// The payload-mutation campaign: D0, D3 and D4 (the full-payload
+/// datasets) at two subnets and two seeds of the integration config, with
+/// about 8 % of each capture's payload frames damaged. No analyzer may
+/// fail on them — a panic would be contained and counted, but the
+/// analyzers are expected to be panic-free — and the monitor must still
+/// reproduce the batch run record for record.
+#[test]
+fn mutated_payloads_fail_no_analyzer_and_keep_monitor_equal_to_batch() {
+    let payload = |s: &DatasetSpec| ["D0", "D3", "D4"].contains(&s.name);
+    let mut rng = StdRng::seed_from_u64(0x7d);
+    let (mut captured, mut damaged) = (0, 0);
+    for seed in [test_gen_config().seed, 2005] {
+        let specs = trimmed_specs(2).into_iter().filter(payload).collect();
+        for (spec, traces) in captures(test_gen_config().scale, seed, specs) {
+            for (meta, mut bytes) in traces {
+                let what = format!("{} subnet {} seed {seed}, payloads mutated", spec.name, meta.subnet);
+                damaged += mutate_payloads(&mut bytes, &mut rng);
+                let batch = assert_monitor_matches_batch(&meta, &bytes, &what);
+                assert_eq!(batch.health.analyzer_failures, 0, "{what}: {}", batch.health);
+                captured += 1;
+            }
+        }
+    }
+    assert!(captured >= 12, "{captured} captures");
+    assert!(damaged > 2_000, "only {damaged} frames mutated");
 }
 
 /// The worker-lane determinism gate at test scale: `events_signature`,

@@ -17,8 +17,7 @@ use ent_core::{capture_meta, Checkpoint, CheckpointError, PipelineConfig};
 use ent_gen::build::build_site;
 use ent_gen::dataset::all_datasets;
 use ent_gen::GenConfig;
-use ent_integration::owned_trace;
-use ent_pcap::{Fault, FaultInjector};
+use ent_integration::{owned_trace, Fault, FaultInjector};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 

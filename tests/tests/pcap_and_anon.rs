@@ -4,12 +4,14 @@
 // `unwrap` outside a `#[test]` fn stays a clippy error.
 #![allow(clippy::expect_used)]
 
-use ent_anon::anonymize_trace;
-use ent_core::{analyze_trace, PipelineConfig};
+use ent_core::PipelineConfig;
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::all_datasets;
-use ent_integration::{owned_packets, owned_trace, test_gen_config};
-use ent_pcap::{Fault, FaultInjector, PacketArena, RecoveringReader, Tap, Trace, TraceMeta};
+use ent_integration::{
+    analyze_trace, anonymize_trace, owned_packets, owned_trace, read_all, test_gen_config, Fault,
+    FaultInjector, Trace,
+};
+use ent_pcap::{PacketArena, RecoveringReader, Tap, TraceMeta};
 
 fn sample_trace(dataset_idx: usize, subnet: u16) -> Trace {
     let specs = all_datasets();
@@ -176,9 +178,7 @@ fn anonymizing_a_damaged_capture_salvages_it() {
             damaged += 1;
             let (salvaged, stats) = Trace::read_pcap(&bytes, trace.meta.clone())
                 .unwrap_or_else(|e| panic!("{at}: {e}"));
-            let (packets, want) = RecoveringReader::new(&bytes)
-                .expect("header intact")
-                .read_all();
+            let (packets, want) = read_all(RecoveringReader::new(&bytes).expect("header intact"));
             assert_eq!(stats, want, "{at}");
             assert_eq!(salvaged.packets, packets, "{at}");
 

@@ -9,6 +9,7 @@
 
 use ent_anon::prefix::{common_prefix_len, Anonymizer};
 use ent_core::stats::Ecdf;
+use ent_integration::read_all;
 use ent_pcap::{PcapWriter, RecoveringReader, TimedPacket};
 use ent_wire::{build, ethernet::MacAddr, ipv4, tcp, Packet, Timestamp};
 use rand::rngs::StdRng;
@@ -122,7 +123,7 @@ fn pcap_roundtrip() {
                 w.write_packet(p).unwrap();
             }
         }
-        let (got, stats) = RecoveringReader::new(&buf).unwrap().read_all();
+        let (got, stats) = read_all(RecoveringReader::new(&buf).unwrap());
         assert!(stats.is_clean(), "{stats}");
         assert_eq!(got, packets);
     }
@@ -238,8 +239,9 @@ fn packet_parse_never_panics() {
 /// still counted.
 #[test]
 fn pipeline_survives_garbage_frames() {
-    use ent_core::{analyze_trace, PipelineConfig};
-    use ent_pcap::{Trace, TraceMeta};
+    use ent_core::PipelineConfig;
+    use ent_integration::{analyze_trace, Trace};
+    use ent_pcap::TraceMeta;
     let mut rng = StdRng::seed_from_u64(0x7c9_0009);
     for _ in 0..64 {
         let n = rng.random_range(1usize..20);
