@@ -51,7 +51,7 @@ pub fn generate(ctx: &mut TraceCtx<'_>) {
             // Veritas data: one-way client→server bulk.
             let server = ctx.peer_of(&srv, 13_724);
             let full = LogNormal::from_median(18e6, 1.2).sample_clamped(&mut ctx.rng, 1e6, 300e6);
-            let bytes = ctx.heavy_size(full);
+            let bytes = ctx.scaling.heavy_size(full);
             let mut spec = TcpSessionSpec::success(
                 ctx.early_start(0.4),
                 client,
@@ -70,7 +70,7 @@ pub fn generate(ctx: &mut TraceCtx<'_>) {
             // Dantz: bidirectional, large both ways within one connection.
             let server = ctx.peer_of(&srv, 497);
             let full = LogNormal::from_median(10e6, 1.4).sample_clamped(&mut ctx.rng, 2e5, 200e6);
-            let up = ctx.heavy_size(full);
+            let up = ctx.scaling.heavy_size(full);
             let down = if coin(&mut ctx.rng, 0.5) {
                 // Heavily bidirectional: tens of MB each way at full scale.
                 ((up as f64) * (0.3 + 0.6 * ctx.rng.random::<f64>())).max(150_000.0) as usize
@@ -100,7 +100,7 @@ pub fn generate(ctx: &mut TraceCtx<'_>) {
             let server = ctx.wan_peer(16_384);
             let rtt = ctx.rtt_wan();
             let full = LogNormal::from_median(2e6, 1.0).sample_clamped(&mut ctx.rng, 1e5, 20e6);
-            let bytes = ctx.heavy_size(full);
+            let bytes = ctx.scaling.heavy_size(full);
             let spec = TcpSessionSpec::success(
                 ctx.early_start(0.5),
                 client,

@@ -56,7 +56,7 @@ fn bulk(ctx: &mut TraceCtx<'_>) {
         }
         .sample(&mut ctx.rng)
         .min(400e6);
-        let bytes = ctx.heavy_size(full);
+        let bytes = ctx.scaling.heavy_size(full);
         let data_client = ctx.peer_eph(&client_host);
         let mut data_server = server;
         data_server.port = data_port;
@@ -104,7 +104,7 @@ fn interactive(ctx: &mut TraceCtx<'_>) {
         if is_ssh && coin(&mut ctx.rng, 0.12) {
             // scp-style bulk copy inside SSH.
             let full = LogNormal::from_median(8e6, 1.3).sample_clamped(&mut ctx.rng, 1e5, 100e6);
-            let bytes = ctx.heavy_size(full);
+            let bytes = ctx.scaling.scp_size(full);
             exchanges.push(Exchange::client(Payload::fill(0x00, bytes), 100_000));
         } else {
             // Keystroke/echo dialogue: many tiny packets over minutes.

@@ -20,6 +20,7 @@ pub mod windows;
 use crate::dataset::DatasetSpec;
 use crate::distr::{coin, LogNormal};
 use crate::network::{Host, Site, WanPool};
+use crate::scaling::Scaling;
 use crate::synth::{self, Peer, TcpSessionSpec, UdpFlowSpec};
 use ent_pcap::{Clip, PacketArena};
 use ent_wire::ethernet::MacAddr;
@@ -41,26 +42,14 @@ pub struct TraceCtx<'a> {
     pub subnet: u16,
     /// Trace duration in microseconds.
     pub duration_us: u64,
-    /// Count scale factor (see [`DatasetSpec`] docs).
-    pub scale: f64,
+    /// The run's scaling laws.
+    pub scaling: Scaling,
     /// Accumulated packets, staged in one arena buffer.
     pub out: PacketArena,
     next_eph: u16,
 }
 
 impl<'a> TraceCtx<'a> {
-    /// Create a context for one trace.
-    pub fn new(
-        rng: StdRng,
-        site: &'a Site,
-        wan: &'a WanPool,
-        spec: &'a DatasetSpec,
-        subnet: u16,
-        scale: f64,
-    ) -> TraceCtx<'a> {
-        TraceCtx::with_arena(rng, site, wan, spec, subnet, scale, PacketArena::unbounded())
-    }
-
     /// Create a context for one trace, reusing a caller-provided arena
     /// (its buffers keep their capacity; contents, window limit and
     /// snaplen are reset for this trace — one arena serves full-payload
@@ -72,7 +61,7 @@ impl<'a> TraceCtx<'a> {
         wan: &'a WanPool,
         spec: &'a DatasetSpec,
         subnet: u16,
-        scale: f64,
+        scaling: Scaling,
         mut out: PacketArena,
     ) -> TraceCtx<'a> {
         let duration_us = spec.trace_secs * 1_000_000;
@@ -86,38 +75,26 @@ impl<'a> TraceCtx<'a> {
             spec,
             subnet,
             duration_us,
-            scale,
+            scaling,
             out,
             next_eph: 32_768,
         }
     }
 
-    /// Number of sessions to generate for a per-subnet-hour rate, scaled
-    /// by trace duration and the run's scale factor, with probabilistic
-    /// rounding so tiny rates still occur across many traces.
+    /// Sessions of a per-subnet-hour rate in this trace ([`Scaling::sessions`]).
     pub fn count(&mut self, rate_per_hour: f64) -> usize {
-        let expected = rate_per_hour * (self.duration_us as f64 / 3.6e9) * self.scale;
-        let floor = expected.floor();
-        let frac = expected - floor;
-        floor as usize + usize::from(coin(&mut self.rng, frac))
+        self.round(self.scaling.sessions(rate_per_hour, self.duration_us))
     }
 
-    /// Session count for *heavy-transfer* applications (backup, bulk,
-    /// large copies): counts scale by sqrt(scale) and sizes by
-    /// [`TraceCtx::heavy_size`]'s sqrt(scale), so total bytes stay
-    /// proportional to the run scale without collapsing either the number
-    /// of transfers or the per-transfer size tail.
+    /// Heavy-transfer sessions in this trace ([`Scaling::heavy_sessions`]).
     pub fn heavy_count(&mut self, rate_per_hour: f64) -> usize {
-        let expected =
-            rate_per_hour * (self.duration_us as f64 / 3.6e9) * self.scale.sqrt().min(1.0);
-        let floor = expected.floor();
-        let frac = expected - floor;
-        floor as usize + usize::from(coin(&mut self.rng, frac))
+        self.round(self.scaling.heavy_sessions(rate_per_hour, self.duration_us))
     }
 
-    /// Scale a heavy-transfer size (pairs with [`TraceCtx::heavy_count`]).
-    pub fn heavy_size(&self, full_bytes: f64) -> usize {
-        (full_bytes * self.scale.sqrt().min(1.0)).max(20_000.0) as usize
+    /// Probabilistic rounding, so tiny rates still occur across many traces.
+    fn round(&mut self, expected: f64) -> usize {
+        let floor = expected.floor();
+        floor as usize + usize::from(coin(&mut self.rng, expected - floor))
     }
 
     /// Uniform session start within the trace window.
@@ -343,7 +320,19 @@ pub(crate) mod testutil {
         spec: &'a DatasetSpec,
         subnet: u16,
     ) -> TraceCtx<'a> {
-        TraceCtx::new(StdRng::seed_from_u64(99), site, wan, spec, subnet, 0.02)
+        let scaling = Scaling::of(&crate::GenConfig {
+            scale: 0.02,
+            ..crate::GenConfig::default()
+        });
+        TraceCtx::with_arena(
+            StdRng::seed_from_u64(99),
+            site,
+            wan,
+            spec,
+            subnet,
+            scaling,
+            PacketArena::unbounded(),
+        )
     }
 
     pub fn small_site() -> (Site, WanPool) {

@@ -163,7 +163,8 @@ fn nfs_traffic(ctx: &mut TraceCtx<'_>) {
             let client_host = ctx.remote_internal();
             let client = ctx.peer_eph(&client_host);
             let server = ctx.peer_of(&srv, 2049);
-            let budget = ctx.spec.nfs_hh_bytes * ctx.scale / hh_pairs as f64;
+            let budget =
+                ctx.scaling.nfs_heavy_hitter_bytes(ctx.spec.nfs_hh_bytes) / hh_pairs as f64;
             // Heavy hitters' transport drives the dataset's UDP byte share.
             let over_udp = (i as f64 + 0.5) / hh_pairs as f64 <= udp_share;
             nfs_pair(ctx, client, server, budget, over_udp);
@@ -262,10 +263,9 @@ fn ncp_traffic(ctx: &mut TraceCtx<'_>) {
         let mix = ncp_op_mix(ctx.spec.name);
         let busy = i < 2;
         let requests = if busy {
-            // Busy pairs' request totals scale with the run like all other
-            // counts (paper Figure 7b: up to ~100k-1M at full scale).
+            // Paper Figure 7b: up to ~100k-1M requests at full scale.
             let full = ctx.rng.random_range(150_000..600_000u32) as f64;
-            ((full * ctx.scale) as u32).clamp(200, 30_000)
+            ctx.scaling.ncp_busy_requests(full)
         } else {
             (LogNormal::from_median(40.0, 1.6).sample_clamped(&mut ctx.rng, 1.0, 4_000.0)) as u32
         };
@@ -336,13 +336,18 @@ mod tests {
         let specs = all_datasets();
         // One generation pass at a moderate scale so ordinary pairs exist
         // alongside the heavy hitters (D3's hitter budget keeps this fast).
-        let mut c = crate::apps::TraceCtx::new(
+        let scaling = crate::scaling::Scaling::of(&crate::GenConfig {
+            scale: 0.08,
+            ..crate::GenConfig::default()
+        });
+        let mut c = crate::apps::TraceCtx::with_arena(
             rand::rngs::StdRng::seed_from_u64(3),
             &site,
             &wan,
             &specs[3],
             26,
-            0.08,
+            scaling,
+            ent_pcap::PacketArena::unbounded(),
         );
         nfs_traffic(&mut c);
         let sums = summaries(&packets(&mut c.out));

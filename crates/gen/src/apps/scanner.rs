@@ -103,13 +103,8 @@ fn internal_scanners(ctx: &mut TraceCtx<'_>) {
         .take(2)
         .map(|h| **h)
         .collect();
-    // A sweep must stay above the detection heuristic's 50-distinct-host
-    // floor, so per-sweep volume cannot scale down; sweep *frequency*
-    // scales instead (sqrt, like other heavy activity) so removal stays
-    // in the paper's 4-18%-of-connections band at any run scale.
-    let probes = ctx.count(2_400.0).clamp(55, 400);
-    let dur_frac = (ctx.duration_us as f64 / 3.6e9).min(1.0);
-    let sweep_p = (1.1 * ctx.scale.sqrt() * dur_frac).min(0.75);
+    let probes = ctx.scaling.scan_probes(ctx.count(2_400.0));
+    let sweep_p = ctx.scaling.sweep_probability(ctx.duration_us);
     for scanner in scanners {
         if !coin(&mut ctx.rng, sweep_p) {
             continue; // not every subnet is being swept in every window
@@ -154,8 +149,8 @@ fn internal_scanners(ctx: &mut TraceCtx<'_>) {
 
 /// External ICMP scanners sweeping internal addresses in order.
 fn external_icmp_scanners(ctx: &mut TraceCtx<'_>) {
-    let dur_frac = (ctx.duration_us as f64 / 3.6e9).min(1.0);
-    let scanners = usize::from(coin(&mut ctx.rng, (1.8 * ctx.scale.sqrt() * dur_frac).min(0.6)));
+    let p = ctx.scaling.external_scanner_probability(ctx.duration_us);
+    let scanners = usize::from(coin(&mut ctx.rng, p));
     for _ in 0..scanners {
         let src = ctx.wan_peer_uniform(0);
         let ascending = coin(&mut ctx.rng, 0.8);

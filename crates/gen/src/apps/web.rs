@@ -32,7 +32,7 @@ pub fn generate(ctx: &mut TraceCtx<'_>) {
     // concentrated on a fraction of hosts, which is what gives clients
     // their order-of-magnitude WAN fan-out (Figure 3) and keeps most
     // hosts free of any external peers (sec. 4).
-    let pool_size = (n / 10).clamp(3, 40);
+    let pool_size = ctx.scaling.browser_pool(n);
     let browsers: Vec<crate::network::Host> =
         (0..pool_size).map(|_| ctx.local_wan_client()).collect();
     let mut wan_servers: Vec<Peer> = Vec::with_capacity(8);

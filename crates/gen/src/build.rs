@@ -5,6 +5,7 @@
 use crate::apps::{self, TraceCtx};
 use crate::dataset::DatasetSpec;
 use crate::network::{Site, WanPool, TOTAL_SUBNETS};
+use crate::scaling::Scaling;
 use ent_pcap::{Tap, TraceMeta};
 use ent_wire::Timestamp;
 use rand::rngs::StdRng;
@@ -13,8 +14,8 @@ use rand::SeedableRng;
 /// Run-level configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct GenConfig {
-    /// Count scale factor relative to the real site (1.0 = full volume;
-    /// 0.01 keeps distributional shape at 1% of the session counts).
+    /// Scale factor relative to the real site (1.0 = full volume). Counts,
+    /// sizes and pools follow its laws in [`crate::scaling`], not all linear.
     pub scale: f64,
     /// Extra seed entropy so different runs differ reproducibly.
     pub seed: u64,
@@ -36,20 +37,13 @@ impl Default for GenConfig {
 /// Build the site and WAN pool for a dataset (deterministic per seed).
 pub fn build_site(spec: &DatasetSpec, config: &GenConfig) -> (Site, WanPool) {
     let mut rng = StdRng::seed_from_u64(spec.seed ^ config.seed.rotate_left(17));
+    let scaling = Scaling::of(config);
     let hosts = config
         .hosts_per_subnet
-        .unwrap_or_else(|| scaled_hosts(spec.hosts_per_subnet, config.scale));
+        .unwrap_or_else(|| scaling.hosts_per_subnet(spec.hosts_per_subnet));
     let site = Site::build(&mut rng, TOTAL_SUBNETS, hosts);
-    let wan = WanPool::new(((spec.wan_pool as f64) * config.scale.sqrt().clamp(0.05, 1.0)) as u32);
+    let wan = WanPool::new(scaling.wan_pool(spec.wan_pool));
     (site, wan)
-}
-
-/// Host populations shrink sub-linearly with scale: fewer sessions touch
-/// fewer distinct hosts, but the host *pool* must stay rich enough for
-/// fan-in/fan-out shape (Table 1 counts are reported per-scale in
-/// EXPERIMENTS.md).
-fn scaled_hosts(full: usize, scale: f64) -> usize {
-    ((full as f64) * scale.sqrt().clamp(0.08, 1.0)).max(8.0) as usize
 }
 
 /// Wall-time and count breakdown of one [`generate_trace_into`] call, for the
@@ -138,7 +132,7 @@ where
         clock = now;
     };
     let staged = std::mem::replace(arena, ent_pcap::PacketArena::unbounded());
-    let mut ctx = TraceCtx::with_arena(rng, site, wan, spec, subnet, config.scale, staged);
+    let mut ctx = TraceCtx::with_arena(rng, site, wan, spec, subnet, Scaling::of(config), staged);
     apps::generate_all(&mut ctx);
     actors(&mut ctx);
     // Sessions can overrun the monitoring window; the arena already

@@ -2,10 +2,10 @@
 //! the workload-intensity knobs each paper table/figure depends on.
 //!
 //! Rates are expressed per monitored subnet-hour *at scale 1.0* (i.e. the
-//! real site's intensity); `GenConfig::scale` downsamples session
-//! counts so a laptop run stays tractable, preserving the mix. Flow-size
-//! distributions are *not* scaled — only counts are — so per-connection
-//! characteristics (Figures 3–8) match the paper at any scale.
+//! real site's intensity). `GenConfig::scale` shrinks them through the
+//! laws of [`crate::scaling`]: session counts linearly, heavy-transfer and
+//! scp sizes as √scale, the NCP busy pairs' requests up to a clamp, and
+//! host pools as √scale, so the mix and some sizes move with scale.
 
 use crate::network::{SubnetRange, ROUTER_A, ROUTER_B};
 

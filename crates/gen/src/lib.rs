@@ -40,6 +40,7 @@ pub mod dataset;
 pub mod distr;
 pub mod network;
 pub mod packs;
+pub mod scaling;
 pub mod synth;
 
 pub use build::GenConfig;

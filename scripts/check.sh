@@ -72,6 +72,19 @@ cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_gate.json"
 cargo run --release -q -p ent-cli -- bench-compare \
     BENCH_pipeline.json "$BENCH_TMP/BENCH_gate.json"
 
+echo "==> bench gate at magnitude (study at scale 0.1 vs committed BENCH_pipeline_s01.json)"
+# The gate above runs at 0.01, where some of the generator's scaling laws
+# never reach a clamp (the NCP busy pairs' ceiling, the scan probes'
+# ceiling: crates/gen/src/scaling.rs). The same study at 0.1 on two
+# workers (~4 s) must match the committed document's events and bytes
+# exactly, so a law that changes output only at magnitude fails here.
+cargo run --release -q -p ent-cli -- study \
+    --scale 0.1 --seed 2005 --threads 2 \
+    --only 'table 3' --bench-json "$BENCH_TMP/BENCH_s01.json" > /dev/null
+cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_s01.json"
+cargo run --release -q -p ent-cli -- bench-compare \
+    BENCH_pipeline_s01.json "$BENCH_TMP/BENCH_s01.json"
+
 echo "==> monitor smoke (epoch reports + kill/resume equivalence + obs gate)"
 # Resident-monitor contract (DESIGN §9) on a small capture: a run killed at
 # an epoch boundary and resumed from its checkpoint must print the exact

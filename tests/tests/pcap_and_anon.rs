@@ -8,10 +8,10 @@ use ent_core::PipelineConfig;
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::all_datasets;
 use ent_integration::{
-    analyze_trace, anonymize_trace, owned_packets, owned_trace, read_all, test_gen_config, Fault,
+    analyze_trace, anonymize_trace, owned_packets, owned_trace, test_gen_config, Fault,
     FaultInjector, Trace,
 };
-use ent_pcap::{PacketArena, RecoveringReader, Tap, TraceMeta};
+use ent_pcap::{PacketArena, Tap, TraceMeta};
 
 fn sample_trace(dataset_idx: usize, subnet: u16) -> Trace {
     let specs = all_datasets();
@@ -153,8 +153,7 @@ fn anonymization_preserves_every_aggregate() {
 }
 
 /// `entreport anonymize` reads a damaged capture the way `analyze` and
-/// `monitor` do. For every non-fatal fault at two seeds: `Trace::read_pcap`
-/// salvages exactly what the recovering reader delivers, the anonymized
+/// `monitor` do. For every non-fatal fault at two seeds: the anonymized
 /// salvage writes out a capture that reads back clean, and the analyses of
 /// the salvage and of its anonymization agree.
 #[test]
@@ -178,9 +177,6 @@ fn anonymizing_a_damaged_capture_salvages_it() {
             damaged += 1;
             let (salvaged, stats) = Trace::read_pcap(&bytes, trace.meta.clone())
                 .unwrap_or_else(|e| panic!("{at}: {e}"));
-            let (packets, want) = read_all(RecoveringReader::new(&bytes).expect("header intact"));
-            assert_eq!(stats, want, "{at}");
-            assert_eq!(salvaged.packets, packets, "{at}");
 
             let anon = anonymize_trace(&salvaged, "integration-key");
             let mut out = Vec::new();

@@ -8,7 +8,8 @@
 //! * E005: every paper artifact claimed in `crates/core/src/analyses` is
 //!   mentioned by a test;
 //! * E008: the public fallible API of `wire`, `pcap`, `flow` and `core`
-//!   returns typed errors.
+//!   returns typed errors;
+//! * every `--scale` law of `ent-gen` is a row of its scaling table.
 
 // Test helpers may abort on an unreadable tree, but must say why: a bare
 // `unwrap` outside a `#[test]` fn stays a clippy error.
@@ -326,6 +327,36 @@ fn every_source_file_is_a_declared_module() {
     assert!(
         orphans.is_empty(),
         "source files no `mod` item declares: {orphans:?}"
+    );
+}
+
+/// Every way `--scale` shapes a generated trace is one named law in
+/// `crates/gen/src/scaling.rs`. No other non-test code line of ent-gen
+/// reads the run scale (`config.scale`, `ctx.scale`) or takes a square
+/// root, which in this crate is a scale law everywhere except Box–Muller's
+/// in `distr.rs`.
+#[test]
+fn only_the_scaling_table_reads_the_run_scale() {
+    let mut reads = Vec::new();
+    for rel in rust_files("crates/gen/src") {
+        if rel == "crates/gen/src/scaling.rs" {
+            continue;
+        }
+        let text = read(&rel);
+        for (n, (line, test)) in text.lines().zip(test_lines(&text)).enumerate() {
+            let code = blank_literals(line);
+            for pattern in ["config.scale", "ctx.scale", ".sqrt("] {
+                let box_muller = pattern == ".sqrt(" && rel == "crates/gen/src/distr.rs";
+                if !test && !box_muller && code.contains(pattern) {
+                    reads.push(format!("{rel}:{}: `{pattern}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        reads.is_empty(),
+        "scale reads outside the scaling table (add a law to crates/gen/src/scaling.rs):\n{}",
+        reads.join("\n")
     );
 }
 
