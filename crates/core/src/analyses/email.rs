@@ -4,7 +4,7 @@
 use super::DatasetTraces;
 use crate::records::ConnRecord;
 use crate::report::{fmt_bytes, Figure, Table};
-use crate::stats::{pct, Ecdf};
+use crate::stats::{share, Ecdf};
 use ent_proto::AppProtocol;
 
 /// Table 8: email byte volumes by protocol.
@@ -119,8 +119,9 @@ pub fn durations_and_sizes(
     }
 }
 
-/// Success rates (%) for one email protocol, internal and WAN.
-pub fn email_success(traces: &DatasetTraces, app: AppProtocol) -> (f64, f64) {
+/// Success rates (%) for one email protocol, internal and WAN; `None`
+/// where the dataset has no such connection.
+pub fn email_success(traces: &DatasetTraces, app: AppProtocol) -> (Option<f64>, Option<f64>) {
     let (mut oe, mut te, mut ow, mut tw) = (0u64, 0u64, 0u64, 0u64);
     for t in traces {
         for c in &t.conns {
@@ -136,7 +137,7 @@ pub fn email_success(traces: &DatasetTraces, app: AppProtocol) -> (f64, f64) {
             }
         }
     }
-    (pct(oe, te), pct(ow, tw))
+    (share(oe, te), share(ow, tw))
 }
 
 /// Render Figures 5 and 6 across datasets for one protocol.
@@ -241,7 +242,15 @@ mod tests {
         }
         t.conns.push(conn(AppProtocol::Smtp, false, 100, 10, 10, true));
         let (ent, wan) = email_success(&[t], AppProtocol::Smtp);
-        assert_eq!(ent, 100.0);
-        assert_eq!(wan, 75.0);
+        assert_eq!(ent, Some(100.0));
+        assert_eq!(wan, Some(75.0));
+    }
+
+    #[test]
+    fn success_without_connections_is_no_sample() {
+        // SMTP only, as at D0's vantage: IMAP/S success is unmeasured, not 0%.
+        let mut t = TraceAnalysis::default();
+        t.conns.push(conn(AppProtocol::Smtp, true, 100, 10, 10, true));
+        assert_eq!(email_success(&[t], AppProtocol::ImapS), (None, None));
     }
 }

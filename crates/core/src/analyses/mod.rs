@@ -7,7 +7,6 @@ pub mod app_locality;
 pub mod appmix;
 pub mod backup;
 pub mod email;
-pub mod findings;
 pub mod load;
 pub mod locality;
 pub mod name;

@@ -2,12 +2,10 @@
 //! NetBIOS-NS request types, name types and failure rates.
 
 use super::DatasetTraces;
-use crate::records::TraceAnalysis;
 use crate::report::Table;
 use crate::stats::{pct, Ecdf};
 use ent_proto::dns::{QType, RCode};
 use ent_proto::netbios::NsOpcode;
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// DNS characteristics for one dataset.
@@ -131,13 +129,13 @@ pub struct NbnsCharacteristics {
 }
 
 /// Compute NBNS characteristics.
-pub fn nbns_characteristics<T: Borrow<TraceAnalysis>>(traces: &[T]) -> NbnsCharacteristics {
+pub fn nbns_characteristics(traces: &DatasetTraces) -> NbnsCharacteristics {
     let (mut query, mut refresh, mut other) = (0u64, 0u64, 0u64);
     let (mut host_t, mut dom_t, mut typed) = (0u64, 0u64, 0u64);
     let mut per_name_fail: BTreeMap<String, (bool, bool)> = BTreeMap::new(); // (ok seen, fail seen)
     let mut per_client: BTreeMap<u32, u64> = BTreeMap::new();
     let mut total = 0u64;
-    for t in traces.iter().map(Borrow::borrow) {
+    for t in traces {
         for n in &t.nbns {
             total += 1;
             *per_client.entry(n.client.0).or_default() += 1;

@@ -4,13 +4,11 @@
 //! heavy-hitter findings.
 
 use super::DatasetTraces;
-use crate::records::TraceAnalysis;
 use crate::report::{fmt_bytes, Figure, Table};
-use crate::stats::{pct, Ecdf};
+use crate::stats::{pct, share, Ecdf};
 use ent_proto::nfs::NfsOp;
 use ent_proto::ncp::NcpOp;
 use ent_proto::AppProtocol;
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Table 12: NFS/NCP connections and bytes.
@@ -104,8 +102,8 @@ fn op_breakdown<Op: Copy + Ord>(
 }
 
 /// Table 13: NFS request breakdown. "Data" counts request+reply bytes.
-pub fn nfs_breakdown<T: Borrow<TraceAnalysis>>(traces: &[T]) -> (u64, u64, OpBreakdown) {
-    let calls = traces.iter().flat_map(|t| &t.borrow().nfs);
+pub fn nfs_breakdown(traces: &DatasetTraces) -> (u64, u64, OpBreakdown) {
+    let calls = traces.iter().flat_map(|t| &t.nfs);
     op_breakdown(
         NfsOp::ALL,
         NfsOp::label,
@@ -221,36 +219,36 @@ pub fn figures78(rows: &[(&str, NetFileDistributions)]) -> (Figure, Figure) {
     (f7, f8)
 }
 
-/// §5.2.2 text findings.
+/// §5.2.2 text findings; each is `None` where the dataset has no sample.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NetFileFindings {
-    /// Keep-alive-only share of NCP connections (%) — paper: 40–80%.
-    pub ncp_keepalive_only_pct: f64,
+    /// Keep-alive-only share of NCP connections (%).
+    pub ncp_keepalive_only_pct: Option<f64>,
     /// UDP share of NFS payload bytes (%).
-    pub nfs_udp_bytes_pct: f64,
+    pub nfs_udp_bytes_pct: Option<f64>,
     /// Share of NFS host-pairs using UDP (%).
-    pub nfs_udp_pairs_pct: f64,
-    /// Top-3 host-pairs' share of NFS bytes (%) — paper: 89–94%.
-    pub nfs_top3_bytes_pct: f64,
-    /// Top-3 host-pairs' share of NCP bytes (%) — paper: 35–62%.
-    pub ncp_top3_bytes_pct: f64,
+    pub nfs_udp_pairs_pct: Option<f64>,
+    /// Top-3 host-pairs' share of NFS bytes (%).
+    pub nfs_top3_bytes_pct: Option<f64>,
+    /// Top-3 host-pairs' share of NCP bytes (%).
+    pub ncp_top3_bytes_pct: Option<f64>,
     /// NFS request success (%).
-    pub nfs_request_success_pct: f64,
+    pub nfs_request_success_pct: Option<f64>,
     /// NCP request success (%).
-    pub ncp_request_success_pct: f64,
+    pub ncp_request_success_pct: Option<f64>,
     /// NCP connection success (%).
-    pub ncp_conn_success_pct: f64,
+    pub ncp_conn_success_pct: Option<f64>,
 }
 
 /// Compute the §5.2.2 findings.
-pub fn netfile_findings<T: Borrow<TraceAnalysis>>(traces: &[T]) -> NetFileFindings {
+pub fn netfile_findings(traces: &DatasetTraces) -> NetFileFindings {
     let (mut ncp_ka, mut ncp_conns, mut ncp_ok_conns, mut ncp_tcp_conns) = (0u64, 0u64, 0u64, 0u64);
     let (mut nfs_udp_b, mut nfs_b) = (0u64, 0u64);
     let mut nfs_pair_bytes: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     let mut ncp_pair_bytes: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     let mut nfs_pair_udp: BTreeMap<(u32, u32), bool> = BTreeMap::new();
     let (mut nfs_ok, mut nfs_tot, mut ncp_rok, mut ncp_rtot) = (0u64, 0u64, 0u64, 0u64);
-    for t in traces.iter().map(Borrow::borrow) {
+    for t in traces {
         for c in &t.conns {
             match c.app {
                 Some(AppProtocol::Ncp) => {
@@ -292,20 +290,20 @@ pub fn netfile_findings<T: Borrow<TraceAnalysis>>(traces: &[T]) -> NetFileFindin
         let total: u64 = m.values().sum();
         let mut v: Vec<u64> = m.values().copied().collect();
         v.sort_unstable_by(|a, b| b.cmp(a));
-        pct(v.iter().take(3).sum::<u64>(), total)
+        share(v.iter().take(3).sum::<u64>(), total)
     };
     NetFileFindings {
-        ncp_keepalive_only_pct: pct(ncp_ka, ncp_conns),
-        nfs_udp_bytes_pct: pct(nfs_udp_b, nfs_b),
-        nfs_udp_pairs_pct: pct(
+        ncp_keepalive_only_pct: share(ncp_ka, ncp_conns),
+        nfs_udp_bytes_pct: share(nfs_udp_b, nfs_b),
+        nfs_udp_pairs_pct: share(
             nfs_pair_udp.values().filter(|&&u| u).count() as u64,
             nfs_pair_udp.len() as u64,
         ),
         nfs_top3_bytes_pct: top3(&nfs_pair_bytes),
         ncp_top3_bytes_pct: top3(&ncp_pair_bytes),
-        nfs_request_success_pct: pct(nfs_ok, nfs_tot),
-        ncp_request_success_pct: pct(ncp_rok, ncp_rtot),
-        ncp_conn_success_pct: pct(ncp_ok_conns, ncp_tcp_conns),
+        nfs_request_success_pct: share(nfs_ok, nfs_tot),
+        ncp_request_success_pct: share(ncp_rok, ncp_rtot),
+        ncp_conn_success_pct: share(ncp_ok_conns, ncp_tcp_conns),
     }
 }
 
@@ -377,9 +375,17 @@ mod tests {
         assert_eq!(tr, 4);
         assert_eq!(rows.iter().find(|r| r.0 == "Read").unwrap().1, 50.0);
         let f = netfile_findings(&[t]);
-        assert_eq!(f.ncp_request_success_pct, 75.0);
+        assert_eq!(f.ncp_request_success_pct, Some(75.0));
         let table = op_table("Table 14: NCP requests", &[("D0", (tr, 0, rows))]);
         assert!(table.render().contains("Directory Service"));
+    }
+
+    #[test]
+    fn success_without_requests_is_no_sample() {
+        // No NCP request at all, as at D3's vantage: unmeasured, not 0%.
+        let f = netfile_findings(&[TraceAnalysis::default()]);
+        assert_eq!(f.ncp_request_success_pct, None);
+        assert_eq!(f.ncp_keepalive_only_pct, None);
     }
 
     impl TraceAnalysis {

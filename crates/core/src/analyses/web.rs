@@ -24,11 +24,11 @@ pub struct AutomatedClients {
 }
 
 /// Compute Table 6 over internal HTTP transactions.
-pub fn automated_clients<T: Borrow<TraceAnalysis>>(traces: &[T]) -> AutomatedClients {
+pub fn automated_clients(traces: &DatasetTraces) -> AutomatedClients {
     let mut req: BTreeMap<ClientKind, u64> = BTreeMap::new();
     let mut data: BTreeMap<ClientKind, u64> = BTreeMap::new();
     let (mut total_req, mut total_data) = (0u64, 0u64);
-    for t in traces.iter().map(Borrow::borrow) {
+    for t in traces {
         for h in t.http.iter().filter(|h| h.server_internal) {
             total_req += 1;
             let bytes = h.tx.response_body_len + h.tx.request_body_len;

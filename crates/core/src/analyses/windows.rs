@@ -3,13 +3,12 @@
 //! breakdown (Table 11).
 
 use super::DatasetTraces;
-use crate::records::{is_internal, TraceAnalysis};
+use crate::records::is_internal;
 use crate::report::{fmt_bytes, Table};
 use crate::stats::pct;
 use ent_flow::Proto;
 use ent_proto::cifs::CifsClass;
 use ent_proto::dcerpc::RpcFunction;
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Table 9: per-service host-pair connection outcomes (internal only).
@@ -129,11 +128,11 @@ pub struct CifsBreakdown {
 }
 
 /// Compute Table 10.
-pub fn cifs_breakdown<T: Borrow<TraceAnalysis>>(traces: &[T]) -> CifsBreakdown {
+pub fn cifs_breakdown(traces: &DatasetTraces) -> CifsBreakdown {
     let mut req: BTreeMap<CifsClass, u64> = BTreeMap::new();
     let mut bytes: BTreeMap<CifsClass, u64> = BTreeMap::new();
     let (mut tr, mut tb) = (0u64, 0u64);
-    for t in traces.iter().map(Borrow::borrow) {
+    for t in traces {
         for c in &t.cifs {
             for (class, r, _resp, b) in &c.per_class {
                 *req.entry(*class).or_default() += r;

@@ -44,6 +44,7 @@
 
 pub mod analyses;
 pub mod checkpoint;
+pub mod claims;
 pub mod error;
 pub mod metrics;
 pub mod monitor;

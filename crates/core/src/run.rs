@@ -45,6 +45,9 @@ pub struct DatasetAnalysis {
     pub spec: DatasetSpec,
     /// Per-trace analyses, ordered by (pass, subnet).
     pub traces: Vec<TraceAnalysis>,
+    /// The generator scale the traces were made at (`GenConfig::scale`):
+    /// the paper's absolute counts are judged only at 1.0.
+    pub scale: f64,
 }
 
 impl DatasetAnalysis {
@@ -155,6 +158,7 @@ pub fn run_datasets(specs: &[DatasetSpec], config: &StudyConfig) -> Vec<DatasetA
         .map(|spec| DatasetAnalysis {
             spec: *spec,
             traces: analyses.by_ref().take(spec.trace_count()).collect(),
+            scale: config.gen.scale,
         })
         .collect()
 }
@@ -176,6 +180,7 @@ pub fn run_dataset(spec: &DatasetSpec, config: &StudyConfig) -> DatasetAnalysis 
         .unwrap_or_else(|| DatasetAnalysis {
             spec: *spec,
             traces: Vec::new(),
+            scale: config.gen.scale,
         })
 }
 

@@ -127,6 +127,12 @@ pub fn pct(part: u64, whole: u64) -> f64 {
     }
 }
 
+/// [`pct`] as a measurement: `None` when `whole` is 0, since a share over
+/// no samples is unmeasured, not 0%.
+pub fn share(part: u64, whole: u64) -> Option<f64> {
+    (whole > 0).then(|| pct(part, whole))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -223,11 +223,11 @@ fn srvloc_traffic(ctx: &mut TraceCtx<'_>) {
         };
         ctx.udp(&spec);
         // Occasionally a directory-agent host fans out unicast to scores
-        // of peers (the paper's internal fan-out tail, ≥100 peers). The
-        // event *frequency* scales with traffic volume so the SrvLoc
-        // connection share stays stable across run scales; the per-event
-        // peer-count distribution (the tail shape) does not scale.
-        if i == 0 && coin(&mut ctx.rng, (n as f64 / 60.0).min(0.8)) {
+        // of peers (the paper's internal fan-out tail, ≥100 peers), by
+        // `Scaling::srvloc_agent_chance`: the chance grows with the trace's
+        // SrvLoc sessions until it saturates near scale 0.037 on hour-long
+        // traces. The per-event peer-count distribution does not scale.
+        if i == 0 && coin(&mut ctx.rng, ctx.scaling.srvloc_agent_chance(n)) {
             let da_host = ctx.local_client();
             let da = ctx.peer_of(&da_host, 427);
             let peers = 60 + responders.sample(&mut ctx.rng);

@@ -64,6 +64,10 @@ laws! {
     /// Active web browsers: `clamp(sessions / 10, 3, 40)` of a linear 2 600 an
     /// hour; floor below 0.012 (1 h) and 0.07 (10 min), ceiling from 0.16 and 0.95.
     browser_pool(sessions: usize) -> usize = |_| (sessions / 10).clamp(3, 40);
+    /// The chance a SrvLoc directory agent fans out in a trace: `min(sessions
+    /// / 60, 0.8)` of a linear 1 300 SrvLoc sessions an hour; saturates near
+    /// 0.037 (1 h) and 0.22 (10 min), so the fan-out tail is per trace above.
+    srvloc_agent_chance(sessions: usize) -> f64 = |_| (sessions as f64 / 60.0).min(0.8);
     /// Workstations per subnet: `max(full × clamp(√s, 0.08, 1), 8)`; clamp
     /// below 0.0064, floor (D1–D4) below 0.007–0.009. Sessions per host ∝ √s.
     hosts_per_subnet(full: usize) -> usize = |s| ((full as f64) * s.sqrt().clamp(0.08, 1.0)).max(8.0) as usize;
@@ -85,7 +89,7 @@ mod tests {
     fn every_law_at_four_scales() {
         type Law = fn(Scaling) -> f64;
         #[rustfmt::skip]
-        let rows: [(&str, Law, [f64; 4]); 23] = [
+        let rows: [(&str, Law, [f64; 4]); 25] = [
             ("sessions, hour", |s| s.sessions(1_000.0, HOUR), [1.0, 10.0, 100.0, 1_000.0]),
             ("sessions, 10 min", |s| s.sessions(1_000.0, TEN_MINUTES), [1.0 / 6.0, 10.0 / 6.0, 100.0 / 6.0, 1_000.0 / 6.0]),
             ("heavy_sessions", |s| s.heavy_sessions(12.0, HOUR), [0.379_473_319_220_205_5, 1.2, 3.794_733_192_202_055, 12.0]),
@@ -104,6 +108,8 @@ mod tests {
             ("scan_probes, 10 min", |s| s.scan_probes(s.sessions(2_400.0, TEN_MINUTES) as usize) as f64, [55.0, 55.0, 55.0, 400.0]),
             ("browser_pool, hour", |s| s.browser_pool(s.sessions(2_600.0, HOUR) as usize) as f64, [3.0, 3.0, 26.0, 40.0]),
             ("browser_pool, 10 min", |s| s.browser_pool(s.sessions(2_600.0, TEN_MINUTES) as usize) as f64, [3.0, 3.0, 4.0, 40.0]),
+            ("srvloc_agent_chance, hour", |s| s.srvloc_agent_chance(s.sessions(1_300.0, HOUR) as usize), [0.016_666_666_666_666_666, 0.216_666_666_666_666_67, 0.8, 0.8]),
+            ("srvloc_agent_chance, 10 min", |s| s.srvloc_agent_chance(s.sessions(1_300.0, TEN_MINUTES) as usize), [0.0, 0.033_333_333_333_333_33, 0.35, 0.8]),
             ("hosts_per_subnet D0", |s| s.hosts_per_subnet(115) as f64, [9.0, 11.0, 36.0, 115.0]),
             ("hosts_per_subnet D1", |s| s.hosts_per_subnet(95) as f64, [8.0, 9.0, 30.0, 95.0]),
             ("hosts_per_subnet D3", |s| s.hosts_per_subnet(85) as f64, [8.0, 8.0, 26.0, 85.0]),

@@ -11,7 +11,7 @@ pub mod trace;
 pub use fault::{Fault, FaultInjector};
 pub use trace::{analyze_trace, anonymize_trace, read_all, Trace};
 
-use ent_core::run::{run_dataset, run_datasets, DatasetAnalysis, StudyConfig};
+use ent_core::run::{run_datasets, DatasetAnalysis, StudyConfig};
 use ent_gen::build::{build_site, generate_trace_into};
 use ent_gen::dataset::{all_datasets, DatasetSpec};
 use ent_gen::network::{Site, WanPool};
@@ -62,25 +62,6 @@ pub fn owned_trace(
         meta,
         packets: owned_packets(&mut arena),
     }
-}
-
-/// Run a reduced-subnet version of a dataset (fast but representative).
-// A dataset name no spec carries is a typo in the calling test; aborting
-// that test with the name is the diagnostic.
-#[allow(clippy::panic)]
-pub fn small_dataset(name: &str, subnets: u16) -> DatasetAnalysis {
-    let Some(mut spec) = all_datasets().into_iter().find(|d| d.name == name) else {
-        panic!("unknown dataset {name}");
-    };
-    let start = spec.monitored.start;
-    spec.monitored = (start..(start + subnets).min(spec.monitored.end)).into();
-    run_dataset(
-        &spec,
-        &StudyConfig {
-            gen: test_gen_config(),
-            ..Default::default()
-        },
-    )
 }
 
 /// Every dataset spec (D0–D4) trimmed to its first `subnets` monitored

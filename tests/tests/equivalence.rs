@@ -171,6 +171,8 @@ fn analyze_captures(
                     analyze_capture(bytes, meta.clone(), &config).expect("clean capture")
                 })
                 .collect(),
+            // A capture does not carry its generator scale.
+            scale: 0.0,
         })
         .collect()
 }

@@ -8,7 +8,15 @@
 use ent_core::metrics::{
     bench_json, json_parse, validate_bench_json, PipelineMetrics, Stage, Val, PIPELINE, STUDY_DOC,
 };
-use ent_integration::{small_dataset, test_gen_config};
+use ent_core::run::{run_dataset, DatasetAnalysis, StudyConfig};
+use ent_integration::{test_gen_config, trimmed_specs};
+
+/// Dataset `name` on its first `subnets` monitored subnets, at the
+/// integration test config.
+fn small_dataset(name: &str, subnets: u16) -> DatasetAnalysis {
+    let spec = trimmed_specs(subnets).into_iter().find(|d| d.name == name).expect("dataset");
+    run_dataset(&spec, &StudyConfig { gen: test_gen_config(), ..Default::default() })
+}
 
 #[test]
 fn study_metrics_export_is_schema_valid_and_live() {

@@ -5,8 +5,6 @@
 //!   a module (an orphan `.rs` file is never compiled, so never linted);
 //! * the determinism and parser-safety denies stay configured, so a
 //!   dropped line cannot silently switch clippy's E001/E002 checks off;
-//! * E005: every paper artifact claimed in `crates/core/src/analyses` is
-//!   mentioned by a test;
 //! * E008: the public fallible API of `wire`, `pcap`, `flow` and `core`
 //!   returns typed errors;
 //! * every `--scale` law of `ent-gen` is a row of its scaling table.
@@ -357,80 +355,6 @@ fn only_the_scaling_table_reads_the_run_scale() {
         reads.is_empty(),
         "scale reads outside the scaling table (add a law to crates/gen/src/scaling.rs):\n{}",
         reads.join("\n")
-    );
-}
-
-/// `(kind, number)` paper-artifact IDs on one line: `table` or `figure`,
-/// any case, then spaces and a whole number (`Figure 1` is not `Figure 10`).
-fn artifact_ids(line: &str) -> Vec<(&'static str, u32)> {
-    let lower = line.to_ascii_lowercase();
-    let mut out = Vec::new();
-    for (kind, name) in [("table", "Table"), ("figure", "Figure")] {
-        for (at, _) in lower.match_indices(kind) {
-            let before = lower[..at].chars().next_back();
-            let rest = &lower[at + kind.len()..];
-            let number = rest.trim_start_matches([' ', '\t']);
-            let digits = number.len()
-                - number
-                    .trim_start_matches(|c: char| c.is_ascii_digit())
-                    .len();
-            let after = number[digits..].chars().next();
-            let word = |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-            if !word(before) && number.len() < rest.len() && digits > 0 && !word(after) {
-                if let Ok(n) = number[..digits].parse() {
-                    out.push((name, n));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// E005: every `Table N` / `Figure N` claimed in `crates/core/src/analyses`
-/// is mentioned in test context — a file under a `tests/` directory, or a
-/// `#[cfg(test)]` / `#[test]` item anywhere in the workspace — so no paper
-/// artifact is reported without a test that names it.
-#[test]
-fn every_claimed_paper_artifact_is_tested() {
-    let mut claims = std::collections::BTreeMap::new();
-    for rel in rust_files("crates/core/src/analyses") {
-        for (n, line) in read(&rel).lines().enumerate() {
-            for id in artifact_ids(line) {
-                claims.entry(id).or_insert(format!("{rel}:{}", n + 1));
-            }
-        }
-    }
-    assert!(
-        claims.len() > 20,
-        "too few artifact claims found: {}",
-        claims.len()
-    );
-    let mut covered = std::collections::BTreeSet::new();
-    for rel in [
-        rust_files("crates"),
-        rust_files("tests"),
-        rust_files("examples"),
-        rust_files("benchmark"),
-    ]
-    .concat()
-    {
-        let text = read(&rel);
-        let whole_file = rel.split('/').any(|c| c == "tests");
-        for (line, test) in text.lines().zip(test_lines(&text)) {
-            if whole_file || test {
-                covered.extend(artifact_ids(line));
-            }
-        }
-    }
-    let untested: Vec<String> = claims
-        .iter()
-        .filter(|(id, _)| !covered.contains(*id))
-        .map(|((kind, n), at)| format!("{at}: {kind} {n} is claimed but no test mentions it"))
-        .collect();
-    assert!(
-        untested.is_empty(),
-        "untested paper artifacts:\n{}",
-        untested.join("\n")
     );
 }
 
