@@ -23,9 +23,9 @@
 //!
 //! Each command takes only the flags its usage line lists: any other
 //! flag, a value flag with no value, a value that does not parse, or
-//! `--shards` other than 0 or 1 exits 2 naming the flag: a typo never runs
-//! as the default. `study` and `packs` ingest every generated trace inline:
-//! they take `--shards 0` and refuse 1, pointing at `analyze`.
+//! `analyze --shards` other than 0 or 1 exits 2 naming the flag: a typo
+//! never runs as the default. `study` and `packs` ingest every generated
+//! trace inline, so `--shards` is not among their flags.
 
 use ent_core::metrics::{
     bench_json, compare_bench_json, obs_check, validate_bench_json, Val, MONITOR, PACKS, PIPELINE,
@@ -61,11 +61,10 @@ fn or_die<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
 /// a value, a bare one is a switch). `usage()` prints these lists, and a
 /// command exits 2 on any flag outside its own.
 const COMMANDS: &[(&str, &str, &[&str])] = &[
-    ("study", "", &["[--scale S]", "[--seed N]", "[--hosts N]", "[--threads N]", "[--shards 0]",
-        "[--datasets D0,D3]", "[--only 'table 9']", "[--csv-dir DIR]", "[--keep-scanners]",
-        "[--bench-json FILE.json]"]),
-    ("packs", "", &["[--scale S]", "[--seed N]", "[--hosts N]", "[--threads N]", "[--shards 0]",
-        "[--packs base,sweep]", "[--out FILE.json]"]),
+    ("study", "", &["[--scale S]", "[--seed N]", "[--hosts N]", "[--threads N]", "[--datasets D0,D3]",
+        "[--only 'table 9']", "[--csv-dir DIR]", "[--keep-scanners]", "[--bench-json FILE.json]"]),
+    ("packs", "", &["[--scale S]", "[--seed N]", "[--hosts N]", "[--threads N]", "[--packs base,sweep]",
+        "[--out FILE.json]"]),
     ("generate", "", &["--dataset D0", "[--subnet 3]", "[--pass 1]", "[--scale S]", "[--seed N]",
         "[--hosts N]", "--out FILE.pcap"]),
     ("analyze", "FILE.pcap", &["[--subnet N]", "[--name D0]", "[--shards 0|1]"]),
@@ -139,14 +138,12 @@ fn flag<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, Stri
     }
 }
 
-/// `--shards`: 0 (the inline engine, the default) or, where the worker
-/// `lane` serves (`analyze`), 1. `study` and `packs` take only 0.
-fn shards(args: &Args, lane: bool) -> Result<usize, String> {
+/// `analyze --shards`: 0 (the inline engine, the default) or 1 (the one
+/// worker lane).
+fn shards(args: &Args) -> Result<usize, String> {
     match flag(args, "shards")?.unwrap_or(0) {
-        n @ (0 | 1) if lane || n == 0 => Ok(n),
-        n if lane => Err(format!("bad --shards {n} (0 = inline, 1 = one worker lane)")),
-        n => Err(format!("bad --shards {n}: generated traces ingest inline; \
-            the worker lane is `entreport analyze --shards 1 FILE.pcap`")),
+        n @ (0 | 1) => Ok(n),
+        n => Err(format!("bad --shards {n} (0 = inline, 1 = one worker lane)")),
     }
 }
 
@@ -197,7 +194,6 @@ fn selected_datasets(args: &Args) -> Vec<DatasetSpec> {
 }
 
 fn cmd_study(args: &Args) -> Outcome {
-    shards(args, false)?;
     let config = StudyConfig {
         gen: gen_config(args)?,
         pipeline: PipelineConfig {
@@ -260,7 +256,6 @@ fn cmd_study(args: &Args) -> Outcome {
             ("scale", Val::F(config.gen.scale)),
             ("seed", Val::U(config.gen.seed)),
             ("threads", Val::U(threads as u64)),
-            ("shards", Val::U(config.pipeline.shards as u64)),
             ("study_wall_us", Val::F(study_wall_ns as f64 / 1e3)),
         ];
         let datasets: Vec<_> = studies
@@ -336,7 +331,6 @@ fn cmd_packs(args: &Args) -> Outcome {
         gen.seed = 2005; // the pack gate's seed, matching the study gate's
     }
     let threads: usize = flag(args, "threads")?.unwrap_or(1);
-    shards(args, false)?;
     let wanted: Option<Vec<String>> = args
         .flags
         .get("packs")
@@ -413,7 +407,6 @@ fn cmd_packs(args: &Args) -> Outcome {
         ("scale", Val::F(gen.scale)),
         ("seed", Val::U(gen.seed)),
         ("threads", Val::U(workers as u64)),
-        ("shards", Val::U(0)),
         ("precision_floor", Val::F(PACK_PRECISION_FLOOR)),
         ("recall_floor", Val::F(PACK_RECALL_FLOOR)),
     ];
@@ -465,7 +458,7 @@ fn cmd_analyze(args: &Args) -> Outcome {
         return Ok(usage());
     };
     let config = PipelineConfig {
-        shards: shards(args, true)?,
+        shards: shards(args)?,
         ..Default::default()
     };
     let subnet = flag(args, "subnet")?.unwrap_or(0);
@@ -752,8 +745,8 @@ mod tests {
         assert!(a.switches.contains("keep-scanners"));
         assert_eq!(flag::<f64>(&a, "scale"), Ok(Some(0.01)));
         assert_eq!(flag::<u64>(&a, "seed"), Ok(None));
-        assert_eq!(shards(&a, true), Ok(1));
-        assert_eq!(shards(&args(&[]), true), Ok(0));
+        assert_eq!(shards(&a), Ok(1));
+        assert_eq!(shards(&args(&[])), Ok(0));
     }
 
     #[test]
@@ -762,21 +755,13 @@ mod tests {
         assert!(err.contains("--scale") && err.contains("0,01"), "{err}");
         let err = flag::<u64>(&args(&["--epoch-secs", "5m"]), "epoch-secs").expect_err("5m is no u64");
         assert!(err.contains("--epoch-secs") && err.contains("5m"), "{err}");
-        let err = shards(&args(&["--shards", "two"]), true).expect_err("two is no count");
+        let err = shards(&args(&["--shards", "two"])).expect_err("two is no count");
         assert!(err.contains("--shards") && err.contains("two"), "{err}");
     }
 
     #[test]
     fn shards_takes_only_the_inline_engine_or_one_lane() {
-        let err = shards(&args(&["--shards", "2"]), true).expect_err("there is no second lane");
+        let err = shards(&args(&["--shards", "2"])).expect_err("there is no second lane");
         assert!(err.contains("--shards 2"), "{err}");
-    }
-
-    #[test]
-    fn study_and_packs_take_shards_0_and_name_analyze_for_the_lane() {
-        assert_eq!(shards(&args(&["--shards", "0"]), false), Ok(0));
-        assert_eq!(shards(&args(&[]), false), Ok(0));
-        let err = shards(&args(&["--shards", "2"]), false).expect_err("the lane serves captures");
-        assert!(err.contains("--shards 2") && err.contains("analyze --shards 1"), "{err}");
     }
 }

@@ -1,8 +1,8 @@
 //! Which flags each command takes, checked on the built binary's exit
-//! codes: a flag outside a command's list is refused by name. Where
-//! `--shards` is taken, `analyze` runs a capture inline or on the one
-//! worker lane; `study` and `packs` ingest generated traces inline, so
-//! they refuse the lane and name `analyze` instead.
+//! codes: a flag outside a command's list is refused by name. `analyze`
+//! runs a capture inline or on the one worker lane (`--shards 0|1`);
+//! `study` and `packs` ingest generated traces inline and take no
+//! `--shards` at all.
 
 // Test helpers may abort, but must say why: a bare `panic!` outside a
 // `#[test]` fn stays a clippy error.
@@ -22,16 +22,14 @@ fn stderr(out: &Output) -> String {
 }
 
 #[test]
-fn study_and_packs_refuse_the_lane_and_name_analyze() {
+fn shards_is_an_unknown_flag_to_study_and_packs() {
     for cmd in ["study", "packs"] {
-        let out = entreport(&[cmd, "--shards", "1"]);
-        assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
-        assert!(
-            stderr(&out).contains("analyze --shards 1"),
-            "{cmd}: {}",
-            stderr(&out)
-        );
-        assert!(out.stdout.is_empty(), "{cmd} ran before refusing the flag");
+        for value in ["0", "1"] {
+            let out = entreport(&[cmd, "--shards", value]);
+            assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
+            assert!(stderr(&out).contains("unknown flag --shards"), "{cmd}: {}", stderr(&out));
+            assert!(out.stdout.is_empty(), "{cmd} ran before refusing the flag");
+        }
     }
 }
 

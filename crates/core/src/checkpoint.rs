@@ -16,7 +16,7 @@
 //! [`CheckpointError`]; the monitor degrades to a counted cold start, it
 //! never crashes on its own state file.
 
-use crate::metrics::{AnalyzerMetrics, PipelineMetrics, StageStat, StageStats};
+use crate::metrics::{PipelineMetrics, StageStat, StageStats};
 use crate::monitor::MonitorTotals;
 use crate::records::IngestHealth;
 use ent_flow::{FlowStats, TableCarry};
@@ -28,10 +28,12 @@ use std::path::Path;
 /// File magic: 8 bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"ENTCKPT\0";
 
-/// Current format version. Bumped to 2 when the `shard_ingest` stage was
-/// added to [`PipelineMetrics`] (one more stage record in the metrics
-/// block); version-1 files degrade to a counted cold start like any other
-/// unreadable checkpoint.
+/// Current format version. Bumped to 2 when the ingest stage (then
+/// `shard_ingest`) was added to [`PipelineMetrics`] (one more stage record
+/// in the metrics block); version-1 files degrade to a counted cold start
+/// like any other unreadable checkpoint. The metrics block is one record
+/// per row of [`crate::metrics::Stage::ALL`] — the stages, then the
+/// analyzers — the order version 2 has always had.
 pub const VERSION: u32 = 2;
 
 /// Why a checkpoint could not be loaded. Every variant is recoverable —
@@ -330,11 +332,9 @@ macro_rules! walk_payload {
             } = health);
         }
         {
-            // Every stage in `Stage::ALL` order, every analyzer in
-            // `AnalyzerKind::ALL` order, then the scalars.
-            let PipelineMetrics { stages, analyzers, peak_open_conns, trace_wall_ns, traces } = metrics;
-            let (StageStats { stats: stages }, AnalyzerMetrics { stats: analyzers }) = (stages, analyzers);
-            for stat in stages.into_iter().chain(analyzers) {
+            // Every row in `Stage::ALL` order, then the scalars.
+            let PipelineMetrics { stages: StageStats { stats }, peak_open_conns, trace_wall_ns, traces } = metrics;
+            for stat in stats {
                 u64_fields!($c, StageStat { wall_ns, events, bytes } = stat);
             }
             $c.u64(peak_open_conns)?;
@@ -464,7 +464,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{AnalyzerKind, Stage};
+    use crate::metrics::Stage;
 
     fn sample() -> Checkpoint {
         let mut ck = Checkpoint {
@@ -518,10 +518,10 @@ mod tests {
     }
 
     /// The version-2 byte layout, assembled by hand: the metrics block is
-    /// one (wall, events, bytes) triple per `Stage::ALL` entry, then one
-    /// per `AnalyzerKind::ALL` entry, in that order.
+    /// one (wall, events, bytes) triple per `Stage::ALL` row — the stages,
+    /// then the analyzers — in declaration order.
     #[test]
-    fn v2_payload_lays_out_stages_then_analyzers_in_declaration_order() {
+    fn v2_payload_lays_out_the_stage_table_in_declaration_order() {
         assert_eq!(VERSION, 2);
         let mut p: Vec<u8> = Vec::new();
         let u64s = |p: &mut Vec<u8>, vals: &[u64]| vals.iter().for_each(|v| p.extend_from_slice(&v.to_le_bytes()));
@@ -532,9 +532,8 @@ mod tests {
         u64s(&mut p, &[0; 7]); // ...its value slot; 6 capture counters
         p.extend_from_slice(&[0, 0, 0]); // truncated_tail, snaplen_clamped; carry clock absent...
         u64s(&mut p, &[0; 12]); // ...its value slot; 3 flow stats; 8 health counters
-        let slots = (Stage::COUNT + AnalyzerKind::COUNT) as u64;
         let stat = |slot: u64| StageStat { wall_ns: 1_000 + slot, events: 2_000 + slot, bytes: 3_000 + slot };
-        for s in (0..slots).map(stat) {
+        for s in (0..Stage::COUNT as u64).map(stat) {
             u64s(&mut p, &[s.wall_ns, s.events, s.bytes]);
         }
         u64s(&mut p, &[7, 8, 9]); // peak_open_conns, trace_wall_ns, traces
@@ -547,11 +546,10 @@ mod tests {
         file.extend_from_slice(&p);
 
         let ck = Checkpoint::parse(&file).expect("hand-assembled v2 payload parses");
+        // Fourteen stages, then eleven analyzers, as the table declares.
+        assert_eq!((Stage::COUNT, Stage::ALL[14], Stage::ALL[24]), (25, Stage::Http, Stage::Nbns));
         for (i, stage) in Stage::ALL.into_iter().enumerate() {
             assert_eq!(ck.metrics.stages[stage], stat(i as u64), "{}", stage.name());
-        }
-        for (i, kind) in AnalyzerKind::ALL.into_iter().enumerate() {
-            assert_eq!(ck.metrics.analyzers[kind], stat((Stage::COUNT + i) as u64), "{}", kind.name());
         }
         assert_eq!((ck.metrics.peak_open_conns, ck.metrics.traces), (7, 9));
         // And the encoder writes the very same bytes back.

@@ -1,13 +1,14 @@
-//! `ent-obs` — pipeline observability: stage timers, throughput counters
-//! and the machine-readable perf trajectory (`BENCH_pipeline.json`).
+//! Pipeline observability (`ent_core::metrics`): stage timers, throughput
+//! counters and the machine-readable perf trajectory
+//! (`BENCH_pipeline.json`).
 //!
 //! The paper's evaluation is throughput-heavy batch analysis (>100 hours
 //! of traces); the ROADMAP demands the pipeline run as fast as the
 //! hardware allows. Neither is achievable blind: this module records
-//! where a study run spends its time — per pipeline stage and per
-//! application analyzer — with monotonic timers, threaded through every
-//! batch entry point of [`crate::pipeline`] exactly like
-//! [`crate::records::IngestHealth`]: accumulated per trace, merged
+//! where a study run spends its time — in one table of stages, the
+//! application analyzers among them ([`Stage`]) — with monotonic timers,
+//! threaded through every batch entry point of [`crate::pipeline`] exactly
+//! like [`crate::records::IngestHealth`]: accumulated per trace, merged
 //! lock-free per worker, aggregated per dataset and study-wide. One
 //! [`std::time::Instant::now`] costs 39–43 ns on the reference box (20 M
 //! back-to-back reads, `rustc -O`) — as much as the per-packet and
@@ -23,8 +24,9 @@
 //!   [`crate::run`]).
 //! * **Wall times are honest** — nested stages are declared as nested
 //!   ([`Stage::parent`]: analyzer delivery time is *inside* flow-ingest
-//!   time), never double-reported as disjoint, and which events are clocked
-//!   is a pure function of the input.
+//!   time), never double-reported as disjoint, the roots add up to the
+//!   worker wall (`entreport obs-check`), and which events are clocked is a
+//!   pure function of the input.
 
 use crate::error::BenchJsonError;
 use crate::report::Table;
@@ -121,11 +123,11 @@ impl StageTimer {
 }
 
 /// Declare an enum and the [`StageStat`] table it indexes from one row per
-/// variant: the variant, its document name and (for stages) the bench
-/// documents that must report it non-zero and the stage whose wall time
-/// contains it. Whatever enumerates stages or analyzers — documents, the
-/// stage table, the events signature, the checkpoint codec — loops over the
-/// generated `ALL`: a name is written once.
+/// variant: the variant, its document name, the bench documents that must
+/// report it non-zero and the row whose wall time contains it. Whatever
+/// enumerates the rows — documents, the stage table, the events signature,
+/// the checkpoint codec — loops over the generated `ALL`: a name is
+/// written once.
 macro_rules! stat_table {
     (@parent $E:ident) => { None };
     (@parent $E:ident $P:ident) => { Some($E::$P) };
@@ -213,22 +215,26 @@ pub const STUDY_DOC: u8 = 1;
 pub const MONITOR_DOC: u8 = 2;
 
 stat_table! {
-    /// The pipeline stages with individually-attributed time: the ten
-    /// batch stages, then three monitor-mode stages (zero for batch runs),
-    /// then the ingest elapsed-wall stage. Each variant states what its
-    /// `events` / `bytes` count. A stage nested inside another is declared
-    /// `under` it ([`Stage::parent`]), never double-reported as disjoint.
+    /// The ledger: one row per stage with individually-attributed time —
+    /// the ten batch stages, three monitor-mode stages (zero for batch
+    /// runs), the ingest elapsed-wall stage, then one row per application
+    /// analyzer. Each variant states what its `events` / `bytes` count. A
+    /// stage nested inside another is declared `under` it
+    /// ([`Stage::parent`]), never double-reported as disjoint; the rows
+    /// without a parent (the roots) add up to a trace's worker wall, less
+    /// the seal's few unclocked passes.
     ///
     /// **Events and bytes are exact; the walls of the per-packet,
     /// per-delivery and per-connection stages are 1-in-71 estimates.**
-    /// `frame_parse`, `flow_ingest`, `tcp_deliver`, `udp_deliver`,
-    /// `finalize` and every analyzer count each event as it happens but
-    /// read the clock only for an event whose stage's own event counter,
-    /// before the bump, is a multiple of one stride (71) — no RNG, so which
-    /// events are clocked is a pure function of the input, and the first
-    /// event of every window is clocked. The window close turns the clocked
-    /// laps into `wall_ns` (DESIGN §8c). Every other stage runs once per
-    /// trace, epoch or checkpoint and is clocked exactly.
+    /// `frame_parse`, `flow_ingest`, `finalize` and every analyzer count
+    /// each event as it happens but read the clock only for an event whose
+    /// row's own event counter, before the bump, is a multiple of one
+    /// stride (71) — no RNG, so which events are clocked is a pure function
+    /// of the input, and the first event of every window is clocked. The
+    /// window close turns the clocked laps into `wall_ns` (DESIGN §8c), then
+    /// fills each of [`SUM_ROWS`] with the sum of its children. Every other
+    /// stage runs once per trace, epoch or checkpoint and is clocked
+    /// exactly.
     enum Stage;
     /// One [`StageStat`] per [`Stage`], indexed by the enum.
     struct StageStats;
@@ -247,18 +253,17 @@ stat_table! {
     GenTap = "gen_tap" in STUDY_DOC under Generate,
     /// Link/network/transport dissection (`ent-wire`): frames seen
     /// (including rejected ones) / captured bytes. Inside the batch ingest
-    /// phase's elapsed wall, [`Stage::ShardIngest`].
-    FrameParse = "frame_parse" in STUDY_DOC | MONITOR_DOC under ShardIngest,
+    /// phase's elapsed wall, [`Stage::Ingest`].
+    FrameParse = "frame_parse" in STUDY_DOC | MONITOR_DOC under Ingest,
     /// Connection demultiplexing (`ent-flow`) *including* nested analyzer
     /// deliveries and conn finalization: packets ingested / wire bytes.
-    /// Inside [`Stage::ShardIngest`], as `frame_parse` is.
-    FlowIngest = "flow_ingest" in STUDY_DOC | MONITOR_DOC under ShardIngest,
+    /// Inside [`Stage::Ingest`], as `frame_parse` is.
+    FlowIngest = "flow_ingest" in STUDY_DOC | MONITOR_DOC under Ingest,
     /// In-order TCP payload handed to an application analyzer: deliveries /
-    /// delivered bytes. Its wall is the sum of the TCP analyzers' walls,
-    /// which is all it ever timed.
+    /// delivered bytes. A sum row: the TCP analyzers' rows, added up.
     TcpDeliver = "tcp_deliver" in STUDY_DOC | MONITOR_DOC under FlowIngest,
     /// Datagrams handed to an application analyzer: deliveries / delivered
-    /// bytes. Its wall is the sum of the UDP analyzers' walls.
+    /// bytes. A sum row: the UDP analyzers' rows, added up.
     UdpDeliver = "udp_deliver" in STUDY_DOC | MONITOR_DOC under FlowIngest,
     /// Per-connection analyzer drain at close: connections summarized /
     /// payload bytes of those connections.
@@ -272,56 +277,74 @@ stat_table! {
     /// Monitor mode, checkpoint serialization + atomic write: checkpoints
     /// written / 0.
     Checkpoint = "checkpoint" in MONITOR_DOC,
-    /// Bounded-state degradation: evicted connections plus dropped
-    /// pending-map entries / 0 (zero when no budget was exceeded). Its
-    /// wall is the other backpressure in the system: the time a batch
-    /// run's dispatcher waited for room in its worker lane's batch channel
-    /// (zero inline and in monitor mode).
-    Backpressure = "backpressure",
+    /// The time a batch run's dispatcher waited for room in its worker
+    /// lane's batch channel (zero inline and in monitor mode), inside the
+    /// ingest phase's elapsed wall; events and bytes are 0. Bounded-state
+    /// degradation is counted by [`crate::records::IngestHealth`] alone.
+    Backpressure = "backpressure" under Ingest,
     /// *Elapsed* wall of the frame-parse + flow-ingest phase of one trace,
     /// end to end, as the caller saw it (zero in monitor mode). Inline it
     /// is the frame loop plus the window close; on the worker lane, whose
     /// `frame_parse`/`flow_ingest` walls count only the worker's own work,
-    /// it adds the hand-off and the join. Both of those stages are
-    /// declared `under` it, so its exclusive wall is the phase's own share
-    /// (the window close, and the lane's hand-off). The name dates from
-    /// N-way lanes and stays with checkpoint VERSION 2. Events and bytes
-    /// are always 0, so the stage is signature-neutral.
-    ShardIngest = "shard_ingest",
+    /// it adds the hand-off and the join. Those stages and `backpressure`
+    /// are declared `under` it, so its exclusive wall is the phase's own
+    /// share (the window close, and the lane's hand-off). Events and bytes
+    /// are always 0.
+    Ingest = "ingest",
+    // One row per application analyzer, under the stage that delivers its
+    // payload. An event is one delivery into the analyzer (a TCP segment's
+    // in-order data or one UDP datagram); bytes are the delivered payload
+    // bytes.
+    /// HTTP transaction parsing.
+    Http = "http" under TcpDeliver,
+    /// SMTP session tracking.
+    Smtp = "smtp" under TcpDeliver,
+    /// Cleartext IMAP4 command tracking.
+    Imap = "imap" under TcpDeliver,
+    /// TLS record/handshake tracking (HTTPS, IMAP-S, POP-S).
+    Tls = "tls" under TcpDeliver,
+    /// CIFS/SMB (and NetBIOS-SSN) message parsing.
+    Cifs = "cifs" under TcpDeliver,
+    /// DCE/RPC call parsing (mapped ports and pipes).
+    Dcerpc = "dcerpc" under TcpDeliver,
+    /// NFS over TCP.
+    NfsTcp = "nfs_tcp" under TcpDeliver,
+    /// NFS over UDP.
+    NfsUdp = "nfs_udp" under UdpDeliver,
+    /// NCP call parsing.
+    Ncp = "ncp" under TcpDeliver,
+    /// DNS query/response matching.
+    Dns = "dns" under UdpDeliver,
+    /// NetBIOS-NS transaction matching.
+    Nbns = "nbns" under UdpDeliver,
 }
 
-stat_table! {
-    /// Application analyzers with individually-attributed delivery time.
-    enum AnalyzerKind;
-    /// Per-analyzer cumulative delivery time, event and byte counts. One
-    /// event is one payload delivery into the analyzer (a TCP segment's
-    /// in-order data or one UDP datagram); bytes are the delivered payload
-    /// bytes — both exact; wall time is the 1-in-71 estimate described on
-    /// [`Stage`], nested inside [`Stage::TcpDeliver`] or
-    /// [`Stage::UdpDeliver`].
-    struct AnalyzerMetrics;
-    /// HTTP transaction parsing.
-    Http = "http",
-    /// SMTP session tracking.
-    Smtp = "smtp",
-    /// Cleartext IMAP4 command tracking.
-    Imap = "imap",
-    /// TLS record/handshake tracking (HTTPS, IMAP-S, POP-S).
-    Tls = "tls",
-    /// CIFS/SMB (and NetBIOS-SSN) message parsing.
-    Cifs = "cifs",
-    /// DCE/RPC call parsing (mapped ports and pipes).
-    Dcerpc = "dcerpc",
-    /// NFS over TCP.
-    NfsTcp = "nfs_tcp",
-    /// NFS over UDP.
-    NfsUdp = "nfs_udp",
-    /// NCP call parsing.
-    Ncp = "ncp",
-    /// DNS query/response matching.
-    Dns = "dns",
-    /// NetBIOS-NS transaction matching.
-    Nbns = "nbns",
+/// The rows that time nothing themselves: at every window close each is
+/// set to the sum of the rows declared `under` it — events, bytes and wall
+/// — so a delivery is counted once, in its analyzer's row.
+pub const SUM_ROWS: [Stage; 2] = [Stage::TcpDeliver, Stage::UdpDeliver];
+
+impl Stage {
+    /// Whether a sum row already holds this row's figures in full: the
+    /// analyzer rows.
+    pub(crate) fn summed(self) -> bool {
+        self.parent().is_some_and(|p| SUM_ROWS.contains(&p))
+    }
+}
+
+impl StageStats {
+    /// Set every one of [`SUM_ROWS`] to the sum of its child rows.
+    pub(crate) fn fill_sum_rows(&mut self) {
+        for row in SUM_ROWS {
+            let mut sum = StageStat::default();
+            for (stage, stat) in Stage::ALL.iter().zip(&self.stats) {
+                if stage.parent() == Some(row) {
+                    sum.absorb(stat);
+                }
+            }
+            self[row] = sum;
+        }
+    }
 }
 
 /// Stage-level observability for the analysis pipeline.
@@ -334,8 +357,6 @@ pub struct PipelineMetrics {
     /// Per-stage wall time and event counts (see [`Stage`] for what each
     /// stage's events and bytes mean).
     pub stages: StageStats,
-    /// Per-analyzer delivery time and event counts.
-    pub analyzers: AnalyzerMetrics,
     /// High-water mark of simultaneously open connections (max, not sum,
     /// under [`PipelineMetrics::absorb`]).
     pub peak_open_conns: u64,
@@ -352,7 +373,6 @@ impl PipelineMetrics {
     /// Wall times and counts add; `peak_open_conns` takes the max.
     pub fn absorb(&mut self, other: &PipelineMetrics) {
         self.stages.absorb(&other.stages);
-        self.analyzers.absorb(&other.analyzers);
         self.peak_open_conns = self.peak_open_conns.max(other.peak_open_conns);
         self.trace_wall_ns += other.trace_wall_ns;
         self.traces += other.traces;
@@ -384,17 +404,15 @@ impl PipelineMetrics {
         self.bytes() as f64 / (self.trace_wall_ns as f64 / 1e9)
     }
 
-    /// Deterministic fingerprint of the metrics: every stage's and
-    /// analyzer's (name, events, bytes), plus the trace total.
+    /// Deterministic fingerprint of the metrics: every stage's (name,
+    /// events, bytes), plus the trace total.
     /// Wall times are deliberately excluded — two runs of the same study
     /// must produce identical signatures regardless of thread count — and
     /// so is `peak_open_conns`, so that the committed hashes do not move.
     /// The peak is equal inline and on the worker lane, and is compared
     /// exactly between runs via the top-level bench keys.
     pub fn events_signature(&self) -> Vec<(String, u64, u64)> {
-        let stages = self.stages.named().map(|(n, s)| (format!("stage:{n}"), s));
-        let analyzers = self.analyzers.named().map(|(n, s)| (format!("analyzer:{n}"), s));
-        let mut sig: Vec<_> = stages.chain(analyzers).map(|(name, s)| (name, s.events, s.bytes)).collect();
+        let mut sig: Vec<_> = self.stages.named().map(|(n, s)| (format!("stage:{n}"), s.events, s.bytes)).collect();
         sig.push(("traces".into(), self.traces, 0));
         sig
     }
@@ -429,40 +447,30 @@ impl PipelineMetrics {
 
     /// Render the study-wide per-stage table for the CLI: inclusive wall
     /// (`wall ms`) beside exclusive (`excl ms`, [`Self::exclusive_ns`]), so
-    /// the rows of the second column do not overlap.
+    /// the rows of the second column do not overlap and add up to the
+    /// roots' walls.
     pub fn stage_table(&self, title: &str) -> Table {
         let mut t = Table::new(title, &["stage", "wall ms", "excl ms", "events", "Mbytes", "ev/s"]);
+        let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
         for (stage, (name, s)) in Stage::ALL.iter().zip(self.stages.named()) {
-            // The monitor-only stages stay out of batch-study tables.
+            // Rows a run never touched (the monitor's in a batch study, an
+            // analyzer without traffic) stay out, the study's own stages in.
             if stage.mandatory_in() & STUDY_DOC == 0 && *s == StageStat::default() {
                 continue;
             }
-            t.row(stage_row(name, s, Some(self.exclusive_ns(*stage))));
-        }
-        for (name, s) in self.analyzers.named() {
-            if s.events == 0 {
-                continue;
-            }
-            // An analyzer's wall is a share of its deliver stage's, which
-            // the column has counted already.
-            t.row(stage_row(&format!("analyzer:{name}"), s, None));
+            t.row(vec![
+                name.to_string(),
+                ms(s.wall_ns),
+                ms(self.exclusive_ns(*stage)),
+                s.events.to_string(),
+                format!("{:.3}", s.bytes as f64 / 1e6),
+                format!("{:.0}", s.events_per_sec()),
+            ]);
         }
         let blank = String::new;
         t.row(vec!["peak open conns".into(), blank(), blank(), self.peak_open_conns.to_string(), blank(), blank()]);
         t
     }
-}
-
-fn stage_row(name: &str, s: &StageStat, exclusive_ns: Option<u64>) -> Vec<String> {
-    let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    vec![
-        name.to_string(),
-        ms(s.wall_ns),
-        exclusive_ns.map(ms).unwrap_or_default(),
-        s.events.to_string(),
-        format!("{:.3}", s.bytes as f64 / 1e6),
-        format!("{:.0}", s.events_per_sec()),
-    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -523,9 +531,6 @@ struct Key {
     name: &'static str,
     role: Role,
     fmt: Fmt,
-    /// Value assumed where the key is absent (a key newer than some
-    /// committed documents); `None` makes the key required.
-    absent: Option<f64>,
     /// How the emitter derives the value from the run's metrics; `None`
     /// means the caller supplies it by name.
     derive: Option<fn(&PipelineMetrics) -> Val>,
@@ -533,10 +538,7 @@ struct Key {
 
 impl Key {
     const fn new(name: &'static str, role: Role, fmt: Fmt) -> Key {
-        Key { name, role, fmt, absent: None, derive: None }
-    }
-    const fn or_absent(self, value: f64) -> Key {
-        Key { absent: Some(value), ..self }
+        Key { name, role, fmt, derive: None }
     }
     const fn derived(self, derive: fn(&PipelineMetrics) -> Val) -> Key {
         Key { derive: Some(derive), ..self }
@@ -567,8 +569,8 @@ pub struct Schema {
     tag: &'static str,
     /// Top-level keys, in emission order.
     top: &'static [Key],
-    /// `Some(bit)`: the document carries the `stages` and `analyzers` maps,
-    /// and every stage with `bit` in [`Stage::mandatory_in`] is non-zero.
+    /// `Some(bit)`: the document carries the `stages` map, and every stage
+    /// with `bit` in [`Stage::mandatory_in`] is non-zero.
     stages: Option<u8>,
     entries: Option<Entries>,
     /// Invariants beyond shape over `(document, its entries)`, checked on
@@ -582,7 +584,7 @@ pub struct Schema {
 use Fmt::{Fixed, Num, Text};
 use Role::{Exact, Info, Param, Rate, Wall};
 
-/// The members of every `stages` / `analyzers` map entry: wall time,
+/// The members of every `stages` map entry: wall time,
 /// events, bytes — in that order, which the stage checks rely on.
 const STAT_KEYS: [Key; 3] = [Key::new("wall_us", Wall, Fixed(3)), exact("events"), exact("bytes")];
 
@@ -600,10 +602,6 @@ pub const PIPELINE: Schema = Schema {
     tag: "ent-bench-pipeline/1",
     top: &[
         param("scale"), param("seed"), param("threads"),
-        // Inline (0) or the worker lane (1): no exact key depends on it,
-        // the peak included, so it is recorded, not compared. Documents
-        // older than sharding carry no "shards"; all such runs were inline.
-        info("shards").or_absent(0.0),
         info_us("study_wall_us"),
         info_us("worker_wall_us").derived(|m| Val::F(m.trace_wall_ns as f64 / 1e3)),
         exact("traces").derived(|m| Val::U(m.traces)),
@@ -620,7 +618,7 @@ pub const PIPELINE: Schema = Schema {
         keys: &[Key::new("name", Param, Text), exact("traces"), info_us("wall_us"), exact("packets"), exact("bytes")],
     }),
     check: None,
-    gate: Some(gate_hot_path_share),
+    gate: Some(gate_ledger),
 };
 
 /// A resident run (`entreport monitor --bench-json`). It has no generation
@@ -651,7 +649,7 @@ pub const MONITOR: Schema = Schema {
 pub const PACKS: Schema = Schema {
     tag: "ent-bench-packs/1",
     top: &[
-        param("scale"), param("seed"), param("threads"), param("shards"),
+        param("scale"), param("seed"), param("threads"),
         param("precision_floor"), param("recall_floor"),
     ],
     stages: None,
@@ -704,8 +702,8 @@ fn block(name: &str, brackets: [char; 2], rows: &[String]) -> String {
 /// Serialize one bench document of kind `schema`.
 ///
 /// `values` supplies, by name, every top-level key the schema does not
-/// derive from `metrics`; `metrics` also fills the `stages`/`analyzers`
-/// maps of the schemas that carry them; `entries` holds one named-value
+/// derive from `metrics`; `metrics` also fills the `stages` map of the
+/// schemas that carry it; `entries` holds one named-value
 /// list per element of the schema's entry array. Member order and number
 /// formatting come from the schema row, never from the caller.
 pub fn bench_json(
@@ -723,9 +721,7 @@ pub fn bench_json(
             Ok(format!("\"{name}\": {{{}}}", members(&STAT_KEYS, &stat, None)?.join(", ")))
         };
         let stages = m.stages.named().map(stat_row).collect::<Res<Vec<_>>>()?;
-        let analyzers = m.analyzers.named().map(stat_row).collect::<Res<Vec<_>>>()?;
         top.push(block("stages", ['{', '}'], &stages));
-        top.push(block("analyzers", ['{', '}'], &analyzers));
     }
     if let Some(e) = &schema.entries {
         let row = |entry: &Vec<(&str, Val)>| -> Res<String> {
@@ -930,10 +926,9 @@ fn text<'a>(obj: &'a JsonValue, key: &str) -> &'a str {
 
 /// A key's value as text, for equality checks and diagnoses alike.
 fn show(key: &Key, obj: &JsonValue) -> String {
-    match (obj.get(key.name), key.absent) {
-        (Some(JsonValue::String(s)), _) => s.clone(),
-        (Some(JsonValue::Number(n)), _) => n.to_string(),
-        (None, Some(default)) => default.to_string(),
+    match obj.get(key.name) {
+        Some(JsonValue::String(s)) => s.clone(),
+        Some(JsonValue::Number(n)) => n.to_string(),
         _ => "missing".into(),
     }
 }
@@ -960,7 +955,6 @@ fn require(keys: &[Key], obj: &JsonValue, ctx: &str) -> Res {
     for key in keys {
         let name = key.name;
         match (key.fmt, obj.get(name)) {
-            (_, None) if key.absent.is_some() => {}
             (Text, Some(JsonValue::String(_))) => {}
             (Text, _) => bail!("{ctx}missing string field {name:?}"),
             (_, Some(JsonValue::Number(n))) if *n >= 0.0 => {}
@@ -1004,9 +998,8 @@ fn validated(text: &str) -> Res<(JsonValue, &'static Schema, BenchSummary)> {
         bail!("run analyzed zero packets");
     }
     if let Some(bit) = schema.stages {
-        let object = |key| matches!(doc.get(key), Some(JsonValue::Object(_)));
-        if !object("stages") || !object("analyzers") {
-            bail!("missing \"stages\" or \"analyzers\" object");
+        if !matches!(doc.get("stages"), Some(JsonValue::Object(_))) {
+            bail!("missing \"stages\" object");
         }
         let [wall_key, events_key, _] = STAT_KEYS;
         for (name, stat) in mandatory_stages(&doc, bit) {
@@ -1104,14 +1097,33 @@ fn check_packs(doc: &JsonValue, packs: &[JsonValue], summary: &mut BenchSummary)
 const HOT_PATH: [Stage; 3] = [Stage::GenSynth, Stage::FrameParse, Stage::FlowIngest];
 const HOT_PATH_SHARE_FLOOR: f64 = 0.55;
 
-/// A study document's within-run wall-share floor, one-sided:
-/// [`HOT_PATH`] over the sum of every stage's wall.
-fn gate_hot_path_share(doc: &JsonValue) -> Result<String, String> {
+/// How far the root rows' walls may sum from the worker wall, either way:
+/// the unattributed rest is the seal's few passes outside every stage.
+const LEDGER_TOLERANCE: f64 = 0.02;
+
+/// A study document's within-run gates, each a ratio of its own walls:
+/// the roots of the stage tree ([`Stage::parent`] `None`) must add up to
+/// `worker_wall_us` within [`LEDGER_TOLERANCE`], and [`HOT_PATH`] must stay
+/// under [`HOT_PATH_SHARE_FLOOR`] of the summed stage wall (a sum row's
+/// children counted once, in the sum row).
+fn gate_ledger(doc: &JsonValue) -> Result<String, String> {
     let wall = |s: &Stage| doc.get("stages").and_then(|m| m.get(s.name())).map_or(0.0, |stat| num(stat, STAT_KEYS[0].name));
-    let (hot, total): (f64, f64) = (HOT_PATH.iter().map(wall).sum(), Stage::ALL.iter().map(wall).sum());
-    let share = if total > 0.0 { hot / total } else { 0.0 };
-    let line = format!("hot-path wall share: {:.1}% (floor: < {:.0}%)", share * 100.0, HOT_PATH_SHARE_FLOOR * 100.0);
-    if share < HOT_PATH_SHARE_FLOOR { Ok(line + "  ok\n") } else { Err(line) }
+    let share = |part: f64, whole: f64| if whole > 0.0 { part / whole } else { 0.0 };
+    let roots: f64 = Stage::ALL.iter().filter(|s| s.parent().is_none()).map(wall).sum();
+    let attributed = share(roots, num(doc, "worker_wall_us"));
+    let ledger = format!(
+        "root stage walls: {:.2}% of the worker wall, {:.2}% unattributed (tolerance: {:.0}%)",
+        attributed * 100.0,
+        (1.0 - attributed) * 100.0,
+        LEDGER_TOLERANCE * 100.0
+    );
+    if (1.0 - attributed).abs() > LEDGER_TOLERANCE {
+        return Err(ledger);
+    }
+    let total: f64 = Stage::ALL.iter().filter(|s| !s.summed()).map(wall).sum();
+    let hot = share(HOT_PATH.iter().map(wall).sum(), total);
+    let line = format!("hot-path wall share: {:.1}% (floor: < {:.0}%)", hot * 100.0, HOT_PATH_SHARE_FLOOR * 100.0);
+    if hot < HOT_PATH_SHARE_FLOOR { Ok(format!("{ledger}  ok\n{line}  ok\n")) } else { Err(line) }
 }
 
 /// `entreport obs-check`: validate a bench document, then hold it to its
@@ -1206,7 +1218,8 @@ mod tests {
     fn nonzero_metrics() -> PipelineMetrics {
         let mut m = PipelineMetrics {
             peak_open_conns: 5,
-            trace_wall_ns: 7_000,
+            // The roots' walls: generate, scanner removal (no ingest wall).
+            trace_wall_ns: 3_100,
             traces: 1,
             ..Default::default()
         };
@@ -1220,7 +1233,9 @@ mod tests {
         m.stages[Stage::UdpDeliver].add(400, 3, 30);
         m.stages[Stage::Finalize].add(600, 2, 20);
         m.stages[Stage::ScannerRemoval].add(100, 2, 0);
-        m.analyzers[AnalyzerKind::Http].add(200, 2, 20);
+        // Each deliver stage is its analyzers' sum.
+        m.stages[Stage::Http].add(500, 4, 40);
+        m.stages[Stage::Dns].add(400, 3, 30);
         m
     }
 
@@ -1239,7 +1254,7 @@ mod tests {
         assert_eq!(a.stages[Stage::FlowIngest].events, 25);
         assert_eq!(a.stages[Stage::FlowIngest].bytes, 250);
         assert_eq!(a.peak_open_conns, 5); // max, not sum
-        assert_eq!(a.trace_wall_ns, 14_000);
+        assert_eq!(a.trace_wall_ns, 6_200);
     }
 
     #[test]
@@ -1263,11 +1278,15 @@ mod tests {
         }
         assert_eq!(m.exclusive_ns(Stage::Generate), 2_100_000); // 3000 − (600 + 100 + 200) µs
         assert_eq!(m.exclusive_ns(Stage::FlowIngest), 1_500_000); // 3000 − (500 + 400 + 600) µs
-        assert_eq!(m.exclusive_ns(Stage::TcpDeliver), 500_000);
-        // The ingest phase's elapsed wall encloses `frame_parse` and
-        // `flow_ingest`: its own share is what is left of it.
-        m.stages[Stage::ShardIngest].wall_ns = 5_250_000; // 2000 + 3000 µs + its own 250 µs
-        assert_eq!(m.exclusive_ns(Stage::ShardIngest), 250_000);
+        // A sum row's own share is nothing; its analyzers hold it all.
+        assert_eq!(m.exclusive_ns(Stage::TcpDeliver), 0);
+        assert_eq!(m.exclusive_ns(Stage::Http), 500_000);
+        // The ingest phase's elapsed wall encloses `frame_parse`,
+        // `flow_ingest` and the lane's send wait: its own share is what is
+        // left of it.
+        m.stages[Stage::Backpressure].wall_ns = 100_000;
+        m.stages[Stage::Ingest].wall_ns = 5_250_000; // 2000 + 3000 + 100 µs + its own 150 µs
+        assert_eq!(m.exclusive_ns(Stage::Ingest), 150_000);
         // So the column adds up to the roots' walls, counting no stage twice.
         let table = m.stage_table("stages");
         let col = table.headers.iter().position(|h| h == "excl ms").expect("excl ms column");
@@ -1314,7 +1333,7 @@ mod tests {
         Doc {
             schema: &PIPELINE,
             top: vec![
-                ("scale", F(scale)), ("seed", U(seed)), ("threads", U(threads)), ("shards", U(0)),
+                ("scale", F(scale)), ("seed", U(seed)), ("threads", U(threads)),
                 ("study_wall_us", F(study_wall_ns as f64 / 1e3)),
             ],
             metrics: Some(*m),
@@ -1438,10 +1457,13 @@ mod tests {
         // The hot-path share is a within-run ratio: `obs-check` holds a
         // study document to it on its own, and the comparison does not.
         let base = bench_doc(&nonzero_metrics());
-        let (_, line) = obs_check(&base).expect("53% passes");
-        assert_eq!(line, "hot-path wall share: 53.3% (floor: < 55%)  ok\n");
+        let (_, lines) = obs_check(&base).expect("53% passes");
+        // The analyzer rows are counted once, in their deliver stages, so
+        // they do not grow the denominator.
+        assert_eq!(lines.lines().nth(1), Some("hot-path wall share: 53.3% (floor: < 55%)  ok"));
         let mut hot = nonzero_metrics();
         hot.stages[Stage::Generate].wall_ns = 2_000;
+        hot.trace_wall_ns = 2_100;
         let hot = bench_doc(&hot);
         let err = obs_check(&hot).expect_err("58.9% fails");
         assert!(err.message().contains("hot-path wall share: 58.9%"), "{err}");
@@ -1450,6 +1472,32 @@ mod tests {
         assert!(!report.contains("hot-path"), "{report}");
         // Documents without a gate report no line.
         assert_eq!(obs_check(&packs().text()).expect("valid packs doc").1, "");
+    }
+
+    #[test]
+    fn obs_check_holds_the_roots_to_the_worker_wall() {
+        // The golden document's roots (generate, scanner removal) add up
+        // to its worker wall exactly.
+        let (_, lines) = obs_check(&bench_doc(&nonzero_metrics())).expect("the ledger balances");
+        assert_eq!(
+            lines.lines().next(),
+            Some("root stage walls: 100.00% of the worker wall, 0.00% unattributed (tolerance: 2%)  ok")
+        );
+        // 3% of the worker wall outside every root stage fails, naming the
+        // unattributed share; the document's shape is still fine.
+        let mut short = nonzero_metrics();
+        short.trace_wall_ns = 3_196; // 3 100 / 0.97
+        let short = bench_doc(&short);
+        let err = obs_check(&short).expect_err("3% unattributed");
+        assert!(err.message().contains("3.00% unattributed"), "{err}");
+        validate_bench_json(&short).expect("the shape is fine");
+        // A nested stage is no root: an ingest wall holding the lane's send
+        // wait balances once, not twice.
+        let mut lane = nonzero_metrics();
+        lane.stages[Stage::Backpressure].wall_ns = 500;
+        lane.stages[Stage::Ingest].wall_ns = 5_600;
+        lane.trace_wall_ns = 8_700;
+        obs_check(&bench_doc(&lane)).expect("the send wait is inside ingest");
     }
 
     #[test]
@@ -1464,7 +1512,6 @@ mod tests {
         let mut m = nonzero_metrics();
         m.stages[Stage::EpochRotate].add(300, 4, 6);
         m.stages[Stage::Checkpoint].add(900, 3, 0);
-        m.stages[Stage::Backpressure].add(50, 2, 0);
         m
     }
 
@@ -1557,7 +1604,7 @@ mod tests {
         assert_eq!(a.events_signature(), b.events_signature());
         assert_eq!(a.events_signature_hash(), b.events_signature_hash());
         // ...while any real counter drift must move the hash.
-        b.analyzers[AnalyzerKind::Http].events += 1;
+        b.stages[Stage::Http].events += 1;
         assert_ne!(a.events_signature_hash(), b.events_signature_hash());
     }
 
@@ -1580,7 +1627,7 @@ mod tests {
         Doc {
             schema: &PACKS,
             top: vec![
-                ("scale", F(0.01)), ("seed", U(2005)), ("threads", U(1)), ("shards", U(0)),
+                ("scale", F(0.01)), ("seed", U(2005)), ("threads", U(1)),
                 ("precision_floor", F(0.9)), ("recall_floor", F(0.9)),
             ],
             metrics: None,
@@ -1603,7 +1650,7 @@ mod tests {
         // and the confusion-matrix/entropy field layout).
         let doc = json_parse(&text).expect("well-formed JSON");
         assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some(PACKS.tag));
-        for key in ["scale", "seed", "threads", "shards", "precision_floor", "recall_floor"] {
+        for key in ["scale", "seed", "threads", "precision_floor", "recall_floor"] {
             assert!(doc.get(key).and_then(JsonValue::as_f64).is_some(), "{key}");
         }
         let Some(JsonValue::Array(packs)) = doc.get("packs") else {
@@ -1696,21 +1743,6 @@ mod tests {
         assert!(err.message().contains("recall_floor"), "{err}");
     }
 
-    #[test]
-    fn pipeline_compare_treats_missing_shards_as_serial() {
-        let base = bench_doc(&nonzero_metrics());
-        // A pre-sharding baseline has no "shards" key at all; it was a
-        // serial run, so it stays comparable to a shards=0 candidate.
-        let legacy = base.replace("  \"shards\": 0,\n", "");
-        assert!(!legacy.contains("\"shards\""));
-        compare_bench_json(&legacy, &base).expect("legacy baseline comparable");
-        // The worker lane changes no exact key, so a one-lane candidate
-        // compares clean against an inline baseline.
-        let lane = base.replace("\"shards\": 0", "\"shards\": 1");
-        assert_ne!(lane, base);
-        compare_bench_json(&base, &lane).expect("one lane comparable to inline");
-    }
-
     /// The three fixtures above, one per [`SCHEMAS`] row and in its order,
     /// each with the document the parent commit's hand-written emitter
     /// produced for it. The length is the table's, so a row without a
@@ -1770,11 +1802,9 @@ mod tests {
             for (key, line) in places.iter().flat_map(|(keys, line)| keys.iter().map(move |k| (k, line))) {
                 let name = key.name;
                 // Removing a declared key fails validation, naming it.
-                match (validate_bench_json(&edit_member(&text, line, name, renamed)), key.absent) {
-                    (Err(e), None) => assert!(e.message().contains(name), "{name}: {e}"),
-                    (Ok(_), Some(_)) => {}
-                    (other, _) => panic!("{tag}: without {name}: {other:?}"),
-                }
+                let err = validate_bench_json(&edit_member(&text, line, name, renamed))
+                    .expect_err(&format!("{tag}: without {name}"));
+                assert!(err.message().contains(name), "{name}: {err}");
                 // Perturbing an exact key fails comparison.
                 if key.role == Exact {
                     let drifted = edit_member(&text, line, name, bumped);

@@ -9,7 +9,7 @@
 //! analyses.
 
 use crate::error::AnalysisError;
-use crate::metrics::{AnalyzerKind, Stage, StageStat, StageTimer};
+use crate::metrics::{Stage, StageStat, StageTimer};
 use crate::records::*;
 use crate::scanners::{remove_scanners, ScannerConfig};
 use crate::small::SmallMap;
@@ -96,39 +96,24 @@ struct PerConn {
     state: AppState,
 }
 
-/// Which analyzer a connection's state feeds, for per-analyzer metrics.
-fn kind_of(state: &AppState) -> Option<AnalyzerKind> {
-    match state {
-        AppState::None => None,
-        AppState::Http(_) => Some(AnalyzerKind::Http),
-        AppState::Smtp(_) => Some(AnalyzerKind::Smtp),
-        AppState::Imap(_) => Some(AnalyzerKind::Imap),
-        AppState::Tls(_) => Some(AnalyzerKind::Tls),
-        AppState::Cifs(_) => Some(AnalyzerKind::Cifs),
-        AppState::Dcerpc(_) => Some(AnalyzerKind::Dcerpc),
-        AppState::NfsTcp(_) => Some(AnalyzerKind::NfsTcp),
-        AppState::NfsUdp(_) => Some(AnalyzerKind::NfsUdp),
-        AppState::Ncp(_) => Some(AnalyzerKind::Ncp),
-        AppState::Dns(_) => Some(AnalyzerKind::Dns),
-        AppState::Nbns(_) => Some(AnalyzerKind::Nbns),
-    }
-}
-
-/// The stage that hands this analyzer its payload. A delivery is made only
-/// to an analyzer of the delivering stage, so each stage's events, bytes
-/// and wall are the sums of its analyzers'.
-fn deliver_stage(kind: AnalyzerKind) -> Stage {
-    match kind {
-        AnalyzerKind::Http
-        | AnalyzerKind::Smtp
-        | AnalyzerKind::Imap
-        | AnalyzerKind::Tls
-        | AnalyzerKind::Cifs
-        | AnalyzerKind::Dcerpc
-        | AnalyzerKind::NfsTcp
-        | AnalyzerKind::Ncp => Stage::TcpDeliver,
-        AnalyzerKind::NfsUdp | AnalyzerKind::Dns | AnalyzerKind::Nbns => Stage::UdpDeliver,
-    }
+/// The analyzer row a delivery to this state counts into, if the state
+/// feeds an analyzer delivered by `stage` (the row's declared parent).
+fn analyzer_row(state: &AppState, stage: Stage) -> Option<Stage> {
+    let row = match state {
+        AppState::None => return None,
+        AppState::Http(_) => Stage::Http,
+        AppState::Smtp(_) => Stage::Smtp,
+        AppState::Imap(_) => Stage::Imap,
+        AppState::Tls(_) => Stage::Tls,
+        AppState::Cifs(_) => Stage::Cifs,
+        AppState::Dcerpc(_) => Stage::Dcerpc,
+        AppState::NfsTcp(_) => Stage::NfsTcp,
+        AppState::NfsUdp(_) => Stage::NfsUdp,
+        AppState::Ncp(_) => Stage::Ncp,
+        AppState::Dns(_) => Stage::Dns,
+        AppState::Nbns(_) => Stage::Nbns,
+    };
+    (row.parent() == Some(stage)).then_some(row)
 }
 
 /// Sampling stride of every clock on the packet path — the frame loop's
@@ -200,15 +185,22 @@ pub(crate) fn estimate_wall_ns(weighted_ns: u64, events: u64) -> u64 {
     u64::try_from(wall).unwrap_or(u64::MAX)
 }
 
-/// Weighted nanoseconds of one window's clocked events, window-scoped like
-/// the engine's `fused_ns`: [`Engine::close_window`] turns them into the
-/// stats' `wall_ns` and starts the next window from zero.
+/// Weighted nanoseconds of one window's clocked events, one slot per row
+/// in [`Stage::ALL`] order (only the rows [`sampled_timer`] counts ever
+/// fill theirs), window-scoped like the engine's `fused_ns`:
+/// [`Engine::close_window`] turns them into the rows' `wall_ns` and starts
+/// the next window from zero.
 #[derive(Default)]
-struct SampledLaps {
-    /// Deliveries, per analyzer in [`AnalyzerKind::ALL`] order.
-    deliver_ns: [u64; AnalyzerKind::COUNT],
-    /// Connection closes ([`Stage::Finalize`]).
-    finalize_ns: u64,
+struct SampledLaps([u64; Stage::COUNT]);
+
+impl SampledLaps {
+    /// Bank a clocked event's weighted lap in its row's slot.
+    #[inline]
+    fn add(&mut self, row: Stage, clocked: Option<Clocked>) {
+        if let (Some(clocked), Some(ns)) = (clocked, self.0.get_mut(row as usize)) {
+            *ns += clocked.weighted_ns();
+        }
+    }
 }
 
 struct Handler {
@@ -325,9 +317,7 @@ impl Handler {
             app: pc.app,
             category,
         });
-        if let Some(clocked) = clocked {
-            self.laps.finalize_ns += clocked.weighted_ns();
-        }
+        self.laps.add(Stage::Finalize, clocked);
     }
 
     /// Flush a closing connection's analyzer into the output records.
@@ -456,8 +446,7 @@ impl FlowHandler for Handler {
         let Some(pc) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        let kind = kind_of(&pc.state).filter(|kind| deliver_stage(*kind) == Stage::TcpDeliver);
-        let Some(kind) = kind else {
+        let Some(row) = analyzer_row(&pc.state, Stage::TcpDeliver) else {
             return;
         };
         #[cfg(test)]
@@ -466,9 +455,7 @@ impl FlowHandler for Handler {
             self.panic_every != 0 && self.tcp_data_events.is_multiple_of(self.panic_every)
         };
         let from_client = dir == Dir::Orig;
-        let bytes = data.len() as u64;
-        self.out.metrics.stages[Stage::TcpDeliver].add(0, 1, bytes);
-        let clocked = sampled_timer(&mut self.out.metrics.analyzers[kind], bytes);
+        let clocked = sampled_timer(&mut self.out.metrics.stages[row], data.len() as u64);
         // Fed in place: an analyzer that panics is dropped below, so the
         // state it left half-updated is never read again.
         let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -498,9 +485,7 @@ impl FlowHandler for Handler {
                 _ => {}
             }
         }));
-        if let (Some(clocked), Some(ns)) = (clocked, self.laps.deliver_ns.get_mut(kind as usize)) {
-            *ns += clocked.weighted_ns();
-        }
+        self.laps.add(row, clocked);
         match fed {
             Ok(()) => {
                 if let AppState::Dcerpc(d) = &mut pc.state {
@@ -552,17 +537,14 @@ impl FlowHandler for Handler {
         let Some(pc) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        let kind = kind_of(&pc.state).filter(|kind| deliver_stage(*kind) == Stage::UdpDeliver);
-        let Some(kind) = kind else {
+        let Some(row) = analyzer_row(&pc.state, Stage::UdpDeliver) else {
             return;
         };
         let from_client = dir == Dir::Orig;
         let (server, client) = (pc.key.resp.addr, pc.key.orig.addr);
         let max_pending = self.max_pending;
-        let bytes = data.len() as u64;
         let out = &mut self.out;
-        out.metrics.stages[Stage::UdpDeliver].add(0, 1, bytes);
-        let clocked = sampled_timer(&mut out.metrics.analyzers[kind], bytes);
+        let clocked = sampled_timer(&mut out.metrics.stages[row], data.len() as u64);
         let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match &mut pc.state {
                 AppState::Dns(st) => {
@@ -621,9 +603,7 @@ impl FlowHandler for Handler {
                 _ => {}
             }
         }));
-        if let (Some(clocked), Some(ns)) = (clocked, self.laps.deliver_ns.get_mut(kind as usize)) {
-            *ns += clocked.weighted_ns();
-        }
+        self.laps.add(row, clocked);
         if fed.is_err() {
             pc.state = AppState::None;
             demote(&mut self.out);
@@ -1005,27 +985,18 @@ impl Engine {
         self.ingest_sample_ns = 0;
     }
 
-    /// Turn the window's clocked delivery and close laps into its wall
-    /// estimates ([`estimate_wall_ns`]): one per analyzer, one for
-    /// `finalize`, and `tcp_deliver` / `udp_deliver` as the sums of their
-    /// analyzers' — a deliver stage times nothing but its analyzers, so its
-    /// wall is written once. Must run after `rotate`, whose forced closes
-    /// are events of this window.
+    /// Turn the window's clocked laps into its rows' wall estimates
+    /// ([`estimate_wall_ns`]; a row with no laps gains nothing), then fill
+    /// each sum row from its children ([`crate::metrics::SUM_ROWS`]). Must
+    /// run after `rotate`, whose forced closes are events of this window.
     fn flush_sampled_laps(&mut self) {
-        let laps = std::mem::take(&mut self.handler.laps);
-        let m = &mut self.handler.out.metrics;
-        for (stat, weighted_ns) in m.analyzers.stats.iter_mut().zip(laps.deliver_ns) {
-            stat.wall_ns = estimate_wall_ns(weighted_ns, stat.events);
+        let SampledLaps(laps) = std::mem::take(&mut self.handler.laps);
+        let stages = &mut self.handler.out.metrics.stages;
+        for (stage, weighted_ns) in Stage::ALL.into_iter().zip(laps) {
+            let stat = &mut stages[stage];
+            stat.wall_ns += estimate_wall_ns(weighted_ns, stat.events);
         }
-        let delivered_by = |stage: Stage| -> u64 {
-            let analyzers = AnalyzerKind::ALL.iter().zip(&m.analyzers.stats);
-            let fed = analyzers.filter(|(kind, _)| deliver_stage(**kind) == stage);
-            fed.map(|(_, stat)| stat.wall_ns).sum()
-        };
-        m.stages[Stage::TcpDeliver].wall_ns = delivered_by(Stage::TcpDeliver);
-        m.stages[Stage::UdpDeliver].wall_ns = delivered_by(Stage::UdpDeliver);
-        let finalize = &mut m.stages[Stage::Finalize];
-        finalize.wall_ns = estimate_wall_ns(laps.finalize_ns, finalize.events);
+        stages.fill_sum_rows();
     }
 
     /// The one window-close step, for the inline engine and the worker
@@ -1047,12 +1018,6 @@ impl Engine {
         out.health.evicted_conns = fstats.evicted_conns - self.closed.evicted_conns;
         self.closed = fstats;
         out.metrics.peak_open_conns = fstats.peak_open_conns;
-        // Degradation events surface as the backpressure stage in every
-        // mode, so a capped batch analysis and a monitor read the same way.
-        let degraded = out.health.evicted_conns + out.health.pending_dropped;
-        if degraded > 0 {
-            out.metrics.stages[Stage::Backpressure].add(0, degraded, 0);
-        }
         out
     }
 
@@ -1151,7 +1116,7 @@ fn seal(mut out: TraceAnalysis, config: &PipelineConfig, total: StageTimer) -> T
     // Frame loop through the window close and the worker's join, as the
     // caller saw it. Events/bytes stay zero so the entry is constant under
     // `events_signature`.
-    out.metrics.stages[Stage::ShardIngest].add(total.elapsed_ns(), 0, 0);
+    out.metrics.stages[Stage::Ingest].add(total.elapsed_ns(), 0, 0);
     post_process(&mut out, config);
     out.metrics.trace_wall_ns = total.elapsed_ns();
     out.metrics.traces = 1;
@@ -1512,6 +1477,10 @@ pub(crate) mod tests {
         );
     }
 
+    fn analyzer_rows() -> impl Iterator<Item = Stage> {
+        Stage::ALL.into_iter().filter(|s| s.summed())
+    }
+
     fn clock_reads() -> u64 {
         crate::metrics::CLOCK_READS.with(std::cell::Cell::get)
     }
@@ -1527,7 +1496,7 @@ pub(crate) mod tests {
         let reads = clock_reads() - before;
         let m = &a.metrics;
         let closes = m.stages[Stage::Finalize].events;
-        let deliveries: u64 = m.analyzers.named().map(|(_, s)| s.events).sum();
+        let deliveries = m.stages[Stage::TcpDeliver].events + m.stages[Stage::UdpDeliver].events;
         assert!((deliveries + closes) * 2 > a.packets, "{deliveries} + {closes} of {}", a.packets);
         assert!(reads * 16 <= a.packets, "{reads} clock reads for {} packets", a.packets);
         // And every one of them is the stride rule's: three laps per
@@ -1536,7 +1505,7 @@ pub(crate) mod tests {
         // scanner removal).
         let sampled = |events: u64| events.div_ceil(LAP_STRIDE);
         let per_frame = 3 * sampled(m.stages[Stage::FrameParse].events);
-        let per_event: u64 = m.analyzers.named().map(|(_, s)| 2 * sampled(s.events)).sum();
+        let per_event: u64 = analyzer_rows().map(|s| 2 * sampled(m.stages[s].events)).sum();
         let ruled = per_frame + per_event + 2 * sampled(closes);
         assert!((ruled..=ruled + 16).contains(&reads), "{reads} reads, the rule gives {ruled}");
     }
@@ -1602,19 +1571,18 @@ pub(crate) mod tests {
             let p = FrameRef { ts: Timestamp::from_micros(i as u64 * 1_000), frame: f, orig_len: f.len() as u32 };
             engine.ingest_dissected(p, Packet::parse(f).as_ref().ok(), false);
         }
-        let lap = engine.handler.laps.deliver_ns[AnalyzerKind::Http as usize];
+        let lap = engine.handler.laps.0[Stage::Http as usize];
         let out = engine.close_window(Timestamp::from_secs(1), TraceAnalysis::default());
         let m = &out.metrics;
-        assert_eq!((m.stages[Stage::TcpDeliver].events, m.analyzers[AnalyzerKind::Http].events), (1, 1));
+        assert_eq!((m.stages[Stage::TcpDeliver].events, m.stages[Stage::Http].events), (1, 1));
         assert!(lap > 0);
         // The one lap taken, not a stride of it.
-        assert_eq!(m.analyzers[AnalyzerKind::Http].wall_ns, lap);
+        assert_eq!(m.stages[Stage::Http].wall_ns, lap);
         assert_eq!(m.stages[Stage::TcpDeliver].wall_ns, lap);
         assert_eq!(m.stages[Stage::Finalize].events, 1);
         assert!(m.stages[Stage::Finalize].wall_ns > 0);
         // The window's clock state went with it.
-        assert_eq!(engine.handler.laps.deliver_ns, [0; AnalyzerKind::COUNT]);
-        assert_eq!(engine.handler.laps.finalize_ns, 0);
+        assert_eq!(engine.handler.laps.0, [0; Stage::COUNT]);
     }
 
     #[test]
@@ -1635,10 +1603,11 @@ pub(crate) mod tests {
                 let s = m.stages[stage];
                 assert_eq!(s.events > 0, s.wall_ns > 0, "epoch {}: {} {s:?}", e.index, stage.name());
             }
-            for (name, s) in m.analyzers.named() {
-                assert_eq!(s.events > 0, s.wall_ns > 0, "epoch {}: {name} {s:?}", e.index);
+            for row in analyzer_rows() {
+                let s = m.stages[row];
+                assert_eq!(s.events > 0, s.wall_ns > 0, "epoch {}: {} {s:?}", e.index, row.name());
             }
-            let analyzers: u64 = m.analyzers.named().map(|(_, s)| s.wall_ns).sum();
+            let analyzers: u64 = analyzer_rows().map(|s| m.stages[s].wall_ns).sum();
             let stages = m.stages[Stage::TcpDeliver].wall_ns + m.stages[Stage::UdpDeliver].wall_ns;
             assert_eq!(analyzers, stages, "epoch {}", e.index);
             tcp += u64::from(m.stages[Stage::TcpDeliver].events > 0);
@@ -1663,13 +1632,22 @@ pub(crate) mod tests {
         assert!(m.peak_open_conns > 0);
         assert!(m.trace_wall_ns > 0);
         assert_eq!(m.traces, 1);
-        // Analyzer delivery events sum to at most the per-direction
-        // delivery totals (connections without an analyzer deliver too).
-        let analyzer_events: u64 = m.analyzers.named().map(|(_, s)| s.events).sum();
-        assert!(analyzer_events > 0);
-        assert!(
-            analyzer_events
-                <= m.stages[Stage::TcpDeliver].events + m.stages[Stage::UdpDeliver].events
-        );
+    }
+
+    #[test]
+    fn each_deliver_row_is_the_sum_of_its_analyzer_rows_inline_and_on_the_lane() {
+        let (meta, packets) = generated(0, 3); // D0: full payload
+        for shards in [0, 1] {
+            let a = analyze_owned(&meta, &packets, &PipelineConfig { shards, ..Default::default() });
+            let m = &a.metrics;
+            for row in crate::metrics::SUM_ROWS {
+                let mut sum = StageStat::default();
+                for child in Stage::ALL.into_iter().filter(|s| s.parent() == Some(row)) {
+                    sum.absorb(&m.stages[child]);
+                }
+                assert!(sum.events > 0 && sum.wall_ns > 0, "shards {shards}: {} {sum:?}", row.name());
+                assert_eq!(m.stages[row], sum, "shards {shards}: {}", row.name());
+            }
+        }
     }
 }

@@ -254,8 +254,8 @@ pub(crate) fn run_lanes<'a>(
         drop(lane);
         let mut window = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         // The dispatcher's wait for room is the wall of the backpressure
-        // stage (its events and bytes stay the lane's degradation counts);
-        // its parses are frame_parse wall next to the worker's tallies.
+        // stage, inside the session's ingest wall; its parses are
+        // frame_parse wall next to the worker's tallies.
         window.metrics.stages[Stage::Backpressure].add(send_blocked_ns, 0, 0);
         window.metrics.stages[Stage::FrameParse].add(parse_ns, 0, 0);
         window

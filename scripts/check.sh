@@ -52,21 +52,30 @@ cargo run --release -q -p ent-cli -- study \
     --scale 0.002 --seed 3 --hosts 8 --datasets D0 \
     --only 'table 3' --bench-json "$BENCH_TMP/BENCH_pipeline.json" > /dev/null
 # obs-check fails on schema drift or any zero-valued mandatory stage
-# (instrumentation rot: a stage someone forgot to re-wire reads zero), and
-# on a hot-path wall share of 55% or more.
+# (instrumentation rot: a stage someone forgot to re-wire reads zero), on
+# root stage walls more than 2% from the worker wall (the ledger), and on a
+# hot-path wall share of 55% or more.
 cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_pipeline.json"
 
+echo "==> committed bench documents (the emitter's layout, and their own gates)"
+# The three committed documents must read as this build writes them: a key
+# the emitter renamed, moved or dropped fails here, not in a later
+# comparison.
+for doc in BENCH_pipeline.json BENCH_pipeline_s01.json BENCH_packs.json; do
+    cargo run --release -q -p ent-cli -- obs-check "$doc"
+done
+
 echo "==> bench regression gate (study at gate config vs committed BENCH_pipeline.json)"
-# Serial run at the committed baseline's exact parameters. obs-check holds
-# it to its own hot-path share (gen_synth + frame_parse + flow_ingest under
-# 55% of the summed stage wall: a ratio within one run, so no baseline);
-# bench-compare requires every event/byte count to match the baseline
-# exactly and prints each stage's wall against the committed one as a
-# ratio. Walls never fail a gate: a performance claim is judged by paired
-# runs, scripts/bench-pair.sh. --shards 0 is the inline engine (the
-# default, spelled out).
+# Serial run at the committed baseline's exact parameters (a study always
+# ingests inline). obs-check holds it to its own ledger (root stage walls
+# within 2% of the worker wall) and hot-path share (gen_synth + frame_parse
+# + flow_ingest under 55% of the summed stage wall): ratios within one run,
+# so no baseline; bench-compare requires every event/byte count to match
+# the baseline exactly and prints each stage's wall against the committed
+# one as a ratio. Walls never fail a gate: a performance claim is judged by
+# paired runs, scripts/bench-pair.sh.
 cargo run --release -q -p ent-cli -- study \
-    --scale 0.01 --seed 2005 --threads 1 --shards 0 \
+    --scale 0.01 --seed 2005 --threads 1 \
     --only 'table 3' --bench-json "$BENCH_TMP/BENCH_gate.json" > /dev/null
 cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_gate.json"
 cargo run --release -q -p ent-cli -- bench-compare \

@@ -40,7 +40,6 @@ fn study_metrics_export_is_schema_valid_and_live() {
         ("scale", Val::F(gen.scale)),
         ("seed", Val::U(gen.seed)),
         ("threads", Val::U(2)),
-        ("shards", Val::U(0)),
         ("study_wall_us", Val::F(total.trace_wall_ns as f64 / 1e3)),
     ];
     let doc = bench_json(&PIPELINE, &run, Some(&total), &datasets).expect("emit");
