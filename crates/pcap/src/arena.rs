@@ -8,7 +8,8 @@
 //! frames through the arena's [`FrameSink`] (or
 //! [`PacketArena::frame_buf`]) + [`PacketArena::commit`]; the trace
 //! assembly then orders records with [`PacketArena::sort_records`] and
-//! drops the [`Tap`](crate::Tap)'s losses in place.
+//! drops the [`Tap`](crate::Tap)'s losses in place. The sort orders one
+//! 8-byte key per record and then moves each record once.
 //!
 //! The arena stores only what cannot be recomputed. A generated frame is
 //! a header image and a protocol head, then a run of one filler byte up
@@ -68,7 +69,7 @@ pub enum Clip {
 /// active at commit time (see [`PacketArena::set_label`]); it rides with
 /// the record through [`PacketArena::sort_records`] and
 /// [`PacketArena::apply_tap`] but never enters the frame bytes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Rec {
     ts: Timestamp,
     off: u32,
@@ -78,7 +79,8 @@ struct Rec {
     fill: u8,
 }
 
-// The sort moves records, not frames: their size is its cost.
+// The sort's gather moves each record once, and every reader walks them:
+// their size is what that costs.
 const _: () = assert!(std::mem::size_of::<Rec>() == 24);
 
 impl Rec {
@@ -137,8 +139,14 @@ pub struct PacketArena {
     ghost_bytes: u64,
     /// Ground-truth label stamped onto subsequently committed records.
     cur_label: u32,
-    /// The radix sort's second record buffer, kept for the next sort.
-    sort_scratch: Vec<Rec>,
+    /// Earliest and latest timestamp committed since the last clear, in
+    /// microseconds: the sort's key span, known without a pass. Dropping
+    /// records keeps them bounds.
+    ts_bounds: (u64, u64),
+    /// The sort's two key buffers, kept for the next sort.
+    sort_keys: [Vec<u64>; 2],
+    /// The record list the sort gathers into, swapped with `recs`.
+    sort_gathered: Vec<Rec>,
     /// The one frame [`PacketArena::stream`] writes each record into.
     frame_scratch: Vec<u8>,
     /// The benchmark-only materialisation behind
@@ -163,7 +171,9 @@ impl PacketArena {
             ghost_packets: 0,
             ghost_bytes: 0,
             cur_label: 0,
-            sort_scratch: Vec::new(),
+            ts_bounds: NO_BOUNDS,
+            sort_keys: [Vec::new(), Vec::new()],
+            sort_gathered: Vec::new(),
             frame_scratch: Vec::new(),
             frames: OnceLock::new(),
         }
@@ -273,6 +283,8 @@ impl PacketArena {
         self.buf.resize(start + head, fill);
         self.watermark = self.buf.len();
         self.wire_bytes += wire_len as u64;
+        let (lo, hi) = self.ts_bounds;
+        self.ts_bounds = (lo.min(ts.micros()), hi.max(ts.micros()));
         self.recs.push(Rec {
             ts,
             off,
@@ -316,12 +328,23 @@ impl PacketArena {
     }
 
     /// Order records by timestamp, equal timestamps staying in emission
-    /// order: a stable LSD radix sort over the digits of the microsecond
-    /// key that actually vary, scattering between the record list and a
-    /// scratch list the arena keeps, so a warm arena sorts without
-    /// allocating.
+    /// order. Each record gets one key, `(ts − earliest) << index_bits |
+    /// emission index`; an LSD radix sort scatters the keys between two
+    /// key buffers, one pass per digit of the timestamp span in which they
+    /// differ, and one gather then moves each record once, into a second
+    /// record list. The index makes every key distinct and names its
+    /// record, so the order is the one stable sort by timestamp. The
+    /// buffers are the arena's and survive [`PacketArena::clear`], so a
+    /// warm arena sorts without allocating; a span and index wider than 64
+    /// bits (a span of centuries) take `u128` keys in buffers of their
+    /// own.
     pub fn sort_records(&mut self) {
-        radix_sort_by_ts(&mut self.recs, &mut self.sort_scratch);
+        sort_by_ts(
+            &mut self.recs,
+            self.ts_bounds,
+            &mut self.sort_gathered,
+            &mut self.sort_keys,
+        );
         self.frames = OnceLock::new();
     }
 
@@ -452,6 +475,7 @@ impl PacketArena {
         self.ghost_packets = 0;
         self.ghost_bytes = 0;
         self.cur_label = 0;
+        self.ts_bounds = NO_BOUNDS;
         self.frames = OnceLock::new();
     }
 }
@@ -500,72 +524,166 @@ impl FrameStream<'_> {
 }
 
 /// Bits per radix digit: 256 counters per digit stay in L1 beside the
-/// records streaming through.
+/// keys streaming through.
 const DIGIT_BITS: u32 = 8;
 /// Buckets per digit.
 const BUCKETS: usize = 1 << DIGIT_BITS;
-/// Digits in a 64-bit key.
-const DIGITS: usize = (u64::BITS / DIGIT_BITS) as usize;
+/// The timestamp bounds of an arena with no records: any commit
+/// replaces both.
+const NO_BOUNDS: (u64, u64) = (u64::MAX, 0);
+/// Digits in a 64-bit timestamp span.
+const DIGITS: usize = u64::BITS.div_ceil(DIGIT_BITS) as usize;
 
-/// The digit of `key` at bit offset `shift`.
-fn bucket(key: u64, shift: u32) -> usize {
-    ((key >> shift) as usize) & (BUCKETS - 1)
+/// A sort key `(ts − min) << index_bits | emission index`, in the
+/// narrowest of `u64` / `u128` that holds it.
+trait SortKey: Copy + Default {
+    fn pack(offset: u64, index: u64, index_bits: u32) -> Self;
+    /// The low 64 bits of `self >> shift`.
+    fn low(self, shift: u32) -> u64;
 }
 
-/// Stable LSD radix sort of `recs` by timestamp. Only digits in which some
-/// timestamp differs from the first get a pass (a trace an hour long
-/// varies in four of eight); one counting pass histograms all of them,
-/// then each scatters `recs` into `scratch` in order and the two swap.
-/// Every pass is stable, so equal timestamps keep their emission order.
-fn radix_sort_by_ts(recs: &mut Vec<Rec>, scratch: &mut Vec<Rec>) {
-    let Some(&first) = recs.first() else {
+impl SortKey for u64 {
+    fn pack(offset: u64, index: u64, index_bits: u32) -> u64 {
+        offset << index_bits | index
+    }
+    fn low(self, shift: u32) -> u64 {
+        self >> shift
+    }
+}
+
+impl SortKey for u128 {
+    fn pack(offset: u64, index: u64, index_bits: u32) -> u128 {
+        u128::from(offset) << index_bits | u128::from(index)
+    }
+    #[expect(clippy::cast_possible_truncation, reason = "the low 64 bits are asked for")]
+    fn low(self, shift: u32) -> u64 {
+        (self >> shift) as u64
+    }
+}
+
+/// Order `recs` by timestamp, equal timestamps in emission order, through
+/// the arena's buffers: `keys` for the key sort, `gathered` for the
+/// records (see [`PacketArena::sort_records`]). A key whose span and index
+/// need more than 64 bits is a `u128` in buffers of its own.
+fn sort_by_ts(
+    recs: &mut Vec<Rec>,
+    (min, max): (u64, u64),
+    gathered: &mut Vec<Rec>,
+    keys: &mut [Vec<u64>; 2],
+) {
+    let Some(span) = max.checked_sub(min).filter(|&s| s > 0) else {
         return;
     };
-    let base = first.ts.micros();
-    let varying = recs.iter().fold(0, |acc, r| acc | (r.ts.micros() ^ base));
-    let mut shifts = [0u32; DIGITS];
-    let mut active = 0;
-    for shift in (0..u64::BITS).step_by(DIGIT_BITS as usize) {
-        if bucket(varying, shift) != 0 {
-            if let Some(slot) = shifts.get_mut(active) {
-                *slot = shift;
-                active += 1;
-            }
-        }
+    // Bits that tell the indices `0..n` apart (`n` ≥ 2, as the span is
+    // not 0), and bits of the span.
+    let index_bits = usize::BITS - recs.len().saturating_sub(1).leading_zeros();
+    let span_bits = u64::BITS - span.leading_zeros();
+    if index_bits + span_bits <= u64::BITS {
+        let [keys, spare] = keys;
+        key_sort(recs, gathered, keys, spare, min, index_bits, span_bits);
+    } else {
+        let (mut keys, mut spare) = (Vec::<u128>::new(), Vec::new());
+        key_sort(recs, gathered, &mut keys, &mut spare, min, index_bits, span_bits);
     }
-    let shifts = shifts.get(..active).unwrap_or(&[]);
-    if shifts.is_empty() {
-        return;
-    }
+}
+
+/// The key sort behind [`sort_by_ts`]. One pass packs each record's key
+/// and histograms the offset's digits; each digit in which the keys differ
+/// then gets one stable LSD scatter of the keys from `keys` into `spare`
+/// (the two swap); one gather moves the records into `gathered` in key
+/// order, and the record lists swap. The index in the low bits names each
+/// key's record, and as the keys start in index order and every pass is
+/// stable, equal timestamps keep their emission order.
+fn key_sort<K: SortKey>(
+    recs: &mut Vec<Rec>,
+    gathered: &mut Vec<Rec>,
+    keys: &mut Vec<K>,
+    spare: &mut Vec<K>,
+    min: u64,
+    index_bits: u32,
+    span_bits: u32,
+) {
     let mut counts = [[0usize; BUCKETS]; DIGITS];
-    for r in recs.iter() {
-        let key = r.ts.micros();
-        for (&shift, hist) in shifts.iter().zip(counts.iter_mut()) {
-            if let Some(c) = hist.get_mut(bucket(key, shift)) {
+    let hists = counts
+        .get_mut(..span_bits.div_ceil(DIGIT_BITS) as usize)
+        .unwrap_or_default();
+    keys.clear();
+    keys.extend(recs.iter().zip(0u64..).map(|(r, index)| {
+        let offset = r.ts.micros() - min;
+        for (hist, shift) in hists.iter_mut().zip((0..).step_by(DIGIT_BITS as usize)) {
+            if let Some(c) = hist.get_mut(digit(offset, shift)) {
                 *c += 1;
             }
         }
-    }
-    scratch.clear();
-    scratch.resize(recs.len(), first);
-    for (&shift, hist) in shifts.iter().zip(counts.iter_mut()) {
+        K::pack(offset, index, index_bits)
+    }));
+    spare.clear();
+    spare.resize(keys.len(), K::default());
+    let n = keys.len();
+    for (hist, shift) in hists.iter_mut().zip((index_bits..).step_by(DIGIT_BITS as usize)) {
+        if hist.contains(&n) {
+            continue;
+        }
         // Counts become each bucket's first output position.
         let mut next = 0;
         for c in hist.iter_mut() {
-            let n = *c;
+            let count = *c;
             *c = next;
-            next += n;
+            next += count;
         }
-        for r in recs.iter() {
-            if let Some(pos) = hist.get_mut(bucket(r.ts.micros(), shift)) {
-                if let Some(slot) = scratch.get_mut(*pos) {
-                    *slot = *r;
+        // Keys go two at a time: when both fall in one bucket (a quarter to
+        // half of the keys in a bursty trace's top digit) the second
+        // position is the first plus one, not a reload of the counter just
+        // stored.
+        let (pairs, last) = keys.as_chunks::<2>();
+        for &[a, b] in pairs {
+            let (da, db) = (digit(a.low(shift), 0), digit(b.low(shift), 0));
+            let pa = hist.get(da).copied().unwrap_or(n);
+            let pb = if da == db {
+                pa + 1
+            } else {
+                hist.get(db).copied().unwrap_or(n)
+            };
+            for (pos, key) in [(pa, a), (pb, b)] {
+                if let Some(slot) = spare.get_mut(pos) {
+                    *slot = key;
+                }
+            }
+            if let Some(c) = hist.get_mut(da) {
+                *c = pa + 1;
+            }
+            if let Some(c) = hist.get_mut(db) {
+                *c = pb + 1;
+            }
+        }
+        for &key in last {
+            if let Some(pos) = hist.get_mut(digit(key.low(shift), 0)) {
+                if let Some(slot) = spare.get_mut(*pos) {
+                    *slot = key;
                 }
                 *pos += 1;
             }
         }
-        std::mem::swap(recs, scratch);
+        std::mem::swap(keys, spare);
     }
+    // The gather overwrites the records an earlier sort left in
+    // `gathered` (a list cleared and extended instead made the tap's walk
+    // that follows ≈6 % slower at scale 0.1), and the list keeps the
+    // record list's capacity, so the swap never shrinks it.
+    gathered.reserve(recs.capacity().saturating_sub(gathered.len()));
+    gathered.resize(n, Rec::default());
+    let index_mask = u64::MAX >> (u64::BITS - index_bits);
+    for (slot, key) in gathered.iter_mut().zip(keys.iter()) {
+        if let Some(r) = recs.get((key.low(0) & index_mask) as usize) {
+            *slot = *r;
+        }
+    }
+    std::mem::swap(recs, gathered);
+}
+
+/// The digit of `value` at bit offset `shift`.
+fn digit(value: u64, shift: u32) -> usize {
+    ((value >> shift) as usize) & (BUCKETS - 1)
 }
 
 #[cfg(test)]
@@ -635,15 +753,17 @@ mod tests {
     }
 
     #[test]
-    fn radix_sort_equals_the_stable_sort_by_timestamp() {
+    fn key_sort_equals_the_stable_sort_by_timestamp() {
         let mut x = X(0x9E37_79B9_7F4A_7C15);
         let mut arena = PacketArena::unbounded();
-        for case in 0..60u64 {
-            let n = (x.next() % 3_000) as usize + 1;
+        for case in 0..72u64 {
+            let mut n = (x.next() % 3_000) as usize + 1;
             // Heavy ties (five values), interleaved ascending runs (how
-            // sessions commit), keys past 2^32, and keys just under the
-            // top of the range.
-            let keys: Vec<u64> = match case % 4 {
+            // sessions commit), keys past 2^32, keys just under the top of
+            // the range, heavy ties among more records than a 16-bit index
+            // tells apart, and a span that leaves the index no room in 64
+            // bits (0 and u64::MAX - 1 among the keys: a u128 key).
+            let keys: Vec<u64> = match case % 6 {
                 0 => (0..n).map(|_| x.next() % 5).collect(),
                 1 => {
                     let mut runs = vec![0u64; (x.next() % 40 + 1) as usize];
@@ -656,7 +776,18 @@ mod tests {
                         .collect()
                 }
                 2 => (0..n).map(|_| (1 << 32) + x.next() % (1 << 36)).collect(),
-                _ => (0..n).map(|_| u64::MAX - 1 - x.next() % 100_000).collect(),
+                3 => (0..n).map(|_| u64::MAX - 1 - x.next() % 100_000).collect(),
+                4 => {
+                    n += 1 << 16;
+                    (0..n).map(|_| x.next() % 5).collect()
+                }
+                _ => (0..n.max(3))
+                    .map(|i| match i {
+                        0 => u64::MAX - 1,
+                        1 => 0,
+                        _ => x.next() % (u64::MAX - 1),
+                    })
+                    .collect(),
             };
             arena.clear();
             for (i, &k) in keys.iter().enumerate() {
@@ -675,7 +806,7 @@ mod tests {
                     (t.micros(), label)
                 })
                 .collect();
-            assert_eq!(got, want, "case {case}: {n} keys");
+            assert_eq!(got, want, "case {case}: {} keys", keys.len());
         }
     }
 

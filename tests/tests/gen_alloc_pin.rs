@@ -119,7 +119,9 @@ fn warm_arena_emission_makes_zero_allocations() {
         "steady-state emission allocated on the per-packet path"
     );
 
-    // The sort scatters into a scratch list the warm arena keeps.
+    // The sort scatters keys between two key buffers and gathers the
+    // records into a second record list, all arena fields a warm arena
+    // keeps.
     alloc_count::start();
     arena.sort_records();
     let allocs = alloc_count::stop();
